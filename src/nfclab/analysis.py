@@ -11,12 +11,12 @@ All operations are pure per element.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvout
 from .constants import C_M_PER_S
 from .scene import Scene
 from .synth import ChannelFrequencyResponse, los_path, noise_sigma
@@ -81,6 +81,8 @@ def _window(name: str, n: int) -> np.ndarray:
         w = np.hanning(n)
     else:
         raise ValueError(f"unknown window {name!r}; use 'rectangular' or 'hann'")
+    if not w.any():  # np.hanning(2) is all zeros
+        raise AnalysisError(f"{name} window needs >= 3 sweep points, got {n}")
     return w / w.mean()  # unit coherent gain
 
 
@@ -295,27 +297,21 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene,
 # ---------------------------------------------------------------------------
 
 def export_stats_csv(stats: ChannelStats, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "power_db", "ds_ns", "phase_rad", "aod_deg", "tau_ns"])
-        for i in range(stats.n_elements):
-            writer.writerow([
-                i + 1,
-                repr(float(stats.power_db[i])),
-                repr(float(stats.delay_spread_s[i] * 1e9)),
-                repr(float(stats.los_phase_rad[i])),
-                repr(float(math.degrees(stats.aod_rad[i]))),
-                repr(float(stats.tau_los_s[i] * 1e9)),
-            ])
+    _csvout.write_csv(path, ("element", "power_db", "ds_ns", "phase_rad", "aod_deg", "tau_ns"),
+                      [(_csvout.strs(range(1, stats.n_elements + 1)), _csvout.floats(stats.power_db),
+                        _csvout.floats(stats.delay_spread_s * 1e9), _csvout.floats(stats.los_phase_rad),
+                        _csvout.floats([math.degrees(a) for a in stats.aod_rad.tolist()]),
+                        _csvout.floats(stats.tau_los_s * 1e9))])
 
 
 def export_pdp_csv(pdps: list[PowerDelayProfile], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "bin", "delay_ns", "power_db"])
-        for pdp in pdps:
-            delays_ns = pdp.delays() * 1e9
-            for k in range(pdp.n_bins):
-                p = pdp.powers[k]
-                power_db = repr(10.0 * math.log10(p)) if p > 0 else "-inf"
-                writer.writerow([pdp.element, k, repr(float(delays_ns[k])), power_db])
+    axes = {}  # (bin_width, n_bins) -> bin and delay cells, formatted once per file
+
+    def block(pdp: PowerDelayProfile):
+        key = (pdp.bin_width, pdp.n_bins)
+        if key not in axes:
+            axes[key] = (_csvout.strs(range(pdp.n_bins)), _csvout.floats(pdp.delays() * 1e9))
+        power_db = [repr(10.0 * math.log10(p)) if p > 0 else "-inf" for p in pdp.powers.tolist()]
+        return (["" if pdp.element is None else str(pdp.element)] * pdp.n_bins, *axes[key], power_db)
+
+    _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"), map(block, pdps))

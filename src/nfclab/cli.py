@@ -13,14 +13,13 @@ Exit codes: 0 success, 2 unknown preset, 3 scenario parse/read failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, multiplanar, stationarity, synth, wavefront
+from . import _csvout, analysis, multiplanar, stationarity, synth, wavefront
 from .constants import C_M_PER_S
 from .scene import (PRESET_NAMES, Scene, SceneError, element_position,
                     load_preset, load_scene, true_geometry)
@@ -80,24 +79,28 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     return scene
 
 
+def _mw_row(scene: Scene, truth: synth.ChannelFrequencyResponse, name: str,
+            part: stationarity.StationaryPartition) -> tuple[str, int, float, float]:
+    patches = multiplanar.build_multiplanar_model(scene, part)
+    approx = multiplanar.synthesize_multiplanar_cfr(patches, scene)
+    err = multiplanar.multiplanar_error(truth, approx)
+    return (name, part.n_intervals, err.phase_rmse, err.complex_correlation)
+
+
 def _dyadic_mw_table(scene: Scene, truth: synth.ChannelFrequencyResponse,
                      max_k: int = 5) -> list[tuple[str, int, float, float]]:
-    rows = []
     n = scene.array.n_elements
-    for k in range(max_k + 1):
-        n_int = min(2 ** k, n)
-        part = stationarity.uniform_partition(n, n_int)
-        patches = multiplanar.build_multiplanar_model(scene, part)
-        approx = multiplanar.synthesize_multiplanar_cfr(patches, scene)
-        err = multiplanar.multiplanar_error(truth, approx)
-        rows.append((f"dyadic_2^{k}", n_int, err.phase_rmse, err.complex_correlation))
-    return rows
+    return [_mw_row(scene, truth, f"dyadic_2^{k}",
+                    stationarity.uniform_partition(n, min(2 ** k, n)))
+            for k in range(max_k + 1)]
 
 
 def cmd_run(args: argparse.Namespace) -> RunReport:
     scene = _apply_overrides(_resolve_scene(args.scenario), args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in RUN_FILES:  # a failed run must not leave the previous run's artifacts
+        (out_dir / name).unlink(missing_ok=True)
 
     cfr = synth.synthesize_cfr(scene)
     stats = analysis.compute_stats(cfr, scene)
@@ -114,12 +117,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
 
     truth_los = synth.synthesize_los_cfr(scene)
     mw_table = _dyadic_mw_table(scene, truth_los)
-    for part in partitions:
-        patches = multiplanar.build_multiplanar_model(scene, part)
-        approx = multiplanar.synthesize_multiplanar_cfr(patches, scene)
-        err = multiplanar.multiplanar_error(truth_los, approx)
-        mw_table.append((part.criterion, part.n_intervals,
-                         err.phase_rmse, err.complex_correlation))
+    mw_table += [_mw_row(scene, truth_los, part.criterion, part) for part in partitions]
 
     files = {name: out_dir / name for name in RUN_FILES}
     synth.export_cfr_csv(cfr, files["cfr.csv"])
@@ -238,12 +236,9 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
                     for n in range(1, scene.array.n_elements + 1)])
 
     path = out_dir / "phase_check.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "measured_phase", "eq_model_phase", "far_field_phase"])
-        for i in range(scene.array.n_elements):
-            writer.writerow([i + 1, repr(float(measured[i])), repr(float(model[i])),
-                             repr(float(far[i]))])
+    _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
+                      [(_csvout.strs(range(1, scene.array.n_elements + 1)),
+                        _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])
 
     if scene.array.n_elements >= 2:
         corr_meas = float(np.corrcoef(measured, model)[0, 1])
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--distance-mult", type=float, default=1.0,
                        help="receiver distance as a multiple of the Rayleigh distance (>= 1)")
     check.add_argument("--seed", type=int, default=None, help="noise seed override")
-    check.set_defaults(func=_phase_check_entry)
+    check.set_defaults(func=cmd_phase_check)
     return parser
 
 
@@ -297,10 +292,6 @@ def _run_entry(args: argparse.Namespace) -> int:
     for name, ok in report.checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return EXIT_OK
-
-
-def _phase_check_entry(args: argparse.Namespace) -> int:
-    return cmd_phase_check(args)
 
 
 def main(argv: list[str] | None = None) -> int:

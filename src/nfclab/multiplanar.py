@@ -13,12 +13,12 @@ the complex correlation metric.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvout
 from .constants import C_M_PER_S
 from .scene import Scene, true_geometry
 from .stationarity import StationaryPartition
@@ -226,8 +226,7 @@ def multiplanar_error(truth: ChannelFrequencyResponse,
 
 def export_mw_error_csv(rows: list[tuple[str, int, float, float]], path) -> None:
     """Rows of (partition id, interval count, phase rmse, correlation)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_or_partition_id", "n_intervals", "phase_rmse_rad", "correlation"])
-        for name, n_intervals, rmse, corr in rows:
-            writer.writerow([name, n_intervals, repr(float(rmse)), repr(float(corr))])
+    _csvout.write_csv(path, ("k_or_partition_id", "n_intervals", "phase_rmse_rad", "correlation"),
+                      [(_csvout.strs(row[0] for row in rows), _csvout.strs(row[1] for row in rows),
+                        _csvout.floats([row[2] for row in rows]),
+                        _csvout.floats([row[3] for row in rows]))])

@@ -191,15 +191,6 @@ class Blocker:
         v = v / np.linalg.norm(v)
         return u, v
 
-    def edge_set(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The 4 bounding segments as (start, end) corner pairs."""
-        c = np.asarray(self.center, dtype=float)
-        u, v = self.plane_axes()
-        hw, hh = 0.5 * self.width, 0.5 * self.height
-        corners = [c - hw * u - hh * v, c + hw * u - hh * v,
-                   c + hw * u + hh * v, c - hw * u + hh * v]
-        return tuple((corners[i], corners[(i + 1) % 4]) for i in range(4))
-
 
 @dataclass(frozen=True)
 class Scene:

@@ -14,12 +14,12 @@ each resulting interval is additionally held to a uniform-power bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvout
 from .analysis import ChannelStats
 from .synth import ChannelFrequencyResponse
 
@@ -382,19 +382,18 @@ def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
 # ---------------------------------------------------------------------------
 
 def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval_index", "start", "end", "criterion", "boundary_score"])
-        for partition in partitions:
-            scores = ("",) + tuple(repr(float(s)) for s in partition.boundary_scores)
-            for i, ((start, end), score) in enumerate(zip(partition.intervals, scores)):
-                writer.writerow([i, start, end, partition.criterion, score])
+    def block(partition: StationaryPartition):
+        scores = [""] + _csvout.floats(partition.boundary_scores)
+        n = min(partition.n_intervals, len(scores))  # rows stop where the scores run out
+        intervals = partition.intervals[:n]
+        return (_csvout.strs(range(n)), _csvout.strs(s for s, _ in intervals),
+                _csvout.strs(e for _, e in intervals), [partition.criterion] * n, scores[:n])
+
+    _csvout.write_csv(path, ("interval_index", "start", "end", "criterion", "boundary_score"),
+                      map(block, partitions))
 
 
 def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "D"])
-        for i in range(dmap.shape[0]):
-            for j in range(dmap.shape[1]):
-                writer.writerow([i + 1, j + 1, repr(float(dmap[i, j]))])
+    j = _csvout.strs(range(1, dmap.shape[1] + 1))
+    _csvout.write_csv(path, ("i", "j", "D"), (([str(i)] * len(j), j, _csvout.floats(row))
+                                             for i, row in enumerate(dmap, start=1)))

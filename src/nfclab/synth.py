@@ -14,14 +14,13 @@ parallel schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import _csvout, _kernels
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
 from .scene import (Scene, Sweep, edge_clearance, element_position,
                     fresnel_geometry_factor)
@@ -284,15 +283,10 @@ def synthesize_los_cfr(scene: Scene) -> ChannelFrequencyResponse:
 
 def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
     """CSV rows (element, f_hz, re, im); floats use shortest round-trip form."""
-    freqs = cfr.sweep.frequencies()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "f_hz", "re", "im"])
-        for i, element in enumerate(cfr.elements):
-            row = cfr.values[i]
-            for m in range(len(freqs)):
-                writer.writerow([element, repr(float(freqs[m])),
-                                 repr(float(row[m].real)), repr(float(row[m].imag))])
+    f_hz = _csvout.floats(cfr.sweep.frequencies())  # formatted once per file
+    _csvout.write_csv(path, ("element", "f_hz", "re", "im"),
+                      (([str(el)] * len(f_hz), f_hz, _csvout.floats(row.real), _csvout.floats(row.imag))
+                       for el, row in zip(cfr.elements, cfr.values)))
 
 
 def export_cfr_npz(cfr: ChannelFrequencyResponse, path) -> None:

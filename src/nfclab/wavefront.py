@@ -130,9 +130,3 @@ def model_phases(scene: Scene, target, frequency: float) -> np.ndarray:
             n=n, d=scene.array.spacing_d, wavelength=wavelength,
             theta_1=theta_1, theta_n=theta_n))
     return out
-
-
-def exact_phases(scene: Scene, target, frequency: float) -> np.ndarray:
-    """Exact path-length relative phase for every element toward one target."""
-    return np.array([exact_relative_phase(scene, n, target, frequency)
-                     for n in range(1, scene.array.n_elements + 1)])

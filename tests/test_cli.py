@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
                         EXIT_UNKNOWN_PRESET, RUN_FILES, main)
 
@@ -114,3 +120,21 @@ def test_phase_check_single_element(tmp_path):
     assert len(rows) == 2
     _, measured, model, far = rows[1].split(",")
     assert float(measured) == 0.0 and float(model) == 0.0 and float(far) == 0.0
+
+
+def test_two_freq_points_exit_4_without_traceback(tmp_path):
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab",
+                           "--out", str(tmp_path), "--freq-points", "2"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "hann window needs >= 3 sweep points" in proc.stderr
+
+
+def test_failed_run_removes_previous_artifacts(tmp_path):
+    assert run(["run", "los_lab", "--out", str(tmp_path)]) == 0
+    assert run(["run", "los_lab", "--out", str(tmp_path),
+                "--freq-points", "2"]) == EXIT_ANALYSIS_FAILURE
+    assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
