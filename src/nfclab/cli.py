@@ -205,10 +205,11 @@ def _render_report(scenario: str, report: RunReport) -> str:
 
 def cmd_phase_check(args: argparse.Namespace) -> int:
     scene = _apply_overrides(_resolve_scene(args.scenario), args)
+    path = Path(args.out) / "phase_check.csv"
+    path.unlink(missing_ok=True)  # a failed check must not leave the previous file
     if args.distance_mult < 1:
         raise _CliError("--distance-mult must be >= 1", EXIT_ANALYSIS_FAILURE)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
 
     # Place the receiver at k * Rayleigh distance along its original bearing
     # from element 1, then compare measured/closed-form/far-field phases.
@@ -235,7 +236,6 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     far = np.array([wavefront.far_field_phase(n, scene.array.spacing_d, lam_eval, theta_1)
                     for n in range(1, scene.array.n_elements + 1)])
 
-    path = out_dir / "phase_check.csv"
     _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
                       [(_csvout.strs(range(1, scene.array.n_elements + 1)),
                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])

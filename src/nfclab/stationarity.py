@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _csvout
 from .analysis import ChannelStats
@@ -103,6 +104,41 @@ def singleton_partition(n_elements: int) -> StationaryPartition:
 # Correlation machinery
 # ---------------------------------------------------------------------------
 
+def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
+    """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows.
+
+    Lag k of every window is a slice of one band ``sum_f h_{i+k} conj(h_i)``.
+    """
+    if m < 2:
+        raise StationarityError(f"window must span >= 2 elements, got {m}")
+    n, n_points = values.shape
+    idx = np.arange(m)
+    stack = np.empty((n - m + 1, m, m), dtype=np.complex128)
+    conj = values.conj()
+    for k in range(m):
+        band = np.einsum("if,if->i", values[k:], conj[:n - k]) / n_points
+        lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
+        stack[:, idx[k:], idx[:m - k]] = lag
+        stack[:, idx[:m - k], idx[k:]] = lag.conj()
+    return stack
+
+
+def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """CMD of every pair of matrices from two stacks, from one Gram product.
+
+    ``<R_i, R_j>_F = Re tr(R_i R_j)`` for Hermitian matrices.  Clamped to
+    [0, 1]; a zero matrix is at distance 1 from every matrix.
+    """
+    a, b = (np.asarray(r, dtype=np.complex128).reshape(len(r), -1).view(np.float64)
+            for r in (r1, r2))
+    norm_a, norm_b = (np.linalg.norm(x, axis=1) for x in (a, b))
+    d = a @ b.T
+    d /= np.where(norm_a > 0, norm_a, np.inf)[:, None]
+    d /= np.where(norm_b > 0, norm_b, np.inf)
+    np.subtract(1.0, d, out=d)
+    return np.clip(d, 0.0, 1.0, out=d)
+
+
 def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -> CorrelationMatrix:
     """Frequency-averaged outer-product correlation over an element window.
 
@@ -112,13 +148,9 @@ def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -
     """
     start, end = window
     m = end - start + 1
-    if m < 2:
-        raise StationarityError(f"window must span >= 2 elements, got {window}")
     if start < 1 or end > cfr.n_elements:
         raise StationarityError(f"window {window} outside 1..{cfr.n_elements}")
-    x = cfr.values[start - 1:end, :]
-    r = (x @ x.conj().T) / cfr.sweep.n_points
-    r = 0.5 * (r + r.conj().T)  # enforce exact Hermitian symmetry
+    r = _window_correlations(cfr.values[start - 1:end], m)[0]
     return CorrelationMatrix(matrix=r, window=(start, end), m=m)
 
 
@@ -133,12 +165,10 @@ def correlation_matrix_distance(r1: CorrelationMatrix | np.ndarray,
     m2 = r2.matrix if isinstance(r2, CorrelationMatrix) else np.asarray(r2)
     if m1.shape != m2.shape:
         raise StationarityError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
-    n1 = float(np.linalg.norm(m1, "fro"))
-    n2 = float(np.linalg.norm(m2, "fro"))
-    if n1 == 0.0 or n2 == 0.0:
+    if not (np.any(m1) and np.any(m2)):
         raise StationarityError("correlation matrix distance undefined for a zero matrix")
-    inner = float(np.real(np.trace(m1 @ m2)))
-    return min(1.0, max(0.0, 1.0 - inner / (n1 * n2)))
+    # <R1, R2^H>_F = tr(R1 R2) for any pair; R2^H = R2 for a correlation matrix
+    return float(_cmd(m1[None], m2.conj().T[None])[0, 0])
 
 
 def pearson_profiles(cfr: ChannelFrequencyResponse) -> np.ndarray:
@@ -163,20 +193,14 @@ def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndar
     """Pairwise CMD between all m-element windows (heat-map data).
 
     Entry (i, j) is the distance between the windows starting at elements
-    i+1 and j+1.
+    i+1 and j+1; all pairs come from one Gram product of the flattened
+    window correlations.  An array shorter than one window gives a 0x0 map.
     """
-    n_windows = cfr.n_elements - m + 1
-    if n_windows < 1:
-        raise StationarityError(f"array shorter than one window of {m}")
-    mats = [correlation_matrix(cfr, (s, s + m - 1)) for s in range(1, n_windows + 1)]
-    out = np.zeros((n_windows, n_windows))
-    for i in range(n_windows):
-        for j in range(i + 1, n_windows):
-            try:
-                d = correlation_matrix_distance(mats[i], mats[j])
-            except StationarityError:
-                d = 1.0
-            out[i, j] = out[j, i] = d
+    if cfr.n_elements < m:
+        return np.zeros((0, 0))
+    stack = _window_correlations(cfr.values, m)
+    out = _cmd(stack, stack)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -224,7 +248,6 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
     n = cfr.n_elements
     thresholds = (("m", float(m)), ("tau", float(tau)), ("min_si", float(min_si)))
 
-    warnings: list[str] = []
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd",
                                    thresholds=thresholds, boundary_scores=(),
@@ -234,33 +257,26 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
                                    thresholds=thresholds, boundary_scores=(),
                                    warnings=("all-zero response",))
 
+    stack = _window_correlations(cfr.values, m)
     boundaries: list[int] = []
     scores: list[float] = []
     si_start = 1
-    while si_start + m - 1 <= n:
-        reference = correlation_matrix(cfr, (si_start, si_start + m - 1))
-        tripped = False
-        for t in range(si_start + 1, n - m + 2):
-            test = correlation_matrix(cfr, (t, t + m - 1))
-            try:
-                d = correlation_matrix_distance(reference, test)
-            except StationarityError:
-                d = 1.0  # zero-power window is maximally different
-            if d > tau:
-                boundaries.append(t)
-                scores.append(d)
-                si_start = t
-                tripped = True
-                break
-        if not tripped:
+    while si_start < len(stack):
+        # distances from the reference window to the windows starting at si_start+1..
+        row = _cmd(stack[si_start - 1:si_start], stack[si_start:])[0]
+        tripped = np.flatnonzero(row > tau)
+        if tripped.size == 0:
             break
+        si_start += 1 + int(tripped[0])
+        boundaries.append(si_start)
+        scores.append(float(row[tripped[0]]))
 
     edges = [1] + boundaries + [n + 1]
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
     intervals, scores = _merge_short_intervals(intervals, scores, min_si)
     return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
                                criterion="cmd", thresholds=thresholds,
-                               boundary_scores=tuple(scores), warnings=tuple(warnings))
+                               boundary_scores=tuple(scores))
 
 
 def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndarray:
@@ -351,6 +367,10 @@ def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
     n = len(values)
     thresholds = (("parameter_threshold", float(k_threshold)), ("w", float(w)),
                   ("gamma_db", float(gamma_db)), ("min_si", float(min_si)))
+    if n < 3:
+        return StationaryPartition(intervals=((1, n),), criterion="slope",
+                                   thresholds=thresholds, boundary_scores=(),
+                                   warnings=(f"array of {n} elements too short for a slope",))
 
     k = characteristic_slope(values, w=w)
     boundaries, scores = _slope_boundaries(k, k_threshold)
@@ -383,11 +403,10 @@ def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
 
 def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
     def block(partition: StationaryPartition):
-        scores = [""] + _csvout.floats(partition.boundary_scores)
-        n = min(partition.n_intervals, len(scores))  # rows stop where the scores run out
-        intervals = partition.intervals[:n]
-        return (_csvout.strs(range(n)), _csvout.strs(s for s, _ in intervals),
-                _csvout.strs(e for _, e in intervals), [partition.criterion] * n, scores[:n])
+        n = partition.n_intervals  # a partition may carry fewer than n - 1 scores
+        scores = ([""] + _csvout.floats(partition.boundary_scores) + [""] * n)[:n]
+        return (_csvout.strs(range(n)), _csvout.strs(s for s, _ in partition.intervals),
+                _csvout.strs(e for _, e in partition.intervals), [partition.criterion] * n, scores)
 
     _csvout.write_csv(path, ("interval_index", "start", "end", "criterion", "boundary_score"),
                       map(block, partitions))

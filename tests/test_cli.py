@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy as np
 import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
                         EXIT_UNKNOWN_PRESET, RUN_FILES, main)
+from nfclab.scene import load_preset, save_scene
 
 
 def run(args):
@@ -55,11 +57,22 @@ def test_run_malformed_file_exit_3(tmp_path):
 
 
 def test_run_analysis_failure_exit_4(tmp_path):
-    # two elements cannot support the slope criterion's centered differences
+    # the CMD map needs windows of >= 2 elements even when only the slope criterion runs
+    assert run(["run", "los_lab", "--out", str(tmp_path),
+                "--criterion", "slope", "--window", "1"]) == EXIT_ANALYSIS_FAILURE
+
+
+def test_run_two_element_scene_degrades_with_warnings(tmp_path):
+    scene = load_preset("los_lab")
     tiny = tmp_path / "tiny.scene"
-    tiny.write_text("[array]\nn_elements = 2\n[rx]\nposition = 1.0, 6.0, 2.5\n")
-    assert run(["run", str(tiny), "--out", str(tmp_path / "out"),
-                "--criterion", "slope"]) == EXIT_ANALYSIS_FAILURE
+    save_scene(replace(scene, array=replace(scene.array, n_elements=2)), tiny)
+    out = tmp_path / "out"
+    assert run(["run", str(tiny), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "cmd warning:" in report and "slope warning:" in report
+    assert "FAIL" not in report
+    assert (out / "cmd_map.csv").read_bytes() == b"i,j,D\r\n"
+    assert len((out / "partition.csv").read_text().splitlines()) == 3
 
 
 def test_run_scenario_file_roundtrip(tmp_path):
@@ -138,3 +151,10 @@ def test_failed_run_removes_previous_artifacts(tmp_path):
     assert run(["run", "los_lab", "--out", str(tmp_path),
                 "--freq-points", "2"]) == EXIT_ANALYSIS_FAILURE
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
+
+
+def test_failed_phase_check_removes_previous_file(tmp_path):
+    assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
+    assert run(["phase-check", "los_lab", "--out", str(tmp_path),
+                "--distance-mult", "0.5"]) == EXIT_ANALYSIS_FAILURE
+    assert not (tmp_path / "phase_check.csv").exists()

@@ -167,9 +167,17 @@ def test_partition_csv_matches_reference(tmp_path):
                             thresholds=(), boundary_scores=(math.nan, 1e16)),
         StationaryPartition(intervals=((1, 12),), criterion="cmd", thresholds=(),
                             boundary_scores=()),
-        uniform_partition(12, 4),  # no scores, so only its first interval is written
     ]
     _assert_same_bytes(tmp_path, export_partition_csv, _ref_export_partition_csv, partitions)
+
+
+def test_partition_csv_writes_every_interval_without_scores(tmp_path):
+    # the reference stops at the last score, so it dropped all but the first interval here
+    path = tmp_path / "p.csv"
+    export_partition_csv([uniform_partition(12, 4)], path)
+    assert path.read_bytes() == (b"interval_index,start,end,criterion,boundary_score\r\n"
+                                 b"0,1,3,uniform,\r\n1,4,6,uniform,\r\n"
+                                 b"2,7,9,uniform,\r\n3,10,12,uniform,\r\n")
 
 
 def test_cmd_map_csv_matches_reference(tmp_path):

@@ -296,3 +296,9 @@ def test_cmd_map_and_exports(tmp_path, olos_cfr):
     lines = pcsv.read_text().strip().splitlines()
     assert lines[0] == "interval_index,start,end,criterion,boundary_score"
     assert len(lines) == 1 + part.n_intervals
+
+
+def test_partition_by_slope_short_array_warns():
+    part = nl.partition_by_slope(stats_with(n=2))
+    assert part.intervals == ((1, 2),)
+    assert "too short" in part.warnings[0]
