@@ -2,112 +2,60 @@
 
 The kernel sums, for every propagation path, its complex contribution over
 all sweep frequencies, including the per-frequency free-space amplitude and
-knife-edge losses.  It is compiled with numba by default; a pure-numpy
-fallback with the identical accumulation order is selected with
-
-    NFCLAB_BACKEND=numpy
-
-(``numba`` forces compilation, ``auto``/unset picks numba when available).
-Both backends are sequential and deterministic; they agree to float rounding.
+knife-edge losses.  It is plain numpy, vectorized over frequency, and visits
+the paths sequentially in table order, so the result is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 
-_ENV_VAR = "NFCLAB_BACKEND"
 
+def knife_edge_loss(nu) -> np.ndarray | float:
+    """Single-knife-edge diffraction loss in dB for Fresnel parameter nu.
 
-def _accumulate_paths_py(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
-    """Reference scalar implementation; numba-compiled below.
-
-    out      : complex128 (n_rows, n_freqs), accumulated in place
-    row_idx  : int64 (n_paths,) output row per path
-    lengths  : float64 (n_paths,) total path length [m]
-    gains    : float64 (n_paths,) interaction gain
-    edge_ptr : int64 (n_paths+1,) CSR offsets into edge_geo
-    edge_geo : float64 (n_edges,) knife-edge factors h*sqrt(2(d1+d2)/(d1 d2))
-    freqs    : float64 (n_freqs,) sweep grid [Hz]
+    ``6.9 + 20*log10(sqrt((nu-0.1)^2+1) + nu - 0.1)`` for nu > -0.78, else 0.
     """
-    n_paths = lengths.shape[0]
-    n_freqs = freqs.shape[0]
-    for p in range(n_paths):
-        row = row_idx[p]
-        length = lengths[p]
-        gain = gains[p]
-        e0 = edge_ptr[p]
-        e1 = edge_ptr[p + 1]
-        for m in range(n_freqs):
-            f = freqs[m]
-            lam = C_M_PER_S / f
-            sqrt_lam = math.sqrt(lam)
-            loss_db = 0.0
-            for e in range(e0, e1):
-                nu = edge_geo[e] / sqrt_lam
-                if nu > KNIFE_EDGE_NU_MIN:
-                    t = nu - 0.1
-                    loss_db += 6.9 + 20.0 * math.log10(math.sqrt(t * t + 1.0) + t)
-            amp = gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
-            phase = -2.0 * math.pi * f * length / C_M_PER_S
-            out[row, m] += amp * (math.cos(phase) + 1j * math.sin(phase))
+    nu_arr = np.asarray(nu, dtype=float)
+    t = nu_arr - 0.1
+    with np.errstate(invalid="ignore"):
+        j = 6.9 + 20.0 * np.log10(np.sqrt(t * t + 1.0) + t)
+    out = np.where(nu_arr > KNIFE_EDGE_NU_MIN, j, 0.0)
+    # -inf marks "never crosses the screen plane": no interaction, no loss.
+    out = np.where(np.isneginf(nu_arr), 0.0, out)
+    if np.isscalar(nu) or np.ndim(nu) == 0:
+        return float(out)
     return out
 
 
-def _accumulate_paths_numpy(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
-    """Vectorized-over-frequency fallback with the same path order."""
-    lam = C_M_PER_S / freqs
-    sqrt_lam = np.sqrt(lam)
-    for p in range(lengths.shape[0]):
-        loss_db = np.zeros_like(freqs)
-        for e in range(edge_ptr[p], edge_ptr[p + 1]):
-            nu = edge_geo[e] / sqrt_lam
-            t = nu - 0.1
-            j = 6.9 + 20.0 * np.log10(np.sqrt(t * t + 1.0) + t)
-            loss_db += np.where(nu > KNIFE_EDGE_NU_MIN, j, 0.0)
-        amp = gains[p] * lam / (4.0 * math.pi * lengths[p]) * 10.0 ** (-loss_db / 20.0)
-        phase = -2.0 * math.pi * freqs * lengths[p] / C_M_PER_S
-        out[row_idx[p]] += amp * (np.cos(phase) + 1j * np.sin(phase))
-    return out
-
-
-try:
-    import numba
-
-    _accumulate_paths_njit = numba.njit(cache=True, nogil=True)(_accumulate_paths_py)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _accumulate_paths_njit = None
-    HAVE_NUMBA = False
-
-
-def active_backend() -> str:
-    """Resolve the accumulation backend from the environment ('numba'|'numpy')."""
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"{_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {choice!r}")
+def path_amplitude(gain, length, edge_geo, lam, sqrt_lam) -> np.ndarray:
+    """``gain * lambda/(4 pi L) * 10^(-J/20)`` per frequency, J summed over the edges."""
+    loss_db = np.zeros_like(lam)
+    for geo in edge_geo:
+        loss_db += knife_edge_loss(geo / sqrt_lam)
+    return gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
 
 
 def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
-    """Accumulate every path's swept-frequency contribution into ``out``."""
-    args = (np.ascontiguousarray(out),
-            np.ascontiguousarray(row_idx, dtype=np.int64),
-            np.ascontiguousarray(lengths, dtype=np.float64),
-            np.ascontiguousarray(gains, dtype=np.float64),
-            np.ascontiguousarray(edge_ptr, dtype=np.int64),
-            np.ascontiguousarray(edge_geo, dtype=np.float64),
-            np.ascontiguousarray(freqs, dtype=np.float64))
-    if active_backend() == "numba":
-        return _accumulate_paths_njit(*args)
-    return _accumulate_paths_numpy(*args)
+    """Accumulate every path's swept-frequency contribution into ``out``.
+
+    out      : complex128 (n_rows, n_freqs), accumulated in place
+    row_idx  : int (n_paths,) output row per path
+    lengths  : float (n_paths,) total path length [m]
+    gains    : float (n_paths,) interaction gain
+    edge_ptr : int (n_paths+1,) CSR offsets into edge_geo
+    edge_geo : float (n_edges,) knife-edge factors h*sqrt(2(d1+d2)/(d1 d2))
+    freqs    : float (n_freqs,) sweep grid [Hz]
+    """
+    lam = C_M_PER_S / freqs
+    sqrt_lam = np.sqrt(lam)
+    for p in range(lengths.shape[0]):
+        amp = path_amplitude(gains[p], lengths[p], edge_geo[edge_ptr[p]:edge_ptr[p + 1]],
+                             lam, sqrt_lam)
+        phase = -2.0 * math.pi * freqs * lengths[p] / C_M_PER_S
+        out[row_idx[p]] += amp * (np.cos(phase) + 1j * np.sin(phase))
+    return out

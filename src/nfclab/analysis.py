@@ -18,8 +18,9 @@ import numpy as np
 
 from . import _csvout
 from .constants import C_M_PER_S
-from .scene import Scene
-from .synth import ChannelFrequencyResponse, los_path, noise_sigma
+from .scene import Scene, true_geometry
+# los_path is not called here; perfbench/tracer.py counts calls through this name.
+from .synth import ChannelFrequencyResponse, los_path, noise_sigma  # noqa: F401
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
 DEFAULT_DS_THRESHOLD_DB = 20.0
@@ -52,11 +53,7 @@ class PowerDelayProfile:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Per-element summary statistics of one swept measurement.
-
-    ``angular_spread``, ``shadow_fading`` and ``k_factor`` are housed for
-    interface completeness but not populated by this package.
-    """
+    """Per-element summary statistics of one swept measurement."""
 
     power_db: np.ndarray
     delay_spread_s: np.ndarray
@@ -65,9 +62,6 @@ class ChannelStats:
     tau_los_s: np.ndarray
     los_valid: np.ndarray
     aod_valid: np.ndarray
-    angular_spread: None = None
-    shadow_fading: None = None
-    k_factor: None = None
 
     @property
     def n_elements(self) -> int:
@@ -155,17 +149,18 @@ def rms_delay_spread(pdp: PowerDelayProfile, threshold_db: float = DEFAULT_DS_TH
 # LOS tap gating
 # ---------------------------------------------------------------------------
 
+def _los_delays(scene: Scene, elements) -> np.ndarray:
+    """Geometric LOS delay |rx - p_n| / c of every element."""
+    return np.array([true_geometry(scene, el, scene.rx)[0] for el in elements]) / C_M_PER_S
+
+
 def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene | None) -> np.ndarray:
     """Delay-grid bin of the LOS tap per element (geometric when possible)."""
     n = cfr.sweep.n_points
     if scene is not None:
         # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.
         scale = cfr.sweep.bandwidth * n / (n - 1)
-        bins = []
-        for element in cfr.elements:
-            tau = los_path(scene, element).length / C_M_PER_S
-            bins.append(int(round(tau * scale)) % n)
-        return np.array(bins, dtype=int)
+        return np.rint(_los_delays(scene, cfr.elements) * scale).astype(int) % n
     spectra = np.abs(np.fft.ifft(cfr.values, axis=1)) ** 2
     return np.argmax(spectra, axis=1).astype(int)
 
@@ -241,40 +236,38 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tupl
     return unwrapped - unwrapped[0], valid
 
 
+def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray,
+              spacing_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element AoD from adjacent-pair tap phases at the center frequency.
+
+    Each pair's wrapped phase difference gives ``cos(theta) = -lambda_c *
+    dphi / (2 pi d)``; the clamped arccos sits at the pair midpoint and is
+    linearly interpolated back to the elements.  Returns (theta_rad,
+    pair_physical), the latter flagging pairs with |cos| <= 1.
+    """
+    lam = C_M_PER_S / cfr.sweep.frequencies()[(cfr.sweep.n_points - 1) // 2]
+    # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
+    dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
+    ratio = -lam * dphi / (2.0 * math.pi * spacing_d)
+    theta_mid = np.arccos(np.clip(ratio, -1.0, 1.0))
+    mid_pos = np.arange(1, cfr.n_elements) + 0.5
+    el_pos = np.arange(1, cfr.n_elements + 1, dtype=float)
+    return np.interp(el_pos, mid_pos, theta_mid), np.abs(ratio) <= 1.0
+
+
 def estimate_aod(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Azimuth angle of departure per element from adjacent-pair LOS phases.
 
-    For each adjacent pair the wrapped tap phase difference gives
-    ``cos(theta) = -lambda_c * dphi / (2 pi d)``; the arccos is assigned to
-    the pair midpoint and linearly interpolated back to the elements.
-    Returns (theta_rad, valid); pairs whose |cos| exceeds 1 (aliasing or
-    occlusion) are clamped and flagged invalid.
+    See ``_pair_aod``.  Returns (theta_rad, valid); an element is valid when
+    every pair it belongs to is physical (|cos| <= 1; aliasing or occlusion
+    breaks this) and both of the pair's gated taps are valid.
     """
     if cfr.n_elements < 2:
         raise ValueError("need at least 2 elements to estimate angles")
     taps, tap_valid = gated_los_taps(cfr, scene)
-    n = cfr.sweep.n_points
-    freqs = cfr.sweep.frequencies()
-    f_eval = freqs[(n - 1) // 2]
-    lam = C_M_PER_S / f_eval
-    d = scene.array.spacing_d
-
-    # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
-    dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
-    ratio = -lam * dphi / (2.0 * math.pi * d)
-    pair_valid = (np.abs(ratio) <= 1.0) & tap_valid[1:] & tap_valid[:-1]
-    theta_mid = np.arccos(np.clip(ratio, -1.0, 1.0))
-
-    mid_pos = np.arange(1, cfr.n_elements) + 0.5
-    el_pos = np.arange(1, cfr.n_elements + 1, dtype=float)
-    theta = np.interp(el_pos, mid_pos, theta_mid)
-
-    valid = np.empty(cfr.n_elements, dtype=bool)
-    valid[0] = pair_valid[0]
-    valid[-1] = pair_valid[-1]
-    for i in range(1, cfr.n_elements - 1):
-        valid[i] = pair_valid[i - 1] & pair_valid[i]
-    return theta, valid
+    theta, physical = _pair_aod(cfr, taps, scene.array.spacing_d)
+    pair_valid = np.concatenate(([True], physical & tap_valid[1:] & tap_valid[:-1], [True]))
+    return theta, pair_valid[:-1] & pair_valid[1:]  # padded: end elements have one pair
 
 
 def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene,
@@ -286,9 +279,8 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene,
     ds = np.array([rms_delay_spread(p, threshold_db=ds_threshold_db) for p in pdps])
     phase, los_valid = los_phase(cfr, scene)
     aod, aod_valid = estimate_aod(cfr, scene)
-    tau = np.array([los_path(scene, el).length / C_M_PER_S for el in cfr.elements])
     return ChannelStats(power_db=power, delay_spread_s=ds, los_phase_rad=phase,
-                        aod_rad=aod, tau_los_s=tau,
+                        aod_rad=aod, tau_los_s=_los_delays(scene, cfr.elements),
                         los_valid=los_valid, aod_valid=aod_valid)
 
 

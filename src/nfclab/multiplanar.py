@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvout
+from . import _csvout, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene, true_geometry
 from .stationarity import StationaryPartition
-from .synth import ChannelFrequencyResponse, knife_edge_loss, los_path, make_cfr
+from .synth import ChannelFrequencyResponse, los_path, make_cfr
 
 FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
@@ -71,12 +71,7 @@ def _los_gain(scene: Scene, element: int, freqs: np.ndarray) -> tuple[np.ndarray
     """De-propagated LOS gain per frequency, its path length, and a block flag."""
     path = los_path(scene, element)
     lam = C_M_PER_S / freqs
-    gain = lam / (4.0 * math.pi * path.length)
-    if path.edge_factors:
-        loss_db = np.zeros_like(freqs)
-        for geo in path.edge_factors:
-            loss_db += knife_edge_loss(geo / np.sqrt(lam))
-        gain = gain * 10.0 ** (-loss_db / 20.0)
+    gain = _kernels.path_amplitude(1.0, path.length, path.edge_factors, lam, np.sqrt(lam))
     return gain, path.length, path.blockage_db > FULL_BLOCKAGE_DB
 
 
@@ -126,18 +121,15 @@ def build_multiplanar_model_from_cfr(cfr: ChannelFrequencyResponse,
     nature (delay-bin quantization, gate truncation); use the scene-driven
     builder whenever geometry is available.
     """
-    from .analysis import _window, gated_los_rows  # analysis sits above synth
+    from .analysis import _pair_aod, _window, gated_los_rows  # analysis sits above synth
 
     rows, taps, valid = gated_los_rows(cfr, None)
     n = cfr.sweep.n_points
     freqs = cfr.sweep.frequencies()
-    center = (n - 1) // 2
-    f_eval = freqs[center]
-    lam = C_M_PER_S / f_eval
 
     # Undo the gate's Hann taper and 1/f equalization; notch the band edges
     # where the taper is too small to invert stably.
-    taper = _window("hann", n) * freqs / f_eval
+    taper = _window("hann", n) * freqs / freqs[(n - 1) // 2]
     invertible = taper >= 0.05 * taper.max()
     detaper = np.where(invertible, 1.0 / np.where(invertible, taper, 1.0), 0.0)
 
@@ -146,11 +138,7 @@ def build_multiplanar_model_from_cfr(cfr: ChannelFrequencyResponse,
     tau = k0 * (n - 1) / (n * cfr.sweep.bandwidth)
     r_los = tau * C_M_PER_S
 
-    dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
-    ratio = np.clip(-lam * dphi / (TWO_PI * spacing_d), -1.0, 1.0)
-    theta_mid = np.arccos(ratio)
-    el_pos = np.arange(1, cfr.n_elements + 1, dtype=float)
-    theta = np.interp(el_pos, np.arange(1, cfr.n_elements) + 0.5, theta_mid)
+    theta, _ = _pair_aod(cfr, taps, spacing_d)
 
     patches: list[PlanarPatch] = []
     for start, end in partition.intervals:

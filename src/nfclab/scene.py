@@ -214,6 +214,8 @@ class Scene:
             s.validate(f"scatterer[{i}]")
         for i, b in enumerate(self.blockers):
             b.validate(f"blocker[{i}]")
+        if not 0 <= self.seed < 2 ** 64:  # the Philox noise key is one uint64
+            raise SceneValidationError("seed", f"must lie in [0, 2**64), got {self.seed}")
         positions = element_positions(self)
         d = np.linalg.norm(positions - np.asarray(self.rx, dtype=float), axis=1)
         if float(d.min()) < 1e-9:

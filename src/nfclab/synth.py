@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _csvout, _kernels
+from ._kernels import knife_edge_loss
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
 from .scene import (Scene, Sweep, edge_clearance, element_position,
                     fresnel_geometry_factor)
@@ -38,7 +39,6 @@ class PropagationPath:
     """
 
     kind: str  # "los" | "wall" | "scatterer"
-    vertices: tuple[tuple[float, float, float], ...]
     length: float
     interaction_gain: float
     blockage_db: float
@@ -83,23 +83,6 @@ def make_cfr(values: np.ndarray, sweep: Sweep, elements=None) -> ChannelFrequenc
     return ChannelFrequencyResponse(values=values, sweep=sweep, elements=tuple(elements))
 
 
-def knife_edge_loss(nu) -> np.ndarray | float:
-    """Single-knife-edge diffraction loss in dB for Fresnel parameter nu.
-
-    ``6.9 + 20*log10(sqrt((nu-0.1)^2+1) + nu - 0.1)`` for nu > -0.78, else 0.
-    """
-    nu_arr = np.asarray(nu, dtype=float)
-    t = nu_arr - 0.1
-    with np.errstate(invalid="ignore"):
-        j = 6.9 + 20.0 * np.log10(np.sqrt(t * t + 1.0) + t)
-    out = np.where(nu_arr > KNIFE_EDGE_NU_MIN, j, 0.0)
-    # -inf marks "never crosses the screen plane": no interaction, no loss.
-    out = np.where(np.isneginf(nu_arr), 0.0, out)
-    if np.isscalar(nu) or np.ndim(nu) == 0:
-        return float(out)
-    return out
-
-
 def _mirror_across_plane(point: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
     return point - 2.0 * (float(np.dot(normal, point)) - offset) * normal
 
@@ -138,11 +121,9 @@ def los_path(scene: Scene, n: int) -> PropagationPath:
     """The direct element->rx ray with its blockage bookkeeping."""
     p = element_position(scene, n)
     rx = np.asarray(scene.rx, dtype=float)
-    vertices = [p, rx]
-    factors = _edge_factors_for(scene, vertices)
+    factors = _edge_factors_for(scene, [p, rx])
     return PropagationPath(
         kind="los",
-        vertices=tuple(tuple(v) for v in vertices),
         length=float(np.linalg.norm(rx - p)),
         interaction_gain=1.0,
         blockage_db=_path_blockage_db(scene, factors),
@@ -171,11 +152,9 @@ def enumerate_paths(scene: Scene, n: int) -> list[PropagationPath]:
         length = float(np.linalg.norm(image - p))
         t = s_el / (s_el + s_rx)
         reflection = p + t * (image - p)
-        vertices = [p, reflection, rx]
-        factors = _edge_factors_for(scene, vertices)
+        factors = _edge_factors_for(scene, [p, reflection, rx])
         paths.append(PropagationPath(
             kind="wall",
-            vertices=tuple(tuple(v) for v in vertices),
             length=length,
             interaction_gain=wall.gamma,
             blockage_db=_path_blockage_db(scene, factors),
@@ -184,12 +163,10 @@ def enumerate_paths(scene: Scene, n: int) -> list[PropagationPath]:
 
     for scatterer in scene.point_scatterers:
         s = np.asarray(scatterer.position, dtype=float)
-        vertices = [p, s, rx]
         length = float(np.linalg.norm(s - p) + np.linalg.norm(rx - s))
-        factors = _edge_factors_for(scene, vertices)
+        factors = _edge_factors_for(scene, [p, s, rx])
         paths.append(PropagationPath(
             kind="scatterer",
-            vertices=tuple(tuple(v) for v in vertices),
             length=length,
             interaction_gain=scatterer.amplitude,
             blockage_db=_path_blockage_db(scene, factors),
@@ -223,12 +200,11 @@ def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) 
     return make_cfr(noisy, cfr.sweep, cfr.elements)
 
 
-def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
-    """Synthesize the full complex response H(element, frequency).
+def _sum_paths(scene: Scene, paths_of) -> np.ndarray:
+    """Path-sum response of every element over the sweep grid.
 
-    ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
-    * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
-    floor.  Amplitudes are relative to the 10 dBm transmit reference.
+    ``paths_of(scene, n)`` lists element n's paths; they become one
+    (row, length, gain, edge CSR) table, accumulated by the kernel in order.
     """
     n_el = scene.array.n_elements
     freqs = scene.sweep.frequencies()
@@ -239,7 +215,7 @@ def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
     edge_geo: list[float] = []
     edge_ptr: list[int] = [0]
     for n in range(1, n_el + 1):
-        for path in enumerate_paths(scene, n):
+        for path in paths_of(scene, n):
             row_idx.append(n - 1)
             lengths.append(path.length)
             gains.append(path.interaction_gain)
@@ -251,7 +227,17 @@ def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
                               np.array(lengths), np.array(gains),
                               np.array(edge_ptr, dtype=np.int64),
                               np.array(edge_geo), freqs)
+    return out
 
+
+def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
+    """Synthesize the full complex response H(element, frequency).
+
+    ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
+    * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
+    floor.  Amplitudes are relative to the 10 dBm transmit reference.
+    """
+    out = _sum_paths(scene, enumerate_paths)
     if scene.noise_floor_dbm is not None:
         out += complex_noise(out.shape, scene.noise_floor_dbm, scene.seed)
     return make_cfr(out, scene.sweep)
@@ -259,22 +245,7 @@ def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
 
 def synthesize_los_cfr(scene: Scene) -> ChannelFrequencyResponse:
     """LOS-only spherical-truth response (no walls/scatterers/noise)."""
-    n_el = scene.array.n_elements
-    freqs = scene.sweep.frequencies()
-    row_idx = np.arange(n_el, dtype=np.int64)
-    paths = [los_path(scene, n) for n in range(1, n_el + 1)]
-    lengths = np.array([p.length for p in paths])
-    gains = np.ones(n_el)
-    edge_geo: list[float] = []
-    edge_ptr = [0]
-    for p in paths:
-        edge_geo.extend(p.edge_factors)
-        edge_ptr.append(len(edge_geo))
-    out = np.zeros((n_el, len(freqs)), dtype=np.complex128)
-    _kernels.accumulate_paths(out, row_idx, lengths, gains,
-                              np.array(edge_ptr, dtype=np.int64),
-                              np.array(edge_geo), freqs)
-    return make_cfr(out, scene.sweep)
+    return make_cfr(_sum_paths(scene, lambda s, n: [los_path(s, n)]), scene.sweep)
 
 
 # ---------------------------------------------------------------------------

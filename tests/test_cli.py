@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
@@ -144,6 +145,25 @@ def test_two_freq_points_exit_4_without_traceback(tmp_path):
     assert proc.returncode == EXIT_ANALYSIS_FAILURE
     assert "Traceback" not in proc.stderr
     assert "hann window needs >= 3 sweep points" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", "99999999999999999999"])
+def test_out_of_range_seed_exit_4_without_traceback(tmp_path, seed):
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab",
+                           "--out", str(tmp_path), "--seed", seed, "--noise-floor", "-90"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert f"seed: must lie in [0, 2**64), got {seed}" in proc.stderr
+
+
+def test_out_of_range_seed_in_scene_file_exit_3(tmp_path):
+    path = tmp_path / "s.scene"
+    save_scene(load_preset("los_lab"), path)
+    path.write_text(path.read_text() + "\n[noise]\nfloor_dbm = -90\nseed = -1\n")
+    assert run(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE_FAILURE
 
 
 def test_failed_run_removes_previous_artifacts(tmp_path):

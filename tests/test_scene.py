@@ -185,6 +185,14 @@ def test_noise_section_parsing():
     assert scene.seed == 42
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "99999999999999999999"])
+def test_seed_outside_uint64_rejected(seed):
+    with pytest.raises(SceneValidationError, match="seed") as err:
+        loads_scene(MINIMAL + f"\n[noise]\nfloor_dbm = -90\nseed = {seed}\n")
+    assert err.value.field_name == "seed"
+    assert loads_scene(MINIMAL + f"\n[noise]\nseed = {2 ** 64 - 1}\n").seed == 2 ** 64 - 1
+
+
 def test_horizontal_screen_axes():
     flat = Blocker(center=(0.0, 0.0, 1.0), width=2.0, height=4.0, normal=(0.0, 0.0, 1.0))
     u, v = flat.plane_axes()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nfclab as nl
-from nfclab.constants import C_M_PER_S
+from nfclab import _kernels
+from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
 from nfclab.synth import export_cfr_csv, export_cfr_npz, load_cfr_npz
 
@@ -204,14 +205,86 @@ def test_csv_and_npz_roundtrip(tmp_path, los_scene):
     assert complex(float(re), float(im)) == cfr.values[0, 0]
 
 
-def test_backends_agree(monkeypatch, olos_scene):
-    numba_vals = nl.synthesize_cfr(olos_scene).values
-    monkeypatch.setenv("NFCLAB_BACKEND", "numpy")
-    numpy_vals = nl.synthesize_cfr(olos_scene).values
-    monkeypatch.setenv("NFCLAB_BACKEND", "nonsense")
-    with pytest.raises(RuntimeError):
-        nl.synthesize_cfr(olos_scene)
-    assert np.allclose(numba_vals, numpy_vals, rtol=1e-12, atol=1e-16)
+def _accumulate_paths_py(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    """Reference scalar loop: one path, sweep point and edge at a time.
+
+    out      : complex128 (n_rows, n_freqs), accumulated in place
+    row_idx  : int64 (n_paths,) output row per path
+    lengths  : float64 (n_paths,) total path length [m]
+    gains    : float64 (n_paths,) interaction gain
+    edge_ptr : int64 (n_paths+1,) CSR offsets into edge_geo
+    edge_geo : float64 (n_edges,) knife-edge factors h*sqrt(2(d1+d2)/(d1 d2))
+    freqs    : float64 (n_freqs,) sweep grid [Hz]
+    """
+    n_paths = lengths.shape[0]
+    n_freqs = freqs.shape[0]
+    for p in range(n_paths):
+        row = row_idx[p]
+        length = lengths[p]
+        gain = gains[p]
+        e0 = edge_ptr[p]
+        e1 = edge_ptr[p + 1]
+        for m in range(n_freqs):
+            f = freqs[m]
+            lam = C_M_PER_S / f
+            sqrt_lam = math.sqrt(lam)
+            loss_db = 0.0
+            for e in range(e0, e1):
+                nu = edge_geo[e] / sqrt_lam
+                if nu > KNIFE_EDGE_NU_MIN:
+                    t = nu - 0.1
+                    loss_db += 6.9 + 20.0 * math.log10(math.sqrt(t * t + 1.0) + t)
+            amp = gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
+            phase = -2.0 * math.pi * f * length / C_M_PER_S
+            out[row, m] += amp * (math.cos(phase) + 1j * math.sin(phase))
+    return out
+
+
+def _kernel_vs_reference(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    table = (np.asarray(row_idx, dtype=np.int64), np.asarray(lengths, dtype=float),
+             np.asarray(gains, dtype=float), np.asarray(edge_ptr, dtype=np.int64),
+             np.asarray(edge_geo, dtype=float), np.asarray(freqs, dtype=float))
+    shape = (n_rows, len(freqs))
+    got = _kernels.accumulate_paths(np.zeros(shape, dtype=complex), *table)
+    ref = _accumulate_paths_py(np.zeros(shape, dtype=complex), *table)
+    return got, ref
+
+
+def test_kernel_matches_scalar_loop_on_olos_baffle(olos_scene):
+    row_idx, lengths, gains, edge_geo, edge_ptr = [], [], [], [], [0]
+    for n in range(1, olos_scene.array.n_elements + 1):
+        for path in nl.enumerate_paths(olos_scene, n):
+            row_idx.append(n - 1)
+            lengths.append(path.length)
+            gains.append(path.interaction_gain)
+            edge_geo.extend(path.edge_factors)
+            edge_ptr.append(len(edge_geo))
+    assert len(edge_geo) > 0  # the knife-edge branch runs
+    got, ref = _kernel_vs_reference(olos_scene.array.n_elements, row_idx, lengths, gains,
+                                    edge_ptr, edge_geo, olos_scene.sweep.frequencies())
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert np.array_equal(got, nl.synthesize_cfr(olos_scene).values)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_scalar_loop_on_random_tables(seed):
+    rng = np.random.default_rng(seed)
+    n_rows, n_paths = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    n_edges = rng.integers(0, 4, size=n_paths)
+    # Factors over nu in about [-1.4, 4.6] at 11-15 GHz, with some screen-endpoint +inf.
+    edge_geo = rng.uniform(-0.23, 0.65, size=int(n_edges.sum()))
+    edge_geo[rng.random(edge_geo.size) < 0.2] = math.inf
+    got, ref = _kernel_vs_reference(
+        n_rows, rng.integers(0, n_rows, size=n_paths), rng.uniform(0.5, 20.0, size=n_paths),
+        rng.uniform(0.0, 1.0, size=n_paths), np.concatenate(([0], np.cumsum(n_edges))),
+        edge_geo, np.linspace(11e9, 15e9, int(rng.integers(2, 40))))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
+    bare = replace(olos_scene, walls=(), point_scatterers=(), noise_floor_dbm=None)
+    assert bare.blockers  # edge factors go through both drivers
+    assert np.array_equal(nl.synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare).values)
 
 
 def test_base_amplitude_method():
