@@ -15,15 +15,15 @@ from .multiplanar import (MultiplanarError, PlanarPatch,
 from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,
                     SceneParseError, SceneValidationError, Sweep, Wall,
                     element_position, element_positions, load_preset,
-                    load_scene, loads_scene, occludes, save_scene,
+                    load_scene, loads_scene, save_scene,
                     serialize_scene, true_geometry, PRESET_NAMES)
 from .stationarity import (CorrelationMatrix, StationaryPartition,
                            characteristic_slope, cmd_map, correlation_matrix,
                            correlation_matrix_distance, partition_by_cmd,
                            partition_by_slope, pearson_profiles,
                            singleton_partition, uniform_partition)
-from .synth import (ChannelFrequencyResponse, PropagationPath, add_noise,
-                    enumerate_paths, knife_edge_loss, los_path, make_cfr,
+from .synth import (ChannelFrequencyResponse, PathTable, add_noise,
+                    knife_edge_loss, make_cfr, path_blockage_db, path_table,
                     synthesize_cfr, synthesize_los_cfr)
 from .wavefront import (PhaseModelInput, exact_relative_phase, far_field_phase,
                         near_field_phase, path_difference, rayleigh_distance)

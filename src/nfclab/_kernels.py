@@ -24,9 +24,7 @@ def knife_edge_loss(nu) -> np.ndarray | float:
     t = nu_arr - 0.1
     with np.errstate(invalid="ignore"):
         j = 6.9 + 20.0 * np.log10(np.sqrt(t * t + 1.0) + t)
-    out = np.where(nu_arr > KNIFE_EDGE_NU_MIN, j, 0.0)
-    # -inf marks "never crosses the screen plane": no interaction, no loss.
-    out = np.where(np.isneginf(nu_arr), 0.0, out)
+    out = np.where(nu_arr > KNIFE_EDGE_NU_MIN, j, 0.0)  # also 0 for -inf: no crossing, no loss
     if np.isscalar(nu) or np.ndim(nu) == 0:
         return float(out)
     return out

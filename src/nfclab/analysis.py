@@ -19,8 +19,7 @@ import numpy as np
 from . import _csvout
 from .constants import C_M_PER_S
 from .scene import Scene, true_geometry
-# los_path is not called here; perfbench/tracer.py counts calls through this name.
-from .synth import ChannelFrequencyResponse, los_path, noise_sigma  # noqa: F401
+from .synth import ChannelFrequencyResponse, noise_sigma
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
 DEFAULT_DS_THRESHOLD_DB = 20.0
@@ -229,7 +228,11 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tupl
     """
     taps, valid = gated_los_taps(cfr, scene)
     if not valid[0]:
-        raise AnalysisError("LOS gate on the reference element carries no energy")
+        reason = "carries no energy"
+        if scene is not None and scene.noise_floor_dbm is not None:
+            reason = (f"is below 10x its in-gate noise at the {scene.noise_floor_dbm:g} dBm noise "
+                      f"floor; {int(valid.sum())} of {len(valid)} elements' gates are valid")
+        raise AnalysisError(f"LOS gate on element 1 (the phase reference) {reason}")
     with np.errstate(invalid="ignore"):
         raw = -np.angle(taps)
     unwrapped = np.unwrap(raw)

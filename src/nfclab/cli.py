@@ -75,7 +75,10 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
         scene = replace(scene, noise_floor_dbm=args.noise_floor)
     if getattr(args, "seed", None) is not None:
         scene = scene.with_seed(args.seed)
-    scene.validate()
+    try:
+        scene.validate()
+    except SceneError as exc:
+        raise _CliError(f"invalid override: {exc}", EXIT_ANALYSIS_FAILURE) from exc
     return scene
 
 

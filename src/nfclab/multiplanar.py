@@ -22,7 +22,7 @@ from . import _csvout, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene, true_geometry
 from .stationarity import StationaryPartition
-from .synth import ChannelFrequencyResponse, los_path, make_cfr
+from .synth import ChannelFrequencyResponse, make_cfr, path_blockage_db, path_table
 
 FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
@@ -67,12 +67,16 @@ class MultiplanarError:
             raise ValueError("correlation must not exceed 1")
 
 
-def _los_gain(scene: Scene, element: int, freqs: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """De-propagated LOS gain per frequency, its path length, and a block flag."""
-    path = los_path(scene, element)
-    lam = C_M_PER_S / freqs
-    gain = _kernels.path_amplitude(1.0, path.length, path.edge_factors, lam, np.sqrt(lam))
-    return gain, path.length, path.blockage_db > FULL_BLOCKAGE_DB
+def _fallback_reference(start: int, end: int, usable) -> tuple[int, bool]:
+    """Interval center, or the nearest usable element if the center is not.
+
+    Returns ``(ref, flagged)``; ties go toward lower indices, and the center
+    stays the reference (flagged) when no element of the interval is usable.
+    """
+    ref = (start + end) // 2
+    candidates = [c for offset in range(end - start + 1) for c in (ref - offset, ref + offset)
+                  if start <= c <= end and usable[c - 1]]
+    return (candidates[0] if candidates else ref), not usable[ref - 1]
 
 
 def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> list[PlanarPatch]:
@@ -83,26 +87,16 @@ def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> lis
     flagged and its parameters come from the nearest unblocked element in the
     interval (ties resolved toward lower indices).
     """
-    freqs = scene.sweep.frequencies()
-    rx = scene.rx
+    lam = C_M_PER_S / scene.sweep.frequencies()
+    los = path_table(scene, los_only=True)  # row n - 1 is element n's direct path
+    usable = path_blockage_db(scene, los) <= FULL_BLOCKAGE_DB
     patches: list[PlanarPatch] = []
     for start, end in partition.intervals:
-        ref = (start + end) // 2
-        gain, _, blocked = _los_gain(scene, ref, freqs)
-        flagged = False
-        if blocked:
-            flagged = True
-            for offset in range(1, end - start + 1):
-                for candidate in (ref - offset, ref + offset):
-                    if start <= candidate <= end:
-                        gain_c, _, blocked_c = _los_gain(scene, candidate, freqs)
-                        if not blocked_c:
-                            ref, gain = candidate, gain_c
-                            blocked = False
-                            break
-                if not blocked:
-                    break
-        r_ref, theta_si = true_geometry(scene, ref, rx)
+        ref, flagged = _fallback_reference(start, end, usable)
+        i = ref - 1  # de-propagated LOS gain per frequency
+        edges = los.edge_geo[los.edge_ptr[i]:los.edge_ptr[i + 1]]
+        gain = _kernels.path_amplitude(1.0, los.length[i], edges, lam, np.sqrt(lam))
+        r_ref, theta_si = true_geometry(scene, ref, scene.rx)
         patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
                                    theta_si=theta_si, r_ref=r_ref,
                                    gain_ref=gain, flagged=flagged))
@@ -142,14 +136,7 @@ def build_multiplanar_model_from_cfr(cfr: ChannelFrequencyResponse,
 
     patches: list[PlanarPatch] = []
     for start, end in partition.intervals:
-        ref = (start + end) // 2
-        flagged = not bool(valid[ref - 1])
-        if flagged:
-            candidates = [c for offset in range(1, end - start + 1)
-                          for c in (ref - offset, ref + offset)
-                          if start <= c <= end and valid[c - 1]]
-            if candidates:
-                ref = candidates[0]
+        ref, flagged = _fallback_reference(start, end, valid)
         gain = (rows[ref - 1] * detaper
                 * np.exp(1j * TWO_PI * freqs * r_los[ref - 1] / C_M_PER_S))
         patches.append(PlanarPatch(interval=(start, end), ref_element=ref,

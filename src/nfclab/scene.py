@@ -233,6 +233,11 @@ def _norm3(v: Vec3) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, rounded exactly as 1-D ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def element_position(scene: Scene, n: int) -> np.ndarray:
     """Position of 1-based element n: origin + (n-1)*spacing_d*axis."""
     arr = scene.array
@@ -272,72 +277,56 @@ def true_geometry(scene: Scene, n: int, target) -> tuple[float, float]:
     return r, math.acos(cos_theta)
 
 
-def edge_clearance(blocker: Blocker, a, b) -> tuple[bool, float, float, float]:
-    """Signed clearance of segment a-b against a rectangular screen.
+def edge_clearance(blocker: Blocker, a, b) -> tuple[np.ndarray, ...]:
+    """Signed clearance of segments a-b against a rectangular screen.
 
-    Returns ``(crosses_plane, h, d1, d2)`` where ``h`` is the signed distance
-    from the plane crossing point to the nearest rectangle edge (positive
-    inside the rectangle, negative in the clear), and ``d1``/``d2`` are the
-    distances from ``a``/``b`` to the crossing point.  When the segment does
-    not cross the screen's plane the remaining values are meaningless and
-    ``crosses_plane`` is False.
+    ``a`` and ``b`` hold one segment endpoint per row, as ``(n, 3)`` arrays
+    (either may be a single point shared by every segment).  Returns arrays
+    ``(crosses_plane, h, d1, d2)`` with one entry per segment, where ``h`` is
+    the signed distance from the plane crossing point to the nearest
+    rectangle edge (positive inside the rectangle, negative in the clear),
+    and ``d1``/``d2`` are the distances from ``a``/``b`` to the crossing
+    point.  Where a segment does not cross the screen's plane the remaining
+    values are 0 and ``crosses_plane`` is False.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.array_equal(a, b):
+    a, b = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+    if np.any(np.all(a == b, axis=1)):
         raise ValueError("segment endpoints coincide")
     n = np.asarray(blocker.normal, dtype=float)
     c = np.asarray(blocker.center, dtype=float)
-    sa = float(np.dot(n, a - c))
-    sb = float(np.dot(n, b - c))
-    denom = sa - sb
-    if denom == 0.0:
-        return False, 0.0, 0.0, 0.0
-    t = sa / denom
-    if not 0.0 < t < 1.0:
-        return False, 0.0, 0.0, 0.0
-    p = a + t * (b - a)
+    sa = np.vecdot(a - c, n)
+    sb = np.vecdot(b - c, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = sa / (sa - sb)  # a plane-parallel segment gives inf or nan: no crossing
+    crosses = (0.0 < t) & (t < 1.0)
+    a, b, t = a[crosses], b[crosses], t[crosses]
+    p = a + t[:, None] * (b - a)
     u, v = blocker.plane_axes()
-    pu = float(np.dot(p - c, u))
-    pv = float(np.dot(p - c, v))
-    du = abs(pu) - 0.5 * blocker.width
-    dv = abs(pv) - 0.5 * blocker.height
-    if du <= 0.0 and dv <= 0.0:
-        h = -max(du, dv)  # distance to the nearest edge, from inside
-    else:
-        h = -math.hypot(max(du, 0.0), max(dv, 0.0))
-    d1 = float(np.linalg.norm(p - a))
-    d2 = float(np.linalg.norm(b - p))
-    return True, h, d1, d2
+    du = np.abs(np.vecdot(p - c, u)) - 0.5 * blocker.width
+    dv = np.abs(np.vecdot(p - c, v)) - 0.5 * blocker.height
+    # Inside: distance to the nearest edge.  Outside: distance to the
+    # rectangle, which is one of du/dv unless the crossing faces a corner.
+    h = np.where((du <= 0.0) & (dv <= 0.0), -np.where(dv > du, dv, du),
+                 -(np.maximum(du, 0.0) + np.maximum(dv, 0.0)))
+    corner = (du > 0.0) & (dv > 0.0)
+    # math.hypot, not np.hypot: the two round differently on ~0.5 % of inputs.
+    h[corner] = [-math.hypot(x, y) for x, y in zip(du[corner].tolist(), dv[corner].tolist())]
+    out = np.zeros((3, len(crosses)))
+    out[:, crosses] = h, _norm(p - a), _norm(b - p)
+    return (crosses, *out)
 
 
-def fresnel_geometry_factor(h: float, d1: float, d2: float) -> float:
-    """Wavelength-free part of the knife-edge Fresnel parameter.
+def fresnel_geometry_factor(h, d1, d2) -> np.ndarray:
+    """Wavelength-free part of the knife-edge Fresnel parameter, per crossing.
 
     The full parameter is ``nu = h*sqrt(2*(d1+d2)/(lambda*d1*d2))``; this
     returns ``h*sqrt(2*(d1+d2)/(d1*d2))`` so callers can evaluate nu per
     frequency as ``factor / sqrt(lambda)``.
     """
-    if d1 <= 0.0 or d2 <= 0.0:
-        # Crossing at a segment endpoint: treat as fully determined by sign.
-        return math.inf if h > 0 else (-math.inf if h < 0 else 0.0)
-    return h * math.sqrt(2.0 * (d1 + d2) / (d1 * d2))
-
-
-def occludes(blocker: Blocker, a, b, wavelength: float) -> tuple[bool, float]:
-    """Whether segment a-b hits the screen, and the edge Fresnel parameter.
-
-    ``nu`` is computed from the nearest rectangle edge with the signed
-    clearance convention (negative when the path clears the screen).  A
-    segment that never crosses the screen's plane returns ``(False, -inf)``.
-    """
-    crosses, h, d1, d2 = edge_clearance(blocker, a, b)
-    if not crosses:
-        return False, -math.inf
-    factor = fresnel_geometry_factor(h, d1, d2)
-    if math.isinf(factor):
-        return h > 0, factor
-    return h > 0, factor / math.sqrt(wavelength)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = h * np.sqrt(2.0 * (d1 + d2) / (d1 * d2))
+    # A crossing at a segment end (d = 0) gives +-inf by the sign of h, or 0 for h = 0.
+    return np.where(np.isnan(factor), 0.0, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -17,37 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _csvout, _kernels
 from ._kernels import knife_edge_loss
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
-from .scene import (Scene, Sweep, edge_clearance, element_position,
+from .scene import (Scene, Sweep, _norm, edge_clearance, element_positions,
                     fresnel_geometry_factor)
-
-FOUR_PI = 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class PropagationPath:
-    """One ray from an array element to the receiver.
-
-    ``edge_factors`` carries one wavelength-free knife-edge factor per screen
-    crossing (see ``fresnel_geometry_factor``); ``blockage_db`` is their
-    summed loss at the sweep center frequency.
-    """
-
-    kind: str  # "los" | "wall" | "scatterer"
-    length: float
-    interaction_gain: float
-    blockage_db: float
-    edge_factors: tuple[float, ...] = ()
-
-    def base_amplitude(self, frequency) -> np.ndarray:
-        """Free-space amplitude lambda/(4*pi*length) at the given frequency."""
-        lam = C_M_PER_S / np.asarray(frequency, dtype=float)
-        return lam / (FOUR_PI * self.length)
 
 
 @dataclass(frozen=True)
@@ -83,97 +61,91 @@ def make_cfr(values: np.ndarray, sweep: Sweep, elements=None) -> ChannelFrequenc
     return ChannelFrequencyResponse(values=values, sweep=sweep, elements=tuple(elements))
 
 
-def _mirror_across_plane(point: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    return point - 2.0 * (float(np.dot(normal, point)) - offset) * normal
+class PathTable(NamedTuple):
+    """Every propagation path of a scene as parallel arrays (the kernel's CSR table).
+
+    Path i adds to CFR row ``row[i]`` (element ``row[i] + 1``) with total
+    length ``length[i]`` and interaction gain ``gain[i]``; its knife-edge
+    factors (see ``fresnel_geometry_factor``) are
+    ``edge_geo[edge_ptr[i]:edge_ptr[i + 1]]``, in (segment, blocker) order.
+    The table is grouped by path kind: the LOS path of every element, then
+    each wall, then each scatterer, in file order.  Within one row the paths
+    thus keep the per-element order LOS, walls, scatterers.
+    """
+
+    row: np.ndarray
+    length: np.ndarray
+    gain: np.ndarray
+    edge_ptr: np.ndarray
+    edge_geo: np.ndarray
 
 
-def _edge_factors_for(scene: Scene, vertices: list[np.ndarray]) -> tuple[float, ...]:
-    """Knife-edge factors for every (segment, blocker) plane crossing.
+def _edge_factors(scene: Scene, vertices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path counts and kept knife-edge factors of one group of polylines.
 
+    ``vertices`` lists the polyline corners: first an (n, 3) array with one
+    row per path, then (n, 3) arrays or single points shared by the group.
     Crossings whose clearance is so large that the loss is zero across the
     whole sweep are dropped; they contribute exactly 0 dB at any frequency.
     """
+    n_paths = len(vertices[0])
     if not scene.blockers:
-        return ()
+        return np.zeros(n_paths, dtype=np.int64), np.empty(0)
     lam_max = C_M_PER_S / scene.sweep.f_start
     keep_threshold = KNIFE_EDGE_NU_MIN * math.sqrt(lam_max)
-    factors: list[float] = []
+    columns = []  # one per (segment, blocker); -inf where the segment misses the plane
     for a, b in zip(vertices[:-1], vertices[1:]):
         for blocker in scene.blockers:
             crosses, h, d1, d2 = edge_clearance(blocker, a, b)
-            if not crosses:
-                continue
-            geo = fresnel_geometry_factor(h, d1, d2)
-            if geo > keep_threshold:
-                factors.append(geo)
-    return tuple(factors)
+            geo = np.where(crosses, fresnel_geometry_factor(h, d1, d2), -math.inf)
+            columns.append(np.broadcast_to(geo, n_paths))
+    geo = np.stack(columns, axis=1)
+    keep = geo > keep_threshold
+    return keep.sum(axis=1), geo[keep]
 
 
-def _path_blockage_db(scene: Scene, edge_factors: tuple[float, ...]) -> float:
-    lam_c = scene.sweep.lambda_center
-    total = 0.0
-    for geo in edge_factors:
-        total += float(knife_edge_loss(geo / math.sqrt(lam_c)))
-    return total
+def path_table(scene: Scene, los_only: bool = False) -> PathTable:
+    """All propagation paths of every element: LOS, wall images, scatterers.
 
-
-def los_path(scene: Scene, n: int) -> PropagationPath:
-    """The direct element->rx ray with its blockage bookkeeping."""
-    p = element_position(scene, n)
-    rx = np.asarray(scene.rx, dtype=float)
-    factors = _edge_factors_for(scene, [p, rx])
-    return PropagationPath(
-        kind="los",
-        length=float(np.linalg.norm(rx - p)),
-        interaction_gain=1.0,
-        blockage_db=_path_blockage_db(scene, factors),
-        edge_factors=factors,
-    )
-
-
-def enumerate_paths(scene: Scene, n: int) -> list[PropagationPath]:
-    """All propagation paths from element n: LOS, wall images, scatterers.
-
-    Exactly one LOS path; one specular path per wall whose reflection point
-    exists (element and rx on the same side of the plane); one bent path per
-    point scatterer.  Fully absorbed paths are retained with their loss.
+    Exactly one LOS path per element; one specular path per wall whose
+    reflection point exists (element and rx on the same side of the plane);
+    one bent path per point scatterer.  Fully absorbed paths are retained
+    with their loss.  ``los_only`` keeps just the LOS group.
     """
-    p = element_position(scene, n)
+    positions = element_positions(scene)
     rx = np.asarray(scene.rx, dtype=float)
-    paths = [los_path(scene, n)]
-
-    for wall in scene.walls:
+    every = np.arange(len(positions))
+    # (rows, lengths, gain, polyline vertices) per path group
+    groups = [(every, _norm(rx - positions), 1.0, [positions, rx])]
+    for wall in () if los_only else scene.walls:
         normal = np.asarray(wall.normal, dtype=float)
-        s_el = float(np.dot(normal, p)) - wall.offset
+        s_el = np.vecdot(positions, normal) - wall.offset
         s_rx = float(np.dot(normal, rx)) - wall.offset
-        if s_el * s_rx <= 0.0:
-            continue  # no valid specular point: endpoints straddle or touch the plane
-        image = _mirror_across_plane(rx, normal, wall.offset)
-        length = float(np.linalg.norm(image - p))
-        t = s_el / (s_el + s_rx)
-        reflection = p + t * (image - p)
-        factors = _edge_factors_for(scene, [p, reflection, rx])
-        paths.append(PropagationPath(
-            kind="wall",
-            length=length,
-            interaction_gain=wall.gamma,
-            blockage_db=_path_blockage_db(scene, factors),
-            edge_factors=factors,
-        ))
-
-    for scatterer in scene.point_scatterers:
+        ok = s_el * s_rx > 0.0  # else no valid specular point: endpoints straddle or touch the plane
+        p, s_el = positions[ok], s_el[ok]
+        image = rx - 2.0 * s_rx * normal
+        reflection = p + (s_el / (s_el + s_rx))[:, None] * (image - p)
+        groups.append((every[ok], _norm(image - p), wall.gamma, [p, reflection, rx]))
+    for scatterer in () if los_only else scene.point_scatterers:
         s = np.asarray(scatterer.position, dtype=float)
-        length = float(np.linalg.norm(s - p) + np.linalg.norm(rx - s))
-        factors = _edge_factors_for(scene, [p, s, rx])
-        paths.append(PropagationPath(
-            kind="scatterer",
-            length=length,
-            interaction_gain=scatterer.amplitude,
-            blockage_db=_path_blockage_db(scene, factors),
-            edge_factors=factors,
-        ))
+        groups.append((every, _norm(s - positions) + np.linalg.norm(rx - s),
+                       scatterer.amplitude, [positions, s, rx]))
 
-    return paths
+    rows, lengths, gains, vertices = zip(*groups)
+    counts, geos = zip(*(_edge_factors(scene, v) for v in vertices))
+    return PathTable(row=np.concatenate(rows), length=np.concatenate(lengths),
+                     gain=np.concatenate([np.full(len(r), g) for r, g in zip(rows, gains)]),
+                     edge_ptr=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+                     edge_geo=np.concatenate(geos))
+
+
+def path_blockage_db(scene: Scene, table: PathTable) -> np.ndarray:
+    """Knife-edge loss of every path at the sweep center frequency, in dB."""
+    total = np.zeros(len(table.length))
+    owner = np.repeat(np.arange(len(total)), np.diff(table.edge_ptr))
+    # Unbuffered and in index order: each path's sum runs over its edges in order.
+    np.add.at(total, owner, knife_edge_loss(table.edge_geo / math.sqrt(scene.sweep.lambda_center)))
+    return total
 
 
 def noise_sigma(noise_floor_dbm: float) -> float:
@@ -200,33 +172,11 @@ def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) 
     return make_cfr(noisy, cfr.sweep, cfr.elements)
 
 
-def _sum_paths(scene: Scene, paths_of) -> np.ndarray:
-    """Path-sum response of every element over the sweep grid.
-
-    ``paths_of(scene, n)`` lists element n's paths; they become one
-    (row, length, gain, edge CSR) table, accumulated by the kernel in order.
-    """
-    n_el = scene.array.n_elements
+def _sum_paths(scene: Scene, los_only: bool = False) -> np.ndarray:
+    """Path-sum response of every element over the sweep grid."""
     freqs = scene.sweep.frequencies()
-
-    row_idx: list[int] = []
-    lengths: list[float] = []
-    gains: list[float] = []
-    edge_geo: list[float] = []
-    edge_ptr: list[int] = [0]
-    for n in range(1, n_el + 1):
-        for path in paths_of(scene, n):
-            row_idx.append(n - 1)
-            lengths.append(path.length)
-            gains.append(path.interaction_gain)
-            edge_geo.extend(path.edge_factors)
-            edge_ptr.append(len(edge_geo))
-
-    out = np.zeros((n_el, len(freqs)), dtype=np.complex128)
-    _kernels.accumulate_paths(out, np.array(row_idx, dtype=np.int64),
-                              np.array(lengths), np.array(gains),
-                              np.array(edge_ptr, dtype=np.int64),
-                              np.array(edge_geo), freqs)
+    out = np.zeros((scene.array.n_elements, len(freqs)), dtype=np.complex128)
+    _kernels.accumulate_paths(out, *path_table(scene, los_only), freqs)
     return out
 
 
@@ -237,7 +187,7 @@ def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
     * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
     floor.  Amplitudes are relative to the 10 dBm transmit reference.
     """
-    out = _sum_paths(scene, enumerate_paths)
+    out = _sum_paths(scene)
     if scene.noise_floor_dbm is not None:
         out += complex_noise(out.shape, scene.noise_floor_dbm, scene.seed)
     return make_cfr(out, scene.sweep)
@@ -245,7 +195,7 @@ def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
 
 def synthesize_los_cfr(scene: Scene) -> ChannelFrequencyResponse:
     """LOS-only spherical-truth response (no walls/scatterers/noise)."""
-    return make_cfr(_sum_paths(scene, lambda s, n: [los_path(s, n)]), scene.sweep)
+    return make_cfr(_sum_paths(scene, los_only=True), scene.sweep)
 
 
 # ---------------------------------------------------------------------------

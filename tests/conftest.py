@@ -38,8 +38,8 @@ def olos_stats(olos_cfr, olos_scene):
 def shadow_nu(olos_scene):
     """Center-frequency Fresnel parameter of every element's direct path."""
     lam_c = olos_scene.sweep.lambda_center
+    los = nl.path_table(olos_scene, los_only=True)  # row n - 1 is element n's direct path
     out = []
-    for n in range(1, olos_scene.array.n_elements + 1):
-        path = nl.los_path(olos_scene, n)
-        out.append(path.edge_factors[0] / np.sqrt(lam_c) if path.edge_factors else -np.inf)
+    for start, end in zip(los.edge_ptr[:-1], los.edge_ptr[1:]):
+        out.append(los.edge_geo[start] / np.sqrt(lam_c) if end > start else -np.inf)
     return np.array(out)

@@ -1,16 +1,20 @@
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import scenes
 
 import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
                         EXIT_UNKNOWN_PRESET, RUN_FILES, main)
-from nfclab.scene import load_preset, save_scene
+from nfclab.scene import SceneError, load_preset, save_scene
 
 
 def run(args):
@@ -157,6 +161,7 @@ def test_out_of_range_seed_exit_4_without_traceback(tmp_path, seed):
     assert proc.returncode == EXIT_ANALYSIS_FAILURE
     assert "Traceback" not in proc.stderr
     assert f"seed: must lie in [0, 2**64), got {seed}" in proc.stderr
+    assert "analysis error" not in proc.stderr  # bad input, reported as an invalid override
 
 
 def test_out_of_range_seed_in_scene_file_exit_3(tmp_path):
@@ -178,3 +183,43 @@ def test_failed_phase_check_removes_previous_file(tmp_path):
     assert run(["phase-check", "los_lab", "--out", str(tmp_path),
                 "--distance-mult", "0.5"]) == EXIT_ANALYSIS_FAILURE
     assert not (tmp_path / "phase_check.csv").exists()
+
+
+def test_noise_above_signal_exit_4_names_the_floor(tmp_path):
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab",
+                           "--out", str(tmp_path), "--noise-floor", "20"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "LOS gate on element 1" in proc.stderr
+    assert "20 dBm noise floor" in proc.stderr
+    assert "0 of 64 elements' gates are valid" in proc.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=scenes(min_elements=2, max_elements=16, n_points=st.integers(2, 64)),
+       noise_floor=st.one_of(st.none(), st.floats(-130.0, 20.0)), seed=st.integers(0, 2 ** 32))
+def test_run_never_raises_on_random_scenes(scene, noise_floor, seed):
+    scene = replace(scene, noise_floor_dbm=noise_floor, seed=seed)
+    try:
+        scene.validate()
+    except SceneError:
+        assume(False)  # rx on an element: the scenario file itself is rejected (exit 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "random.scene", Path(tmp) / "out"
+        save_scene(scene, path)
+        code = run(["run", str(path), "--out", str(out)])
+        assert code in (0, EXIT_ANALYSIS_FAILURE)
+        if code != 0:
+            return
+        for name in RUN_FILES:
+            assert (out / name).stat().st_size > 0, name
+        rows = [line.split(",") for line in (out / "partition.csv").read_text().splitlines()[1:]]
+        for criterion in ("cmd", "slope"):
+            bounds = [(int(r[1]), int(r[2])) for r in rows if r[3] == criterion]
+            assert [s for s, _ in bounds] == [1] + [e + 1 for _, e in bounds[:-1]]
+            assert bounds[-1][1] == scene.array.n_elements
+        dmap = [float(line.split(",")[2]) for line in (out / "cmd_map.csv").read_text().splitlines()[1:]]
+        assert all(0.0 <= d <= 1.0 for d in dmap)

@@ -121,7 +121,7 @@ def test_blocked_reference_falls_back_and_flags():
         lines += ["[blocker]", "center = -0.765, %s, 2.5" % (0.5 + 0.2 * i),
                   "width = 2.47", "height = 4.0", "normal = 0.0, 1.0, 0.0"]
     scene = loads_scene("\n".join(lines))
-    blockages = [nl.los_path(scene, n).blockage_db for n in range(1, 9)]
+    blockages = nl.path_blockage_db(scene, nl.path_table(scene, los_only=True))
     ref = (1 + 8) // 2
     assert blockages[ref - 1] > 80.0          # reference fully absorbed
     assert any(b <= 80.0 for b in blockages)  # fallback exists

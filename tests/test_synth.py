@@ -8,7 +8,8 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import export_cfr_csv, export_cfr_npz, load_cfr_npz
+from nfclab.synth import (export_cfr_csv, export_cfr_npz, load_cfr_npz, path_blockage_db,
+                          path_table)
 
 BARE = """
 [array]
@@ -33,56 +34,64 @@ def test_knife_edge_loss_values():
     assert np.all(np.diff(losses) > 0)
 
 
-def test_enumerate_paths_empty_environment():
+def paths_of(table, n):
+    """Table indices of element n's paths, in the per-element order LOS, walls, scatterers."""
+    return np.flatnonzero(table.row == n - 1)
+
+
+def test_path_table_empty_environment():
     scene = loads_scene(BARE)
-    paths = nl.enumerate_paths(scene, 1)
+    table = path_table(scene)
+    paths = paths_of(table, 1)
     assert len(paths) == 1
-    assert paths[0].kind == "los"
-    assert paths[0].interaction_gain == 1.0
-    assert paths[0].blockage_db == 0.0
+    assert paths[0] < scene.array.n_elements  # the LOS group
+    assert table.gain[paths[0]] == 1.0
+    assert path_blockage_db(scene, table)[paths[0]] == 0.0
 
 
 def test_zero_gain_wall_path_retained():
     scene = loads_scene(BARE + "\n[wall]\nnormal = 0.0, 1.0, 0.0\noffset = 8.0\ngamma = 0.0\n")
-    paths = nl.enumerate_paths(scene, 2)
-    kinds = [p.kind for p in paths]
-    assert kinds == ["los", "wall"]
-    assert paths[1].interaction_gain == 0.0
+    table = path_table(scene)
+    los, wall = paths_of(table, 2)
+    assert los < scene.array.n_elements <= wall  # LOS group, then the wall group
+    assert table.gain[wall] == 0.0
     # image-method length: element -> mirror(rx) across y=8
     p = nl.element_position(scene, 2)
     image = np.array([1.0, 10.0, 2.5])
-    assert paths[1].length == pytest.approx(np.linalg.norm(image - p), rel=1e-12)
+    assert table.length[wall] == pytest.approx(np.linalg.norm(image - p), rel=1e-12)
 
 
 def test_wall_straddling_endpoints_skipped():
     # plane between element and rx: no specular image path
     scene = loads_scene(BARE + "\n[wall]\nnormal = 0.0, 1.0, 0.0\noffset = 3.0\ngamma = 0.5\n")
-    paths = nl.enumerate_paths(scene, 1)
-    assert [p.kind for p in paths] == ["los"]
+    table = path_table(scene)
+    assert len(paths_of(table, 1)) == 1
+    assert len(table.row) == scene.array.n_elements
 
 
 def test_scatterer_path_geometry():
     scene = loads_scene(BARE + "\n[scatterer]\nposition = -1.0, 3.0, 2.5\namplitude = 0.4\n")
-    paths = nl.enumerate_paths(scene, 1)
-    assert [p.kind for p in paths] == ["los", "scatterer"]
+    table = path_table(scene)
+    los, scat = paths_of(table, 1)
+    assert los < scene.array.n_elements <= scat
     p1 = nl.element_position(scene, 1)
     s = np.array([-1.0, 3.0, 2.5])
     rx = np.array(scene.rx)
     expected = np.linalg.norm(s - p1) + np.linalg.norm(rx - s)
-    assert paths[1].length == pytest.approx(expected, rel=1e-12)
-    assert paths[1].interaction_gain == 0.4
+    assert table.length[scat] == pytest.approx(expected, rel=1e-12)
+    assert table.gain[scat] == 0.4
 
 
 def test_olos_preset_blocked_element_blockage(olos_scene):
-    path = nl.los_path(olos_scene, 30)
-    assert path.blockage_db >= 6.0
+    blockage = path_blockage_db(olos_scene, path_table(olos_scene, los_only=True))
+    assert blockage[30 - 1] >= 6.0
 
 
 def test_single_path_cfr_amplitude_and_phase():
     scene = loads_scene(BARE)
     cfr = nl.synthesize_cfr(scene)
     freqs = scene.sweep.frequencies()
-    r = nl.los_path(scene, 1).length
+    r = path_table(scene).length[0]  # element 1's LOS path
     expected_amp = (C_M_PER_S / freqs) / (4 * math.pi * r)
     assert np.allclose(np.abs(cfr.values[0]), expected_amp, rtol=1e-12)
     # linear phase in f with slope -2*pi*r/c
@@ -95,12 +104,12 @@ def test_two_path_interference_matches_closed_form():
     scene = loads_scene(BARE + "\n[wall]\nnormal = 0.0, 1.0, 0.0\noffset = 8.0\ngamma = 0.9\n")
     cfr = nl.synthesize_cfr(scene)
     freqs = scene.sweep.frequencies()
-    paths = nl.enumerate_paths(scene, 1)
+    table = path_table(scene)
     expected = np.zeros_like(freqs, dtype=complex)
-    for path in paths:
+    for i in paths_of(table, 1):
         lam = C_M_PER_S / freqs
-        expected += (path.interaction_gain * lam / (4 * math.pi * path.length)
-                     * np.exp(-2j * math.pi * freqs * path.length / C_M_PER_S))
+        expected += (table.gain[i] * lam / (4 * math.pi * table.length[i])
+                     * np.exp(-2j * math.pi * freqs * table.length[i] / C_M_PER_S))
     assert np.allclose(cfr.values[0], expected, rtol=1e-10)
     # interference fading: |H| oscillates between |a1-a2| and a1+a2
     mags = np.abs(cfr.values[0])
@@ -170,18 +179,21 @@ def test_reciprocity_of_path_lengths():
            "\n[scatterer]\nposition = -1.0, 3.0, 2.5\namplitude = 0.3\n")
     fwd = loads_scene("[array]\nn_elements = 1\norigin = 0.2, 0.0, 2.5\n[rx]\nposition = 1.0, 6.0, 2.5\n" + env)
     rev = loads_scene("[array]\nn_elements = 1\norigin = 1.0, 6.0, 2.5\n[rx]\nposition = 0.2, 0.0, 2.5\n" + env)
-    lf = [p.length for p in nl.enumerate_paths(fwd, 1)]
-    lr = [p.length for p in nl.enumerate_paths(rev, 1)]
+    lf = path_table(fwd).length
+    lr = path_table(rev).length
+    assert len(lf) == len(lr) == 3
     assert np.allclose(sorted(lf), sorted(lr), rtol=1e-12)
 
 
 def test_blocker_never_increases_amplitude(los_scene, olos_scene):
+    clear, shadowed = path_table(los_scene), path_table(olos_scene)
+    clear_db, shadowed_db = path_blockage_db(los_scene, clear), path_blockage_db(olos_scene, shadowed)
     for n in (1, 20, 26, 40, 64):
-        for clear, shadowed in zip(nl.enumerate_paths(los_scene, n),
-                                   nl.enumerate_paths(olos_scene, n)):
-            assert shadowed.kind == clear.kind
-            assert shadowed.length == pytest.approx(clear.length, rel=1e-12)
-            assert shadowed.blockage_db >= clear.blockage_db - 1e-12
+        paths = paths_of(clear, n)
+        assert np.array_equal(paths_of(shadowed, n), paths)  # same kinds in the same order
+        for i in paths:
+            assert shadowed.length[i] == pytest.approx(clear.length[i], rel=1e-12)
+            assert shadowed_db[i] >= clear_db[i] - 1e-12
 
 
 def test_csv_and_npz_roundtrip(tmp_path, los_scene):
@@ -251,17 +263,10 @@ def _kernel_vs_reference(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, fr
 
 
 def test_kernel_matches_scalar_loop_on_olos_baffle(olos_scene):
-    row_idx, lengths, gains, edge_geo, edge_ptr = [], [], [], [], [0]
-    for n in range(1, olos_scene.array.n_elements + 1):
-        for path in nl.enumerate_paths(olos_scene, n):
-            row_idx.append(n - 1)
-            lengths.append(path.length)
-            gains.append(path.interaction_gain)
-            edge_geo.extend(path.edge_factors)
-            edge_ptr.append(len(edge_geo))
-    assert len(edge_geo) > 0  # the knife-edge branch runs
-    got, ref = _kernel_vs_reference(olos_scene.array.n_elements, row_idx, lengths, gains,
-                                    edge_ptr, edge_geo, olos_scene.sweep.frequencies())
+    table = path_table(olos_scene)
+    assert len(table.edge_geo) > 0  # the knife-edge branch runs
+    got, ref = _kernel_vs_reference(olos_scene.array.n_elements, *table,
+                                    olos_scene.sweep.frequencies())
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.array_equal(got, nl.synthesize_cfr(olos_scene).values)
 
@@ -285,10 +290,3 @@ def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
     bare = replace(olos_scene, walls=(), point_scatterers=(), noise_floor_dbm=None)
     assert bare.blockers  # edge factors go through both drivers
     assert np.array_equal(nl.synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare).values)
-
-
-def test_base_amplitude_method():
-    scene = loads_scene(BARE)
-    path = nl.los_path(scene, 1)
-    assert path.base_amplitude(13e9) == pytest.approx(
-        (C_M_PER_S / 13e9) / (4 * math.pi * path.length), rel=1e-12)
