@@ -2,8 +2,10 @@
 
 The kernel sums, for every propagation path, its complex contribution over
 all sweep frequencies, including the per-frequency free-space amplitude and
-knife-edge losses.  It is plain numpy, vectorized over frequency, and visits
-the paths sequentially in table order, so the result is deterministic.
+knife-edge losses.  It is plain numpy and evaluates a block of consecutive
+table paths per pass, vectorized over (path, frequency).  A block never holds
+two paths of the same output row, so every row still receives its adds one at
+a time in table order and the result is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import math
 import numpy as np
 
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
+
+# Samples (paths x sweep points) evaluated per block: about 40 paths at 801
+# points, and a single path once the sweep is longer than the budget.
+BLOCK_SAMPLES = 1 << 15
 
 
 def knife_edge_loss(nu) -> np.ndarray | float:
@@ -30,12 +36,51 @@ def knife_edge_loss(nu) -> np.ndarray | float:
     return out
 
 
-def path_amplitude(gain, length, edge_geo, lam, sqrt_lam) -> np.ndarray:
-    """``gain * lambda/(4 pi L) * 10^(-J/20)`` per frequency, J summed over the edges."""
-    loss_db = np.zeros_like(lam)
-    for geo in edge_geo:
-        loss_db += knife_edge_loss(geo / sqrt_lam)
-    return gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
+def path_amplitude(gains, lengths, edge_geo, lam, sqrt_lam) -> np.ndarray:
+    """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path.
+
+    gains, lengths : float (m,)
+    edge_geo       : float (m, e) knife-edge factors of each path, padded with
+                     -inf (exactly 0 dB); J sums a row's losses in column order
+    lam, sqrt_lam  : float (n_freqs,) wavelengths and their square roots
+    """
+    amp = gains[:, None] * lam / (4.0 * math.pi * lengths)[:, None]
+    if edge_geo.shape[1]:
+        loss_db = np.zeros_like(amp)
+        for geo in edge_geo.T:
+            loss_db += knife_edge_loss(geo[:, None] / sqrt_lam)
+        amp *= 10.0 ** (-loss_db / 20.0)
+    return amp
+
+
+def _row_distinct_blocks(row_idx, max_paths):
+    """``(start, stop)`` of consecutive paths, at most ``max_paths`` each.
+
+    A block ends before the first path whose row already occurs in it.
+    """
+    n = len(row_idx)
+    order = np.argsort(row_idx, kind="stable")
+    repeat = row_idx[order[1:]] == row_idx[order[:-1]]
+    previous = np.full(n, -1)  # table index of the row's previous path
+    previous[order[1:][repeat]] = order[:-1][repeat]
+    start = 0
+    while start < n:
+        stop = min(start + max_paths, n)
+        clash = np.flatnonzero(previous[start + 1:stop] >= start)
+        if clash.size:
+            stop = start + 1 + int(clash[0])
+        yield start, stop
+        start = stop
+
+
+def _padded_edges(edge_ptr, edge_geo) -> np.ndarray:
+    """Knife-edge factors of the paths ``edge_ptr`` spans as an -inf padded (m, e) matrix."""
+    counts = np.diff(edge_ptr)
+    padded = np.full((len(counts), int(counts.max(initial=0))), -math.inf)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    column = np.arange(edge_ptr[-1] - edge_ptr[0]) - np.repeat(edge_ptr[:-1] - edge_ptr[0], counts)
+    padded[owner, column] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
+    return padded
 
 
 def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
@@ -51,9 +96,17 @@ def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     """
     lam = C_M_PER_S / freqs
     sqrt_lam = np.sqrt(lam)
-    for p in range(lengths.shape[0]):
-        amp = path_amplitude(gains[p], lengths[p], edge_geo[edge_ptr[p]:edge_ptr[p + 1]],
-                             lam, sqrt_lam)
-        phase = -2.0 * math.pi * freqs * lengths[p] / C_M_PER_S
-        out[row_idx[p]] += amp * (np.cos(phase) + 1j * np.sin(phase))
+    omega = -2.0 * math.pi * freqs
+    max_paths = max(1, BLOCK_SAMPLES // len(freqs))
+    terms = np.empty((min(max_paths, len(lengths)), len(freqs)), dtype=np.complex128)
+    for start, stop in _row_distinct_blocks(row_idx, max_paths):
+        term = terms[:stop - start]
+        amp = path_amplitude(gains[start:stop], lengths[start:stop],
+                             _padded_edges(edge_ptr[start:stop + 1], edge_geo), lam, sqrt_lam)
+        phase = omega * lengths[start:stop, None] / C_M_PER_S
+        trig = np.cos(phase)
+        np.multiply(amp, trig, out=term.real)
+        np.sin(phase, out=trig)
+        np.multiply(amp, trig, out=term.imag)
+        out[row_idx[start:stop]] += term
     return out

@@ -192,12 +192,12 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None,
 
     k0 = _los_bin_indices(cfr, scene)
     offsets = np.arange(-gate_half_width, gate_half_width + 1)
+    every = np.arange(cfr.n_elements)[:, None]
+    idx = (k0[:, None] + offsets) % n
+    kept = spectra[every, idx]
     gated_spectra = np.zeros_like(spectra)
-    gate_power = np.empty(cfr.n_elements)
-    for i in range(cfr.n_elements):
-        idx = (k0[i] + offsets) % n
-        gated_spectra[i, idx] = spectra[i, idx]
-        gate_power[i] = float(np.sum(np.abs(spectra[i, idx]) ** 2)) * n
+    gated_spectra[every, idx] = kept
+    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
 
     rows = np.fft.fft(gated_spectra, axis=1)
     taps = rows[:, center]

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 unknown preset, 3 scenario parse/read failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -210,8 +211,8 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     scene = _apply_overrides(_resolve_scene(args.scenario), args)
     path = Path(args.out) / "phase_check.csv"
     path.unlink(missing_ok=True)  # a failed check must not leave the previous file
-    if args.distance_mult < 1:
-        raise _CliError("--distance-mult must be >= 1", EXIT_ANALYSIS_FAILURE)
+    if not (math.isfinite(args.distance_mult) and args.distance_mult >= 1):
+        raise _CliError("--distance-mult must be a finite number >= 1", EXIT_ANALYSIS_FAILURE)
     path.parent.mkdir(parents=True, exist_ok=True)
 
     # Place the receiver at k * Rayleigh distance along its original bearing

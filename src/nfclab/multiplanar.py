@@ -95,7 +95,8 @@ def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> lis
         ref, flagged = _fallback_reference(start, end, usable)
         i = ref - 1  # de-propagated LOS gain per frequency
         edges = los.edge_geo[los.edge_ptr[i]:los.edge_ptr[i + 1]]
-        gain = _kernels.path_amplitude(1.0, los.length[i], edges, lam, np.sqrt(lam))
+        gain = _kernels.path_amplitude(np.ones(1), los.length[i:i + 1], edges[None, :],
+                                       lam, np.sqrt(lam))[0]
         r_ref, theta_si = true_geometry(scene, ref, scene.rx)
         patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
                                    theta_si=theta_si, r_ref=r_ref,

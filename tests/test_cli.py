@@ -185,6 +185,21 @@ def test_failed_phase_check_removes_previous_file(tmp_path):
     assert not (tmp_path / "phase_check.csv").exists()
 
 
+@pytest.mark.parametrize("mult", ["nan", "inf"])
+def test_phase_check_rejects_non_finite_distance_mult(tmp_path, mult):
+    (tmp_path / "phase_check.csv").write_text("stale\n")
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "phase-check", "los_lab",
+                           "--out", str(tmp_path), "--distance-mult", mult],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "--distance-mult must be a finite number >= 1" in proc.stderr
+    assert not (tmp_path / "phase_check.csv").exists()
+
+
 def test_noise_above_signal_exit_4_names_the_floor(tmp_path):
     src = Path(nfclab.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab",

@@ -252,10 +252,38 @@ def _accumulate_paths_py(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs
     return out
 
 
+def _path_amplitude_per_path(gain, length, edge_geo, lam, sqrt_lam) -> np.ndarray:
+    """``gain * lambda/(4 pi L) * 10^(-J/20)`` per frequency, J summed over the edges."""
+    loss_db = np.zeros_like(lam)
+    for geo in edge_geo:
+        loss_db += nl.knife_edge_loss(geo / sqrt_lam)
+    return gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
+
+
+def _accumulate_paths_per_path(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    """Reference numpy loop: one path at a time, vectorized over frequency.
+
+    This is the kernel as it was before paths were summed in blocks; the
+    block kernel must reproduce it byte for byte.
+    """
+    lam = C_M_PER_S / freqs
+    sqrt_lam = np.sqrt(lam)
+    for p in range(lengths.shape[0]):
+        amp = _path_amplitude_per_path(gains[p], lengths[p], edge_geo[edge_ptr[p]:edge_ptr[p + 1]],
+                                       lam, sqrt_lam)
+        phase = -2.0 * math.pi * freqs * lengths[p] / C_M_PER_S
+        out[row_idx[p]] += amp * (np.cos(phase) + 1j * np.sin(phase))
+    return out
+
+
+def _as_table(row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    return (np.asarray(row_idx, dtype=np.int64), np.asarray(lengths, dtype=float),
+            np.asarray(gains, dtype=float), np.asarray(edge_ptr, dtype=np.int64),
+            np.asarray(edge_geo, dtype=float), np.asarray(freqs, dtype=float))
+
+
 def _kernel_vs_reference(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
-    table = (np.asarray(row_idx, dtype=np.int64), np.asarray(lengths, dtype=float),
-             np.asarray(gains, dtype=float), np.asarray(edge_ptr, dtype=np.int64),
-             np.asarray(edge_geo, dtype=float), np.asarray(freqs, dtype=float))
+    table = _as_table(row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
     shape = (n_rows, len(freqs))
     got = _kernels.accumulate_paths(np.zeros(shape, dtype=complex), *table)
     ref = _accumulate_paths_py(np.zeros(shape, dtype=complex), *table)
@@ -290,3 +318,85 @@ def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
     bare = replace(olos_scene, walls=(), point_scatterers=(), noise_floor_dbm=None)
     assert bare.blockers  # edge factors go through both drivers
     assert np.array_equal(nl.synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare).values)
+
+
+def _random_table(rng, n_rows, n_paths, max_edges=3):
+    """A random CSR path table with ``+inf`` and empty edge runs mixed in."""
+    n_edges = rng.integers(0, max_edges + 1, size=n_paths)
+    n_edges[rng.random(n_paths) < 0.4] = 0  # runs of edge-free paths, so some blocks have none
+    edge_geo = rng.uniform(-0.23, 0.65, size=int(n_edges.sum()))
+    edge_geo[rng.random(edge_geo.size) < 0.2] = math.inf
+    return (rng.integers(0, n_rows, size=n_paths), rng.uniform(0.5, 20.0, size=n_paths),
+            rng.uniform(0.0, 1.0, size=n_paths), np.concatenate(([0], np.cumsum(n_edges))),
+            edge_geo)
+
+
+def _assert_kernel_matches_per_path(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    table = _as_table(row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
+    shape = (n_rows, len(freqs))
+    got = _kernels.accumulate_paths(np.zeros(shape, dtype=complex), *table)
+    want = _accumulate_paths_per_path(np.zeros(shape, dtype=complex), *table)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_block_kernel_matches_per_path_kernel_on_random_tables(seed):
+    # Tables span several blocks; with 1-5 rows a row repeats inside almost every block window.
+    rng = np.random.default_rng(100 + seed)
+    n_rows = int(rng.integers(1, 6)) if seed % 2 else int(rng.integers(30, 120))
+    freqs = np.linspace(11e9, 15e9, int(rng.integers(2, 2000)))
+    n_paths = int(rng.integers(1, 300))
+    _assert_kernel_matches_per_path(n_rows, *_random_table(rng, n_rows, n_paths), freqs)
+
+
+@pytest.mark.parametrize("n_freqs", [2, 3, 801, _kernels.BLOCK_SAMPLES // 2,
+                                     _kernels.BLOCK_SAMPLES, _kernels.BLOCK_SAMPLES + 1])
+def test_block_kernel_matches_per_path_kernel_across_sweep_lengths(n_freqs):
+    # Past the budget a block holds a single path.
+    rng = np.random.default_rng(n_freqs)
+    n_paths = min(200, 3 * max(1, _kernels.BLOCK_SAMPLES // n_freqs) + 2)
+    _assert_kernel_matches_per_path(8, *_random_table(rng, 8, n_paths),
+                                    np.linspace(11e9, 15e9, n_freqs))
+
+
+def test_block_kernel_edge_free_and_mixed_blocks():
+    # Distinct rows, so only the budget cuts blocks: one without edges, one with
+    # 0, 1 and 4 edges per path, one with 2 edges on every path.
+    freqs = np.linspace(11e9, 15e9, 801)
+    m = _kernels.BLOCK_SAMPLES // len(freqs)
+    counts = np.concatenate([np.zeros(m), np.resize([0, 1, 4], m), np.full(m, 2)]).astype(np.int64)
+    edge_geo = np.linspace(-0.3, 0.7, int(counts.sum()))
+    edge_geo[::5] = math.inf
+    _assert_kernel_matches_per_path(3 * m, np.arange(3 * m), np.linspace(1.0, 9.0, 3 * m),
+                                    np.full(3 * m, 0.7), np.concatenate(([0], np.cumsum(counts))),
+                                    edge_geo, freqs)
+
+
+def test_block_kernel_zero_gain_path_signed_zero():
+    # amp*(cos + 1j*sin) and (amp*cos, amp*sin) differ only in the sign of a zero
+    # product; added to a zeroed row (the synthesizer's np.zeros), both leave +0.0.
+    freqs = np.linspace(11e9, 15e9, 101)
+    got = _assert_kernel_matches_per_path(2, [0, 1, 1], [3.0, 4.0, 5.0], [0.0, 0.0, 0.5],
+                                          [0, 0, 1, 1], [math.inf], freqs)
+    assert np.all(got[0].view(np.uint64) == 0)  # positive zeros only
+    assert np.all(got[1] != 0)
+
+
+def test_block_kernel_matches_per_path_kernel_on_olos_baffle(olos_scene):
+    table = path_table(olos_scene)
+    assert len(table.edge_geo) > 0
+    _assert_kernel_matches_per_path(olos_scene.array.n_elements, *table,
+                                    olos_scene.sweep.frequencies())
+
+
+def test_row_distinct_blocks_respect_budget_and_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 6, size=200)
+    blocks = list(_kernels._row_distinct_blocks(rows, 4))
+    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(rows)
+    for start, stop in blocks:
+        assert 1 <= stop - start <= 4
+        assert len(set(rows[start:stop])) == stop - start
+        assert stop == len(rows) or stop - start == 4 or rows[stop] in rows[start:stop]
