@@ -17,10 +17,9 @@ from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,
                     element_position, element_positions, load_preset,
                     load_scene, loads_scene, save_scene,
                     serialize_scene, true_geometry, PRESET_NAMES)
-from .stationarity import (CorrelationMatrix, StationaryPartition,
-                           characteristic_slope, cmd_map, correlation_matrix,
-                           correlation_matrix_distance, partition_by_cmd,
-                           partition_by_slope, pearson_profiles,
+from .stationarity import (StationaryPartition, characteristic_slope, cmd_map,
+                           correlation_matrix, correlation_matrix_distance,
+                           partition_by_cmd, partition_by_slope,
                            singleton_partition, uniform_partition)
 from .synth import (ChannelFrequencyResponse, PathTable, add_noise,
                     knife_edge_loss, make_cfr, path_blockage_db, path_table,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _csvout
 from .constants import C_M_PER_S
-from .scene import Scene, true_geometry
+from .scene import Scene, _norm, element_positions
 from .synth import ChannelFrequencyResponse, noise_sigma
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
@@ -36,7 +36,6 @@ class PowerDelayProfile:
     powers: np.ndarray
     bin_width: float
     n_bins: int
-    element: int | None = None
 
     def __post_init__(self):
         p = np.asarray(self.powers, dtype=float)
@@ -55,6 +54,7 @@ class ChannelStats:
     """Per-element summary statistics of one swept measurement."""
 
     power_db: np.ndarray
+    pdp: np.ndarray  # (N, F) linear power per delay bin, Hann window
     delay_spread_s: np.ndarray
     los_phase_rad: np.ndarray
     aod_rad: np.ndarray
@@ -79,8 +79,7 @@ def _window(name: str, n: int) -> np.ndarray:
     return w / w.mean()  # unit coherent gain
 
 
-def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann",
-                element: int | None = None) -> PowerDelayProfile:
+def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann") -> PowerDelayProfile:
     """Power delay profile of one element's swept response.
 
     Squared magnitude of the inverse DFT of the windowed row, scaled so the
@@ -92,14 +91,13 @@ def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann",
     n = row.shape[0]
     taps = np.fft.ifft(row * _window(window, n))
     powers = n * np.abs(taps) ** 2
-    return PowerDelayProfile(powers=powers, bin_width=1.0 / bandwidth_hz,
-                             n_bins=n, element=element)
+    return PowerDelayProfile(powers=powers, bin_width=1.0 / bandwidth_hz, n_bins=n)
 
 
-def pdp_matrix(cfr: ChannelFrequencyResponse, window: str = "hann") -> list[PowerDelayProfile]:
-    b = cfr.sweep.bandwidth
-    return [compute_pdp(cfr.values[i], b, window=window, element=cfr.elements[i])
-            for i in range(cfr.n_elements)]
+def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
+    """``(N, F)`` Hann-window profiles of every row; row i is ``compute_pdp(values[i])``."""
+    n = cfr.sweep.n_points
+    return n * np.abs(np.fft.ifft(cfr.values * _window("hann", n), axis=1)) ** 2
 
 
 def received_power(x) -> float:
@@ -148,31 +146,31 @@ def rms_delay_spread(pdp: PowerDelayProfile, threshold_db: float = DEFAULT_DS_TH
 # LOS tap gating
 # ---------------------------------------------------------------------------
 
-def _los_delays(scene: Scene, elements) -> np.ndarray:
+def _los_delays(scene: Scene) -> np.ndarray:
     """Geometric LOS delay |rx - p_n| / c of every element."""
-    return np.array([true_geometry(scene, el, scene.rx)[0] for el in elements]) / C_M_PER_S
+    return _norm(np.asarray(scene.rx, dtype=float) - element_positions(scene)) / C_M_PER_S
 
 
 def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene | None) -> np.ndarray:
     """Delay-grid bin of the LOS tap per element (geometric when possible)."""
     n = cfr.sweep.n_points
     if scene is not None:
-        # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.
+        # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.  The
+        # modulo runs on the float bin so a delay beyond int64 casts cleanly.
         scale = cfr.sweep.bandwidth * n / (n - 1)
-        return np.rint(_los_delays(scene, cfr.elements) * scale).astype(int) % n
+        return (np.rint(_los_delays(scene) * scale) % n).astype(int)
     spectra = np.abs(np.fft.ifft(cfr.values, axis=1)) ** 2
     return np.argmax(spectra, axis=1).astype(int)
 
 
-def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None,
-                   gate_half_width: int = LOS_GATE_HALF_WIDTH
+def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delay-gated LOS content of every row, plus center taps and validity.
 
     The row is equalized by f/f_center (flattening the free-space 1/f
     amplitude), shaped by a symmetric Hann window (suppressing leakage from
     other taps), transformed to the delay domain, zeroed outside
-    +-gate_half_width bins around the LOS delay, and transformed back.
+    +-LOS_GATE_HALF_WIDTH bins around the LOS delay, and transformed back.
     Returns ``(gated_rows, center_taps, valid)`` where ``center_taps`` is the
     gated value at the center-frequency grid point and ``valid`` flags gate
     energy above the expected noise level.
@@ -191,7 +189,7 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None,
     spectra = np.fft.ifft(equalized, axis=1)
 
     k0 = _los_bin_indices(cfr, scene)
-    offsets = np.arange(-gate_half_width, gate_half_width + 1)
+    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
     every = np.arange(cfr.n_elements)[:, None]
     idx = (k0[:, None] + offsets) % n
     kept = spectra[every, idx]
@@ -212,21 +210,8 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None,
     return rows, taps, valid
 
 
-def gated_los_taps(cfr: ChannelFrequencyResponse, scene: Scene | None = None,
-                   gate_half_width: int = LOS_GATE_HALF_WIDTH) -> tuple[np.ndarray, np.ndarray]:
-    """Complex LOS tap per element at the sweep center frequency."""
-    _, taps, valid = gated_los_rows(cfr, scene, gate_half_width)
-    return taps, valid
-
-
-def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped LOS phase along the array, referenced to element 1 = 0.
-
-    Returns (phase_rad, valid).  The phase is the delay-gated tap's
-    path-length phase at the center frequency, so it matches the closed-form
-    wavefront model directly.
-    """
-    taps, valid = gated_los_taps(cfr, scene)
+def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene | None) -> np.ndarray:
+    """Unwrapped ``-angle`` of the gated taps, referenced to element 1 = 0."""
     if not valid[0]:
         reason = "carries no energy"
         if scene is not None and scene.noise_floor_dbm is not None:
@@ -236,18 +221,33 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tupl
     with np.errstate(invalid="ignore"):
         raw = -np.angle(taps)
     unwrapped = np.unwrap(raw)
-    return unwrapped - unwrapped[0], valid
+    return unwrapped - unwrapped[0]
 
 
-def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray,
+def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unwrapped LOS phase along the array, referenced to element 1 = 0.
+
+    Returns (phase_rad, valid).  The phase is the delay-gated tap's
+    path-length phase at the center frequency, so it matches the closed-form
+    wavefront model directly.
+    """
+    _, taps, valid = gated_los_rows(cfr, scene)
+    return _unwrapped_phase(taps, valid, scene), valid
+
+
+def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.ndarray,
               spacing_d: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-element AoD from adjacent-pair tap phases at the center frequency.
 
     Each pair's wrapped phase difference gives ``cos(theta) = -lambda_c *
     dphi / (2 pi d)``; the clamped arccos sits at the pair midpoint and is
-    linearly interpolated back to the elements.  Returns (theta_rad,
-    pair_physical), the latter flagging pairs with |cos| <= 1.
+    linearly interpolated back to the elements.  Returns (theta_rad, valid);
+    an element is valid when every pair it belongs to is physical (|cos| <=
+    1; aliasing or occlusion breaks this) and both of the pair's gated taps
+    are valid.
     """
+    if cfr.n_elements < 2:
+        raise ValueError("need at least 2 elements to estimate angles")
     lam = C_M_PER_S / cfr.sweep.frequencies()[(cfr.sweep.n_points - 1) // 2]
     # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
     dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
@@ -255,36 +255,33 @@ def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray,
     theta_mid = np.arccos(np.clip(ratio, -1.0, 1.0))
     mid_pos = np.arange(1, cfr.n_elements) + 0.5
     el_pos = np.arange(1, cfr.n_elements + 1, dtype=float)
-    return np.interp(el_pos, mid_pos, theta_mid), np.abs(ratio) <= 1.0
+    pair_valid = np.concatenate(([True], (np.abs(ratio) <= 1.0) & tap_valid[1:] & tap_valid[:-1],
+                                 [True]))
+    return np.interp(el_pos, mid_pos, theta_mid), pair_valid[:-1] & pair_valid[1:]
 
 
 def estimate_aod(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Azimuth angle of departure per element from adjacent-pair LOS phases.
 
-    See ``_pair_aod``.  Returns (theta_rad, valid); an element is valid when
-    every pair it belongs to is physical (|cos| <= 1; aliasing or occlusion
-    breaks this) and both of the pair's gated taps are valid.
+    See ``_pair_aod``.  Returns (theta_rad, valid); the end elements belong
+    to one pair each.
     """
-    if cfr.n_elements < 2:
-        raise ValueError("need at least 2 elements to estimate angles")
-    taps, tap_valid = gated_los_taps(cfr, scene)
-    theta, physical = _pair_aod(cfr, taps, scene.array.spacing_d)
-    pair_valid = np.concatenate(([True], physical & tap_valid[1:] & tap_valid[:-1], [True]))
-    return theta, pair_valid[:-1] & pair_valid[1:]  # padded: end elements have one pair
+    _, taps, valid = gated_los_rows(cfr, scene)
+    return _pair_aod(cfr, taps, valid, scene.array.spacing_d)
 
 
-def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene,
-                  ds_threshold_db: float = DEFAULT_DS_THRESHOLD_DB,
-                  window: str = "hann") -> ChannelStats:
-    """Full per-element statistics table for one synthesized measurement."""
+def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene) -> ChannelStats:
+    """Per-element statistics table; one PDP array and one LOS gate feed every column."""
     power = received_power_db(cfr)
-    pdps = pdp_matrix(cfr, window=window)
-    ds = np.array([rms_delay_spread(p, threshold_db=ds_threshold_db) for p in pdps])
-    phase, los_valid = los_phase(cfr, scene)
-    aod, aod_valid = estimate_aod(cfr, scene)
-    return ChannelStats(power_db=power, delay_spread_s=ds, los_phase_rad=phase,
-                        aod_rad=aod, tau_los_s=_los_delays(scene, cfr.elements),
-                        los_valid=los_valid, aod_valid=aod_valid)
+    pdp = pdp_matrix(cfr)
+    ds = np.array([rms_delay_spread(PowerDelayProfile(p, 1.0 / cfr.sweep.bandwidth, len(p)))
+                   for p in pdp])
+    _, taps, tap_valid = gated_los_rows(cfr, scene)
+    phase = _unwrapped_phase(taps, tap_valid, scene)
+    aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)
+    return ChannelStats(power_db=power, pdp=pdp, delay_spread_s=ds, los_phase_rad=phase,
+                        aod_rad=aod, tau_los_s=_los_delays(scene),
+                        los_valid=tap_valid, aod_valid=aod_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +296,12 @@ def export_stats_csv(stats: ChannelStats, path) -> None:
                         _csvout.floats(stats.tau_los_s * 1e9))])
 
 
-def export_pdp_csv(pdps: list[PowerDelayProfile], path) -> None:
-    axes = {}  # (bin_width, n_bins) -> bin and delay cells, formatted once per file
-
-    def block(pdp: PowerDelayProfile):
-        key = (pdp.bin_width, pdp.n_bins)
-        if key not in axes:
-            axes[key] = (_csvout.strs(range(pdp.n_bins)), _csvout.floats(pdp.delays() * 1e9))
-        power_db = [repr(10.0 * math.log10(p)) if p > 0 else "-inf" for p in pdp.powers.tolist()]
-        return (["" if pdp.element is None else str(pdp.element)] * pdp.n_bins, *axes[key], power_db)
-
-    _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"), map(block, pdps))
+def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
+    """Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array, elements 1..N."""
+    n_bins = pdp.shape[1]
+    bins = _csvout.strs(range(n_bins))  # bin and delay cells, formatted once per file
+    delay_ns = _csvout.floats(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)
+    _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
+                      (([str(el)] * n_bins, bins, delay_ns,
+                        [repr(10.0 * math.log10(p)) if p > 0 else "-inf" for p in row.tolist()])
+                       for el, row in enumerate(pdp, start=1)))

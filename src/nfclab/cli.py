@@ -30,6 +30,8 @@ EXIT_UNKNOWN_PRESET = 2
 EXIT_PARSE_FAILURE = 3
 EXIT_ANALYSIS_FAILURE = 4
 
+DYADIC_MAX_K = 5  # mw_error.csv rows dyadic_2^0 .. dyadic_2^5
+
 RUN_FILES = ("cfr.csv", "stats.csv", "pdp.csv", "partition.csv",
              "cmd_map.csv", "mw_error.csv", "report.txt")
 
@@ -91,12 +93,12 @@ def _mw_row(scene: Scene, truth: synth.ChannelFrequencyResponse, name: str,
     return (name, part.n_intervals, err.phase_rmse, err.complex_correlation)
 
 
-def _dyadic_mw_table(scene: Scene, truth: synth.ChannelFrequencyResponse,
-                     max_k: int = 5) -> list[tuple[str, int, float, float]]:
+def _dyadic_mw_table(scene: Scene, truth: synth.ChannelFrequencyResponse
+                     ) -> list[tuple[str, int, float, float]]:
     n = scene.array.n_elements
     return [_mw_row(scene, truth, f"dyadic_2^{k}",
                     stationarity.uniform_partition(n, min(2 ** k, n)))
-            for k in range(max_k + 1)]
+            for k in range(DYADIC_MAX_K + 1)]
 
 
 def cmd_run(args: argparse.Namespace) -> RunReport:
@@ -108,7 +110,6 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
 
     cfr = synth.synthesize_cfr(scene)
     stats = analysis.compute_stats(cfr, scene)
-    pdps = analysis.pdp_matrix(cfr)
 
     partitions: list[stationarity.StationaryPartition] = []
     if args.criterion in ("cmd", "both"):
@@ -126,7 +127,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
     files = {name: out_dir / name for name in RUN_FILES}
     synth.export_cfr_csv(cfr, files["cfr.csv"])
     analysis.export_stats_csv(stats, files["stats.csv"])
-    analysis.export_pdp_csv(pdps, files["pdp.csv"])
+    analysis.export_pdp_csv(stats.pdp, files["pdp.csv"], cfr.sweep.bandwidth)
     stationarity.export_partition_csv(partitions, files["partition.csv"])
     stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
     multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
@@ -136,7 +137,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
     fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
     model = wavefront.model_phases(scene, scene.rx, fc)
     phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
-    mw_rmse = [row[2] for row in mw_table[:6]]
+    mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
     checks = {
         "phase_model_correlation_gt_0.99": phase_corr > 0.99,
         "partitions_cover_array": all(p.intervals[0][0] == 1 and p.intervals[-1][1] == scene.array.n_elements
@@ -227,6 +228,9 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     bearing /= distance
     if r_d > 0.0:
         distance = args.distance_mult * r_d
+    if not math.isfinite(9.0 * distance * distance):  # squared lengths reach 3x it (wall images)
+        raise _CliError(f"--distance-mult {args.distance_mult:g} puts the receiver {distance:g} m "
+                        "away, too far for float64 path lengths", EXIT_ANALYSIS_FAILURE)
     target = p1 + bearing * distance
     scaled = replace(scene, rx=tuple(float(x) for x in target))
     scaled.validate()
@@ -240,14 +244,16 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     far = np.array([wavefront.far_field_phase(n, scene.array.spacing_d, lam_eval, theta_1)
                     for n in range(1, scene.array.n_elements + 1)])
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr_meas = float(np.corrcoef(measured, model)[0, 1]) if scene.array.n_elements >= 2 else 1.0
+    if not math.isfinite(corr_meas):  # e.g. so far out that float64 lengths tie across the array
+        raise _CliError(f"corr(measured, near-field model) is undefined at --distance-mult "
+                        f"{args.distance_mult:g}: a phase profile is constant along the array",
+                        EXIT_ANALYSIS_FAILURE)
     _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
                       [(_csvout.strs(range(1, scene.array.n_elements + 1)),
                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])
 
-    if scene.array.n_elements >= 2:
-        corr_meas = float(np.corrcoef(measured, model)[0, 1])
-    else:
-        corr_meas = 1.0
     max_far_gap = float(np.abs(model - (-far)).max())
     print(f"rx distance: {args.distance_mult:g} x Rayleigh ({r_d:.3f} m) = "
           f"{distance:.3f} m")

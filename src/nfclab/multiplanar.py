@@ -104,49 +104,6 @@ def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> lis
     return patches
 
 
-def build_multiplanar_model_from_cfr(cfr: ChannelFrequencyResponse,
-                                     partition: StationaryPartition,
-                                     spacing_d: float) -> list[PlanarPatch]:
-    """Data-only patch construction: parameters estimated from the response.
-
-    The angle per interval comes from the adjacent-pair phase of the gated
-    strongest tap at the reference, the reference distance from the tap's
-    delay bin (aliased modulo the sweep's unambiguous range), and the gain
-    from the de-propagated gated response.  Estimates are approximate by
-    nature (delay-bin quantization, gate truncation); use the scene-driven
-    builder whenever geometry is available.
-    """
-    from .analysis import _pair_aod, _window, gated_los_rows  # analysis sits above synth
-
-    rows, taps, valid = gated_los_rows(cfr, None)
-    n = cfr.sweep.n_points
-    freqs = cfr.sweep.frequencies()
-
-    # Undo the gate's Hann taper and 1/f equalization; notch the band edges
-    # where the taper is too small to invert stably.
-    taper = _window("hann", n) * freqs / freqs[(n - 1) // 2]
-    invertible = taper >= 0.05 * taper.max()
-    detaper = np.where(invertible, 1.0 / np.where(invertible, taper, 1.0), 0.0)
-
-    spectra = np.abs(np.fft.ifft(cfr.values, axis=1)) ** 2
-    k0 = np.argmax(spectra, axis=1)
-    tau = k0 * (n - 1) / (n * cfr.sweep.bandwidth)
-    r_los = tau * C_M_PER_S
-
-    theta, _ = _pair_aod(cfr, taps, spacing_d)
-
-    patches: list[PlanarPatch] = []
-    for start, end in partition.intervals:
-        ref, flagged = _fallback_reference(start, end, valid)
-        gain = (rows[ref - 1] * detaper
-                * np.exp(1j * TWO_PI * freqs * r_los[ref - 1] / C_M_PER_S))
-        patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
-                                   theta_si=float(theta[ref - 1]),
-                                   r_ref=float(r_los[ref - 1]),
-                                   gain_ref=gain, flagged=flagged))
-    return patches
-
-
 def synthesize_multiplanar_cfr(patches: list[PlanarPatch], scene: Scene) -> ChannelFrequencyResponse:
     """Planar reconstruction: H(n,f) = gain_ref(f) e^{-j2pi f (r_ref - dx cos(theta_si))/c}.
 

@@ -41,21 +41,6 @@ class StationarityError(ValueError):
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Frequency-averaged spatial correlation of one element window."""
-
-    matrix: np.ndarray
-    window: tuple[int, int]  # 1-based inclusive element range
-    m: int
-
-    def __post_init__(self):
-        r = np.asarray(self.matrix, dtype=np.complex128)
-        if r.shape != (self.m, self.m):
-            raise ValueError(f"matrix must be {self.m}x{self.m}")
-        object.__setattr__(self, "matrix", r)
-
-
-@dataclass(frozen=True)
 class StationaryPartition:
     """Ordered disjoint element intervals covering 1..n_elements."""
 
@@ -139,7 +124,7 @@ def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.clip(d, 0.0, 1.0, out=d)
 
 
-def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -> CorrelationMatrix:
+def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -> np.ndarray:
     """Frequency-averaged outer-product correlation over an element window.
 
     ``R = (1/n_points) * sum_f h_f h_f^H`` with ``h_f`` the window's element
@@ -150,43 +135,22 @@ def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -
     m = end - start + 1
     if start < 1 or end > cfr.n_elements:
         raise StationarityError(f"window {window} outside 1..{cfr.n_elements}")
-    r = _window_correlations(cfr.values[start - 1:end], m)[0]
-    return CorrelationMatrix(matrix=r, window=(start, end), m=m)
+    return _window_correlations(cfr.values[start - 1:end], m)[0]
 
 
-def correlation_matrix_distance(r1: CorrelationMatrix | np.ndarray,
-                                r2: CorrelationMatrix | np.ndarray) -> float:
+def correlation_matrix_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     """Correlation matrix distance 1 - Re tr(R1 R2) / (||R1||_F ||R2||_F).
 
     0 for proportional matrices, 1 for matrices with orthogonal support;
     clamped to [0, 1].
     """
-    m1 = r1.matrix if isinstance(r1, CorrelationMatrix) else np.asarray(r1)
-    m2 = r2.matrix if isinstance(r2, CorrelationMatrix) else np.asarray(r2)
+    m1, m2 = np.asarray(r1), np.asarray(r2)
     if m1.shape != m2.shape:
         raise StationarityError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
     if not (np.any(m1) and np.any(m2)):
         raise StationarityError("correlation matrix distance undefined for a zero matrix")
     # <R1, R2^H>_F = tr(R1 R2) for any pair; R2^H = R2 for a correlation matrix
     return float(_cmd(m1[None], m2.conj().T[None])[0, 0])
-
-
-def pearson_profiles(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    """Pearson correlation of per-frequency magnitude profiles, all pairs.
-
-    Entries involving a zero-variance profile are NaN.
-    """
-    if cfr.sweep.n_points < 2:
-        raise StationarityError("need >= 2 frequency points")
-    mags = np.abs(cfr.values)
-    centered = mags - mags.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
-    out = np.full((cfr.n_elements, cfr.n_elements), np.nan)
-    ok = norms > 0
-    if np.any(ok):
-        c = centered[ok] / norms[ok][:, None]
-        out[np.ix_(ok, ok)] = c @ c.T
-    return np.clip(out, -1.0, 1.0)  # NaN entries (zero-variance rows) pass through
 
 
 def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndarray:
@@ -229,24 +193,21 @@ def _merge_short_intervals(intervals: list[list[int]], scores: list[float],
 
 
 def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
-                     tau: float = DEFAULT_CMD_THRESHOLD,
-                     min_si: int | None = None) -> StationaryPartition:
+                     tau: float = DEFAULT_CMD_THRESHOLD) -> StationaryPartition:
     """Greedy reference-anchored correlation-distance partition.
 
     The reference window is the first m elements of the current interval; a
     test window slides element by element and the first one with distance
     above ``tau`` starts a new interval at its first element.  Intervals
-    shorter than ``min_si`` are folded into their neighbors, and a trailing
-    leftover shorter than ``min_si`` is absorbed by the last interval.
+    shorter than m elements are folded into their neighbors, and a trailing
+    leftover shorter than m is absorbed by the last interval.
     """
     if m < 2:
         raise StationarityError(f"window size must be >= 2, got {m}")
     if not 0.0 < tau < 1.0:
         raise StationarityError(f"threshold must lie in (0, 1), got {tau}")
-    if min_si is None:
-        min_si = m
     n = cfr.n_elements
-    thresholds = (("m", float(m)), ("tau", float(tau)), ("min_si", float(min_si)))
+    thresholds = (("m", float(m)), ("tau", float(tau)), ("min_si", float(m)))
 
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd",
@@ -273,7 +234,7 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
 
     edges = [1] + boundaries + [n + 1]
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
-    intervals, scores = _merge_short_intervals(intervals, scores, min_si)
+    intervals, scores = _merge_short_intervals(intervals, scores, m)
     return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
                                criterion="cmd", thresholds=thresholds,
                                boundary_scores=tuple(scores))
@@ -344,35 +305,29 @@ def _uniform_power_splits(power_db: np.ndarray, start: int, end: int,
 
 
 def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
-                       k_threshold: float | None = None,
-                       w: int = DEFAULT_SMOOTHING_W,
-                       gamma_db: float = DEFAULT_UNIFORM_POWER_DB,
-                       min_si: int = DEFAULT_WINDOW_M) -> StationaryPartition:
+                       gamma_db: float = DEFAULT_UNIFORM_POWER_DB) -> StationaryPartition:
     """Characteristic-slope partition with a uniform-power check.
 
     Boundaries form where the smoothed slope of the selected statistic stays
-    above ``k_threshold`` for at least 2 consecutive elements (placed at the
-    steepest point of the run); every resulting interval is then split
-    wherever its internal received-power range exceeds ``gamma_db``.
+    above its ``DEFAULT_SLOPE_THRESHOLDS`` entry for at least 2 consecutive
+    elements (placed at the steepest point of the run); every resulting
+    interval is then split wherever its internal received-power range
+    exceeds ``gamma_db``, and short intervals are folded into neighbors.
     """
-    values = getattr(stats, parameter, None)
-    if values is None:
-        raise StationarityError(f"statistic {parameter!r} not populated")
-    values = np.asarray(values, dtype=float)
-    if k_threshold is None:
-        try:
-            k_threshold = DEFAULT_SLOPE_THRESHOLDS[parameter]
-        except KeyError:
-            raise StationarityError(f"no default slope threshold for {parameter!r}; pass k_threshold") from None
+    if parameter not in DEFAULT_SLOPE_THRESHOLDS:
+        raise StationarityError(f"no slope threshold for statistic {parameter!r}; "
+                                f"use one of {', '.join(DEFAULT_SLOPE_THRESHOLDS)}")
+    values = np.asarray(getattr(stats, parameter), dtype=float)
+    k_threshold = DEFAULT_SLOPE_THRESHOLDS[parameter]
     n = len(values)
-    thresholds = (("parameter_threshold", float(k_threshold)), ("w", float(w)),
-                  ("gamma_db", float(gamma_db)), ("min_si", float(min_si)))
+    thresholds = (("parameter_threshold", float(k_threshold)), ("w", float(DEFAULT_SMOOTHING_W)),
+                  ("gamma_db", float(gamma_db)), ("min_si", float(DEFAULT_WINDOW_M)))
     if n < 3:
         return StationaryPartition(intervals=((1, n),), criterion="slope",
                                    thresholds=thresholds, boundary_scores=(),
                                    warnings=(f"array of {n} elements too short for a slope",))
 
-    k = characteristic_slope(values, w=w)
+    k = characteristic_slope(values)
     boundaries, scores = _slope_boundaries(k, k_threshold)
 
     edges = [1] + boundaries + [n + 1]
@@ -391,7 +346,7 @@ def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
         if idx < len(intervals) - 1:
             refined_scores.append(scores[idx])
 
-    refined, refined_scores = _merge_short_intervals(refined, refined_scores, min_si)
+    refined, refined_scores = _merge_short_intervals(refined, refined_scores, DEFAULT_WINDOW_M)
     return StationaryPartition(intervals=tuple((s, e) for s, e in refined),
                                criterion="slope", thresholds=thresholds,
                                boundary_scores=tuple(refined_scores))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -199,7 +198,7 @@ def synthesize_los_cfr(scene: Scene) -> ChannelFrequencyResponse:
 
 
 # ---------------------------------------------------------------------------
-# Export / import
+# Export
 # ---------------------------------------------------------------------------
 
 def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
@@ -208,17 +207,3 @@ def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
     _csvout.write_csv(path, ("element", "f_hz", "re", "im"),
                       (([str(el)] * len(f_hz), f_hz, _csvout.floats(row.real), _csvout.floats(row.imag))
                        for el, row in zip(cfr.elements, cfr.values)))
-
-
-def export_cfr_npz(cfr: ChannelFrequencyResponse, path) -> None:
-    """Lossless binary export."""
-    np.savez(Path(path), values=cfr.values,
-             f_start=cfr.sweep.f_start, f_stop=cfr.sweep.f_stop,
-             n_points=cfr.sweep.n_points, elements=np.array(cfr.elements))
-
-
-def load_cfr_npz(path) -> ChannelFrequencyResponse:
-    with np.load(Path(path)) as data:
-        sweep = Sweep(f_start=float(data["f_start"]), f_stop=float(data["f_stop"]),
-                      n_points=int(data["n_points"]))
-        return make_cfr(data["values"], sweep, tuple(int(e) for e in data["elements"]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ import nfclab as nl
 from nfclab import wavefront as wf
 from nfclab.analysis import (AnalysisError, PowerDelayProfile, compute_pdp,
                              export_pdp_csv, export_stats_csv, pdp_matrix)
+from nfclab.analysis import _los_delays
 from nfclab.constants import C_M_PER_S
-from nfclab.scene import loads_scene
+from nfclab.scene import loads_scene, true_geometry
+from test_path_table import benchmark_scene
 
 SWEEP = nl.Sweep()  # 11-15 GHz, 801 points, B = 4 GHz, 0.25 ns bins
 
@@ -199,12 +202,12 @@ def test_los_phase_noise_only_gate_flagged():
     sweep = scene.sweep
     silent = nl.make_cfr(np.zeros((4, sweep.n_points), dtype=complex), sweep)
     noisy = nl.add_noise(silent, -90.0, seed=1)
-    from nfclab.analysis import gated_los_taps
-    _, valid = gated_los_taps(noisy, scene)
+    from nfclab.analysis import gated_los_rows
+    valid = gated_los_rows(noisy, scene)[2]
     assert not np.any(valid)
     # an actual synthesized channel at the same floor is comfortably valid
     cfr = nl.synthesize_cfr(scene)
-    _, valid = gated_los_taps(cfr, scene)
+    valid = gated_los_rows(cfr, scene)[2]
     assert np.all(valid)
 
 
@@ -229,9 +232,71 @@ def test_stats_table_and_exports(tmp_path, los_stats):
 
 
 def test_pdp_export(tmp_path, los_cfr):
-    pdps = pdp_matrix(los_cfr)[:2]
     out = tmp_path / "pdp.csv"
-    export_pdp_csv(pdps, out)
+    export_pdp_csv(pdp_matrix(los_cfr)[:2], out, los_cfr.sweep.bandwidth)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "element,bin,delay_ns,power_db"
     assert len(lines) == 1 + 2 * 801
+
+
+# ---------------------------------------------------------------------------
+# One PDP array and one LOS gate per run, bit-identical to the per-row code
+# ---------------------------------------------------------------------------
+
+def _ref_pdp_matrix(cfr, window="hann"):
+    """The list-returning ``pdp_matrix`` the (N, F) array replaced.
+
+    Verbatim apart from the per-profile element label, which
+    ``PowerDelayProfile`` no longer carries.
+    """
+    b = cfr.sweep.bandwidth
+    return [compute_pdp(cfr.values[i], b, window=window)
+            for i in range(cfr.n_elements)]
+
+
+def _ref_los_delays(scene, elements):
+    """The per-element ``_los_delays`` loop the batched row norm replaced, verbatim."""
+    return np.array([true_geometry(scene, el, scene.rx)[0] for el in elements]) / C_M_PER_S
+
+
+def _sized(scene, n_points, noise_floor_dbm=None):
+    """The scene as the CLI runs it with ``--freq-points``, ``--seed 7`` and ``--noise-floor``."""
+    scene = replace(scene, sweep=replace(scene.sweep, n_points=n_points), seed=7)
+    return scene if noise_floor_dbm is None else replace(scene, noise_floor_dbm=noise_floor_dbm)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+REFERENCE_SCENES = {
+    "los_lab": lambda: nl.load_preset("los_lab"),
+    "olos_baffle_noisy": lambda: _sized(nl.load_preset("olos_baffle"), 801, -80.0),
+    "sweep_deep": lambda: _sized(benchmark_scene("los_lab", 64, 7), 6401, -90.0),
+    "array_wide": lambda: _sized(benchmark_scene("olos_baffle", 512, 7), 401),
+    "far_check": lambda: _sized(benchmark_scene("olos_baffle", 1024, 7, 4.0), 801),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+def test_pdp_array_and_los_delays_match_per_row_reference(name):
+    scene = REFERENCE_SCENES[name]()
+    cfr = nl.synthesize_cfr(scene)
+    ref = _ref_pdp_matrix(cfr)
+    pdp = pdp_matrix(cfr)
+    assert pdp.shape == (cfr.n_elements, cfr.sweep.n_points)
+    assert np.array_equal(_bits(pdp), _bits(np.stack([p.powers for p in ref])))
+    delays = _los_delays(scene)
+    assert np.array_equal(_bits(delays), _bits(_ref_los_delays(scene, cfr.elements)))
+    if name == "far_check":  # phase-check: no statistics table
+        return
+    stats = nl.compute_stats(cfr, scene)
+    assert stats.pdp.tobytes() == pdp.tobytes()
+    assert stats.delay_spread_s.tobytes() == np.array([nl.rms_delay_spread(p) for p in ref]).tobytes()
+    assert stats.tau_los_s.tobytes() == delays.tobytes()
+    # the one shared gate gives what the public single-purpose functions give
+    phase, los_valid = nl.los_phase(cfr, scene)
+    aod, aod_valid = nl.estimate_aod(cfr, scene)
+    assert stats.los_phase_rad.tobytes() == phase.tobytes()
+    assert stats.aod_rad.tobytes() == aod.tobytes()
+    assert np.array_equal(stats.los_valid, los_valid) and np.array_equal(stats.aod_valid, aod_valid)

@@ -200,6 +200,41 @@ def test_phase_check_rejects_non_finite_distance_mult(tmp_path, mult):
     assert not (tmp_path / "phase_check.csv").exists()
 
 
+@pytest.mark.parametrize("mult, message", [
+    # distance_mult * r_d overflows to inf
+    ("1e308", "--distance-mult 1e+308 puts the receiver inf m away, too far for float64 path lengths"),
+    # finite, but a squared path length would overflow
+    ("1e200", "--distance-mult 1e+200 puts the receiver 4.57924e+201 m away"),
+    # every element sees the same float64 path length: the measured phase is flat
+    ("1e30", "corr(measured, near-field model) is undefined at --distance-mult 1e+30"),
+])
+def test_phase_check_distance_beyond_float64_exit_4(tmp_path, mult, message):
+    (tmp_path / "phase_check.csv").write_text("stale\n")
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "phase-check", "los_lab",
+                           "--out", str(tmp_path), "--distance-mult", mult],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert message in proc.stderr
+    assert "analysis error" not in proc.stderr
+    assert not (tmp_path / "phase_check.csv").exists()
+
+
+def test_run_gates_and_profiles_once(tmp_path, monkeypatch):
+    from nfclab import analysis
+    calls = {"gated_los_rows": 0, "pdp_matrix": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    assert run(["run", "los_lab", "--out", str(tmp_path)]) == 0
+    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1}
+
+
 def test_noise_above_signal_exit_4_names_the_floor(tmp_path):
     src = Path(nfclab.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab",

@@ -3,8 +3,7 @@
 ``_ref_correlation_matrix``, ``_ref_correlation_matrix_distance``,
 ``_ref_cmd_map`` and ``_ref_partition_by_cmd`` are the per-window and per-pair
 implementations that the banded window-correlation stack replaced, kept
-verbatim (returning plain arrays instead of ``CorrelationMatrix``) as the
-reference.  The sums run in another order, so values agree to 1e-12, not
+verbatim (returning plain arrays) as the reference.  The sums run in another order, so values agree to 1e-12, not
 bitwise.
 """
 
@@ -166,7 +165,7 @@ def test_correlation_matrix_is_a_window_of_the_stack(cfr, m, data):
     if cfr.n_elements < m:
         return
     start = data.draw(st.integers(1, cfr.n_elements - m + 1))
-    r = correlation_matrix(cfr, (start, start + m - 1)).matrix
+    r = correlation_matrix(cfr, (start, start + m - 1))
     ref = _ref_correlation_matrix(cfr, (start, start + m - 1))
     assert np.abs(r - ref).max() <= TOL * max(1.0, np.abs(ref).max())
     assert np.array_equal(r, r.conj().T)

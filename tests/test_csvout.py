@@ -58,16 +58,19 @@ def _ref_export_stats_csv(stats, path) -> None:
             ])
 
 
-def _ref_export_pdp_csv(pdps, path) -> None:
+def _ref_export_pdp_csv(pdp_array, bandwidth_hz, path) -> None:
+    """The per-row loop over one ``PowerDelayProfile`` per element 1..N."""
+    pdps = [PowerDelayProfile(powers=row, bin_width=1.0 / bandwidth_hz, n_bins=len(row))
+            for row in pdp_array]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "bin", "delay_ns", "power_db"])
-        for pdp in pdps:
+        for element, pdp in enumerate(pdps, start=1):
             delays_ns = pdp.delays() * 1e9
             for k in range(pdp.n_bins):
                 p = pdp.powers[k]
                 power_db = repr(10.0 * math.log10(p)) if p > 0 else "-inf"
-                writer.writerow([pdp.element, k, repr(float(delays_ns[k])), power_db])
+                writer.writerow([element, k, repr(float(delays_ns[k])), power_db])
 
 
 def _ref_export_partition_csv(partitions, path) -> None:
@@ -130,7 +133,7 @@ def _awkward_cfr():
 def _awkward_stats():
     n = 12
     vals = np.resize(np.array(AWKWARD + [math.inf, -math.inf, math.nan]), n)
-    return ChannelStats(power_db=vals, delay_spread_s=vals[::-1].copy(),
+    return ChannelStats(power_db=vals, pdp=np.ones((n, 2)), delay_spread_s=vals[::-1].copy(),
                         los_phase_rad=-vals, aod_rad=np.roll(vals, 3),
                         tau_los_s=np.roll(vals, 5),
                         los_valid=np.ones(n, dtype=bool), aod_valid=np.ones(n, dtype=bool))
@@ -149,14 +152,17 @@ def test_stats_csv_matches_reference(tmp_path):
 
 
 def test_pdp_csv_matches_reference(tmp_path):
+    """12 elements (two-digit labels) x 7 bins; awkward powers and bin widths."""
     powers = np.array([0.0, 5e-324, 1e16, 1e22, 0.1, math.inf, 1.0])
-    pdps = [PowerDelayProfile(powers=powers, bin_width=0.25e-9, n_bins=7, element=9),
-            PowerDelayProfile(powers=powers[::-1].copy(), bin_width=0.25e-9, n_bins=7,
-                              element=10),
-            PowerDelayProfile(powers=powers[:4], bin_width=1.0 / 3e9, n_bins=4, element=11),
-            PowerDelayProfile(powers=powers[2:], bin_width=0.25e-9, n_bins=5)]
-    _assert_same_bytes(tmp_path, export_pdp_csv, _ref_export_pdp_csv, pdps)
-    assert b",0,0.0,-inf\r\n" in (tmp_path / "new.csv").read_bytes()
+    pdp = np.stack([np.roll(powers, i) for i in range(12)])
+    pdp[5] = pdp[5][::-1]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    for bandwidth_hz in (4e9, 3e9, 0.1):
+        export_pdp_csv(pdp, new, bandwidth_hz)
+        _ref_export_pdp_csv(pdp, bandwidth_hz, ref)
+        assert new.read_bytes() == ref.read_bytes()
+    assert b"\r\n1,0,0.0,-inf\r\n" in new.read_bytes()
+    assert b"\r\n12,6,60000000000.0,160.0\r\n" in new.read_bytes()
 
 
 def test_partition_csv_matches_reference(tmp_path):

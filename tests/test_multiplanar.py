@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nfclab as nl
-from nfclab.multiplanar import build_multiplanar_model_from_cfr, export_mw_error_csv
+from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
 from nfclab.stationarity import singleton_partition, uniform_partition
 from nfclab.wavefront import rayleigh_distance
@@ -130,30 +130,6 @@ def test_blocked_reference_falls_back_and_flags():
     assert patches[0].flagged
     assert patches[0].ref_element != ref
     assert blockages[patches[0].ref_element - 1] <= 80.0
-
-
-def test_data_mode_build_far_field(los_scene):
-    bare = replace(los_scene, walls=(), point_scatterers=())
-    truth = nl.synthesize_los_cfr(bare)
-    part = uniform_partition(64, 4)
-    patches = build_multiplanar_model_from_cfr(truth, part, bare.array.spacing_d)
-    geo_patches = nl.build_multiplanar_model(bare, part)
-    for est, geo in zip(patches, geo_patches):
-        assert est.interval == geo.interval
-        assert abs(math.degrees(est.theta_si - geo.theta_si)) < 0.2
-        # delay-bin distance resolution is c/B ~ 7.5 cm
-        assert abs(est.r_ref - geo.r_ref) < 0.08
-    # data-driven reconstruction is approximate away from the band center
-    # (bin quantization, gate truncation at the tapered edges), but the
-    # center-frequency phase at every reference element is preserved
-    approx = nl.synthesize_multiplanar_cfr(patches, bare)
-    center = (truth.sweep.n_points - 1) // 2
-    for patch in patches:
-        i = patch.ref_element - 1
-        diff = np.angle(truth.values[i, center] * np.conj(approx.values[i, center]))
-        assert abs(diff) < 1e-9
-    err = nl.multiplanar_error(truth, approx)
-    assert err.complex_correlation > 0.9
 
 
 def test_export(tmp_path):

@@ -25,7 +25,7 @@ def random_psd(rng, m=4):
 def stats_with(power_db=None, n=64, **arrays):
     zeros = np.zeros(n)
     power = zeros if power_db is None else np.asarray(power_db, dtype=float)
-    fields = dict(power_db=power, delay_spread_s=zeros.copy(),
+    fields = dict(power_db=power, pdp=np.ones((n, 8)), delay_spread_s=zeros.copy(),
                   los_phase_rad=zeros.copy(), aod_rad=zeros.copy(),
                   tau_los_s=zeros.copy(), los_valid=np.ones(n, bool),
                   aod_valid=np.ones(n, bool))
@@ -41,8 +41,8 @@ def test_correlation_matrix_rank_one_for_coherent_field():
     v = np.array([1.0, 1j, -1.0, 2.0], dtype=complex)
     values = np.repeat(v[:, None], SWEEP.n_points, axis=1)
     r = nl.correlation_matrix(cfr_from(values), (1, 4))
-    assert np.allclose(r.matrix, np.outer(v, v.conj()), rtol=1e-12)
-    eigvals = np.linalg.eigvalsh(r.matrix)
+    assert np.allclose(r, np.outer(v, v.conj()), rtol=1e-12)
+    eigvals = np.linalg.eigvalsh(r)
     assert eigvals[-1] == pytest.approx(float(np.vdot(v, v).real), rel=1e-12)
     assert np.all(eigvals[:-1] < 1e-10 * eigvals[-1])
 
@@ -51,7 +51,7 @@ def test_correlation_matrix_iid_rows_near_identity():
     rng = np.random.default_rng(11)
     values = (rng.normal(size=(4, SWEEP.n_points))
               + 1j * rng.normal(size=(4, SWEEP.n_points))) / math.sqrt(2)
-    r = nl.correlation_matrix(cfr_from(values), (1, 4)).matrix
+    r = nl.correlation_matrix(cfr_from(values), (1, 4))
     off = r - np.diag(np.diag(r))
     assert np.abs(off).max() < 5 / math.sqrt(SWEEP.n_points)
     assert np.allclose(np.diag(r).real, 1.0, atol=5 / math.sqrt(SWEEP.n_points))
@@ -61,7 +61,7 @@ def test_correlation_matrix_hermitian_psd_always():
     rng = np.random.default_rng(12)
     for _ in range(20):
         values = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
-        r = nl.correlation_matrix(nl.make_cfr(values, nl.Sweep(n_points=64)), (2, 5)).matrix
+        r = nl.correlation_matrix(nl.make_cfr(values, nl.Sweep(n_points=64)), (2, 5))
         assert np.allclose(r, r.conj().T)
         eigvals = np.linalg.eigvalsh(r)
         assert eigvals.min() >= -1e-10 * np.trace(r).real
@@ -109,35 +109,6 @@ def test_cmd_properties_random_pairs():
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         d_conj = nl.correlation_matrix_distance(q @ r1 @ q.conj().T, q @ r2 @ q.conj().T)
         assert d_conj == pytest.approx(d12, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# pearson profiles
-# ---------------------------------------------------------------------------
-
-def test_pearson_identical_and_anticorrelated():
-    rng = np.random.default_rng(3)
-    row = rng.uniform(1.0, 2.0, SWEEP.n_points)
-    flipped = 2 * row.mean() - row  # mean-deviation negated
-    values = np.vstack([row, row, flipped]).astype(complex)
-    rho = nl.pearson_profiles(cfr_from(values))
-    assert rho[0, 1] == pytest.approx(1.0, abs=1e-12)
-    assert rho[0, 2] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_pearson_independent_noise_uncorrelated():
-    rng = np.random.default_rng(4)
-    values = rng.uniform(1.0, 2.0, size=(2, 801)).astype(complex)
-    rho = nl.pearson_profiles(cfr_from(values))
-    assert abs(rho[0, 1]) < 0.1
-
-
-def test_pearson_zero_variance_flagged():
-    values = np.vstack([np.ones(SWEEP.n_points),
-                        np.linspace(1, 2, SWEEP.n_points)]).astype(complex)
-    rho = nl.pearson_profiles(cfr_from(values))
-    assert math.isnan(rho[0, 0]) and math.isnan(rho[0, 1])
-    assert rho[1, 1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import (export_cfr_csv, export_cfr_npz, load_cfr_npz, path_blockage_db,
-                          path_table)
+from nfclab.synth import export_cfr_csv, path_blockage_db, path_table
 
 BARE = """
 [array]
@@ -200,13 +199,6 @@ def test_csv_and_npz_roundtrip(tmp_path, los_scene):
     small = replace(los_scene, array=replace(los_scene.array, n_elements=3),
                     sweep=replace(los_scene.sweep, n_points=11))
     cfr = nl.synthesize_cfr(small)
-
-    npz = tmp_path / "cfr.npz"
-    export_cfr_npz(cfr, npz)
-    back = load_cfr_npz(npz)
-    assert np.array_equal(back.values, cfr.values)
-    assert back.sweep == cfr.sweep and back.elements == cfr.elements
-
     csv_path = tmp_path / "cfr.csv"
     export_cfr_csv(cfr, csv_path)
     rows = csv_path.read_text().strip().splitlines()
