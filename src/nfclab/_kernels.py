@@ -73,7 +73,7 @@ def _row_distinct_blocks(row_idx, max_paths):
         start = stop
 
 
-def _padded_edges(edge_ptr, edge_geo) -> np.ndarray:
+def padded_edges(edge_ptr, edge_geo) -> np.ndarray:
     """Knife-edge factors of the paths ``edge_ptr`` spans as an -inf padded (m, e) matrix."""
     counts = np.diff(edge_ptr)
     padded = np.full((len(counts), int(counts.max(initial=0))), -math.inf)
@@ -102,7 +102,7 @@ def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     for start, stop in _row_distinct_blocks(row_idx, max_paths):
         term = terms[:stop - start]
         amp = path_amplitude(gains[start:stop], lengths[start:stop],
-                             _padded_edges(edge_ptr[start:stop + 1], edge_geo), lam, sqrt_lam)
+                             padded_edges(edge_ptr[start:stop + 1], edge_geo), lam, sqrt_lam)
         phase = omega * lengths[start:stop, None] / C_M_PER_S
         trig = np.cos(phase)
         np.multiply(amp, trig, out=term.real)

@@ -164,16 +164,16 @@ def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene | None) -> np.n
 
 
 def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay-gated LOS content of every row, plus center taps and validity.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-gated LOS tap of every row at the center frequency, plus validity.
 
     The row is equalized by f/f_center (flattening the free-space 1/f
     amplitude), shaped by a symmetric Hann window (suppressing leakage from
-    other taps), transformed to the delay domain, zeroed outside
-    +-LOS_GATE_HALF_WIDTH bins around the LOS delay, and transformed back.
-    Returns ``(gated_rows, center_taps, valid)`` where ``center_taps`` is the
-    gated value at the center-frequency grid point and ``valid`` flags gate
-    energy above the expected noise level.
+    other taps), transformed to the delay domain and zeroed outside
+    +-LOS_GATE_HALF_WIDTH bins around the LOS delay.  Returns ``(center_taps,
+    valid)``: ``center_taps`` is the forward DFT of the gated spectrum at the
+    center-frequency grid point, summed over the kept bins only, and
+    ``valid`` flags gate energy above the expected noise level.
 
     For a single path the extracted center-frequency phase is exact: the
     equalized amplitude is constant and any real window symmetric about the
@@ -190,15 +190,11 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
 
     k0 = _los_bin_indices(cfr, scene)
     offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
-    every = np.arange(cfr.n_elements)[:, None]
     idx = (k0[:, None] + offsets) % n
-    kept = spectra[every, idx]
-    gated_spectra = np.zeros_like(spectra)
-    gated_spectra[every, idx] = kept
+    kept = spectra[np.arange(cfr.n_elements)[:, None], idx]
     gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
-
-    rows = np.fft.fft(gated_spectra, axis=1)
-    taps = rows[:, center]
+    # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
+    taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
 
     if scene is not None and scene.noise_floor_dbm is not None:
         # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
@@ -207,7 +203,7 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
         valid = gate_power > 10.0 * noise_in_gate
     else:
         valid = gate_power > 0.0
-    return rows, taps, valid
+    return taps, valid
 
 
 def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene | None) -> np.ndarray:
@@ -231,7 +227,7 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tupl
     path-length phase at the center frequency, so it matches the closed-form
     wavefront model directly.
     """
-    _, taps, valid = gated_los_rows(cfr, scene)
+    taps, valid = gated_los_rows(cfr, scene)
     return _unwrapped_phase(taps, valid, scene), valid
 
 
@@ -266,7 +262,7 @@ def estimate_aod(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarra
     See ``_pair_aod``.  Returns (theta_rad, valid); the end elements belong
     to one pair each.
     """
-    _, taps, valid = gated_los_rows(cfr, scene)
+    taps, valid = gated_los_rows(cfr, scene)
     return _pair_aod(cfr, taps, valid, scene.array.spacing_d)
 
 
@@ -276,7 +272,7 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene) -> ChannelStats:
     pdp = pdp_matrix(cfr)
     ds = np.array([rms_delay_spread(PowerDelayProfile(p, 1.0 / cfr.sweep.bandwidth, len(p)))
                    for p in pdp])
-    _, taps, tap_valid = gated_los_rows(cfr, scene)
+    taps, tap_valid = gated_los_rows(cfr, scene)
     phase = _unwrapped_phase(taps, tap_valid, scene)
     aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)
     return ChannelStats(power_db=power, pdp=pdp, delay_spread_s=ds, los_phase_rad=phase,
@@ -301,7 +297,8 @@ def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
     n_bins = pdp.shape[1]
     bins = _csvout.strs(range(n_bins))  # bin and delay cells, formatted once per file
     delay_ns = _csvout.floats(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)
+    with np.errstate(divide="ignore"):  # an empty bin is -inf dB
+        power_db = 10.0 * np.log10(pdp)
     _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
-                      (([str(el)] * n_bins, bins, delay_ns,
-                        [repr(10.0 * math.log10(p)) if p > 0 else "-inf" for p in row.tolist()])
-                       for el, row in enumerate(pdp, start=1)))
+                      (([str(el)] * n_bins, bins, delay_ns, _csvout.floats(row))
+                       for el, row in enumerate(power_db, start=1)))

@@ -31,6 +31,7 @@ EXIT_PARSE_FAILURE = 3
 EXIT_ANALYSIS_FAILURE = 4
 
 DYADIC_MAX_K = 5  # mw_error.csv rows dyadic_2^0 .. dyadic_2^5
+MAX_ULP_PHASE_RAD = 1e-3  # phase-check: largest phase one ulp of the rx distance may carry
 
 RUN_FILES = ("cfr.csv", "stats.csv", "pdp.csv", "partition.csv",
              "cmd_map.csv", "mw_error.csv", "report.txt")
@@ -85,19 +86,16 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     return scene
 
 
-def _mw_row(scene: Scene, truth: synth.ChannelFrequencyResponse, name: str,
+def _mw_row(scene: Scene, name: str,
             part: stationarity.StationaryPartition) -> tuple[str, int, float, float]:
     patches = multiplanar.build_multiplanar_model(scene, part)
-    approx = multiplanar.synthesize_multiplanar_cfr(patches, scene)
-    err = multiplanar.multiplanar_error(truth, approx)
+    err = multiplanar.multiplanar_error(scene, patches)
     return (name, part.n_intervals, err.phase_rmse, err.complex_correlation)
 
 
-def _dyadic_mw_table(scene: Scene, truth: synth.ChannelFrequencyResponse
-                     ) -> list[tuple[str, int, float, float]]:
+def _dyadic_mw_table(scene: Scene) -> list[tuple[str, int, float, float]]:
     n = scene.array.n_elements
-    return [_mw_row(scene, truth, f"dyadic_2^{k}",
-                    stationarity.uniform_partition(n, min(2 ** k, n)))
+    return [_mw_row(scene, f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
             for k in range(DYADIC_MAX_K + 1)]
 
 
@@ -120,9 +118,8 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
 
     dmap = stationarity.cmd_map(cfr, m=args.window)
 
-    truth_los = synth.synthesize_los_cfr(scene)
-    mw_table = _dyadic_mw_table(scene, truth_los)
-    mw_table += [_mw_row(scene, truth_los, part.criterion, part) for part in partitions]
+    mw_table = _dyadic_mw_table(scene)
+    mw_table += [_mw_row(scene, part.criterion, part) for part in partitions]
 
     files = {name: out_dir / name for name in RUN_FILES}
     synth.export_cfr_csv(cfr, files["cfr.csv"])
@@ -250,6 +247,13 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
         raise _CliError(f"corr(measured, near-field model) is undefined at --distance-mult "
                         f"{args.distance_mult:g}: a phase profile is constant along the array",
                         EXIT_ANALYSIS_FAILURE)
+    f_stop = scaled.sweep.f_stop
+    ulp_phase = 2.0 * math.pi * float(np.spacing(distance)) * f_stop / C_M_PER_S
+    if ulp_phase > MAX_ULP_PHASE_RAD:  # path differences are below float64 resolution there
+        raise _CliError(f"--distance-mult {args.distance_mult:g} puts the receiver {distance:g} m "
+                        f"away, where one float64 step of the distance is {ulp_phase:.3g} rad at "
+                        f"{f_stop / 1e9:g} GHz (> {MAX_ULP_PHASE_RAD:g} rad): the phase profile "
+                        "is not resolved", EXIT_ANALYSIS_FAILURE)
     _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
                       [(_csvout.strs(range(1, scene.array.n_elements + 1)),
                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])

@@ -2,13 +2,15 @@
 
 Each interval is represented by a planar patch anchored at its center
 element: the patch stores the exact reference distance, the axis angle seen
-from the reference, and the de-propagated complex line-of-sight gain.  The
+from the reference, and the de-propagated line-of-sight amplitude.  The
 reconstruction extends the reference response by first-order planar
 propagation, so it is exact at every reference element and its error grows
 with the interval extent; refining the partition can only reduce the error.
 
-The reconstruction is LOS-only; multipath content is assessed only through
-the complex correlation metric.
+The reconstruction is LOS-only and is scored against the scene's LOS
+(spherical-wave) truth.  Both are a real non-negative amplitude times a
+propagation phase, so the error is computed from the path-length difference
+and the amplitudes alone, without building either complex response.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ class PlanarPatch:
     """Planar wavefront parameters for one stationary interval.
 
     ``gain_ref`` is the reference element's LOS response with the propagation
-    factor exp(-j 2 pi f r_ref / c) divided out, so re-applying planar
-    propagation reproduces the reference response exactly.
+    factor exp(-j 2 pi f r_ref / c) divided out: a real non-negative
+    amplitude per frequency, so re-applying planar propagation reproduces the
+    reference response exactly.
     """
 
     interval: tuple[int, int]
@@ -50,6 +53,8 @@ class PlanarPatch:
             raise ValueError(f"reference {self.ref_element} outside interval {self.interval}")
         if not 0.0 <= self.theta_si <= math.pi:
             raise ValueError(f"theta_si must lie in [0, pi], got {self.theta_si}")
+        if np.iscomplexobj(self.gain_ref) or np.any(np.asarray(self.gain_ref) < 0.0):
+            raise ValueError("gain_ref must be a real non-negative amplitude")
 
 
 @dataclass(frozen=True)
@@ -104,12 +109,11 @@ def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> lis
     return patches
 
 
-def synthesize_multiplanar_cfr(patches: list[PlanarPatch], scene: Scene) -> ChannelFrequencyResponse:
-    """Planar reconstruction: H(n,f) = gain_ref(f) e^{-j2pi f (r_ref - dx cos(theta_si))/c}.
+def _planar_lengths(patches: list[PlanarPatch], scene: Scene) -> np.ndarray:
+    """Planar path length ``r_ref - dx cos(theta_si)`` of elements 1..N.
 
-    ``dx`` is the along-axis offset of element n from the patch reference;
-    at the reference itself the reconstruction equals the reference LOS
-    response exactly.
+    ``dx`` is the along-axis offset of element n from its patch reference.
+    Raises ValueError unless the patches cover the array contiguously.
     """
     covered = sorted(patch.interval for patch in patches)
     expected = 1
@@ -121,37 +125,76 @@ def synthesize_multiplanar_cfr(patches: list[PlanarPatch], scene: Scene) -> Chan
     if expected != n_el + 1:
         raise ValueError(f"patches cover 1..{expected - 1}, array has {n_el} elements")
 
-    freqs = scene.sweep.frequencies()
-    d = scene.array.spacing_d
-    out = np.empty((n_el, len(freqs)), dtype=np.complex128)
+    lengths = np.empty(n_el)
     for patch in patches:
         start, end = patch.interval
-        cos_theta = math.cos(patch.theta_si)
+        dx = np.arange(start - patch.ref_element, end + 1 - patch.ref_element) * scene.array.spacing_d
+        lengths[start - 1:end] = patch.r_ref - dx * math.cos(patch.theta_si)
+    return lengths
+
+
+def synthesize_multiplanar_cfr(patches: list[PlanarPatch], scene: Scene) -> ChannelFrequencyResponse:
+    """Planar reconstruction: H(n,f) = gain_ref(f) e^{-j2pi f (r_ref - dx cos(theta_si))/c}.
+
+    At the reference itself the reconstruction equals the reference LOS
+    response exactly.
+    """
+    lengths = _planar_lengths(patches, scene)
+    freqs = scene.sweep.frequencies()
+    out = np.empty((len(lengths), len(freqs)), dtype=np.complex128)
+    for patch in patches:
+        start, end = patch.interval
         for n in range(start, end + 1):
-            dx = (n - patch.ref_element) * d
-            length = patch.r_ref - dx * cos_theta
-            out[n - 1] = patch.gain_ref * np.exp(-1j * TWO_PI * freqs * length / C_M_PER_S)
+            out[n - 1] = patch.gain_ref * np.exp(-1j * TWO_PI * freqs * lengths[n - 1] / C_M_PER_S)
     return make_cfr(out, scene.sweep)
 
 
-def multiplanar_error(truth: ChannelFrequencyResponse,
-                      approx: ChannelFrequencyResponse) -> MultiplanarError:
-    """Wrapped phase RMSE and complex correlation between two responses.
+def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarError:
+    """Wrapped phase RMSE and correlation of the planar patches against the LOS truth.
 
-    For the phase metric the truth should be the LOS-gated (LOS-only)
-    spherical response, since the planar reconstruction models only the
-    direct wavefront; the correlation metric is meaningful against the full
-    response as well.
+    The truth is the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
+    (what ``synth.synthesize_los_cfr`` sums), the reconstruction is
+    ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n`` the ``gain_ref`` of element n's
+    patch; both amplitudes are real and non-negative.  So the phase error is
+    ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0`` (a zero
+    sample has no phase to compare), and the complex correlation
+    ``|<approx, truth>| / (|approx| |truth|)`` is
+    ``hypot(sum w cos(phi), sum w sin(phi)) / (|g| |A|)`` with ``w = A_n g_n``.
     """
-    if truth.values.shape != approx.values.shape:
-        raise ValueError(f"shape mismatch: {truth.values.shape} vs {approx.values.shape}")
-    diff = np.angle(truth.values * np.conj(approx.values))
-    phase_rmse = float(np.sqrt(np.mean(diff * diff)))
-    per_element = np.sqrt(np.mean(diff * diff, axis=1))
-    denom = float(np.linalg.norm(approx.values) * np.linalg.norm(truth.values))
+    planar = _planar_lengths(patches, scene)
+    freqs = scene.sweep.frequencies()
+    lam = C_M_PER_S / freqs
+    sqrt_lam = np.sqrt(lam)
+    los = path_table(scene, los_only=True)  # row n - 1 is element n's direct path
+    amp = _kernels.path_amplitude(los.gain, los.length, np.empty((len(planar), 0)), lam, sqrt_lam)
+    # Knife-edge losses only on the paths that cross a screen: on a baffle
+    # scene evaluating them for every element costs more than the rest.
+    edged = np.flatnonzero(np.diff(los.edge_ptr))
+    amp[edged] = _kernels.path_amplitude(los.gain[edged], los.length[edged],
+                                         _kernels.padded_edges(los.edge_ptr, los.edge_geo)[edged],
+                                         lam, sqrt_lam)
+    gain = np.empty_like(amp)
+    for patch in patches:
+        start, end = patch.interval
+        gain[start - 1:end] = patch.gain_ref
+    weight = amp * gain
+
+    phase = np.multiply.outer((los.length - planar) / C_M_PER_S, -TWO_PI * freqs)
+    turns = np.divide(phase, TWO_PI)  # wrapped in place: N x F temporaries cost as much as the math
+    np.rint(turns, out=turns)
+    turns *= TWO_PI
+    phase -= turns
+    np.copyto(phase, 0.0, where=weight == 0.0)
+    mean_square = np.einsum("ij,ij->i", phase, phase) / len(freqs)
+    phase_rmse = math.sqrt(float(np.mean(mean_square)))
+    per_element = np.sqrt(mean_square)
+    denom = float(np.linalg.norm(gain) * np.linalg.norm(amp))
     corr = 0.0
     if denom > 0:
-        corr = float(abs(np.vdot(approx.values, truth.values)) / denom)
+        trig = np.cos(phase, out=turns)
+        real = float(np.vdot(weight, trig))
+        imag = float(np.vdot(weight, np.sin(phase, out=trig)))
+        corr = math.hypot(real, imag) / denom
     return MultiplanarError(phase_rmse=phase_rmse,
                             complex_correlation=min(corr, 1.0),
                             per_element_phase_dev=per_element)

@@ -8,7 +8,8 @@ import nfclab as nl
 from nfclab import wavefront as wf
 from nfclab.analysis import (AnalysisError, PowerDelayProfile, compute_pdp,
                              export_pdp_csv, export_stats_csv, pdp_matrix)
-from nfclab.analysis import _los_delays
+from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _los_delays, _pair_aod,
+                             _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene, true_geometry
 from test_path_table import benchmark_scene
@@ -202,12 +203,11 @@ def test_los_phase_noise_only_gate_flagged():
     sweep = scene.sweep
     silent = nl.make_cfr(np.zeros((4, sweep.n_points), dtype=complex), sweep)
     noisy = nl.add_noise(silent, -90.0, seed=1)
-    from nfclab.analysis import gated_los_rows
-    valid = gated_los_rows(noisy, scene)[2]
+    valid = gated_los_rows(noisy, scene)[1]
     assert not np.any(valid)
     # an actual synthesized channel at the same floor is comfortably valid
     cfr = nl.synthesize_cfr(scene)
-    valid = gated_los_rows(cfr, scene)[2]
+    valid = gated_los_rows(cfr, scene)[1]
     assert np.all(valid)
 
 
@@ -300,3 +300,56 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
     assert stats.los_phase_rad.tobytes() == phase.tobytes()
     assert stats.aod_rad.tobytes() == aod.tobytes()
     assert np.array_equal(stats.los_valid, los_valid) and np.array_equal(stats.aod_valid, aod_valid)
+
+
+# ---------------------------------------------------------------------------
+# LOS taps from the five gated bins against the full inverse-FFT form
+# ---------------------------------------------------------------------------
+
+def _ref_gated_los_rows(cfr, scene=None):
+    """The ``gated_los_rows`` that transformed the whole gated spectrum back, verbatim."""
+    values = cfr.values
+    n = cfr.sweep.n_points
+    freqs = cfr.sweep.frequencies()
+    center = (n - 1) // 2
+    taper = _window("hann", n)
+    equalized = values * (taper * freqs / freqs[center])[None, :]
+    spectra = np.fft.ifft(equalized, axis=1)
+
+    k0 = _los_bin_indices(cfr, scene)
+    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
+    every = np.arange(cfr.n_elements)[:, None]
+    idx = (k0[:, None] + offsets) % n
+    kept = spectra[every, idx]
+    gated_spectra = np.zeros_like(spectra)
+    gated_spectra[every, idx] = kept
+    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
+
+    rows = np.fft.fft(gated_spectra, axis=1)
+    taps = rows[:, center]
+
+    if scene is not None and scene.noise_floor_dbm is not None:
+        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
+        noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
+                         * float(np.mean(taper ** 2)))
+        valid = gate_power > 10.0 * noise_in_gate
+    else:
+        valid = gate_power > 0.0
+    return rows, taps, valid
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+def test_los_taps_match_fft_reference(name):
+    """Tap phase, LOS phase and AoD within 1e-12 rad; validity masks identical."""
+    scene = REFERENCE_SCENES[name]()
+    cfr = nl.synthesize_cfr(scene)
+    _, ref_taps, ref_valid = _ref_gated_los_rows(cfr, scene)
+    taps, valid = gated_los_rows(cfr, scene)
+    assert np.array_equal(valid, ref_valid)
+    assert np.abs(np.angle(taps * np.conj(ref_taps))).max() <= 1e-12
+    phase, _ = nl.los_phase(cfr, scene)
+    assert np.abs(phase - _unwrapped_phase(ref_taps, ref_valid, scene)).max() <= 1e-12
+    aod, aod_valid = nl.estimate_aod(cfr, scene)
+    ref_aod, ref_aod_valid = _pair_aod(cfr, ref_taps, ref_valid, scene.array.spacing_d)
+    assert np.array_equal(aod_valid, ref_aod_valid)
+    assert np.abs(aod - ref_aod).max() <= 1e-12

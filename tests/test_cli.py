@@ -224,15 +224,41 @@ def test_phase_check_distance_beyond_float64_exit_4(tmp_path, mult, message):
 
 
 def test_run_gates_and_profiles_once(tmp_path, monkeypatch):
-    from nfclab import analysis
-    calls = {"gated_los_rows": 0, "pdp_matrix": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+    from nfclab import _kernels, analysis, synth
+    hooks = {"gated_los_rows": analysis, "pdp_matrix": analysis,
+             "accumulate_paths": _kernels, "synthesize_los_cfr": synth}
+    calls = dict.fromkeys(hooks, 0)
+    for name, module in hooks.items():
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert run(["run", "los_lab", "--out", str(tmp_path)]) == 0
-    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1}
+    # one kernel pass: the multiplanar error needs no LOS-only response
+    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1,
+                     "accumulate_paths": 1, "synthesize_los_cfr": 0}
+
+
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
+    src = Path(nfclab.__file__).resolve().parents[1]
+
+    def phase_check(mult):
+        return subprocess.run([sys.executable, "-m", "nfclab.cli", "phase-check", preset,
+                               "--out", str(tmp_path), "--distance-mult", mult],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+
+    for mult in ("4", "1000"):
+        assert phase_check(mult).returncode == 0
+        assert (tmp_path / "phase_check.csv").exists()
+    proc = phase_check("1e15")  # one ulp of the distance is 2.5e3 rad at 15 GHz
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "--distance-mult 1e+15 puts the receiver 4.57924e+16 m away" in proc.stderr
+    assert "the phase profile is not resolved" in proc.stderr
+    assert not (tmp_path / "phase_check.csv").exists()
 
 
 def test_noise_above_signal_exit_4_names_the_floor(tmp_path):

@@ -2,8 +2,11 @@
 
 Each ``_ref_*`` function below is the per-row ``csv.writer`` + ``repr``
 exporter that the block writer in ``nfclab._csvout`` replaced, kept verbatim
-as the reference.  The inputs are small but hold the awkward cases of the
-dialect: signed zero, subnormals, values at the repr switch to exponent form,
+as the reference.  The one declared exception is the ``pdp.csv`` ``power_db``
+column, now ``10*np.log10`` over the array: within 2 ulp of the scalar
+``10*math.log10`` reference, every other cell byte-identical.  The inputs
+are small but hold the awkward cases of the dialect: signed zero,
+subnormals, values at the repr switch to exponent form,
 infinities, NaN, an empty PDP bin, element numbers of two digits, a
 zero-power CMD window and both partition criteria.
 """
@@ -16,13 +19,14 @@ import pytest
 
 from nfclab import _csvout
 from nfclab.analysis import (ChannelStats, PowerDelayProfile, export_pdp_csv,
-                             export_stats_csv)
+                             export_stats_csv, pdp_matrix)
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep
 from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
-from nfclab.synth import export_cfr_csv, make_cfr
+from nfclab.synth import export_cfr_csv, make_cfr, synthesize_cfr
+from test_analysis import REFERENCE_SCENES
 
 AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789.125, -2.5e-300]
 
@@ -151,6 +155,24 @@ def test_stats_csv_matches_reference(tmp_path):
     _assert_same_bytes(tmp_path, export_stats_csv, _ref_export_stats_csv, _awkward_stats())
 
 
+def _assert_pdp_csv_within_2_ulp(new, ref) -> None:
+    """Every cell byte-identical, except ``power_db`` within 2 ulp of the scalar ``log10``.
+
+    ``np.log10`` may differ from ``math.log10`` by 1 ulp, which ``10 *`` turns
+    into at most 2 ulp of the dB value; non-finite cells must match exactly.
+    Returns the number of rows whose bytes differ.
+    """
+    new_lines, ref_lines = new.read_bytes().split(b"\r\n"), ref.read_bytes().split(b"\r\n")
+    assert len(new_lines) == len(ref_lines)
+    moved = [(a, b) for a, b in zip(new_lines, ref_lines) if a != b]
+    for a, b in moved:
+        *head_a, db_a = a.split(b",")
+        *head_b, db_b = b.split(b",")
+        assert head_a == head_b
+        x, y = float(db_a), float(db_b)
+        assert math.isfinite(y) and abs(x - y) <= 2 * np.spacing(abs(y)), (a, b)
+
+
 def test_pdp_csv_matches_reference(tmp_path):
     """12 elements (two-digit labels) x 7 bins; awkward powers and bin widths."""
     powers = np.array([0.0, 5e-324, 1e16, 1e22, 0.1, math.inf, 1.0])
@@ -160,9 +182,20 @@ def test_pdp_csv_matches_reference(tmp_path):
     for bandwidth_hz in (4e9, 3e9, 0.1):
         export_pdp_csv(pdp, new, bandwidth_hz)
         _ref_export_pdp_csv(pdp, bandwidth_hz, ref)
-        assert new.read_bytes() == ref.read_bytes()
+        _assert_pdp_csv_within_2_ulp(new, ref)
     assert b"\r\n1,0,0.0,-inf\r\n" in new.read_bytes()
     assert b"\r\n12,6,60000000000.0,160.0\r\n" in new.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["los_lab", "olos_baffle_noisy", "sweep_deep", "array_wide"])
+def test_pdp_csv_of_run_scenes_within_2_ulp(tmp_path, name):
+    scene = REFERENCE_SCENES[name]()
+    cfr = synthesize_cfr(scene)
+    pdp = pdp_matrix(cfr)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    export_pdp_csv(pdp, new, cfr.sweep.bandwidth)
+    _ref_export_pdp_csv(pdp, cfr.sweep.bandwidth, ref)
+    _assert_pdp_csv_within_2_ulp(new, ref)
 
 
 def test_partition_csv_matches_reference(tmp_path):
