@@ -151,20 +151,16 @@ def _los_delays(scene: Scene) -> np.ndarray:
     return _norm(np.asarray(scene.rx, dtype=float) - element_positions(scene)) / C_M_PER_S
 
 
-def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene | None) -> np.ndarray:
-    """Delay-grid bin of the LOS tap per element (geometric when possible)."""
+def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene) -> np.ndarray:
+    """Delay-grid bin of the geometric LOS tap per element."""
     n = cfr.sweep.n_points
-    if scene is not None:
-        # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.  The
-        # modulo runs on the float bin so a delay beyond int64 casts cleanly.
-        scale = cfr.sweep.bandwidth * n / (n - 1)
-        return (np.rint(_los_delays(scene) * scale) % n).astype(int)
-    spectra = np.abs(np.fft.ifft(cfr.values, axis=1)) ** 2
-    return np.argmax(spectra, axis=1).astype(int)
+    # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.  The
+    # modulo runs on the float bin so a delay beyond int64 casts cleanly.
+    scale = cfr.sweep.bandwidth * n / (n - 1)
+    return (np.rint(_los_delays(scene) * scale) % n).astype(int)
 
 
-def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Delay-gated LOS tap of every row at the center frequency, plus validity.
 
     The row is equalized by f/f_center (flattening the free-space 1/f
@@ -196,7 +192,7 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
     # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
     taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
 
-    if scene is not None and scene.noise_floor_dbm is not None:
+    if scene.noise_floor_dbm is not None:
         # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
         noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
                          * float(np.mean(taper ** 2)))
@@ -206,11 +202,11 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene | None = None
     return taps, valid
 
 
-def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene | None) -> np.ndarray:
+def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.ndarray:
     """Unwrapped ``-angle`` of the gated taps, referenced to element 1 = 0."""
     if not valid[0]:
         reason = "carries no energy"
-        if scene is not None and scene.noise_floor_dbm is not None:
+        if scene.noise_floor_dbm is not None:
             reason = (f"is below 10x its in-gate noise at the {scene.noise_floor_dbm:g} dBm noise "
                       f"floor; {int(valid.sum())} of {len(valid)} elements' gates are valid")
         raise AnalysisError(f"LOS gate on element 1 (the phase reference) {reason}")
@@ -220,7 +216,7 @@ def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene | None) -
     return unwrapped - unwrapped[0]
 
 
-def los_phase(cfr: ChannelFrequencyResponse, scene: Scene | None = None) -> tuple[np.ndarray, np.ndarray]:
+def los_phase(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Unwrapped LOS phase along the array, referenced to element 1 = 0.
 
     Returns (phase_rad, valid).  The phase is the delay-gated tap's

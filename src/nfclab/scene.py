@@ -1,23 +1,8 @@
 """Scenario data model, scenario file format, and exact geometric queries.
 
 A scenario file is plain text with bracketed sections and ``key = value``
-lines.  Sections ``[array]``, ``[sweep]``, ``[rx]`` and ``[noise]`` appear at
-most once; ``[wall]``, ``[scatterer]`` and ``[blocker]`` may repeat.  Vectors
-are comma-separated triples.  Units are meters, Hz and dB throughout.
-
-Example::
-
-    [array]
-    n_elements = 64
-    spacing_d = 0.011534
-
-    [rx]
-    position = 9.9, 9.9, 2.5
-
-    [wall]
-    normal = 0, 0, 1
-    offset = 0.0
-    gamma = 0.1
+lines; the ``_FORMAT`` table below states every section, key and value kind.
+Units are meters, Hz and dB throughout.
 
 Scenes are immutable after load; every query below is a pure function and is
 safe for unrestricted concurrent reads.
@@ -26,9 +11,11 @@ safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -206,6 +193,11 @@ class Scene:
     seed: int = 0
 
     def validate(self) -> None:
+        for _, items in _sections(self):  # every float and every triple coordinate
+            for _, kind, field_name, value in items:
+                if (kind is not _INT and value is not None
+                        and not np.isfinite(np.asarray(value, dtype=float)).all()):
+                    raise SceneValidationError(field_name, f"must be finite, got {value!r}")
         self.array.validate()
         self.sweep.validate()
         for i, w in enumerate(self.walls):
@@ -326,18 +318,15 @@ def fresnel_geometry_factor(h, d1, d2) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = h * np.sqrt(2.0 * (d1 + d2) / (d1 * d2))
     # A crossing at a segment end (d = 0) gives +-inf by the sign of h, or 0 for h = 0.
-    return np.where(np.isnan(factor), 0.0, factor)
+    at_end = np.where(h == 0.0, 0.0, np.copysign(np.inf, h))
+    return np.where((d1 == 0.0) | (d2 == 0.0), at_end, factor)
 
 
 # ---------------------------------------------------------------------------
 # Scenario file parsing / serialization
 # ---------------------------------------------------------------------------
 
-_SINGLETON_SECTIONS = ("array", "sweep", "rx", "noise")
-_REPEAT_SECTIONS = ("wall", "scatterer", "blocker")
-
-
-def _parse_scalar(text: str, line: int, key: str) -> float:
+def _parse_float(text: str, line: int, key: str) -> float:
     try:
         return float(text)
     except ValueError:
@@ -348,17 +337,71 @@ def _parse_int(text: str, line: int, key: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        f = _parse_scalar(text, line, key)
-        if f != int(f):
-            raise SceneParseError(f"expected an integer for '{key}', got {text!r}", line) from None
-        return int(f)
+        f = _parse_float(text, line, key)
+    if not (math.isfinite(f) and f == int(f)):
+        raise SceneParseError(f"expected an integer for '{key}', got {text!r}", line)
+    return int(f)
 
 
-def _parse_vec3(text: str, line: int, key: str) -> Vec3:
+def _parse_triple(text: str, line: int, key: str) -> Vec3:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise SceneParseError(f"expected a comma-separated triple for '{key}', got {text!r}", line)
-    return tuple(_parse_scalar(p, line, key) for p in parts)  # type: ignore[return-value]
+    return tuple(_parse_float(p, line, key) for p in parts)  # type: ignore[return-value]
+
+
+class _Kind(NamedTuple):
+    """How one key's value is read from, and written to, scenario text."""
+
+    parse: Callable[[str, int, str], Any]
+    format: Callable[[Any], str]
+
+
+_INT = _Kind(_parse_int, str)
+_FLOAT = _Kind(_parse_float, lambda x: repr(float(x)))
+_TRIPLE = _Kind(_parse_triple, lambda v: ", ".join(repr(float(x)) for x in v))
+
+
+class _Section(NamedTuple):
+    """One section of the scenario file and where its values go in a Scene."""
+
+    keys: dict[str, _Kind]  # in file order
+    required: bool = False  # every key must be given
+    build: type | None = None  # built by keyword; None: the keys are Scene fields (_SCENE_FIELDS)
+    field: str = ""  # the Scene field that holds what `build` made
+    repeats: bool = False  # the field is a tuple with one entry per section
+
+
+# The scenario file format, in file order.
+_FORMAT = {
+    "array": _Section({"n_elements": _INT, "spacing_d": _FLOAT, "origin": _TRIPLE,
+                       "axis": _TRIPLE, "height": _FLOAT}, build=ArraySpec, field="array"),
+    "sweep": _Section({"f_start": _FLOAT, "f_stop": _FLOAT, "n_points": _INT},
+                      build=Sweep, field="sweep"),
+    "rx": _Section({"position": _TRIPLE}, required=True),
+    "wall": _Section({"normal": _TRIPLE, "offset": _FLOAT, "gamma": _FLOAT},
+                     True, Wall, "walls", repeats=True),
+    "scatterer": _Section({"position": _TRIPLE, "amplitude": _FLOAT},
+                          True, Scatterer, "point_scatterers", repeats=True),
+    "blocker": _Section({"center": _TRIPLE, "width": _FLOAT, "height": _FLOAT, "normal": _TRIPLE},
+                        True, Blocker, "blockers", repeats=True),
+    "noise": _Section({"floor_dbm": _FLOAT, "seed": _INT}),
+}
+# The Scene field behind each [rx] and [noise] key.
+_SCENE_FIELDS = {"position": "rx", "floor_dbm": "noise_floor_dbm", "seed": "seed"}
+
+
+def _sections(scene: Scene) -> Iterator[tuple[str, list[tuple[str, _Kind, str, Any]]]]:
+    """``scene`` as scenario sections in file order: ``(section, [(key, kind, field, value)])``."""
+    for name, section in _FORMAT.items():
+        if section.build is None:
+            yield name, [(key, kind, _SCENE_FIELDS[key], getattr(scene, _SCENE_FIELDS[key]))
+                         for key, kind in section.keys.items()]
+            continue
+        objs = getattr(scene, section.field)
+        for i, obj in enumerate(objs if section.repeats else (objs,)):
+            tag = f"{name}[{i}]." if section.repeats else ""
+            yield name, [(key, kind, tag + key, getattr(obj, key)) for key, kind in section.keys.items()]
 
 
 def _tokenize(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
@@ -373,9 +416,9 @@ def _tokenize(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
             if not line.endswith("]"):
                 raise SceneParseError(f"unterminated section header {raw.strip()!r}", lineno)
             name = line[1:-1].strip().lower()
-            if name not in _SINGLETON_SECTIONS + _REPEAT_SECTIONS:
+            if name not in _FORMAT:
                 raise SceneParseError(f"unknown section [{name}]", lineno)
-            if name in _SINGLETON_SECTIONS and any(s[0] == name for s in sections):
+            if not _FORMAT[name].repeats and any(s[0] == name for s in sections):
                 raise SceneParseError(f"duplicate section [{name}]", lineno)
             current = {}
             sections.append((name, lineno, current))
@@ -393,113 +436,34 @@ def _tokenize(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
     return sections
 
 
-def _take(body: dict[str, tuple[str, int]], key: str):
-    return body.pop(key, None)
-
-
-def _reject_unknown(section: str, body: dict[str, tuple[str, int]]) -> None:
-    if body:
-        key, (_, line) = next(iter(body.items()))
-        raise SceneParseError(f"unknown key '{key}' in section [{section}]", line)
-
-
 def loads_scene(text: str) -> Scene:
-    """Parse scenario text into a validated Scene (defaults applied)."""
-    sections = _tokenize(text)
+    """Parse scenario text into a validated Scene (defaults applied).
 
-    array = ArraySpec()
-    sweep = Sweep()
-    rx: Vec3 | None = None
-    walls: list[Wall] = []
-    scatterers: list[Scatterer] = []
-    blockers: list[Blocker] = []
-    noise_floor: float | None = None
-    seed = 0
-
-    for name, header_line, body in sections:
+    Within a section a missing required key is reported first, then a bad
+    value (in ``_FORMAT`` key order), then an unknown key.
+    """
+    fields: dict[str, Any] = {}
+    for name, header_line, body in _tokenize(text):
+        section = _FORMAT[name]
+        missing = [key for key in section.keys if section.required and key not in body]
+        if missing:
+            raise SceneParseError(f"section [{name}] requires '{missing[0]}'", header_line)
+        values = {key: kind.parse(*body[key], key) for key, kind in section.keys.items() if key in body}
+        for key, (_, line) in body.items():
+            if key not in section.keys:
+                raise SceneParseError(f"unknown key '{key}' in section [{name}]", line)
         if name == "array":
-            height = DEFAULT_HEIGHT
-            item = _take(body, "height")
-            if item:
-                height = _parse_scalar(item[0], item[1], "height")
-            kwargs: dict = {"height": height}
-            item = _take(body, "n_elements")
-            if item:
-                kwargs["n_elements"] = _parse_int(item[0], item[1], "n_elements")
-            item = _take(body, "spacing_d")
-            if item:
-                kwargs["spacing_d"] = _parse_scalar(item[0], item[1], "spacing_d")
-            item = _take(body, "axis")
-            if item:
-                kwargs["axis"] = _parse_vec3(item[0], item[1], "axis")
-            item = _take(body, "origin")
-            kwargs["origin"] = (_parse_vec3(item[0], item[1], "origin") if item
-                                else (0.0, 0.0, height))
-            _reject_unknown(name, body)
-            array = ArraySpec(**kwargs)
-        elif name == "sweep":
-            kwargs = {}
-            for key, parser in (("f_start", _parse_scalar), ("f_stop", _parse_scalar),
-                                ("n_points", _parse_int)):
-                item = _take(body, key)
-                if item:
-                    kwargs[key] = parser(item[0], item[1], key)
-            _reject_unknown(name, body)
-            sweep = Sweep(**kwargs)
-        elif name == "rx":
-            item = _take(body, "position")
-            if item is None:
-                raise SceneParseError("section [rx] requires 'position'", header_line)
-            rx = _parse_vec3(item[0], item[1], "position")
-            _reject_unknown(name, body)
-        elif name == "wall":
-            items = {}
-            for key in ("normal", "offset", "gamma"):
-                item = _take(body, key)
-                if item is None:
-                    raise SceneParseError(f"section [wall] requires '{key}'", header_line)
-                items[key] = item
-            _reject_unknown(name, body)
-            walls.append(Wall(normal=_parse_vec3(*items["normal"], "normal"),
-                              offset=_parse_scalar(*items["offset"], "offset"),
-                              gamma=_parse_scalar(*items["gamma"], "gamma")))
-        elif name == "scatterer":
-            items = {}
-            for key in ("position", "amplitude"):
-                item = _take(body, key)
-                if item is None:
-                    raise SceneParseError(f"section [scatterer] requires '{key}'", header_line)
-                items[key] = item
-            _reject_unknown(name, body)
-            scatterers.append(Scatterer(position=_parse_vec3(*items["position"], "position"),
-                                        amplitude=_parse_scalar(*items["amplitude"], "amplitude")))
-        elif name == "blocker":
-            items = {}
-            for key in ("center", "width", "height", "normal"):
-                item = _take(body, key)
-                if item is None:
-                    raise SceneParseError(f"section [blocker] requires '{key}'", header_line)
-                items[key] = item
-            _reject_unknown(name, body)
-            blockers.append(Blocker(center=_parse_vec3(*items["center"], "center"),
-                                    width=_parse_scalar(*items["width"], "width"),
-                                    height=_parse_scalar(*items["height"], "height"),
-                                    normal=_parse_vec3(*items["normal"], "normal")))
-        elif name == "noise":
-            item = _take(body, "floor_dbm")
-            if item:
-                noise_floor = _parse_scalar(item[0], item[1], "floor_dbm")
-            item = _take(body, "seed")
-            if item:
-                seed = _parse_int(item[0], item[1], "seed")
-            _reject_unknown(name, body)
+            values.setdefault("origin", (0.0, 0.0, values.get("height", DEFAULT_HEIGHT)))
+        if section.build is None:
+            fields.update((_SCENE_FIELDS[key], value) for key, value in values.items())
+        elif section.repeats:
+            fields[section.field] = fields.get(section.field, ()) + (section.build(**values),)
+        else:
+            fields[section.field] = section.build(**values)
 
-    if rx is None:
+    if "rx" not in fields:
         raise SceneValidationError("rx", "scenario must contain an [rx] section with a position")
-
-    scene = Scene(array=array, rx=rx, walls=tuple(walls),
-                  point_scatterers=tuple(scatterers), blockers=tuple(blockers),
-                  sweep=sweep, noise_floor_dbm=noise_floor, seed=seed)
+    scene = Scene(**fields)
     scene.validate()
     return scene
 
@@ -514,50 +478,19 @@ def load_scene(path) -> Scene:
     return loads_scene(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_vec(v: Vec3) -> str:
-    return ", ".join(_fmt(x) for x in v)
-
-
 def serialize_scene(scene: Scene) -> str:
-    """Render a Scene back to scenario text; round-trips to an equal Scene."""
-    a, s = scene.array, scene.sweep
-    lines = [
-        "[array]",
-        f"n_elements = {a.n_elements}",
-        f"spacing_d = {_fmt(a.spacing_d)}",
-        f"origin = {_fmt_vec(a.origin)}",
-        f"axis = {_fmt_vec(a.axis)}",
-        f"height = {_fmt(a.height)}",
-        "",
-        "[sweep]",
-        f"f_start = {_fmt(s.f_start)}",
-        f"f_stop = {_fmt(s.f_stop)}",
-        f"n_points = {s.n_points}",
-        "",
-        "[rx]",
-        f"position = {_fmt_vec(scene.rx)}",
-    ]
-    for w in scene.walls:
-        lines += ["", "[wall]", f"normal = {_fmt_vec(w.normal)}",
-                  f"offset = {_fmt(w.offset)}", f"gamma = {_fmt(w.gamma)}"]
-    for sc in scene.point_scatterers:
-        lines += ["", "[scatterer]", f"position = {_fmt_vec(sc.position)}",
-                  f"amplitude = {_fmt(sc.amplitude)}"]
-    for b in scene.blockers:
-        lines += ["", "[blocker]", f"center = {_fmt_vec(b.center)}",
-                  f"width = {_fmt(b.width)}", f"height = {_fmt(b.height)}",
-                  f"normal = {_fmt_vec(b.normal)}"]
-    if scene.noise_floor_dbm is not None or scene.seed != 0:
-        lines += ["", "[noise]"]
-        if scene.noise_floor_dbm is not None:
-            lines.append(f"floor_dbm = {_fmt(scene.noise_floor_dbm)}")
-        if scene.seed != 0:
-            lines.append(f"seed = {scene.seed}")
-    return "\n".join(lines) + "\n"
+    """Render a Scene back to scenario text; round-trips to an equal Scene.
+
+    Every key is written except [noise] keys at their Scene default, and a
+    [noise] section left with no key is left out.
+    """
+    blocks = []
+    for name, items in _sections(scene):
+        lines = [f"{key} = {kind.format(value)}" for key, kind, field_name, value in items
+                 if name != "noise" or value != getattr(Scene, field_name)]
+        if lines:
+            blocks.append("\n".join([f"[{name}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def save_scene(scene: Scene, path) -> None:

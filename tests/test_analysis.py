@@ -306,7 +306,7 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
 # LOS taps from the five gated bins against the full inverse-FFT form
 # ---------------------------------------------------------------------------
 
-def _ref_gated_los_rows(cfr, scene=None):
+def _ref_gated_los_rows(cfr, scene):
     """The ``gated_los_rows`` that transformed the whole gated spectrum back, verbatim."""
     values = cfr.values
     n = cfr.sweep.n_points
@@ -328,7 +328,7 @@ def _ref_gated_los_rows(cfr, scene=None):
     rows = np.fft.fft(gated_spectra, axis=1)
     taps = rows[:, center]
 
-    if scene is not None and scene.noise_floor_dbm is not None:
+    if scene.noise_floor_dbm is not None:
         # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
         noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
                          * float(np.mean(taper ** 2)))

@@ -302,12 +302,12 @@ def test_edge_clearance_matches_scalar_form():
 
 
 def test_fresnel_geometry_factor_at_segment_ends():
-    h = np.array([0.5, -0.5, 0.0, 0.5, -0.5, 0.25])
-    d1 = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-    d2 = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.5])
+    h = np.array([0.5, -0.5, 0.0, 0.5, -0.5, 0.25, -0.5, 0.0])
+    d1 = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0])
+    d2 = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.5, 0.0, 0.0])
     want = [fresnel_geometry_factor(*args) for args in zip(h.tolist(), d1.tolist(), d2.tolist())]
     assert_same_bits(scene_mod.fresnel_geometry_factor(h, d1, d2), np.array(want), "geo")
-    assert want[:4] == [math.inf, -math.inf, 0.0, math.inf]
+    assert want[:4] + want[6:] == [math.inf, -math.inf, 0.0, math.inf, -math.inf, 0.0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,273 @@
+"""The scenario file format: every single-error file, byte-stable text, non-finite values."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import scenes
+
+import nfclab
+from nfclab.cli import EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE
+from nfclab.scene import (SceneError, SceneParseError, SceneValidationError, load_preset,
+                          loads_scene, save_scene, serialize_scene)
+
+# One valid body per section, in file order; together they load.
+SECTIONS = {
+    "array": ["n_elements = 4", "spacing_d = 0.01", "origin = 0, 0, 2.5", "axis = 1, 0, 0",
+              "height = 2.5"],
+    "sweep": ["f_start = 11e9", "f_stop = 15e9", "n_points = 11"],
+    "rx": ["position = 0, 5, 2.5"],
+    "wall": ["normal = 0, 0, 1", "offset = 0", "gamma = 0.1"],
+    "scatterer": ["position = 1, 1, 1", "amplitude = 0.5"],
+    "blocker": ["center = 0, 1, 2", "width = 1", "height = 1", "normal = 0, 1, 0"],
+    "noise": ["floor_dbm = -90", "seed = 3"],
+}
+REQUIRED = ("rx", "wall", "scatterer", "blocker")
+
+
+def _block(name, lines=None):
+    return "\n".join([f"[{name}]", *(SECTIONS[name] if lines is None else lines)])
+
+
+def _file(*blocks):
+    """Join blocks with blank lines; the line marked '>>' is where the error must point."""
+    lines, mark = [], None
+    for block in blocks:
+        for raw in block.splitlines():
+            if raw.startswith(">>"):
+                mark, raw = len(lines) + 1, raw[2:]
+            lines.append(raw)
+        lines.append("")
+    return "\n".join(lines), mark
+
+
+def _with(name, lines):
+    """Every section valid except ``name``, whose body is ``lines``."""
+    return _file(*(_block(s, lines if s == name else None) for s in SECTIONS))
+
+
+def _edited(name, key, new):
+    """Section ``name`` with its ``key`` line replaced by ``new`` (marked)."""
+    return _with(name, [(">>" + new if line.split(" =")[0] == key else line)
+                        for line in SECTIONS[name]])
+
+
+def _cases():
+    for name in SECTIONS:
+        yield f"unknown-key-{name}", _with(name, SECTIONS[name] + [">>colour = 1"]), \
+            f"unknown key 'colour' in section [{name}]"
+    for name in REQUIRED:
+        for line in SECTIONS[name]:
+            key = line.split(" =")[0]
+            text, _ = _with(name, [x for x in SECTIONS[name] if x != line])
+            header = text.splitlines().index(f"[{name}]") + 1
+            yield f"missing-{name}-{key}", (text, header), f"section [{name}] requires '{key}'"
+    for name in ("array", "sweep", "rx", "noise"):
+        yield f"duplicate-{name}", _file(*(_block(s) for s in SECTIONS), ">>" + _block(name)), \
+            f"duplicate section [{name}]"
+    yield "unknown-section", _file(_block("array"), _block("rx"), ">>[antenna]\nx = 1"), \
+        "unknown section [antenna]"
+    yield "unterminated-header", _file(">>[array\nn_elements = 4", _block("rx")), \
+        "unterminated section header '[array'"
+    yield "key-before-header", _file(">>n_elements = 4", _block("array"), _block("rx")), \
+        "key/value before any section header"
+    yield "no-equals", _file("[array]\n>>n_elements 4", _block("rx")), \
+        "expected 'key = value', got 'n_elements 4'"
+    yield "empty-key", _file("[array]\n>> = 4", _block("rx")), "empty key"
+    yield "duplicate-key", _file("[array]\nn_elements = 4\n>>n_elements = 5", _block("rx")), \
+        "duplicate key 'n_elements'"
+    for name, key, value, message in [
+            ("array", "spacing_d", "abc", "expected a number for 'spacing_d', got 'abc'"),
+            ("sweep", "f_stop", "15 GHz", "expected a number for 'f_stop', got '15 GHz'"),
+            ("wall", "gamma", "high", "expected a number for 'gamma', got 'high'"),
+            ("noise", "floor_dbm", "", "expected a number for 'floor_dbm', got ''"),
+            ("array", "n_elements", "4.5", "expected an integer for 'n_elements', got '4.5'"),
+            ("sweep", "n_points", "ten", "expected a number for 'n_points', got 'ten'"),
+            ("noise", "seed", "1.5", "expected an integer for 'seed', got '1.5'"),
+            ("rx", "position", "1, 2", "expected a comma-separated triple for 'position', got '1, 2'"),
+            ("wall", "normal", "0, 0, 1, 0",
+             "expected a comma-separated triple for 'normal', got '0, 0, 1, 0'"),
+            ("array", "axis", "1, x, 0", "expected a number for 'axis', got 'x'"),
+            ("blocker", "center", "0, 1, ", "expected a number for 'center', got ''")]:
+        yield f"bad-{name}-{key}", _edited(name, key, f"{key} = {value}"), message
+
+
+CASES = list(_cases())
+
+
+def test_sections_load_together():
+    scene = loads_scene(_file(*(_block(s) for s in SECTIONS))[0])
+    assert (len(scene.walls), len(scene.point_scatterers), len(scene.blockers)) == (1, 1, 1)
+    assert scene.noise_floor_dbm == -90.0 and scene.seed == 3
+
+
+@pytest.mark.parametrize("text_line, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_single_error_file(text_line, message):
+    text, line = text_line
+    with pytest.raises(SceneParseError) as err:
+        loads_scene(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def test_missing_rx_section():
+    with pytest.raises(SceneValidationError) as err:
+        loads_scene(_block("array") + "\n")
+    assert str(err.value) == "rx: scenario must contain an [rx] section with a position"
+
+
+# ---------------------------------------------------------------------------
+# Serialized text against the hand-written serializer it replaced
+# ---------------------------------------------------------------------------
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_vec(v) -> str:
+    return ", ".join(_fmt(x) for x in v)
+
+
+def _ref_serialize_scene(scene) -> str:
+    """The hand-written ``serialize_scene``, verbatim."""
+    a, s = scene.array, scene.sweep
+    lines = [
+        "[array]",
+        f"n_elements = {a.n_elements}",
+        f"spacing_d = {_fmt(a.spacing_d)}",
+        f"origin = {_fmt_vec(a.origin)}",
+        f"axis = {_fmt_vec(a.axis)}",
+        f"height = {_fmt(a.height)}",
+        "",
+        "[sweep]",
+        f"f_start = {_fmt(s.f_start)}",
+        f"f_stop = {_fmt(s.f_stop)}",
+        f"n_points = {s.n_points}",
+        "",
+        "[rx]",
+        f"position = {_fmt_vec(scene.rx)}",
+    ]
+    for w in scene.walls:
+        lines += ["", "[wall]", f"normal = {_fmt_vec(w.normal)}",
+                  f"offset = {_fmt(w.offset)}", f"gamma = {_fmt(w.gamma)}"]
+    for sc in scene.point_scatterers:
+        lines += ["", "[scatterer]", f"position = {_fmt_vec(sc.position)}",
+                  f"amplitude = {_fmt(sc.amplitude)}"]
+    for b in scene.blockers:
+        lines += ["", "[blocker]", f"center = {_fmt_vec(b.center)}",
+                  f"width = {_fmt(b.width)}", f"height = {_fmt(b.height)}",
+                  f"normal = {_fmt_vec(b.normal)}"]
+    if scene.noise_floor_dbm is not None or scene.seed != 0:
+        lines += ["", "[noise]"]
+        if scene.noise_floor_dbm is not None:
+            lines.append(f"floor_dbm = {_fmt(scene.noise_floor_dbm)}")
+        if scene.seed != 0:
+            lines.append(f"seed = {scene.seed}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["los_lab", "olos_baffle"])
+@pytest.mark.parametrize("floor, seed", [(None, 0), (-80.0, 0), (None, 7), (0.0, 2 ** 64 - 1)])
+def test_serialize_presets_match_reference(name, floor, seed):
+    scene = replace(load_preset(name), noise_floor_dbm=floor, seed=seed)
+    assert serialize_scene(scene) == _ref_serialize_scene(scene)
+    assert loads_scene(serialize_scene(scene)) == scene
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=scenes(n_points=st.integers(2, 4001)),
+       floor=st.one_of(st.none(), st.floats(-200.0, 50.0)), seed=st.integers(0, 2 ** 64 - 1))
+def test_serialize_matches_reference_and_round_trips(scene, floor, seed):
+    scene = replace(scene, noise_floor_dbm=floor, seed=seed)
+    text = serialize_scene(scene)
+    assert text == _ref_serialize_scene(scene)
+    try:
+        scene.validate()
+    except SceneError:
+        assume(False)  # rx on an element: not a loadable scene
+    assert loads_scene(text) == scene
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values
+# ---------------------------------------------------------------------------
+
+# (section, key, field name in the error) of every float and triple key
+FLOAT_KEYS = [("array", "spacing_d", "spacing_d"), ("array", "origin", "origin"),
+              ("array", "axis", "axis"), ("array", "height", "height"),
+              ("sweep", "f_start", "f_start"), ("sweep", "f_stop", "f_stop"),
+              ("rx", "position", "rx"),
+              ("wall", "normal", "wall[0].normal"), ("wall", "offset", "wall[0].offset"),
+              ("wall", "gamma", "wall[0].gamma"),
+              ("scatterer", "position", "scatterer[0].position"),
+              ("scatterer", "amplitude", "scatterer[0].amplitude"),
+              ("blocker", "center", "blocker[0].center"), ("blocker", "width", "blocker[0].width"),
+              ("blocker", "height", "blocker[0].height"), ("blocker", "normal", "blocker[0].normal"),
+              ("noise", "floor_dbm", "noise_floor_dbm")]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name, key, field_name", FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in FLOAT_KEYS])
+def test_non_finite_value_rejected(name, key, field_name, bad):
+    old = next(line for line in SECTIONS[name] if line.split(" =")[0] == key)
+    value = old.split("= ")[1]
+    if "," in value:  # one coordinate of a triple
+        value = ", ".join([bad] + value.split(", ")[1:])
+    else:
+        value = bad
+    text, _ = _edited(name, key, f"{key} = {value}")
+    with pytest.raises(SceneValidationError) as err:
+        loads_scene(text)
+    assert err.value.field_name == field_name
+    assert "must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name, key", [("array", "n_elements"), ("sweep", "n_points"),
+                                       ("noise", "seed")])
+def test_non_finite_integer_is_a_parse_error(name, key, bad):
+    text, line = _edited(name, key, f"{key} = {bad}")
+    with pytest.raises(SceneParseError) as err:
+        loads_scene(text)
+    assert str(err.value) == f"line {line}: expected an integer for '{key}', got '{bad}'"
+
+
+def _cli(tmp_path, *args):
+    src = Path(nfclab.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-W", "error", "-m", "nfclab.cli", *args,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("line, field_name", [("center = nan, 0.05, 2.3", "blocker[0].center"),
+                                              ("offset = nan", "wall[0].offset"),
+                                              ("position = 9.8995, inf, 2.5", "rx")])
+def test_non_finite_scene_file_exit_3(tmp_path, line, field_name):
+    path = tmp_path / "bad.scene"
+    save_scene(load_preset("olos_baffle"), path)
+    key = line.split(" =")[0]
+    text = path.read_text().splitlines()
+    first = next(i for i, x in enumerate(text) if x.startswith(key + " ="))
+    text[first] = line
+    path.write_text("\n".join(text) + "\n")
+    proc = _cli(tmp_path, "run", str(path))
+    assert proc.returncode == EXIT_PARSE_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert f"{field_name}: must be finite" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_non_finite_noise_floor_override_exit_4(tmp_path, floor):
+    proc = _cli(tmp_path, "run", "los_lab", f"--noise-floor={floor}")
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert f"error: invalid override: noise_floor_dbm: must be finite, got {floor}" in proc.stderr
+    assert not (tmp_path / "out").exists()
