@@ -5,7 +5,9 @@ all sweep frequencies, including the per-frequency free-space amplitude and
 knife-edge losses.  It is plain numpy and evaluates a block of consecutive
 table paths per pass, vectorized over (path, frequency).  A block never holds
 two paths of the same output row, so every row still receives its adds one at
-a time in table order and the result is deterministic.
+a time in table order and the result is deterministic.  The propagation
+phasors come from ``sweep_phasors``, a coarse x fine table of the uniform
+sweep grid.
 """
 
 from __future__ import annotations
@@ -53,6 +55,25 @@ def path_amplitude(gains, lengths, edge_geo, lam, sqrt_lam) -> np.ndarray:
     return amp
 
 
+def sweep_phasors(k, freqs) -> np.ndarray:
+    """``exp(1j * k_i * f)`` over the sweep grid ``freqs``, one row per ``k_i``.
+
+    Each row is the outer product of a coarse table, the phasors at every
+    B-th grid point (B = ceil(sqrt(F))), and a fine one at the offsets
+    ``f_b - f_0`` of the first B points, so it costs about 2 sqrt(F) complex
+    exponentials instead of F.  Precondition: ``freqs`` is a uniform grid
+    (``np.linspace``); sample i then differs from ``exp(1j k f_i)`` only by
+    the rounding of its phase, a few ulp of ``k f_i``.  Returns an (m, F)
+    view of an (m, C, B) complex block, C = ceil(F / B).
+    """
+    k = np.asarray(k, dtype=float)
+    n = len(freqs)
+    step = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    coarse = np.exp(1j * np.multiply.outer(k, freqs[::step]))
+    fine = np.exp(1j * np.multiply.outer(k, freqs[:step] - freqs[0]))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(k), -1)[:, :n]
+
+
 def _row_distinct_blocks(row_idx, max_paths):
     """``(start, stop)`` of consecutive paths, at most ``max_paths`` each.
 
@@ -96,17 +117,13 @@ def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     """
     lam = C_M_PER_S / freqs
     sqrt_lam = np.sqrt(lam)
-    omega = -2.0 * math.pi * freqs
+    wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
     max_paths = max(1, BLOCK_SAMPLES // len(freqs))
-    terms = np.empty((min(max_paths, len(lengths)), len(freqs)), dtype=np.complex128)
     for start, stop in _row_distinct_blocks(row_idx, max_paths):
-        term = terms[:stop - start]
         amp = path_amplitude(gains[start:stop], lengths[start:stop],
                              padded_edges(edge_ptr[start:stop + 1], edge_geo), lam, sqrt_lam)
-        phase = omega * lengths[start:stop, None] / C_M_PER_S
-        trig = np.cos(phase)
-        np.multiply(amp, trig, out=term.real)
-        np.sin(phase, out=trig)
-        np.multiply(amp, trig, out=term.imag)
+        term = sweep_phasors(wavenumber[start:stop], freqs)
+        np.multiply(amp, term.real, out=term.real)
+        np.multiply(amp, term.imag, out=term.imag)
         out[row_idx[start:stop]] += term
     return out

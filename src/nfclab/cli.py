@@ -6,8 +6,11 @@ report; ``nfclab phase-check <preset|file>`` compares the synthesized LOS
 phase against the closed-form near- and far-field models at a scaled
 receiver distance.
 
-Exit codes: 0 success, 2 unknown preset, 3 scenario parse/read failure,
-4 analysis failure.
+Exit codes: 0 success, 2 usage error or unknown preset, 3 scenario
+parse/read failure, 4 analysis failure.  argparse exits 2 on any usage
+error, including ``--noise-floor -inf``: it reads a value that starts with
+``-`` but is not a plain decimal number as an option.  ``--noise-floor=-inf``
+passes the value through and exits 4 as an invalid override.
 """
 
 from __future__ import annotations

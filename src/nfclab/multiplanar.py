@@ -159,7 +159,9 @@ def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarEr
     ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0`` (a zero
     sample has no phase to compare), and the complex correlation
     ``|<approx, truth>| / (|approx| |truth|)`` is
-    ``hypot(sum w cos(phi), sum w sin(phi)) / (|g| |A|)`` with ``w = A_n g_n``.
+    ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
+    from ``_kernels.sweep_phasors``.  Every sum is a numpy reduction, not a
+    BLAS call, so the result does not depend on the BLAS thread count.
     """
     planar = _planar_lengths(patches, scene)
     freqs = scene.sweep.frequencies()
@@ -178,8 +180,17 @@ def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarEr
         start, end = patch.interval
         gain[start - 1:end] = patch.gain_ref
     weight = amp * gain
+    delay = (los.length - planar) / C_M_PER_S
 
-    phase = np.multiply.outer((los.length - planar) / C_M_PER_S, -TWO_PI * freqs)
+    denom = math.sqrt(np.einsum("ij,ij->", gain, gain)) * math.sqrt(np.einsum("ij,ij->", amp, amp))
+    corr = 0.0
+    if denom > 0:
+        phasor = _kernels.sweep_phasors(-TWO_PI * delay, freqs)
+        corr = math.hypot(np.einsum("ij,ij->", weight, phasor.real),
+                          np.einsum("ij,ij->", weight, phasor.imag)) / denom
+        del phasor  # the phase arrays below reuse its memory
+
+    phase = np.multiply.outer(delay, -TWO_PI * freqs)
     turns = np.divide(phase, TWO_PI)  # wrapped in place: N x F temporaries cost as much as the math
     np.rint(turns, out=turns)
     turns *= TWO_PI
@@ -188,13 +199,6 @@ def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarEr
     mean_square = np.einsum("ij,ij->i", phase, phase) / len(freqs)
     phase_rmse = math.sqrt(float(np.mean(mean_square)))
     per_element = np.sqrt(mean_square)
-    denom = float(np.linalg.norm(gain) * np.linalg.norm(amp))
-    corr = 0.0
-    if denom > 0:
-        trig = np.cos(phase, out=turns)
-        real = float(np.vdot(weight, trig))
-        imag = float(np.vdot(weight, np.sin(phase, out=trig)))
-        corr = math.hypot(real, imag) / denom
     return MultiplanarError(phase_rmse=phase_rmse,
                             complex_correlation=min(corr, 1.0),
                             per_element_phase_dev=per_element)

@@ -112,14 +112,16 @@ def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """CMD of every pair of matrices from two stacks, from one Gram product.
 
     ``<R_i, R_j>_F = Re tr(R_i R_j)`` for Hermitian matrices.  Clamped to
-    [0, 1]; a zero matrix is at distance 1 from every matrix.
+    [0, 1]; a zero matrix is at distance 1 from every matrix.  The Gram
+    product is an einsum, not a BLAS matmul, so it does not depend on the
+    BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
+    CMD of a stack with itself is symmetric.
     """
     a, b = (np.asarray(r, dtype=np.complex128).reshape(len(r), -1).view(np.float64)
             for r in (r1, r2))
     norm_a, norm_b = (np.linalg.norm(x, axis=1) for x in (a, b))
-    d = a @ b.T
-    d /= np.where(norm_a > 0, norm_a, np.inf)[:, None]
-    d /= np.where(norm_b > 0, norm_b, np.inf)
+    d = np.einsum("ik,jk->ij", a, b)
+    d /= np.multiply.outer(np.where(norm_a > 0, norm_a, np.inf), np.where(norm_b > 0, norm_b, np.inf))
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 1.0, out=d)
 
@@ -368,6 +370,24 @@ def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
 
 
 def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
+    """All (i, j) pairs of a symmetric map; each pair's text is formatted once.
+
+    Row i formats its cells j >= i and takes cells j < i from the rows above,
+    which hand each one over once it is written, so at most a quarter of the
+    map's strings are held at a time.  Raises ValueError unless ``dmap``
+    equals its transpose.
+    """
+    dmap = np.asarray(dmap, dtype=float)
+    if not np.array_equal(dmap, dmap.T):
+        raise ValueError("cmd map must be symmetric")
     j = _csvout.strs(range(1, dmap.shape[1] + 1))
-    _csvout.write_csv(path, ("i", "j", "D"), (([str(i)] * len(j), j, _csvout.floats(row))
-                                             for i, row in enumerate(dmap, start=1)))
+    pending: list[list[str]] = []  # row k's cells i > k not yet written, cell k + 1 last
+
+    def blocks():
+        for i, row in enumerate(dmap):
+            upper = _csvout.floats(row[i:])
+            lower = [cells.pop() for cells in pending]
+            pending.append(upper[:0:-1])
+            yield [str(i + 1)] * len(j), j, lower + upper
+
+    _csvout.write_csv(path, ("i", "j", "D"), blocks())

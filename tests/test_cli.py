@@ -98,6 +98,28 @@ def test_run_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("n_elements", [None, 512])
+def test_run_artifacts_independent_of_blas_threads(tmp_path, n_elements):
+    # The correlation sums and the CMD Gram product bypass BLAS, whose threaded
+    # reductions round differently with the thread count.
+    scene = load_preset("olos_baffle")
+    if n_elements:
+        scene = replace(scene, array=replace(scene.array, n_elements=n_elements))
+    scenario = tmp_path / "scene.scene"
+    save_scene(scene, scenario)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", str(scenario), "--out", str(out)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in RUN_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_noise_floor_flag_changes_cfr(tmp_path):
     quiet, noisy = tmp_path / "q", tmp_path / "n"
     assert run(["run", "los_lab", "--out", str(quiet)]) == 0
@@ -259,6 +281,20 @@ def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
     assert "--distance-mult 1e+15 puts the receiver 4.57924e+16 m away" in proc.stderr
     assert "the phase profile is not resolved" in proc.stderr
     assert not (tmp_path / "phase_check.csv").exists()
+
+
+@pytest.mark.parametrize("flag, code, message", [
+    (["--noise-floor", "-inf"], EXIT_UNKNOWN_PRESET, "expected one argument"),  # -inf reads as an option
+    (["--noise-floor=-inf"], EXIT_ANALYSIS_FAILURE, "invalid override"),
+])
+def test_negative_option_value_needs_the_equals_form(tmp_path, flag, code, message):
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", "run", "los_lab", "--out", str(tmp_path), *flag],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_noise_above_signal_exit_4_names_the_floor(tmp_path):

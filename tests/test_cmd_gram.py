@@ -146,6 +146,7 @@ def test_cmd_map_matches_pairwise_loop(cfr, m):
     assert dmap.shape == ref.shape
     assert np.abs(dmap - ref).max() <= TOL
     assert np.all(np.diag(dmap) == 0.0)
+    assert np.array_equal(dmap, dmap.T)
 
 
 @settings(max_examples=200, deadline=None)

@@ -255,8 +255,8 @@ def test_cmd_map_and_exports(tmp_path, olos_cfr):
     dmap = cmd_map(olos_cfr)
     n_windows = 64 - 4 + 1
     assert dmap.shape == (n_windows, n_windows)
-    assert np.allclose(dmap, dmap.T)
-    assert np.allclose(np.diag(dmap), 0.0)
+    assert np.array_equal(dmap, dmap.T)
+    assert np.all(np.diag(dmap) == 0.0)
     out = tmp_path / "cmd_map.csv"
     export_cmd_map_csv(dmap, out)
     assert len(out.read_text().strip().splitlines()) == 1 + n_windows ** 2
@@ -267,6 +267,23 @@ def test_cmd_map_and_exports(tmp_path, olos_cfr):
     lines = pcsv.read_text().strip().splitlines()
     assert lines[0] == "interval_index,start,end,criterion,boundary_score"
     assert len(lines) == 1 + part.n_intervals
+
+
+def test_cmd_map_exactly_symmetric_on_a_wide_array():
+    # 509 windows: wide enough that a blocked or threaded Gram product and
+    # dividing by one norm after the other both break the symmetry.
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(512, 16)) + 1j * rng.normal(size=(512, 16))
+    dmap = cmd_map(nl.make_cfr(values, nl.Sweep(n_points=16)))
+    assert dmap.shape == (509, 509)
+    assert np.array_equal(dmap, dmap.T)
+
+
+def test_export_cmd_map_csv_rejects_asymmetric_map(tmp_path):
+    dmap = np.array([[0.0, 0.25], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        export_cmd_map_csv(dmap, tmp_path / "cmd_map.csv")
+    assert not (tmp_path / "cmd_map.csv").exists()
 
 
 def test_partition_by_slope_short_array_warns():
