@@ -7,23 +7,23 @@ approximation against the spherical ground truth.
 """
 
 from .analysis import (ChannelStats, PowerDelayProfile, compute_pdp,
-                       compute_stats, estimate_aod, los_phase, received_power,
+                       compute_stats, los_phase, received_power,
                        received_power_db, rms_delay_spread)
-from .multiplanar import (MultiplanarError, PlanarPatch,
-                          build_multiplanar_model, multiplanar_error,
-                          synthesize_multiplanar_cfr)
+from .multiplanar import (LosTruth, MultiplanarError, PlanarPatch,
+                          build_multiplanar_model, los_truth,
+                          multiplanar_error)
 from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,
                     SceneParseError, SceneValidationError, Sweep, Wall,
                     element_position, element_positions, load_preset,
                     load_scene, loads_scene, save_scene,
                     serialize_scene, true_geometry, PRESET_NAMES)
 from .stationarity import (StationaryPartition, characteristic_slope, cmd_map,
-                           correlation_matrix, correlation_matrix_distance,
+                           correlation_matrix_distance,
                            partition_by_cmd, partition_by_slope,
                            singleton_partition, uniform_partition)
 from .synth import (ChannelFrequencyResponse, PathTable, add_noise,
                     knife_edge_loss, make_cfr, path_blockage_db, path_table,
-                    synthesize_cfr, synthesize_los_cfr)
+                    synthesize_cfr)
 from .wavefront import (PhaseModelInput, exact_relative_phase, far_field_phase,
                         near_field_phase, path_difference, rayleigh_distance)
 

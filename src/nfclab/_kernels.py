@@ -61,13 +61,19 @@ def sweep_phasors(k, freqs) -> np.ndarray:
     Each row is the outer product of a coarse table, the phasors at every
     B-th grid point (B = ceil(sqrt(F))), and a fine one at the offsets
     ``f_b - f_0`` of the first B points, so it costs about 2 sqrt(F) complex
-    exponentials instead of F.  Precondition: ``freqs`` is a uniform grid
+    exponentials instead of F.  ``freqs`` must be a uniform grid
     (``np.linspace``); sample i then differs from ``exp(1j k f_i)`` only by
-    the rounding of its phase, a few ulp of ``k f_i``.  Returns an (m, F)
-    view of an (m, C, B) complex block, C = ceil(F / B).
+    the rounding of its phase, a few ulp of ``k f_i``.  Raises ValueError
+    when a grid step differs from ``(f_last - f_0) / (F - 1)`` by more than
+    8 ulp of the larger end frequency.  Returns an (m, F) view of an
+    (m, C, B) complex block, C = ceil(F / B).
     """
     k = np.asarray(k, dtype=float)
     n = len(freqs)
+    if n > 2:  # np.linspace steps stay within about 2 ulp of that
+        tol = 8.0 * np.spacing(max(abs(freqs[0]), abs(freqs[-1])))
+        if np.abs(np.diff(freqs) - (freqs[-1] - freqs[0]) / (n - 1)).max() > tol:
+            raise ValueError("sweep_phasors needs a uniform frequency grid (np.linspace)")
     step = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     coarse = np.exp(1j * np.multiply.outer(k, freqs[::step]))
     fine = np.exp(1j * np.multiply.outer(k, freqs[:step] - freqs[0]))

@@ -252,16 +252,6 @@ def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.nda
     return np.interp(el_pos, mid_pos, theta_mid), pair_valid[:-1] & pair_valid[1:]
 
 
-def estimate_aod(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuth angle of departure per element from adjacent-pair LOS phases.
-
-    See ``_pair_aod``.  Returns (theta_rad, valid); the end elements belong
-    to one pair each.
-    """
-    taps, valid = gated_los_rows(cfr, scene)
-    return _pair_aod(cfr, taps, valid, scene.array.spacing_d)
-
-
 def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene) -> ChannelStats:
     """Per-element statistics table; one PDP array and one LOS gate feed every column."""
     power = received_power_db(cfr)

@@ -7,7 +7,8 @@ phase against the closed-form near- and far-field models at a scaled
 receiver distance.
 
 Exit codes: 0 success, 2 usage error or unknown preset, 3 scenario
-parse/read failure, 4 analysis failure.  argparse exits 2 on any usage
+parse/read failure, 4 analysis failure, 5 cannot write output (``--out``
+is not a writable directory).  argparse exits 2 on any usage
 error, including ``--noise-floor -inf``: it reads a value that starts with
 ``-`` but is not a plain decimal number as an option.  ``--noise-floor=-inf``
 passes the value through and exits 4 as an invalid override.
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_UNKNOWN_PRESET = 2
 EXIT_PARSE_FAILURE = 3
 EXIT_ANALYSIS_FAILURE = 4
+EXIT_WRITE_FAILURE = 5
 
 DYADIC_MAX_K = 5  # mw_error.csv rows dyadic_2^0 .. dyadic_2^5
 MAX_ULP_PHASE_RAD = 1e-3  # phase-check: largest phase one ulp of the rx distance may carry
@@ -89,17 +91,24 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     return scene
 
 
-def _mw_row(scene: Scene, name: str,
-            part: stationarity.StationaryPartition) -> tuple[str, int, float, float]:
-    patches = multiplanar.build_multiplanar_model(scene, part)
-    err = multiplanar.multiplanar_error(scene, patches)
-    return (name, part.n_intervals, err.phase_rmse, err.complex_correlation)
+def _mw_table(scene: Scene, table: synth.PathTable,
+              partitions: list[stationarity.StationaryPartition]) -> list[tuple[str, int, float, float]]:
+    """mw_error.csv rows: the dyadic partitions, then ``partitions``, all against one LOS truth.
 
-
-def _dyadic_mw_table(scene: Scene) -> list[tuple[str, int, float, float]]:
+    The truth's N x F amplitude lives only inside this call, so it is freed
+    before the exports start.
+    """
+    truth = multiplanar.los_truth(scene, table)
     n = scene.array.n_elements
-    return [_mw_row(scene, f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
-            for k in range(DYADIC_MAX_K + 1)]
+    named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
+             for k in range(DYADIC_MAX_K + 1)]
+    named += [(part.criterion, part) for part in partitions]
+    rows = []
+    for name, part in named:
+        patches = multiplanar.build_multiplanar_model(scene, truth, part)
+        err = multiplanar.multiplanar_error(scene, truth, patches)
+        rows.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
+    return rows
 
 
 def cmd_run(args: argparse.Namespace) -> RunReport:
@@ -109,7 +118,8 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
     for name in RUN_FILES:  # a failed run must not leave the previous run's artifacts
         (out_dir / name).unlink(missing_ok=True)
 
-    cfr = synth.synthesize_cfr(scene)
+    table = synth.path_table(scene)
+    cfr = synth.synthesize_cfr(scene, table)
     stats = analysis.compute_stats(cfr, scene)
 
     partitions: list[stationarity.StationaryPartition] = []
@@ -121,8 +131,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
 
     dmap = stationarity.cmd_map(cfr, m=args.window)
 
-    mw_table = _dyadic_mw_table(scene)
-    mw_table += [_mw_row(scene, part.criterion, part) for part in partitions]
+    mw_table = _mw_table(scene, table, partitions)
 
     files = {name: out_dir / name for name in RUN_FILES}
     synth.export_cfr_csv(cfr, files["cfr.csv"])
@@ -235,7 +244,7 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     scaled = replace(scene, rx=tuple(float(x) for x in target))
     scaled.validate()
 
-    cfr = synth.synthesize_cfr(scaled)
+    cfr = synth.synthesize_cfr(scaled, synth.path_table(scaled))
     measured, _ = analysis.los_phase(cfr, scaled)
     fc = scaled.sweep.frequencies()[(scaled.sweep.n_points - 1) // 2]
     lam_eval = C_M_PER_S / fc
@@ -322,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     except (analysis.AnalysisError, stationarity.StationarityError, ValueError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILURE
+    except OSError as exc:  # load_scene turns read errors into SceneError, so this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_WRITE_FAILURE
 
 
 if __name__ == "__main__":

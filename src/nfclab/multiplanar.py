@@ -8,15 +8,18 @@ propagation, so it is exact at every reference element and its error grows
 with the interval extent; refining the partition can only reduce the error.
 
 The reconstruction is LOS-only and is scored against the scene's LOS
-(spherical-wave) truth.  Both are a real non-negative amplitude times a
-propagation phase, so the error is computed from the path-length difference
-and the amplitudes alone, without building either complex response.
+(spherical-wave) truth, built once per run from the direct-path rows of the
+scene's path table (``los_truth``).  Both are a real non-negative amplitude
+times a propagation phase, so the error is computed from the path-length
+difference and the amplitudes alone, without building either complex
+response.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +27,38 @@ from . import _csvout, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene, true_geometry
 from .stationarity import StationaryPartition
-from .synth import ChannelFrequencyResponse, make_cfr, path_blockage_db, path_table
+from .synth import PathTable, path_blockage_db
 
 FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
+
+
+class LosTruth(NamedTuple):
+    """The scene's spherical LOS field ``amp[n - 1](f) e^{-j2pi f length[n - 1]/c}`` of element n.
+
+    ``usable`` flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
+    """
+
+    length: np.ndarray  # (N,) direct-path lengths
+    amp: np.ndarray     # (N, F) real non-negative amplitudes
+    usable: np.ndarray  # (N,) bool
+
+
+def los_truth(scene: Scene, table: PathTable) -> LosTruth:
+    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths."""
+    n = scene.array.n_elements
+    lam = C_M_PER_S / scene.sweep.frequencies()
+    sqrt_lam = np.sqrt(lam)
+    length, gain, edge_ptr = table.length[:n], table.gain[:n], table.edge_ptr[:n + 1]
+    amp = _kernels.path_amplitude(gain, length, np.empty((n, 0)), lam, sqrt_lam)
+    # Knife-edge losses only on the paths that cross a screen: on a baffle
+    # scene evaluating them for every element costs more than the rest.
+    edged = np.flatnonzero(np.diff(edge_ptr))
+    amp[edged] = _kernels.path_amplitude(gain[edged], length[edged],
+                                         _kernels.padded_edges(edge_ptr, table.edge_geo)[edged],
+                                         lam, sqrt_lam)
+    usable = path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB
+    return LosTruth(length=length, amp=amp, usable=usable)
 
 
 @dataclass(frozen=True)
@@ -84,28 +115,23 @@ def _fallback_reference(start: int, end: int, usable) -> tuple[int, bool]:
     return (candidates[0] if candidates else ref), not usable[ref - 1]
 
 
-def build_multiplanar_model(scene: Scene, partition: StationaryPartition) -> list[PlanarPatch]:
+def build_multiplanar_model(scene: Scene, truth: LosTruth,
+                            partition: StationaryPartition) -> list[PlanarPatch]:
     """One planar patch per interval, parameters from exact geometry.
 
     The reference is the interval center ``floor((start+end)/2)``.  If the
     reference's direct path is fully absorbed (> 80 dB blockage) the patch is
     flagged and its parameters come from the nearest unblocked element in the
-    interval (ties resolved toward lower indices).
+    interval (ties resolved toward lower indices).  ``gain_ref`` is the
+    reference's LOS amplitude ``truth.amp[ref - 1]``.
     """
-    lam = C_M_PER_S / scene.sweep.frequencies()
-    los = path_table(scene, los_only=True)  # row n - 1 is element n's direct path
-    usable = path_blockage_db(scene, los) <= FULL_BLOCKAGE_DB
     patches: list[PlanarPatch] = []
     for start, end in partition.intervals:
-        ref, flagged = _fallback_reference(start, end, usable)
-        i = ref - 1  # de-propagated LOS gain per frequency
-        edges = los.edge_geo[los.edge_ptr[i]:los.edge_ptr[i + 1]]
-        gain = _kernels.path_amplitude(np.ones(1), los.length[i:i + 1], edges[None, :],
-                                       lam, np.sqrt(lam))[0]
+        ref, flagged = _fallback_reference(start, end, truth.usable)
         r_ref, theta_si = true_geometry(scene, ref, scene.rx)
         patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
                                    theta_si=theta_si, r_ref=r_ref,
-                                   gain_ref=gain, flagged=flagged))
+                                   gain_ref=truth.amp[ref - 1], flagged=flagged))
     return patches
 
 
@@ -133,27 +159,11 @@ def _planar_lengths(patches: list[PlanarPatch], scene: Scene) -> np.ndarray:
     return lengths
 
 
-def synthesize_multiplanar_cfr(patches: list[PlanarPatch], scene: Scene) -> ChannelFrequencyResponse:
-    """Planar reconstruction: H(n,f) = gain_ref(f) e^{-j2pi f (r_ref - dx cos(theta_si))/c}.
-
-    At the reference itself the reconstruction equals the reference LOS
-    response exactly.
-    """
-    lengths = _planar_lengths(patches, scene)
-    freqs = scene.sweep.frequencies()
-    out = np.empty((len(lengths), len(freqs)), dtype=np.complex128)
-    for patch in patches:
-        start, end = patch.interval
-        for n in range(start, end + 1):
-            out[n - 1] = patch.gain_ref * np.exp(-1j * TWO_PI * freqs * lengths[n - 1] / C_M_PER_S)
-    return make_cfr(out, scene.sweep)
-
-
-def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarError:
+def multiplanar_error(scene: Scene, truth: LosTruth, patches: list[PlanarPatch]) -> MultiplanarError:
     """Wrapped phase RMSE and correlation of the planar patches against the LOS truth.
 
     The truth is the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
-    (what ``synth.synthesize_los_cfr`` sums), the reconstruction is
+    (``truth.amp`` and ``truth.length``), the reconstruction is
     ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n`` the ``gain_ref`` of element n's
     patch; both amplitudes are real and non-negative.  So the phase error is
     ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0`` (a zero
@@ -165,22 +175,13 @@ def multiplanar_error(scene: Scene, patches: list[PlanarPatch]) -> MultiplanarEr
     """
     planar = _planar_lengths(patches, scene)
     freqs = scene.sweep.frequencies()
-    lam = C_M_PER_S / freqs
-    sqrt_lam = np.sqrt(lam)
-    los = path_table(scene, los_only=True)  # row n - 1 is element n's direct path
-    amp = _kernels.path_amplitude(los.gain, los.length, np.empty((len(planar), 0)), lam, sqrt_lam)
-    # Knife-edge losses only on the paths that cross a screen: on a baffle
-    # scene evaluating them for every element costs more than the rest.
-    edged = np.flatnonzero(np.diff(los.edge_ptr))
-    amp[edged] = _kernels.path_amplitude(los.gain[edged], los.length[edged],
-                                         _kernels.padded_edges(los.edge_ptr, los.edge_geo)[edged],
-                                         lam, sqrt_lam)
+    amp = truth.amp
     gain = np.empty_like(amp)
     for patch in patches:
         start, end = patch.interval
         gain[start - 1:end] = patch.gain_ref
     weight = amp * gain
-    delay = (los.length - planar) / C_M_PER_S
+    delay = (truth.length - planar) / C_M_PER_S
 
     denom = math.sqrt(np.einsum("ij,ij->", gain, gain)) * math.sqrt(np.einsum("ij,ij->", amp, amp))
     corr = 0.0

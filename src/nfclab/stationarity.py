@@ -126,20 +126,6 @@ def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.clip(d, 0.0, 1.0, out=d)
 
 
-def correlation_matrix(cfr: ChannelFrequencyResponse, window: tuple[int, int]) -> np.ndarray:
-    """Frequency-averaged outer-product correlation over an element window.
-
-    ``R = (1/n_points) * sum_f h_f h_f^H`` with ``h_f`` the window's element
-    responses at frequency f; Hermitian positive semidefinite by
-    construction.
-    """
-    start, end = window
-    m = end - start + 1
-    if start < 1 or end > cfr.n_elements:
-        raise StationarityError(f"window {window} outside 1..{cfr.n_elements}")
-    return _window_correlations(cfr.values[start - 1:end], m)[0]
-
-
 def correlation_matrix_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     """Correlation matrix distance 1 - Re tr(R1 R2) / (||R1||_F ||R2||_F).
 

@@ -70,6 +70,11 @@ class PathTable(NamedTuple):
     The table is grouped by path kind: the LOS path of every element, then
     each wall, then each scatterer, in file order.  Within one row the paths
     thus keep the per-element order LOS, walls, scatterers.
+
+    Contract: for an N-element array, rows ``[:N]`` are the direct paths in
+    element order (``row[:N] == arange(N)``), with their knife-edge factors
+    in ``edge_geo[:edge_ptr[N]]``.  Every LOS consumer reads that slice; no
+    second table is built.
     """
 
     row: np.ndarray
@@ -103,20 +108,20 @@ def _edge_factors(scene: Scene, vertices: list[np.ndarray]) -> tuple[np.ndarray,
     return keep.sum(axis=1), geo[keep]
 
 
-def path_table(scene: Scene, los_only: bool = False) -> PathTable:
+def path_table(scene: Scene) -> PathTable:
     """All propagation paths of every element: LOS, wall images, scatterers.
 
     Exactly one LOS path per element; one specular path per wall whose
     reflection point exists (element and rx on the same side of the plane);
     one bent path per point scatterer.  Fully absorbed paths are retained
-    with their loss.  ``los_only`` keeps just the LOS group.
+    with their loss.
     """
     positions = element_positions(scene)
     rx = np.asarray(scene.rx, dtype=float)
     every = np.arange(len(positions))
     # (rows, lengths, gain, polyline vertices) per path group
     groups = [(every, _norm(rx - positions), 1.0, [positions, rx])]
-    for wall in () if los_only else scene.walls:
+    for wall in scene.walls:
         normal = np.asarray(wall.normal, dtype=float)
         s_el = np.vecdot(positions, normal) - wall.offset
         s_rx = float(np.dot(normal, rx)) - wall.offset
@@ -125,7 +130,7 @@ def path_table(scene: Scene, los_only: bool = False) -> PathTable:
         image = rx - 2.0 * s_rx * normal
         reflection = p + (s_el / (s_el + s_rx))[:, None] * (image - p)
         groups.append((every[ok], _norm(image - p), wall.gamma, [p, reflection, rx]))
-    for scatterer in () if los_only else scene.point_scatterers:
+    for scatterer in scene.point_scatterers:
         s = np.asarray(scatterer.position, dtype=float)
         groups.append((every, _norm(s - positions) + np.linalg.norm(rx - s),
                        scatterer.amplitude, [positions, s, rx]))
@@ -171,30 +176,20 @@ def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) 
     return make_cfr(noisy, cfr.sweep, cfr.elements)
 
 
-def _sum_paths(scene: Scene, los_only: bool = False) -> np.ndarray:
-    """Path-sum response of every element over the sweep grid."""
-    freqs = scene.sweep.frequencies()
-    out = np.zeros((scene.array.n_elements, len(freqs)), dtype=np.complex128)
-    _kernels.accumulate_paths(out, *path_table(scene, los_only), freqs)
-    return out
-
-
-def synthesize_cfr(scene: Scene) -> ChannelFrequencyResponse:
-    """Synthesize the full complex response H(element, frequency).
+def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
+    """Synthesize the full complex response H(element, frequency) from the scene's path table.
 
     ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
     * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
     floor.  Amplitudes are relative to the 10 dBm transmit reference.
+    ``table`` is ``path_table(scene)``.
     """
-    out = _sum_paths(scene)
+    freqs = scene.sweep.frequencies()
+    out = np.zeros((scene.array.n_elements, len(freqs)), dtype=np.complex128)
+    _kernels.accumulate_paths(out, *table, freqs)
     if scene.noise_floor_dbm is not None:
         out += complex_noise(out.shape, scene.noise_floor_dbm, scene.seed)
     return make_cfr(out, scene.sweep)
-
-
-def synthesize_los_cfr(scene: Scene) -> ChannelFrequencyResponse:
-    """LOS-only spherical-truth response (no walls/scatterers/noise)."""
-    return make_cfr(_sum_paths(scene, los_only=True), scene.sweep)
 
 
 # ---------------------------------------------------------------------------

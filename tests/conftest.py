@@ -16,12 +16,12 @@ def olos_scene():
 
 @pytest.fixture(scope="session")
 def los_cfr(los_scene):
-    return nl.synthesize_cfr(los_scene)
+    return nl.synthesize_cfr(los_scene, nl.path_table(los_scene))
 
 
 @pytest.fixture(scope="session")
 def olos_cfr(olos_scene):
-    return nl.synthesize_cfr(olos_scene)
+    return nl.synthesize_cfr(olos_scene, nl.path_table(olos_scene))
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +38,9 @@ def olos_stats(olos_cfr, olos_scene):
 def shadow_nu(olos_scene):
     """Center-frequency Fresnel parameter of every element's direct path."""
     lam_c = olos_scene.sweep.lambda_center
-    los = nl.path_table(olos_scene, los_only=True)  # row n - 1 is element n's direct path
+    table = nl.path_table(olos_scene)  # row n - 1 is element n's direct path
+    edge_ptr = table.edge_ptr[:olos_scene.array.n_elements + 1]
     out = []
-    for start, end in zip(los.edge_ptr[:-1], los.edge_ptr[1:]):
-        out.append(los.edge_geo[start] / np.sqrt(lam_c) if end > start else -np.inf)
+    for start, end in zip(edge_ptr[:-1], edge_ptr[1:]):
+        out.append(table.edge_geo[start] / np.sqrt(lam_c) if end > start else -np.inf)
     return np.array(out)

@@ -118,8 +118,8 @@ def test_criterion_4_power_spread_and_aod(los_scene, los_stats):
 
 def test_criterion_5_olos_behavior(los_scene, olos_scene, shadow_nu):
     start = time.perf_counter()
-    cfr_los = nl.synthesize_cfr(los_scene)
-    cfr_olos = nl.synthesize_cfr(olos_scene)
+    cfr_los = nl.synthesize_cfr(los_scene, nl.path_table(los_scene))
+    cfr_olos = nl.synthesize_cfr(olos_scene, nl.path_table(olos_scene))
     stats_los = nl.compute_stats(cfr_los, los_scene)
     stats_olos = nl.compute_stats(cfr_olos, olos_scene)
 
@@ -155,8 +155,8 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
     scene_b = replace(bare, rx=(r * math.cos(math.radians(120)),
                                 r * math.sin(math.radians(120)), 2.5))
     splice = 32  # last element fed by scene A
-    clean = nl.make_cfr(np.vstack([nl.synthesize_cfr(scene_a).values[:splice],
-                                   nl.synthesize_cfr(scene_b).values[splice:]]),
+    clean = nl.make_cfr(np.vstack([nl.synthesize_cfr(scene_a, nl.path_table(scene_a)).values[:splice],
+                                   nl.synthesize_cfr(scene_b, nl.path_table(scene_b)).values[splice:]]),
                         bare.sweep)
     hits = 0
     for seed in range(100):
@@ -203,15 +203,16 @@ def test_criterion_7_cmd_properties():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_mw_monotonicity(los_scene):
+    truth = nl.los_truth(los_scene, nl.path_table(los_scene))
     rmses = []
     for k in range(6):
         part = uniform_partition(64, 2 ** k)
-        patches = nl.build_multiplanar_model(los_scene, part)
-        rmses.append(nl.multiplanar_error(los_scene, patches).phase_rmse)
+        patches = nl.build_multiplanar_model(los_scene, truth, part)
+        rmses.append(nl.multiplanar_error(los_scene, truth, patches).phase_rmse)
     assert all(rmses[i + 1] <= rmses[i] + 1e-9 for i in range(5))
 
-    patches = nl.build_multiplanar_model(los_scene, singleton_partition(64))
-    singleton_rmse = nl.multiplanar_error(los_scene, patches).phase_rmse
+    patches = nl.build_multiplanar_model(los_scene, truth, singleton_partition(64))
+    singleton_rmse = nl.multiplanar_error(los_scene, truth, patches).phase_rmse
     assert singleton_rmse < 1e-9
     report("criterion 8 (MW monotonicity)",
            "phase rmse " + " >= ".join(f"{r:.2e}" for r in rmses)

@@ -12,6 +12,7 @@ from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _los_delays,
                              _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene, true_geometry
+from reference import estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
 
 SWEEP = nl.Sweep()  # 11-15 GHz, 801 points, B = 4 GHz, 0.25 ns bins
@@ -112,7 +113,7 @@ def test_rms_delay_spread_all_noise_error():
 
 def test_los_phase_single_path_matches_oracle():
     scene = loads_scene("[array]\nn_elements = 16\n[rx]\nposition = 2.0, 7.0, 2.5\n")
-    cfr = nl.synthesize_los_cfr(scene)
+    cfr = synthesize_los_cfr(scene)
     phase, valid = nl.los_phase(cfr, scene)
     assert phase[0] == 0.0
     assert np.all(valid)
@@ -125,7 +126,7 @@ def test_los_phase_single_path_matches_oracle():
 def test_los_phase_broadside_symmetric_pair():
     scene = loads_scene("[array]\nn_elements = 2\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.00625, 5.0, 2.5\n")
-    cfr = nl.synthesize_los_cfr(scene)
+    cfr = synthesize_los_cfr(scene)
     phase, _ = nl.los_phase(cfr, scene)
     assert phase[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -155,7 +156,7 @@ def planar_scene_and_cfr(theta_deg, n_elements=16, r0=5000.0):
 
 def test_estimate_aod_broadside_injection():
     scene, cfr = planar_scene_and_cfr(90.0)
-    theta, valid = nl.estimate_aod(cfr, scene)
+    theta, valid = estimate_aod(cfr, scene)
     assert np.all(valid)
     assert np.degrees(np.abs(theta - math.pi / 2)).max() < 1e-6
 
@@ -168,7 +169,7 @@ def test_estimate_aod_60_degrees():
     fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
     assert 2 * math.pi * fc / C_M_PER_S * d * math.cos(math.radians(60)) == pytest.approx(
         -taps_phase_step, rel=1e-9)
-    theta, valid = nl.estimate_aod(cfr, scene)
+    theta, valid = estimate_aod(cfr, scene)
     assert np.all(valid)
     assert np.degrees(np.abs(theta - math.radians(60))).max() < 0.1
 
@@ -176,7 +177,7 @@ def test_estimate_aod_60_degrees():
 @pytest.mark.parametrize("theta_deg", [30, 45, 75, 90, 110, 135, 150])
 def test_estimate_aod_recovery_sweep(theta_deg):
     scene, cfr = planar_scene_and_cfr(float(theta_deg))
-    theta, valid = nl.estimate_aod(cfr, scene)
+    theta, valid = estimate_aod(cfr, scene)
     assert np.all(valid)
     assert np.degrees(np.abs(theta - math.radians(theta_deg))).max() < 0.1
 
@@ -192,7 +193,7 @@ def test_estimate_aod_supra_physical_step_flagged():
     lengths = 5000.0 - np.arange(8)[:, None] * step
     values = (scene.sweep.f_center / freqs)[None, :] * np.exp(
         -2j * math.pi * freqs[None, :] * lengths / C_M_PER_S)
-    theta, valid = nl.estimate_aod(nl.make_cfr(values, scene.sweep), scene)
+    theta, valid = estimate_aod(nl.make_cfr(values, scene.sweep), scene)
     assert not np.any(valid)
     assert np.all(np.isfinite(theta))  # clamped, not NaN
 
@@ -206,7 +207,7 @@ def test_los_phase_noise_only_gate_flagged():
     valid = gated_los_rows(noisy, scene)[1]
     assert not np.any(valid)
     # an actual synthesized channel at the same floor is comfortably valid
-    cfr = nl.synthesize_cfr(scene)
+    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
     valid = gated_los_rows(cfr, scene)[1]
     assert np.all(valid)
 
@@ -281,7 +282,7 @@ REFERENCE_SCENES = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
 def test_pdp_array_and_los_delays_match_per_row_reference(name):
     scene = REFERENCE_SCENES[name]()
-    cfr = nl.synthesize_cfr(scene)
+    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
     ref = _ref_pdp_matrix(cfr)
     pdp = pdp_matrix(cfr)
     assert pdp.shape == (cfr.n_elements, cfr.sweep.n_points)
@@ -294,9 +295,9 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
     assert stats.pdp.tobytes() == pdp.tobytes()
     assert stats.delay_spread_s.tobytes() == np.array([nl.rms_delay_spread(p) for p in ref]).tobytes()
     assert stats.tau_los_s.tobytes() == delays.tobytes()
-    # the one shared gate gives what the public single-purpose functions give
+    # the one shared gate gives what the single-purpose functions give
     phase, los_valid = nl.los_phase(cfr, scene)
-    aod, aod_valid = nl.estimate_aod(cfr, scene)
+    aod, aod_valid = estimate_aod(cfr, scene)
     assert stats.los_phase_rad.tobytes() == phase.tobytes()
     assert stats.aod_rad.tobytes() == aod.tobytes()
     assert np.array_equal(stats.los_valid, los_valid) and np.array_equal(stats.aod_valid, aod_valid)
@@ -342,14 +343,14 @@ def _ref_gated_los_rows(cfr, scene):
 def test_los_taps_match_fft_reference(name):
     """Tap phase, LOS phase and AoD within 1e-12 rad; validity masks identical."""
     scene = REFERENCE_SCENES[name]()
-    cfr = nl.synthesize_cfr(scene)
+    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
     _, ref_taps, ref_valid = _ref_gated_los_rows(cfr, scene)
     taps, valid = gated_los_rows(cfr, scene)
     assert np.array_equal(valid, ref_valid)
     assert np.abs(np.angle(taps * np.conj(ref_taps))).max() <= 1e-12
     phase, _ = nl.los_phase(cfr, scene)
     assert np.abs(phase - _unwrapped_phase(ref_taps, ref_valid, scene)).max() <= 1e-12
-    aod, aod_valid = nl.estimate_aod(cfr, scene)
+    aod, aod_valid = estimate_aod(cfr, scene)
     ref_aod, ref_aod_valid = _pair_aod(cfr, ref_taps, ref_valid, scene.array.spacing_d)
     assert np.array_equal(aod_valid, ref_aod_valid)
     assert np.abs(aod - ref_aod).max() <= 1e-12

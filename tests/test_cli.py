@@ -13,7 +13,7 @@ from strategies import scenes
 
 import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
-                        EXIT_UNKNOWN_PRESET, RUN_FILES, main)
+                        EXIT_UNKNOWN_PRESET, EXIT_WRITE_FAILURE, RUN_FILES, main)
 from nfclab.scene import SceneError, load_preset, save_scene
 
 
@@ -245,20 +245,50 @@ def test_phase_check_distance_beyond_float64_exit_4(tmp_path, mult, message):
     assert not (tmp_path / "phase_check.csv").exists()
 
 
-def test_run_gates_and_profiles_once(tmp_path, monkeypatch):
-    from nfclab import _kernels, analysis, synth
-    hooks = {"gated_los_rows": analysis, "pdp_matrix": analysis,
-             "accumulate_paths": _kernels, "synthesize_los_cfr": synth}
+def count_calls(monkeypatch, hooks):
+    """Count the calls of each ``name: module`` hook through the module attribute."""
     calls = dict.fromkeys(hooks, 0)
     for name, module in hooks.items():
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    assert run(["run", "los_lab", "--out", str(tmp_path)]) == 0
-    # one kernel pass: the multiplanar error needs no LOS-only response
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
+    from nfclab import _kernels, analysis, multiplanar, synth
+    calls = count_calls(monkeypatch, {"gated_los_rows": analysis, "pdp_matrix": analysis,
+                                      "accumulate_paths": _kernels, "path_table": synth,
+                                      "los_truth": multiplanar})
+    assert run(["run", preset, "--out", str(tmp_path)]) == 0
+    # one path table and one kernel pass; all 8 mw rows share one LOS truth
     assert calls == {"gated_los_rows": 1, "pdp_matrix": 1,
-                     "accumulate_paths": 1, "synthesize_los_cfr": 0}
+                     "accumulate_paths": 1, "path_table": 1, "los_truth": 1}
+
+
+def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):
+    from nfclab import _kernels, multiplanar, synth
+    calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth,
+                                      "los_truth": multiplanar})
+    assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
+    assert calls == {"accumulate_paths": 1, "path_table": 1, "los_truth": 0}
+
+
+@pytest.mark.parametrize("command", ["run", "phase-check"])
+def test_unwritable_out_exit_5_without_traceback(tmp_path, command):
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", command, "los_lab", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_WRITE_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert out.read_text() == "a regular file\n"
 
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])

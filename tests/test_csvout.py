@@ -25,7 +25,7 @@ from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep
 from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
-from nfclab.synth import export_cfr_csv, make_cfr, synthesize_cfr
+from nfclab.synth import export_cfr_csv, make_cfr, path_table, synthesize_cfr
 from test_analysis import REFERENCE_SCENES
 
 AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789.125, -2.5e-300]
@@ -190,7 +190,7 @@ def test_pdp_csv_matches_reference(tmp_path):
 @pytest.mark.parametrize("name", ["los_lab", "olos_baffle_noisy", "sweep_deep", "array_wide"])
 def test_pdp_csv_of_run_scenes_within_2_ulp(tmp_path, name):
     scene = REFERENCE_SCENES[name]()
-    cfr = synthesize_cfr(scene)
+    cfr = synthesize_cfr(scene, path_table(scene))
     pdp = pdp_matrix(cfr)
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     export_pdp_csv(pdp, new, cfr.sweep.bandwidth)

@@ -10,7 +10,12 @@ from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
 from nfclab.stationarity import singleton_partition, uniform_partition
 from nfclab.wavefront import rayleigh_distance
+from reference import synthesize_los_cfr, synthesize_multiplanar_cfr
 from test_analysis import REFERENCE_SCENES
+
+
+def truth_of(scene):
+    return nl.los_truth(scene, nl.path_table(scene))
 
 
 def _ref_multiplanar_error(truth, approx):
@@ -31,14 +36,16 @@ def _ref_multiplanar_error(truth, approx):
 
 def mw_rmse(scene, n_intervals):
     part = uniform_partition(scene.array.n_elements, n_intervals)
-    patches = nl.build_multiplanar_model(scene, part)
-    return nl.multiplanar_error(scene, patches), patches
+    truth = truth_of(scene)
+    patches = nl.build_multiplanar_model(scene, truth, part)
+    return nl.multiplanar_error(scene, truth, patches), patches
 
 
 def test_singleton_partition_reproduces_truth(los_scene):
     part = singleton_partition(64)
-    patches = nl.build_multiplanar_model(los_scene, part)
-    err = nl.multiplanar_error(los_scene, patches)
+    truth = truth_of(los_scene)
+    patches = nl.build_multiplanar_model(los_scene, truth, part)
+    err = nl.multiplanar_error(los_scene, truth, patches)
     assert err.phase_rmse < 1e-9
     assert err.complex_correlation > 1 - 1e-9
 
@@ -71,35 +78,36 @@ def test_broadside_patch_constant_phase():
     scene = loads_scene("[array]\nn_elements = 9\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.05, 6.0, 2.5\n")  # element 5 at x=0.05
     part = uniform_partition(9, 1)
-    patches = nl.build_multiplanar_model(scene, part)
+    patches = nl.build_multiplanar_model(scene, truth_of(scene), part)
     assert patches[0].ref_element == 5
     assert patches[0].theta_si == pytest.approx(math.pi / 2, abs=1e-12)
-    approx = nl.synthesize_multiplanar_cfr(patches, scene)
+    approx = synthesize_multiplanar_cfr(patches, scene)
     phases = np.angle(approx.values)
     assert np.allclose(phases, phases[0][None, :], atol=1e-10)
 
 
 def test_mw_error_trivials(los_scene):
-    patches = nl.build_multiplanar_model(los_scene, singleton_partition(64))
-    err = nl.multiplanar_error(los_scene, patches)
+    truth = truth_of(los_scene)
+    patches = nl.build_multiplanar_model(los_scene, truth, singleton_partition(64))
+    err = nl.multiplanar_error(los_scene, truth, patches)
     assert err.phase_rmse < 1e-12
     assert err.complex_correlation == pytest.approx(1.0, abs=1e-12)
     # a real positive rescaling of every patch changes neither metric
     _, patches = mw_rmse(los_scene, 4)
-    err = nl.multiplanar_error(los_scene, patches)
-    scaled = nl.multiplanar_error(los_scene, [replace(p, gain_ref=3.5 * p.gain_ref) for p in patches])
+    err = nl.multiplanar_error(los_scene, truth, patches)
+    scaled = nl.multiplanar_error(los_scene, truth, [replace(p, gain_ref=3.5 * p.gain_ref) for p in patches])
     assert scaled.phase_rmse == err.phase_rmse
     assert scaled.complex_correlation == pytest.approx(err.complex_correlation, abs=1e-12)
     # no planar field at all: no phase to compare (zero error) and zero correlation
-    silent = nl.multiplanar_error(los_scene, [replace(p, gain_ref=0.0 * p.gain_ref) for p in patches])
+    silent = nl.multiplanar_error(los_scene, truth, [replace(p, gain_ref=0.0 * p.gain_ref) for p in patches])
     assert silent.phase_rmse == 0.0 and silent.complex_correlation == 0.0
 
 
 def test_mw_error_shape_mismatch(los_scene):
     half = replace(los_scene, array=replace(los_scene.array, n_elements=32))
-    patches = nl.build_multiplanar_model(half, uniform_partition(32, 2))
+    patches = nl.build_multiplanar_model(half, truth_of(half), uniform_partition(32, 2))
     with pytest.raises(ValueError, match="array has 64 elements"):
-        nl.multiplanar_error(los_scene, patches)
+        nl.multiplanar_error(los_scene, truth_of(los_scene), patches)
 
 
 def test_dyadic_refinement_monotone(los_scene):
@@ -122,11 +130,12 @@ def test_interval_local_error_growth(los_scene):
 
 def test_patch_coverage_validation(los_scene):
     part = uniform_partition(64, 4)
-    patches = nl.build_multiplanar_model(los_scene, part)
+    truth = truth_of(los_scene)
+    patches = nl.build_multiplanar_model(los_scene, truth, part)
     with pytest.raises(ValueError):
-        nl.synthesize_multiplanar_cfr(patches[1:], los_scene)
+        synthesize_multiplanar_cfr(patches[1:], los_scene)
     with pytest.raises(ValueError):
-        nl.multiplanar_error(los_scene, patches[1:])
+        nl.multiplanar_error(los_scene, truth, patches[1:])
 
 
 def test_blocked_reference_falls_back_and_flags():
@@ -138,12 +147,12 @@ def test_blocked_reference_falls_back_and_flags():
         lines += ["[blocker]", "center = -0.765, %s, 2.5" % (0.5 + 0.2 * i),
                   "width = 2.47", "height = 4.0", "normal = 0.0, 1.0, 0.0"]
     scene = loads_scene("\n".join(lines))
-    blockages = nl.path_blockage_db(scene, nl.path_table(scene, los_only=True))
+    blockages = nl.path_blockage_db(scene, nl.path_table(scene))[:8]
     ref = (1 + 8) // 2
     assert blockages[ref - 1] > 80.0          # reference fully absorbed
     assert any(b <= 80.0 for b in blockages)  # fallback exists
     part = uniform_partition(8, 1)
-    patches = nl.build_multiplanar_model(scene, part)
+    patches = nl.build_multiplanar_model(scene, truth_of(scene), part)
     assert patches[0].flagged
     assert patches[0].ref_element != ref
     assert blockages[patches[0].ref_element - 1] <= 80.0
@@ -158,7 +167,7 @@ def test_export(tmp_path):
 
 
 def test_patch_gain_must_be_real_non_negative(los_scene):
-    patch = nl.build_multiplanar_model(los_scene, uniform_partition(64, 1))[0]
+    patch = nl.build_multiplanar_model(los_scene, truth_of(los_scene), uniform_partition(64, 1))[0]
     for bad in (1j * patch.gain_ref, -patch.gain_ref):
         with pytest.raises(ValueError, match="real non-negative"):
             replace(patch, gain_ref=bad)
@@ -171,14 +180,14 @@ def test_patch_gain_must_be_real_non_negative(los_scene):
 def test_zero_amplitude_sample_adds_no_phase_error(los_scene):
     _, patches = mw_rmse(los_scene, 4)
     patches[1] = replace(patches[1], gain_ref=np.zeros_like(patches[1].gain_ref))
-    err = nl.multiplanar_error(los_scene, patches)
+    err = nl.multiplanar_error(los_scene, truth_of(los_scene), patches)
     start, end = patches[1].interval
     assert np.all(err.per_element_phase_dev[start - 1:end] == 0.0)
     assert err.per_element_phase_dev[:start - 1].max() > 0.0  # the other patches still err
     # The complex form agrees off the zeroed patch.  On it, it takes the angle
     # of a signed zero, which is 0 or pi by the signs of cos and sin there.
-    ref = _ref_multiplanar_error(nl.synthesize_los_cfr(los_scene),
-                                 nl.synthesize_multiplanar_cfr(patches, los_scene))
+    ref = _ref_multiplanar_error(synthesize_los_cfr(los_scene),
+                                 synthesize_multiplanar_cfr(patches, los_scene))
     others = np.r_[0:start - 1, end:64]
     assert np.allclose(err.per_element_phase_dev[others], ref.per_element_phase_dev[others],
                        rtol=0.0, atol=1e-12)
@@ -201,16 +210,17 @@ def test_real_phase_error_matches_complex_reference(name):
     """
     scene = MW_SCENES[name]()
     n = scene.array.n_elements
-    truth = nl.synthesize_los_cfr(scene)
+    los_cfr = synthesize_los_cfr(scene)
+    truth = truth_of(scene)
     tol = 1e-12
     if name == "far_check":
-        max_length = float(nl.path_table(scene, los_only=True).length.max())
+        max_length = float(truth.length.max())
         tol = 4.0 * float(np.spacing(2.0 * math.pi * scene.sweep.f_stop * max_length / C_M_PER_S))
     partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [singleton_partition(n)]
     for part in partitions:
-        patches = nl.build_multiplanar_model(scene, part)
-        err = nl.multiplanar_error(scene, patches)
-        ref = _ref_multiplanar_error(truth, nl.synthesize_multiplanar_cfr(patches, scene))
+        patches = nl.build_multiplanar_model(scene, truth, part)
+        err = nl.multiplanar_error(scene, truth, patches)
+        ref = _ref_multiplanar_error(los_cfr, synthesize_multiplanar_cfr(patches, scene))
         assert abs(err.phase_rmse - ref.phase_rmse) <= tol
         assert abs(err.complex_correlation - ref.complex_correlation) <= 1e-12
         assert np.max(np.abs(err.per_element_phase_dev - ref.per_element_phase_dev)) <= tol

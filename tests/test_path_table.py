@@ -192,14 +192,26 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray, name: str) -> None:
     assert got.tobytes() == want.tobytes(), f"{name}: values differ"
 
 
+def los_rows(table: PathTable, n: int) -> PathTable:
+    """Rows ``[:n]`` of a table, with their edges."""
+    ptr = table.edge_ptr[:n + 1]
+    return PathTable(table.row[:n], table.length[:n], table.gain[:n], ptr, table.edge_geo[:ptr[-1]])
+
+
 def assert_matches_reference(scene: Scene) -> PathTable:
-    for los_only in (False, True):
-        want, want_blockage = reference_table(scene, los_only)
-        table = path_table(scene, los_only=los_only)
-        got, order = per_element_order(table)
-        for name in PathTable._fields:
-            assert_same_bits(getattr(got, name), getattr(want, name), name)
-        assert_same_bits(path_blockage_db(scene, table)[order], want_blockage, "blockage_db")
+    table = path_table(scene)
+    blockage = path_blockage_db(scene, table)
+    n = scene.array.n_elements
+    got, order = per_element_order(table)
+    want, want_blockage = reference_table(scene)
+    for name in PathTable._fields:
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert_same_bits(blockage[order], want_blockage, "blockage_db")
+    # rows [:N] are the direct paths in element order: the LOS-only table, bit for bit
+    want, want_blockage = reference_table(scene, los_only=True)
+    for name in PathTable._fields:
+        assert_same_bits(getattr(los_rows(table, n), name), getattr(want, name), name)
+    assert_same_bits(blockage[:n], want_blockage, "blockage_db")
     return table
 
 
@@ -254,7 +266,6 @@ def test_path_table_is_grouped_by_kind(olos_scene):
     n = olos_scene.array.n_elements
     assert np.array_equal(table.row[:n], np.arange(n))
     assert np.all(table.gain[:n] == 1.0)
-    assert np.array_equal(path_table(olos_scene, los_only=True).row, np.arange(n))
     scatter_gains = [s.amplitude for s in olos_scene.point_scatterers]
     assert list(table.gain[-2 * n::n]) == scatter_gains
 
@@ -265,7 +276,6 @@ def test_coincident_segment_raises_only_with_blockers(olos_scene):
         enumerate_paths(at_rx, 1)
     with pytest.raises(ValueError, match="segment endpoints coincide"):
         path_table(at_rx)
-    path_table(at_rx, los_only=True)  # the LOS group has no such segment
     clear = replace(at_rx, blockers=())
     assert_matches_reference(clear)
 

