@@ -14,8 +14,8 @@ from .multiplanar import (LosTruth, MultiplanarError, PlanarPatch,
                           multiplanar_error)
 from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,
                     SceneParseError, SceneValidationError, Sweep, Wall,
-                    element_position, element_positions, load_preset,
-                    load_scene, loads_scene, save_scene,
+                    element_geometry, element_position, element_positions,
+                    load_preset, load_scene, loads_scene, save_scene,
                     serialize_scene, true_geometry, PRESET_NAMES)
 from .stationarity import (StationaryPartition, characteristic_slope, cmd_map,
                            correlation_matrix_distance,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _csvout
 from .constants import C_M_PER_S
-from .scene import Scene, _norm, element_positions
-from .synth import ChannelFrequencyResponse, noise_sigma
+from .scene import Scene
+from .synth import ChannelFrequencyResponse, PathTable, noise_sigma
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
 DEFAULT_DS_THRESHOLD_DB = 20.0
@@ -146,28 +146,25 @@ def rms_delay_spread(pdp: PowerDelayProfile, threshold_db: float = DEFAULT_DS_TH
 # LOS tap gating
 # ---------------------------------------------------------------------------
 
-def _los_delays(scene: Scene) -> np.ndarray:
-    """Geometric LOS delay |rx - p_n| / c of every element."""
-    return _norm(np.asarray(scene.rx, dtype=float) - element_positions(scene)) / C_M_PER_S
-
-
-def _los_bin_indices(cfr: ChannelFrequencyResponse, scene: Scene) -> np.ndarray:
+def _los_bin_indices(cfr: ChannelFrequencyResponse, table: PathTable) -> np.ndarray:
     """Delay-grid bin of the geometric LOS tap per element."""
     n = cfr.sweep.n_points
     # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.  The
     # modulo runs on the float bin so a delay beyond int64 casts cleanly.
     scale = cfr.sweep.bandwidth * n / (n - 1)
-    return (np.rint(_los_delays(scene) * scale) % n).astype(int)
+    return (np.rint(table.length[:cfr.n_elements] / C_M_PER_S * scale) % n).astype(int)
 
 
-def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
+                   table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """Delay-gated LOS tap of every row at the center frequency, plus validity.
 
     The row is equalized by f/f_center (flattening the free-space 1/f
     amplitude), shaped by a symmetric Hann window (suppressing leakage from
     other taps), transformed to the delay domain and zeroed outside
-    +-LOS_GATE_HALF_WIDTH bins around the LOS delay.  Returns ``(center_taps,
-    valid)``: ``center_taps`` is the forward DFT of the gated spectrum at the
+    +-LOS_GATE_HALF_WIDTH bins around the LOS delay ``length[n - 1] / c`` of
+    ``table = path_table(scene)``.  Returns ``(center_taps, valid)``:
+    ``center_taps`` is the forward DFT of the gated spectrum at the
     center-frequency grid point, summed over the kept bins only, and
     ``valid`` flags gate energy above the expected noise level.
 
@@ -184,7 +181,7 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndar
     equalized = values * (taper * freqs / freqs[center])[None, :]
     spectra = np.fft.ifft(equalized, axis=1)
 
-    k0 = _los_bin_indices(cfr, scene)
+    k0 = _los_bin_indices(cfr, table)
     offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
     idx = (k0[:, None] + offsets) % n
     kept = spectra[np.arange(cfr.n_elements)[:, None], idx]
@@ -216,14 +213,15 @@ def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.nd
     return unwrapped - unwrapped[0]
 
 
-def los_phase(cfr: ChannelFrequencyResponse, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+def los_phase(cfr: ChannelFrequencyResponse, scene: Scene,
+              table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """Unwrapped LOS phase along the array, referenced to element 1 = 0.
 
     Returns (phase_rad, valid).  The phase is the delay-gated tap's
     path-length phase at the center frequency, so it matches the closed-form
     wavefront model directly.
     """
-    taps, valid = gated_los_rows(cfr, scene)
+    taps, valid = gated_los_rows(cfr, scene, table)
     return _unwrapped_phase(taps, valid, scene), valid
 
 
@@ -252,17 +250,17 @@ def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.nda
     return np.interp(el_pos, mid_pos, theta_mid), pair_valid[:-1] & pair_valid[1:]
 
 
-def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene) -> ChannelStats:
-    """Per-element statistics table; one PDP array and one LOS gate feed every column."""
+def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable) -> ChannelStats:
+    """Per-element statistics; one PDP array, one LOS gate and ``table = path_table(scene)``."""
     power = received_power_db(cfr)
     pdp = pdp_matrix(cfr)
     ds = np.array([rms_delay_spread(PowerDelayProfile(p, 1.0 / cfr.sweep.bandwidth, len(p)))
                    for p in pdp])
-    taps, tap_valid = gated_los_rows(cfr, scene)
+    taps, tap_valid = gated_los_rows(cfr, scene, table)
     phase = _unwrapped_phase(taps, tap_valid, scene)
     aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)
     return ChannelStats(power_db=power, pdp=pdp, delay_spread_s=ds, los_phase_rad=phase,
-                        aod_rad=aod, tau_los_s=_los_delays(scene),
+                        aod_rad=aod, tau_los_s=table.length[:cfr.n_elements] / C_M_PER_S,
                         los_valid=tap_valid, aod_valid=aod_valid)
 
 

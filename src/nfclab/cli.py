@@ -26,8 +26,8 @@ import numpy as np
 
 from . import _csvout, analysis, multiplanar, stationarity, synth, wavefront
 from .constants import C_M_PER_S
-from .scene import (PRESET_NAMES, Scene, SceneError, element_position,
-                    load_preset, load_scene, true_geometry)
+from .scene import (PRESET_NAMES, Scene, SceneError, element_geometry,
+                    element_positions, load_preset, load_scene)
 
 EXIT_OK = 0
 EXIT_UNKNOWN_PRESET = 2
@@ -105,7 +105,7 @@ def _mw_table(scene: Scene, table: synth.PathTable,
     named += [(part.criterion, part) for part in partitions]
     rows = []
     for name, part in named:
-        patches = multiplanar.build_multiplanar_model(scene, truth, part)
+        patches = multiplanar.build_multiplanar_model(truth, part)
         err = multiplanar.multiplanar_error(scene, truth, patches)
         rows.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
     return rows
@@ -120,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
 
     table = synth.path_table(scene)
     cfr = synth.synthesize_cfr(scene, table)
-    stats = analysis.compute_stats(cfr, scene)
+    stats = analysis.compute_stats(cfr, scene, table)
 
     partitions: list[stationarity.StationaryPartition] = []
     if args.criterion in ("cmd", "both"):
@@ -169,7 +169,7 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
         "cmd_window_m": float(args.window),
         "cmd_threshold_tau": float(args.cmd_threshold),
         "cmd_min_si": float(args.window),
-        "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLDS["power_db"],
+        "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
         "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
         "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
         "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
@@ -229,9 +229,8 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     # from element 1, then compare measured/closed-form/far-field phases.
     # A degenerate aperture (single element) has no Rayleigh distance; the
     # receiver stays where the scenario put it.
-    lam_c = scene.sweep.lambda_center
-    r_d = wavefront.rayleigh_distance(scene.array.aperture, lam_c)
-    p1 = element_position(scene, 1)
+    r_d = wavefront.rayleigh_distance(scene.array.aperture, scene.sweep.lambda_center)
+    p1 = element_positions(scene)[0]
     bearing = np.asarray(scene.rx, dtype=float) - p1
     distance = float(np.linalg.norm(bearing))
     bearing /= distance
@@ -244,14 +243,15 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     scaled = replace(scene, rx=tuple(float(x) for x in target))
     scaled.validate()
 
-    cfr = synth.synthesize_cfr(scaled, synth.path_table(scaled))
-    measured, _ = analysis.los_phase(cfr, scaled)
+    table = synth.path_table(scaled)
+    cfr = synth.synthesize_cfr(scaled, table)
+    measured, _ = analysis.los_phase(cfr, scaled, table)
     fc = scaled.sweep.frequencies()[(scaled.sweep.n_points - 1) // 2]
     lam_eval = C_M_PER_S / fc
     model = wavefront.model_phases(scaled, scaled.rx, fc)
-    _, theta_1 = true_geometry(scaled, 1, scaled.rx)
-    far = np.array([wavefront.far_field_phase(n, scene.array.spacing_d, lam_eval, theta_1)
-                    for n in range(1, scene.array.n_elements + 1)])
+    _, theta = element_geometry(scaled, scaled.rx)
+    far = wavefront.far_field_phase(np.arange(1, scene.array.n_elements + 1),
+                                    scene.array.spacing_d, lam_eval, float(theta[0]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         corr_meas = float(np.corrcoef(measured, model)[0, 1]) if scene.array.n_elements >= 2 else 1.0

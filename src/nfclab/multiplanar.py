@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _csvout, _kernels
 from .constants import C_M_PER_S
-from .scene import Scene, true_geometry
+from .scene import Scene, element_geometry
 from .stationarity import StationaryPartition
 from .synth import PathTable, path_blockage_db
 
@@ -36,10 +36,12 @@ TWO_PI = 2.0 * math.pi
 class LosTruth(NamedTuple):
     """The scene's spherical LOS field ``amp[n - 1](f) e^{-j2pi f length[n - 1]/c}`` of element n.
 
-    ``usable`` flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
+    ``theta[n - 1]`` is element n's axis angle to the receiver, and ``usable``
+    flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
     """
 
     length: np.ndarray  # (N,) direct-path lengths
+    theta: np.ndarray   # (N,) axis angles, from scene.element_geometry
     amp: np.ndarray     # (N, F) real non-negative amplitudes
     usable: np.ndarray  # (N,) bool
 
@@ -58,7 +60,7 @@ def los_truth(scene: Scene, table: PathTable) -> LosTruth:
                                          _kernels.padded_edges(edge_ptr, table.edge_geo)[edged],
                                          lam, sqrt_lam)
     usable = path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB
-    return LosTruth(length=length, amp=amp, usable=usable)
+    return LosTruth(length=length, theta=element_geometry(scene, scene.rx)[1], amp=amp, usable=usable)
 
 
 @dataclass(frozen=True)
@@ -115,22 +117,21 @@ def _fallback_reference(start: int, end: int, usable) -> tuple[int, bool]:
     return (candidates[0] if candidates else ref), not usable[ref - 1]
 
 
-def build_multiplanar_model(scene: Scene, truth: LosTruth,
-                            partition: StationaryPartition) -> list[PlanarPatch]:
-    """One planar patch per interval, parameters from exact geometry.
+def build_multiplanar_model(truth: LosTruth, partition: StationaryPartition) -> list[PlanarPatch]:
+    """One planar patch per interval, parameters from the LOS truth.
 
     The reference is the interval center ``floor((start+end)/2)``.  If the
     reference's direct path is fully absorbed (> 80 dB blockage) the patch is
     flagged and its parameters come from the nearest unblocked element in the
-    interval (ties resolved toward lower indices).  ``gain_ref`` is the
-    reference's LOS amplitude ``truth.amp[ref - 1]``.
+    interval (ties resolved toward lower indices).  ``r_ref``, ``theta_si``
+    and ``gain_ref`` are the reference's ``truth.length``, ``truth.theta`` and
+    ``truth.amp`` entries.
     """
     patches: list[PlanarPatch] = []
     for start, end in partition.intervals:
         ref, flagged = _fallback_reference(start, end, truth.usable)
-        r_ref, theta_si = true_geometry(scene, ref, scene.rx)
         patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
-                                   theta_si=theta_si, r_ref=r_ref,
+                                   theta_si=float(truth.theta[ref - 1]), r_ref=float(truth.length[ref - 1]),
                                    gain_ref=truth.amp[ref - 1], flagged=flagged))
     return patches
 

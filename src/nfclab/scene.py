@@ -208,9 +208,7 @@ class Scene:
             b.validate(f"blocker[{i}]")
         if not 0 <= self.seed < 2 ** 64:  # the Philox noise key is one uint64
             raise SceneValidationError("seed", f"must lie in [0, 2**64), got {self.seed}")
-        positions = element_positions(self)
-        d = np.linalg.norm(positions - np.asarray(self.rx, dtype=float), axis=1)
-        if float(d.min()) < 1e-9:
+        if float(_norm(np.asarray(self.rx, dtype=float) - element_positions(self)).min()) < 1e-9:
             raise SceneValidationError("rx", "must not coincide with any array element")
 
     def with_seed(self, seed: int) -> "Scene":
@@ -230,14 +228,16 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def _element_index(scene: Scene, n: int) -> int:
+    """Row of 1-based element n in ``element_positions``; IndexError outside 1..N."""
+    if int(n) != n or not 1 <= n <= scene.array.n_elements:
+        raise IndexError(f"element index {n} outside 1..{scene.array.n_elements}")
+    return int(n) - 1
+
+
 def element_position(scene: Scene, n: int) -> np.ndarray:
     """Position of 1-based element n: origin + (n-1)*spacing_d*axis."""
-    arr = scene.array
-    if int(n) != n or not 1 <= n <= arr.n_elements:
-        raise IndexError(f"element index {n} outside 1..{arr.n_elements}")
-    origin = np.asarray(arr.origin, dtype=float)
-    axis = np.asarray(arr.axis, dtype=float)
-    return origin + (n - 1) * arr.spacing_d * axis
+    return element_positions(scene)[_element_index(scene, n)]
 
 
 def element_positions(scene: Scene) -> np.ndarray:
@@ -249,24 +249,29 @@ def element_positions(scene: Scene) -> np.ndarray:
     return origin[None, :] + steps * axis[None, :]
 
 
-def true_geometry(scene: Scene, n: int, target) -> tuple[float, float]:
-    """Exact distance and axis angle from element n to a target point.
+def element_geometry(scene: Scene, target) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance and axis angle from every element to a target point.
 
-    Returns ``(r_n, theta_n)`` where ``theta_n`` is the angle between the
-    array axis direction and the element->target direction.  The angle lives
-    in the plane spanned by the array line and the target, which is where the
-    closed-form wavefront model is defined.
+    Returns ``(r, theta)``, one entry per element; ``theta[n - 1]`` is the
+    angle between the array axis and the element n -> target direction, in
+    the plane of the array line and the target where the closed-form model
+    lives.  Cosines from ``np.vecdot`` (rounded like a 1-D ``np.dot``), angles
+    from ``math.acos`` (``np.arccos`` rounds differently on ~9 % of inputs).
+    Raises ValueError if the target coincides with an element.
     """
-    p = element_position(scene, n)
-    t = np.asarray(target, dtype=float)
-    v = t - p
-    r = float(np.linalg.norm(v))
-    if r < 1e-12:
-        raise ValueError(f"target coincides with element {n}")
-    axis = np.asarray(scene.array.axis, dtype=float)
-    cos_theta = float(np.dot(axis, v)) / r
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    return r, math.acos(cos_theta)
+    v = np.asarray(target, dtype=float) - element_positions(scene)
+    r = _norm(v)
+    if r.min() < 1e-12:
+        raise ValueError(f"target coincides with element {int(np.argmin(r)) + 1}")
+    cos_theta = np.clip(np.vecdot(v, np.asarray(scene.array.axis, dtype=float)) / r, -1.0, 1.0)
+    return r, np.array([math.acos(c) for c in cos_theta.tolist()])
+
+
+def true_geometry(scene: Scene, n: int, target) -> tuple[float, float]:
+    """``(r_n, theta_n)``: element n's entry of ``element_geometry(scene, target)``."""
+    i = _element_index(scene, n)
+    r, theta = element_geometry(scene, target)
+    return float(r[i]), float(theta[i])
 
 
 def edge_clearance(blocker: Blocker, a, b) -> tuple[np.ndarray, ...]:

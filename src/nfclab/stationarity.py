@@ -14,7 +14,6 @@ each resulting interval is additionally held to a uniform-power bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,7 @@ DEFAULT_WINDOW_M = 4
 DEFAULT_CMD_THRESHOLD = 0.2
 DEFAULT_SMOOTHING_W = 5
 DEFAULT_UNIFORM_POWER_DB = 3.0
-# Per-parameter slope thresholds (per element): dB, seconds, radians.
-DEFAULT_SLOPE_THRESHOLDS = {
-    "power_db": 0.5,
-    "delay_spread_s": 0.5e-9,
-    "aod_rad": math.radians(1.0),
-}
+DEFAULT_SLOPE_THRESHOLD_DB = 0.5  # received-power slope threshold, dB per element
 
 
 class StationarityError(ValueError):
@@ -292,23 +286,19 @@ def _uniform_power_splits(power_db: np.ndarray, start: int, end: int,
     return splits
 
 
-def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
+def partition_by_slope(stats: ChannelStats,
                        gamma_db: float = DEFAULT_UNIFORM_POWER_DB) -> StationaryPartition:
     """Characteristic-slope partition with a uniform-power check.
 
-    Boundaries form where the smoothed slope of the selected statistic stays
-    above its ``DEFAULT_SLOPE_THRESHOLDS`` entry for at least 2 consecutive
+    Boundaries form where the smoothed slope of the received power stays
+    above ``DEFAULT_SLOPE_THRESHOLD_DB`` for at least 2 consecutive
     elements (placed at the steepest point of the run); every resulting
     interval is then split wherever its internal received-power range
     exceeds ``gamma_db``, and short intervals are folded into neighbors.
     """
-    if parameter not in DEFAULT_SLOPE_THRESHOLDS:
-        raise StationarityError(f"no slope threshold for statistic {parameter!r}; "
-                                f"use one of {', '.join(DEFAULT_SLOPE_THRESHOLDS)}")
-    values = np.asarray(getattr(stats, parameter), dtype=float)
-    k_threshold = DEFAULT_SLOPE_THRESHOLDS[parameter]
+    values = np.asarray(stats.power_db, dtype=float)
     n = len(values)
-    thresholds = (("parameter_threshold", float(k_threshold)), ("w", float(DEFAULT_SMOOTHING_W)),
+    thresholds = (("parameter_threshold", DEFAULT_SLOPE_THRESHOLD_DB), ("w", float(DEFAULT_SMOOTHING_W)),
                   ("gamma_db", float(gamma_db)), ("min_si", float(DEFAULT_WINDOW_M)))
     if n < 3:
         return StationaryPartition(intervals=((1, n),), criterion="slope",
@@ -316,7 +306,7 @@ def partition_by_slope(stats: ChannelStats, parameter: str = "power_db",
                                    warnings=(f"array of {n} elements too short for a slope",))
 
     k = characteristic_slope(values)
-    boundaries, scores = _slope_boundaries(k, k_threshold)
+    boundaries, scores = _slope_boundaries(k, DEFAULT_SLOPE_THRESHOLD_DB)
 
     edges = [1] + boundaries + [n + 1]
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]

@@ -9,6 +9,10 @@ Sign convention: the returned phases are path-difference phases,
 to the target than element 1.  The far-field expression is reported as a
 magnitude-style positive multiple of ``cos(theta_1)``; its signed counterpart
 is its negation (see ``far_field_phase``).
+
+``model_phases`` evaluates the closed form over the whole array from
+``scene.element_geometry``, ``path_difference`` the same expression for one
+element; ``exact_relative_phase`` is the independent distance-based check.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_M_PER_S
-from .scene import Scene, element_position, true_geometry
+from .scene import Scene, element_geometry, element_position
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +60,17 @@ class PhaseModelInput:
                 raise ValueError(f"{name} must lie in [0, pi], got {theta}")
 
 
+def _half_angle_form(scale, theta_1, theta_n):
+    """The half-angle form of ``path_difference``, elementwise; ``scale`` is ``(n-1)*d``.
+
+    No float64 angle has a cosine of exactly 0, so the division cannot fail.
+    """
+    delta = theta_n - theta_1
+    value = np.where(np.abs(delta) < EPS_ANGLE, -scale * np.cos(theta_1),
+                     -scale * np.cos(0.5 * (theta_1 + theta_n)) / np.cos(0.5 * delta))
+    return np.where(scale == 0.0, 0.0, value)
+
+
 def path_difference(inp: PhaseModelInput) -> float:
     """Spherical-wave path difference r_n - r_1 from the two axis angles.
 
@@ -66,13 +81,7 @@ def path_difference(inp: PhaseModelInput) -> float:
     analytic limit ``-(n-1)*d*cos(theta_1)`` is returned.
     """
     inp.validate()
-    scale = (inp.n - 1) * inp.d
-    if scale == 0.0:
-        return 0.0
-    delta = inp.theta_n - inp.theta_1
-    if abs(delta) < EPS_ANGLE:
-        return -scale * math.cos(inp.theta_1)
-    return -scale * math.cos(0.5 * (inp.theta_1 + inp.theta_n)) / math.cos(0.5 * delta)
+    return float(_half_angle_form((inp.n - 1) * inp.d, inp.theta_1, inp.theta_n))
 
 
 def near_field_phase(inp: PhaseModelInput) -> float:
@@ -80,14 +89,15 @@ def near_field_phase(inp: PhaseModelInput) -> float:
     return TWO_PI / inp.wavelength * path_difference(inp)
 
 
-def far_field_phase(n: int, d: float, wavelength: float, theta_1: float) -> float:
+def far_field_phase(n, d: float, wavelength: float, theta_1: float):
     """Far-field inter-element phase magnitude (2*pi/lambda)*d*(n-1)*cos(theta_1).
 
-    The signed far-field phase consistent with ``near_field_phase`` in the
-    large-distance limit is the negation of this value.
+    ``n`` is a 1-based element index or an array of them.  The signed far-field
+    phase consistent with ``near_field_phase`` at large distance is its negation.
     """
-    if n < 1:
-        raise ValueError(f"element index must be >= 1, got {n}")
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError(f"element index must be >= 1, got {n.min()}")
     if not d > 0 or not wavelength > 0:
         raise ValueError("element pitch and wavelength must be > 0")
     if not 0.0 <= theta_1 <= math.pi:
@@ -120,13 +130,8 @@ def exact_relative_phase(scene: Scene, n: int, target, frequency: float) -> floa
 
 
 def model_phases(scene: Scene, target, frequency: float) -> np.ndarray:
-    """Closed-form relative phase for every element toward one target."""
+    """Closed-form relative phase of every element toward one target."""
     wavelength = C_M_PER_S / frequency
-    _, theta_1 = true_geometry(scene, 1, target)
-    out = np.empty(scene.array.n_elements)
-    for n in range(1, scene.array.n_elements + 1):
-        _, theta_n = true_geometry(scene, n, target)
-        out[n - 1] = near_field_phase(PhaseModelInput(
-            n=n, d=scene.array.spacing_d, wavelength=wavelength,
-            theta_1=theta_1, theta_n=theta_n))
-    return out
+    _, theta = element_geometry(scene, target)
+    scale = np.arange(scene.array.n_elements, dtype=float) * scene.array.spacing_d
+    return TWO_PI / wavelength * _half_angle_form(scale, theta[0], theta)

@@ -15,23 +15,33 @@ def olos_scene():
 
 
 @pytest.fixture(scope="session")
-def los_cfr(los_scene):
-    return nl.synthesize_cfr(los_scene, nl.path_table(los_scene))
+def los_table(los_scene):
+    return nl.path_table(los_scene)
 
 
 @pytest.fixture(scope="session")
-def olos_cfr(olos_scene):
-    return nl.synthesize_cfr(olos_scene, nl.path_table(olos_scene))
+def olos_table(olos_scene):
+    return nl.path_table(olos_scene)
 
 
 @pytest.fixture(scope="session")
-def los_stats(los_cfr, los_scene):
-    return nl.compute_stats(los_cfr, los_scene)
+def los_cfr(los_scene, los_table):
+    return nl.synthesize_cfr(los_scene, los_table)
 
 
 @pytest.fixture(scope="session")
-def olos_stats(olos_cfr, olos_scene):
-    return nl.compute_stats(olos_cfr, olos_scene)
+def olos_cfr(olos_scene, olos_table):
+    return nl.synthesize_cfr(olos_scene, olos_table)
+
+
+@pytest.fixture(scope="session")
+def los_stats(los_cfr, los_scene, los_table):
+    return nl.compute_stats(los_cfr, los_scene, los_table)
+
+
+@pytest.fixture(scope="session")
+def olos_stats(olos_cfr, olos_scene, olos_table):
+    return nl.compute_stats(olos_cfr, olos_scene, olos_table)
 
 
 @pytest.fixture(scope="session")

@@ -83,8 +83,8 @@ def test_criterion_2_far_field_limit(los_scene):
 # 3. LOS phase vs closed-form model
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_phase_correlation(los_scene, los_cfr):
-    phase, _ = nl.los_phase(los_cfr, los_scene)
+def test_criterion_3_phase_correlation(los_scene, los_cfr, los_table):
+    phase, _ = nl.los_phase(los_cfr, los_scene, los_table)
     fc = los_scene.sweep.frequencies()[(los_scene.sweep.n_points - 1) // 2]
     model = wf.model_phases(los_scene, los_scene.rx, fc)
     rho = float(np.corrcoef(phase, model)[0, 1])
@@ -118,10 +118,12 @@ def test_criterion_4_power_spread_and_aod(los_scene, los_stats):
 
 def test_criterion_5_olos_behavior(los_scene, olos_scene, shadow_nu):
     start = time.perf_counter()
-    cfr_los = nl.synthesize_cfr(los_scene, nl.path_table(los_scene))
-    cfr_olos = nl.synthesize_cfr(olos_scene, nl.path_table(olos_scene))
-    stats_los = nl.compute_stats(cfr_los, los_scene)
-    stats_olos = nl.compute_stats(cfr_olos, olos_scene)
+    table_los = nl.path_table(los_scene)
+    table_olos = nl.path_table(olos_scene)
+    cfr_los = nl.synthesize_cfr(los_scene, table_los)
+    cfr_olos = nl.synthesize_cfr(olos_scene, table_olos)
+    stats_los = nl.compute_stats(cfr_los, los_scene, table_los)
+    stats_olos = nl.compute_stats(cfr_olos, olos_scene, table_olos)
 
     shadowed = shadow_nu >= 1.0
     assert shadowed.sum() > 0
@@ -207,11 +209,11 @@ def test_criterion_8_mw_monotonicity(los_scene):
     rmses = []
     for k in range(6):
         part = uniform_partition(64, 2 ** k)
-        patches = nl.build_multiplanar_model(los_scene, truth, part)
+        patches = nl.build_multiplanar_model(truth, part)
         rmses.append(nl.multiplanar_error(los_scene, truth, patches).phase_rmse)
     assert all(rmses[i + 1] <= rmses[i] + 1e-9 for i in range(5))
 
-    patches = nl.build_multiplanar_model(los_scene, truth, singleton_partition(64))
+    patches = nl.build_multiplanar_model(truth, singleton_partition(64))
     singleton_rmse = nl.multiplanar_error(los_scene, truth, patches).phase_rmse
     assert singleton_rmse < 1e-9
     report("criterion 8 (MW monotonicity)",

@@ -8,11 +8,11 @@ import nfclab as nl
 from nfclab import wavefront as wf
 from nfclab.analysis import (AnalysisError, PowerDelayProfile, compute_pdp,
                              export_pdp_csv, export_stats_csv, pdp_matrix)
-from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _los_delays, _pair_aod,
+from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
                              _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
-from nfclab.scene import loads_scene, true_geometry
-from reference import estimate_aod, synthesize_los_cfr
+from nfclab.scene import loads_scene
+from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
 
 SWEEP = nl.Sweep()  # 11-15 GHz, 801 points, B = 4 GHz, 0.25 ns bins
@@ -114,7 +114,7 @@ def test_rms_delay_spread_all_noise_error():
 def test_los_phase_single_path_matches_oracle():
     scene = loads_scene("[array]\nn_elements = 16\n[rx]\nposition = 2.0, 7.0, 2.5\n")
     cfr = synthesize_los_cfr(scene)
-    phase, valid = nl.los_phase(cfr, scene)
+    phase, valid = nl.los_phase(cfr, scene, nl.path_table(scene))
     assert phase[0] == 0.0
     assert np.all(valid)
     fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
@@ -127,7 +127,7 @@ def test_los_phase_broadside_symmetric_pair():
     scene = loads_scene("[array]\nn_elements = 2\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.00625, 5.0, 2.5\n")
     cfr = synthesize_los_cfr(scene)
-    phase, _ = nl.los_phase(cfr, scene)
+    phase, _ = nl.los_phase(cfr, scene, nl.path_table(scene))
     assert phase[1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -204,11 +204,12 @@ def test_los_phase_noise_only_gate_flagged():
     sweep = scene.sweep
     silent = nl.make_cfr(np.zeros((4, sweep.n_points), dtype=complex), sweep)
     noisy = nl.add_noise(silent, -90.0, seed=1)
-    valid = gated_los_rows(noisy, scene)[1]
+    table = nl.path_table(scene)
+    valid = gated_los_rows(noisy, scene, table)[1]
     assert not np.any(valid)
     # an actual synthesized channel at the same floor is comfortably valid
-    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
-    valid = gated_los_rows(cfr, scene)[1]
+    cfr = nl.synthesize_cfr(scene, table)
+    valid = gated_los_rows(cfr, scene, table)[1]
     assert np.all(valid)
 
 
@@ -255,11 +256,6 @@ def _ref_pdp_matrix(cfr, window="hann"):
             for i in range(cfr.n_elements)]
 
 
-def _ref_los_delays(scene, elements):
-    """The per-element ``_los_delays`` loop the batched row norm replaced, verbatim."""
-    return np.array([true_geometry(scene, el, scene.rx)[0] for el in elements]) / C_M_PER_S
-
-
 def _sized(scene, n_points, noise_floor_dbm=None):
     """The scene as the CLI runs it with ``--freq-points``, ``--seed 7`` and ``--noise-floor``."""
     scene = replace(scene, sweep=replace(scene.sweep, n_points=n_points), seed=7)
@@ -282,21 +278,23 @@ REFERENCE_SCENES = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
 def test_pdp_array_and_los_delays_match_per_row_reference(name):
     scene = REFERENCE_SCENES[name]()
-    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
+    table = nl.path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
     ref = _ref_pdp_matrix(cfr)
     pdp = pdp_matrix(cfr)
     assert pdp.shape == (cfr.n_elements, cfr.sweep.n_points)
     assert np.array_equal(_bits(pdp), _bits(np.stack([p.powers for p in ref])))
-    delays = _los_delays(scene)
-    assert np.array_equal(_bits(delays), _bits(_ref_los_delays(scene, cfr.elements)))
+    # the LOS delays, read from the table's direct-path rows, are the scalar |rx - p_n| / c
+    delays = element_geometry(scene, scene.rx)[0] / C_M_PER_S
+    assert np.array_equal(_bits(table.length[:cfr.n_elements] / C_M_PER_S), _bits(delays))
     if name == "far_check":  # phase-check: no statistics table
         return
-    stats = nl.compute_stats(cfr, scene)
+    stats = nl.compute_stats(cfr, scene, table)
     assert stats.pdp.tobytes() == pdp.tobytes()
     assert stats.delay_spread_s.tobytes() == np.array([nl.rms_delay_spread(p) for p in ref]).tobytes()
     assert stats.tau_los_s.tobytes() == delays.tobytes()
     # the one shared gate gives what the single-purpose functions give
-    phase, los_valid = nl.los_phase(cfr, scene)
+    phase, los_valid = nl.los_phase(cfr, scene, table)
     aod, aod_valid = estimate_aod(cfr, scene)
     assert stats.los_phase_rad.tobytes() == phase.tobytes()
     assert stats.aod_rad.tobytes() == aod.tobytes()
@@ -307,7 +305,7 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
 # LOS taps from the five gated bins against the full inverse-FFT form
 # ---------------------------------------------------------------------------
 
-def _ref_gated_los_rows(cfr, scene):
+def _ref_gated_los_rows(cfr, scene, table):
     """The ``gated_los_rows`` that transformed the whole gated spectrum back, verbatim."""
     values = cfr.values
     n = cfr.sweep.n_points
@@ -317,7 +315,7 @@ def _ref_gated_los_rows(cfr, scene):
     equalized = values * (taper * freqs / freqs[center])[None, :]
     spectra = np.fft.ifft(equalized, axis=1)
 
-    k0 = _los_bin_indices(cfr, scene)
+    k0 = _los_bin_indices(cfr, table)
     offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
     every = np.arange(cfr.n_elements)[:, None]
     idx = (k0[:, None] + offsets) % n
@@ -343,12 +341,13 @@ def _ref_gated_los_rows(cfr, scene):
 def test_los_taps_match_fft_reference(name):
     """Tap phase, LOS phase and AoD within 1e-12 rad; validity masks identical."""
     scene = REFERENCE_SCENES[name]()
-    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
-    _, ref_taps, ref_valid = _ref_gated_los_rows(cfr, scene)
-    taps, valid = gated_los_rows(cfr, scene)
+    table = nl.path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
+    _, ref_taps, ref_valid = _ref_gated_los_rows(cfr, scene, table)
+    taps, valid = gated_los_rows(cfr, scene, table)
     assert np.array_equal(valid, ref_valid)
     assert np.abs(np.angle(taps * np.conj(ref_taps))).max() <= 1e-12
-    phase, _ = nl.los_phase(cfr, scene)
+    phase, _ = nl.los_phase(cfr, scene, table)
     assert np.abs(phase - _unwrapped_phase(ref_taps, ref_valid, scene)).max() <= 1e-12
     aod, aod_valid = estimate_aod(cfr, scene)
     ref_aod, ref_aod_valid = _pair_aod(cfr, ref_taps, ref_valid, scene.array.spacing_d)

@@ -258,22 +258,25 @@ def count_calls(monkeypatch, hooks):
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
-    from nfclab import _kernels, analysis, multiplanar, synth
+    from nfclab import _kernels, analysis, multiplanar, synth, wavefront
     calls = count_calls(monkeypatch, {"gated_los_rows": analysis, "pdp_matrix": analysis,
                                       "accumulate_paths": _kernels, "path_table": synth,
-                                      "los_truth": multiplanar})
+                                      "los_truth": multiplanar, "model_phases": wavefront})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
     # one path table and one kernel pass; all 8 mw rows share one LOS truth
-    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1,
-                     "accumulate_paths": 1, "path_table": 1, "los_truth": 1}
+    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1, "accumulate_paths": 1,
+                     "path_table": 1, "los_truth": 1, "model_phases": 1}
 
 
 def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):
-    from nfclab import _kernels, multiplanar, synth
+    from nfclab import _kernels, multiplanar, synth, wavefront
     calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth,
-                                      "los_truth": multiplanar})
+                                      "los_truth": multiplanar, "model_phases": wavefront,
+                                      "far_field_phase": wavefront})
     assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
-    assert calls == {"accumulate_paths": 1, "path_table": 1, "los_truth": 0}
+    # the whole array's near- and far-field models in one call each
+    assert calls == {"accumulate_paths": 1, "path_table": 1, "los_truth": 0,
+                     "model_phases": 1, "far_field_phase": 1}
 
 
 @pytest.mark.parametrize("command", ["run", "phase-check"])

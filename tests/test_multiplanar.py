@@ -10,7 +10,7 @@ from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
 from nfclab.stationarity import singleton_partition, uniform_partition
 from nfclab.wavefront import rayleigh_distance
-from reference import synthesize_los_cfr, synthesize_multiplanar_cfr
+from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
 from test_analysis import REFERENCE_SCENES
 
 
@@ -37,14 +37,14 @@ def _ref_multiplanar_error(truth, approx):
 def mw_rmse(scene, n_intervals):
     part = uniform_partition(scene.array.n_elements, n_intervals)
     truth = truth_of(scene)
-    patches = nl.build_multiplanar_model(scene, truth, part)
+    patches = nl.build_multiplanar_model(truth, part)
     return nl.multiplanar_error(scene, truth, patches), patches
 
 
 def test_singleton_partition_reproduces_truth(los_scene):
     part = singleton_partition(64)
     truth = truth_of(los_scene)
-    patches = nl.build_multiplanar_model(los_scene, truth, part)
+    patches = nl.build_multiplanar_model(truth, part)
     err = nl.multiplanar_error(los_scene, truth, patches)
     assert err.phase_rmse < 1e-9
     assert err.complex_correlation > 1 - 1e-9
@@ -78,7 +78,7 @@ def test_broadside_patch_constant_phase():
     scene = loads_scene("[array]\nn_elements = 9\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.05, 6.0, 2.5\n")  # element 5 at x=0.05
     part = uniform_partition(9, 1)
-    patches = nl.build_multiplanar_model(scene, truth_of(scene), part)
+    patches = nl.build_multiplanar_model(truth_of(scene), part)
     assert patches[0].ref_element == 5
     assert patches[0].theta_si == pytest.approx(math.pi / 2, abs=1e-12)
     approx = synthesize_multiplanar_cfr(patches, scene)
@@ -88,7 +88,7 @@ def test_broadside_patch_constant_phase():
 
 def test_mw_error_trivials(los_scene):
     truth = truth_of(los_scene)
-    patches = nl.build_multiplanar_model(los_scene, truth, singleton_partition(64))
+    patches = nl.build_multiplanar_model(truth, singleton_partition(64))
     err = nl.multiplanar_error(los_scene, truth, patches)
     assert err.phase_rmse < 1e-12
     assert err.complex_correlation == pytest.approx(1.0, abs=1e-12)
@@ -105,7 +105,7 @@ def test_mw_error_trivials(los_scene):
 
 def test_mw_error_shape_mismatch(los_scene):
     half = replace(los_scene, array=replace(los_scene.array, n_elements=32))
-    patches = nl.build_multiplanar_model(half, truth_of(half), uniform_partition(32, 2))
+    patches = nl.build_multiplanar_model(truth_of(half), uniform_partition(32, 2))
     with pytest.raises(ValueError, match="array has 64 elements"):
         nl.multiplanar_error(los_scene, truth_of(los_scene), patches)
 
@@ -131,7 +131,7 @@ def test_interval_local_error_growth(los_scene):
 def test_patch_coverage_validation(los_scene):
     part = uniform_partition(64, 4)
     truth = truth_of(los_scene)
-    patches = nl.build_multiplanar_model(los_scene, truth, part)
+    patches = nl.build_multiplanar_model(truth, part)
     with pytest.raises(ValueError):
         synthesize_multiplanar_cfr(patches[1:], los_scene)
     with pytest.raises(ValueError):
@@ -152,10 +152,28 @@ def test_blocked_reference_falls_back_and_flags():
     assert blockages[ref - 1] > 80.0          # reference fully absorbed
     assert any(b <= 80.0 for b in blockages)  # fallback exists
     part = uniform_partition(8, 1)
-    patches = nl.build_multiplanar_model(scene, truth_of(scene), part)
+    patches = nl.build_multiplanar_model(truth_of(scene), part)
     assert patches[0].flagged
     assert patches[0].ref_element != ref
     assert blockages[patches[0].ref_element - 1] <= 80.0
+
+
+def test_patch_geometry_is_read_from_the_truth(olos_scene):
+    """``r_ref``/``theta_si`` are the truth's entries of the reference, fallbacks included."""
+    n = olos_scene.array.n_elements
+    truth = truth_of(olos_scene)
+    r, theta = element_geometry(olos_scene, olos_scene.rx)  # the scalar per-element geometry
+    assert truth.length.tobytes() == r.tobytes()
+    assert truth.theta.tobytes() == theta.tobytes()
+    # with elements 1..40 unusable, the interval centers there are flagged or fall back
+    blocked = truth._replace(usable=truth.usable & (np.arange(1, n + 1) > 40))
+    partitions = [uniform_partition(n, 2 ** k) for k in range(7)] + [singleton_partition(n)]
+    patches = [patch for t in (truth, blocked) for part in partitions
+               for patch in nl.build_multiplanar_model(t, part)]
+    assert any(p.flagged and p.ref_element != sum(p.interval) // 2 for p in patches)
+    for patch in patches:
+        assert patch.r_ref == truth.length[patch.ref_element - 1]
+        assert patch.theta_si == truth.theta[patch.ref_element - 1]
 
 
 def test_export(tmp_path):
@@ -167,7 +185,7 @@ def test_export(tmp_path):
 
 
 def test_patch_gain_must_be_real_non_negative(los_scene):
-    patch = nl.build_multiplanar_model(los_scene, truth_of(los_scene), uniform_partition(64, 1))[0]
+    patch = nl.build_multiplanar_model(truth_of(los_scene), uniform_partition(64, 1))[0]
     for bad in (1j * patch.gain_ref, -patch.gain_ref):
         with pytest.raises(ValueError, match="real non-negative"):
             replace(patch, gain_ref=bad)
@@ -218,7 +236,7 @@ def test_real_phase_error_matches_complex_reference(name):
         tol = 4.0 * float(np.spacing(2.0 * math.pi * scene.sweep.f_stop * max_length / C_M_PER_S))
     partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [singleton_partition(n)]
     for part in partitions:
-        patches = nl.build_multiplanar_model(scene, truth, part)
+        patches = nl.build_multiplanar_model(truth, part)
         err = nl.multiplanar_error(scene, truth, patches)
         ref = _ref_multiplanar_error(los_cfr, synthesize_multiplanar_cfr(patches, scene))
         assert abs(err.phase_rmse - ref.phase_rmse) <= tol

@@ -6,7 +6,7 @@ import pytest
 
 import nfclab as nl
 from nfclab.analysis import ChannelStats
-from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLDS, StationarityError,
+from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError,
                                  cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
 from reference import correlation_matrix
@@ -228,17 +228,12 @@ def test_partition_by_slope_uniform_power_split():
     # slope below threshold everywhere, but 5 dB total spread with gamma=3
     power = np.linspace(0.0, 5.0, 64)
     k = nl.characteristic_slope(power)
-    assert np.abs(k).max() <= DEFAULT_SLOPE_THRESHOLDS["power_db"]
+    assert np.abs(k).max() <= DEFAULT_SLOPE_THRESHOLD_DB
     part = nl.partition_by_slope(stats_with(power_db=power), gamma_db=3.0)
     assert part.n_intervals >= 2
     for start, end in part.intervals:
         segment = power[start - 1:end]
         assert segment.max() - segment.min() <= 3.0 + 1e-9
-
-
-def test_partition_by_slope_unpopulated_parameter():
-    with pytest.raises(StationarityError):
-        nl.partition_by_slope(stats_with(), parameter="angular_spread")
 
 
 # ---------------------------------------------------------------------------

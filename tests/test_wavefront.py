@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import nfclab as nl
 from nfclab import wavefront as wf
 from nfclab.constants import C_M_PER_S
-from nfclab.scene import loads_scene
+from nfclab.scene import SceneError, element_geometry, loads_scene
+import reference
+from strategies import scenes
+from test_analysis import REFERENCE_SCENES
 
 
 def inputs(n=2, d=0.0125, lam=0.025, t1=math.radians(60), tn=math.radians(61)):
@@ -157,3 +161,59 @@ def test_input_validation():
         wf.path_difference(inputs(t1=-0.1))
     with pytest.raises(ValueError):
         wf.far_field_phase(2, 0.01, 0.025, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# One element-geometry source, byte for byte the per-element forms
+# ---------------------------------------------------------------------------
+
+GEOMETRY_SCENES = {"los_lab": lambda: nl.load_preset("los_lab"),
+                   "olos_baffle": lambda: nl.load_preset("olos_baffle"),
+                   **{name: REFERENCE_SCENES[name] for name in ("sweep_deep", "array_wide", "far_check")}}
+
+
+def assert_matches_per_element_forms(scene):
+    """Geometry, model phases and far-field phases equal their scalar references bit for bit."""
+    n_el = scene.array.n_elements
+    r, theta = element_geometry(scene, scene.rx)
+    ref_r, ref_theta = reference.element_geometry(scene, scene.rx)
+    assert r.tobytes() == ref_r.tobytes()
+    assert theta.tobytes() == ref_theta.tobytes()
+    fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
+    model = wf.model_phases(scene, scene.rx, fc)
+    assert model.tobytes() == reference.model_phases(scene, scene.rx, fc).tobytes()
+    lam, d = C_M_PER_S / fc, scene.array.spacing_d
+    far = wf.far_field_phase(np.arange(1, n_el + 1), d, lam, theta[0])
+    assert far.tobytes() == np.array([wf.far_field_phase(n, d, lam, theta[0])
+                                      for n in range(1, n_el + 1)]).tobytes()
+    for n in {1, (n_el + 1) // 2, n_el}:
+        assert nl.true_geometry(scene, n, scene.rx) == (r[n - 1], theta[n - 1])
+        expected = (np.asarray(scene.array.origin, dtype=float)
+                    + (n - 1) * d * np.asarray(scene.array.axis, dtype=float))
+        assert nl.element_position(scene, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_SCENES))
+def test_element_geometry_and_model_match_per_element_forms(name):
+    assert_matches_per_element_forms(GEOMETRY_SCENES[name]())
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=scenes(max_elements=1100))
+def test_element_geometry_and_model_match_per_element_forms_on_random_scenes(scene):
+    try:
+        scene.validate()  # rx must not sit on an element
+    except SceneError:
+        assume(False)
+    assert_matches_per_element_forms(scene)
+
+
+def test_element_geometry_rejects_a_target_on_an_element(los_scene):
+    with pytest.raises(ValueError, match="coincides with element 7"):
+        element_geometry(los_scene, nl.element_position(los_scene, 7))
+
+
+def test_far_field_phase_array_validation():
+    with pytest.raises(ValueError, match="got 0"):
+        wf.far_field_phase(np.arange(0, 4), 0.01, 0.025, 1.0)
+    assert wf.far_field_phase(np.arange(1, 4), 0.01, 0.025, 1.0).shape == (3,)
