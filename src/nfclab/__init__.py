@@ -9,9 +9,8 @@ approximation against the spherical ground truth.
 from .analysis import (ChannelStats, PowerDelayProfile, compute_pdp,
                        compute_stats, los_phase, received_power,
                        received_power_db, rms_delay_spread)
-from .multiplanar import (LosTruth, MultiplanarError, PlanarPatch,
-                          build_multiplanar_model, los_truth,
-                          multiplanar_error)
+from .multiplanar import (LosTruth, MultiplanarError, build_multiplanar_model,
+                          los_truth, multiplanar_error)
 from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,
                     SceneParseError, SceneValidationError, Sweep, Wall,
                     element_geometry, element_position, element_positions,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,19 +40,6 @@ MAX_ULP_PHASE_RAD = 1e-3  # phase-check: largest phase one ulp of the rx distanc
 
 RUN_FILES = ("cfr.csv", "stats.csv", "pdp.csv", "partition.csv",
              "cmd_map.csv", "mw_error.csv", "report.txt")
-
-
-@dataclass
-class RunReport:
-    """Everything cmd_run produced: artifact paths, partitions, checks."""
-
-    scene_summary: str
-    output_files: dict[str, Path]
-    partitions: list[stationarity.StationaryPartition]
-    mw_table: list[tuple[str, int, float, float]]
-    checks: dict[str, bool]
-    thresholds: dict[str, float]
-    observations: list[str]
 
 
 class _CliError(Exception):
@@ -105,13 +92,13 @@ def _mw_table(scene: Scene, table: synth.PathTable,
     named += [(part.criterion, part) for part in partitions]
     rows = []
     for name, part in named:
-        patches = multiplanar.build_multiplanar_model(truth, part)
-        err = multiplanar.multiplanar_error(scene, truth, patches)
+        ref = multiplanar.build_multiplanar_model(truth, part)
+        err = multiplanar.multiplanar_error(scene, truth, ref)
         rows.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
     return rows
 
 
-def cmd_run(args: argparse.Namespace) -> RunReport:
+def cmd_run(args: argparse.Namespace) -> int:
     scene = _apply_overrides(_resolve_scene(args.scenario), args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,30 +172,34 @@ def cmd_run(args: argparse.Namespace) -> RunReport:
                f"{len(scene.walls)} wall(s), {len(scene.point_scatterers)} scatterer(s), "
                f"{len(scene.blockers)} blocker(s)")
 
-    report = RunReport(scene_summary=summary, output_files=files,
-                       partitions=partitions, mw_table=mw_table, checks=checks,
-                       thresholds=thresholds, observations=observations)
-    files["report.txt"].write_text(_render_report(args.scenario, report), encoding="utf-8")
-    return report
+    files["report.txt"].write_text(_render_report(args.scenario, summary, thresholds, observations,
+                                                  mw_table, checks), encoding="utf-8")
+    print(f"report: {files['report.txt']}")
+    for obs in observations:
+        print(obs)
+    for name, ok in checks.items():
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    return EXIT_OK
 
 
-def _render_report(scenario: str, report: RunReport) -> str:
-    lines = [f"scenario: {scenario}", f"scene: {report.scene_summary}", "",
+def _render_report(scenario: str, summary: str, thresholds: dict[str, float], observations: list[str],
+                   mw_table: list[tuple[str, int, float, float]], checks: dict[str, bool]) -> str:
+    lines = [f"scenario: {scenario}", f"scene: {summary}", "",
              "thresholds and defaults used:"]
-    for key, value in report.thresholds.items():
+    for key, value in thresholds.items():
         lines.append(f"  {key} = {value:g}")
     lines.append("")
     lines.append("observations:")
-    for obs in report.observations:
+    for obs in observations:
         lines.append(f"  {obs}")
     lines.append("")
     lines.append("multiplanar-wave error:")
     lines.append("  partition        intervals  phase_rmse_rad  correlation")
-    for name, n_int, rmse, corr in report.mw_table:
+    for name, n_int, rmse, corr in mw_table:
         lines.append(f"  {name:<16s} {n_int:9d}  {rmse:.6e}  {corr:.9f}")
     lines.append("")
     lines.append("checks:")
-    for name, ok in report.checks.items():
+    for name, ok in checks.items():
         lines.append(f"  {'PASS' if ok else 'FAIL'}  {name}")
     lines.append("")
     lines.append("artifacts:")
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stationary-interval criterion to run")
     run.add_argument("--noise-floor", type=float, default=None,
                      help="complex noise floor in dBm (off when omitted)")
-    run.set_defaults(func=_run_entry)
+    run.set_defaults(func=cmd_run)
 
     check = sub.add_parser("phase-check",
                            help="compare synthesized LOS phase against the closed-form models")
@@ -308,16 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None, help="noise seed override")
     check.set_defaults(func=cmd_phase_check)
     return parser
-
-
-def _run_entry(args: argparse.Namespace) -> int:
-    report = cmd_run(args)
-    print(f"report: {report.output_files['report.txt']}")
-    for obs in report.observations:
-        print(obs)
-    for name, ok in report.checks.items():
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,12 @@
 """Multiplanar-wave approximation: one planar wavefront per stationary interval.
 
-Each interval is represented by a planar patch anchored at its center
-element: the patch stores the exact reference distance, the axis angle seen
-from the reference, and the de-propagated line-of-sight amplitude.  The
-reconstruction extends the reference response by first-order planar
-propagation, so it is exact at every reference element and its error grows
-with the interval extent; refining the partition can only reduce the error.
+Each interval's wavefront is anchored at a reference element, its center
+unless that element's direct path is fully blocked; the model is the index
+of every element's reference (``build_multiplanar_model``).  The wavefront
+takes the reference's exact distance, axis angle and line-of-sight amplitude
+and extends them by first-order planar propagation, so it is exact at every
+reference element and its error grows with the interval extent; refining
+the partition can only reduce the error.
 
 The reconstruction is LOS-only and is scored against the scene's LOS
 (spherical-wave) truth, built once per run from the direct-path rows of the
@@ -64,33 +65,6 @@ def los_truth(scene: Scene, table: PathTable) -> LosTruth:
 
 
 @dataclass(frozen=True)
-class PlanarPatch:
-    """Planar wavefront parameters for one stationary interval.
-
-    ``gain_ref`` is the reference element's LOS response with the propagation
-    factor exp(-j 2 pi f r_ref / c) divided out: a real non-negative
-    amplitude per frequency, so re-applying planar propagation reproduces the
-    reference response exactly.
-    """
-
-    interval: tuple[int, int]
-    ref_element: int
-    theta_si: float
-    r_ref: float
-    gain_ref: np.ndarray
-    flagged: bool = False
-
-    def __post_init__(self):
-        start, end = self.interval
-        if not start <= self.ref_element <= end:
-            raise ValueError(f"reference {self.ref_element} outside interval {self.interval}")
-        if not 0.0 <= self.theta_si <= math.pi:
-            raise ValueError(f"theta_si must lie in [0, pi], got {self.theta_si}")
-        if np.iscomplexobj(self.gain_ref) or np.any(np.asarray(self.gain_ref) < 0.0):
-            raise ValueError("gain_ref must be a real non-negative amplitude")
-
-
-@dataclass(frozen=True)
 class MultiplanarError:
     """Phase RMSE (wrapped, radians) and complex field correlation in [0, 1]."""
 
@@ -105,68 +79,43 @@ class MultiplanarError:
             raise ValueError("correlation must not exceed 1")
 
 
-def _fallback_reference(start: int, end: int, usable) -> tuple[int, bool]:
+def _fallback_reference(start: int, end: int, usable) -> int:
     """Interval center, or the nearest usable element if the center is not.
 
-    Returns ``(ref, flagged)``; ties go toward lower indices, and the center
-    stays the reference (flagged) when no element of the interval is usable.
+    Ties go toward lower indices, and the center stays the reference when no
+    element of the interval is usable.
     """
     ref = (start + end) // 2
     candidates = [c for offset in range(end - start + 1) for c in (ref - offset, ref + offset)
                   if start <= c <= end and usable[c - 1]]
-    return (candidates[0] if candidates else ref), not usable[ref - 1]
+    return candidates[0] if candidates else ref
 
 
-def build_multiplanar_model(truth: LosTruth, partition: StationaryPartition) -> list[PlanarPatch]:
-    """One planar patch per interval, parameters from the LOS truth.
+def build_multiplanar_model(truth: LosTruth, partition: StationaryPartition) -> np.ndarray:
+    """The 1-based reference element of each element's interval, an (N,) integer array.
 
     The reference is the interval center ``floor((start+end)/2)``.  If the
-    reference's direct path is fully absorbed (> 80 dB blockage) the patch is
-    flagged and its parameters come from the nearest unblocked element in the
-    interval (ties resolved toward lower indices).  ``r_ref``, ``theta_si``
-    and ``gain_ref`` are the reference's ``truth.length``, ``truth.theta`` and
-    ``truth.amp`` entries.
+    center's direct path is fully absorbed (> 80 dB blockage) it is the
+    nearest unblocked element in the interval instead (ties resolved toward
+    lower indices).  The interval's planar wavefront is anchored there: its
+    distance, axis angle and amplitude are the reference's
+    ``truth.length``, ``truth.theta`` and ``truth.amp`` entries.
     """
-    patches: list[PlanarPatch] = []
+    ref = np.empty(partition.n_elements, dtype=np.intp)
     for start, end in partition.intervals:
-        ref, flagged = _fallback_reference(start, end, truth.usable)
-        patches.append(PlanarPatch(interval=(start, end), ref_element=ref,
-                                   theta_si=float(truth.theta[ref - 1]), r_ref=float(truth.length[ref - 1]),
-                                   gain_ref=truth.amp[ref - 1], flagged=flagged))
-    return patches
+        ref[start - 1:end] = _fallback_reference(start, end, truth.usable)
+    return ref
 
 
-def _planar_lengths(patches: list[PlanarPatch], scene: Scene) -> np.ndarray:
-    """Planar path length ``r_ref - dx cos(theta_si)`` of elements 1..N.
+def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> MultiplanarError:
+    """Wrapped phase RMSE and correlation of the planar wavefronts against the LOS truth.
 
-    ``dx`` is the along-axis offset of element n from its patch reference.
-    Raises ValueError unless the patches cover the array contiguously.
-    """
-    covered = sorted(patch.interval for patch in patches)
-    expected = 1
-    for start, end in covered:
-        if start != expected:
-            raise ValueError("patches must cover the array contiguously")
-        expected = end + 1
-    n_el = scene.array.n_elements
-    if expected != n_el + 1:
-        raise ValueError(f"patches cover 1..{expected - 1}, array has {n_el} elements")
-
-    lengths = np.empty(n_el)
-    for patch in patches:
-        start, end = patch.interval
-        dx = np.arange(start - patch.ref_element, end + 1 - patch.ref_element) * scene.array.spacing_d
-        lengths[start - 1:end] = patch.r_ref - dx * math.cos(patch.theta_si)
-    return lengths
-
-
-def multiplanar_error(scene: Scene, truth: LosTruth, patches: list[PlanarPatch]) -> MultiplanarError:
-    """Wrapped phase RMSE and correlation of the planar patches against the LOS truth.
-
-    The truth is the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
+    ``ref`` is ``build_multiplanar_model(truth, partition)``.  The truth is
+    the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
     (``truth.amp`` and ``truth.length``), the reconstruction is
-    ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n`` the ``gain_ref`` of element n's
-    patch; both amplitudes are real and non-negative.  So the phase error is
+    ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)`` and the planar length
+    ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of element n's reference;
+    both amplitudes are real and non-negative.  So the phase error is
     ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0`` (a zero
     sample has no phase to compare), and the complex correlation
     ``|<approx, truth>| / (|approx| |truth|)`` is
@@ -174,13 +123,16 @@ def multiplanar_error(scene: Scene, truth: LosTruth, patches: list[PlanarPatch])
     from ``_kernels.sweep_phasors``.  Every sum is a numpy reduction, not a
     BLAS call, so the result does not depend on the BLAS thread count.
     """
-    planar = _planar_lengths(patches, scene)
+    n_el = scene.array.n_elements
+    if len(ref) != n_el:
+        raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")
+    row = ref - 1
+    # math.cos, not np.cos, whose vectorised rounding may differ: mw_error.csv is byte-stable
+    cos = np.array([math.cos(theta) for theta in truth.theta.tolist()])
+    planar = truth.length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
     freqs = scene.sweep.frequencies()
     amp = truth.amp
-    gain = np.empty_like(amp)
-    for patch in patches:
-        start, end = patch.interval
-        gain[start - 1:end] = patch.gain_ref
+    gain = amp[row]
     weight = amp * gain
     delay = (truth.length - planar) / C_M_PER_S
 

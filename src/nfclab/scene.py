@@ -95,6 +95,8 @@ class Sweep:
     n_points: int = DEFAULT_N_POINTS
 
     def validate(self) -> None:
+        if not self.f_start > 0.0:  # wavelengths, the Rayleigh distance and path gains divide by f
+            raise SceneValidationError("f_start", f"must be > 0 Hz, got {self.f_start}")
         if not self.f_start < self.f_stop:
             raise SceneValidationError("f_start", f"requires f_start < f_stop, got {self.f_start} >= {self.f_stop}")
         if int(self.n_points) != self.n_points or self.n_points < 2:

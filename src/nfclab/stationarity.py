@@ -40,7 +40,6 @@ class StationaryPartition:
 
     intervals: tuple[tuple[int, int], ...]
     criterion: str
-    thresholds: tuple[tuple[str, float], ...]
     boundary_scores: tuple[float, ...]
     warnings: tuple[str, ...] = ()
 
@@ -71,8 +70,7 @@ def uniform_partition(n_elements: int, n_intervals: int,
         raise ValueError("need 1 <= n_intervals <= n_elements")
     edges = [round(i * n_elements / n_intervals) for i in range(n_intervals + 1)]
     intervals = tuple((edges[i] + 1, edges[i + 1]) for i in range(n_intervals))
-    return StationaryPartition(intervals=intervals, criterion=criterion,
-                               thresholds=(), boundary_scores=())
+    return StationaryPartition(intervals=intervals, criterion=criterion, boundary_scores=())
 
 
 def singleton_partition(n_elements: int) -> StationaryPartition:
@@ -189,15 +187,12 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
     if not 0.0 < tau < 1.0:
         raise StationarityError(f"threshold must lie in (0, 1), got {tau}")
     n = cfr.n_elements
-    thresholds = (("m", float(m)), ("tau", float(tau)), ("min_si", float(m)))
 
     if n < 2 * m:
-        return StationaryPartition(intervals=((1, n),), criterion="cmd",
-                                   thresholds=thresholds, boundary_scores=(),
+        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
     if not np.any(np.abs(cfr.values) > 0):
-        return StationaryPartition(intervals=((1, n),), criterion="cmd",
-                                   thresholds=thresholds, boundary_scores=(),
+        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=("all-zero response",))
 
     stack = _window_correlations(cfr.values, m)
@@ -218,8 +213,7 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
     intervals, scores = _merge_short_intervals(intervals, scores, m)
     return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
-                               criterion="cmd", thresholds=thresholds,
-                               boundary_scores=tuple(scores))
+                               criterion="cmd", boundary_scores=tuple(scores))
 
 
 def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndarray:
@@ -298,11 +292,8 @@ def partition_by_slope(stats: ChannelStats,
     """
     values = np.asarray(stats.power_db, dtype=float)
     n = len(values)
-    thresholds = (("parameter_threshold", DEFAULT_SLOPE_THRESHOLD_DB), ("w", float(DEFAULT_SMOOTHING_W)),
-                  ("gamma_db", float(gamma_db)), ("min_si", float(DEFAULT_WINDOW_M)))
     if n < 3:
-        return StationaryPartition(intervals=((1, n),), criterion="slope",
-                                   thresholds=thresholds, boundary_scores=(),
+        return StationaryPartition(intervals=((1, n),), criterion="slope", boundary_scores=(),
                                    warnings=(f"array of {n} elements too short for a slope",))
 
     k = characteristic_slope(values)
@@ -326,8 +317,7 @@ def partition_by_slope(stats: ChannelStats,
 
     refined, refined_scores = _merge_short_intervals(refined, refined_scores, DEFAULT_WINDOW_M)
     return StationaryPartition(intervals=tuple((s, e) for s, e in refined),
-                               criterion="slope", thresholds=thresholds,
-                               boundary_scores=tuple(refined_scores))
+                               criterion="slope", boundary_scores=tuple(refined_scores))
 
 
 # ---------------------------------------------------------------------------

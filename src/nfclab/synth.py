@@ -33,7 +33,6 @@ class ChannelFrequencyResponse:
 
     values: np.ndarray
     sweep: Sweep
-    elements: tuple[int, ...]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -41,8 +40,6 @@ class ChannelFrequencyResponse:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
         if v.shape[1] != self.sweep.n_points:
             raise ValueError(f"values have {v.shape[1]} columns but sweep has {self.sweep.n_points} points")
-        if len(self.elements) != v.shape[0]:
-            raise ValueError("element metadata length does not match row count")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", v)
@@ -52,12 +49,9 @@ class ChannelFrequencyResponse:
         return self.values.shape[0]
 
 
-def make_cfr(values: np.ndarray, sweep: Sweep, elements=None) -> ChannelFrequencyResponse:
-    """Wrap a complex matrix as a CFR, defaulting element labels to 1..N."""
-    values = np.asarray(values, dtype=np.complex128)
-    if elements is None:
-        elements = tuple(range(1, values.shape[0] + 1))
-    return ChannelFrequencyResponse(values=values, sweep=sweep, elements=tuple(elements))
+def make_cfr(values: np.ndarray, sweep: Sweep) -> ChannelFrequencyResponse:
+    """Wrap a complex matrix (row n - 1 is element n) as a CFR."""
+    return ChannelFrequencyResponse(values=values, sweep=sweep)
 
 
 class PathTable(NamedTuple):
@@ -173,7 +167,7 @@ def complex_noise(shape, noise_floor_dbm: float, seed: int) -> np.ndarray:
 def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) -> ChannelFrequencyResponse:
     """Return a copy of the CFR with seeded complex white noise added."""
     noisy = cfr.values + complex_noise(cfr.values.shape, noise_floor_dbm, seed)
-    return make_cfr(noisy, cfr.sweep, cfr.elements)
+    return make_cfr(noisy, cfr.sweep)
 
 
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
@@ -201,4 +195,4 @@ def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
     f_hz = _csvout.floats(cfr.sweep.frequencies())  # formatted once per file
     _csvout.write_csv(path, ("element", "f_hz", "re", "im"),
                       (([str(el)] * len(f_hz), f_hz, _csvout.floats(row.real), _csvout.floats(row.imag))
-                       for el, row in zip(cfr.elements, cfr.values)))
+                       for el, row in zip(range(1, cfr.n_elements + 1), cfr.values)))

@@ -14,7 +14,7 @@ import numpy as np
 from nfclab import _kernels
 from nfclab.analysis import _pair_aod, gated_los_rows
 from nfclab.constants import C_M_PER_S
-from nfclab.multiplanar import TWO_PI, _planar_lengths
+from nfclab.multiplanar import TWO_PI
 from nfclab.stationarity import StationarityError, _window_correlations
 from nfclab.synth import make_cfr, path_table
 from nfclab.wavefront import EPS_ANGLE
@@ -74,19 +74,21 @@ def synthesize_los_cfr(scene):
     return make_cfr(out, scene.sweep)
 
 
-def synthesize_multiplanar_cfr(patches, scene):
-    """Planar reconstruction: H(n,f) = gain_ref(f) e^{-j2pi f (r_ref - dx cos(theta_si))/c}.
+def synthesize_multiplanar_cfr(ref, truth, scene):
+    """Planar reconstruction H(n,f) = A_ref(f) e^{-j2pi f r_n/c}, one element at a time.
 
-    At the reference itself the reconstruction equals the reference LOS
-    response exactly.
+    ``ref`` is ``build_multiplanar_model(truth, partition)``; element n's
+    planar length is ``r_n = l_ref - (n - ref) d cos(theta_ref)`` with the
+    reference's ``truth.length`` and ``truth.theta``.  At the reference itself
+    the reconstruction equals the LOS truth exactly.
     """
-    lengths = _planar_lengths(patches, scene)
     freqs = scene.sweep.frequencies()
-    out = np.empty((len(lengths), len(freqs)), dtype=np.complex128)
-    for patch in patches:
-        start, end = patch.interval
-        for n in range(start, end + 1):
-            out[n - 1] = patch.gain_ref * np.exp(-1j * TWO_PI * freqs * lengths[n - 1] / C_M_PER_S)
+    out = np.empty((scene.array.n_elements, len(freqs)), dtype=np.complex128)
+    for n in range(1, scene.array.n_elements + 1):
+        r = int(ref[n - 1])
+        length = (float(truth.length[r - 1])
+                  - (n - r) * scene.array.spacing_d * math.cos(float(truth.theta[r - 1])))
+        out[n - 1] = truth.amp[r - 1] * np.exp(-1j * TWO_PI * freqs * length / C_M_PER_S)
     return make_cfr(out, scene.sweep)
 
 

@@ -294,6 +294,23 @@ def test_unwritable_out_exit_5_without_traceback(tmp_path, command):
     assert out.read_text() == "a regular file\n"
 
 
+@pytest.mark.parametrize("command", ["run", "phase-check"])
+@pytest.mark.parametrize("band", [(-2e9, 2e9), (-15e9, -11e9), (0.0, 4e9)],
+                         ids=["zero_centred", "negative", "from_0_hz"])
+def test_band_at_or_below_0_hz_exit_3_without_traceback(tmp_path, command, band):
+    scene = load_preset("los_lab")
+    path = tmp_path / "band.scene"
+    save_scene(replace(scene, sweep=replace(scene.sweep, f_start=band[0], f_stop=band[1])), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nfclab.cli", command, str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_PARSE_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "f_start: must be > 0 Hz" in proc.stderr
+
+
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
     src = Path(nfclab.__file__).resolve().parents[1]

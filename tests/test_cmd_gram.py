@@ -73,16 +73,13 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
     if min_si is None:
         min_si = m
     n = cfr.n_elements
-    thresholds = (("m", float(m)), ("tau", float(tau)), ("min_si", float(min_si)))
 
     warnings: list[str] = []
     if n < 2 * m:
-        return StationaryPartition(intervals=((1, n),), criterion="cmd",
-                                   thresholds=thresholds, boundary_scores=(),
+        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
     if not np.any(np.abs(cfr.values) > 0):
-        return StationaryPartition(intervals=((1, n),), criterion="cmd",
-                                   thresholds=thresholds, boundary_scores=(),
+        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=("all-zero response",))
 
     boundaries: list[int] = []
@@ -110,8 +107,8 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
     intervals, scores = _merge_short_intervals(intervals, scores, min_si)
     return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
-                               criterion="cmd", thresholds=thresholds,
-                               boundary_scores=tuple(scores), warnings=tuple(warnings))
+                               criterion="cmd", boundary_scores=tuple(scores),
+                               warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
     new = partition_by_cmd(cfr, m=m, tau=tau)
     ref = _ref_partition_by_cmd(cfr, m, tau)
     assert new.intervals == ref.intervals
-    assert new.warnings == ref.warnings and new.thresholds == ref.thresholds
+    assert new.warnings == ref.warnings
     assert len(new.boundary_scores) == len(ref.boundary_scores)
     assert np.allclose(new.boundary_scores, ref.boundary_scores, rtol=0.0, atol=TOL)
 

@@ -40,8 +40,7 @@ def _ref_export_cfr_csv(cfr, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "f_hz", "re", "im"])
-        for i, element in enumerate(cfr.elements):
-            row = cfr.values[i]
+        for element, row in enumerate(cfr.values, start=1):
             for m in range(len(freqs)):
                 writer.writerow([element, repr(float(freqs[m])),
                                  repr(float(row[m].real)), repr(float(row[m].imag))])
@@ -131,7 +130,7 @@ def _awkward_cfr():
     flat = np.resize(np.array(AWKWARD), values.size).reshape(values.shape)
     values.real = flat
     values.imag = -flat[::-1]
-    return make_cfr(values, sweep, elements=range(3, 15))
+    return make_cfr(values, sweep)
 
 
 def _awkward_stats():
@@ -201,11 +200,10 @@ def test_pdp_csv_of_run_scenes_within_2_ulp(tmp_path, name):
 def test_partition_csv_matches_reference(tmp_path):
     partitions = [
         StationaryPartition(intervals=((1, 4), (5, 11), (12, 12)), criterion="cmd",
-                            thresholds=(), boundary_scores=(0.1, 1.0)),
+                            boundary_scores=(0.1, 1.0)),
         StationaryPartition(intervals=((1, 9), (10, 10), (11, 12)), criterion="slope",
-                            thresholds=(), boundary_scores=(math.nan, 1e16)),
-        StationaryPartition(intervals=((1, 12),), criterion="cmd", thresholds=(),
-                            boundary_scores=()),
+                            boundary_scores=(math.nan, 1e16)),
+        StationaryPartition(intervals=((1, 12),), criterion="cmd", boundary_scores=()),
     ]
     _assert_same_bytes(tmp_path, export_partition_csv, _ref_export_partition_csv, partitions)
 
@@ -223,7 +221,7 @@ def test_cmd_map_csv_matches_reference(tmp_path):
     cfr = _awkward_cfr()
     values = cfr.values.copy()
     values[4:7] = 0.0  # the windows over these elements carry no power
-    dmap = cmd_map(make_cfr(values, cfr.sweep, cfr.elements), m=2)
+    dmap = cmd_map(make_cfr(values, cfr.sweep), m=2)
     assert dmap.shape == (11, 11) and np.any(dmap == 1.0)
     _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
     assert b"\r\n5,11,1.0\r\n" in (tmp_path / "new.csv").read_bytes()
