@@ -7,8 +7,8 @@ approximation against the spherical ground truth.
 """
 
 from .analysis import (ChannelStats, PowerDelayProfile, compute_pdp,
-                       compute_stats, los_phase, received_power,
-                       received_power_db, rms_delay_spread)
+                       compute_stats, los_phase, received_power_db,
+                       rms_delay_spread)
 from .multiplanar import (LosTruth, MultiplanarError, build_multiplanar_model,
                           los_truth, multiplanar_error)
 from .scene import (ArraySpec, Blocker, Scatterer, Scene, SceneError,

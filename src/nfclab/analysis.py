@@ -45,9 +45,6 @@ class PowerDelayProfile:
             raise ValueError("powers must be nonnegative")
         object.__setattr__(self, "powers", p)
 
-    def delays(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width
-
 
 @dataclass(frozen=True)
 class ChannelStats:
@@ -79,6 +76,12 @@ def _window(name: str, n: int) -> np.ndarray:
     return w / w.mean()  # unit coherent gain
 
 
+def _pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
+    """``n * |ifft(values * window)|^2`` along the last axis of ``values``."""
+    n = values.shape[-1]
+    return n * np.abs(np.fft.ifft(values * _window(window, n), axis=-1)) ** 2
+
+
 def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann") -> PowerDelayProfile:
     """Power delay profile of one element's swept response.
 
@@ -88,58 +91,50 @@ def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann") 
     row = np.asarray(cfr_row, dtype=np.complex128)
     if row.ndim != 1 or row.shape[0] < 2:
         raise ValueError("cfr_row must be a vector of length >= 2")
-    n = row.shape[0]
-    taps = np.fft.ifft(row * _window(window, n))
-    powers = n * np.abs(taps) ** 2
-    return PowerDelayProfile(powers=powers, bin_width=1.0 / bandwidth_hz, n_bins=n)
+    return PowerDelayProfile(powers=_pdp(row, window), bin_width=1.0 / bandwidth_hz,
+                             n_bins=row.shape[0])
 
 
 def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
     """``(N, F)`` Hann-window profiles of every row; row i is ``compute_pdp(values[i])``."""
-    n = cfr.sweep.n_points
-    return n * np.abs(np.fft.ifft(cfr.values * _window("hann", n), axis=1)) ** 2
-
-
-def received_power(x) -> float:
-    """Mean received power in dB relative to the transmit reference.
-
-    Accepts a PowerDelayProfile or a complex frequency row; both reduce to
-    ``10*log10(sum|H|^2 / n_points)``.
-    """
-    if isinstance(x, PowerDelayProfile):
-        total = float(np.sum(x.powers))
-        n = x.n_bins
-    else:
-        row = np.asarray(x)
-        if row.size == 0:
-            raise ValueError("empty input")
-        total = float(np.sum(np.abs(row) ** 2))
-        n = row.size
-    if total <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(total / n)
+    return _pdp(cfr.values)
 
 
 def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    return np.array([received_power(cfr.values[i]) for i in range(cfr.n_elements)])
+    """Per-element mean received power ``10*log10(sum|H|^2 / n_points)`` in dB; -inf for a silent row."""
+    mag = np.abs(cfr.values)
+    totals = np.square(mag, out=mag).sum(axis=1)
+    n = cfr.sweep.n_points
+    return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
+
+
+def _delay_spread(powers: np.ndarray, bin_width: float, threshold_db: float) -> np.ndarray:
+    """RMS delay spread of every ``(..., F)`` profile, in seconds.
+
+    Bins more than ``threshold_db`` below their profile's peak are zeroed,
+    then the moments are accumulated in place on one scratch array.
+    """
+    if not threshold_db >= 0.0:
+        raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
+    peak = powers.max(axis=-1, initial=0.0)
+    if np.any(peak <= 0.0):
+        raise AnalysisError("all-noise profile: no bin above the threshold")
+    scratch = np.where(powers >= (peak * 10.0 ** (-threshold_db / 10.0))[..., None], powers, 0.0)
+    total = scratch.sum(axis=-1)
+    tau = np.arange(powers.shape[-1]) * bin_width
+    scratch *= tau
+    mean = scratch.sum(axis=-1) / total
+    scratch *= tau
+    second = scratch.sum(axis=-1) / total
+    return np.sqrt(np.maximum(second - mean * mean, 0.0))
 
 
 def rms_delay_spread(pdp: PowerDelayProfile, threshold_db: float = DEFAULT_DS_THRESHOLD_DB) -> float:
     """Second central moment of the thresholded profile, in seconds.
 
-    Bins more than ``threshold_db`` below the peak are zeroed first.
+    Bins more than ``threshold_db`` (>= 0) below the peak are zeroed first.
     """
-    p = pdp.powers
-    peak = float(p.max(initial=0.0))
-    if peak <= 0.0:
-        raise AnalysisError("all-noise profile: no bin above the threshold")
-    keep = p >= peak * 10.0 ** (-threshold_db / 10.0)
-    weights = np.where(keep, p, 0.0)
-    total = float(weights.sum())
-    tau = pdp.delays()
-    mean = float((weights * tau).sum()) / total
-    second = float((weights * tau * tau).sum()) / total
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return float(_delay_spread(pdp.powers, pdp.bin_width, threshold_db))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +171,7 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
     values = cfr.values
     n = cfr.sweep.n_points
     freqs = cfr.sweep.frequencies()
-    center = (n - 1) // 2
+    center = cfr.sweep.center_index
     taper = _window("hann", n)
     equalized = values * (taper * freqs / freqs[center])[None, :]
     spectra = np.fft.ifft(equalized, axis=1)
@@ -238,7 +233,7 @@ def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.nda
     """
     if cfr.n_elements < 2:
         raise ValueError("need at least 2 elements to estimate angles")
-    lam = C_M_PER_S / cfr.sweep.frequencies()[(cfr.sweep.n_points - 1) // 2]
+    lam = C_M_PER_S / cfr.sweep.frequencies()[cfr.sweep.center_index]
     # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
     dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
     ratio = -lam * dphi / (2.0 * math.pi * spacing_d)
@@ -254,8 +249,7 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable)
     """Per-element statistics; one PDP array, one LOS gate and ``table = path_table(scene)``."""
     power = received_power_db(cfr)
     pdp = pdp_matrix(cfr)
-    ds = np.array([rms_delay_spread(PowerDelayProfile(p, 1.0 / cfr.sweep.bandwidth, len(p)))
-                   for p in pdp])
+    ds = _delay_spread(pdp, 1.0 / cfr.sweep.bandwidth, DEFAULT_DS_THRESHOLD_DB)
     taps, tap_valid = gated_los_rows(cfr, scene, table)
     phase = _unwrapped_phase(taps, tap_valid, scene)
     aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)

@@ -130,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # Built-in checks and observations
     power_spread = float(stats.power_db.max() - stats.power_db.min())
-    fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
     model = wavefront.model_phases(scene, scene.rx, fc)
     phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
     mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
@@ -237,7 +237,7 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     table = synth.path_table(scaled)
     cfr = synth.synthesize_cfr(scaled, table)
     measured, _ = analysis.los_phase(cfr, scaled, table)
-    fc = scaled.sweep.frequencies()[(scaled.sweep.n_points - 1) // 2]
+    fc = scaled.sweep.frequencies()[scaled.sweep.center_index]
     lam_eval = C_M_PER_S / fc
     model = wavefront.model_phases(scaled, scaled.rx, fc)
     _, theta = element_geometry(scaled, scaled.rx)

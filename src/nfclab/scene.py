@@ -110,6 +110,16 @@ class Sweep:
         return 0.5 * (self.f_start + self.f_stop)
 
     @property
+    def center_index(self) -> int:
+        """Index of the middle grid point of ``frequencies()``, the LOS phase and AoD frequency.
+
+        On an odd-length sweep its frequency is the band mean ``f_center``
+        (up to rounding); on an even-length one it is the lower of the two
+        middle points, half a grid step below ``f_center``.
+        """
+        return (self.n_points - 1) // 2
+
+    @property
     def bandwidth(self) -> float:
         return self.f_stop - self.f_start
 

@@ -152,9 +152,15 @@ def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndar
 # Partitioners
 # ---------------------------------------------------------------------------
 
-def _merge_short_intervals(intervals: list[list[int]], scores: list[float],
-                           min_si: int) -> tuple[list[list[int]], list[float]]:
-    """Fold intervals shorter than min_si into a neighbor (following first)."""
+def _partition(n: int, boundaries: list[int], scores: list[float], criterion: str,
+               min_si: int) -> StationaryPartition:
+    """Intervals of elements 1..n split at ``boundaries``, with those shorter than min_si folded.
+
+    A short interval joins the following one (dropping the score of the
+    boundary between them), or, when it is the last, the preceding one.
+    """
+    edges = [1] + boundaries + [n + 1]
+    intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
     i = 0
     while i < len(intervals):
         start, end = intervals[i]
@@ -169,7 +175,8 @@ def _merge_short_intervals(intervals: list[list[int]], scores: list[float],
             intervals[i - 1][1] = end
             del intervals[i]
             del scores[i - 1]
-    return intervals, scores
+    return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
+                               criterion=criterion, boundary_scores=tuple(scores))
 
 
 def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
@@ -209,11 +216,7 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
         boundaries.append(si_start)
         scores.append(float(row[tripped[0]]))
 
-    edges = [1] + boundaries + [n + 1]
-    intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
-    intervals, scores = _merge_short_intervals(intervals, scores, m)
-    return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
-                               criterion="cmd", boundary_scores=tuple(scores))
+    return _partition(n, boundaries, scores, "cmd", m)
 
 
 def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndarray:
@@ -266,18 +269,25 @@ def _slope_boundaries(k: np.ndarray, threshold: float) -> tuple[list[int], list[
     return boundaries, scores
 
 
-def _uniform_power_splits(power_db: np.ndarray, start: int, end: int,
-                          gamma_db: float) -> list[int]:
-    """Left-scan split points keeping max-min power within gamma per piece."""
-    splits: list[int] = []
-    lo = hi = power_db[start - 1]
-    for el in range(start + 1, end + 1):
+def _uniform_power_splits(power_db: np.ndarray, boundaries: list[int], scores: list[float],
+                          gamma_db: float) -> tuple[list[int], list[float]]:
+    """The slope boundaries merged with left-scan uniform-power splits (score NaN).
+
+    The scan restarts at every slope boundary and splits wherever the power
+    range since the last boundary or split exceeds ``gamma_db``.
+    """
+    slope = dict(zip(boundaries, scores))
+    merged: list[int] = []
+    merged_scores: list[float] = []
+    lo = hi = power_db[0]
+    for el in range(2, len(power_db) + 1):
         p = power_db[el - 1]
         lo, hi = min(lo, p), max(hi, p)
-        if hi - lo > gamma_db:
-            splits.append(el)
+        if el in slope or hi - lo > gamma_db:
+            merged.append(el)
+            merged_scores.append(slope.get(el, float("nan")))
             lo = hi = p
-    return splits
+    return merged, merged_scores
 
 
 def partition_by_slope(stats: ChannelStats,
@@ -295,29 +305,9 @@ def partition_by_slope(stats: ChannelStats,
     if n < 3:
         return StationaryPartition(intervals=((1, n),), criterion="slope", boundary_scores=(),
                                    warnings=(f"array of {n} elements too short for a slope",))
-
-    k = characteristic_slope(values)
-    boundaries, scores = _slope_boundaries(k, DEFAULT_SLOPE_THRESHOLD_DB)
-
-    edges = [1] + boundaries + [n + 1]
-    intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
-
-    # Uniform-power criterion: split any interval whose spread breaches gamma.
-    refined: list[list[int]] = []
-    refined_scores: list[float] = []
-    for idx, (start, end) in enumerate(intervals):
-        splits = _uniform_power_splits(stats.power_db, start, end, gamma_db)
-        pieces = [start] + splits + [end + 1]
-        for j in range(len(pieces) - 1):
-            refined.append([pieces[j], pieces[j + 1] - 1])
-            if j < len(pieces) - 2:
-                refined_scores.append(float("nan"))  # uniform-power split
-        if idx < len(intervals) - 1:
-            refined_scores.append(scores[idx])
-
-    refined, refined_scores = _merge_short_intervals(refined, refined_scores, DEFAULT_WINDOW_M)
-    return StationaryPartition(intervals=tuple((s, e) for s, e in refined),
-                               criterion="slope", boundary_scores=tuple(refined_scores))
+    boundaries, scores = _slope_boundaries(characteristic_slope(values), DEFAULT_SLOPE_THRESHOLD_DB)
+    return _partition(n, *_uniform_power_splits(values, boundaries, scores, gamma_db),
+                      "slope", DEFAULT_WINDOW_M)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
                              _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene
+import reference
 from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
 
@@ -61,12 +62,15 @@ def test_parseval_rectangular(los_cfr):
 
 
 def test_received_power_values():
-    assert nl.received_power(np.ones(100, dtype=complex)) == pytest.approx(0.0, abs=1e-12)
-    assert nl.received_power(0.5 * np.ones(64, dtype=complex)) == pytest.approx(-6.02, abs=5e-3)
-    pdp = compute_pdp(np.ones(801, dtype=complex), SWEEP.bandwidth, window="rectangular")
-    assert nl.received_power(pdp) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        nl.received_power(np.array([]))
+    ones = nl.make_cfr(np.ones((1, 100), dtype=complex), nl.Sweep(n_points=100))
+    assert nl.received_power_db(ones)[0] == pytest.approx(0.0, abs=1e-12)
+    rows = np.zeros((3, 64), dtype=complex)
+    rows[0] = 0.5
+    rows[2, 7] = 8.0  # one bin: 64 / 64 -> 0 dB
+    power = nl.received_power_db(nl.make_cfr(rows, nl.Sweep(n_points=64)))
+    assert power[0] == pytest.approx(-6.02, abs=5e-3)
+    assert power[1] == -math.inf
+    assert power[2] == 0.0
 
 
 def test_rms_delay_spread_single_bin_zero():
@@ -111,13 +115,33 @@ def test_rms_delay_spread_all_noise_error():
         nl.rms_delay_spread(pdp)
 
 
+def test_rms_delay_spread_keeps_a_bin_exactly_at_the_threshold():
+    p = np.zeros(801)
+    p[0] = 1.0
+    p[40] = 0.01  # exactly 20 dB below the peak: kept
+    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
+    ds = nl.rms_delay_spread(pdp)
+    assert ds == pytest.approx(math.sqrt(0.01) / 1.01 * 10e-9, rel=1e-12)
+    assert ds == reference.rms_delay_spread(p, 0.25e-9)
+    assert nl.rms_delay_spread(pdp, threshold_db=0.0) == 0.0  # the peak alone
+
+
+@pytest.mark.parametrize("threshold_db", [-1.0, -1e-300, math.nan])
+def test_rms_delay_spread_rejects_a_bad_threshold(threshold_db):
+    p = np.zeros(801)
+    p[3] = 1.0
+    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
+    with pytest.raises(ValueError, match="threshold_db"):
+        nl.rms_delay_spread(pdp, threshold_db=threshold_db)
+
+
 def test_los_phase_single_path_matches_oracle():
     scene = loads_scene("[array]\nn_elements = 16\n[rx]\nposition = 2.0, 7.0, 2.5\n")
     cfr = synthesize_los_cfr(scene)
     phase, valid = nl.los_phase(cfr, scene, nl.path_table(scene))
     assert phase[0] == 0.0
     assert np.all(valid)
-    fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
     oracle = np.array([wf.exact_relative_phase(scene, n, scene.rx, fc)
                        for n in range(1, 17)])
     assert np.abs(phase - oracle).max() < 1e-6
@@ -132,7 +156,7 @@ def test_los_phase_broadside_symmetric_pair():
 
 
 def test_los_phase_correlation_on_preset(los_stats, los_scene):
-    fc = los_scene.sweep.frequencies()[(los_scene.sweep.n_points - 1) // 2]
+    fc = los_scene.sweep.frequencies()[los_scene.sweep.center_index]
     model = wf.model_phases(los_scene, los_scene.rx, fc)
     rho = np.corrcoef(los_stats.los_phase_rad, model)[0, 1]
     assert rho > 0.99
@@ -166,7 +190,7 @@ def test_estimate_aod_60_degrees():
     # by construction the pair phase step is -pi*cos(60 deg)
     taps_phase_step = -math.pi * math.cos(math.radians(60))
     d = scene.array.spacing_d
-    fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
     assert 2 * math.pi * fc / C_M_PER_S * d * math.cos(math.radians(60)) == pytest.approx(
         -taps_phase_step, rel=1e-9)
     theta, valid = estimate_aod(cfr, scene)
@@ -245,17 +269,6 @@ def test_pdp_export(tmp_path, los_cfr):
 # One PDP array and one LOS gate per run, bit-identical to the per-row code
 # ---------------------------------------------------------------------------
 
-def _ref_pdp_matrix(cfr, window="hann"):
-    """The list-returning ``pdp_matrix`` the (N, F) array replaced.
-
-    Verbatim apart from the per-profile element label, which
-    ``PowerDelayProfile`` no longer carries.
-    """
-    b = cfr.sweep.bandwidth
-    return [compute_pdp(cfr.values[i], b, window=window)
-            for i in range(cfr.n_elements)]
-
-
 def _sized(scene, n_points, noise_floor_dbm=None):
     """The scene as the CLI runs it with ``--freq-points``, ``--seed 7`` and ``--noise-floor``."""
     scene = replace(scene, sweep=replace(scene.sweep, n_points=n_points), seed=7)
@@ -280,10 +293,10 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
     scene = REFERENCE_SCENES[name]()
     table = nl.path_table(scene)
     cfr = nl.synthesize_cfr(scene, table)
-    ref = _ref_pdp_matrix(cfr)
+    ref = reference.pdp_rows(cfr)
     pdp = pdp_matrix(cfr)
     assert pdp.shape == (cfr.n_elements, cfr.sweep.n_points)
-    assert np.array_equal(_bits(pdp), _bits(np.stack([p.powers for p in ref])))
+    assert np.array_equal(_bits(pdp), _bits(ref))
     # the LOS delays, read from the table's direct-path rows, are the scalar |rx - p_n| / c
     delays = element_geometry(scene, scene.rx)[0] / C_M_PER_S
     assert np.array_equal(_bits(table.length[:cfr.n_elements] / C_M_PER_S), _bits(delays))
@@ -291,7 +304,11 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
         return
     stats = nl.compute_stats(cfr, scene, table)
     assert stats.pdp.tobytes() == pdp.tobytes()
-    assert stats.delay_spread_s.tobytes() == np.array([nl.rms_delay_spread(p) for p in ref]).tobytes()
+    assert stats.power_db.tobytes() == np.array([reference.received_power(row)
+                                                 for row in cfr.values]).tobytes()
+    bin_width = 1.0 / cfr.sweep.bandwidth
+    assert stats.delay_spread_s.tobytes() == np.array([reference.rms_delay_spread(p, bin_width)
+                                                       for p in ref]).tobytes()
     assert stats.tau_los_s.tobytes() == delays.tobytes()
     # the one shared gate gives what the single-purpose functions give
     phase, los_valid = nl.los_phase(cfr, scene, table)

@@ -3,8 +3,10 @@
 ``_ref_correlation_matrix``, ``_ref_correlation_matrix_distance``,
 ``_ref_cmd_map`` and ``_ref_partition_by_cmd`` are the per-window and per-pair
 implementations that the banded window-correlation stack replaced, kept
-verbatim (returning plain arrays) as the reference.  The sums run in another order, so values agree to 1e-12, not
-bitwise.
+verbatim (returning plain arrays, with the interval fold of
+``reference.merge_short_intervals``) as the reference.  The sums run in
+another order, so values agree to 1e-12, not bitwise.  The partition's own
+scan and fold are checked bit for bit against ``reference.partition_by_cmd``.
 """
 
 import numpy as np
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfclab as nl
-from nfclab.stationarity import (StationarityError, StationaryPartition,
-                                 _merge_short_intervals, cmd_map,
+from nfclab.stationarity import (StationarityError, StationaryPartition, cmd_map,
                                  correlation_matrix_distance, partition_by_cmd)
-from reference import correlation_matrix
+from reference import correlation_matrix, merge_short_intervals
+from reference import partition_by_cmd as reference_partition_by_cmd
 
 TOL = 1e-12
 
@@ -105,7 +107,7 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
 
     edges = [1] + boundaries + [n + 1]
     intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
-    intervals, scores = _merge_short_intervals(intervals, scores, min_si)
+    intervals, scores = merge_short_intervals(intervals, scores, min_si)
     return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
                                criterion="cmd", boundary_scores=tuple(scores),
                                warnings=tuple(warnings))
@@ -155,6 +157,16 @@ def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
     assert new.warnings == ref.warnings
     assert len(new.boundary_scores) == len(ref.boundary_scores)
     assert np.allclose(new.boundary_scores, ref.boundary_scores, rtol=0.0, atol=TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
+def test_partition_by_cmd_matches_reference_fold_bitwise(cfr, m, tau):
+    new = partition_by_cmd(cfr, m=m, tau=tau)
+    intervals, scores, warnings = reference_partition_by_cmd(cfr, m, tau)
+    assert new.intervals == intervals
+    assert new.warnings == warnings
+    assert np.array(new.boundary_scores).tobytes() == np.array(scores).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

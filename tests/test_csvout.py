@@ -69,7 +69,7 @@ def _ref_export_pdp_csv(pdp_array, bandwidth_hz, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["element", "bin", "delay_ns", "power_db"])
         for element, pdp in enumerate(pdps, start=1):
-            delays_ns = pdp.delays() * 1e9
+            delays_ns = np.arange(pdp.n_bins) * pdp.bin_width * 1e9
             for k in range(pdp.n_bins):
                 p = pdp.powers[k]
                 power_db = repr(10.0 * math.log10(p)) if p > 0 else "-inf"

@@ -87,6 +87,17 @@ def test_roundtrip_identity(los_scene, olos_scene, tmp_path):
     assert nl.load_scene(path) == olos_scene
 
 
+def test_sweep_center_index_is_the_middle_grid_point():
+    odd = nl.Sweep(n_points=801)
+    assert odd.center_index == 400
+    assert odd.frequencies()[odd.center_index] == pytest.approx(odd.f_center, rel=1e-15)
+    even = nl.Sweep(n_points=800)
+    assert even.center_index == 399
+    step = even.bandwidth / (even.n_points - 1)
+    assert even.frequencies()[even.center_index] == pytest.approx(even.f_center - 0.5 * step, rel=1e-15)
+    assert nl.Sweep(n_points=2).center_index == 0
+
+
 def test_element_position_basics(los_scene):
     assert np.allclose(nl.element_position(los_scene, 1), los_scene.array.origin)
     scene = loads_scene(MINIMAL.replace("n_elements = 1",

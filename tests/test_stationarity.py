@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nfclab as nl
 from nfclab.analysis import ChannelStats
 from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError,
                                  cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
+import reference
 from reference import correlation_matrix
 
 SWEEP = nl.Sweep(n_points=801)
@@ -280,6 +283,29 @@ def test_export_cmd_map_csv_rejects_asymmetric_map(tmp_path):
     with pytest.raises(ValueError, match="symmetric"):
         export_cmd_map_csv(dmap, tmp_path / "cmd_map.csv")
     assert not (tmp_path / "cmd_map.csv").exists()
+
+
+@st.composite
+def power_profiles(draw):
+    """Received-power vectors of 1-80 elements: plateaus, steps, ramps and noise, some ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(1, 81))  # uniform: hypothesis would favour the shortest arrays
+    steps = rng.choice([-6.0, -1.0, 0.0, 0.0, 0.0, 1.0, 6.0], size=n) * draw(st.floats(0.0, 2.0))
+    power = np.cumsum(steps) + rng.normal(size=n) * draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return np.round(power, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power=power_profiles(), gamma_db=st.floats(0.25, 12.0))
+@example(power=np.concatenate([np.zeros(10), np.full(10, -10.0), np.linspace(-10.0, -20.0, 30)]),
+         gamma_db=3.0)  # a slope boundary at the step, then uniform-power splits on the ramp
+def test_partition_by_slope_matches_reference(power, gamma_db):
+    new = nl.partition_by_slope(stats_with(power_db=power, n=len(power)), gamma_db=gamma_db)
+    intervals, scores, warnings = reference.partition_by_slope(power, gamma_db)
+    assert new.intervals == intervals
+    assert new.warnings == warnings
+    # NaN marks a uniform-power split; the bytes compare NaN equal to NaN
+    assert np.array(new.boundary_scores).tobytes() == np.array(scores).tobytes()
 
 
 def test_partition_by_slope_short_array_warns():

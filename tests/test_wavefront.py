@@ -179,7 +179,7 @@ def assert_matches_per_element_forms(scene):
     ref_r, ref_theta = reference.element_geometry(scene, scene.rx)
     assert r.tobytes() == ref_r.tobytes()
     assert theta.tobytes() == ref_theta.tobytes()
-    fc = scene.sweep.frequencies()[(scene.sweep.n_points - 1) // 2]
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
     model = wf.model_phases(scene, scene.rx, fc)
     assert model.tobytes() == reference.model_phases(scene, scene.rx, fc).tobytes()
     lam, d = C_M_PER_S / fc, scene.array.spacing_d
