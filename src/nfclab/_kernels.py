@@ -3,11 +3,14 @@
 The kernel sums, for every propagation path, its complex contribution over
 all sweep frequencies, including the per-frequency free-space amplitude and
 knife-edge losses.  It is plain numpy and evaluates a block of consecutive
-table paths per pass, vectorized over (path, frequency).  A block never holds
-two paths of the same output row, so every row still receives its adds one at
-a time in table order and the result is deterministic.  The propagation
-phasors come from ``sweep_phasors``, a coarse x fine table of the uniform
-sweep grid.
+table paths per pass, vectorized over (path, frequency).  A block is a run of
+paths on consecutive rows ``r, r+1, ...``, so its add is one slice and every
+row still receives its adds one at a time in table order: the result is
+deterministic.  Knife-edge losses are evaluated only for the paths that cross
+a screen.  The propagation phasors come from ``sweep_phasors``, a coarse x
+fine table of the uniform sweep grid, and are scaled by the amplitude with
+one complex x real multiply; both blocks live in scratch allocated once per
+call.
 """
 
 from __future__ import annotations
@@ -38,24 +41,39 @@ def knife_edge_loss(nu) -> np.ndarray | float:
     return out
 
 
-def path_amplitude(gains, lengths, edge_geo, lam, sqrt_lam) -> np.ndarray:
+def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out=None) -> np.ndarray:
     """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path.
 
     gains, lengths : float (m,)
-    edge_geo       : float (m, e) knife-edge factors of each path, padded with
-                     -inf (exactly 0 dB); J sums a row's losses in column order
+    edge_ptr       : int (m+1,) CSR offsets of the paths' knife-edge factors in edge_geo
     lam, sqrt_lam  : float (n_freqs,) wavelengths and their square roots
+    out            : float (m, n_freqs) to write into, or None
+
+    J sums a path's losses in edge order; it is evaluated only for the paths
+    that have edges, since a path without any has exactly 0 dB.
     """
-    amp = gains[:, None] * lam / (4.0 * math.pi * lengths)[:, None]
-    if edge_geo.shape[1]:
-        loss_db = np.zeros_like(amp)
-        for geo in edge_geo.T:
-            loss_db += knife_edge_loss(geo[:, None] / sqrt_lam)
-        amp *= 10.0 ** (-loss_db / 20.0)
+    amp = np.divide(gains[:, None] * lam, (4.0 * math.pi * lengths)[:, None], out=out)
+    counts = np.diff(edge_ptr)
+    edged = np.flatnonzero(counts)
+    if edged.size:
+        # The edged paths' factors as a -inf padded (paths, edges) matrix: -inf is 0 dB.
+        counts = counts[edged]
+        geo = np.full((edged.size, int(counts.max())), -math.inf)
+        geo[np.arange(geo.shape[1]) < counts[:, None]] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
+        loss_db = np.zeros((edged.size, len(lam)))
+        for column in geo.T:
+            loss_db += knife_edge_loss(column[:, None] / sqrt_lam)
+        amp[edged] *= 10.0 ** (-loss_db / 20.0)
     return amp
 
 
-def sweep_phasors(k, freqs) -> np.ndarray:
+def _phasor_grid(n) -> tuple[int, int]:
+    """``(C, B)`` of the ``sweep_phasors`` block over n points: B = ceil(sqrt(n)), C = ceil(n / B)."""
+    step = math.isqrt(n - 1) + 1
+    return -(-n // step), step
+
+
+def sweep_phasors(k, freqs, out=None) -> np.ndarray:
     """``exp(1j * k_i * f)`` over the sweep grid ``freqs``, one row per ``k_i``.
 
     Each row is the outer product of a coarse table, the phasors at every
@@ -66,7 +84,8 @@ def sweep_phasors(k, freqs) -> np.ndarray:
     the rounding of its phase, a few ulp of ``k f_i``.  Raises ValueError
     when a grid step differs from ``(f_last - f_0) / (F - 1)`` by more than
     8 ulp of the larger end frequency.  Returns an (m, F) view of an
-    (m, C, B) complex block, C = ceil(F / B).
+    (m, C, B) complex block, C = ceil(F / B): ``out`` when that scratch
+    block is given, else a new one.
     """
     k = np.asarray(k, dtype=float)
     n = len(freqs)
@@ -74,40 +93,22 @@ def sweep_phasors(k, freqs) -> np.ndarray:
         tol = 8.0 * np.spacing(max(abs(freqs[0]), abs(freqs[-1])))
         if np.abs(np.diff(freqs) - (freqs[-1] - freqs[0]) / (n - 1)).max() > tol:
             raise ValueError("sweep_phasors needs a uniform frequency grid (np.linspace)")
-    step = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    step = _phasor_grid(n)[1]
     coarse = np.exp(1j * np.multiply.outer(k, freqs[::step]))
     fine = np.exp(1j * np.multiply.outer(k, freqs[:step] - freqs[0]))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(k), -1)[:, :n]
+    block = np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
+    return block.reshape(len(k), -1)[:, :n]
 
 
-def _row_distinct_blocks(row_idx, max_paths):
-    """``(start, stop)`` of consecutive paths, at most ``max_paths`` each.
+def _row_runs(row_idx, max_paths):
+    """``(start, stop)`` of consecutive paths on consecutive rows, at most ``max_paths`` each.
 
-    A block ends before the first path whose row already occurs in it.
+    A run ends before the first path whose row is not its predecessor's plus one.
     """
-    n = len(row_idx)
-    order = np.argsort(row_idx, kind="stable")
-    repeat = row_idx[order[1:]] == row_idx[order[:-1]]
-    previous = np.full(n, -1)  # table index of the row's previous path
-    previous[order[1:][repeat]] = order[:-1][repeat]
-    start = 0
-    while start < n:
-        stop = min(start + max_paths, n)
-        clash = np.flatnonzero(previous[start + 1:stop] >= start)
-        if clash.size:
-            stop = start + 1 + int(clash[0])
-        yield start, stop
-        start = stop
-
-
-def padded_edges(edge_ptr, edge_geo) -> np.ndarray:
-    """Knife-edge factors of the paths ``edge_ptr`` spans as an -inf padded (m, e) matrix."""
-    counts = np.diff(edge_ptr)
-    padded = np.full((len(counts), int(counts.max(initial=0))), -math.inf)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    column = np.arange(edge_ptr[-1] - edge_ptr[0]) - np.repeat(edge_ptr[:-1] - edge_ptr[0], counts)
-    padded[owner, column] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
-    return padded
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(row_idx) != 1) + 1, [len(row_idx)]))
+    for run_start, run_stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for start in range(run_start, run_stop, max_paths):
+            yield start, min(start + max_paths, run_stop)
 
 
 def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
@@ -125,11 +126,13 @@ def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     sqrt_lam = np.sqrt(lam)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
     max_paths = max(1, BLOCK_SAMPLES // len(freqs))
-    for start, stop in _row_distinct_blocks(row_idx, max_paths):
-        amp = path_amplitude(gains[start:stop], lengths[start:stop],
-                             padded_edges(edge_ptr[start:stop + 1], edge_geo), lam, sqrt_lam)
-        term = sweep_phasors(wavenumber[start:stop], freqs)
-        np.multiply(amp, term.real, out=term.real)
-        np.multiply(amp, term.imag, out=term.imag)
-        out[row_idx[start:stop]] += term
+    amp_block = np.empty((max_paths, len(freqs)))
+    phasor_block = np.empty((max_paths, *_phasor_grid(len(freqs))), dtype=complex)
+    for start, stop in _row_runs(row_idx, max_paths):
+        m, row = stop - start, int(row_idx[start])
+        amp = path_amplitude(gains[start:stop], lengths[start:stop], edge_ptr[start:stop + 1],
+                             edge_geo, lam, sqrt_lam, out=amp_block[:m])
+        term = sweep_phasors(wavenumber[start:stop], freqs, out=phasor_block[:m])
+        np.multiply(term, amp, out=term)
+        out[row:row + m] += term
     return out

@@ -230,6 +230,13 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     if not math.isfinite(9.0 * distance * distance):  # squared lengths reach 3x it (wall images)
         raise _CliError(f"--distance-mult {args.distance_mult:g} puts the receiver {distance:g} m "
                         "away, too far for float64 path lengths", EXIT_ANALYSIS_FAILURE)
+    f_stop = scene.sweep.f_stop
+    ulp_phase = 2.0 * math.pi * float(np.spacing(distance)) * f_stop / C_M_PER_S
+    if ulp_phase > MAX_ULP_PHASE_RAD:  # path differences are below float64 resolution there
+        raise _CliError(f"--distance-mult {args.distance_mult:g} puts the receiver {distance:g} m "
+                        f"away, where one float64 step of the distance is {ulp_phase:.3g} rad at "
+                        f"{f_stop / 1e9:g} GHz (> {MAX_ULP_PHASE_RAD:g} rad): the phase profile "
+                        "is not resolved", EXIT_ANALYSIS_FAILURE)
     target = p1 + bearing * distance
     scaled = replace(scene, rx=tuple(float(x) for x in target))
     scaled.validate()
@@ -250,13 +257,6 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
         raise _CliError(f"corr(measured, near-field model) is undefined at --distance-mult "
                         f"{args.distance_mult:g}: a phase profile is constant along the array",
                         EXIT_ANALYSIS_FAILURE)
-    f_stop = scaled.sweep.f_stop
-    ulp_phase = 2.0 * math.pi * float(np.spacing(distance)) * f_stop / C_M_PER_S
-    if ulp_phase > MAX_ULP_PHASE_RAD:  # path differences are below float64 resolution there
-        raise _CliError(f"--distance-mult {args.distance_mult:g} puts the receiver {distance:g} m "
-                        f"away, where one float64 step of the distance is {ulp_phase:.3g} rad at "
-                        f"{f_stop / 1e9:g} GHz (> {MAX_ULP_PHASE_RAD:g} rad): the phase profile "
-                        "is not resolved", EXIT_ANALYSIS_FAILURE)
     _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
                       [(_csvout.strs(range(1, scene.array.n_elements + 1)),
                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])

@@ -51,15 +51,9 @@ def los_truth(scene: Scene, table: PathTable) -> LosTruth:
     """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths."""
     n = scene.array.n_elements
     lam = C_M_PER_S / scene.sweep.frequencies()
-    sqrt_lam = np.sqrt(lam)
-    length, gain, edge_ptr = table.length[:n], table.gain[:n], table.edge_ptr[:n + 1]
-    amp = _kernels.path_amplitude(gain, length, np.empty((n, 0)), lam, sqrt_lam)
-    # Knife-edge losses only on the paths that cross a screen: on a baffle
-    # scene evaluating them for every element costs more than the rest.
-    edged = np.flatnonzero(np.diff(edge_ptr))
-    amp[edged] = _kernels.path_amplitude(gain[edged], length[edged],
-                                         _kernels.padded_edges(edge_ptr, table.edge_geo)[edged],
-                                         lam, sqrt_lam)
+    length = table.length[:n]
+    amp = _kernels.path_amplitude(table.gain[:n], length, table.edge_ptr[:n + 1], table.edge_geo,
+                                  lam, np.sqrt(lam))
     usable = path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB
     return LosTruth(length=length, theta=element_geometry(scene, scene.rx)[1], amp=amp, usable=usable)
 

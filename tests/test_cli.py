@@ -227,8 +227,9 @@ def test_phase_check_rejects_non_finite_distance_mult(tmp_path, mult):
     ("1e308", "--distance-mult 1e+308 puts the receiver inf m away, too far for float64 path lengths"),
     # finite, but a squared path length would overflow
     ("1e200", "--distance-mult 1e+200 puts the receiver 4.57924e+201 m away"),
-    # every element sees the same float64 path length: the measured phase is flat
-    ("1e30", "corr(measured, near-field model) is undefined at --distance-mult 1e+30"),
+    # one float64 step of the distance spans many radians: rejected before synthesis
+    pytest.param("1e30", "--distance-mult 1e+30 puts the receiver 4.57924e+31 m away, where one float64 step",
+                 id="1e30-unresolved"),
 ])
 def test_phase_check_distance_beyond_float64_exit_4(tmp_path, mult, message):
     (tmp_path / "phase_check.csv").write_text("stale\n")
@@ -331,6 +332,14 @@ def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
     assert "--distance-mult 1e+15 puts the receiver 4.57924e+16 m away" in proc.stderr
     assert "the phase profile is not resolved" in proc.stderr
     assert not (tmp_path / "phase_check.csv").exists()
+
+
+def test_phase_check_rejects_unresolved_distance_before_synthesis(tmp_path, monkeypatch):
+    from nfclab import _kernels, synth
+    calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth})
+    assert run(["phase-check", "los_lab", "--out", str(tmp_path),
+                "--distance-mult", "1e15"]) == EXIT_ANALYSIS_FAILURE
+    assert calls == {"accumulate_paths": 0, "path_table": 0}
 
 
 @pytest.mark.parametrize("flag, code, message", [

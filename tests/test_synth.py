@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -394,13 +395,17 @@ def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
     assert np.array_equal(synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare, path_table(bare)).values)
 
 
-def _random_table(rng, n_rows, n_paths, max_edges=3):
-    """A random CSR path table with ``+inf`` and empty edge runs mixed in."""
+def _random_table(rng, n_rows, n_paths, max_edges=3, row_idx=None):
+    """A random CSR path table with ``+inf`` and empty edge runs mixed in.
+
+    Rows are drawn uniformly from ``range(n_rows)`` unless ``row_idx`` gives them.
+    """
     n_edges = rng.integers(0, max_edges + 1, size=n_paths)
     n_edges[rng.random(n_paths) < 0.4] = 0  # runs of edge-free paths, so some blocks have none
     edge_geo = rng.uniform(-0.23, 0.65, size=int(n_edges.sum()))
     edge_geo[rng.random(edge_geo.size) < 0.2] = math.inf
-    return (rng.integers(0, n_rows, size=n_paths), rng.uniform(0.5, 20.0, size=n_paths),
+    return (rng.integers(0, n_rows, size=n_paths) if row_idx is None else row_idx,
+            rng.uniform(0.5, 20.0, size=n_paths),
             rng.uniform(0.0, 1.0, size=n_paths), np.concatenate(([0], np.cumsum(n_edges))),
             edge_geo)
 
@@ -416,7 +421,7 @@ def _assert_kernel_matches_per_path(n_rows, row_idx, lengths, gains, edge_ptr, e
 
 @pytest.mark.parametrize("seed", range(20))
 def test_block_kernel_matches_per_path_kernel_on_random_tables(seed):
-    # Tables span several blocks; with 1-5 rows a row repeats inside almost every block window.
+    # Uniform random rows: most blocks hold one path, cut where a row does not follow its predecessor.
     rng = np.random.default_rng(100 + seed)
     n_rows = int(rng.integers(1, 6)) if seed % 2 else int(rng.integers(30, 120))
     freqs = np.linspace(11e9, 15e9, int(rng.integers(2, 2000)))
@@ -448,8 +453,8 @@ def test_block_kernel_edge_free_and_mixed_blocks():
 
 
 def test_block_kernel_zero_gain_path_signed_zero():
-    # amp*(cos + 1j*sin) and (amp*cos, amp*sin) differ only in the sign of a zero
-    # product; added to a zeroed row (the synthesizer's np.zeros), both leave +0.0.
+    # A zero-gain path adds signed zeros; added to a zeroed row (the
+    # synthesizer's np.zeros) they leave +0.0.
     freqs = np.linspace(11e9, 15e9, 101)
     got = _assert_kernel_matches_per_path(2, [0, 1, 1], [3.0, 4.0, 5.0], [0.0, 0.0, 0.5],
                                           [0, 0, 1, 1], [math.inf], freqs)
@@ -464,13 +469,52 @@ def test_block_kernel_matches_per_path_kernel_on_olos_baffle(olos_scene):
                                     olos_scene.sweep.frequencies())
 
 
-def test_row_distinct_blocks_respect_budget_and_rows():
+def _path_table_rows(rng, n_rows, n_groups):
+    """Rows grouped like ``path_table``'s: every row, then ascending groups, some with gaps."""
+    groups = [np.arange(n_rows)]
+    for _ in range(n_groups):  # a wall group skips the elements with no specular point
+        groups.append(np.flatnonzero(rng.random(n_rows) < rng.choice([1.0, 0.9, 0.4])))
+    return np.concatenate(groups)
+
+
+@pytest.mark.parametrize("n_freqs", [2, 801, _kernels.BLOCK_SAMPLES // 3, _kernels.BLOCK_SAMPLES,
+                                     _kernels.BLOCK_SAMPLES + 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_kernel_matches_per_path_kernel_on_path_table_shaped_tables(seed, n_freqs):
+    rng = np.random.default_rng(200 + seed)
+    n_rows = int(rng.integers(20, 120))
+    rows = _path_table_rows(rng, n_rows, int(rng.integers(1, 5)))
+    max_paths = max(1, _kernels.BLOCK_SAMPLES // n_freqs)
+    if max_paths > 1:  # the table does exercise blocks of several paths
+        assert max(stop - start for start, stop in _kernels._row_runs(rows, max_paths)) > 1
+    _assert_kernel_matches_per_path(n_rows, *_random_table(rng, n_rows, len(rows), 4, rows),
+                                    np.linspace(11e9, 15e9, n_freqs))
+
+
+def test_row_runs_cover_the_table_in_budgeted_runs():
     rng = np.random.default_rng(5)
-    rows = rng.integers(0, 6, size=200)
-    blocks = list(_kernels._row_distinct_blocks(rows, 4))
-    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-    assert blocks[0][0] == 0 and blocks[-1][1] == len(rows)
-    for start, stop in blocks:
-        assert 1 <= stop - start <= 4
-        assert len(set(rows[start:stop])) == stop - start
-        assert stop == len(rows) or stop - start == 4 or rows[stop] in rows[start:stop]
+    rows = np.concatenate([_path_table_rows(rng, 40, 3), rng.integers(0, 6, size=100), [7, 7, 8]])
+    for max_paths in (1, 4, 7):
+        blocks = list(_kernels._row_runs(rows, max_paths))
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(rows)
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        for start, stop in blocks:
+            assert 1 <= stop - start <= max_paths
+            assert np.array_equal(rows[start:stop], rows[start] + np.arange(stop - start))
+            # as long as the budget and the run allow
+            assert stop == len(rows) or stop - start == max_paths or rows[stop] != rows[stop - 1] + 1
+
+
+@pytest.mark.parametrize("preset, n_elements", [("los_lab", None), ("olos_baffle", None),
+                                                ("olos_baffle", 1024)])
+def test_real_tables_split_into_few_blocks(preset, n_elements):
+    # A fallback to one-path blocks would multiply the block count by up to max_paths.
+    scene = nl.load_preset(preset)
+    if n_elements is not None:
+        scene = replace(scene, array=replace(scene.array, n_elements=n_elements))
+    rows = path_table(scene).row
+    max_paths = max(1, _kernels.BLOCK_SAMPLES // scene.sweep.n_points)
+    # a run of consecutive rows keeps row - table index constant
+    runs = [len(list(run)) for _, run in itertools.groupby(rows - np.arange(len(rows)))]
+    assert len(list(_kernels._row_runs(rows, max_paths))) <= sum(-(-n // max_paths) for n in runs)
+    assert max(runs) > max_paths
