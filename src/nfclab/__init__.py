@@ -21,7 +21,7 @@ from .stationarity import (StationaryPartition, characteristic_slope, cmd_map,
                            partition_by_cmd, partition_by_slope,
                            singleton_partition, uniform_partition)
 from .synth import (ChannelFrequencyResponse, PathTable, add_noise,
-                    knife_edge_loss, make_cfr, path_blockage_db, path_table,
+                    knife_edge_loss, path_blockage_db, path_table,
                     synthesize_cfr)
 from .wavefront import (PhaseModelInput, exact_relative_phase, far_field_phase,
                         near_field_phase, path_difference, rayleigh_distance)

@@ -154,14 +154,15 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
                    table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """Delay-gated LOS tap of every row at the center frequency, plus validity.
 
-    The row is equalized by f/f_center (flattening the free-space 1/f
-    amplitude), shaped by a symmetric Hann window (suppressing leakage from
-    other taps), transformed to the delay domain and zeroed outside
-    +-LOS_GATE_HALF_WIDTH bins around the LOS delay ``length[n - 1] / c`` of
-    ``table = path_table(scene)``.  Returns ``(center_taps, valid)``:
-    ``center_taps`` is the forward DFT of the gated spectrum at the
-    center-frequency grid point, summed over the kept bins only, and
-    ``valid`` flags gate energy above the expected noise level.
+    The row is equalized by f/f_c (flattening the free-space 1/f amplitude),
+    where f_c = ``frequencies()[center_index]`` is the grid-centre frequency,
+    not the band mean ``f_center``; it is then shaped by a symmetric Hann
+    window (suppressing leakage from other taps), transformed to the delay
+    domain and zeroed outside +-LOS_GATE_HALF_WIDTH bins around the LOS delay
+    ``length[n - 1] / c`` of ``table = path_table(scene)``.  Returns
+    ``(center_taps, valid)``: ``center_taps`` is the forward DFT of the gated
+    spectrum at the center-frequency grid point, summed over the kept bins
+    only, and ``valid`` flags gate energy above the expected noise level.
 
     For a single path the extracted center-frequency phase is exact: the
     equalized amplitude is constant and any real window symmetric about the

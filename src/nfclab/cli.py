@@ -70,7 +70,7 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     if getattr(args, "noise_floor", None) is not None:
         scene = replace(scene, noise_floor_dbm=args.noise_floor)
     if getattr(args, "seed", None) is not None:
-        scene = scene.with_seed(args.seed)
+        scene = replace(scene, seed=args.seed)
     try:
         scene.validate()
     except SceneError as exc:
@@ -78,14 +78,9 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     return scene
 
 
-def _mw_table(scene: Scene, table: synth.PathTable,
+def _mw_table(scene: Scene, truth: multiplanar.LosTruth,
               partitions: list[stationarity.StationaryPartition]) -> list[tuple[str, int, float, float]]:
-    """mw_error.csv rows: the dyadic partitions, then ``partitions``, all against one LOS truth.
-
-    The truth's N x F amplitude lives only inside this call, so it is freed
-    before the exports start.
-    """
-    truth = multiplanar.los_truth(scene, table)
+    """mw_error.csv rows: the dyadic partitions, then ``partitions``, all against one LOS truth."""
     n = scene.array.n_elements
     named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
              for k in range(DYADIC_MAX_K + 1)]
@@ -118,7 +113,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     dmap = stationarity.cmd_map(cfr, m=args.window)
 
-    mw_table = _mw_table(scene, table, partitions)
+    truth = multiplanar.los_truth(scene, table)
+    mw_table = _mw_table(scene, truth, partitions)
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
+    model = wavefront.model_phases(truth.theta, scene.array.spacing_d, C_M_PER_S / fc)
+    del truth  # its N x F amplitude is freed before the exports start
 
     files = {name: out_dir / name for name in RUN_FILES}
     synth.export_cfr_csv(cfr, files["cfr.csv"])
@@ -130,8 +129,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # Built-in checks and observations
     power_spread = float(stats.power_db.max() - stats.power_db.min())
-    fc = scene.sweep.frequencies()[scene.sweep.center_index]
-    model = wavefront.model_phases(scene, scene.rx, fc)
     phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
     mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
     checks = {
@@ -246,8 +243,8 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     measured, _ = analysis.los_phase(cfr, scaled, table)
     fc = scaled.sweep.frequencies()[scaled.sweep.center_index]
     lam_eval = C_M_PER_S / fc
-    model = wavefront.model_phases(scaled, scaled.rx, fc)
     _, theta = element_geometry(scaled, scaled.rx)
+    model = wavefront.model_phases(theta, scene.array.spacing_d, lam_eval)
     far = wavefront.far_field_phase(np.arange(1, scene.array.n_elements + 1),
                                     scene.array.spacing_d, lam_eval, float(theta[0]))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -222,9 +222,6 @@ class Scene:
             raise SceneValidationError("seed", f"must lie in [0, 2**64), got {self.seed}")
         if float(_norm(np.asarray(self.rx, dtype=float) - element_positions(self)).min()) < 1e-9:
             raise SceneValidationError("rx", "must not coincide with any array element")
-
-    def with_seed(self, seed: int) -> "Scene":
-        return replace(self, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

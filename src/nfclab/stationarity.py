@@ -198,7 +198,7 @@ def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
-    if not np.any(np.abs(cfr.values) > 0):
+    if not cfr.values.any():
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=("all-zero response",))
 
@@ -245,27 +245,18 @@ def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndar
 
 def _slope_boundaries(k: np.ndarray, threshold: float) -> tuple[list[int], list[float]]:
     """Boundaries at the steepest point of every run of >= 2 hot elements."""
-    hot = np.abs(k) > threshold
+    edges = np.flatnonzero(np.diff(np.pad(np.abs(k) > threshold, 1)))  # runs k[i:j] as (i, j) pairs
     boundaries: list[int] = []
     scores: list[float] = []
-    n = len(k)
-    i = 0
-    while i < n:
-        if not hot[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and hot[j + 1]:
-            j += 1
-        if j - i + 1 >= 2:
-            run = np.abs(k[i:j + 1])
+    for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        if j - i >= 2:
+            run = np.abs(k[i:j])
             peak = run.max()
             peak_positions = np.flatnonzero(run >= peak - 1e-12) + i
             split = int(round(float(np.median(peak_positions)))) + 1  # 1-based
             if split > 1:
                 boundaries.append(split)
                 scores.append(float(peak))
-        i = j + 1
     return boundaries, scores
 
 

@@ -49,11 +49,6 @@ class ChannelFrequencyResponse:
         return self.values.shape[0]
 
 
-def make_cfr(values: np.ndarray, sweep: Sweep) -> ChannelFrequencyResponse:
-    """Wrap a complex matrix (row n - 1 is element n) as a CFR."""
-    return ChannelFrequencyResponse(values=values, sweep=sweep)
-
-
 class PathTable(NamedTuple):
     """Every propagation path of a scene as parallel arrays (the kernel's CSR table).
 
@@ -167,7 +162,7 @@ def complex_noise(shape, noise_floor_dbm: float, seed: int) -> np.ndarray:
 def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) -> ChannelFrequencyResponse:
     """Return a copy of the CFR with seeded complex white noise added."""
     noisy = cfr.values + complex_noise(cfr.values.shape, noise_floor_dbm, seed)
-    return make_cfr(noisy, cfr.sweep)
+    return ChannelFrequencyResponse(values=noisy, sweep=cfr.sweep)
 
 
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
@@ -183,7 +178,7 @@ def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
     _kernels.accumulate_paths(out, *table, freqs)
     if scene.noise_floor_dbm is not None:
         out += complex_noise(out.shape, scene.noise_floor_dbm, scene.seed)
-    return make_cfr(out, scene.sweep)
+    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
 
 
 # ---------------------------------------------------------------------------

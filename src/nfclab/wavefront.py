@@ -10,9 +10,10 @@ to the target than element 1.  The far-field expression is reported as a
 magnitude-style positive multiple of ``cos(theta_1)``; its signed counterpart
 is its negation (see ``far_field_phase``).
 
-``model_phases`` evaluates the closed form over the whole array from
-``scene.element_geometry``, ``path_difference`` the same expression for one
-element; ``exact_relative_phase`` is the independent distance-based check.
+``model_phases`` evaluates the closed form over the whole array from its
+axis angles, ``path_difference`` the same expression for one element;
+``exact_relative_phase`` is the independent distance-based check, and the
+only function here that reads element positions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_M_PER_S
-from .scene import Scene, element_geometry, element_position
+from .scene import Scene, element_position
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,9 +130,11 @@ def exact_relative_phase(scene: Scene, n: int, target, frequency: float) -> floa
     return TWO_PI * frequency * (r_n - r_1) / C_M_PER_S
 
 
-def model_phases(scene: Scene, target, frequency: float) -> np.ndarray:
-    """Closed-form relative phase of every element toward one target."""
-    wavelength = C_M_PER_S / frequency
-    _, theta = element_geometry(scene, target)
-    scale = np.arange(scene.array.n_elements, dtype=float) * scene.array.spacing_d
+def model_phases(theta: np.ndarray, d: float, wavelength: float) -> np.ndarray:
+    """Closed-form relative phase of every element from its axis angle ``theta[n - 1]``.
+
+    ``theta`` is the array's axis angles to one target, as
+    ``element_geometry(scene, target)[1]`` gives them; element 1 is the reference.
+    """
+    scale = np.arange(len(theta), dtype=float) * d
     return TWO_PI / wavelength * _half_angle_form(scale, theta[0], theta)

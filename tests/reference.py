@@ -18,7 +18,7 @@ from nfclab.analysis import _pair_aod, gated_los_rows
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import TWO_PI
 from nfclab.stationarity import StationarityError, _cmd, _window_correlations
-from nfclab.synth import make_cfr, path_table
+from nfclab.synth import ChannelFrequencyResponse, path_table
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -73,7 +73,7 @@ def synthesize_los_cfr(scene):
     out = np.zeros((n, len(freqs)), dtype=np.complex128)
     _kernels.accumulate_paths(out, table.row[:n], table.length[:n], table.gain[:n],
                               table.edge_ptr[:n + 1], table.edge_geo, freqs)
-    return make_cfr(out, scene.sweep)
+    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
 
 
 def synthesize_multiplanar_cfr(ref, truth, scene):
@@ -91,7 +91,7 @@ def synthesize_multiplanar_cfr(ref, truth, scene):
         length = (float(truth.length[r - 1])
                   - (n - r) * scene.array.spacing_d * math.cos(float(truth.theta[r - 1])))
         out[n - 1] = truth.amp[r - 1] * np.exp(-1j * TWO_PI * freqs * length / C_M_PER_S)
-    return make_cfr(out, scene.sweep)
+    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
 
 
 def estimate_aod(cfr, scene):

@@ -67,7 +67,7 @@ def test_criterion_2_far_field_limit(los_scene):
     errs = []
     for k in (1, 10, 100, 1000):
         scene = replace(los_scene, rx=tuple(p1 + bearing * (k * rd)))
-        model = wf.model_phases(scene, scene.rx, fc)
+        model = wf.model_phases(nl.element_geometry(scene, scene.rx)[1], scene.array.spacing_d, lam)
         _, theta_1 = nl.true_geometry(scene, 1, scene.rx)
         signed_far = -np.array([wf.far_field_phase(n, scene.array.spacing_d, lam, theta_1)
                                 for n in range(1, 65)])
@@ -86,7 +86,8 @@ def test_criterion_2_far_field_limit(los_scene):
 def test_criterion_3_phase_correlation(los_scene, los_cfr, los_table):
     phase, _ = nl.los_phase(los_cfr, los_scene, los_table)
     fc = los_scene.sweep.frequencies()[(los_scene.sweep.n_points - 1) // 2]
-    model = wf.model_phases(los_scene, los_scene.rx, fc)
+    model = wf.model_phases(nl.element_geometry(los_scene, los_scene.rx)[1], los_scene.array.spacing_d,
+                            C_M_PER_S / fc)
     rho = float(np.corrcoef(phase, model)[0, 1])
     assert rho > 0.99
     report("criterion 3 (synthesized vs model phase)", f"Pearson correlation = {rho:.9f}")
@@ -157,9 +158,10 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
     scene_b = replace(bare, rx=(r * math.cos(math.radians(120)),
                                 r * math.sin(math.radians(120)), 2.5))
     splice = 32  # last element fed by scene A
-    clean = nl.make_cfr(np.vstack([nl.synthesize_cfr(scene_a, nl.path_table(scene_a)).values[:splice],
-                                   nl.synthesize_cfr(scene_b, nl.path_table(scene_b)).values[splice:]]),
-                        bare.sweep)
+    clean = nl.ChannelFrequencyResponse(
+        values=np.vstack([nl.synthesize_cfr(scene_a, nl.path_table(scene_a)).values[:splice],
+                          nl.synthesize_cfr(scene_b, nl.path_table(scene_b)).values[splice:]]),
+        sweep=bare.sweep)
     hits = 0
     for seed in range(100):
         noisy = nl.add_noise(clean, -95.0, seed)

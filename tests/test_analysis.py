@@ -62,12 +62,12 @@ def test_parseval_rectangular(los_cfr):
 
 
 def test_received_power_values():
-    ones = nl.make_cfr(np.ones((1, 100), dtype=complex), nl.Sweep(n_points=100))
+    ones = nl.ChannelFrequencyResponse(values=np.ones((1, 100), dtype=complex), sweep=nl.Sweep(n_points=100))
     assert nl.received_power_db(ones)[0] == pytest.approx(0.0, abs=1e-12)
     rows = np.zeros((3, 64), dtype=complex)
     rows[0] = 0.5
     rows[2, 7] = 8.0  # one bin: 64 / 64 -> 0 dB
-    power = nl.received_power_db(nl.make_cfr(rows, nl.Sweep(n_points=64)))
+    power = nl.received_power_db(nl.ChannelFrequencyResponse(values=rows, sweep=nl.Sweep(n_points=64)))
     assert power[0] == pytest.approx(-6.02, abs=5e-3)
     assert power[1] == -math.inf
     assert power[2] == 0.0
@@ -157,7 +157,8 @@ def test_los_phase_broadside_symmetric_pair():
 
 def test_los_phase_correlation_on_preset(los_stats, los_scene):
     fc = los_scene.sweep.frequencies()[los_scene.sweep.center_index]
-    model = wf.model_phases(los_scene, los_scene.rx, fc)
+    model = wf.model_phases(nl.element_geometry(los_scene, los_scene.rx)[1], los_scene.array.spacing_d,
+                            C_M_PER_S / fc)
     rho = np.corrcoef(los_stats.los_phase_rad, model)[0, 1]
     assert rho > 0.99
     wrapped_dev = np.angle(np.exp(1j * (los_stats.los_phase_rad - model)))
@@ -175,7 +176,7 @@ def planar_scene_and_cfr(theta_deg, n_elements=16, r0=5000.0):
     lengths = r0 - np.arange(n_elements)[:, None] * d * math.cos(theta)
     values = (scene.sweep.f_center / freqs)[None, :] * np.exp(
         -2j * math.pi * freqs[None, :] * lengths / C_M_PER_S)
-    return scene, nl.make_cfr(values, scene.sweep)
+    return scene, nl.ChannelFrequencyResponse(values=values, sweep=scene.sweep)
 
 
 def test_estimate_aod_broadside_injection():
@@ -217,7 +218,7 @@ def test_estimate_aod_supra_physical_step_flagged():
     lengths = 5000.0 - np.arange(8)[:, None] * step
     values = (scene.sweep.f_center / freqs)[None, :] * np.exp(
         -2j * math.pi * freqs[None, :] * lengths / C_M_PER_S)
-    theta, valid = estimate_aod(nl.make_cfr(values, scene.sweep), scene)
+    theta, valid = estimate_aod(nl.ChannelFrequencyResponse(values=values, sweep=scene.sweep), scene)
     assert not np.any(valid)
     assert np.all(np.isfinite(theta))  # clamped, not NaN
 
@@ -226,7 +227,7 @@ def test_los_phase_noise_only_gate_flagged():
     scene = loads_scene("[array]\nn_elements = 4\n[rx]\nposition = 1.0, 6.0, 2.5\n"
                         "[noise]\nfloor_dbm = -90.0\n")
     sweep = scene.sweep
-    silent = nl.make_cfr(np.zeros((4, sweep.n_points), dtype=complex), sweep)
+    silent = nl.ChannelFrequencyResponse(values=np.zeros((4, sweep.n_points), dtype=complex), sweep=sweep)
     noisy = nl.add_noise(silent, -90.0, seed=1)
     table = nl.path_table(scene)
     valid = gated_los_rows(noisy, scene, table)[1]

@@ -247,14 +247,26 @@ def test_phase_check_distance_beyond_float64_exit_4(tmp_path, mult, message):
 
 
 def count_calls(monkeypatch, hooks):
-    """Count the calls of each ``name: module`` hook through the module attribute."""
+    """Count the calls of each ``name: module`` hook through the module attribute.
+
+    A hook may name a tuple of modules instead; its count is then the sum of
+    the calls through each module's binding of ``name``.
+    """
     calls = dict.fromkeys(hooks, 0)
-    for name, module in hooks.items():
-        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    for name, modules in hooks.items():
+        for module in modules if isinstance(modules, tuple) else (modules,):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def geometry_bindings():
+    """Every nfclab module that binds ``element_geometry``, the scene module included."""
+    from nfclab import analysis, cli, multiplanar, scene, stationarity, synth, wavefront
+    return tuple(module for module in (analysis, cli, multiplanar, scene, stationarity, synth, wavefront)
+                 if hasattr(module, "element_geometry"))
 
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
@@ -262,22 +274,24 @@ def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
     from nfclab import _kernels, analysis, multiplanar, synth, wavefront
     calls = count_calls(monkeypatch, {"gated_los_rows": analysis, "pdp_matrix": analysis,
                                       "accumulate_paths": _kernels, "path_table": synth,
-                                      "los_truth": multiplanar, "model_phases": wavefront})
+                                      "los_truth": multiplanar, "model_phases": wavefront,
+                                      "element_geometry": geometry_bindings()})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
-    # one path table and one kernel pass; all 8 mw rows share one LOS truth
+    # one path table, one kernel pass and one direct-path geometry; all 8 mw rows share one LOS truth
     assert calls == {"gated_los_rows": 1, "pdp_matrix": 1, "accumulate_paths": 1,
-                     "path_table": 1, "los_truth": 1, "model_phases": 1}
+                     "path_table": 1, "los_truth": 1, "model_phases": 1, "element_geometry": 1}
 
 
 def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):
     from nfclab import _kernels, multiplanar, synth, wavefront
     calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth,
                                       "los_truth": multiplanar, "model_phases": wavefront,
-                                      "far_field_phase": wavefront})
+                                      "far_field_phase": wavefront,
+                                      "element_geometry": geometry_bindings()})
     assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
-    # the whole array's near- and far-field models in one call each
+    # the whole array's near- and far-field models in one call each, from one geometry
     assert calls == {"accumulate_paths": 1, "path_table": 1, "los_truth": 0,
-                     "model_phases": 1, "far_field_phase": 1}
+                     "model_phases": 1, "far_field_phase": 1, "element_geometry": 1}
 
 
 @pytest.mark.parametrize("command", ["run", "phase-check"])

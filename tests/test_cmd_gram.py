@@ -127,7 +127,7 @@ def cfrs(draw):
     values = rng.normal(size=(n, n_points)) + 1j * rng.normal(size=(n, n_points))
     values *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     values[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
-    return nl.make_cfr(values, nl.Sweep(n_points=n_points))
+    return nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_pair_distance_keeps_trace_form_for_non_hermitian_pairs():
 
 
 def test_cmd_map_rejects_single_element_window():
-    cfr = nl.make_cfr(np.ones((8, 4), dtype=complex), nl.Sweep(n_points=4))
+    cfr = nl.ChannelFrequencyResponse(values=np.ones((8, 4), dtype=complex), sweep=nl.Sweep(n_points=4))
     with pytest.raises(StationarityError):
         cmd_map(cfr, m=1)
     assert cmd_map(cfr, m=9).shape == (0, 0)

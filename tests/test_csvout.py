@@ -25,7 +25,7 @@ from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep
 from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
-from nfclab.synth import export_cfr_csv, make_cfr, path_table, synthesize_cfr
+from nfclab.synth import ChannelFrequencyResponse, export_cfr_csv, path_table, synthesize_cfr
 from test_analysis import REFERENCE_SCENES
 
 AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789.125, -2.5e-300]
@@ -130,7 +130,7 @@ def _awkward_cfr():
     flat = np.resize(np.array(AWKWARD), values.size).reshape(values.shape)
     values.real = flat
     values.imag = -flat[::-1]
-    return make_cfr(values, sweep)
+    return ChannelFrequencyResponse(values=values, sweep=sweep)
 
 
 def _awkward_stats():
@@ -221,7 +221,7 @@ def test_cmd_map_csv_matches_reference(tmp_path):
     cfr = _awkward_cfr()
     values = cfr.values.copy()
     values[4:7] = 0.0  # the windows over these elements carry no power
-    dmap = cmd_map(make_cfr(values, cfr.sweep), m=2)
+    dmap = cmd_map(ChannelFrequencyResponse(values=values, sweep=cfr.sweep), m=2)
     assert dmap.shape == (11, 11) and np.any(dmap == 1.0)
     _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
     assert b"\r\n5,11,1.0\r\n" in (tmp_path / "new.csv").read_bytes()

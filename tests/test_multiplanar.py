@@ -9,7 +9,7 @@ from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
 from nfclab.stationarity import singleton_partition, uniform_partition
-from nfclab.synth import make_cfr
+from nfclab.synth import ChannelFrequencyResponse
 from nfclab.wavefront import rayleigh_distance
 from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
 from test_analysis import REFERENCE_SCENES
@@ -224,7 +224,7 @@ def test_zero_amplitude_sample_adds_no_phase_error(los_scene):
     # angle of a signed zero, which is 0 or pi by the signs of cos and sin there.
     los = synthesize_los_cfr(los_scene).values.copy()
     los[silent] = 0.0
-    ref = _ref_multiplanar_error(make_cfr(los, los_scene.sweep),
+    ref = _ref_multiplanar_error(ChannelFrequencyResponse(values=los, sweep=los_scene.sweep),
                                  synthesize_multiplanar_cfr(model, zeroed, los_scene))
     others = np.r_[0:start - 1, end:64]
     assert np.allclose(err.per_element_phase_dev[others], ref.per_element_phase_dev[others],

@@ -18,7 +18,7 @@ SWEEP = nl.Sweep(n_points=801)
 
 
 def cfr_from(values):
-    return nl.make_cfr(np.asarray(values, dtype=complex), SWEEP)
+    return nl.ChannelFrequencyResponse(values=np.asarray(values, dtype=complex), sweep=SWEEP)
 
 
 def random_psd(rng, m=4):
@@ -65,7 +65,8 @@ def test_correlation_matrix_hermitian_psd_always():
     rng = np.random.default_rng(12)
     for _ in range(20):
         values = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
-        r = correlation_matrix(nl.make_cfr(values, nl.Sweep(n_points=64)), (2, 5))
+        r = correlation_matrix(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=64)),
+                               (2, 5))
         assert np.allclose(r, r.conj().T)
         eigvals = np.linalg.eigvalsh(r)
         assert eigvals.min() >= -1e-10 * np.trace(r).real
@@ -135,7 +136,7 @@ def test_partition_two_scene_concatenation(los_scene):
     splice = 32
     values = np.vstack([nl.synthesize_cfr(a, nl.path_table(a)).values[:splice],
                         nl.synthesize_cfr(b, nl.path_table(b)).values[splice:]])
-    part = nl.partition_by_cmd(nl.make_cfr(values, bare.sweep))
+    part = nl.partition_by_cmd(nl.ChannelFrequencyResponse(values=values, sweep=bare.sweep))
     assert part.n_intervals >= 2
     assert abs(part.boundaries()[0] - splice) <= 2
 
@@ -159,12 +160,19 @@ def test_partition_all_zero_warns():
     assert "all-zero" in part.warnings[0]
 
 
+def test_partition_subnormal_sample_is_not_all_zero():
+    values = np.zeros((64, 801), dtype=complex)
+    values[17, 400] = 5e-324j  # the smallest subnormal, in the imaginary part only
+    part = nl.partition_by_cmd(cfr_from(values))
+    assert "all-zero response" not in part.warnings
+
+
 def test_partition_legality_on_random_inputs():
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(4, 40))
         values = rng.normal(size=(n, 101)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 101)))
-        part = nl.partition_by_cmd(nl.make_cfr(values, nl.Sweep(n_points=101)),
+        part = nl.partition_by_cmd(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=101)),
                                    m=3, tau=float(rng.uniform(0.05, 0.9)))
         assert part.intervals[0][0] == 1
         assert part.intervals[-1][1] == n
@@ -273,7 +281,7 @@ def test_cmd_map_exactly_symmetric_on_a_wide_array():
     # dividing by one norm after the other both break the symmetry.
     rng = np.random.default_rng(11)
     values = rng.normal(size=(512, 16)) + 1j * rng.normal(size=(512, 16))
-    dmap = cmd_map(nl.make_cfr(values, nl.Sweep(n_points=16)))
+    dmap = cmd_map(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=16)))
     assert dmap.shape == (509, 509)
     assert np.array_equal(dmap, dmap.T)
 

@@ -171,7 +171,7 @@ def test_noise_seeding(los_scene):
 def test_noise_level_calibration():
     rng_floor = -90.0
     sweep = nl.Sweep(n_points=2001)
-    zero = nl.make_cfr(np.zeros((8, 2001), dtype=complex), sweep)
+    zero = nl.ChannelFrequencyResponse(values=np.zeros((8, 2001), dtype=complex), sweep=sweep)
     noisy = nl.add_noise(zero, rng_floor, 3)
     measured = 10 * np.log10(np.mean(np.abs(noisy.values) ** 2))
     assert measured == pytest.approx(rng_floor - 10.0, abs=0.2)  # relative to 10 dBm tx

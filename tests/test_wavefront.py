@@ -143,7 +143,7 @@ def test_far_field_convergence(los_scene):
     errs = []
     for k in (1, 10, 100, 1000):
         scene = replace(los_scene, rx=tuple(p1 + bearing * (k * rd)))
-        model = wf.model_phases(scene, scene.rx, fc)
+        model = wf.model_phases(element_geometry(scene, scene.rx)[1], scene.array.spacing_d, lam)
         _, t1 = nl.true_geometry(scene, 1, scene.rx)
         signed_far = -np.array([wf.far_field_phase(n, scene.array.spacing_d, lam, t1)
                                 for n in range(1, 65)])
@@ -180,9 +180,9 @@ def assert_matches_per_element_forms(scene):
     assert r.tobytes() == ref_r.tobytes()
     assert theta.tobytes() == ref_theta.tobytes()
     fc = scene.sweep.frequencies()[scene.sweep.center_index]
-    model = wf.model_phases(scene, scene.rx, fc)
-    assert model.tobytes() == reference.model_phases(scene, scene.rx, fc).tobytes()
     lam, d = C_M_PER_S / fc, scene.array.spacing_d
+    model = wf.model_phases(theta, d, lam)
+    assert model.tobytes() == reference.model_phases(scene, scene.rx, fc).tobytes()
     far = wf.far_field_phase(np.arange(1, n_el + 1), d, lam, theta[0])
     assert far.tobytes() == np.array([wf.far_field_phase(n, d, lam, theta[0])
                                       for n in range(1, n_el + 1)]).tobytes()
