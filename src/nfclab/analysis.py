@@ -30,23 +30,6 @@ class AnalysisError(ValueError):
 
 
 @dataclass(frozen=True)
-class PowerDelayProfile:
-    """Linear power per delay bin; bin k maps to delay k * bin_width."""
-
-    powers: np.ndarray
-    bin_width: float
-    n_bins: int
-
-    def __post_init__(self):
-        p = np.asarray(self.powers, dtype=float)
-        if p.ndim != 1 or p.shape[0] != self.n_bins:
-            raise ValueError("powers must be a vector of length n_bins")
-        if np.any(p < 0):
-            raise ValueError("powers must be nonnegative")
-        object.__setattr__(self, "powers", p)
-
-
-@dataclass(frozen=True)
 class ChannelStats:
     """Per-element summary statistics of one swept measurement."""
 
@@ -76,28 +59,19 @@ def _window(name: str, n: int) -> np.ndarray:
     return w / w.mean()  # unit coherent gain
 
 
-def _pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
-    """``n * |ifft(values * window)|^2`` along the last axis of ``values``."""
+def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
+    """Power delay profile of every ``(..., F)`` swept response along its last axis.
+
+    ``n * |ifft(values * window)|^2``: bin k maps to delay ``k / bandwidth``,
+    and the rectangular-window profile satisfies sum(PDP) == sum(|H|^2).
+    """
     n = values.shape[-1]
     return n * np.abs(np.fft.ifft(values * _window(window, n), axis=-1)) ** 2
 
 
-def compute_pdp(cfr_row: np.ndarray, bandwidth_hz: float, window: str = "hann") -> PowerDelayProfile:
-    """Power delay profile of one element's swept response.
-
-    Squared magnitude of the inverse DFT of the windowed row, scaled so the
-    rectangular-window profile satisfies sum(PDP) == sum(|H|^2).
-    """
-    row = np.asarray(cfr_row, dtype=np.complex128)
-    if row.ndim != 1 or row.shape[0] < 2:
-        raise ValueError("cfr_row must be a vector of length >= 2")
-    return PowerDelayProfile(powers=_pdp(row, window), bin_width=1.0 / bandwidth_hz,
-                             n_bins=row.shape[0])
-
-
 def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    """``(N, F)`` Hann-window profiles of every row; row i is ``compute_pdp(values[i])``."""
-    return _pdp(cfr.values)
+    """``(N, F)`` Hann-window profiles of every row of the response."""
+    return compute_pdp(cfr.values)
 
 
 def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
@@ -108,11 +82,12 @@ def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
     return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
 
 
-def _delay_spread(powers: np.ndarray, bin_width: float, threshold_db: float) -> np.ndarray:
+def rms_delay_spread(powers: np.ndarray, bin_width: float,
+                     threshold_db: float = DEFAULT_DS_THRESHOLD_DB) -> np.ndarray:
     """RMS delay spread of every ``(..., F)`` profile, in seconds.
 
-    Bins more than ``threshold_db`` below their profile's peak are zeroed,
-    then the moments are accumulated in place on one scratch array.
+    Bins more than ``threshold_db`` (>= 0) below their profile's peak are
+    zeroed, then the moments are accumulated in place on one scratch array.
     """
     if not threshold_db >= 0.0:
         raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
@@ -127,14 +102,6 @@ def _delay_spread(powers: np.ndarray, bin_width: float, threshold_db: float) -> 
     scratch *= tau
     second = scratch.sum(axis=-1) / total
     return np.sqrt(np.maximum(second - mean * mean, 0.0))
-
-
-def rms_delay_spread(pdp: PowerDelayProfile, threshold_db: float = DEFAULT_DS_THRESHOLD_DB) -> float:
-    """Second central moment of the thresholded profile, in seconds.
-
-    Bins more than ``threshold_db`` (>= 0) below the peak are zeroed first.
-    """
-    return float(_delay_spread(pdp.powers, pdp.bin_width, threshold_db))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +217,7 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable)
     """Per-element statistics; one PDP array, one LOS gate and ``table = path_table(scene)``."""
     power = received_power_db(cfr)
     pdp = pdp_matrix(cfr)
-    ds = _delay_spread(pdp, 1.0 / cfr.sweep.bandwidth, DEFAULT_DS_THRESHOLD_DB)
+    ds = rms_delay_spread(pdp, 1.0 / cfr.sweep.bandwidth)
     taps, tap_valid = gated_los_rows(cfr, scene, table)
     phase = _unwrapped_phase(taps, tap_valid, scene)
     aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)

@@ -99,6 +99,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in RUN_FILES:  # a failed run must not leave the previous run's artifacts
         (out_dir / name).unlink(missing_ok=True)
+    if not 0.0 < args.cmd_threshold < 1.0:  # the report records it under every criterion
+        raise _CliError(f"--cmd-threshold must lie in (0, 1), got {args.cmd_threshold:g}",
+                        EXIT_ANALYSIS_FAILURE)
 
     table = synth.path_table(scene)
     cfr = synth.synthesize_cfr(scene, table)

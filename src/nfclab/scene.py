@@ -237,18 +237,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _element_index(scene: Scene, n: int) -> int:
-    """Row of 1-based element n in ``element_positions``; IndexError outside 1..N."""
-    if int(n) != n or not 1 <= n <= scene.array.n_elements:
-        raise IndexError(f"element index {n} outside 1..{scene.array.n_elements}")
-    return int(n) - 1
-
-
-def element_position(scene: Scene, n: int) -> np.ndarray:
-    """Position of 1-based element n: origin + (n-1)*spacing_d*axis."""
-    return element_positions(scene)[_element_index(scene, n)]
-
-
 def element_positions(scene: Scene) -> np.ndarray:
     """All element positions as an (n_elements, 3) matrix."""
     arr = scene.array
@@ -274,13 +262,6 @@ def element_geometry(scene: Scene, target) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"target coincides with element {int(np.argmin(r)) + 1}")
     cos_theta = np.clip(np.vecdot(v, np.asarray(scene.array.axis, dtype=float)) / r, -1.0, 1.0)
     return r, np.array([math.acos(c) for c in cos_theta.tolist()])
-
-
-def true_geometry(scene: Scene, n: int, target) -> tuple[float, float]:
-    """``(r_n, theta_n)``: element n's entry of ``element_geometry(scene, target)``."""
-    i = _element_index(scene, n)
-    r, theta = element_geometry(scene, target)
-    return float(r[i]), float(theta[i])
 
 
 def edge_clearance(blocker: Blocker, a, b) -> tuple[np.ndarray, ...]:

@@ -63,18 +63,13 @@ class StationaryPartition:
         return tuple(start for start, _ in self.intervals[1:])
 
 
-def uniform_partition(n_elements: int, n_intervals: int,
-                      criterion: str = "uniform") -> StationaryPartition:
+def uniform_partition(n_elements: int, n_intervals: int) -> StationaryPartition:
     """n_intervals near-equal contiguous intervals (helper, not adaptive)."""
     if not 1 <= n_intervals <= n_elements:
         raise ValueError("need 1 <= n_intervals <= n_elements")
     edges = [round(i * n_elements / n_intervals) for i in range(n_intervals + 1)]
     intervals = tuple((edges[i] + 1, edges[i + 1]) for i in range(n_intervals))
-    return StationaryPartition(intervals=intervals, criterion=criterion, boundary_scores=())
-
-
-def singleton_partition(n_elements: int) -> StationaryPartition:
-    return uniform_partition(n_elements, n_elements, criterion="singleton")
+    return StationaryPartition(intervals=intervals, criterion="uniform", boundary_scores=())
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +111,6 @@ def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     d /= np.multiply.outer(np.where(norm_a > 0, norm_a, np.inf), np.where(norm_b > 0, norm_b, np.inf))
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 1.0, out=d)
-
-
-def correlation_matrix_distance(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Correlation matrix distance 1 - Re tr(R1 R2) / (||R1||_F ||R2||_F).
-
-    0 for proportional matrices, 1 for matrices with orthogonal support;
-    clamped to [0, 1].
-    """
-    m1, m2 = np.asarray(r1), np.asarray(r2)
-    if m1.shape != m2.shape:
-        raise StationarityError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
-    if not (np.any(m1) and np.any(m2)):
-        raise StationarityError("correlation matrix distance undefined for a zero matrix")
-    # <R1, R2^H>_F = tr(R1 R2) for any pair; R2^H = R2 for a correlation matrix
-    return float(_cmd(m1[None], m2.conj().T[None])[0, 0])
 
 
 def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndarray:

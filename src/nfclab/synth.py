@@ -159,12 +159,6 @@ def complex_noise(shape, noise_floor_dbm: float, seed: int) -> np.ndarray:
     return sigma / math.sqrt(2.0) * (parts[..., 0] + 1j * parts[..., 1])
 
 
-def add_noise(cfr: ChannelFrequencyResponse, noise_floor_dbm: float, seed: int) -> ChannelFrequencyResponse:
-    """Return a copy of the CFR with seeded complex white noise added."""
-    noisy = cfr.values + complex_noise(cfr.values.shape, noise_floor_dbm, seed)
-    return ChannelFrequencyResponse(values=noisy, sweep=cfr.sweep)
-
-
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
     """Synthesize the full complex response H(element, frequency) from the scene's path table.
 

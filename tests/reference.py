@@ -6,7 +6,8 @@ correlation from one stacked band, evaluates the element geometry and the
 closed-form phase model over whole arrays, computes the per-element power,
 PDP and delay spread over the whole ``(N, F)`` array, and builds both
 stationary partitions through one fold.  The tests check those fast paths
-against the plain forms below.
+against the plain forms below, and the closed form against
+``exact_relative_phase``, its distance-based ground truth.
 """
 
 import math
@@ -17,6 +18,7 @@ from nfclab import _kernels
 from nfclab.analysis import _pair_aod, gated_los_rows
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import TWO_PI
+from nfclab.scene import element_positions
 from nfclab.stationarity import StationarityError, _cmd, _window_correlations
 from nfclab.synth import ChannelFrequencyResponse, path_table
 from nfclab.wavefront import EPS_ANGLE
@@ -25,7 +27,7 @@ from nfclab.wavefront import EPS_ANGLE
 def element_geometry(scene, target):
     """Per-element ``(r, theta)`` from 1-D ``np.linalg.norm``, ``np.dot`` and ``math.acos``.
 
-    One element at a time, as ``true_geometry`` computed it before
+    One element at a time, as the per-element geometry computed it before
     ``scene.element_geometry`` took over.
     """
     arr = scene.array
@@ -39,6 +41,20 @@ def element_geometry(scene, target):
         r[n - 1] = float(np.linalg.norm(v))
         theta[n - 1] = math.acos(min(1.0, max(-1.0, float(np.dot(axis, v)) / r[n - 1])))
     return r, theta
+
+
+def exact_relative_phase(scene, target, frequency):
+    """Ground-truth relative phase of every element from exact path lengths.
+
+    ``2*pi*f*(r_n - r_1)/c`` from the Euclidean distances to the element
+    positions, with no angle in between: the independent check for the
+    closed-form model, which must agree for every geometry because the
+    closed form is an exact triangle identity.
+    """
+    r = np.linalg.norm(np.asarray(target, dtype=float) - element_positions(scene), axis=1)
+    if r.min() < 1e-12:
+        raise ValueError("target coincides with an array element")
+    return TWO_PI * frequency * (r - r[0]) / C_M_PER_S
 
 
 def model_phases(scene, target, frequency):
@@ -125,8 +141,8 @@ def correlation_matrix(cfr, window):
 def pdp_rows(cfr):
     """``(N, F)`` Hann-window PDPs, one ``n * |ifft(row * w)|^2`` per row.
 
-    The per-row ``compute_pdp`` expression, with the unit-mean Hann window
-    written out.
+    The ``compute_pdp`` expression applied row by row, with the unit-mean
+    Hann window written out.
     """
     n = cfr.sweep.n_points
     w = np.hanning(n)
@@ -145,7 +161,7 @@ def received_power(row):
 
 
 def rms_delay_spread(powers, bin_width, threshold_db=20.0):
-    """The scalar ``rms_delay_spread`` of one profile, verbatim apart from its arguments.
+    """The scalar delay spread of one profile that ``rms_delay_spread`` replaced, verbatim apart from its arguments.
 
     An all-zero profile raises ``ValueError``.
     """

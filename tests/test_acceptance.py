@@ -13,10 +13,12 @@ import pytest
 
 import nfclab as nl
 from nfclab import wavefront as wf
-from nfclab.analysis import PowerDelayProfile, compute_pdp
+from nfclab.analysis import compute_pdp, rms_delay_spread
 from nfclab.cli import RUN_FILES, main as cli_main
 from nfclab.constants import C_M_PER_S
-from nfclab.stationarity import singleton_partition, uniform_partition
+from nfclab.stationarity import _cmd, uniform_partition
+from nfclab.synth import complex_noise
+import reference
 
 
 def report(name: str, detail: str) -> None:
@@ -39,18 +41,16 @@ def test_criterion_1_phase_model_exactness(los_scene):
                         rx=(float(rng.uniform(-20.0, 20.0)),
                             float(rng.uniform(0.3, 50.0)), 2.5))
         f = float(rng.uniform(11e9, 15e9))
-        n = int(rng.integers(1, n_el + 1))
-        _, theta_1 = nl.true_geometry(scene, 1, scene.rx)
-        _, theta_n = nl.true_geometry(scene, n, scene.rx)
-        model = wf.near_field_phase(wf.PhaseModelInput(
-            n=n, d=d, wavelength=C_M_PER_S / f, theta_1=theta_1, theta_n=theta_n))
-        oracle = wf.exact_relative_phase(scene, n, scene.rx, f)
-        worst = max(worst, abs(model - oracle))
+        rng.integers(1, n_el + 1)  # an element-index draw, kept so the 1,000 geometries do not move
+        model = wf.model_phases(nl.element_geometry(scene, scene.rx)[1], d, C_M_PER_S / f)
+        oracle = reference.exact_relative_phase(scene, scene.rx, f)
+        worst = max(worst, float(np.abs(model - oracle).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 1.0
     report("criterion 1 (phase-model exactness)",
-           f"worst |model - oracle| = {worst:.3e} rad over 1000 geometries in {elapsed:.2f} s")
+           f"worst |model - oracle| = {worst:.3e} rad over every element of 1000 geometries "
+           f"in {elapsed:.2f} s")
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_criterion_1_phase_model_exactness(los_scene):
 
 def test_criterion_2_far_field_limit(los_scene):
     rd = wf.rayleigh_distance(los_scene.array.aperture, los_scene.sweep.lambda_center)
-    p1 = nl.element_position(los_scene, 1)
+    p1 = nl.element_positions(los_scene)[0]
     bearing = np.asarray(los_scene.rx) - p1
     bearing /= np.linalg.norm(bearing)
     fc = los_scene.sweep.f_center
@@ -67,8 +67,9 @@ def test_criterion_2_far_field_limit(los_scene):
     errs = []
     for k in (1, 10, 100, 1000):
         scene = replace(los_scene, rx=tuple(p1 + bearing * (k * rd)))
-        model = wf.model_phases(nl.element_geometry(scene, scene.rx)[1], scene.array.spacing_d, lam)
-        _, theta_1 = nl.true_geometry(scene, 1, scene.rx)
+        theta = nl.element_geometry(scene, scene.rx)[1]
+        model = wf.model_phases(theta, scene.array.spacing_d, lam)
+        theta_1 = float(theta[0])
         signed_far = -np.array([wf.far_field_phase(n, scene.array.spacing_d, lam, theta_1)
                                 for n in range(1, 65)])
         errs.append(float(np.abs(model - signed_far).max()))
@@ -103,8 +104,7 @@ def test_criterion_4_power_spread_and_aod(los_scene, los_stats):
 
     aod = los_stats.aod_rad
     assert np.all(np.diff(aod) > 0.0)
-    truth = np.array([nl.true_geometry(los_scene, n, los_scene.rx)[1]
-                      for n in range(1, 65)])
+    truth = nl.element_geometry(los_scene, los_scene.rx)[1]
     est_span = math.degrees(float(aod[-1] - aod[0]))
     true_span = math.degrees(float(truth[-1] - truth[0]))
     assert abs(est_span - true_span) < 1.0
@@ -164,7 +164,8 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
         sweep=bare.sweep)
     hits = 0
     for seed in range(100):
-        noisy = nl.add_noise(clean, -95.0, seed)
+        noisy = nl.ChannelFrequencyResponse(
+            values=clean.values + complex_noise(clean.values.shape, -95.0, seed), sweep=clean.sweep)
         trial = nl.partition_by_cmd(noisy, m=4, tau=0.2)
         if trial.boundaries() and abs(trial.boundaries()[0] - splice) <= 2:
             hits += 1
@@ -178,6 +179,9 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_cmd_properties():
+    def cmd(r1, r2):
+        return float(_cmd(r1[None], r2[None])[0, 0])
+
     rng = np.random.default_rng(7)
     worst_sym = worst_self = worst_scale = 0.0
     for _ in range(1000):
@@ -186,19 +190,19 @@ def test_criterion_7_cmd_properties():
         b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         r1 = a @ a.conj().T
         r2 = b @ b.conj().T
-        d12 = nl.correlation_matrix_distance(r1, r2)
-        d21 = nl.correlation_matrix_distance(r2, r1)
+        d12 = cmd(r1, r2)
+        d21 = cmd(r2, r1)
         assert -1e-9 <= d12 <= 1.0 + 1e-9
         worst_sym = max(worst_sym, abs(d12 - d21))
-        worst_self = max(worst_self, nl.correlation_matrix_distance(r1, r1))
+        worst_self = max(worst_self, cmd(r1, r1))
         c = float(rng.uniform(0.1, 10.0))
-        worst_scale = max(worst_scale, nl.correlation_matrix_distance(r1, c * r1))
+        worst_scale = max(worst_scale, cmd(r1, c * r1))
     assert worst_self < 1e-9
     assert worst_scale < 1e-9
     assert worst_sym < 1e-9
-    assert nl.correlation_matrix_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 1.0
+    assert cmd(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 1.0
     report("criterion 7 (CMD properties)",
-           f"1000 random Hermitian-PSD pairs: self {worst_self:.1e}, "
+           f"1000 random Hermitian-PSD pairs through the Gram routine: self {worst_self:.1e}, "
            f"scale {worst_scale:.1e}, symmetry {worst_sym:.1e}")
 
 
@@ -215,7 +219,7 @@ def test_criterion_8_mw_monotonicity(los_scene):
         rmses.append(nl.multiplanar_error(los_scene, truth, patches).phase_rmse)
     assert all(rmses[i + 1] <= rmses[i] + 1e-9 for i in range(5))
 
-    patches = nl.build_multiplanar_model(truth, singleton_partition(64))
+    patches = nl.build_multiplanar_model(truth, uniform_partition(64, 64))
     singleton_rmse = nl.multiplanar_error(los_scene, truth, patches).phase_rmse
     assert singleton_rmse < 1e-9
     report("criterion 8 (MW monotonicity)",
@@ -228,18 +232,19 @@ def test_criterion_8_mw_monotonicity(los_scene):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_analysis_oracles(los_cfr):
+    bin_width = 1.0 / los_cfr.sweep.bandwidth
     # Parseval with the rectangular window
     row = los_cfr.values[10]
-    pdp = compute_pdp(row, los_cfr.sweep.bandwidth, window="rectangular")
+    pdp = compute_pdp(row, window="rectangular")
     total = float(np.sum(np.abs(row) ** 2))
-    parseval_err = abs(pdp.powers.sum() - total) / total
+    parseval_err = abs(pdp.sum() - total) / total
     assert parseval_err <= 1e-9
 
     # two equal taps 10 ns apart -> DS = 5 ns (exact on the labeled grid,
     # within half a bin when reconstructed through a synthesized sweep)
     p = np.zeros(801)
     p[0] = p[40] = 1.0
-    ds_direct = nl.rms_delay_spread(PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801))
+    ds_direct = float(rms_delay_spread(p, 0.25e-9))
     assert ds_direct == pytest.approx(5e-9, rel=1e-12)
 
     sweep = los_cfr.sweep
@@ -247,16 +252,16 @@ def test_criterion_9_analysis_oracles(los_cfr):
     n = sweep.n_points
     tau2 = 40 * (n - 1) / (n * sweep.bandwidth)
     row2 = np.exp(-2j * np.pi * freqs * 0.0) + np.exp(-2j * np.pi * freqs * tau2)
-    pdp2 = compute_pdp(row2, sweep.bandwidth, window="rectangular")
-    ds_cfr = nl.rms_delay_spread(pdp2)
-    assert abs(ds_cfr - 5e-9) <= 0.5 * pdp2.bin_width
+    pdp2 = compute_pdp(row2, window="rectangular")
+    ds_cfr = float(rms_delay_spread(pdp2, bin_width))
+    assert abs(ds_cfr - 5e-9) <= 0.5 * bin_width
 
     # single path at 5 m peaks in the geometric delay bin
     tau = 5.0 / C_M_PER_S
     row3 = np.exp(-2j * np.pi * freqs * tau)
-    pdp3 = compute_pdp(row3, sweep.bandwidth, window="rectangular")
-    peak = int(np.argmax(pdp3.powers))
-    assert peak == round(tau / pdp3.bin_width) == 67
+    pdp3 = compute_pdp(row3, window="rectangular")
+    peak = int(np.argmax(pdp3))
+    assert peak == round(tau / bin_width) == 67
     report("criterion 9 (analysis oracles)",
            f"Parseval rel err = {parseval_err:.1e}; two-tap DS = {ds_direct * 1e9:.3f} ns "
            f"(via CFR {ds_cfr * 1e9:.3f} ns); single-path peak bin = {peak}")

@@ -6,12 +6,13 @@ import pytest
 
 import nfclab as nl
 from nfclab import wavefront as wf
-from nfclab.analysis import (AnalysisError, PowerDelayProfile, compute_pdp,
-                             export_pdp_csv, export_stats_csv, pdp_matrix)
+from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv,
+                             export_stats_csv, pdp_matrix, rms_delay_spread)
 from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
                              _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene
+from nfclab.synth import complex_noise
 import reference
 from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
@@ -28,18 +29,17 @@ def single_path_row(tau, freqs=None, friis=False):
 
 
 def test_zero_row_gives_zero_pdp():
-    pdp = compute_pdp(np.zeros(801, dtype=complex), SWEEP.bandwidth)
-    assert np.all(pdp.powers == 0.0)
-    assert pdp.n_bins == 801
-    assert pdp.bin_width == pytest.approx(0.25e-9)
+    pdp = compute_pdp(np.zeros(801, dtype=complex))
+    assert pdp.shape == (801,)
+    assert np.all(pdp == 0.0)
 
 
 def test_single_path_peak_bin():
     # r = 5 m => tau = 16.678 ns => bin round(16.678/0.25) = 67
     tau = 5.0 / C_M_PER_S
     assert round(tau * 1e9 / 0.25) == 67
-    pdp = compute_pdp(single_path_row(tau), SWEEP.bandwidth, window="rectangular")
-    assert int(np.argmax(pdp.powers)) == 67
+    pdp = compute_pdp(single_path_row(tau), window="rectangular")
+    assert int(np.argmax(pdp)) == 67
 
 
 def test_two_tap_pdp_peaks_40_bins_apart():
@@ -47,18 +47,18 @@ def test_two_tap_pdp_peaks_40_bins_apart():
     # delays aligned with the IDFT grid (zero leakage): bin k at k*(n-1)/(n*B)
     tau_of_bin = lambda k: k * (n - 1) / (n * SWEEP.bandwidth)
     row = single_path_row(tau_of_bin(0)) + single_path_row(tau_of_bin(40))
-    pdp = compute_pdp(row, SWEEP.bandwidth, window="rectangular")
-    top2 = np.argsort(pdp.powers)[-2:]
+    pdp = compute_pdp(row, window="rectangular")
+    top2 = np.argsort(pdp)[-2:]
     assert set(top2) == {0, 40}
-    assert pdp.powers[1:40].max() < 1e-20 * pdp.powers[0]
+    assert pdp[1:40].max() < 1e-20 * pdp[0]
 
 
 def test_parseval_rectangular(los_cfr):
     for i in (0, 17, 63):
         row = los_cfr.values[i]
-        pdp = compute_pdp(row, los_cfr.sweep.bandwidth, window="rectangular")
+        pdp = compute_pdp(row, window="rectangular")
         total_f = float(np.sum(np.abs(row) ** 2))
-        assert abs(pdp.powers.sum() - total_f) <= 1e-9 * total_f
+        assert abs(pdp.sum() - total_f) <= 1e-9 * total_f
 
 
 def test_received_power_values():
@@ -76,63 +76,54 @@ def test_received_power_values():
 def test_rms_delay_spread_single_bin_zero():
     p = np.zeros(801)
     p[123] = 4.2
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
-    assert nl.rms_delay_spread(pdp) == 0.0
+    assert rms_delay_spread(p, 0.25e-9) == 0.0
 
 
 def test_rms_delay_spread_two_tap_closed_form():
     p = np.zeros(801)
     p[0] = 1.0
     p[40] = 1.0  # equal powers at 0 ns and 10 ns -> DS = 5 ns
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
-    assert nl.rms_delay_spread(pdp) == pytest.approx(5e-9, rel=1e-12)
+    assert rms_delay_spread(p, 0.25e-9) == pytest.approx(5e-9, rel=1e-12)
 
 
 def test_rms_delay_spread_invariances():
     rng = np.random.default_rng(5)
     p = np.zeros(801)
     p[10:20] = rng.uniform(0.1, 1.0, 10)
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
-    ds = nl.rms_delay_spread(pdp)
-    scaled = PowerDelayProfile(powers=7.5 * p, bin_width=0.25e-9, n_bins=801)
-    assert nl.rms_delay_spread(scaled) == pytest.approx(ds, rel=1e-12)
-    shifted = PowerDelayProfile(powers=np.roll(p, 100), bin_width=0.25e-9, n_bins=801)
-    assert nl.rms_delay_spread(shifted) == pytest.approx(ds, rel=1e-9)
+    ds = rms_delay_spread(p, 0.25e-9)
+    assert rms_delay_spread(7.5 * p, 0.25e-9) == pytest.approx(ds, rel=1e-12)
+    assert rms_delay_spread(np.roll(p, 100), 0.25e-9) == pytest.approx(ds, rel=1e-9)
 
 
 def test_rms_delay_spread_threshold_zeroes_weak_bins():
     p = np.zeros(801)
     p[0] = 1.0
     p[400] = 1e-4  # 40 dB below the peak: removed at the default 20 dB cut
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
-    assert nl.rms_delay_spread(pdp) == 0.0
-    assert nl.rms_delay_spread(pdp, threshold_db=50.0) > 5e-10
+    assert rms_delay_spread(p, 0.25e-9) == 0.0
+    assert rms_delay_spread(p, 0.25e-9, threshold_db=50.0) > 5e-10
 
 
 def test_rms_delay_spread_all_noise_error():
-    pdp = PowerDelayProfile(powers=np.zeros(801), bin_width=0.25e-9, n_bins=801)
     with pytest.raises(AnalysisError):
-        nl.rms_delay_spread(pdp)
+        rms_delay_spread(np.zeros(801), 0.25e-9)
 
 
 def test_rms_delay_spread_keeps_a_bin_exactly_at_the_threshold():
     p = np.zeros(801)
     p[0] = 1.0
     p[40] = 0.01  # exactly 20 dB below the peak: kept
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
-    ds = nl.rms_delay_spread(pdp)
+    ds = rms_delay_spread(p, 0.25e-9)
     assert ds == pytest.approx(math.sqrt(0.01) / 1.01 * 10e-9, rel=1e-12)
     assert ds == reference.rms_delay_spread(p, 0.25e-9)
-    assert nl.rms_delay_spread(pdp, threshold_db=0.0) == 0.0  # the peak alone
+    assert rms_delay_spread(p, 0.25e-9, threshold_db=0.0) == 0.0  # the peak alone
 
 
 @pytest.mark.parametrize("threshold_db", [-1.0, -1e-300, math.nan])
 def test_rms_delay_spread_rejects_a_bad_threshold(threshold_db):
     p = np.zeros(801)
     p[3] = 1.0
-    pdp = PowerDelayProfile(powers=p, bin_width=0.25e-9, n_bins=801)
     with pytest.raises(ValueError, match="threshold_db"):
-        nl.rms_delay_spread(pdp, threshold_db=threshold_db)
+        rms_delay_spread(p, 0.25e-9, threshold_db=threshold_db)
 
 
 def test_los_phase_single_path_matches_oracle():
@@ -142,8 +133,7 @@ def test_los_phase_single_path_matches_oracle():
     assert phase[0] == 0.0
     assert np.all(valid)
     fc = scene.sweep.frequencies()[scene.sweep.center_index]
-    oracle = np.array([wf.exact_relative_phase(scene, n, scene.rx, fc)
-                       for n in range(1, 17)])
+    oracle = reference.exact_relative_phase(scene, scene.rx, fc)
     assert np.abs(phase - oracle).max() < 1e-6
 
 
@@ -227,8 +217,8 @@ def test_los_phase_noise_only_gate_flagged():
     scene = loads_scene("[array]\nn_elements = 4\n[rx]\nposition = 1.0, 6.0, 2.5\n"
                         "[noise]\nfloor_dbm = -90.0\n")
     sweep = scene.sweep
-    silent = nl.ChannelFrequencyResponse(values=np.zeros((4, sweep.n_points), dtype=complex), sweep=sweep)
-    noisy = nl.add_noise(silent, -90.0, seed=1)
+    # a silent array plus noise: nothing but noise in every gate
+    noisy = nl.ChannelFrequencyResponse(values=complex_noise((4, sweep.n_points), -90.0, 1), sweep=sweep)
     table = nl.path_table(scene)
     valid = gated_los_rows(noisy, scene, table)[1]
     assert not np.any(valid)
@@ -241,8 +231,7 @@ def test_los_phase_noise_only_gate_flagged():
 def test_estimate_aod_on_preset(los_stats, los_scene):
     aod = los_stats.aod_rad
     assert np.all(np.diff(aod) > 0)  # strictly monotone along the array
-    truth = np.array([nl.true_geometry(los_scene, n, los_scene.rx)[1]
-                      for n in range(1, 65)])
+    truth = nl.element_geometry(los_scene, los_scene.rx)[1]
     est_span = math.degrees(aod[-1] - aod[0])
     true_span = math.degrees(truth[-1] - truth[0])
     assert abs(est_span - true_span) < 1.0

@@ -67,6 +67,19 @@ def test_run_analysis_failure_exit_4(tmp_path):
                 "--criterion", "slope", "--window", "1"]) == EXIT_ANALYSIS_FAILURE
 
 
+@pytest.mark.parametrize("tau", ["0", "1", "7", "nan"])
+@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
+def test_out_of_range_cmd_threshold_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, criterion, tau):
+    # report.txt records the threshold whichever criterion runs, so every criterion checks it
+    from nfclab import synth
+    calls = count_calls(monkeypatch, {"path_table": synth})
+    assert run(["run", "los_lab", "--out", str(tmp_path), "--criterion", criterion,
+                "--cmd-threshold", tau]) == EXIT_ANALYSIS_FAILURE
+    assert calls == {"path_table": 0}
+    assert capsys.readouterr().err == f"error: --cmd-threshold must lie in (0, 1), got {float(tau):g}\n"
+    assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
+
+
 def test_run_two_element_scene_degrades_with_warnings(tmp_path):
     scene = load_preset("los_lab")
     tiny = tmp_path / "tiny.scene"

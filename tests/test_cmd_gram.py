@@ -6,7 +6,8 @@ implementations that the banded window-correlation stack replaced, kept
 verbatim (returning plain arrays, with the interval fold of
 ``reference.merge_short_intervals``) as the reference.  The sums run in
 another order, so values agree to 1e-12, not bitwise.  The partition's own
-scan and fold are checked bit for bit against ``reference.partition_by_cmd``.
+scan and fold are checked bit for bit against ``reference.partition_by_cmd``,
+and every distance row its scan computes against the matching ``cmd_map`` row.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfclab as nl
-from nfclab.stationarity import (StationarityError, StationaryPartition, cmd_map,
-                                 correlation_matrix_distance, partition_by_cmd)
+from nfclab.stationarity import (StationarityError, StationaryPartition, _cmd,
+                                 _window_correlations, cmd_map, partition_by_cmd)
 from reference import correlation_matrix, merge_short_intervals
 from reference import partition_by_cmd as reference_partition_by_cmd
 
@@ -181,13 +182,29 @@ def test_correlation_matrix_is_a_window_of_the_stack(cfr, m, data):
     assert np.array_equal(r, r.conj().T)
 
 
-def test_pair_distance_keeps_trace_form_for_non_hermitian_pairs():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        m = int(rng.integers(2, 6))
-        a, b = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for _ in range(2))
-        assert correlation_matrix_distance(a, b) == pytest.approx(
-            _ref_correlation_matrix_distance(a, b), abs=TOL)
+def assert_scan_rows_are_map_rows(cfr, m):
+    """Each anchor's scan row is its ``cmd_map`` row from the next window on, byte for byte."""
+    dmap = cmd_map(cfr, m)
+    stack = _window_correlations(cfr.values, m)
+    assert dmap.shape == (len(stack), len(stack))
+    for a in range(len(stack) - 1):  # every anchor the scan can reach: one window must follow it
+        row = _cmd(stack[a:a + 1], stack[a + 1:])[0]  # as partition_by_cmd's scan computes it
+        assert row.tobytes() == dmap[a, a + 1:].tobytes(), a
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfr=cfrs(), m=st.integers(2, 8))
+def test_partition_scan_rows_are_cmd_map_rows(cfr, m):
+    if cfr.n_elements < m:
+        return
+    assert_scan_rows_are_map_rows(cfr, m)
+
+
+@pytest.mark.parametrize("cfr_fixture", ["los_cfr", "olos_cfr"])
+def test_partition_scan_rows_are_cmd_map_rows_on_presets(cfr_fixture, request):
+    cfr = request.getfixturevalue(cfr_fixture)
+    for m in range(2, 9):
+        assert_scan_rows_are_map_rows(cfr, m)
 
 
 def test_cmd_map_rejects_single_element_window():

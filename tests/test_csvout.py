@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from nfclab import _csvout
-from nfclab.analysis import (ChannelStats, PowerDelayProfile, export_pdp_csv,
-                             export_stats_csv, pdp_matrix)
+from nfclab.analysis import ChannelStats, export_pdp_csv, export_stats_csv, pdp_matrix
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep
@@ -62,16 +61,15 @@ def _ref_export_stats_csv(stats, path) -> None:
 
 
 def _ref_export_pdp_csv(pdp_array, bandwidth_hz, path) -> None:
-    """The per-row loop over one ``PowerDelayProfile`` per element 1..N."""
-    pdps = [PowerDelayProfile(powers=row, bin_width=1.0 / bandwidth_hz, n_bins=len(row))
-            for row in pdp_array]
+    """The per-row loop over the profiles of elements 1..N, one cell at a time."""
+    bin_width = 1.0 / bandwidth_hz
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "bin", "delay_ns", "power_db"])
-        for element, pdp in enumerate(pdps, start=1):
-            delays_ns = np.arange(pdp.n_bins) * pdp.bin_width * 1e9
-            for k in range(pdp.n_bins):
-                p = pdp.powers[k]
+        for element, powers in enumerate(pdp_array, start=1):
+            delays_ns = np.arange(len(powers)) * bin_width * 1e9
+            for k in range(len(powers)):
+                p = powers[k]
                 power_db = repr(10.0 * math.log10(p)) if p > 0 else "-inf"
                 writer.writerow([element, k, repr(float(delays_ns[k])), power_db])
 

@@ -8,7 +8,7 @@ import nfclab as nl
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
-from nfclab.stationarity import singleton_partition, uniform_partition
+from nfclab.stationarity import uniform_partition
 from nfclab.synth import ChannelFrequencyResponse
 from nfclab.wavefront import rayleigh_distance
 from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
@@ -46,7 +46,7 @@ def mw_rmse(scene, n_intervals):
 
 
 def test_singleton_partition_reproduces_truth(los_scene):
-    part = singleton_partition(64)
+    part = uniform_partition(64, 64)
     truth = truth_of(los_scene)
     ref = nl.build_multiplanar_model(truth, part)
     assert ref.tolist() == list(range(1, 65))
@@ -62,7 +62,7 @@ def test_reference_elements_are_exact(los_scene):
 
 def test_single_patch_far_field_error_small(los_scene):
     rd = rayleigh_distance(los_scene.array.aperture, los_scene.sweep.lambda_center)
-    p1 = nl.element_position(los_scene, 1)
+    p1 = nl.element_positions(los_scene)[0]
     bearing = np.asarray(los_scene.rx) - p1
     bearing /= np.linalg.norm(bearing)
     far = replace(los_scene, rx=tuple(p1 + bearing * (1000 * rd)),
@@ -94,7 +94,7 @@ def test_broadside_patch_constant_phase():
 
 def test_mw_error_trivials(los_scene):
     truth = truth_of(los_scene)
-    ref = nl.build_multiplanar_model(truth, singleton_partition(64))
+    ref = nl.build_multiplanar_model(truth, uniform_partition(64, 64))
     err = nl.multiplanar_error(los_scene, truth, ref)
     assert err.phase_rmse < 1e-12
     assert err.complex_correlation == pytest.approx(1.0, abs=1e-12)
@@ -173,7 +173,7 @@ def test_reference_index_follows_the_fallback_rule(olos_scene):
     # have no usable element, fall back, or have two usable neighbours at one distance
     elements = np.arange(1, n + 1)
     blocked = truth._replace(usable=truth.usable & (elements > 40) & (elements % 3 != 0))
-    partitions = [uniform_partition(n, 2 ** k) for k in range(7)] + [singleton_partition(n)]
+    partitions = [uniform_partition(n, 2 ** k) for k in range(7)] + [uniform_partition(n, n)]
     fallbacks = ties = 0
     for t in (truth, blocked):
         for part in partitions:
@@ -251,7 +251,7 @@ def test_real_phase_error_matches_complex_reference(name):
     if name == "far_check":
         max_length = float(truth.length.max())
         tol = 4.0 * float(np.spacing(2.0 * math.pi * scene.sweep.f_stop * max_length / C_M_PER_S))
-    partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [singleton_partition(n)]
+    partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [uniform_partition(n, n)]
     for part in partitions:
         model = nl.build_multiplanar_model(truth, part)
         err = nl.multiplanar_error(scene, truth, model)

@@ -19,7 +19,7 @@ from strategies import scenes
 import nfclab as nl
 from nfclab import scene as scene_mod
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
-from nfclab.scene import Blocker, Scatterer, Scene, element_position
+from nfclab.scene import Blocker, Scatterer, Scene, element_positions
 from nfclab.synth import PathTable, knife_edge_loss, path_blockage_db, path_table
 from nfclab.wavefront import rayleigh_distance
 
@@ -104,7 +104,7 @@ def _path_blockage_db(scene: Scene, edge_factors: tuple[float, ...]) -> float:
 
 
 def los_path(scene: Scene, n: int) -> PropagationPath:
-    p = element_position(scene, n)
+    p = element_positions(scene)[n - 1]
     rx = np.asarray(scene.rx, dtype=float)
     factors = _edge_factors_for(scene, [p, rx])
     return PropagationPath(
@@ -117,7 +117,7 @@ def los_path(scene: Scene, n: int) -> PropagationPath:
 
 
 def enumerate_paths(scene: Scene, n: int) -> list[PropagationPath]:
-    p = element_position(scene, n)
+    p = element_positions(scene)[n - 1]
     rx = np.asarray(scene.rx, dtype=float)
     paths = [los_path(scene, n)]
 
@@ -232,7 +232,7 @@ def benchmark_scene(preset: str, n_elements: int, seed: int,
                     point_scatterers=tuple(replace(s, position=jitter(s.position))
                                            for s in scene.point_scatterers))
     if distance_mult is not None:
-        p1 = element_position(scene, 1)
+        p1 = element_positions(scene)[0]
         bearing = np.asarray(scene.rx, dtype=float) - p1
         bearing /= float(np.linalg.norm(bearing))
         r_d = rayleigh_distance(scene.array.aperture, scene.sweep.lambda_center)

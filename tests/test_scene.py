@@ -99,14 +99,12 @@ def test_sweep_center_index_is_the_middle_grid_point():
 
 
 def test_element_position_basics(los_scene):
-    assert np.allclose(nl.element_position(los_scene, 1), los_scene.array.origin)
+    assert np.allclose(nl.element_positions(los_scene)[0], los_scene.array.origin)
     scene = loads_scene(MINIMAL.replace("n_elements = 1",
                                         "n_elements = 8\nspacing_d = 0.0125"))
-    assert np.allclose(nl.element_position(scene, 3), (0.025, 0.0, 2.5))
-    with pytest.raises(IndexError):
-        nl.element_position(scene, 0)
-    with pytest.raises(IndexError):
-        nl.element_position(scene, 9)
+    positions = nl.element_positions(scene)
+    assert positions.shape == (8, 3)
+    assert np.allclose(positions[2], (0.025, 0.0, 2.5))
 
 
 def test_element_positions_affine(los_scene):
@@ -118,11 +116,11 @@ def test_element_positions_affine(los_scene):
 
 def test_true_geometry_collinear_and_broadside(los_scene):
     origin = np.array(los_scene.array.origin)
-    r, theta = nl.true_geometry(los_scene, 1, origin + np.array([3.0, 0, 0]))
-    assert theta == pytest.approx(0.0, abs=1e-12)
-    r, theta = nl.true_geometry(los_scene, 1, origin + np.array([0.0, 5.0, 0]))
-    assert r == pytest.approx(5.0, abs=1e-12)
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
+    r, theta = nl.element_geometry(los_scene, origin + np.array([3.0, 0, 0]))
+    assert theta[0] == pytest.approx(0.0, abs=1e-12)
+    r, theta = nl.element_geometry(los_scene, origin + np.array([0.0, 5.0, 0]))
+    assert r[0] == pytest.approx(5.0, abs=1e-12)
+    assert theta[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_true_geometry_distance_ordering():
@@ -130,10 +128,9 @@ def test_true_geometry_distance_ordering():
     text = MINIMAL.replace("n_elements = 1", "n_elements = 64")
     scene = loads_scene(text.replace("position = 0.0, 5.0, 2.5",
                                      "position = -3.0, 5.0, 2.5"))
-    r1, _ = nl.true_geometry(scene, 1, scene.rx)
-    r64, _ = nl.true_geometry(scene, 64, scene.rx)
-    p1 = nl.element_position(scene, 1)
-    p64 = nl.element_position(scene, 64)
+    r, _ = nl.element_geometry(scene, scene.rx)
+    r1, r64 = r[0], r[63]
+    p1, p64 = nl.element_positions(scene)[[0, 63]]
     assert r64 > r1
     assert r1 == pytest.approx(np.linalg.norm(np.array(scene.rx) - p1), abs=1e-12)
     assert r64 == pytest.approx(np.linalg.norm(np.array(scene.rx) - p64), abs=1e-12)
@@ -141,14 +138,14 @@ def test_true_geometry_distance_ordering():
 
 def test_true_geometry_symmetric_distance(los_scene):
     target = (1.0, 4.0, 2.0)
-    r_fwd, _ = nl.true_geometry(los_scene, 5, target)
-    p5 = nl.element_position(los_scene, 5)
+    r_fwd = nl.element_geometry(los_scene, target)[0][4]
+    p5 = nl.element_positions(los_scene)[4]
     assert r_fwd == pytest.approx(np.linalg.norm(p5 - np.asarray(target)), abs=1e-15)
 
 
 def test_true_geometry_coincident_error(los_scene):
     with pytest.raises(ValueError, match="coincides"):
-        nl.true_geometry(los_scene, 2, nl.element_position(los_scene, 2))
+        nl.element_geometry(los_scene, nl.element_positions(los_scene)[1])
 
 
 SCREEN = Blocker(center=(0.0, 1.0, 2.0), width=2.0, height=2.0, normal=(0.0, 1.0, 0.0))

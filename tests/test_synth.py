@@ -9,7 +9,7 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import export_cfr_csv, path_blockage_db, path_table
+from nfclab.synth import complex_noise, export_cfr_csv, path_blockage_db, path_table
 from reference import synthesize_los_cfr
 
 BARE = """
@@ -57,7 +57,7 @@ def test_zero_gain_wall_path_retained():
     assert los < scene.array.n_elements <= wall  # LOS group, then the wall group
     assert table.gain[wall] == 0.0
     # image-method length: element -> mirror(rx) across y=8
-    p = nl.element_position(scene, 2)
+    p = nl.element_positions(scene)[1]
     image = np.array([1.0, 10.0, 2.5])
     assert table.length[wall] == pytest.approx(np.linalg.norm(image - p), rel=1e-12)
 
@@ -75,7 +75,7 @@ def test_scatterer_path_geometry():
     table = path_table(scene)
     los, scat = paths_of(table, 1)
     assert los < scene.array.n_elements <= scat
-    p1 = nl.element_position(scene, 1)
+    p1 = nl.element_positions(scene)[0]
     s = np.array([-1.0, 3.0, 2.5])
     rx = np.array(scene.rx)
     expected = np.linalg.norm(s - p1) + np.linalg.norm(rx - s)
@@ -163,17 +163,16 @@ def test_noise_seeding(los_scene):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     clean = nl.synthesize_cfr(los_scene, path_table(los_scene))
-    # add_noise reproduces the synthesizer's noise injection exactly
-    d = nl.add_noise(clean, -95.0, 7).values
+    # the synthesizer's noise is complex_noise added to the clean response
+    d = clean.values + complex_noise(clean.values.shape, -95.0, 7)
     assert np.array_equal(a, d)
 
 
 def test_noise_level_calibration():
     rng_floor = -90.0
     sweep = nl.Sweep(n_points=2001)
-    zero = nl.ChannelFrequencyResponse(values=np.zeros((8, 2001), dtype=complex), sweep=sweep)
-    noisy = nl.add_noise(zero, rng_floor, 3)
-    measured = 10 * np.log10(np.mean(np.abs(noisy.values) ** 2))
+    noise = complex_noise((8, sweep.n_points), rng_floor, 3)
+    measured = 10 * np.log10(np.mean(np.abs(noise) ** 2))
     assert measured == pytest.approx(rng_floor - 10.0, abs=0.2)  # relative to 10 dBm tx
 
 

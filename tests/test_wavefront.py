@@ -14,8 +14,15 @@ from strategies import scenes
 from test_analysis import REFERENCE_SCENES
 
 
-def inputs(n=2, d=0.0125, lam=0.025, t1=math.radians(60), tn=math.radians(61)):
-    return wf.PhaseModelInput(n=n, d=d, wavelength=lam, theta_1=t1, theta_n=tn)
+def phase_of(n=2, d=0.0125, lam=0.025, t1=math.radians(60), tn=math.radians(61)):
+    """Element n's closed-form phase on an n-element array whose angles run from t1 to tn.
+
+    At ``lam = wf.TWO_PI`` the phase factor is exactly 1 and this is the path
+    difference ``r_n - r_1`` itself.
+    """
+    theta = np.full(n, t1)
+    theta[n - 1] = tn
+    return float(wf.model_phases(theta, d, lam)[n - 1])
 
 
 def ray_intersection(d, theta_1, theta_n):
@@ -37,34 +44,33 @@ def geometric_delta(n, d, theta_1, theta_n):
 
 
 def test_reference_element_is_zero():
-    assert wf.path_difference(inputs(n=1)) == 0.0
-    assert wf.near_field_phase(inputs(n=1)) == 0.0
+    assert phase_of(n=1) == 0.0
+    assert phase_of(n=1, lam=wf.TWO_PI) == 0.0
 
 
 def test_equal_angles_limit_value():
     # limit branch: -(n-1)*d*cos(theta_1); at 60 deg and (n-1)*d = 0.025 m
     # the value is -0.0125 m
-    val = wf.path_difference(inputs(n=3, t1=math.radians(60), tn=math.radians(60)))
+    val = phase_of(n=3, lam=wf.TWO_PI, t1=math.radians(60), tn=math.radians(60))
     assert val == pytest.approx(-0.0125, abs=1e-15)
 
 
 def test_path_difference_against_coordinate_oracle():
     oracle = geometric_delta(2, 0.0125, math.radians(60), math.radians(61))
     assert oracle == pytest.approx(-6.156e-3, abs=5e-6)  # frozen hand value
-    val = wf.path_difference(inputs())
+    val = phase_of(lam=wf.TWO_PI)
     assert val == pytest.approx(oracle, abs=1e-12)
 
 
 def test_near_field_phase_against_coordinate_oracle():
     oracle = 2 * math.pi / 0.025 * geometric_delta(2, 0.0125, math.radians(60), math.radians(61))
     assert oracle == pytest.approx(-1.547, abs=2e-3)  # frozen hand value
-    assert wf.near_field_phase(inputs()) == pytest.approx(oracle, abs=1e-9)
+    assert phase_of() == pytest.approx(oracle, abs=1e-9)
 
 
 def test_broadside_phase_is_zero_for_all_elements():
-    for n in (1, 2, 5, 64):
-        val = wf.near_field_phase(inputs(n=n, t1=math.pi / 2, tn=math.pi / 2))
-        assert val == pytest.approx(0.0, abs=1e-12)
+    phases = wf.model_phases(np.full(64, math.pi / 2), 0.0125, 0.025)
+    assert np.abs(phases).max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_far_field_phase_values():
@@ -97,11 +103,11 @@ def test_rayleigh_distance_of_default_preset(los_scene):
 
 def test_exact_relative_phase_trivials(los_scene):
     f = 13e9
-    assert wf.exact_relative_phase(los_scene, 1, (3.0, 4.0, 2.5), f) == 0.0
+    assert reference.exact_relative_phase(los_scene, (3.0, 4.0, 2.5), f)[0] == 0.0
     # two-element array with the target equidistant from both elements
     scene = loads_scene("[array]\nn_elements = 2\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.00625, 5.0, 2.5\n")
-    assert wf.exact_relative_phase(scene, 2, scene.rx, f) == pytest.approx(0.0, abs=1e-9)
+    assert reference.exact_relative_phase(scene, scene.rx, f)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_model_matches_exact_phase_for_random_geometries(los_scene):
@@ -114,28 +120,25 @@ def test_model_matches_exact_phase_for_random_geometries(los_scene):
                         array=replace(los_scene.array, n_elements=n_el, spacing_d=d),
                         rx=(float(rng.uniform(-20, 20)), float(rng.uniform(0.3, 50.0)), 2.5))
         f = float(rng.uniform(11e9, 15e9))
-        n = int(rng.integers(1, n_el + 1))
-        _, t1 = nl.true_geometry(scene, 1, scene.rx)
-        _, tn = nl.true_geometry(scene, n, scene.rx)
-        model = wf.near_field_phase(wf.PhaseModelInput(
-            n=n, d=d, wavelength=C_M_PER_S / f, theta_1=t1, theta_n=tn))
-        oracle = wf.exact_relative_phase(scene, n, scene.rx, f)
-        worst = max(worst, abs(model - oracle))
+        rng.integers(1, n_el + 1)  # an element-index draw, kept so the 300 geometries do not move
+        phases = wf.model_phases(element_geometry(scene, scene.rx)[1], d, C_M_PER_S / f)
+        oracle = reference.exact_relative_phase(scene, scene.rx, f)
+        worst = max(worst, float(np.abs(phases - oracle).max()))
     assert worst < 1e-9
 
 
 def test_continuity_at_limit_branch():
     eps = wf.EPS_ANGLE
     t1 = math.radians(60)
-    limit = wf.path_difference(inputs(n=2, t1=t1, tn=t1))
+    limit = phase_of(n=2, lam=wf.TWO_PI, t1=t1, tn=t1)
     for sign in (+1, -1):
-        edge = wf.path_difference(inputs(n=2, t1=t1, tn=t1 + sign * eps))
+        edge = phase_of(n=2, lam=wf.TWO_PI, t1=t1, tn=t1 + sign * eps)
         assert abs(edge - limit) < 1e-9
 
 
 def test_far_field_convergence(los_scene):
     rd = wf.rayleigh_distance(los_scene.array.aperture, los_scene.sweep.lambda_center)
-    p1 = nl.element_position(los_scene, 1)
+    p1 = nl.element_positions(los_scene)[0]
     bearing = np.asarray(los_scene.rx) - p1
     bearing /= np.linalg.norm(bearing)
     fc = los_scene.sweep.f_center
@@ -143,22 +146,22 @@ def test_far_field_convergence(los_scene):
     errs = []
     for k in (1, 10, 100, 1000):
         scene = replace(los_scene, rx=tuple(p1 + bearing * (k * rd)))
-        model = wf.model_phases(element_geometry(scene, scene.rx)[1], scene.array.spacing_d, lam)
-        _, t1 = nl.true_geometry(scene, 1, scene.rx)
-        signed_far = -np.array([wf.far_field_phase(n, scene.array.spacing_d, lam, t1)
+        theta = element_geometry(scene, scene.rx)[1]
+        phases = wf.model_phases(theta, scene.array.spacing_d, lam)
+        signed_far = -np.array([wf.far_field_phase(n, scene.array.spacing_d, lam, float(theta[0]))
                                 for n in range(1, 65)])
-        errs.append(float(np.abs(model - signed_far).max()))
+        errs.append(float(np.abs(phases - signed_far).max()))
     assert all(errs[i + 1] < errs[i] for i in range(3))
     assert errs[-1] < 1e-3
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        wf.path_difference(inputs(n=0))
+        wf.far_field_phase(0, 0.01, 0.025, 1.0)
     with pytest.raises(ValueError):
-        wf.path_difference(inputs(d=-1.0))
+        wf.far_field_phase(2, -1.0, 0.025, 1.0)
     with pytest.raises(ValueError):
-        wf.path_difference(inputs(t1=-0.1))
+        wf.far_field_phase(2, 0.01, 0.025, -0.1)
     with pytest.raises(ValueError):
         wf.far_field_phase(2, 0.01, 0.025, 4.0)
 
@@ -186,11 +189,11 @@ def assert_matches_per_element_forms(scene):
     far = wf.far_field_phase(np.arange(1, n_el + 1), d, lam, theta[0])
     assert far.tobytes() == np.array([wf.far_field_phase(n, d, lam, theta[0])
                                       for n in range(1, n_el + 1)]).tobytes()
+    positions = nl.element_positions(scene)
     for n in {1, (n_el + 1) // 2, n_el}:
-        assert nl.true_geometry(scene, n, scene.rx) == (r[n - 1], theta[n - 1])
         expected = (np.asarray(scene.array.origin, dtype=float)
                     + (n - 1) * d * np.asarray(scene.array.axis, dtype=float))
-        assert nl.element_position(scene, n).tobytes() == expected.tobytes()
+        assert positions[n - 1].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRY_SCENES))
@@ -210,7 +213,7 @@ def test_element_geometry_and_model_match_per_element_forms_on_random_scenes(sce
 
 def test_element_geometry_rejects_a_target_on_an_element(los_scene):
     with pytest.raises(ValueError, match="coincides with element 7"):
-        element_geometry(los_scene, nl.element_position(los_scene, 7))
+        element_geometry(los_scene, nl.element_positions(los_scene)[6])
 
 
 def test_far_field_phase_array_validation():
