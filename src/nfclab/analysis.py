@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvout
+from . import _csvout, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene
 from .synth import ChannelFrequencyResponse, PathTable, noise_sigma
@@ -59,14 +59,40 @@ def _window(name: str, n: int) -> np.ndarray:
     return w / w.mean()  # unit coherent gain
 
 
+def _delay_blocks(values: np.ndarray, taper: np.ndarray):
+    """``(start, stop, ifft(values[start:stop] * taper))`` over blocks of ``(R, F)`` rows.
+
+    A block holds at most ``_kernels.BLOCK_SAMPLES // F`` rows (at least one)
+    and is transformed in place in one complex scratch array allocated once
+    per call, so a consumer must read a block before it asks for the next.
+    Each row's transform does not depend on the block height: the blocks
+    equal ``ifft(values * taper, axis=-1)`` row for row, bit for bit.
+    """
+    n_rows, n = values.shape
+    height = max(1, _kernels.BLOCK_SAMPLES // n)
+    scratch = np.empty((min(height, n_rows), n), dtype=np.complex128)
+    for start in range(0, n_rows, height):
+        stop = min(start + height, n_rows)
+        block = np.multiply(values[start:stop], taper, out=scratch[:stop - start])
+        yield start, stop, np.fft.ifft(block, axis=-1, out=block)
+
+
 def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
     """Power delay profile of every ``(..., F)`` swept response along its last axis.
 
     ``n * |ifft(values * window)|^2``: bin k maps to delay ``k / bandwidth``,
     and the rectangular-window profile satisfies sum(PDP) == sum(|H|^2).
+    The profiles are written block by block into the one float output.
     """
     n = values.shape[-1]
-    return n * np.abs(np.fft.ifft(values * _window(window, n), axis=-1)) ** 2
+    taper = _window(window, n)
+    pdp = np.empty(values.shape, dtype=np.float64)
+    rows = pdp.reshape(-1, n)
+    for start, stop, block in _delay_blocks(values.reshape(-1, n), taper):
+        out = np.abs(block, out=rows[start:stop])
+        np.square(out, out=out)
+        out *= n
+    return pdp
 
 
 def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
@@ -141,13 +167,12 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
     freqs = cfr.sweep.frequencies()
     center = cfr.sweep.center_index
     taper = _window("hann", n)
-    equalized = values * (taper * freqs / freqs[center])[None, :]
-    spectra = np.fft.ifft(equalized, axis=1)
-
     k0 = _los_bin_indices(cfr, table)
     offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
     idx = (k0[:, None] + offsets) % n
-    kept = spectra[np.arange(cfr.n_elements)[:, None], idx]
+    kept = np.empty(idx.shape, dtype=np.complex128)
+    for start, stop, block in _delay_blocks(values, taper * freqs / freqs[center]):
+        kept[start:stop] = np.take_along_axis(block, idx[start:stop], axis=1)
     gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
     # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
     taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)

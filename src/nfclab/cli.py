@@ -102,6 +102,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not 0.0 < args.cmd_threshold < 1.0:  # the report records it under every criterion
         raise _CliError(f"--cmd-threshold must lie in (0, 1), got {args.cmd_threshold:g}",
                         EXIT_ANALYSIS_FAILURE)
+    if args.window < 2:  # the CMD map runs, and the report records it, under every criterion
+        raise _CliError(f"--window must span >= 2 elements, got {args.window}", EXIT_ANALYSIS_FAILURE)
 
     table = synth.path_table(scene)
     cfr = synth.synthesize_cfr(scene, table)

@@ -151,12 +151,13 @@ def complex_noise(shape, noise_floor_dbm: float, seed: int) -> np.ndarray:
 
     The Philox generator is keyed by the seed and consumed in one fixed-order
     draw over (element, frequency, re/im), so the realization depends only on
-    (seed, shape).
+    (seed, shape).  The (re, im) pairs are viewed as complex and scaled in
+    place: the draw is the only array allocated.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    parts = rng.standard_normal(size=(*shape, 2))
-    sigma = noise_sigma(noise_floor_dbm)
-    return sigma / math.sqrt(2.0) * (parts[..., 0] + 1j * parts[..., 1])
+    noise = rng.standard_normal(size=(*shape, 2)).view(np.complex128)[..., 0]
+    noise *= noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
+    return noise
 
 
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:

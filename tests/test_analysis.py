@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nfclab as nl
+from nfclab import _kernels
 from nfclab import wavefront as wf
 from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv,
                              export_stats_csv, pdp_matrix, rms_delay_spread)
@@ -16,6 +17,7 @@ from nfclab.synth import complex_noise
 import reference
 from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
+from test_synth import traced_peak
 
 SWEEP = nl.Sweep()  # 11-15 GHz, 801 points, B = 4 GHz, 0.25 ns bins
 
@@ -333,6 +335,8 @@ def _ref_gated_los_rows(cfr, scene, table):
 
     rows = np.fft.fft(gated_spectra, axis=1)
     taps = rows[:, center]
+    # the whole-array form of the five-bin sum gated_los_rows computes
+    kept_taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
 
     if scene.noise_floor_dbm is not None:
         # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
@@ -341,7 +345,7 @@ def _ref_gated_los_rows(cfr, scene, table):
         valid = gate_power > 10.0 * noise_in_gate
     else:
         valid = gate_power > 0.0
-    return rows, taps, valid
+    return rows, taps, valid, kept_taps
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
@@ -350,7 +354,7 @@ def test_los_taps_match_fft_reference(name):
     scene = REFERENCE_SCENES[name]()
     table = nl.path_table(scene)
     cfr = nl.synthesize_cfr(scene, table)
-    _, ref_taps, ref_valid = _ref_gated_los_rows(cfr, scene, table)
+    _, ref_taps, ref_valid, _ = _ref_gated_los_rows(cfr, scene, table)
     taps, valid = gated_los_rows(cfr, scene, table)
     assert np.array_equal(valid, ref_valid)
     assert np.abs(np.angle(taps * np.conj(ref_taps))).max() <= 1e-12
@@ -360,3 +364,41 @@ def test_los_taps_match_fft_reference(name):
     ref_aod, ref_aod_valid = _pair_aod(cfr, ref_taps, ref_valid, scene.array.spacing_d)
     assert np.array_equal(aod_valid, ref_aod_valid)
     assert np.abs(aod - ref_aod).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked delay transforms: block edges and peak memory
+# ---------------------------------------------------------------------------
+
+BLOCK_SCENES = {
+    "far_check": REFERENCE_SCENES["far_check"],  # 1024 rows: the last block of 40 holds 24
+    "olos_baffle_noisy": REFERENCE_SCENES["olos_baffle_noisy"],  # 64 rows: blocks of 40 and 24
+    "one_element": lambda: _sized(benchmark_scene("los_lab", 1, 7), 801),
+    "three_points": lambda: _sized(benchmark_scene("olos_baffle", 32, 7), 3),
+    "long_sweep": lambda: _sized(benchmark_scene("los_lab", 5, 7), 40001),  # one row per block
+}
+
+
+# block heights: the default budget (40 rows at 801 points, 1 row past 32768 points), 7 and 1
+@pytest.mark.parametrize("rows_per_block", [None, 7, 1])
+@pytest.mark.parametrize("name", sorted(BLOCK_SCENES))
+def test_blocked_gate_and_pdp_match_whole_array_bytes(monkeypatch, name, rows_per_block):
+    scene = BLOCK_SCENES[name]()
+    table = nl.path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
+    if rows_per_block is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * cfr.sweep.n_points)
+    assert pdp_matrix(cfr).tobytes() == reference.pdp_rows(cfr).tobytes()
+    _, _, ref_valid, ref_taps = _ref_gated_los_rows(cfr, scene, table)
+    taps, valid = gated_los_rows(cfr, scene, table)
+    assert taps.tobytes() == ref_taps.tobytes()
+    assert np.array_equal(valid, ref_valid)
+
+
+def test_delay_stages_hold_no_full_size_complex_temporary():
+    # 1024 x 801 on olos_baffle: only block scratch beside the (N, 5) gate bins and the PDP output
+    scene = REFERENCE_SCENES["far_check"]()
+    table = nl.path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
+    assert traced_peak(gated_los_rows, cfr, scene, table) <= 0.25 * cfr.values.nbytes
+    assert traced_peak(pdp_matrix, cfr) <= 0.75 * cfr.values.nbytes

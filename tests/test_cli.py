@@ -80,6 +80,19 @@ def test_out_of_range_cmd_threshold_exit_4_before_synthesis(tmp_path, monkeypatc
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
 
 
+@pytest.mark.parametrize("window", ["1", "0", "-3"])
+@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
+def test_window_below_2_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, criterion, window):
+    # the CMD map runs, and report.txt records the window, whichever criterion runs
+    from nfclab import synth
+    calls = count_calls(monkeypatch, {"path_table": synth})
+    assert run(["run", "los_lab", "--out", str(tmp_path), "--criterion", criterion,
+                "--window", window]) == EXIT_ANALYSIS_FAILURE
+    assert calls == {"path_table": 0}
+    assert capsys.readouterr().err == f"error: --window must span >= 2 elements, got {window}\n"
+    assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
+
+
 def test_run_two_element_scene_degrades_with_warnings(tmp_path):
     scene = load_preset("los_lab")
     tiny = tmp_path / "tiny.scene"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,26 @@ def test_noise_level_calibration():
     noise = complex_noise((8, sweep.n_points), rng_floor, 3)
     measured = 10 * np.log10(np.mean(np.abs(noise) ** 2))
     assert measured == pytest.approx(rng_floor - 10.0, abs=0.2)  # relative to 10 dBm tx
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs, numpy buffers included (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_noisy_synthesis_peak_memory():
+    # the (re, im) draw is viewed as complex and scaled in place: it is the one array beside the response
+    scene = nl.load_preset("los_lab")
+    scene = replace(scene, array=replace(scene.array, n_elements=64),
+                    sweep=replace(scene.sweep, n_points=6401), noise_floor_dbm=-90.0, seed=7)
+    table = path_table(scene)
+    cfr_bytes = 64 * 6401 * np.dtype(np.complex128).itemsize
+    assert traced_peak(nl.synthesize_cfr, scene, table) <= 2.25 * cfr_bytes
 
 
 def test_reciprocity_of_path_lengths():
