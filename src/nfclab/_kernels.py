@@ -11,6 +11,10 @@ a screen.  The propagation phasors come from ``sweep_phasors``, a coarse x
 fine table of the uniform sweep grid, and are scaled by the amplitude with
 one complex x real multiply; both blocks live in scratch allocated once per
 call.
+
+The module also holds the row-block rule that the kernel and every stage
+after it share (``block_rows``, ``row_blocks``), and ``row_dot``, the per-row
+dot product whose sums do not depend on the block height.
 """
 
 from __future__ import annotations
@@ -21,9 +25,43 @@ import numpy as np
 
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 
-# Samples (paths x sweep points) evaluated per block: about 40 paths at 801
-# points, and a single path once the sweep is longer than the budget.
+# Samples (rows x sweep points) per block, in the kernel and in every row-blocked
+# stage after it: about 40 rows at 801 points, and a single row once the sweep is
+# longer than the budget.
 BLOCK_SAMPLES = 1 << 15
+
+
+# Columns per einsum pass of ``row_dot``.  numpy's einsum reduces every row of a
+# 2-D block in one pass while the rows hold at most its iterator buffer's 8192
+# samples, but splits longer rows at places that depend on the row's position
+# in the block.
+REDUCE_COLS = 8192
+
+
+def block_rows(n_rows, n_cols) -> int:
+    """Rows per block of an ``(n_rows, n_cols)`` array: at most ``BLOCK_SAMPLES // n_cols`` and n_rows, at least 1."""
+    return max(1, min(n_rows, BLOCK_SAMPLES // n_cols))
+
+
+def row_blocks(n_rows, n_cols):
+    """``(start, stop)`` of consecutive blocks of ``block_rows`` rows; the last may be shorter."""
+    height = block_rows(n_rows, n_cols)
+    for start in range(0, n_rows, height):
+        yield start, min(start + height, n_rows)
+
+
+def row_dot(a, b, out) -> np.ndarray:
+    """``out[i] = sum_j a[i, j] b[i, j]`` of two ``(m, F)`` blocks: one einsum per ``REDUCE_COLS`` columns.
+
+    The chunks' row sums are added in column order, so each row's sum depends
+    on that row alone, not on the block height; up to ``REDUCE_COLS`` columns
+    it is ``np.einsum("ij,ij->i", a, b)``.
+    """
+    np.einsum("ij,ij->i", a[:, :REDUCE_COLS], b[:, :REDUCE_COLS], out=out)
+    for start in range(REDUCE_COLS, a.shape[1], REDUCE_COLS):
+        stop = start + REDUCE_COLS
+        out += np.einsum("ij,ij->i", a[:, start:stop], b[:, start:stop])
+    return out
 
 
 def knife_edge_loss(nu) -> np.ndarray | float:
@@ -41,18 +79,19 @@ def knife_edge_loss(nu) -> np.ndarray | float:
     return out
 
 
-def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out=None) -> np.ndarray:
-    """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path.
+def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out) -> np.ndarray:
+    """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path, written into ``out``.
 
     gains, lengths : float (m,)
     edge_ptr       : int (m+1,) CSR offsets of the paths' knife-edge factors in edge_geo
     lam, sqrt_lam  : float (n_freqs,) wavelengths and their square roots
-    out            : float (m, n_freqs) to write into, or None
+    out            : float (m, n_freqs), returned
 
     J sums a path's losses in edge order; it is evaluated only for the paths
     that have edges, since a path without any has exactly 0 dB.
     """
-    amp = np.divide(gains[:, None] * lam, (4.0 * math.pi * lengths)[:, None], out=out)
+    amp = np.multiply(gains[:, None], lam, out=out)
+    amp /= (4.0 * math.pi * lengths)[:, None]
     counts = np.diff(edge_ptr)
     edged = np.flatnonzero(counts)
     if edged.size:
@@ -67,7 +106,7 @@ def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out=None) 
     return amp
 
 
-def _phasor_grid(n) -> tuple[int, int]:
+def phasor_grid(n) -> tuple[int, int]:
     """``(C, B)`` of the ``sweep_phasors`` block over n points: B = ceil(sqrt(n)), C = ceil(n / B)."""
     step = math.isqrt(n - 1) + 1
     return -(-n // step), step
@@ -93,7 +132,7 @@ def sweep_phasors(k, freqs, out=None) -> np.ndarray:
         tol = 8.0 * np.spacing(max(abs(freqs[0]), abs(freqs[-1])))
         if np.abs(np.diff(freqs) - (freqs[-1] - freqs[0]) / (n - 1)).max() > tol:
             raise ValueError("sweep_phasors needs a uniform frequency grid (np.linspace)")
-    step = _phasor_grid(n)[1]
+    step = phasor_grid(n)[1]
     coarse = np.exp(1j * np.multiply.outer(k, freqs[::step]))
     fine = np.exp(1j * np.multiply.outer(k, freqs[:step] - freqs[0]))
     block = np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
@@ -125,9 +164,9 @@ def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     lam = C_M_PER_S / freqs
     sqrt_lam = np.sqrt(lam)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
-    max_paths = max(1, BLOCK_SAMPLES // len(freqs))
+    max_paths = block_rows(len(row_idx), len(freqs))
     amp_block = np.empty((max_paths, len(freqs)))
-    phasor_block = np.empty((max_paths, *_phasor_grid(len(freqs))), dtype=complex)
+    phasor_block = np.empty((max_paths, *phasor_grid(len(freqs))), dtype=complex)
     for start, stop in _row_runs(row_idx, max_paths):
         m, row = stop - start, int(row_idx[start])
         amp = path_amplitude(gains[start:stop], lengths[start:stop], edge_ptr[start:stop + 1],

@@ -60,19 +60,16 @@ def _window(name: str, n: int) -> np.ndarray:
 
 
 def _delay_blocks(values: np.ndarray, taper: np.ndarray):
-    """``(start, stop, ifft(values[start:stop] * taper))`` over blocks of ``(R, F)`` rows.
+    """``(start, stop, ifft(values[start:stop] * taper))`` over ``_kernels.row_blocks`` of ``(R, F)`` rows.
 
-    A block holds at most ``_kernels.BLOCK_SAMPLES // F`` rows (at least one)
-    and is transformed in place in one complex scratch array allocated once
-    per call, so a consumer must read a block before it asks for the next.
-    Each row's transform does not depend on the block height: the blocks
-    equal ``ifft(values * taper, axis=-1)`` row for row, bit for bit.
+    Each block is transformed in place in one complex scratch array allocated
+    once per call, so a consumer must read a block before it asks for the
+    next.  Each row's transform does not depend on the block height: the
+    blocks equal ``ifft(values * taper, axis=-1)`` row for row, bit for bit.
     """
     n_rows, n = values.shape
-    height = max(1, _kernels.BLOCK_SAMPLES // n)
-    scratch = np.empty((min(height, n_rows), n), dtype=np.complex128)
-    for start in range(0, n_rows, height):
-        stop = min(start + height, n_rows)
+    scratch = np.empty((_kernels.block_rows(n_rows, n), n), dtype=np.complex128)
+    for start, stop in _kernels.row_blocks(n_rows, n):
         block = np.multiply(values[start:stop], taper, out=scratch[:stop - start])
         yield start, stop, np.fft.ifft(block, axis=-1, out=block)
 
@@ -101,10 +98,17 @@ def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
 
 
 def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    """Per-element mean received power ``10*log10(sum|H|^2 / n_points)`` in dB; -inf for a silent row."""
-    mag = np.abs(cfr.values)
-    totals = np.square(mag, out=mag).sum(axis=1)
-    n = cfr.sweep.n_points
+    """Per-element mean received power ``10*log10(sum|H|^2 / n_points)`` in dB; -inf for a silent row.
+
+    ``|H|^2`` is taken block by block in one float scratch array; each row's sum is its own reduction.
+    """
+    values = cfr.values
+    n_rows, n = values.shape
+    totals = np.empty(n_rows)
+    scratch = np.empty((_kernels.block_rows(n_rows, n), n))
+    for start, stop in _kernels.row_blocks(n_rows, n):
+        mag = np.abs(values[start:stop], out=scratch[:stop - start])
+        np.square(mag, out=mag).sum(axis=1, out=totals[start:stop])
     return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
 
 
@@ -113,21 +117,35 @@ def rms_delay_spread(powers: np.ndarray, bin_width: float,
     """RMS delay spread of every ``(..., F)`` profile, in seconds.
 
     Bins more than ``threshold_db`` (>= 0) below their profile's peak are
-    zeroed, then the moments are accumulated in place on one scratch array.
+    zeroed, then the moments are accumulated in place on one block of
+    scratch rows at a time; each row's sums are its own reductions.
     """
     if not threshold_db >= 0.0:
         raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
     peak = powers.max(axis=-1, initial=0.0)
     if np.any(peak <= 0.0):
         raise AnalysisError("all-noise profile: no bin above the threshold")
-    scratch = np.where(powers >= (peak * 10.0 ** (-threshold_db / 10.0))[..., None], powers, 0.0)
-    total = scratch.sum(axis=-1)
-    tau = np.arange(powers.shape[-1]) * bin_width
-    scratch *= tau
-    mean = scratch.sum(axis=-1) / total
-    scratch *= tau
-    second = scratch.sum(axis=-1) / total
-    return np.sqrt(np.maximum(second - mean * mean, 0.0))
+    n = powers.shape[-1]
+    rows = powers.reshape(-1, n)
+    floor = (peak * 10.0 ** (-threshold_db / 10.0)).reshape(-1, 1)
+    tau = np.arange(n) * bin_width
+    total, first, second = np.empty((3, len(rows)))
+    scratch = np.empty((_kernels.block_rows(len(rows), n), n))
+    keep = np.empty(scratch.shape, dtype=bool)
+    for start, stop in _kernels.row_blocks(len(rows), n):
+        block, kept = scratch[:stop - start], keep[:stop - start]
+        np.greater_equal(rows[start:stop], floor[start:stop], out=kept)
+        block.fill(0.0)
+        np.copyto(block, rows[start:stop], where=kept)
+        block.sum(axis=-1, out=total[start:stop])
+        block *= tau
+        block.sum(axis=-1, out=first[start:stop])
+        block *= tau
+        block.sum(axis=-1, out=second[start:stop])
+    mean = first / total
+    second /= total
+    spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return spread.reshape(powers.shape[:-1])[()]  # a scalar for a single profile
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +282,14 @@ def export_stats_csv(stats: ChannelStats, path) -> None:
 
 
 def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
-    """Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array, elements 1..N."""
+    """Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array, elements 1..N.
+
+    Each row's ``10*log10`` is taken as that row is written.
+    """
     n_bins = pdp.shape[1]
     bins = _csvout.strs(range(n_bins))  # bin and delay cells, formatted once per file
     delay_ns = _csvout.floats(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)
     with np.errstate(divide="ignore"):  # an empty bin is -inf dB
-        power_db = 10.0 * np.log10(pdp)
-    _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
-                      (([str(el)] * n_bins, bins, delay_ns, _csvout.floats(row))
-                       for el, row in enumerate(power_db, start=1)))
+        _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
+                          (([str(el)] * n_bins, bins, delay_ns, _csvout.floats(10.0 * np.log10(row)))
+                           for el, row in enumerate(pdp, start=1)))

@@ -48,12 +48,20 @@ class LosTruth(NamedTuple):
 
 
 def los_truth(scene: Scene, table: PathTable) -> LosTruth:
-    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths."""
+    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths.
+
+    The amplitudes are written in place over ``_kernels.row_blocks``, so the
+    knife-edge losses of the blocked paths take block-sized temporaries.
+    """
     n = scene.array.n_elements
     lam = C_M_PER_S / scene.sweep.frequencies()
+    sqrt_lam = np.sqrt(lam)
     length = table.length[:n]
-    amp = _kernels.path_amplitude(table.gain[:n], length, table.edge_ptr[:n + 1], table.edge_geo,
-                                  lam, np.sqrt(lam))
+    amp = np.empty((n, len(lam)))
+    for start, stop in _kernels.row_blocks(n, len(lam)):
+        _kernels.path_amplitude(table.gain[start:stop], length[start:stop],
+                                table.edge_ptr[start:stop + 1], table.edge_geo, lam, sqrt_lam,
+                                out=amp[start:stop])
     usable = path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB
     return LosTruth(length=length, theta=element_geometry(scene, scene.rx)[1], amp=amp, usable=usable)
 
@@ -114,8 +122,13 @@ def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> Multipl
     sample has no phase to compare), and the complex correlation
     ``|<approx, truth>| / (|approx| |truth|)`` is
     ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
-    from ``_kernels.sweep_phasors``.  Every sum is a numpy reduction, not a
-    BLAS call, so the result does not depend on the BLAS thread count.
+    from ``_kernels.sweep_phasors``.
+
+    The fields are scored over ``_kernels.row_blocks`` in scratch allocated
+    once per call.  Every sum is first a per-row ``_kernels.row_dot``, an
+    einsum rather than a BLAS call, so the result depends neither on the BLAS
+    thread count nor on the block height; the correlation then sums those
+    ``(N,)`` row sums.
     """
     n_el = scene.array.n_elements
     if len(ref) != n_el:
@@ -126,25 +139,38 @@ def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> Multipl
     planar = truth.length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
     freqs = scene.sweep.frequencies()
     amp = truth.amp
-    gain = amp[row]
-    weight = amp * gain
     delay = (truth.length - planar) / C_M_PER_S
+    wavenumber = -TWO_PI * delay  # phase per Hz of each element
+    omega = -TWO_PI * freqs
 
-    denom = math.sqrt(np.einsum("ij,ij->", gain, gain)) * math.sqrt(np.einsum("ij,ij->", amp, amp))
-    corr = 0.0
-    if denom > 0:
-        phasor = _kernels.sweep_phasors(-TWO_PI * delay, freqs)
-        corr = math.hypot(np.einsum("ij,ij->", weight, phasor.real),
-                          np.einsum("ij,ij->", weight, phasor.imag)) / denom
-        del phasor  # the phase arrays below reuse its memory
-
-    phase = np.multiply.outer(delay, -TWO_PI * freqs)
-    turns = np.divide(phase, TWO_PI)  # wrapped in place: N x F temporaries cost as much as the math
-    np.rint(turns, out=turns)
-    turns *= TWO_PI
-    phase -= turns
-    np.copyto(phase, 0.0, where=weight == 0.0)
-    mean_square = np.einsum("ij,ij->i", phase, phase) / len(freqs)
+    rowsq = _kernels.row_dot(amp, amp, np.empty(n_el))
+    denom = math.sqrt(rowsq[row].sum()) * math.sqrt(rowsq.sum())  # |g| |A|: g's rows are A's
+    wre, wim, mean_square = np.empty((3, n_el))
+    height = _kernels.block_rows(n_el, len(freqs))
+    weight_block, phase_block = np.empty((2, height, len(freqs)))
+    silent_block = np.empty((height, len(freqs)), dtype=bool)
+    phasor_block = np.empty((height, *_kernels.phasor_grid(len(freqs))), dtype=complex)
+    for start, stop in _kernels.row_blocks(n_el, len(freqs)):
+        m = stop - start
+        # g = A[ref - 1]; ref holds valid rows, and mode="clip" keeps np.take from buffering `out`
+        weight = np.take(amp, row[start:stop], axis=0, out=weight_block[:m], mode="clip")
+        weight *= amp[start:stop]
+        if denom > 0:
+            phasor = _kernels.sweep_phasors(wavenumber[start:stop], freqs, out=phasor_block[:m])
+            _kernels.row_dot(weight, phasor.real, wre[start:stop])
+            _kernels.row_dot(weight, phasor.imag, wim[start:stop])
+        silent = np.equal(weight, 0.0, out=silent_block[:m])
+        # the wrapped phase, in place: wrap(x) = x - 2 pi rint(x / 2 pi); the
+        # turns reuse the weight's block, which the silent mask no longer needs
+        phase = np.multiply.outer(delay[start:stop], omega, out=phase_block[:m])
+        turns = np.divide(phase, TWO_PI, out=weight)
+        np.rint(turns, out=turns)
+        turns *= TWO_PI
+        phase -= turns
+        np.copyto(phase, 0.0, where=silent)
+        _kernels.row_dot(phase, phase, mean_square[start:stop])
+    corr = math.hypot(wre.sum(), wim.sum()) / denom if denom > 0 else 0.0
+    mean_square /= len(freqs)
     phase_rmse = math.sqrt(float(np.mean(mean_square)))
     per_element = np.sqrt(mean_square)
     return MultiplanarError(phase_rmse=phase_rmse,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _csvout
+from . import _csvout, _kernels
 from .analysis import ChannelStats
 from .synth import ChannelFrequencyResponse
 
@@ -80,15 +80,25 @@ def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
     """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows.
 
     Lag k of every window is a slice of one band ``sum_f h_{i+k} conj(h_i)``.
+    The bands are built over ``_kernels.row_blocks`` of the conjugated rows
+    ``i``: each block is conjugated once into scratch and serves every lag,
+    and each band entry is its own ``_kernels.row_dot`` row sum.
     """
     if m < 2:
         raise StationarityError(f"window must span >= 2 elements, got {m}")
     n, n_points = values.shape
+    bands = [np.empty(n - k, dtype=np.complex128) for k in range(m)]
+    scratch = np.empty((_kernels.block_rows(n, n_points), n_points), dtype=np.complex128)
+    for start, stop in _kernels.row_blocks(n, n_points):
+        conj = np.conjugate(values[start:stop], out=scratch[:stop - start])
+        for k, band in enumerate(bands):
+            end = min(stop, n - k)  # band k has rows i < n - k
+            if end > start:
+                _kernels.row_dot(values[start + k:end + k], conj[:end - start], band[start:end])
     idx = np.arange(m)
     stack = np.empty((n - m + 1, m, m), dtype=np.complex128)
-    conj = values.conj()
-    for k in range(m):
-        band = np.einsum("if,if->i", values[k:], conj[:n - k]) / n_points
+    for k, band in enumerate(bands):
+        band /= n_points
         lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
         stack[:, idx[k:], idx[:m - k]] = lag
         stack[:, idx[:m - k], idx[k:]] = lag.conj()

@@ -146,18 +146,25 @@ def noise_sigma(noise_floor_dbm: float) -> float:
     return 10.0 ** ((noise_floor_dbm - TX_POWER_DBM) / 20.0)
 
 
-def complex_noise(shape, noise_floor_dbm: float, seed: int) -> np.ndarray:
-    """Seeded complex white noise, counter-based and schedule-independent.
+def add_complex_noise(values: np.ndarray, noise_floor_dbm: float, seed: int) -> np.ndarray:
+    """Add seeded complex white noise to the ``(N, F)`` complex array ``values`` in place; returns it.
 
     The Philox generator is keyed by the seed and consumed in one fixed-order
-    draw over (element, frequency, re/im), so the realization depends only on
-    (seed, shape).  The (re, im) pairs are viewed as complex and scaled in
-    place: the draw is the only array allocated.
+    stream over (element, frequency, re/im), so the realization depends only
+    on (seed, shape).  The stream is drawn over ``_kernels.row_blocks`` into
+    one (re, im) scratch block, viewed as complex, scaled and added in place;
+    consecutive draws continue the stream, so the block height does not move
+    a sample.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    noise = rng.standard_normal(size=(*shape, 2)).view(np.complex128)[..., 0]
-    noise *= noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
-    return noise
+    scale = noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
+    n_rows, n = values.shape
+    scratch = np.empty((_kernels.block_rows(n_rows, n), n, 2))
+    for start, stop in _kernels.row_blocks(n_rows, n):
+        noise = rng.standard_normal(out=scratch[:stop - start]).view(np.complex128)[..., 0]
+        noise *= scale
+        values[start:stop] += noise
+    return values
 
 
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
@@ -172,7 +179,7 @@ def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
     out = np.zeros((scene.array.n_elements, len(freqs)), dtype=np.complex128)
     _kernels.accumulate_paths(out, *table, freqs)
     if scene.noise_floor_dbm is not None:
-        out += complex_noise(out.shape, scene.noise_floor_dbm, scene.seed)
+        add_complex_noise(out, scene.noise_floor_dbm, scene.seed)
     return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
 
 

@@ -1,13 +1,14 @@
 """Reference oracles: direct forms of quantities no command computes on its own.
 
-``nfclab run`` scores the multiplanar model from real phases and amplitudes,
-takes the AoD from the gated taps it already has, builds every window
-correlation from one stacked band, evaluates the element geometry and the
-closed-form phase model over whole arrays, computes the per-element power,
-PDP and delay spread over the whole ``(N, F)`` array, and builds both
-stationary partitions through one fold.  The tests check those fast paths
-against the plain forms below, and the closed form against
-``exact_relative_phase``, its distance-based ground truth.
+``nfclab run`` scores the multiplanar model from real phases and amplitudes
+over row blocks, takes the AoD from the gated taps it already has, builds
+every window correlation from one stacked band, evaluates the element
+geometry and the closed-form phase model over whole arrays, computes the
+per-element power, PDP and delay spread over row blocks of the ``(N, F)``
+array, draws the noise block by block, and builds both stationary partitions
+through one fold.  The tests check those fast paths against the plain forms
+below, and the closed form against ``exact_relative_phase``, its
+distance-based ground truth.
 """
 
 import math
@@ -17,10 +18,10 @@ import numpy as np
 from nfclab import _kernels
 from nfclab.analysis import _pair_aod, gated_los_rows
 from nfclab.constants import C_M_PER_S
-from nfclab.multiplanar import TWO_PI
+from nfclab.multiplanar import TWO_PI, MultiplanarError
 from nfclab.scene import element_positions
 from nfclab.stationarity import StationarityError, _cmd, _window_correlations
-from nfclab.synth import ChannelFrequencyResponse, path_table
+from nfclab.synth import ChannelFrequencyResponse, noise_sigma, path_table
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -108,6 +109,76 @@ def synthesize_multiplanar_cfr(ref, truth, scene):
                   - (n - r) * scene.array.spacing_d * math.cos(float(truth.theta[r - 1])))
         out[n - 1] = truth.amp[r - 1] * np.exp(-1j * TWO_PI * freqs * length / C_M_PER_S)
     return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
+
+
+def _multiplanar_terms(scene, truth, ref):
+    """``(gain, weight, delay)`` of the multiplanar error: ``g = A[ref - 1]``, ``w = A g`` and ``(l_n - r_n) / c``."""
+    n_el = scene.array.n_elements
+    row = ref - 1
+    cos = np.array([math.cos(theta) for theta in truth.theta.tolist()])
+    planar = truth.length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
+    gain = truth.amp[row]
+    return gain, truth.amp * gain, (truth.length - planar) / C_M_PER_S
+
+
+def multiplanar_error(scene, truth, ref):
+    """The whole-array ``multiplanar_error`` that the row-blocked one replaced.
+
+    Its correlation sums run as whole-array ``einsum`` reductions, so they
+    round differently from the blocked form's per-row sums; the phase error
+    is the same element-wise expression.
+    """
+    freqs = scene.sweep.frequencies()
+    amp = truth.amp
+    gain, weight, delay = _multiplanar_terms(scene, truth, ref)
+
+    denom = math.sqrt(np.einsum("ij,ij->", gain, gain)) * math.sqrt(np.einsum("ij,ij->", amp, amp))
+    corr = 0.0
+    if denom > 0:
+        phasor = _kernels.sweep_phasors(-TWO_PI * delay, freqs)
+        corr = math.hypot(np.einsum("ij,ij->", weight, phasor.real),
+                          np.einsum("ij,ij->", weight, phasor.imag)) / denom
+
+    phase = np.multiply.outer(delay, -TWO_PI * freqs)
+    turns = np.divide(phase, TWO_PI)
+    np.rint(turns, out=turns)
+    turns *= TWO_PI
+    phase -= turns
+    np.copyto(phase, 0.0, where=weight == 0.0)
+    mean_square = np.einsum("ij,ij->i", phase, phase) / len(freqs)
+    return MultiplanarError(phase_rmse=math.sqrt(float(np.mean(mean_square))),
+                            complex_correlation=min(corr, 1.0),
+                            per_element_phase_dev=np.sqrt(mean_square))
+
+
+def fsum_correlation(scene, truth, ref):
+    """``multiplanar_error``'s correlation with every sum exactly rounded (``math.fsum``).
+
+    The summands are the element-wise products both forms reduce: the
+    weights ``A_n g_n`` times the ``sweep_phasors`` phasors, and ``A_n^2`` and
+    ``g_n^2``.
+    """
+    amp = truth.amp
+    gain, weight, delay = _multiplanar_terms(scene, truth, ref)
+    denom = (math.sqrt(math.fsum((gain * gain).ravel().tolist()))
+             * math.sqrt(math.fsum((amp * amp).ravel().tolist())))
+    if not denom > 0:
+        return 0.0
+    phasor = _kernels.sweep_phasors(-TWO_PI * delay, scene.sweep.frequencies())
+    return min(1.0, math.hypot(math.fsum((weight * phasor.real).ravel().tolist()),
+                               math.fsum((weight * phasor.imag).ravel().tolist())) / denom)
+
+
+def complex_noise(shape, noise_floor_dbm, seed):
+    """The whole-array noise draw that the blocked ``synth.add_complex_noise`` replaced, verbatim.
+
+    One ``standard_normal`` call over (element, frequency, re/im), viewed as
+    complex and scaled.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    noise = rng.standard_normal(size=(*shape, 2)).view(np.complex128)[..., 0]
+    noise *= noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
+    return noise
 
 
 def estimate_aod(cfr, scene):

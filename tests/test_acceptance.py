@@ -17,7 +17,7 @@ from nfclab.analysis import compute_pdp, rms_delay_spread
 from nfclab.cli import RUN_FILES, main as cli_main
 from nfclab.constants import C_M_PER_S
 from nfclab.stationarity import _cmd, uniform_partition
-from nfclab.synth import complex_noise
+from nfclab.synth import add_complex_noise
 import reference
 
 
@@ -165,7 +165,7 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
     hits = 0
     for seed in range(100):
         noisy = nl.ChannelFrequencyResponse(
-            values=clean.values + complex_noise(clean.values.shape, -95.0, seed), sweep=clean.sweep)
+            values=add_complex_noise(clean.values.copy(), -95.0, seed), sweep=clean.sweep)
         trial = nl.partition_by_cmd(noisy, m=4, tau=0.2)
         if trial.boundaries() and abs(trial.boundaries()[0] - splice) <= 2:
             hits += 1

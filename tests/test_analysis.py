@@ -7,13 +7,14 @@ import pytest
 import nfclab as nl
 from nfclab import _kernels
 from nfclab import wavefront as wf
-from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv,
-                             export_stats_csv, pdp_matrix, rms_delay_spread)
+from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv, export_stats_csv,
+                             pdp_matrix, received_power_db, rms_delay_spread)
 from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
                              _unwrapped_phase, _window, gated_los_rows, noise_sigma)
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene
-from nfclab.synth import complex_noise
+from nfclab.stationarity import _window_correlations, uniform_partition
+from nfclab.synth import add_complex_noise
 import reference
 from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
@@ -220,7 +221,8 @@ def test_los_phase_noise_only_gate_flagged():
                         "[noise]\nfloor_dbm = -90.0\n")
     sweep = scene.sweep
     # a silent array plus noise: nothing but noise in every gate
-    noisy = nl.ChannelFrequencyResponse(values=complex_noise((4, sweep.n_points), -90.0, 1), sweep=sweep)
+    silent = np.zeros((4, sweep.n_points), dtype=complex)
+    noisy = nl.ChannelFrequencyResponse(values=add_complex_noise(silent, -90.0, 1), sweep=sweep)
     table = nl.path_table(scene)
     valid = gated_los_rows(noisy, scene, table)[1]
     assert not np.any(valid)
@@ -402,3 +404,64 @@ def test_delay_stages_hold_no_full_size_complex_temporary():
     cfr = nl.synthesize_cfr(scene, table)
     assert traced_peak(gated_los_rows, cfr, scene, table) <= 0.25 * cfr.values.nbytes
     assert traced_peak(pdp_matrix, cfr) <= 0.75 * cfr.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked reductions after the kernel: block height and peak memory
+# ---------------------------------------------------------------------------
+
+def _row_blocked_outputs(scene, tmp_path):
+    """Bytes of every row-blocked stage of ``nfclab run``, at the current block budget."""
+    table = nl.path_table(scene)
+    cfr = nl.synthesize_cfr(scene, table)
+    n = cfr.n_elements
+    truth = nl.los_truth(scene, table)
+    pdp = pdp_matrix(cfr)
+    out = {"cfr": cfr.values.tobytes(), "truth": truth.amp.tobytes(),
+           "power": received_power_db(cfr).tobytes(),
+           "ds": rms_delay_spread(pdp, 1.0 / cfr.sweep.bandwidth).tobytes()}
+    for n_intervals in sorted({1, min(4, n), n}):
+        err = nl.multiplanar_error(scene, truth,
+                                   nl.build_multiplanar_model(truth, uniform_partition(n, n_intervals)))
+        out[f"mw_{n_intervals}"] = (np.float64(err.phase_rmse).tobytes(),
+                                    np.float64(err.complex_correlation).tobytes(),
+                                    err.per_element_phase_dev.tobytes())
+    if n >= 2:
+        out["window_correlations"] = _window_correlations(cfr.values, min(4, n)).tobytes()
+    export_pdp_csv(pdp, tmp_path / "pdp.csv", cfr.sweep.bandwidth)
+    out["pdp_csv"] = (tmp_path / "pdp.csv").read_bytes()
+    return out
+
+
+INVARIANCE_SCENES = {
+    "los_lab": lambda: nl.load_preset("los_lab"),  # 64 rows: blocks of 40 and 24
+    "olos_baffle": lambda: nl.load_preset("olos_baffle"),
+    "one_element": BLOCK_SCENES["one_element"],
+    "three_points": BLOCK_SCENES["three_points"],
+    "long_sweep": BLOCK_SCENES["long_sweep"],  # one row per block at the default budget
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [7, 1])
+@pytest.mark.parametrize("name", sorted(INVARIANCE_SCENES))
+def test_row_blocked_stages_do_not_depend_on_the_block_height(monkeypatch, tmp_path, name,
+                                                              rows_per_block):
+    # the noisy response, the LOS truth, power, delay spread, multiplanar error, window
+    # correlations and pdp.csv: each row's reductions are its own, whatever the block height
+    scene = replace(INVARIANCE_SCENES[name](), noise_floor_dbm=-90.0, seed=7)
+    expected = _row_blocked_outputs(scene, tmp_path)
+    monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * scene.sweep.n_points)
+    got = _row_blocked_outputs(scene, tmp_path)
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert got[key] == value, key
+
+
+def test_row_blocked_statistics_hold_block_scratch_only():
+    # 64 x 6401 (sweep_deep): a block of 5 rows of scratch beside the (N,) outputs
+    scene = REFERENCE_SCENES["sweep_deep"]()
+    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
+    pdp = pdp_matrix(cfr)
+    assert traced_peak(received_power_db, cfr) <= 0.1 * cfr.values.nbytes
+    assert traced_peak(rms_delay_spread, pdp, 1.0 / cfr.sweep.bandwidth) <= 0.1 * cfr.values.nbytes
+    assert traced_peak(_window_correlations, cfr.values, 4) <= 0.1 * cfr.values.nbytes

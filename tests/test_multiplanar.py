@@ -11,8 +11,10 @@ from nfclab.scene import loads_scene
 from nfclab.stationarity import uniform_partition
 from nfclab.synth import ChannelFrequencyResponse
 from nfclab.wavefront import rayleigh_distance
+import reference
 from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
 from test_analysis import REFERENCE_SCENES
+from test_synth import traced_peak
 
 
 def truth_of(scene):
@@ -259,3 +261,48 @@ def test_real_phase_error_matches_complex_reference(name):
         assert abs(err.phase_rmse - ref.phase_rmse) <= tol
         assert abs(err.complex_correlation - ref.complex_correlation) <= 1e-12
         assert np.max(np.abs(err.per_element_phase_dev - ref.per_element_phase_dev)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked error: the correlation revision and peak memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(MW_SCENES))
+def test_blocked_error_revises_only_the_correlation(name):
+    """The row-blocked error against the whole-array form it replaced, on every mw_error.csv row.
+
+    The phase error is the same element-wise expression and keeps its bytes.
+    The correlation now sums per-row sums instead of running one whole-array
+    reduction: that moves it by at most 2e-15, and its worst distance from
+    the exactly rounded (``math.fsum``) correlation is no larger than the
+    whole-array form's.
+    """
+    scene = MW_SCENES[name]()
+    n = scene.array.n_elements
+    truth = truth_of(scene)
+    worst_old = worst_new = 0.0
+    for part in [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [uniform_partition(n, n)]:
+        ref = nl.build_multiplanar_model(truth, part)
+        err = nl.multiplanar_error(scene, truth, ref)
+        old = reference.multiplanar_error(scene, truth, ref)
+        assert np.float64(err.phase_rmse).tobytes() == np.float64(old.phase_rmse).tobytes()
+        assert err.per_element_phase_dev.tobytes() == old.per_element_phase_dev.tobytes()
+        assert abs(err.complex_correlation - old.complex_correlation) <= 2e-15
+        exact = reference.fsum_correlation(scene, truth, ref)
+        worst_old = max(worst_old, abs(old.complex_correlation - exact))
+        worst_new = max(worst_new, abs(err.complex_correlation - exact))
+    assert worst_new <= worst_old
+
+
+@pytest.mark.parametrize("preset, truth_bound", [("los_lab", 1.1), ("olos_baffle", 1.5)])
+def test_multiplanar_stage_holds_block_scratch_only(preset, truth_bound):
+    # 64 x 6401: the truth is its one (N, F) amplitude plus the knife-edge losses of one
+    # block of rows; the error holds a few blocks of 5 rows of scratch beside (N,) sums
+    scene = nl.load_preset(preset)
+    scene = replace(scene, array=replace(scene.array, n_elements=64),
+                    sweep=replace(scene.sweep, n_points=6401))
+    table = nl.path_table(scene)
+    truth = nl.los_truth(scene, table)
+    ref = nl.build_multiplanar_model(truth, uniform_partition(64, 8))
+    assert traced_peak(nl.los_truth, scene, table) <= truth_bound * truth.amp.nbytes
+    assert traced_peak(nl.multiplanar_error, scene, truth, ref) <= 0.5 * truth.amp.nbytes

@@ -10,7 +10,8 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import complex_noise, export_cfr_csv, path_blockage_db, path_table
+from nfclab.synth import add_complex_noise, export_cfr_csv, path_blockage_db, path_table
+import reference
 from reference import synthesize_los_cfr
 
 BARE = """
@@ -164,15 +165,17 @@ def test_noise_seeding(los_scene):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     clean = nl.synthesize_cfr(los_scene, path_table(los_scene))
-    # the synthesizer's noise is complex_noise added to the clean response
-    d = clean.values + complex_noise(clean.values.shape, -95.0, 7)
+    # the synthesizer's noise is the blocked draw added to the clean response, and
+    # that draw is the one whole-array Philox stream
+    assert np.array_equal(a, add_complex_noise(clean.values.copy(), -95.0, 7))
+    d = clean.values + reference.complex_noise(clean.values.shape, -95.0, 7)
     assert np.array_equal(a, d)
 
 
 def test_noise_level_calibration():
     rng_floor = -90.0
     sweep = nl.Sweep(n_points=2001)
-    noise = complex_noise((8, sweep.n_points), rng_floor, 3)
+    noise = add_complex_noise(np.zeros((8, sweep.n_points), dtype=complex), rng_floor, 3)
     measured = 10 * np.log10(np.mean(np.abs(noise) ** 2))
     assert measured == pytest.approx(rng_floor - 10.0, abs=0.2)  # relative to 10 dBm tx
 
@@ -188,13 +191,13 @@ def traced_peak(fn, *args):
 
 
 def test_noisy_synthesis_peak_memory():
-    # the (re, im) draw is viewed as complex and scaled in place: it is the one array beside the response
+    # the noise is drawn, scaled and added one block of rows at a time, in one scratch block
     scene = nl.load_preset("los_lab")
     scene = replace(scene, array=replace(scene.array, n_elements=64),
                     sweep=replace(scene.sweep, n_points=6401), noise_floor_dbm=-90.0, seed=7)
     table = path_table(scene)
     cfr_bytes = 64 * 6401 * np.dtype(np.complex128).itemsize
-    assert traced_peak(nl.synthesize_cfr, scene, table) <= 2.25 * cfr_bytes
+    assert traced_peak(nl.synthesize_cfr, scene, table) <= 1.3 * cfr_bytes
 
 
 def test_reciprocity_of_path_lengths():
@@ -454,7 +457,7 @@ def test_block_kernel_matches_per_path_kernel_on_random_tables(seed):
 def test_block_kernel_matches_per_path_kernel_across_sweep_lengths(n_freqs):
     # Past the budget a block holds a single path.
     rng = np.random.default_rng(n_freqs)
-    n_paths = min(200, 3 * max(1, _kernels.BLOCK_SAMPLES // n_freqs) + 2)
+    n_paths = min(200, 3 * _kernels.block_rows(200, n_freqs) + 2)
     _assert_kernel_matches_per_path(8, *_random_table(rng, 8, n_paths),
                                     np.linspace(11e9, 15e9, n_freqs))
 
@@ -463,7 +466,7 @@ def test_block_kernel_edge_free_and_mixed_blocks():
     # Distinct rows, so only the budget cuts blocks: one without edges, one with
     # 0, 1 and 4 edges per path, one with 2 edges on every path.
     freqs = np.linspace(11e9, 15e9, 801)
-    m = _kernels.BLOCK_SAMPLES // len(freqs)
+    m = _kernels.block_rows(len(freqs), len(freqs))  # the budget's 40 rows
     counts = np.concatenate([np.zeros(m), np.resize([0, 1, 4], m), np.full(m, 2)]).astype(np.int64)
     edge_geo = np.linspace(-0.3, 0.7, int(counts.sum()))
     edge_geo[::5] = math.inf
@@ -504,11 +507,43 @@ def test_block_kernel_matches_per_path_kernel_on_path_table_shaped_tables(seed, 
     rng = np.random.default_rng(200 + seed)
     n_rows = int(rng.integers(20, 120))
     rows = _path_table_rows(rng, n_rows, int(rng.integers(1, 5)))
-    max_paths = max(1, _kernels.BLOCK_SAMPLES // n_freqs)
+    max_paths = _kernels.block_rows(len(rows), n_freqs)
     if max_paths > 1:  # the table does exercise blocks of several paths
         assert max(stop - start for start, stop in _kernels._row_runs(rows, max_paths)) > 1
     _assert_kernel_matches_per_path(n_rows, *_random_table(rng, n_rows, len(rows), 4, rows),
                                     np.linspace(11e9, 15e9, n_freqs))
+
+
+def test_row_blocks_cover_the_rows_in_budgeted_blocks():
+    for n_cols, height in [(1, _kernels.BLOCK_SAMPLES), (801, 40), (6401, 5),
+                           (_kernels.BLOCK_SAMPLES, 1), (_kernels.BLOCK_SAMPLES + 1, 1)]:
+        for n_rows in (1, 5, 40, 41, 1024):
+            assert _kernels.block_rows(n_rows, n_cols) == min(height, n_rows)
+            blocks = list(_kernels.row_blocks(n_rows, n_cols))
+            assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+            assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+            assert all(stop - start == height for start, stop in blocks[:-1])
+            assert 1 <= blocks[-1][1] - blocks[-1][0] <= height
+    assert _kernels.block_rows(0, 801) == 1  # scratch for an empty array still has a row
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n_cols", [1, 801, _kernels.REDUCE_COLS, _kernels.REDUCE_COLS + 1,
+                                    3 * _kernels.REDUCE_COLS + 7])
+def test_row_dot_row_sums_do_not_depend_on_the_block_height(dtype, n_cols):
+    rng = np.random.default_rng(n_cols)
+    a, b = (rng.standard_normal((9, n_cols)).astype(dtype) for _ in range(2))
+    if dtype is np.complex128:
+        a += 1j * rng.standard_normal(a.shape)
+        b -= 0.5j * rng.standard_normal(b.shape)
+    whole = _kernels.row_dot(a, b, np.empty(9, dtype))
+    for height in (1, 2, 4, 7):
+        blocked = [_kernels.row_dot(a[s:s + height], b[s:s + height], np.empty(len(a[s:s + height]), dtype))
+                   for s in range(0, 9, height)]
+        assert np.concatenate(blocked).tobytes() == whole.tobytes()
+    if n_cols <= _kernels.REDUCE_COLS:  # one einsum pass
+        assert whole.tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
+    assert np.allclose(whole, (a * b).sum(axis=1), rtol=1e-12, atol=1e-12 * n_cols)
 
 
 def test_row_runs_cover_the_table_in_budgeted_runs():
@@ -533,7 +568,7 @@ def test_real_tables_split_into_few_blocks(preset, n_elements):
     if n_elements is not None:
         scene = replace(scene, array=replace(scene.array, n_elements=n_elements))
     rows = path_table(scene).row
-    max_paths = max(1, _kernels.BLOCK_SAMPLES // scene.sweep.n_points)
+    max_paths = _kernels.block_rows(len(rows), scene.sweep.n_points)
     # a run of consecutive rows keeps row - table index constant
     runs = [len(list(run)) for _, run in itertools.groupby(rows - np.arange(len(rows)))]
     assert len(list(_kernels._row_runs(rows, max_paths))) <= sum(-(-n // max_paths) for n in runs)
