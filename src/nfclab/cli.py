@@ -109,14 +109,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfr = synth.synthesize_cfr(scene, table)
     stats = analysis.compute_stats(cfr, scene, table)
 
+    dmap = stationarity.cmd_map(cfr, m=args.window)
     partitions: list[stationarity.StationaryPartition] = []
     if args.criterion in ("cmd", "both"):
-        partitions.append(stationarity.partition_by_cmd(cfr, m=args.window,
+        partitions.append(stationarity.partition_by_cmd(dmap, cfr.n_elements, m=args.window,
                                                         tau=args.cmd_threshold))
     if args.criterion in ("slope", "both"):
         partitions.append(stationarity.partition_by_slope(stats))
-
-    dmap = stationarity.cmd_map(cfr, m=args.window)
 
     truth = multiplanar.los_truth(scene, table)
     mw_table = _mw_table(scene, truth, partitions)
@@ -313,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except (analysis.AnalysisError, stationarity.StationarityError, ValueError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS_FAILURE
+    except MemoryError as exc:  # an input too large to hold, e.g. --freq-points 1000000000000
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILURE
     except OSError as exc:  # load_scene turns read errors into SceneError, so this is a write
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -169,36 +169,32 @@ def _partition(n: int, boundaries: list[int], scores: list[float], criterion: st
                                criterion=criterion, boundary_scores=tuple(scores))
 
 
-def partition_by_cmd(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M,
+def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
                      tau: float = DEFAULT_CMD_THRESHOLD) -> StationaryPartition:
-    """Greedy reference-anchored correlation-distance partition.
+    """Greedy reference-anchored partition of elements 1..n, read from their ``cmd_map``.
 
     The reference window is the first m elements of the current interval; a
-    test window slides element by element and the first one with distance
-    above ``tau`` starts a new interval at its first element.  Intervals
-    shorter than m elements are folded into their neighbors, and a trailing
-    leftover shorter than m is absorbed by the last interval.
+    test window slides element by element along its map row and the first one
+    with distance above ``tau`` starts a new interval at its first element.
+    Intervals shorter than m elements are folded into their neighbors, and a
+    trailing leftover shorter than m is absorbed by the last interval.
     """
     if m < 2:
         raise StationarityError(f"window size must be >= 2, got {m}")
     if not 0.0 < tau < 1.0:
         raise StationarityError(f"threshold must lie in (0, 1), got {tau}")
-    n = cfr.n_elements
+    if len(dmap) != max(n - m + 1, 0):
+        raise StationarityError(f"cmd map of {len(dmap)} windows does not fit {n} elements in windows of {m}")
 
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
-    if not cfr.values.any():
-        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
-                                   warnings=("all-zero response",))
 
-    stack = _window_correlations(cfr.values, m)
     boundaries: list[int] = []
     scores: list[float] = []
     si_start = 1
-    while si_start < len(stack):
-        # distances from the reference window to the windows starting at si_start+1..
-        row = _cmd(stack[si_start - 1:si_start], stack[si_start:])[0]
+    while si_start < len(dmap):
+        row = dmap[si_start - 1, si_start:]  # the reference window to the windows after it
         tripped = np.flatnonzero(row > tau)
         if tripped.size == 0:
             break

@@ -280,17 +280,18 @@ def merge_short_intervals(intervals, scores, min_si):
 
 
 def partition_by_cmd(cfr, m, tau):
-    """The reference-anchored scan and fold of ``partition_by_cmd``, verbatim.
+    """The reference-anchored scan and fold of ``partition_by_cmd``, one ``_cmd`` row per anchor.
 
     The window correlations and distances come from the package's
     ``_window_correlations`` and ``_cmd``, which ``tests/test_cmd_gram.py``
-    checks against the per-pair loops; the scan and the fold are copied.
+    checks against the per-pair loops.  Each anchor's distance row is
+    computed here from the window stack, not read from ``cmd_map``, so the
+    package's walk along the map rows is checked from outside; the fold is
+    copied.
     """
     n = cfr.n_elements
     if n < 2 * m:
         return ((1, n),), (), (f"array of {n} elements shorter than two windows of {m}",)
-    if not np.any(np.abs(cfr.values) > 0):
-        return ((1, n),), (), ("all-zero response",)
 
     stack = _window_correlations(cfr.values, m)
     boundaries = []

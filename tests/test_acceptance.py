@@ -147,7 +147,7 @@ def test_criterion_5_olos_behavior(los_scene, olos_scene, shadow_nu):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_si_recovery(los_scene, olos_cfr):
-    part = nl.partition_by_cmd(olos_cfr, m=4, tau=0.2)
+    part = nl.partition_by_cmd(nl.cmd_map(olos_cfr, 4), olos_cfr.n_elements, m=4, tau=0.2)
     boundary = next((b for b in part.boundaries() if 24 <= b <= 28), None)
     assert boundary is not None
 
@@ -166,7 +166,7 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
     for seed in range(100):
         noisy = nl.ChannelFrequencyResponse(
             values=add_complex_noise(clean.values.copy(), -95.0, seed), sweep=clean.sweep)
-        trial = nl.partition_by_cmd(noisy, m=4, tau=0.2)
+        trial = nl.partition_by_cmd(nl.cmd_map(noisy, 4), noisy.n_elements, m=4, tau=0.2)
         if trial.boundaries() and abs(trial.boundaries()[0] - splice) <= 2:
             hits += 1
     assert hits >= 95

@@ -93,17 +93,26 @@ def test_window_below_2_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, c
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
 
 
-def test_run_two_element_scene_degrades_with_warnings(tmp_path):
+@pytest.mark.parametrize("n_elements", [2, 5], ids=["2_elements", "5_elements"])
+def test_run_two_element_scene_degrades_with_warnings(tmp_path, n_elements):
     scene = load_preset("los_lab")
     tiny = tmp_path / "tiny.scene"
-    save_scene(replace(scene, array=replace(scene.array, n_elements=2)), tiny)
+    save_scene(replace(scene, array=replace(scene.array, n_elements=n_elements)), tiny)
     out = tmp_path / "out"
     assert run(["run", str(tiny), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text()
-    assert "cmd warning:" in report and "slope warning:" in report
     assert "FAIL" not in report
-    assert (out / "cmd_map.csv").read_bytes() == b"i,j,D\r\n"
-    assert len((out / "partition.csv").read_text().splitlines()) == 3
+    if n_elements == 2:  # shorter than one window: an empty map, and too short for a slope
+        assert "cmd warning:" in report and "slope warning:" in report
+        assert (out / "cmd_map.csv").read_bytes() == b"i,j,D\r\n"
+        assert len((out / "partition.csv").read_text().splitlines()) == 3
+    else:  # m <= n < 2m: a 2 x 2 map of windows, one cmd interval, and a slope
+        assert "cmd warning: array of 5 elements shorter than two windows of 4" in report
+        assert "slope warning:" not in report
+        rows = (out / "cmd_map.csv").read_text().splitlines()
+        assert rows[0] == "i,j,D" and [row.split(",")[:2] for row in rows[1:]] == [
+            ["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+        assert "0,1,5,cmd," in (out / "partition.csv").read_text().splitlines()
 
 
 def test_run_scenario_file_roundtrip(tmp_path):
@@ -297,15 +306,41 @@ def geometry_bindings():
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
-    from nfclab import _kernels, analysis, multiplanar, synth, wavefront
+    from nfclab import _kernels, analysis, multiplanar, stationarity, synth, wavefront
     calls = count_calls(monkeypatch, {"gated_los_rows": analysis, "pdp_matrix": analysis,
                                       "accumulate_paths": _kernels, "path_table": synth,
                                       "los_truth": multiplanar, "model_phases": wavefront,
-                                      "element_geometry": geometry_bindings()})
+                                      "element_geometry": geometry_bindings(),
+                                      "_window_correlations": stationarity})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
-    # one path table, one kernel pass and one direct-path geometry; all 8 mw rows share one LOS truth
+    # one path table, one kernel pass and one direct-path geometry; all 8 mw rows share one LOS truth,
+    # and the CMD partition walks the rows of the one CMD map
     assert calls == {"gated_los_rows": 1, "pdp_matrix": 1, "accumulate_paths": 1,
-                     "path_table": 1, "los_truth": 1, "model_phases": 1, "element_geometry": 1}
+                     "path_table": 1, "los_truth": 1, "model_phases": 1, "element_geometry": 1,
+                     "_window_correlations": 1}
+
+
+@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
+def test_run_builds_one_cmd_map_under_every_criterion(tmp_path, monkeypatch, criterion):
+    from nfclab import stationarity
+    calls = count_calls(monkeypatch, {"_window_correlations": stationarity, "_cmd": stationarity,
+                                      "cmd_map": stationarity})
+    assert run(["run", "olos_baffle", "--out", str(tmp_path), "--criterion", criterion]) == 0
+    assert calls == {"_window_correlations": 1, "_cmd": 1, "cmd_map": 1}
+
+
+def test_out_of_memory_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
+    # an input too large to hold (--freq-points 1000000000000) fails in numpy's allocator;
+    # the allocation itself is not made here, since an overcommitting host could grant it
+    from nfclab import synth
+
+    def synthesize_cfr(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)")
+    monkeypatch.setattr(synth, "synthesize_cfr", synthesize_cfr)
+    assert run(["run", "los_lab", "--out", str(tmp_path)]) == EXIT_ANALYSIS_FAILURE
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)\n"
+    assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
 
 
 def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):

@@ -6,8 +6,9 @@ implementations that the banded window-correlation stack replaced, kept
 verbatim (returning plain arrays, with the interval fold of
 ``reference.merge_short_intervals``) as the reference.  The sums run in
 another order, so values agree to 1e-12, not bitwise.  The partition's own
-scan and fold are checked bit for bit against ``reference.partition_by_cmd``,
-and every distance row its scan computes against the matching ``cmd_map`` row.
+walk along the ``cmd_map`` rows and its fold are checked bit for bit against
+``reference.partition_by_cmd``, the per-anchor ``_cmd`` scan, and every
+distance row that scan computes against the matching ``cmd_map`` row.
 """
 
 import numpy as np
@@ -81,9 +82,6 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
-    if not np.any(np.abs(cfr.values) > 0):
-        return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
-                                   warnings=("all-zero response",))
 
     boundaries: list[int] = []
     scores: list[float] = []
@@ -152,7 +150,7 @@ def test_cmd_map_matches_pairwise_loop(cfr, m):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
-    new = partition_by_cmd(cfr, m=m, tau=tau)
+    new = partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
     ref = _ref_partition_by_cmd(cfr, m, tau)
     assert new.intervals == ref.intervals
     assert new.warnings == ref.warnings
@@ -163,7 +161,7 @@ def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_fold_bitwise(cfr, m, tau):
-    new = partition_by_cmd(cfr, m=m, tau=tau)
+    new = partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
     intervals, scores, warnings = reference_partition_by_cmd(cfr, m, tau)
     assert new.intervals == intervals
     assert new.warnings == warnings
@@ -188,7 +186,7 @@ def assert_scan_rows_are_map_rows(cfr, m):
     stack = _window_correlations(cfr.values, m)
     assert dmap.shape == (len(stack), len(stack))
     for a in range(len(stack) - 1):  # every anchor the scan can reach: one window must follow it
-        row = _cmd(stack[a:a + 1], stack[a + 1:])[0]  # as partition_by_cmd's scan computes it
+        row = _cmd(stack[a:a + 1], stack[a + 1:])[0]  # as reference.partition_by_cmd's scan computes it
         assert row.tobytes() == dmap[a, a + 1:].tobytes(), a
 
 

@@ -21,6 +21,11 @@ def cfr_from(values):
     return nl.ChannelFrequencyResponse(values=np.asarray(values, dtype=complex), sweep=SWEEP)
 
 
+def cmd_partition(cfr, m=4, tau=0.2):
+    """``partition_by_cmd`` read from the CFR's own ``cmd_map``, as ``nfclab run`` calls it."""
+    return nl.partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
+
+
 def random_psd(rng, m=4):
     a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return a @ a.conj().T
@@ -128,7 +133,7 @@ def test_cmd_properties_random_pairs():
 def test_partition_white_field_single_interval():
     rng = np.random.default_rng(21)
     values = (rng.normal(size=(64, 801)) + 1j * rng.normal(size=(64, 801)))
-    part = nl.partition_by_cmd(cfr_from(values))
+    part = cmd_partition(cfr_from(values))
     assert part.intervals == ((1, 64),)
     assert part.criterion == "cmd"
 
@@ -141,35 +146,33 @@ def test_partition_two_scene_concatenation(los_scene):
     splice = 32
     values = np.vstack([nl.synthesize_cfr(a, nl.path_table(a)).values[:splice],
                         nl.synthesize_cfr(b, nl.path_table(b)).values[splice:]])
-    part = nl.partition_by_cmd(nl.ChannelFrequencyResponse(values=values, sweep=bare.sweep))
+    part = cmd_partition(nl.ChannelFrequencyResponse(values=values, sweep=bare.sweep))
     assert part.n_intervals >= 2
     assert abs(part.boundaries()[0] - splice) <= 2
 
 
 def test_partition_olos_boundary_near_shadow_edge(olos_cfr):
-    part = nl.partition_by_cmd(olos_cfr)
+    part = cmd_partition(olos_cfr)
     assert any(24 <= b <= 28 for b in part.boundaries())
 
 
 def test_partition_short_array_warns():
     values = np.ones((6, 801), dtype=complex)
-    part = nl.partition_by_cmd(cfr_from(values), m=4)
+    part = cmd_partition(cfr_from(values), m=4)
     assert part.intervals == ((1, 6),)
     assert part.warnings
 
 
-def test_partition_all_zero_warns():
-    values = np.zeros((64, 801), dtype=complex)
-    part = nl.partition_by_cmd(cfr_from(values))
-    assert part.intervals == ((1, 64),)
-    assert "all-zero" in part.warnings[0]
-
-
-def test_partition_subnormal_sample_is_not_all_zero():
-    values = np.zeros((64, 801), dtype=complex)
-    values[17, 400] = 5e-324j  # the smallest subnormal, in the imaginary part only
-    part = nl.partition_by_cmd(cfr_from(values))
-    assert "all-zero response" not in part.warnings
+def test_partition_all_zero_and_one_subnormal_sample_agree():
+    # every window of either array is a zero matrix, at distance 1 from every window
+    zero = np.zeros((64, 801), dtype=complex)
+    subnormal = zero.copy()
+    subnormal[17, 400] = 5e-324j  # the smallest subnormal, in the imaginary part only
+    parts = [cmd_partition(cfr_from(values)) for values in (zero, subnormal)]
+    assert parts[0] == parts[1]
+    assert parts[0].n_intervals == 16
+    assert parts[0].boundary_scores == (1.0,) * 15
+    assert parts[0].warnings == ()
 
 
 def test_partition_legality_on_random_inputs():
@@ -177,8 +180,8 @@ def test_partition_legality_on_random_inputs():
     for _ in range(10):
         n = int(rng.integers(4, 40))
         values = rng.normal(size=(n, 101)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 101)))
-        part = nl.partition_by_cmd(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=101)),
-                                   m=3, tau=float(rng.uniform(0.05, 0.9)))
+        part = cmd_partition(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=101)),
+                             m=3, tau=float(rng.uniform(0.05, 0.9)))
         assert part.intervals[0][0] == 1
         assert part.intervals[-1][1] == n
         for (s1, e1), (s2, e2) in zip(part.intervals, part.intervals[1:]):
@@ -186,22 +189,31 @@ def test_partition_legality_on_random_inputs():
 
 
 def test_partition_interval_count_monotone_in_tau(olos_cfr):
-    counts = [nl.partition_by_cmd(olos_cfr, tau=t).n_intervals
+    counts = [cmd_partition(olos_cfr, tau=t).n_intervals
               for t in (0.4, 0.2, 0.1, 0.05)]
     assert all(counts[i + 1] >= counts[i] for i in range(len(counts) - 1))
 
 
 def test_partition_determinism(olos_cfr):
-    p1 = nl.partition_by_cmd(olos_cfr)
-    p2 = nl.partition_by_cmd(olos_cfr)
+    p1 = cmd_partition(olos_cfr)
+    p2 = cmd_partition(olos_cfr)
     assert p1 == p2
 
 
 def test_partition_parameter_validation(olos_cfr):
+    dmap = cmd_map(olos_cfr)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(olos_cfr, m=1)
+        nl.partition_by_cmd(dmap, olos_cfr.n_elements, m=1)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(olos_cfr, tau=1.5)
+        nl.partition_by_cmd(dmap, olos_cfr.n_elements, tau=1.5)
+
+
+@pytest.mark.parametrize("map_m, n, m", [(5, 64, 4), (3, 64, 4), (4, 64, 5), (4, 63, 4), (4, 65, 4),
+                                         (4, 3, 4)])
+def test_partition_rejects_a_map_of_another_window_or_array(olos_cfr, map_m, n, m):
+    dmap = cmd_map(olos_cfr, map_m)  # 64 - map_m + 1 windows
+    with pytest.raises(StationarityError, match=f"cmd map of {65 - map_m} windows does not fit {n} elements"):
+        nl.partition_by_cmd(dmap, n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +285,7 @@ def test_cmd_map_and_exports(tmp_path, olos_cfr):
     export_cmd_map_csv(dmap, out)
     assert len(out.read_text().strip().splitlines()) == 1 + n_windows ** 2
 
-    part = nl.partition_by_cmd(olos_cfr)
+    part = cmd_partition(olos_cfr)
     pcsv = tmp_path / "partition.csv"
     export_partition_csv([part], pcsv)
     lines = pcsv.read_text().strip().splitlines()
