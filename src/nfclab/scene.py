@@ -1,7 +1,7 @@
 """Scenario data model, scenario file format, and exact geometric queries.
 
 A scenario file is plain text with bracketed sections and ``key = value``
-lines; the ``_FORMAT`` table below states every section, key and value kind.
+lines; the ``_FORMAT`` table below states every section, key, value kind and bound.
 Units are meters, Hz and dB throughout.
 
 Scenes are immutable after load; every query below is a pure function and is
@@ -72,14 +72,6 @@ class ArraySpec:
     axis: Vec3 = DEFAULT_AXIS
     height: float = DEFAULT_HEIGHT
 
-    def validate(self) -> None:
-        if int(self.n_elements) != self.n_elements or self.n_elements < 1:
-            raise SceneValidationError("n_elements", f"must be a positive integer, got {self.n_elements}")
-        if not self.spacing_d > 0:
-            raise SceneValidationError("spacing_d", f"must be > 0, got {self.spacing_d}")
-        if abs(_norm3(self.axis) - 1.0) > _UNIT_NORM_TOL:
-            raise SceneValidationError("axis", f"must have unit norm within {_UNIT_NORM_TOL}, got norm {_norm3(self.axis)!r}")
-
     @property
     def aperture(self) -> float:
         """End-to-end array length (n-1)*d."""
@@ -93,14 +85,6 @@ class Sweep:
     f_start: float = DEFAULT_F_START
     f_stop: float = DEFAULT_F_STOP
     n_points: int = DEFAULT_N_POINTS
-
-    def validate(self) -> None:
-        if not self.f_start > 0.0:  # wavelengths, the Rayleigh distance and path gains divide by f
-            raise SceneValidationError("f_start", f"must be > 0 Hz, got {self.f_start}")
-        if not self.f_start < self.f_stop:
-            raise SceneValidationError("f_start", f"requires f_start < f_stop, got {self.f_start} >= {self.f_stop}")
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise SceneValidationError("n_points", f"must be an integer >= 2, got {self.n_points}")
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.f_start, self.f_stop, self.n_points)
@@ -136,12 +120,6 @@ class Wall:
     offset: float
     gamma: float
 
-    def validate(self, tag: str) -> None:
-        if abs(_norm3(self.normal) - 1.0) > _UNIT_NORM_TOL:
-            raise SceneValidationError(f"{tag}.normal", "must have unit norm")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise SceneValidationError(f"{tag}.gamma", f"must lie in [0, 1], got {self.gamma}")
-
 
 @dataclass(frozen=True)
 class Scatterer:
@@ -149,10 +127,6 @@ class Scatterer:
 
     position: Vec3
     amplitude: float
-
-    def validate(self, tag: str) -> None:
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise SceneValidationError(f"{tag}.amplitude", f"must lie in [0, 1], got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -168,14 +142,6 @@ class Blocker:
     width: float
     height: float
     normal: Vec3
-
-    def validate(self, tag: str) -> None:
-        if not self.width > 0:
-            raise SceneValidationError(f"{tag}.width", f"must be > 0, got {self.width}")
-        if not self.height > 0:
-            raise SceneValidationError(f"{tag}.height", f"must be > 0, got {self.height}")
-        if abs(_norm3(self.normal) - 1.0) > _UNIT_NORM_TOL:
-            raise SceneValidationError(f"{tag}.normal", "must have unit norm")
 
     def plane_axes(self) -> tuple[np.ndarray, np.ndarray]:
         """In-plane unit axes (u along width, v along height)."""
@@ -205,21 +171,20 @@ class Scene:
     seed: int = 0
 
     def validate(self) -> None:
-        for _, items in _sections(self):  # every float and every triple coordinate
-            for _, kind, field_name, value in items:
-                if (kind is not _INT and value is not None
-                        and not np.isfinite(np.asarray(value, dtype=float)).all()):
-                    raise SceneValidationError(field_name, f"must be finite, got {value!r}")
-        self.array.validate()
-        self.sweep.validate()
-        for i, w in enumerate(self.walls):
-            w.validate(f"wall[{i}]")
-        for i, s in enumerate(self.point_scatterers):
-            s.validate(f"scatterer[{i}]")
-        for i, b in enumerate(self.blockers):
-            b.validate(f"blocker[{i}]")
-        if not 0 <= self.seed < 2 ** 64:  # the Philox noise key is one uint64
-            raise SceneValidationError("seed", f"must lie in [0, 2**64), got {self.seed}")
+        """Every float and triple coordinate finite, then every value within its key's
+        ``_FORMAT`` bound (in table order), then ``f_start < f_stop`` and ``rx`` off the array."""
+        items = [item for _, section in _sections(self) for item in section]
+        for _, kind, field_name, value in items:
+            if (kind.parse is not _parse_int and value is not None
+                    and not np.isfinite(np.asarray(value, dtype=float)).all()):
+                raise SceneValidationError(field_name, f"must be finite, got {value!r}")
+        for _, kind, field_name, value in items:
+            broken = kind.check(value)
+            if broken is not None:
+                raise SceneValidationError(field_name, broken)
+        f_start, f_stop = self.sweep.f_start, self.sweep.f_stop
+        if not f_start < f_stop:
+            raise SceneValidationError("f_start", f"requires f_start < f_stop, got {f_start} >= {f_stop}")
         if float(_norm(np.asarray(self.rx, dtype=float) - element_positions(self)).min()) < 1e-9:
             raise SceneValidationError("rx", "must not coincide with any array element")
 
@@ -346,15 +311,33 @@ def _parse_triple(text: str, line: int, key: str) -> Vec3:
 
 
 class _Kind(NamedTuple):
-    """How one key's value is read from, and written to, scenario text."""
+    """How one key's value is read from, and written to, scenario text, and its bound."""
 
     parse: Callable[[str, int, str], Any]
     format: Callable[[Any], str]
+    check: Callable[[Any], str | None] = lambda value: None  # the requirement a value breaks, or None
+
+
+def _bound(kind: _Kind, holds: Callable[[Any], bool], requirement: str) -> _Kind:
+    """``kind`` whose values must satisfy ``holds``; ``requirement`` says so in the error."""
+    return kind._replace(check=lambda x: None if holds(x) else f"{requirement}, got {x}")
+
+
+def _unit_norm(v: Vec3) -> str | None:
+    norm = _norm3(v)
+    if abs(norm - 1.0) > _UNIT_NORM_TOL:
+        return f"must have unit norm within {_UNIT_NORM_TOL}, got norm {norm!r}"
+    return None
 
 
 _INT = _Kind(_parse_int, str)
 _FLOAT = _Kind(_parse_float, lambda x: repr(float(x)))
 _TRIPLE = _Kind(_parse_triple, lambda v: ", ".join(repr(float(x)) for x in v))
+_UNIT = _TRIPLE._replace(check=_unit_norm)
+_POSITIVE = _bound(_FLOAT, lambda x: x > 0, "must be > 0")
+_FRACTION = _bound(_FLOAT, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+# wavelengths, the Rayleigh distance and path gains divide by f
+_FREQUENCY = _bound(_FLOAT, lambda f: f > 0.0, "must be > 0 Hz")
 
 
 class _Section(NamedTuple):
@@ -367,20 +350,26 @@ class _Section(NamedTuple):
     repeats: bool = False  # the field is a tuple with one entry per section
 
 
-# The scenario file format, in file order.
+# The scenario file format, in file order, with the bound each key's values must meet.
 _FORMAT = {
-    "array": _Section({"n_elements": _INT, "spacing_d": _FLOAT, "origin": _TRIPLE,
-                       "axis": _TRIPLE, "height": _FLOAT}, build=ArraySpec, field="array"),
-    "sweep": _Section({"f_start": _FLOAT, "f_stop": _FLOAT, "n_points": _INT},
+    "array": _Section({"n_elements": _bound(_INT, lambda n: int(n) == n and n >= 1,
+                                            "must be a positive integer"),
+                       "spacing_d": _POSITIVE, "origin": _TRIPLE, "axis": _UNIT,
+                       "height": _FLOAT},  # height only sets the default origin
+                      build=ArraySpec, field="array"),
+    "sweep": _Section({"f_start": _FREQUENCY, "f_stop": _FLOAT,
+                       "n_points": _bound(_INT, lambda n: int(n) == n and n >= 2,
+                                          "must be an integer >= 2")},
                       build=Sweep, field="sweep"),
     "rx": _Section({"position": _TRIPLE}, required=True),
-    "wall": _Section({"normal": _TRIPLE, "offset": _FLOAT, "gamma": _FLOAT},
+    "wall": _Section({"normal": _UNIT, "offset": _FLOAT, "gamma": _FRACTION},
                      True, Wall, "walls", repeats=True),
-    "scatterer": _Section({"position": _TRIPLE, "amplitude": _FLOAT},
+    "scatterer": _Section({"position": _TRIPLE, "amplitude": _FRACTION},
                           True, Scatterer, "point_scatterers", repeats=True),
-    "blocker": _Section({"center": _TRIPLE, "width": _FLOAT, "height": _FLOAT, "normal": _TRIPLE},
+    "blocker": _Section({"center": _TRIPLE, "width": _POSITIVE, "height": _POSITIVE, "normal": _UNIT},
                         True, Blocker, "blockers", repeats=True),
-    "noise": _Section({"floor_dbm": _FLOAT, "seed": _INT}),
+    "noise": _Section({"floor_dbm": _FLOAT,  # the Philox noise key is one uint64
+                       "seed": _bound(_INT, lambda s: 0 <= s < 2 ** 64, "must lie in [0, 2**64)")}),
 }
 # The Scene field behind each [rx] and [noise] key.
 _SCENE_FIELDS = {"position": "rx", "floor_dbm": "noise_floor_dbm", "seed": "seed"}
@@ -447,7 +436,8 @@ def loads_scene(text: str) -> Scene:
         for key, (_, line) in body.items():
             if key not in section.keys:
                 raise SceneParseError(f"unknown key '{key}' in section [{name}]", line)
-        if name == "array":
+        if name == "array" and math.isfinite(values.get("height", DEFAULT_HEIGHT)):
+            # a non-finite height keeps the default origin, so validation blames height
             values.setdefault("origin", (0.0, 0.0, values.get("height", DEFAULT_HEIGHT)))
         if section.build is None:
             fields.update((_SCENE_FIELDS[key], value) for key, value in values.items())

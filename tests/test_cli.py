@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import scenes
 
@@ -444,27 +447,40 @@ def test_noise_above_signal_exit_4_names_the_floor(tmp_path):
     assert "0 of 64 elements' gates are valid" in proc.stderr
 
 
-@settings(max_examples=40, deadline=None)
-@given(scene=scenes(min_elements=2, max_elements=16, n_points=st.integers(2, 64)),
-       noise_floor=st.one_of(st.none(), st.floats(-130.0, 20.0)), seed=st.integers(0, 2 ** 32))
-def test_run_never_raises_on_random_scenes(scene, noise_floor, seed):
+@settings(max_examples=150, deadline=None)
+@given(scene=scenes(min_elements=1, max_elements=16, n_points=st.integers(2, 64)),
+       noise_floor=st.one_of(st.none(), st.floats(-130.0, 20.0)), seed=st.integers(0, 2 ** 32),
+       window=st.sampled_from([2, 3, 4, 5, 8, 1, 0, -1]),  # the last three exit 4
+       tau=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 0.0, 1.0, -0.5, 7.0, math.nan]),
+       criterion=st.sampled_from(["cmd", "slope", "both"]))
+def test_run_never_raises_on_random_scenes(scene, noise_floor, seed, window, tau, criterion):
     scene = replace(scene, noise_floor_dbm=noise_floor, seed=seed)
     try:
         scene.validate()
+        valid = True
     except SceneError:
-        assume(False)  # rx on an element: the scenario file itself is rejected (exit 3)
+        valid = False  # rx on an element: the scenario file itself is rejected
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "random.scene", Path(tmp) / "out"
         save_scene(scene, path)
-        code = run(["run", str(path), "--out", str(out)])
-        assert code in (0, EXIT_ANALYSIS_FAILURE)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["run", str(path), "--out", str(out), f"--window={window}",
+                        f"--cmd-threshold={tau!r}", "--criterion", criterion])
+        if not valid:
+            assert code == EXIT_PARSE_FAILURE
+        else:
+            assert code in (0, EXIT_ANALYSIS_FAILURE)
         if code != 0:
+            [line] = stderr.getvalue().splitlines()
+            assert line.startswith(("error: ", "analysis error: "))
+            assert not [name for name in RUN_FILES if (out / name).exists()]
             return
         for name in RUN_FILES:
             assert (out / name).stat().st_size > 0, name
         rows = [line.split(",") for line in (out / "partition.csv").read_text().splitlines()[1:]]
-        for criterion in ("cmd", "slope"):
-            bounds = [(int(r[1]), int(r[2])) for r in rows if r[3] == criterion]
+        for c in (("cmd", "slope") if criterion == "both" else (criterion,)):
+            bounds = [(int(r[1]), int(r[2])) for r in rows if r[3] == c]
             assert [s for s, _ in bounds] == [1] + [e + 1 for _, e in bounds[:-1]]
             assert bounds[-1][1] == scene.array.n_elements
         dmap = [float(line.split(",")[2]) for line in (out / "cmd_map.csv").read_text().splitlines()[1:]]

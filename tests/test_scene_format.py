@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from strategies import scenes
 
 import nfclab
-from nfclab.cli import EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE
+from nfclab.cli import EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE, main
 from nfclab.scene import (SceneError, SceneParseError, SceneValidationError, load_preset,
                           loads_scene, save_scene, serialize_scene)
 
@@ -271,3 +271,148 @@ def test_non_finite_noise_floor_override_exit_4(tmp_path, floor):
     assert "Traceback" not in proc.stderr
     assert f"error: invalid override: noise_floor_dbm: must be finite, got {floor}" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_height_is_reported_as_height():
+    # [array] height only sets the default origin; the error names the key the file holds
+    for bad in ("nan", "1e400"):
+        with pytest.raises(SceneValidationError) as err:
+            loads_scene(f"[array]\nheight = {bad}\n[rx]\nposition = 1, 1, 1\n")
+        assert err.value.field_name == "height"
+        assert "must be finite" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Bounds
+# ---------------------------------------------------------------------------
+
+# (section, key, bad value, field name in the error, message fragment), one per bound
+BOUND_CASES = [
+    ("array", "n_elements", 0, "n_elements", "must be a positive integer, got 0"),
+    ("array", "n_elements", -3, "n_elements", "must be a positive integer, got -3"),
+    ("array", "spacing_d", 0.0, "spacing_d", "must be > 0, got 0.0"),
+    ("array", "spacing_d", -0.01, "spacing_d", "must be > 0, got -0.01"),
+    ("array", "axis", (2.0, 0.0, 0.0), "axis", "must have unit norm within 1e-12, got norm 2.0"),
+    ("sweep", "f_start", 0.0, "f_start", "must be > 0 Hz, got 0.0"),
+    ("sweep", "f_start", -2e9, "f_start", "must be > 0 Hz, got -2000000000.0"),
+    ("sweep", "f_start", 16e9, "f_start", "requires f_start < f_stop, got 16000000000.0 >= 15000000000.0"),
+    ("sweep", "f_stop", 11e9, "f_start", "requires f_start < f_stop, got 11000000000.0 >= 11000000000.0"),
+    ("sweep", "n_points", 1, "n_points", "must be an integer >= 2, got 1"),
+    ("sweep", "n_points", 0, "n_points", "must be an integer >= 2, got 0"),
+    ("rx", "position", (0.0, 0.0, 2.5), "rx", "must not coincide with any array element"),
+    ("wall", "normal", (0.0, 0.0, 2.0), "wall[0].normal", "must have unit norm within 1e-12, got norm 2.0"),
+    ("wall", "normal", (0.0, 0.0, 0.0), "wall[0].normal", "must have unit norm within 1e-12, got norm 0.0"),
+    ("wall", "gamma", 1.5, "wall[0].gamma", "must lie in [0, 1], got 1.5"),
+    ("wall", "gamma", -0.1, "wall[0].gamma", "must lie in [0, 1], got -0.1"),
+    ("scatterer", "amplitude", 1.01, "scatterer[0].amplitude", "must lie in [0, 1], got 1.01"),
+    ("scatterer", "amplitude", -0.5, "scatterer[0].amplitude", "must lie in [0, 1], got -0.5"),
+    ("blocker", "width", 0.0, "blocker[0].width", "must be > 0, got 0.0"),
+    ("blocker", "width", -1.0, "blocker[0].width", "must be > 0, got -1.0"),
+    ("blocker", "height", 0.0, "blocker[0].height", "must be > 0, got 0.0"),
+    ("blocker", "normal", (0.0, 0.5, 0.0), "blocker[0].normal", "must have unit norm within 1e-12, got norm 0.5"),
+    ("noise", "seed", -1, "seed", "must lie in [0, 2**64), got -1"),
+    ("noise", "seed", 2 ** 64, "seed", "must lie in [0, 2**64), got 18446744073709551616"),
+]
+BOUND_IDS = [f"{s}.{k}={v}" for s, k, v, _, _ in BOUND_CASES]
+# The Scene field that holds each section's values; None: the key's own Scene field
+SCENE_FIELD = {"array": "array", "sweep": "sweep", "wall": "walls", "scatterer": "point_scatterers",
+               "blocker": "blockers", "rx": None, "noise": None}
+KEY_FIELD = {"position": "rx", "seed": "seed"}
+
+
+def _text(value) -> str:
+    return ", ".join(repr(x) for x in value) if isinstance(value, tuple) else repr(value)
+
+
+def _bound_file(name, key, value):
+    return _edited(name, key, f"{key} = {_text(value)}")[0]
+
+
+def _python_built(name, key, value):
+    """The loaded SECTIONS scene with ``value`` put in place by ``dataclasses.replace``."""
+    scene = loads_scene(_file(*(_block(s) for s in SECTIONS))[0])
+    field_name = SCENE_FIELD[name]
+    if field_name is None:
+        return replace(scene, **{KEY_FIELD[key]: value})
+    held = getattr(scene, field_name)
+    if isinstance(held, tuple):
+        return replace(scene, **{field_name: (replace(held[0], **{key: value}),)})
+    return replace(scene, **{field_name: replace(held, **{key: value})})
+
+
+@pytest.mark.parametrize("name, key, value, field_name, message", BOUND_CASES, ids=BOUND_IDS)
+def test_bound_violation_from_file_and_from_python(name, key, value, field_name, message):
+    with pytest.raises(SceneValidationError) as err:
+        loads_scene(_bound_file(name, key, value))
+    assert err.value.field_name == field_name
+    assert str(err.value) == f"{field_name}: {message}"
+    with pytest.raises(SceneValidationError) as err:
+        _python_built(name, key, value).validate()
+    assert str(err.value) == f"{field_name}: {message}"
+
+
+def test_checks_run_finiteness_then_bounds_in_table_order_then_cross_field_rules():
+    def first_error(edits):
+        lines = {name: list(body) for name, body in SECTIONS.items()}
+        for name, key, value in edits:
+            lines[name] = [f"{key} = {value}" if x.split(" =")[0] == key else x for x in lines[name]]
+        with pytest.raises(SceneValidationError) as err:
+            loads_scene(_file(*(_block(s, lines[s]) for s in SECTIONS))[0])
+        return err.value.field_name
+
+    # a non-finite value comes before any bound, wherever it sits in the table
+    assert first_error([("array", "spacing_d", "0"), ("noise", "floor_dbm", "nan")]) == "noise_floor_dbm"
+    # bounds in table order
+    assert first_error([("blocker", "width", "0"), ("wall", "gamma", "2")]) == "wall[0].gamma"
+    assert first_error([("noise", "seed", "-1"), ("array", "axis", "0, 0, 1e-3")]) == "axis"
+    # f_start < f_stop after every bound, and rx last
+    assert first_error([("sweep", "f_start", "16e9"), ("sweep", "n_points", "1")]) == "n_points"
+    assert first_error([("sweep", "f_start", "16e9"), ("rx", "position", "0, 0, 2.5")]) == "f_start"
+
+
+@pytest.mark.parametrize("name, key, value, field_name", [
+    ("array", "n_elements", 0, "n_elements"),
+    ("sweep", "f_stop", 11e9, "f_start"),
+    ("wall", "gamma", 1.5, "wall[0].gamma"),
+    ("blocker", "normal", (0.0, 0.5, 0.0), "blocker[0].normal"),
+])
+def test_bound_violation_in_scene_file_exit_3(tmp_path, name, key, value, field_name):
+    path = tmp_path / "bad.scene"
+    path.write_text(_bound_file(name, key, value))
+    proc = _cli(tmp_path, "run", str(path))
+    assert proc.returncode == EXIT_PARSE_FAILURE
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot load scenario {str(path)!r}: {field_name}: ")
+    assert not (tmp_path / "out").exists()
+
+
+BIG = int("9" * 400)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--freq-points", "1"], EXIT_ANALYSIS_FAILURE,
+     "error: invalid override: n_points: must be an integer >= 2, got 1"),
+    (["--seed=-1"], EXIT_ANALYSIS_FAILURE, "error: invalid override: seed: must lie in [0, 2**64), got -1"),
+    (["--seed", str(BIG)], EXIT_ANALYSIS_FAILURE,
+     f"error: invalid override: seed: must lie in [0, 2**64), got {BIG}"),
+    (["--freq-points", str(BIG)], EXIT_ANALYSIS_FAILURE, "analysis error: "),
+], ids=["freq-points-1", "seed-minus-1", "seed-400-digits", "freq-points-400-digits"])
+def test_out_of_bound_override_one_stderr_line(tmp_path, capsys, args, code, message):
+    assert main(["run", "los_lab", "--out", str(tmp_path / "out"), *args]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("name, key, code, message", [
+    ("noise", "seed", EXIT_PARSE_FAILURE, f"seed: must lie in [0, 2**64), got {BIG}"),
+    ("array", "n_elements", EXIT_ANALYSIS_FAILURE, "analysis error: "),
+    ("sweep", "n_points", EXIT_ANALYSIS_FAILURE, "analysis error: "),
+])
+def test_400_digit_int_in_scene_file_one_stderr_line(tmp_path, capsys, name, key, code, message):
+    path = tmp_path / "big.scene"
+    path.write_text(_bound_file(name, key, BIG))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
