@@ -172,7 +172,8 @@ class Scene:
 
     def validate(self) -> None:
         """Every float and triple coordinate finite, then every value within its key's
-        ``_FORMAT`` bound (in table order), then ``f_start < f_stop`` and ``rx`` off the array."""
+        ``_FORMAT`` bound (in table order), then ``f_start < f_stop``, ``rx`` off the array
+        and every point scatterer off ``rx`` and the array."""
         items = [item for _, section in _sections(self) for item in section]
         for _, kind, field_name, value in items:
             if (kind.parse is not _parse_int and value is not None
@@ -185,8 +186,13 @@ class Scene:
         f_start, f_stop = self.sweep.f_start, self.sweep.f_stop
         if not f_start < f_stop:
             raise SceneValidationError("f_start", f"requires f_start < f_stop, got {f_start} >= {f_stop}")
-        if float(_norm(np.asarray(self.rx, dtype=float) - element_positions(self)).min()) < 1e-9:
+        ends = np.vstack([element_positions(self), self.rx])  # the endpoints of every scatter leg
+        if float(_norm(ends[-1] - ends[:-1]).min()) < 1e-9:
             raise SceneValidationError("rx", "must not coincide with any array element")
+        for i, scatterer in enumerate(self.point_scatterers):
+            if float(_norm(np.asarray(scatterer.position, dtype=float) - ends).min()) < 1e-9:
+                raise SceneValidationError(f"scatterer[{i}].position",
+                                           "must not coincide with rx or any array element")
 
 
 # ---------------------------------------------------------------------------

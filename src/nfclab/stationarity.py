@@ -105,20 +105,20 @@ def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
     return stack
 
 
-def _cmd(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """CMD of every pair of matrices from two stacks, from one Gram product.
+def _cmd(stack: np.ndarray) -> np.ndarray:
+    """CMD of every pair of matrices in one stack, from one Gram product.
 
     ``<R_i, R_j>_F = Re tr(R_i R_j)`` for Hermitian matrices.  Clamped to
     [0, 1]; a zero matrix is at distance 1 from every matrix.  The Gram
     product is an einsum, not a BLAS matmul, so it does not depend on the
     BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
-    CMD of a stack with itself is symmetric.
+    map is symmetric.
     """
-    a, b = (np.asarray(r, dtype=np.complex128).reshape(len(r), -1).view(np.float64)
-            for r in (r1, r2))
-    norm_a, norm_b = (np.linalg.norm(x, axis=1) for x in (a, b))
-    d = np.einsum("ik,jk->ij", a, b)
-    d /= np.multiply.outer(np.where(norm_a > 0, norm_a, np.inf), np.where(norm_b > 0, norm_b, np.inf))
+    a = np.asarray(stack, dtype=np.complex128).reshape(len(stack), -1).view(np.float64)
+    norm = np.linalg.norm(a, axis=1)
+    norm = np.where(norm > 0, norm, np.inf)
+    d = np.einsum("ik,jk->ij", a, a)
+    d /= np.multiply.outer(norm, norm)
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 1.0, out=d)
 
@@ -133,7 +133,7 @@ def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndar
     if cfr.n_elements < m:
         return np.zeros((0, 0))
     stack = _window_correlations(cfr.values, m)
-    out = _cmd(stack, stack)
+    out = _cmd(stack)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -142,31 +142,28 @@ def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndar
 # Partitioners
 # ---------------------------------------------------------------------------
 
-def _partition(n: int, boundaries: list[int], scores: list[float], criterion: str,
+def _partition(n: int, splits: list[tuple[int, float]], criterion: str,
                min_si: int) -> StationaryPartition:
-    """Intervals of elements 1..n split at ``boundaries``, with those shorter than min_si folded.
+    """Intervals of elements 1..n split at ascending ``(boundary, score)`` pairs, short ones folded.
 
-    A short interval joins the following one (dropping the score of the
-    boundary between them), or, when it is the last, the preceding one.
+    One left-to-right scan: an interval shorter than min_si joins the
+    following one (dropping the score of the boundary between them); a short
+    last interval joins the preceding one; a lone interval stays.
     """
-    edges = [1] + boundaries + [n + 1]
-    intervals = [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)]
-    i = 0
-    while i < len(intervals):
-        start, end = intervals[i]
-        if end - start + 1 >= min_si or len(intervals) == 1:
-            i += 1
-            continue
-        if i + 1 < len(intervals):
-            intervals[i + 1][0] = start
-            del intervals[i]
-            del scores[i]
-        else:
-            intervals[i - 1][1] = end
-            del intervals[i]
-            del scores[i - 1]
-    return StationaryPartition(intervals=tuple((s, e) for s, e in intervals),
-                               criterion=criterion, boundary_scores=tuple(scores))
+    intervals: list[tuple[int, int]] = []
+    scores: list[float] = []
+    start = 1
+    for boundary, score in splits:
+        if boundary - start >= min_si:
+            intervals.append((start, boundary - 1))
+            scores.append(score)
+            start = boundary
+    if intervals and n + 1 - start < min_si:
+        start = intervals.pop()[0]
+        scores.pop()
+    intervals.append((start, n))
+    return StationaryPartition(intervals=tuple(intervals), criterion=criterion,
+                               boundary_scores=tuple(scores))
 
 
 def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
@@ -190,8 +187,7 @@ def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
                                    warnings=(f"array of {n} elements shorter than two windows of {m}",))
 
-    boundaries: list[int] = []
-    scores: list[float] = []
+    splits: list[tuple[int, float]] = []
     si_start = 1
     while si_start < len(dmap):
         row = dmap[si_start - 1, si_start:]  # the reference window to the windows after it
@@ -199,17 +195,16 @@ def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
         if tripped.size == 0:
             break
         si_start += 1 + int(tripped[0])
-        boundaries.append(si_start)
-        scores.append(float(row[tripped[0]]))
+        splits.append((si_start, float(row[tripped[0]])))
 
-    return _partition(n, boundaries, scores, "cmd", m)
+    return _partition(n, splits, "cmd", m)
 
 
 def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndarray:
-    """Per-element slope of a statistic: smooth, then centered difference.
+    """Per-element slope of a statistic: ``np.gradient`` of its centred moving average.
 
-    A centered moving average of odd width ``w`` (shrinking at the array
-    ends) precedes the difference; ends use one-sided differences.
+    The average has odd width ``w`` and shrinks at the array ends; the
+    gradient takes centred differences inside and one-sided ones at the ends.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.shape[0] < 3:
@@ -221,19 +216,13 @@ def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndar
     padded = np.concatenate([np.zeros(1), np.cumsum(s)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    smoothed = (padded[hi] - padded[lo]) / (hi - lo)
-    k = np.empty(n)
-    k[1:-1] = 0.5 * (smoothed[2:] - smoothed[:-2])
-    k[0] = smoothed[1] - smoothed[0]
-    k[-1] = smoothed[-1] - smoothed[-2]
-    return k
+    return np.gradient((padded[hi] - padded[lo]) / (hi - lo))
 
 
-def _slope_boundaries(k: np.ndarray, threshold: float) -> tuple[list[int], list[float]]:
-    """Boundaries at the steepest point of every run of >= 2 hot elements."""
+def _slope_boundaries(k: np.ndarray, threshold: float) -> dict[int, float]:
+    """``{boundary: score}`` at the steepest point of every run of >= 2 hot elements."""
     edges = np.flatnonzero(np.diff(np.pad(np.abs(k) > threshold, 1)))  # runs k[i:j] as (i, j) pairs
-    boundaries: list[int] = []
-    scores: list[float] = []
+    slope: dict[int, float] = {}
     for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
         if j - i >= 2:
             run = np.abs(k[i:j])
@@ -241,30 +230,26 @@ def _slope_boundaries(k: np.ndarray, threshold: float) -> tuple[list[int], list[
             peak_positions = np.flatnonzero(run >= peak - 1e-12) + i
             split = int(round(float(np.median(peak_positions)))) + 1  # 1-based
             if split > 1:
-                boundaries.append(split)
-                scores.append(float(peak))
-    return boundaries, scores
+                slope[split] = float(peak)
+    return slope
 
 
-def _uniform_power_splits(power_db: np.ndarray, boundaries: list[int], scores: list[float],
-                          gamma_db: float) -> tuple[list[int], list[float]]:
+def _uniform_power_splits(power_db: np.ndarray, slope: dict[int, float],
+                          gamma_db: float) -> list[tuple[int, float]]:
     """The slope boundaries merged with left-scan uniform-power splits (score NaN).
 
     The scan restarts at every slope boundary and splits wherever the power
     range since the last boundary or split exceeds ``gamma_db``.
     """
-    slope = dict(zip(boundaries, scores))
-    merged: list[int] = []
-    merged_scores: list[float] = []
+    splits: list[tuple[int, float]] = []
     lo = hi = power_db[0]
     for el in range(2, len(power_db) + 1):
         p = power_db[el - 1]
         lo, hi = min(lo, p), max(hi, p)
         if el in slope or hi - lo > gamma_db:
-            merged.append(el)
-            merged_scores.append(slope.get(el, float("nan")))
+            splits.append((el, slope.get(el, float("nan"))))
             lo = hi = p
-    return merged, merged_scores
+    return splits
 
 
 def partition_by_slope(stats: ChannelStats,
@@ -282,9 +267,8 @@ def partition_by_slope(stats: ChannelStats,
     if n < 3:
         return StationaryPartition(intervals=((1, n),), criterion="slope", boundary_scores=(),
                                    warnings=(f"array of {n} elements too short for a slope",))
-    boundaries, scores = _slope_boundaries(characteristic_slope(values), DEFAULT_SLOPE_THRESHOLD_DB)
-    return _partition(n, *_uniform_power_splits(values, boundaries, scores, gamma_db),
-                      "slope", DEFAULT_WINDOW_M)
+    slope = _slope_boundaries(characteristic_slope(values), DEFAULT_SLOPE_THRESHOLD_DB)
+    return _partition(n, _uniform_power_splits(values, slope, gamma_db), "slope", DEFAULT_WINDOW_M)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def partition_by_cmd(cfr, m, tau):
     scores = []
     si_start = 1
     while si_start < len(stack):
-        row = _cmd(stack[si_start - 1:si_start], stack[si_start:])[0]
+        row = _cmd(stack[si_start - 1:])[0, 1:]
         tripped = np.flatnonzero(row > tau)
         if tripped.size == 0:
             break

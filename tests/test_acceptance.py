@@ -180,7 +180,7 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
 
 def test_criterion_7_cmd_properties():
     def cmd(r1, r2):
-        return float(_cmd(r1[None], r2[None])[0, 0])
+        return float(_cmd(np.stack([r1, r2]))[0, 1])
 
     rng = np.random.default_rng(7)
     worst_sym = worst_self = worst_scale = 0.0

@@ -300,6 +300,13 @@ BOUND_CASES = [
     ("sweep", "n_points", 1, "n_points", "must be an integer >= 2, got 1"),
     ("sweep", "n_points", 0, "n_points", "must be an integer >= 2, got 0"),
     ("rx", "position", (0.0, 0.0, 2.5), "rx", "must not coincide with any array element"),
+    # SECTIONS puts rx at (0, 5, 2.5) and the elements at x = 0, 0.01, 0.02, 0.03
+    ("scatterer", "position", (0.0, 5.0, 2.5), "scatterer[0].position",
+     "must not coincide with rx or any array element"),
+    ("scatterer", "position", (0.01, 0.0, 2.5), "scatterer[0].position",
+     "must not coincide with rx or any array element"),
+    ("scatterer", "position", (0.03, 5e-10, 2.5), "scatterer[0].position",  # within 1e-9 m
+     "must not coincide with rx or any array element"),
     ("wall", "normal", (0.0, 0.0, 2.0), "wall[0].normal", "must have unit norm within 1e-12, got norm 2.0"),
     ("wall", "normal", (0.0, 0.0, 0.0), "wall[0].normal", "must have unit norm within 1e-12, got norm 0.0"),
     ("wall", "gamma", 1.5, "wall[0].gamma", "must lie in [0, 1], got 1.5"),
@@ -383,6 +390,35 @@ def test_bound_violation_in_scene_file_exit_3(tmp_path, name, key, value, field_
     assert proc.returncode == EXIT_PARSE_FAILURE
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"error: cannot load scenario {str(path)!r}: {field_name}: ")
+    assert not (tmp_path / "out").exists()
+
+
+SCATTERER_MESSAGE = "scatterer[0].position: must not coincide with rx or any array element"
+
+
+def test_scatterer_rule_follows_the_rx_rule_and_names_its_index():
+    loads_scene(_bound_file("scatterer", "position", (0.0, 5.0, 2.5 + 2e-9)))  # beyond 1e-9 m: valid
+    rx_on_element = _python_built("rx", "position", (0.0, 0.0, 2.5))
+    with pytest.raises(SceneValidationError) as err:
+        replace(rx_on_element, point_scatterers=(nfclab.Scatterer((0.0, 0.0, 2.5), 0.5),)).validate()
+    assert err.value.field_name == "rx"
+    scene = _python_built("scatterer", "position", (1.0, 1.0, 1.0))
+    with pytest.raises(SceneValidationError) as err:
+        replace(scene, point_scatterers=scene.point_scatterers
+                + (nfclab.Scatterer((0.0, 5.0, 2.5), 0.5),)).validate()
+    assert err.value.field_name == "scatterer[1].position"
+
+
+@pytest.mark.parametrize("blocker", [True, False], ids=["with-blocker", "without-blocker"])
+def test_scatterer_on_rx_in_scene_file_exit_3(tmp_path, blocker):
+    # with a screen this exited 4 naming no field; without one it ran with a zero-length leg
+    lines = {**SECTIONS, "scatterer": ["position = 0, 5, 2.5", "amplitude = 0.5"]}
+    path = tmp_path / "bad.scene"
+    path.write_text(_file(*(_block(s, lines[s]) for s in SECTIONS if blocker or s != "blocker"))[0])
+    proc = _cli(tmp_path, "run", str(path))
+    assert proc.returncode == EXIT_PARSE_FAILURE
+    [line] = proc.stderr.splitlines()
+    assert line == f"error: cannot load scenario {str(path)!r}: {SCATTERER_MESSAGE}"
     assert not (tmp_path / "out").exists()
 
 

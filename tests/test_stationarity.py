@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nfclab as nl
 from nfclab.analysis import ChannelStats
-from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError, _cmd,
+from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError, _cmd, _partition,
                                  cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
 import reference
@@ -91,7 +91,7 @@ def test_correlation_matrix_window_bounds():
 
 def cmd(r1, r2):
     """The distance of one pair of correlation matrices, through the Gram routine."""
-    return float(_cmd(r1[None], r2[None])[0, 0])
+    return float(_cmd(np.stack([r1, r2]))[0, 1])
 
 
 def test_cmd_identical_and_scaled():
@@ -154,6 +154,12 @@ def test_partition_two_scene_concatenation(los_scene):
 def test_partition_olos_boundary_near_shadow_edge(olos_cfr):
     part = cmd_partition(olos_cfr)
     assert any(24 <= b <= 28 for b in part.boundaries())
+
+
+def test_preset_cmd_partitions_are_pinned(los_cfr, olos_cfr):
+    # the CMD intervals of `nfclab run los_lab` and `nfclab run olos_baffle`
+    assert cmd_partition(los_cfr).intervals == ((1, 64),)
+    assert cmd_partition(olos_cfr).intervals == ((1, 26), (27, 31), (32, 37), (38, 47), (48, 64))
 
 
 def test_partition_short_array_warns():
@@ -237,6 +243,37 @@ def test_characteristic_slope_validation():
         nl.characteristic_slope(np.ones(2))
     with pytest.raises(ValueError):
         nl.characteristic_slope(np.ones(10), w=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=200), w=st.sampled_from([1, 3, 5, 7]))
+def test_characteristic_slope_matches_reference(s, w):
+    assert nl.characteristic_slope(s, w).tobytes() == reference.characteristic_slope(s, w).tobytes()
+
+
+@st.composite
+def fold_inputs(draw):
+    """``(n, [(boundary, score)], min_si)``: sorted distinct boundaries in 2..n, NaN scores among them."""
+    n = draw(st.integers(1, 60))
+    boundaries = sorted(draw(st.sets(st.integers(2, n), max_size=n - 1))) if n > 1 else []
+    scores = draw(st.lists(st.floats(), min_size=len(boundaries), max_size=len(boundaries)))
+    return n, list(zip(boundaries, scores)), draw(st.integers(1, 10))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=fold_inputs())
+@example(case=(5, [(2, 0.5), (3, math.nan)], 10))  # min_si > n: every interval short
+@example(case=(12, [(3, 0.1), (5, 0.2), (11, math.nan)], 4))  # short first, middle and last intervals
+def test_fold_matches_reference(case):
+    n, splits, min_si = case
+    before = repr(splits)
+    part = _partition(n, splits, "cmd", min_si)
+    edges = [1] + [b for b, _ in splits] + [n + 1]
+    intervals, scores = reference.merge_short_intervals(
+        [[edges[i], edges[i + 1] - 1] for i in range(len(edges) - 1)], [s for _, s in splits], min_si)
+    assert part.intervals == tuple((s, e) for s, e in intervals)
+    assert np.array(part.boundary_scores, dtype=float).tobytes() == np.array(scores, dtype=float).tobytes()
+    assert repr(splits) == before  # the caller's pairs are not consumed
 
 
 def test_partition_by_slope_constant_single():
