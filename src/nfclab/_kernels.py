@@ -38,14 +38,18 @@ BLOCK_SAMPLES = 1 << 15
 REDUCE_COLS = 8192
 
 
-def block_rows(n_rows, n_cols) -> int:
-    """Rows per block of an ``(n_rows, n_cols)`` array: at most ``BLOCK_SAMPLES // n_cols`` and n_rows, at least 1."""
-    return max(1, min(n_rows, BLOCK_SAMPLES // n_cols))
+def block_rows(n_rows, n_cols, budget=None) -> int:
+    """Rows per block of an ``(n_rows, n_cols)`` array: at most ``budget // n_cols`` and n_rows, at least 1.
+
+    ``budget`` is in samples and defaults to ``BLOCK_SAMPLES``.
+    """
+    budget = BLOCK_SAMPLES if budget is None else budget
+    return max(1, min(n_rows, budget // max(n_cols, 1)))
 
 
-def row_blocks(n_rows, n_cols):
+def row_blocks(n_rows, n_cols, budget=None):
     """``(start, stop)`` of consecutive blocks of ``block_rows`` rows; the last may be shorter."""
-    height = block_rows(n_rows, n_cols)
+    height = block_rows(n_rows, n_cols, budget)
     for start in range(0, n_rows, height):
         yield start, min(start + height, n_rows)
 

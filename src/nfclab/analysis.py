@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvout, _kernels
+from . import _csvout, _floatrepr, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene
 from .synth import ChannelFrequencyResponse, PathTable, noise_sigma
@@ -275,21 +275,24 @@ def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable)
 
 def export_stats_csv(stats: ChannelStats, path) -> None:
     _csvout.write_csv(path, ("element", "power_db", "ds_ns", "phase_rad", "aod_deg", "tau_ns"),
-                      [(_csvout.strs(range(1, stats.n_elements + 1)), _csvout.floats(stats.power_db),
-                        _csvout.floats(stats.delay_spread_s * 1e9), _csvout.floats(stats.los_phase_rad),
-                        _csvout.floats([math.degrees(a) for a in stats.aod_rad.tolist()]),
-                        _csvout.floats(stats.tau_los_s * 1e9))])
+                      [_csvout.rows((_csvout.strs(range(1, stats.n_elements + 1)), _csvout.floats(stats.power_db),
+                                     _csvout.floats(stats.delay_spread_s * 1e9),
+                                     _csvout.floats(stats.los_phase_rad),
+                                     _csvout.floats([math.degrees(a) for a in stats.aod_rad.tolist()]),
+                                     _csvout.floats(stats.tau_los_s * 1e9)))])
 
 
 def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
     """Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array, elements 1..N.
 
-    Each row's ``10*log10`` is taken as that row is written.
+    Each block's ``10*log10`` is taken as that block is written.
     """
-    n_bins = pdp.shape[1]
-    bins = _csvout.strs(range(n_bins))  # bin and delay cells, formatted once per file
-    delay_ns = _csvout.floats(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)
+    n, n_bins = pdp.shape
+    element = _csvout.cells(_csvout.strs(range(1, n + 1)))[:, None]
+    bins = _csvout.cells(_csvout.strs(range(n_bins)))[None]  # bin and delay cells, formatted once per file
+    delay_ns = _floatrepr.repr_cells(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)[None]
     with np.errstate(divide="ignore"):  # an empty bin is -inf dB
         _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
-                          (([str(el)] * n_bins, bins, delay_ns, _csvout.floats(10.0 * np.log10(row)))
-                           for el, row in enumerate(pdp, start=1)))
+                          (_csvout.lines((element[a:b], bins, delay_ns,
+                                          _floatrepr.repr_cells(10.0 * np.log10(pdp[a:b]))))
+                           for a, b in _kernels.row_blocks(n, n_bins, _floatrepr.PASS_VALUES)))

@@ -6,6 +6,10 @@ report; ``nfclab phase-check <preset|file>`` compares the synthesized LOS
 phase against the closed-form near- and far-field models at a scaled
 receiver distance.
 
+Both commands write their files into a temporary directory inside
+``--out`` and move them in only once every file is written, so a failed
+command leaves none of them.
+
 Exit codes: 0 success, 2 usage error or unknown preset, 3 scenario
 parse/read failure, 4 analysis failure, 5 cannot write output (``--out``
 is not a writable directory).  argparse exits 2 on any usage
@@ -17,8 +21,11 @@ passes the value through and exits 4 as an invalid override.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,6 +85,26 @@ def _apply_overrides(scene: Scene, args: argparse.Namespace) -> Scene:
     return scene
 
 
+@contextlib.contextmanager
+def _staged(out_dir: Path, names):
+    """Paths for ``names`` in a temporary directory inside ``out_dir``, moved into it when the block ends.
+
+    The temporary directory is removed on every path.  Nothing is moved
+    when the block raises, and a failed move removes the files already
+    moved, so no failure leaves any of ``names`` in ``out_dir``.
+    """
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".nfclab-") as tmp:
+        staged = {name: Path(tmp) / name for name in names}
+        yield staged
+        try:
+            for name in names:
+                os.replace(staged[name], out_dir / name)
+        except OSError:
+            for name in names:
+                (out_dir / name).unlink(missing_ok=True)
+            raise
+
+
 def _mw_table(scene: Scene, truth: multiplanar.LosTruth,
               partitions: list[stationarity.StationaryPartition]) -> list[tuple[str, int, float, float]]:
     """mw_error.csv rows: the dyadic partitions, then ``partitions``, all against one LOS truth."""
@@ -123,59 +150,61 @@ def cmd_run(args: argparse.Namespace) -> int:
     model = wavefront.model_phases(truth.theta, scene.array.spacing_d, C_M_PER_S / fc)
     del truth  # its N x F amplitude is freed before the exports start
 
-    files = {name: out_dir / name for name in RUN_FILES}
-    synth.export_cfr_csv(cfr, files["cfr.csv"])
-    analysis.export_stats_csv(stats, files["stats.csv"])
-    analysis.export_pdp_csv(stats.pdp, files["pdp.csv"], cfr.sweep.bandwidth)
-    stationarity.export_partition_csv(partitions, files["partition.csv"])
-    stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
-    multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
+    with _staged(out_dir, RUN_FILES) as files:
+        synth.export_cfr_csv(cfr, files["cfr.csv"])
+        analysis.export_stats_csv(stats, files["stats.csv"])
+        analysis.export_pdp_csv(stats.pdp, files["pdp.csv"], cfr.sweep.bandwidth)
+        stationarity.export_partition_csv(partitions, files["partition.csv"])
+        stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
+        multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
 
-    # Built-in checks and observations
-    power_spread = float(stats.power_db.max() - stats.power_db.min())
-    phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
-    mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
-    checks = {
-        "phase_model_correlation_gt_0.99": phase_corr > 0.99,
-        "partitions_cover_array": all(p.intervals[0][0] == 1 and p.intervals[-1][1] == scene.array.n_elements
-                                      for p in partitions),
-        "mw_error_nonincreasing_with_refinement": all(mw_rmse[i + 1] <= mw_rmse[i] + 1e-9
-                                                      for i in range(len(mw_rmse) - 1)),
-    }
-    observations = [
-        f"received power spread across elements: {power_spread:.3f} dB",
-        f"LOS phase vs closed-form model correlation: {phase_corr:.6f}",
-        f"median RMS delay spread: {float(np.median(stats.delay_spread_s)) * 1e9:.3f} ns",
-    ]
-    for part in partitions:
-        bounds = ", ".join(str(b) for b in part.boundaries()) or "none"
-        observations.append(f"{part.criterion} partition: {part.n_intervals} interval(s), boundaries at {bounds}")
-        for warning in part.warnings:
-            observations.append(f"{part.criterion} warning: {warning}")
+        # Built-in checks and observations
+        power_spread = float(stats.power_db.max() - stats.power_db.min())
+        phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
+        mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
+        checks = {
+            "phase_model_correlation_gt_0.99": phase_corr > 0.99,
+            "partitions_cover_array": all(p.intervals[0][0] == 1
+                                          and p.intervals[-1][1] == scene.array.n_elements
+                                          for p in partitions),
+            "mw_error_nonincreasing_with_refinement": all(mw_rmse[i + 1] <= mw_rmse[i] + 1e-9
+                                                          for i in range(len(mw_rmse) - 1)),
+        }
+        observations = [
+            f"received power spread across elements: {power_spread:.3f} dB",
+            f"LOS phase vs closed-form model correlation: {phase_corr:.6f}",
+            f"median RMS delay spread: {float(np.median(stats.delay_spread_s)) * 1e9:.3f} ns",
+        ]
+        for part in partitions:
+            bounds = ", ".join(str(b) for b in part.boundaries()) or "none"
+            observations.append(f"{part.criterion} partition: {part.n_intervals} interval(s), "
+                                f"boundaries at {bounds}")
+            for warning in part.warnings:
+                observations.append(f"{part.criterion} warning: {warning}")
 
-    thresholds = {
-        "cmd_window_m": float(args.window),
-        "cmd_threshold_tau": float(args.cmd_threshold),
-        "cmd_min_si": float(args.window),
-        "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
-        "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
-        "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
-        "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
-        "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),
-        "noise_floor_dbm": (float("nan") if scene.noise_floor_dbm is None
-                            else scene.noise_floor_dbm),
-        "seed": float(scene.seed),
-    }
+        thresholds = {
+            "cmd_window_m": float(args.window),
+            "cmd_threshold_tau": float(args.cmd_threshold),
+            "cmd_min_si": float(args.window),
+            "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
+            "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
+            "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
+            "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
+            "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),
+            "noise_floor_dbm": (float("nan") if scene.noise_floor_dbm is None
+                                else scene.noise_floor_dbm),
+            "seed": float(scene.seed),
+        }
 
-    summary = (f"{scene.array.n_elements} elements at {scene.array.spacing_d} m pitch; "
-               f"sweep {scene.sweep.f_start / 1e9:g}-{scene.sweep.f_stop / 1e9:g} GHz "
-               f"x {scene.sweep.n_points} points; rx {scene.rx}; "
-               f"{len(scene.walls)} wall(s), {len(scene.point_scatterers)} scatterer(s), "
-               f"{len(scene.blockers)} blocker(s)")
+        summary = (f"{scene.array.n_elements} elements at {scene.array.spacing_d} m pitch; "
+                   f"sweep {scene.sweep.f_start / 1e9:g}-{scene.sweep.f_stop / 1e9:g} GHz "
+                   f"x {scene.sweep.n_points} points; rx {scene.rx}; "
+                   f"{len(scene.walls)} wall(s), {len(scene.point_scatterers)} scatterer(s), "
+                   f"{len(scene.blockers)} blocker(s)")
 
-    files["report.txt"].write_text(_render_report(args.scenario, summary, thresholds, observations,
-                                                  mw_table, checks), encoding="utf-8")
-    print(f"report: {files['report.txt']}")
+        files["report.txt"].write_text(_render_report(args.scenario, summary, thresholds, observations,
+                                                      mw_table, checks), encoding="utf-8")
+    print(f"report: {out_dir / 'report.txt'}")
     for obs in observations:
         print(obs)
     for name, ok in checks.items():
@@ -258,9 +287,11 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
         raise _CliError(f"corr(measured, near-field model) is undefined at --distance-mult "
                         f"{args.distance_mult:g}: a phase profile is constant along the array",
                         EXIT_ANALYSIS_FAILURE)
-    _csvout.write_csv(path, ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
-                      [(_csvout.strs(range(1, scene.array.n_elements + 1)),
-                        _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far))])
+    with _staged(path.parent, [path.name]) as files:
+        _csvout.write_csv(files[path.name],
+                          ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
+                          [_csvout.rows((_csvout.strs(range(1, scene.array.n_elements + 1)),
+                                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far)))])
 
     max_far_gap = float(np.abs(model - (-far)).max())
     print(f"rx distance: {args.distance_mult:g} x Rayleigh ({r_d:.3f} m) = "

@@ -181,6 +181,7 @@ def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> Multipl
 def export_mw_error_csv(rows: list[tuple[str, int, float, float]], path) -> None:
     """Rows of (partition id, interval count, phase rmse, correlation)."""
     _csvout.write_csv(path, ("k_or_partition_id", "n_intervals", "phase_rmse_rad", "correlation"),
-                      [(_csvout.strs(row[0] for row in rows), _csvout.strs(row[1] for row in rows),
-                        _csvout.floats([row[2] for row in rows]),
-                        _csvout.floats([row[3] for row in rows]))])
+                      [_csvout.rows((_csvout.strs(row[0] for row in rows),
+                                     _csvout.strs(row[1] for row in rows),
+                                     _csvout.floats([row[2] for row in rows]),
+                                     _csvout.floats([row[3] for row in rows])))])

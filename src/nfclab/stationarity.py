@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _csvout, _kernels
+from . import _csvout, _floatrepr, _kernels
 from .analysis import ChannelStats
 from .synth import ChannelFrequencyResponse
 
@@ -279,32 +279,24 @@ def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
     def block(partition: StationaryPartition):
         n = partition.n_intervals  # a partition may carry fewer than n - 1 scores
         scores = ([""] + _csvout.floats(partition.boundary_scores) + [""] * n)[:n]
-        return (_csvout.strs(range(n)), _csvout.strs(s for s, _ in partition.intervals),
-                _csvout.strs(e for _, e in partition.intervals), [partition.criterion] * n, scores)
+        return _csvout.rows((_csvout.strs(range(n)), _csvout.strs(s for s, _ in partition.intervals),
+                             _csvout.strs(e for _, e in partition.intervals), [partition.criterion] * n,
+                             scores))
 
     _csvout.write_csv(path, ("interval_index", "start", "end", "criterion", "boundary_score"),
                       map(block, partitions))
 
 
 def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
-    """All (i, j) pairs of a symmetric map; each pair's text is formatted once.
+    """All (i, j) pairs of a symmetric map, one row block of the map at a time.
 
-    Row i formats its cells j >= i and takes cells j < i from the rows above,
-    which hand each one over once it is written, so at most a quarter of the
-    map's strings are held at a time.  Raises ValueError unless ``dmap``
-    equals its transpose.
+    Raises ValueError unless ``dmap`` equals its transpose.
     """
     dmap = np.asarray(dmap, dtype=float)
     if not np.array_equal(dmap, dmap.T):
         raise ValueError("cmd map must be symmetric")
-    j = _csvout.strs(range(1, dmap.shape[1] + 1))
-    pending: list[list[str]] = []  # row k's cells i > k not yet written, cell k + 1 last
-
-    def blocks():
-        for i, row in enumerate(dmap):
-            upper = _csvout.floats(row[i:])
-            lower = [cells.pop() for cells in pending]
-            pending.append(upper[:0:-1])
-            yield [str(i + 1)] * len(j), j, lower + upper
-
-    _csvout.write_csv(path, ("i", "j", "D"), blocks())
+    n = dmap.shape[0]
+    label = _csvout.cells(_csvout.strs(range(1, n + 1)))
+    _csvout.write_csv(path, ("i", "j", "D"),
+                      (_csvout.lines((label[a:b, None], label[None], _floatrepr.repr_cells(dmap[a:b])))
+                       for a, b in _kernels.row_blocks(n, n, _floatrepr.PASS_VALUES)))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _csvout, _kernels
+from . import _csvout, _floatrepr, _kernels
 from ._kernels import knife_edge_loss
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
 from .scene import (Scene, Sweep, _norm, edge_clearance, element_positions,
@@ -189,7 +189,10 @@ def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
 
 def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
     """CSV rows (element, f_hz, re, im); floats use shortest round-trip form."""
-    f_hz = _csvout.floats(cfr.sweep.frequencies())  # formatted once per file
+    n, n_freqs = cfr.values.shape
+    element = _csvout.cells(_csvout.strs(range(1, n + 1)))[:, None]
+    f_hz = _floatrepr.repr_cells(cfr.sweep.frequencies())[None]  # formatted once per file
     _csvout.write_csv(path, ("element", "f_hz", "re", "im"),
-                      (([str(el)] * len(f_hz), f_hz, _csvout.floats(row.real), _csvout.floats(row.imag))
-                       for el, row in zip(range(1, cfr.n_elements + 1), cfr.values)))
+                      (_csvout.lines((element[a:b], f_hz, _floatrepr.repr_cells(cfr.values[a:b].real),
+                                      _floatrepr.repr_cells(cfr.values[a:b].imag)))
+                       for a, b in _kernels.row_blocks(n, n_freqs, _floatrepr.PASS_VALUES)))

@@ -5,10 +5,10 @@ over row blocks, takes the AoD from the gated taps it already has, builds
 every window correlation from one stacked band, evaluates the element
 geometry and the closed-form phase model over whole arrays, computes the
 per-element power, PDP and delay spread over row blocks of the ``(N, F)``
-array, draws the noise block by block, and builds both stationary partitions
-through one fold.  The tests check those fast paths against the plain forms
-below, and the closed form against ``exact_relative_phase``, its
-distance-based ground truth.
+array, draws the noise block by block, builds both stationary partitions
+through one fold, and writes ``repr`` text for whole arrays at once.  The
+tests check those fast paths against the plain forms below, and the closed
+form against ``exact_relative_phase``, its distance-based ground truth.
 """
 
 import math
@@ -397,3 +397,48 @@ def partition_by_slope(power_db, gamma_db):
 
     refined, refined_scores = merge_short_intervals(refined, refined_scores, WINDOW_M)
     return tuple((s, e) for s, e in refined), tuple(refined_scores), ()
+
+
+# ---------------------------------------------------------------------------
+# pdp.csv as the str-cell exporter wrote it: np.log10 per row, then repr
+# ---------------------------------------------------------------------------
+
+def _floats(values):
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _strs(values):
+    return list(map(str, values))
+
+
+def _block(columns):
+    """Rows of comma-joined cells; a column of another length raises ValueError."""
+    k, n = len(columns), len(columns[0])
+    parts = [","] * (2 * k * n)
+    for c, column in enumerate(columns):
+        parts[2 * c::2 * k] = column
+    parts[2 * k - 1::2 * k] = ["\r\n"] * n
+    return "".join(parts)
+
+
+def _write_csv(path, header, blocks):
+    """Write ``header``, then each block (a tuple of cell columns) in turn."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write(_block(columns))
+
+
+def export_pdp_csv(pdp, path, bandwidth_hz):
+    """The ``str``-cell ``export_pdp_csv``, verbatim: the byte oracle of ``pdp.csv``.
+
+    Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array,
+    elements 1..N.  Each row's ``10*log10`` is taken as that row is written.
+    """
+    n_bins = pdp.shape[1]
+    bins = _strs(range(n_bins))  # bin and delay cells, formatted once per file
+    delay_ns = _floats(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)
+    with np.errstate(divide="ignore"):  # an empty bin is -inf dB
+        _write_csv(path, ("element", "bin", "delay_ns", "power_db"),
+                   (([str(el)] * n_bins, bins, delay_ns, _floats(10.0 * np.log10(row)))
+                    for el, row in enumerate(pdp, start=1)))

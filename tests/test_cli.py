@@ -373,6 +373,45 @@ def test_unwritable_out_exit_5_without_traceback(tmp_path, command):
     assert out.read_text() == "a regular file\n"
 
 
+_FAILING_EXPORT = """
+import sys
+import nfclab.{module} as module
+from nfclab.cli import main
+
+def fail(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+module.{name} = fail
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("run", "synth", "export_cfr_csv"),  # the first file
+    ("run", "stationarity", "export_cmd_map_csv"),  # after three files are written
+    ("run", "multiplanar", "export_mw_error_csv"),  # the last CSV
+    ("phase-check", "_csvout", "write_csv"),
+])
+def test_failed_export_exit_5_leaves_no_artifact(tmp_path, command, module, name):
+    # the files are written into a temporary directory and moved in once all are written
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an artifact\n")
+    files = RUN_FILES if command == "run" else ("phase_check.csv",)
+    for file in files:  # a previous command's complete set
+        (out / file).write_text("old\n")
+    src = Path(nfclab.__file__).resolve().parents[1]
+    code = _FAILING_EXPORT.format(module=module, name=name)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, command, "los_lab", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_WRITE_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+    assert proc.stdout == ""
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+
 @pytest.mark.parametrize("command", ["run", "phase-check"])
 @pytest.mark.parametrize("band", [(-2e9, 2e9), (-15e9, -11e9), (0.0, 4e9)],
                          ids=["zero_centred", "negative", "from_0_hz"])

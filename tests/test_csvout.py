@@ -4,11 +4,13 @@ Each ``_ref_*`` function below is the per-row ``csv.writer`` + ``repr``
 exporter that the block writer in ``nfclab._csvout`` replaced, kept verbatim
 as the reference.  The one declared exception is the ``pdp.csv`` ``power_db``
 column, now ``10*np.log10`` over the array: within 2 ulp of the scalar
-``10*math.log10`` reference, every other cell byte-identical.  The inputs
-are small but hold the awkward cases of the dialect: signed zero,
-subnormals, values at the repr switch to exponent form,
-infinities, NaN, an empty PDP bin, element numbers of two digits, a
-zero-power CMD window and both partition criteria.
+``10*math.log10`` reference, every other cell byte-identical, and
+byte-identical to ``reference.export_pdp_csv``, the ``str``-cell exporter
+that took ``np.log10`` per row.  The inputs are small but hold the awkward
+cases of the dialect: signed zero, subnormals, values at the repr switch to
+exponent form, infinities, NaN, an empty PDP bin, element numbers of two
+digits, a zero-power CMD window and both partition criteria.  The run
+scenes check the bulk files at full size.
 """
 
 import csv
@@ -17,7 +19,9 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from nfclab import _csvout
+from nfclab._floatrepr import repr_cells
 from nfclab.analysis import ChannelStats, export_pdp_csv, export_stats_csv, pdp_matrix
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
@@ -25,7 +29,9 @@ from nfclab.scene import Sweep
 from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
 from nfclab.synth import ChannelFrequencyResponse, export_cfr_csv, path_table, synthesize_cfr
-from test_analysis import REFERENCE_SCENES
+from test_analysis import BLOCK_SCENES, REFERENCE_SCENES, _sized
+from test_path_table import benchmark_scene
+from test_synth import traced_peak
 
 AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789.125, -2.5e-300]
 
@@ -175,11 +181,13 @@ def test_pdp_csv_matches_reference(tmp_path):
     powers = np.array([0.0, 5e-324, 1e16, 1e22, 0.1, math.inf, 1.0])
     pdp = np.stack([np.roll(powers, i) for i in range(12)])
     pdp[5] = pdp[5][::-1]
-    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    new, ref, oracle = tmp_path / "new.csv", tmp_path / "ref.csv", tmp_path / "oracle.csv"
     for bandwidth_hz in (4e9, 3e9, 0.1):
         export_pdp_csv(pdp, new, bandwidth_hz)
         _ref_export_pdp_csv(pdp, bandwidth_hz, ref)
         _assert_pdp_csv_within_2_ulp(new, ref)
+        reference.export_pdp_csv(pdp, oracle, bandwidth_hz)
+        assert new.read_bytes() == oracle.read_bytes()
     assert b"\r\n1,0,0.0,-inf\r\n" in new.read_bytes()
     assert b"\r\n12,6,60000000000.0,160.0\r\n" in new.read_bytes()
 
@@ -248,13 +256,59 @@ def test_phase_check_csv_matches_reference(tmp_path):
 
 def test_write_csv_dialect(tmp_path):
     path = tmp_path / "t.csv"
-    _csvout.write_csv(path, ("a", "b"), [(_csvout.strs([1, 10]), _csvout.floats([-0.0, 1e22])),
-                                         ([], []), (["x"], ["nan"])])
+    _csvout.write_csv(path, ("a", "b"), [_csvout.rows((_csvout.strs([1, 10]), _csvout.floats([-0.0, 1e22]))),
+                                         _csvout.rows(([], [])), _csvout.rows((["x"], ["nan"]))])
     assert path.read_bytes() == b"a,b\r\n1,-0.0\r\n10,1e+22\r\nx,nan\r\n"
+    # cell matrices: a per-row label and a per-column cell broadcast over a 2 x 2 block
+    label, column = _csvout.cells(["1", "10"])[:, None], _csvout.cells(["p", "qq"])[None]
+    _csvout.write_csv(path, ("a", "b", "c"),
+                      [_csvout.lines((label, column, repr_cells([[-0.0, 1e22], [math.nan, 0.5]]))),
+                       _csvout.lines((label[:0], column, repr_cells(np.zeros((0, 2)))))])
+    assert path.read_bytes() == b"a,b,c\r\n1,p,-0.0\r\n1,qq,1e+22\r\n10,p,nan\r\n10,qq,0.5\r\n"
     _csvout.write_csv(path, ("a", "b"), [])
     assert path.read_bytes() == b"a,b\r\n"
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
-        _csvout.write_csv(tmp_path / "t.csv", ("a", "b"), [(["1", "2"], ["3"])])
+        _csvout.write_csv(tmp_path / "t.csv", ("a", "b"), [_csvout.rows((["1", "2"], ["3"]))])
+    with pytest.raises(ValueError):
+        _csvout.lines((_csvout.cells(["1", "2"])[:, None], repr_cells(np.ones((3, 4)))))
+
+
+# ---------------------------------------------------------------------------
+# The bulk files of the run scenes, byte for byte
+# ---------------------------------------------------------------------------
+
+BYTE_SCENES = {
+    **REFERENCE_SCENES,
+    "one_element": BLOCK_SCENES["one_element"],  # a 1-row CFR; its CMD map is 0 x 0
+    "three_points": BLOCK_SCENES["three_points"],
+    # longer than _kernels.BLOCK_SAMPLES: a row per pass, its values in several formatter passes
+    "long_sweep": lambda: _sized(benchmark_scene("los_lab", 2, 7), 40000, -90.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_SCENES))
+def test_bulk_files_match_byte_oracles(tmp_path, name):
+    scene = BYTE_SCENES[name]()
+    cfr = synthesize_cfr(scene, path_table(scene))
+    pdp = pdp_matrix(cfr)
+    _assert_same_bytes(tmp_path, export_cfr_csv, _ref_export_cfr_csv, cfr)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    export_pdp_csv(pdp, new, cfr.sweep.bandwidth)
+    reference.export_pdp_csv(pdp, ref, cfr.sweep.bandwidth)
+    assert new.read_bytes() == ref.read_bytes()
+    dmap = cmd_map(cfr, m=4 if cfr.n_elements >= 8 else 2)
+    _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
+
+
+def test_bulk_exports_hold_pass_sized_scratch_only(tmp_path):
+    # a few formatting passes of scratch at a time (about 2.7 MB measured), never a file's
+    # worth of cells: the CMD map's pending lower triangle held 5.3 MB on array_wide
+    for name in ("sweep_deep", "array_wide"):
+        scene = REFERENCE_SCENES[name]()
+        cfr = synthesize_cfr(scene, path_table(scene))
+        assert traced_peak(export_cfr_csv, cfr, tmp_path / "cfr.csv") <= 3e6
+        assert traced_peak(export_pdp_csv, pdp_matrix(cfr), tmp_path / "pdp.csv", cfr.sweep.bandwidth) <= 3e6
+        assert traced_peak(export_cmd_map_csv, cmd_map(cfr, m=4), tmp_path / "cmd_map.csv") <= 3e6
