@@ -44,6 +44,7 @@ _ZERO, _EXP_SIGN, _EXP_100, _EXP_10, _EXP_1, _SIGN, _DOT, _E, _NUL = 0, *range(2
 _CHARS = 28
 _TAIL = np.frombuffer(b"\0.e\0", dtype=np.uint32)  # sign (filled in), ".", "e", NUL
 _GATHER_ROWS = 1024  # rows per gather: its intp index stays below 200 kB
+_ONE_BITS = np.float64(1.0).view(np.uint64)  # what _shortest reads in place of a value that is not normal
 
 
 def _flog2pow10(e):
@@ -94,6 +95,12 @@ def _templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns = np.array([row + [_NUL] * (WIDTH - len(row)) for row in rows], dtype=np.intp)
     bases = np.repeat(np.arange(_GATHER_ROWS) * _CHARS, WIDTH).reshape(_GATHER_ROWS, WIDTH)
     return columns, np.array([len(row) for row in rows]), bases
+
+
+def _divmod(a, d):
+    """``(a // d, a % d)`` of an unsigned array, the remainder by ``a - (a // d) d``, which is cheaper than ``%``."""
+    q = a // d
+    return q, a - q * d
 
 
 def _limbs(a):
@@ -161,36 +168,42 @@ def _shortest(bits):
     uin = vbl + odd <= s << 2
     win = (t << 2) + odd <= vbr
     mid = (s + t) << 1
-    f = np.where(uin != win, np.where(uin, s, t),
-                 np.where((vb < mid) | ((vb == mid) & ((s & 1) == 0)), s, t))
-    return np.where(upin != wpin, np.where(upin, sp10, tp10), f), k
+    closer = (vb < mid) | ((vb == mid) & ((s & 1) == 0))  # s is the closer, or the even one on a tie
+    one_in = uin ^ win
+    f = s + (one_in & win | ~one_in & ~closer)
+    # f + (tp10 or sp10 - f), whichever multiple of ten alone is in the interval: wraps back exactly
+    return f + (upin ^ wpin) * (sp10 - f + wpin * np.uint64(10)), k
 
 
 def _chars(values, normal) -> tuple[np.ndarray, np.ndarray]:
     """The ``(m, _CHARS)`` character table and each value's template row; a value not normal gets any row."""
-    f, k = _shortest(np.where(normal, values.view(np.uint64), np.float64(1.0).view(np.uint64)))
+    bits = values.view(np.uint64)
+    f, k = _shortest(bits * normal + ~normal * _ONE_BITS)
     short = f < 10 ** 16
-    f = np.where(short, f * 10, f)  # the significant digits, left-aligned in 17 places
+    f += f * np.uint64(9) * short  # the significant digits, left-aligned in 17 places
     decpt = k + 17 - short  # the value is 0.d1d2... 10^decpt
     quads, trailing_zeros = _quads()
     words = np.empty((len(values), _CHARS // 4), dtype=np.uint32)
-    high, low = (f // 10 ** 8).astype(np.uint32), (f % 10 ** 8).astype(np.uint32)
-    groups = [high % 10 ** 8 // 10_000, high % 10_000, low // 10_000, low % 10_000]
-    words[:, 0] = quads.take(high // 10 ** 8)
+    high, low = (part.astype(np.uint32) for part in _divmod(f, 10 ** 8))
+    first, high = _divmod(high, 10 ** 8)
+    groups = [*_divmod(high, 10_000), *_divmod(low, 10_000)]
+    words[:, 0] = quads.take(first)
     for col, group in enumerate(groups, start=1):
         words[:, col] = quads.take(group)
     e = decpt - 1
     words[:, 5] = quads.take(np.abs(e))
     words[:, 6] = _TAIL
     table = words.view(np.uint8)
-    table[:, _EXP_SIGN] = np.where(e < 0, ord("-"), ord("+"))
+    table[:, _EXP_SIGN] = (e < 0) * (ord("-") - ord("+")) + ord("+")
     table[:, _EXP_100] *= table[:, _EXP_100] != ord("0")  # e-05, not e-005
-    table[:, _SIGN] = np.where(values.view(np.uint64) >> 63, ord("-"), 0)
-    # trailing zeros of the 16 digits after the first: of the last 8, else 8 + of the 8 before
-    g1, g2, g3, g4 = (trailing_zeros.take(group) for group in groups)
-    zeros = np.where(low == 0, np.where(groups[1] == 0, 12 + g1, 8 + g2),
-                     np.where(groups[3] == 0, 4 + g3, g4))
-    layout = np.where((decpt <= -4) | (decpt > 16), 0, decpt + 4)
+    table[:, _SIGN] = (bits >> 63) * ord("-")
+    # trailing zeros of the 16 digits after the first: of a group, plus the next group's on
+    # to the left while the group is all zeros (4 of them)
+    zeros = trailing_zeros.take(groups[0])
+    for group in groups[1:]:
+        tz = trailing_zeros.take(group)
+        zeros = tz + (tz == 4) * zeros
+    layout = (decpt + 4) * ((decpt > -4) & (decpt <= 16))
     return table, 21 * (16 - zeros) + layout
 
 

@@ -2,19 +2,22 @@
 
 The kernel sums, for every propagation path, its complex contribution over
 all sweep frequencies, including the per-frequency free-space amplitude and
-knife-edge losses.  It is plain numpy and evaluates a block of consecutive
-table paths per pass, vectorized over (path, frequency).  A block is a run of
-paths on consecutive rows ``r, r+1, ...``, so its add is one slice and every
-row still receives its adds one at a time in table order: the result is
-deterministic.  Knife-edge losses are evaluated only for the paths that cross
-a screen.  The propagation phasors come from ``sweep_phasors``, a coarse x
-fine table of the uniform sweep grid, and are scaled by the amplitude with
-one complex x real multiply; both blocks live in scratch allocated once per
-call.
+knife-edge losses.  It is plain numpy and makes the response one row block
+of ``row_blocks`` at a time, in one pass over the path table, so a consumer
+can use each block and drop it.  Within a row block it evaluates a run of
+consecutive table paths per pass, vectorized over (path, frequency).  A run
+is of paths on consecutive rows ``r, r+1, ...``, so its add is one slice and
+every row still receives its adds one at a time in table order: the result
+is deterministic.  Knife-edge losses are evaluated only for the paths that
+cross a screen.  The propagation phasors come from ``sweep_phasors``, a
+coarse x fine table of the uniform sweep grid, and are scaled by the
+amplitude with one complex x real multiply; both blocks live in scratch
+allocated once per call, and so does the response block when the caller
+gives no array to write it into.
 
 The module also holds the row-block rule that the kernel and every stage
-after it share (``block_rows``, ``row_blocks``), and ``row_dot``, the per-row
-dot product whose sums do not depend on the block height.
+after it share (``block_rows``, ``row_blocks``), ``row_dot``, the per-row
+dot product whose sums do not depend on the block height, and ``median``.
 """
 
 from __future__ import annotations
@@ -66,6 +69,19 @@ def row_dot(a, b, out) -> np.ndarray:
         stop = start + REDUCE_COLS
         out += np.einsum("ij,ij->i", a[:, start:stop], b[:, start:stop])
     return out
+
+
+def median(values) -> float:
+    """The median of a 1-D array: its middle value once sorted, or ``(a + b) / 2`` of the two middle ones.
+
+    That is ``float(np.median(values))`` for values without NaN, without the
+    ``numpy.ma`` import that ``np.median`` makes on its first call.
+    """
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
 
 
 def knife_edge_loss(nu) -> np.ndarray | float:
@@ -143,39 +159,61 @@ def sweep_phasors(k, freqs, out=None) -> np.ndarray:
     return block.reshape(len(k), -1)[:, :n]
 
 
-def _row_runs(row_idx, max_paths):
-    """``(start, stop)`` of consecutive paths on consecutive rows, at most ``max_paths`` each.
+def _block_runs(row_idx, n_rows, height):
+    """For each block of ``height`` rows of ``n_rows``, the ``(first, last + 1)`` table slices of its paths.
 
-    A run ends before the first path whose row is not its predecessor's plus one.
+    A block's slices are runs of consecutive table paths on consecutive rows,
+    in table order.  A run ends before a path that does not follow its
+    predecessor in the table, whose row is not its predecessor's plus one,
+    or whose row is in the next block.  One stable sort on the block index
+    gathers every block's paths in one pass over the table.
     """
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(row_idx) != 1) + 1, [len(row_idx)]))
-    for run_start, run_stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        for start in range(run_start, run_stop, max_paths):
-            yield start, min(start + max_paths, run_stop)
+    block = row_idx // height
+    order = np.argsort(block, kind="stable")
+    new_run = np.ones(len(order), dtype=bool)
+    new_run[1:] = (np.diff(order) != 1) | (np.diff(row_idx[order]) != 1) | (np.diff(block[order]) != 0)
+    starts = np.flatnonzero(new_run)
+    firsts, lasts = order[starts], order[np.append(starts, len(order))[1:] - 1] + 1
+    cuts = np.searchsorted(block[firsts], np.arange(-(-n_rows // height) + 1)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield zip(firsts[lo:hi].tolist(), lasts[lo:hi].tolist())
 
 
-def accumulate_paths(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
-    """Accumulate every path's swept-frequency contribution into ``out``.
+def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs, out=None):
+    """Yield the path sum one row block at a time: ``(start, stop, block)`` over ``row_blocks(n_rows, n_freqs)``.
 
-    out      : complex128 (n_rows, n_freqs), accumulated in place
+    n_rows   : number of output rows
     row_idx  : int (n_paths,) output row per path
     lengths  : float (n_paths,) total path length [m]
     gains    : float (n_paths,) interaction gain
     edge_ptr : int (n_paths+1,) CSR offsets into edge_geo
     edge_geo : float (n_edges,) knife-edge factors h*sqrt(2(d1+d2)/(d1 d2))
     freqs    : float (n_freqs,) sweep grid [Hz]
+    out      : complex128 (n_rows, n_freqs) or None
+
+    ``block`` is complex128 rows ``[start, stop)`` of the sum, zeroed and then
+    given the swept-frequency contribution of every path on those rows, in
+    table order.  It is ``out[start:stop]`` when ``out`` is given, else one
+    scratch block reused for every block, so a consumer must read a block
+    before it asks for the next.
     """
     lam = C_M_PER_S / freqs
     sqrt_lam = np.sqrt(lam)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
-    max_paths = block_rows(len(row_idx), len(freqs))
-    amp_block = np.empty((max_paths, len(freqs)))
-    phasor_block = np.empty((max_paths, *phasor_grid(len(freqs))), dtype=complex)
-    for start, stop in _row_runs(row_idx, max_paths):
-        m, row = stop - start, int(row_idx[start])
-        amp = path_amplitude(gains[start:stop], lengths[start:stop], edge_ptr[start:stop + 1],
-                             edge_geo, lam, sqrt_lam, out=amp_block[:m])
-        term = sweep_phasors(wavenumber[start:stop], freqs, out=phasor_block[:m])
-        np.multiply(term, amp, out=term)
-        out[row:row + m] += term
-    return out
+    height = block_rows(n_rows, len(freqs))
+    amp_block = np.empty((height, len(freqs)))
+    phasor_block = np.empty((height, *phasor_grid(len(freqs))), dtype=complex)
+    scratch = np.empty((height, len(freqs)), dtype=complex) if out is None else None
+    runs = _block_runs(row_idx, n_rows, height)
+    for (start, stop), block_runs in zip(row_blocks(n_rows, len(freqs)), runs):
+        block = scratch[:stop - start] if out is None else out[start:stop]
+        block.fill(0.0)
+        # A run's paths sit on distinct rows of this block, so its add is one slice.
+        for first, last in block_runs:
+            m, row = last - first, int(row_idx[first]) - start
+            amp = path_amplitude(gains[first:last], lengths[first:last], edge_ptr[first:last + 1],
+                                 edge_geo, lam, sqrt_lam, out=amp_block[:m])
+            term = sweep_phasors(wavenumber[first:last], freqs, out=phasor_block[:m])
+            np.multiply(term, amp, out=term)
+            block[row:row + m] += term
+        yield start, stop, block

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _csvout, _floatrepr, _kernels
 from .constants import C_M_PER_S
-from .scene import Scene
+from .scene import Scene, Sweep
 from .synth import ChannelFrequencyResponse, PathTable, noise_sigma
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
@@ -59,6 +59,12 @@ def _window(name: str, n: int) -> np.ndarray:
     return w / w.mean()  # unit coherent gain
 
 
+def _delay(rows: np.ndarray, taper: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ifft(rows * taper)`` along the last axis, formed and transformed in ``out``, which may be ``rows``."""
+    block = np.multiply(rows, taper, out=out)
+    return np.fft.ifft(block, axis=-1, out=block)
+
+
 def _delay_blocks(values: np.ndarray, taper: np.ndarray):
     """``(start, stop, ifft(values[start:stop] * taper))`` over ``_kernels.row_blocks`` of ``(R, F)`` rows.
 
@@ -70,8 +76,7 @@ def _delay_blocks(values: np.ndarray, taper: np.ndarray):
     n_rows, n = values.shape
     scratch = np.empty((_kernels.block_rows(n_rows, n), n), dtype=np.complex128)
     for start, stop in _kernels.row_blocks(n_rows, n):
-        block = np.multiply(values[start:stop], taper, out=scratch[:stop - start])
-        yield start, stop, np.fft.ifft(block, axis=-1, out=block)
+        yield start, stop, _delay(values[start:stop], taper, scratch[:stop - start])
 
 
 def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
@@ -152,13 +157,48 @@ def rms_delay_spread(powers: np.ndarray, bin_width: float,
 # LOS tap gating
 # ---------------------------------------------------------------------------
 
-def _los_bin_indices(cfr: ChannelFrequencyResponse, table: PathTable) -> np.ndarray:
-    """Delay-grid bin of the geometric LOS tap per element."""
-    n = cfr.sweep.n_points
+def _los_bin_indices(sweep: Sweep, table: PathTable, n_rows: int) -> np.ndarray:
+    """Delay-grid bin of the geometric LOS tap of each of the first ``n_rows`` elements."""
+    n = sweep.n_points
     # The IDFT grid spacing is 1/(n*df); delays alias modulo (n-1)/B.  The
     # modulo runs on the float bin so a delay beyond int64 casts cleanly.
-    scale = cfr.sweep.bandwidth * n / (n - 1)
-    return (np.rint(table.length[:cfr.n_elements] / C_M_PER_S * scale) % n).astype(int)
+    scale = sweep.bandwidth * n / (n - 1)
+    return (np.rint(table.length[:n_rows] / C_M_PER_S * scale) % n).astype(int)
+
+
+def _gate_taper(sweep: Sweep) -> np.ndarray:
+    """The LOS gate's taper: the Hann window times the ``f / f_c`` equalizer."""
+    freqs = sweep.frequencies()
+    return _window("hann", sweep.n_points) * freqs / freqs[sweep.center_index]
+
+
+def _gated_taps(spectra, sweep: Sweep, table: PathTable, n_rows: int,
+                noise_floor_dbm: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(center_taps, valid)`` of ``n_rows`` rows from their ``(start, stop, ifft(rows * _gate_taper))`` blocks.
+
+    Only the five gate bins of each row are kept from a block, so the blocks
+    may be scratch that the next block overwrites.
+    """
+    n = sweep.n_points
+    center = sweep.center_index
+    k0 = _los_bin_indices(sweep, table, n_rows)
+    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
+    idx = (k0[:, None] + offsets) % n
+    kept = np.empty(idx.shape, dtype=np.complex128)
+    for start, stop, block in spectra:
+        kept[start:stop] = np.take_along_axis(block, idx[start:stop], axis=1)
+    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
+    # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
+    taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
+
+    if noise_floor_dbm is not None:
+        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
+        noise_in_gate = (noise_sigma(noise_floor_dbm) ** 2 * len(offsets)
+                         * float(np.mean(_window("hann", n) ** 2)))
+        valid = gate_power > 10.0 * noise_in_gate
+    else:
+        valid = gate_power > 0.0
+    return taps, valid
 
 
 def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
@@ -180,29 +220,8 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
     center sample turns every retained delay bin into the same unit phasor
     times a real coefficient.
     """
-    values = cfr.values
-    n = cfr.sweep.n_points
-    freqs = cfr.sweep.frequencies()
-    center = cfr.sweep.center_index
-    taper = _window("hann", n)
-    k0 = _los_bin_indices(cfr, table)
-    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
-    idx = (k0[:, None] + offsets) % n
-    kept = np.empty(idx.shape, dtype=np.complex128)
-    for start, stop, block in _delay_blocks(values, taper * freqs / freqs[center]):
-        kept[start:stop] = np.take_along_axis(block, idx[start:stop], axis=1)
-    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
-    # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
-    taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
-
-    if scene.noise_floor_dbm is not None:
-        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
-        noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
-                         * float(np.mean(taper ** 2)))
-        valid = gate_power > 10.0 * noise_in_gate
-    else:
-        valid = gate_power > 0.0
-    return taps, valid
+    spectra = _delay_blocks(cfr.values, _gate_taper(cfr.sweep))
+    return _gated_taps(spectra, cfr.sweep, table, cfr.n_elements, scene.noise_floor_dbm)
 
 
 def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.ndarray:
@@ -228,6 +247,27 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene,
     wavefront model directly.
     """
     taps, valid = gated_los_rows(cfr, scene, table)
+    return _unwrapped_phase(taps, valid, scene), valid
+
+
+def streamed_los_phase(blocks, scene: Scene, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
+    """``los_phase`` of the response given as ``synth.response_blocks``, without holding it.
+
+    Each ``(start, stop, rows)`` block is tapered, inverse-transformed and
+    gated in place as it arrives, so only the ``(N, 5)`` gate bins outlive
+    it.  The result and the errors equal ``los_phase(synthesize_cfr(scene,
+    table), scene, table)``'s: a block that is not finite fails before a
+    sweep too short for the window does, and the element-1 gate's error,
+    which counts the valid gates, follows the last block.
+    """
+    try:
+        taper = _gate_taper(scene.sweep)
+    except AnalysisError:
+        for _ in blocks:  # synthesize_cfr checks the whole response first
+            pass
+        raise
+    spectra = ((start, stop, _delay(rows, taper, rows)) for start, stop, rows in blocks)
+    taps, valid = _gated_taps(spectra, scene.sweep, table, scene.array.n_elements, scene.noise_floor_dbm)
     return _unwrapped_phase(taps, valid, scene), valid
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _csvout, analysis, multiplanar, stationarity, synth, wavefront
+from . import _csvout, _kernels, analysis, multiplanar, stationarity, synth, wavefront
 from .constants import C_M_PER_S
 from .scene import (PRESET_NAMES, Scene, SceneError, element_geometry,
                     element_positions, load_preset, load_scene)
@@ -173,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         observations = [
             f"received power spread across elements: {power_spread:.3f} dB",
             f"LOS phase vs closed-form model correlation: {phase_corr:.6f}",
-            f"median RMS delay spread: {float(np.median(stats.delay_spread_s)) * 1e9:.3f} ns",
+            f"median RMS delay spread: {_kernels.median(stats.delay_spread_s) * 1e9:.3f} ns",
         ]
         for part in partitions:
             bounds = ", ".join(str(b) for b in part.boundaries()) or "none"
@@ -272,8 +272,7 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     scaled.validate()
 
     table = synth.path_table(scaled)
-    cfr = synth.synthesize_cfr(scaled, table)
-    measured, _ = analysis.los_phase(cfr, scaled, table)
+    measured, _ = analysis.streamed_los_phase(synth.response_blocks(scaled, table), scaled, table)
     fc = scaled.sweep.frequencies()[scaled.sweep.center_index]
     lam_eval = C_M_PER_S / fc
     _, theta = element_geometry(scaled, scaled.rx)

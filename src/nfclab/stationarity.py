@@ -228,7 +228,7 @@ def _slope_boundaries(k: np.ndarray, threshold: float) -> dict[int, float]:
             run = np.abs(k[i:j])
             peak = run.max()
             peak_positions = np.flatnonzero(run >= peak - 1e-12) + i
-            split = int(round(float(np.median(peak_positions)))) + 1  # 1-based
+            split = int(round(_kernels.median(peak_positions))) + 1  # 1-based
             if split > 1:
                 slope[split] = float(peak)
     return slope

@@ -27,6 +27,11 @@ from .scene import (Scene, Sweep, _norm, edge_clearance, element_positions,
                     fresnel_geometry_factor)
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+
+
 @dataclass(frozen=True)
 class ChannelFrequencyResponse:
     """Complex response, elements x sweep points, relative to the Tx reference."""
@@ -40,8 +45,7 @@ class ChannelFrequencyResponse:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
         if v.shape[1] != self.sweep.n_points:
             raise ValueError(f"values have {v.shape[1]} columns but sweep has {self.sweep.n_points} points")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+        _check_finite(v)
         object.__setattr__(self, "values", v)
 
     @property
@@ -146,25 +150,56 @@ def noise_sigma(noise_floor_dbm: float) -> float:
     return 10.0 ** ((noise_floor_dbm - TX_POWER_DBM) / 20.0)
 
 
-def add_complex_noise(values: np.ndarray, noise_floor_dbm: float, seed: int) -> np.ndarray:
-    """Add seeded complex white noise to the ``(N, F)`` complex array ``values`` in place; returns it.
+def _noise_blocks(shape, noise_floor_dbm: float, seed: int):
+    """Seeded complex white noise for each ``_kernels.row_blocks(*shape)`` block of an ``(N, F)`` array.
 
     The Philox generator is keyed by the seed and consumed in one fixed-order
     stream over (element, frequency, re/im), so the realization depends only
-    on (seed, shape).  The stream is drawn over ``_kernels.row_blocks`` into
-    one (re, im) scratch block, viewed as complex, scaled and added in place;
-    consecutive draws continue the stream, so the block height does not move
-    a sample.
+    on (seed, shape).  Each block is drawn into one (re, im) scratch block,
+    viewed as complex and scaled in place, so a consumer must use a block
+    before it asks for the next; consecutive draws continue the stream, so
+    the block height does not move a sample.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     scale = noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
-    n_rows, n = values.shape
-    scratch = np.empty((_kernels.block_rows(n_rows, n), n, 2))
-    for start, stop in _kernels.row_blocks(n_rows, n):
+    scratch = np.empty((_kernels.block_rows(*shape), shape[1], 2))
+    for start, stop in _kernels.row_blocks(*shape):
         noise = rng.standard_normal(out=scratch[:stop - start]).view(np.complex128)[..., 0]
         noise *= scale
+        yield noise
+
+
+def add_complex_noise(values: np.ndarray, noise_floor_dbm: float, seed: int) -> np.ndarray:
+    """Add seeded complex white noise to the ``(N, F)`` complex array ``values`` in place; returns it.
+
+    The noise is ``_noise_blocks``', the stream that ``response_blocks``
+    adds block by block.
+    """
+    blocks = _kernels.row_blocks(*values.shape)
+    for (start, stop), noise in zip(blocks, _noise_blocks(values.shape, noise_floor_dbm, seed)):
         values[start:stop] += noise
     return values
+
+
+def response_blocks(scene: Scene, table: PathTable):
+    """Yield the response H(element, frequency) one row block at a time: ``(start, stop, block)``.
+
+    ``table`` is ``path_table(scene)``.  Each block is the kernel's path sum over
+    ``_kernels.row_blocks(N, F)`` plus, at the scene's noise floor, that
+    block's draw of the one seeded noise stream, so the blocks equal the rows
+    of ``synthesize_cfr``'s response bit for bit.  A block is one scratch
+    block that the next block overwrites.  Raises ValueError on a block that
+    is not finite.
+    """
+    n_rows = scene.array.n_elements
+    freqs = scene.sweep.frequencies()
+    noise = (None if scene.noise_floor_dbm is None
+             else _noise_blocks((n_rows, len(freqs)), scene.noise_floor_dbm, scene.seed))
+    for start, stop, block in _kernels.accumulate_paths(n_rows, *table, freqs):
+        if noise is not None:
+            block += next(noise)
+        _check_finite(block)
+        yield start, stop, block
 
 
 def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
@@ -173,11 +208,14 @@ def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
     ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
     * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
     floor.  Amplitudes are relative to the 10 dBm transmit reference.
-    ``table`` is ``path_table(scene)``.
+    ``table`` is ``path_table(scene)``.  The kernel writes its blocks into
+    the one ``(N, F)`` array, and the noise is added once they are all
+    made, so the kernel's scratch is gone before the noise block is drawn.
     """
     freqs = scene.sweep.frequencies()
-    out = np.zeros((scene.array.n_elements, len(freqs)), dtype=np.complex128)
-    _kernels.accumulate_paths(out, *table, freqs)
+    out = np.empty((scene.array.n_elements, len(freqs)), dtype=np.complex128)
+    for _ in _kernels.accumulate_paths(scene.array.n_elements, *table, freqs, out):
+        pass  # each block is rows of out
     if scene.noise_floor_dbm is not None:
         add_complex_noise(out, scene.noise_floor_dbm, scene.seed)
     return ChannelFrequencyResponse(values=out, sweep=scene.sweep)

@@ -6,7 +6,8 @@ every window correlation from one stacked band, evaluates the element
 geometry and the closed-form phase model over whole arrays, computes the
 per-element power, PDP and delay spread over row blocks of the ``(N, F)``
 array, draws the noise block by block, builds both stationary partitions
-through one fold, and writes ``repr`` text for whole arrays at once.  The
+through one fold, and writes ``repr`` text for whole arrays at once;
+``phase-check`` gates the response's row blocks as the kernel makes them.  The
 tests check those fast paths against the plain forms below, and the closed
 form against ``exact_relative_phase``, its distance-based ground truth.
 """
@@ -16,12 +17,12 @@ import math
 import numpy as np
 
 from nfclab import _kernels
-from nfclab.analysis import _pair_aod, gated_los_rows
+from nfclab.analysis import _pair_aod, gated_los_rows, los_phase
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import TWO_PI, MultiplanarError
 from nfclab.scene import element_positions
 from nfclab.stationarity import StationarityError, _cmd, _window_correlations
-from nfclab.synth import ChannelFrequencyResponse, noise_sigma, path_table
+from nfclab.synth import ChannelFrequencyResponse, noise_sigma, path_table, synthesize_cfr
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -82,14 +83,20 @@ def model_phases(scene, target, frequency):
     return out
 
 
+def path_sum(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+    """The kernel's row blocks, written into one ``(n_rows, n_freqs)`` complex array."""
+    out = np.empty((n_rows, len(freqs)), dtype=np.complex128)
+    for _ in _kernels.accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs, out):
+        pass
+    return out
+
+
 def synthesize_los_cfr(scene):
     """LOS-only spherical-truth response: the path-sum kernel over the table's rows ``[:N]``."""
     table = path_table(scene)
     n = scene.array.n_elements
-    freqs = scene.sweep.frequencies()
-    out = np.zeros((n, len(freqs)), dtype=np.complex128)
-    _kernels.accumulate_paths(out, table.row[:n], table.length[:n], table.gain[:n],
-                              table.edge_ptr[:n + 1], table.edge_geo, freqs)
+    out = path_sum(n, table.row[:n], table.length[:n], table.gain[:n], table.edge_ptr[:n + 1],
+                   table.edge_geo, scene.sweep.frequencies())
     return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
 
 
@@ -179,6 +186,15 @@ def complex_noise(shape, noise_floor_dbm, seed):
     noise = rng.standard_normal(size=(*shape, 2)).view(np.complex128)[..., 0]
     noise *= noise_sigma(noise_floor_dbm) / math.sqrt(2.0)
     return noise
+
+
+def held_los_phase(scene, table):
+    """The LOS phase of the whole held response: ``los_phase(synthesize_cfr(scene, table), scene, table)``.
+
+    ``phase-check`` computed it so before it gated the response's row blocks
+    as the kernel made them.
+    """
+    return los_phase(synthesize_cfr(scene, table), scene, table)
 
 
 def estimate_aod(cfr, scene):

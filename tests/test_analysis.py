@@ -10,11 +10,13 @@ from nfclab import wavefront as wf
 from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv, export_stats_csv,
                              pdp_matrix, received_power_db, rms_delay_spread)
 from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
-                             _unwrapped_phase, _window, gated_los_rows, noise_sigma)
+                             _unwrapped_phase, _window, gated_los_rows, noise_sigma,
+                             streamed_los_phase)
+from nfclab.cli import main
 from nfclab.constants import C_M_PER_S
-from nfclab.scene import loads_scene
+from nfclab.scene import loads_scene, save_scene
 from nfclab.stationarity import _window_correlations, uniform_partition
-from nfclab.synth import add_complex_noise
+from nfclab.synth import add_complex_noise, response_blocks
 import reference
 from reference import element_geometry, estimate_aod, synthesize_los_cfr
 from test_path_table import benchmark_scene
@@ -326,7 +328,7 @@ def _ref_gated_los_rows(cfr, scene, table):
     equalized = values * (taper * freqs / freqs[center])[None, :]
     spectra = np.fft.ifft(equalized, axis=1)
 
-    k0 = _los_bin_indices(cfr, table)
+    k0 = _los_bin_indices(cfr.sweep, table, cfr.n_elements)
     offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
     every = np.arange(cfr.n_elements)[:, None]
     idx = (k0[:, None] + offsets) % n
@@ -428,6 +430,8 @@ def _row_blocked_outputs(scene, tmp_path):
                                     err.per_element_phase_dev.tobytes())
     if n >= 2:
         out["window_correlations"] = _window_correlations(cfr.values, min(4, n)).tobytes()
+    phase, valid = streamed_los_phase(response_blocks(scene, table), scene, table)
+    out["streamed_los_phase"] = (phase.tobytes(), valid.tobytes())
     export_pdp_csv(pdp, tmp_path / "pdp.csv", cfr.sweep.bandwidth)
     out["pdp_csv"] = (tmp_path / "pdp.csv").read_bytes()
     return out
@@ -447,7 +451,8 @@ INVARIANCE_SCENES = {
 def test_row_blocked_stages_do_not_depend_on_the_block_height(monkeypatch, tmp_path, name,
                                                               rows_per_block):
     # the noisy response, the LOS truth, power, delay spread, multiplanar error, window
-    # correlations and pdp.csv: each row's reductions are its own, whatever the block height
+    # correlations, pdp.csv and phase-check's LOS phase: each row's reductions are its own,
+    # whatever the block height
     scene = replace(INVARIANCE_SCENES[name](), noise_floor_dbm=-90.0, seed=7)
     expected = _row_blocked_outputs(scene, tmp_path)
     monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * scene.sweep.n_points)
@@ -455,6 +460,42 @@ def test_row_blocked_stages_do_not_depend_on_the_block_height(monkeypatch, tmp_p
     assert got.keys() == expected.keys()
     for key, value in expected.items():
         assert got[key] == value, key
+    # and the streamed phase is the held response's, byte for byte
+    phase, valid = reference.held_los_phase(scene, nl.path_table(scene))
+    assert got["streamed_los_phase"] == (phase.tobytes(), valid.tobytes())
+
+
+@pytest.mark.parametrize("case", ["buried", "two_points", "not_finite", "not_finite_two_points"])
+def test_streamed_los_phase_raises_the_held_errors(case):
+    # phase-check's errors are those of the held response: the element-1 gate's count of valid gates,
+    # the window's, and a response that is not finite before a sweep too short for the window
+    scene = nl.load_preset("los_lab")
+    if case == "buried":
+        scene = replace(scene, noise_floor_dbm=0.0)
+    else:
+        band = {} if case == "two_points" else {"f_start": 1e-300, "f_stop": 1e9}
+        n_points = 5 if case == "not_finite" else 2
+        scene = replace(scene, sweep=replace(scene.sweep, n_points=n_points, **band))
+    table = nl.path_table(scene)
+    with np.errstate(all="ignore"):  # a 1e-300 Hz sweep point overflows its wavelength
+        with pytest.raises(ValueError) as held:
+            reference.held_los_phase(scene, table)
+        with pytest.raises(ValueError) as streamed:
+            streamed_los_phase(response_blocks(scene, table), scene, table)
+    assert type(streamed.value) is type(held.value)
+    assert str(streamed.value) == str(held.value)
+
+
+def test_phase_check_holds_block_scratch_only(tmp_path):
+    # 1024 x 801 (far_check): the streamed gate keeps the (N, 5) gate bins and block scratch;
+    # the 13.1 MB response is never allocated
+    scene = REFERENCE_SCENES["far_check"]()
+    scenario = tmp_path / "far_check.scene"
+    save_scene(scene, scenario)
+    response_bytes = scene.array.n_elements * scene.sweep.n_points * np.dtype(complex).itemsize
+    argv = ["phase-check", str(scenario), "--distance-mult", "4", "--out", str(tmp_path / "out")]
+    assert traced_peak(main, argv) <= 0.25 * response_bytes
+    assert (tmp_path / "out" / "phase_check.csv").exists()
 
 
 def test_row_blocked_statistics_hold_block_scratch_only():

@@ -373,6 +373,18 @@ def test_unwritable_out_exit_5_without_traceback(tmp_path, command):
     assert out.read_text() == "a regular file\n"
 
 
+def test_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on its first call, about 13 ms and 0.4 MB; run takes its medians without it
+    src = Path(nfclab.__file__).resolve().parents[1]
+    code = "import sys\nfrom nfclab.cli import main\nassert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, "run", "olos_baffle", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "slope partition" in proc.stdout  # both medians ran
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 _FAILING_EXPORT = """
 import sys
 import nfclab.{module} as module

@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 
 import reference
-from nfclab import _csvout
+from nfclab import _csvout, analysis
 from nfclab._floatrepr import repr_cells
 from nfclab.analysis import ChannelStats, export_pdp_csv, export_stats_csv, pdp_matrix
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
-from nfclab.scene import Sweep
+from nfclab.scene import Sweep, load_preset, load_scene, save_scene
 from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
 from nfclab.synth import ChannelFrequencyResponse, export_cfr_csv, path_table, synthesize_cfr
@@ -239,19 +239,48 @@ def test_mw_error_csv_matches_reference(tmp_path):
     _assert_same_bytes(tmp_path, export_mw_error_csv, _ref_export_mw_error_csv, rows)
 
 
-def test_phase_check_csv_matches_reference(tmp_path):
-    scenario = tmp_path / "line.scene"
-    scenario.write_text("[array]\nn_elements = 12\n[sweep]\nn_points = 33\n"
-                        "[rx]\nposition = 0.0, 3.0, 2.5\n")
+PHASE_CHECK_SCENES = {
+    "los_lab": lambda: load_preset("los_lab"),
+    "olos_baffle": lambda: load_preset("olos_baffle"),
+    "olos_baffle_noisy": REFERENCE_SCENES["olos_baffle_noisy"],  # the noise drawn block by block
+    "one_element": BLOCK_SCENES["one_element"],
+    "long_sweep": BLOCK_SCENES["long_sweep"],  # one row per block
+}
+
+
+def _check_phase_check_csv(tmp_path, monkeypatch, scenario):
+    n_elements = load_scene(scenario).array.n_elements
+    # the phase of the streamed response blocks is the held response's, byte for byte
+    held = []
+
+    def streamed_los_phase(blocks, scene, table, _streamed=analysis.streamed_los_phase):
+        held.append(reference.held_los_phase(scene, table))
+        return _streamed(blocks, scene, table)
+    monkeypatch.setattr(analysis, "streamed_los_phase", streamed_los_phase)
     out = tmp_path / "out"
     assert main(["phase-check", str(scenario), "--out", str(out)]) == 0
     written = (out / "phase_check.csv").read_bytes()
     # repr round-trips, so the parsed values rewritten by the reference give its bytes
     rows = [line.split(",") for line in written.decode().splitlines()[1:]]
     measured, model, far = (np.array([float(r[c]) for r in rows]) for c in (1, 2, 3))
-    _ref_export_phase_check_csv(12, measured, model, far, tmp_path / "ref.csv")
+    _ref_export_phase_check_csv(n_elements, measured, model, far, tmp_path / "ref.csv")
     assert written == (tmp_path / "ref.csv").read_bytes()
-    assert [r[0] for r in rows] == [str(i) for i in range(1, 13)]
+    assert [r[0] for r in rows] == [str(i) for i in range(1, n_elements + 1)]
+    assert measured.tobytes() == held[0][0].tobytes()
+
+
+def test_phase_check_csv_matches_reference(tmp_path, monkeypatch):
+    scenario = tmp_path / "line.scene"
+    scenario.write_text("[array]\nn_elements = 12\n[sweep]\nn_points = 33\n"
+                        "[rx]\nposition = 0.0, 3.0, 2.5\n")
+    _check_phase_check_csv(tmp_path, monkeypatch, scenario)
+
+
+@pytest.mark.parametrize("name", PHASE_CHECK_SCENES)
+def test_phase_check_csv_matches_reference_for_scene(tmp_path, monkeypatch, name):
+    scenario = tmp_path / f"{name}.scene"
+    save_scene(PHASE_CHECK_SCENES[name](), scenario)
+    _check_phase_check_csv(tmp_path, monkeypatch, scenario)
 
 
 def test_write_csv_dialect(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nfclab as nl
+from nfclab import _kernels
 from nfclab.analysis import ChannelStats
 from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError, _cmd, _partition,
                                  cmd_map, export_cmd_map_csv,
@@ -249,6 +250,13 @@ def test_characteristic_slope_validation():
 @given(s=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=200), w=st.sampled_from([1, 3, 5, 7]))
 def test_characteristic_slope_matches_reference(s, w):
     assert nl.characteristic_slope(s, w).tobytes() == reference.characteristic_slope(s, w).tobytes()
+
+
+@given(values=st.one_of(st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+                        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40)))
+def test_median_is_numpys(values):
+    # the slope partition's peak positions (integers) and run's median delay spread (floats)
+    assert _kernels.median(np.array(values)) == float(np.median(values))
 
 
 @st.composite

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -346,7 +345,7 @@ def _assert_kernel_within_bound(n_rows, row_idx, lengths, gains, edge_ptr, edge_
     table = _as_table(row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
     shape = (n_rows, len(freqs))
     ref, bound = _accumulate_paths_exact(n_rows, *table)
-    got = _kernels.accumulate_paths(np.zeros(shape, dtype=complex), *table)
+    got = reference.path_sum(n_rows, *table)
     direct = _accumulate_paths_py(np.zeros(shape, dtype=complex), *table)
     for values in (got, direct):
         assert np.all(np.abs((values - ref).astype(complex)) <= bound)
@@ -436,7 +435,7 @@ def _random_table(rng, n_rows, n_paths, max_edges=3, row_idx=None):
 def _assert_kernel_matches_per_path(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     table = _as_table(row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
     shape = (n_rows, len(freqs))
-    got = _kernels.accumulate_paths(np.zeros(shape, dtype=complex), *table)
+    got = reference.path_sum(n_rows, *table)
     want = _accumulate_paths_per_path(np.zeros(shape, dtype=complex), *table)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     return got
@@ -507,9 +506,10 @@ def test_block_kernel_matches_per_path_kernel_on_path_table_shaped_tables(seed, 
     rng = np.random.default_rng(200 + seed)
     n_rows = int(rng.integers(20, 120))
     rows = _path_table_rows(rng, n_rows, int(rng.integers(1, 5)))
-    max_paths = _kernels.block_rows(len(rows), n_freqs)
-    if max_paths > 1:  # the table does exercise blocks of several paths
-        assert max(stop - start for start, stop in _kernels._row_runs(rows, max_paths)) > 1
+    height = _kernels.block_rows(n_rows, n_freqs)
+    if height > 1:  # the table does exercise runs of several paths
+        assert max(last - first for runs in _kernels._block_runs(rows, n_rows, height)
+                   for first, last in runs) > 1
     _assert_kernel_matches_per_path(n_rows, *_random_table(rng, n_rows, len(rows), 4, rows),
                                     np.linspace(11e9, 15e9, n_freqs))
 
@@ -549,27 +549,33 @@ def test_row_dot_row_sums_do_not_depend_on_the_block_height(dtype, n_cols):
 def test_row_runs_cover_the_table_in_budgeted_runs():
     rng = np.random.default_rng(5)
     rows = np.concatenate([_path_table_rows(rng, 40, 3), rng.integers(0, 6, size=100), [7, 7, 8]])
-    for max_paths in (1, 4, 7):
-        blocks = list(_kernels._row_runs(rows, max_paths))
-        assert blocks[0][0] == 0 and blocks[-1][1] == len(rows)
-        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-        for start, stop in blocks:
-            assert 1 <= stop - start <= max_paths
-            assert np.array_equal(rows[start:stop], rows[start] + np.arange(stop - start))
-            # as long as the budget and the run allow
-            assert stop == len(rows) or stop - start == max_paths or rows[stop] != rows[stop - 1] + 1
+    for height in (1, 4, 7):
+        blocks = [list(runs) for runs in _kernels._block_runs(rows, 40, height)]
+        assert len(blocks) == -(-40 // height)
+        for i, runs in enumerate(blocks):
+            # a block's runs are its paths, in table order
+            assert sum((list(range(first, last)) for first, last in runs), []) == \
+                np.flatnonzero(rows // height == i).tolist()
+            for first, last in runs:
+                assert 1 <= last - first <= height
+                assert np.array_equal(rows[first:last], rows[first] + np.arange(last - first))
+            # as long as the table and the rows allow
+            for (_, last), (first, _) in zip(runs[:-1], runs[1:]):
+                assert first != last or rows[first] != rows[last - 1] + 1
 
 
 @pytest.mark.parametrize("preset, n_elements", [("los_lab", None), ("olos_baffle", None),
                                                 ("olos_baffle", 1024)])
 def test_real_tables_split_into_few_blocks(preset, n_elements):
-    # A fallback to one-path blocks would multiply the block count by up to max_paths.
+    # A fallback to one-path runs would multiply the run count by up to the block height.
     scene = nl.load_preset(preset)
     if n_elements is not None:
         scene = replace(scene, array=replace(scene.array, n_elements=n_elements))
     rows = path_table(scene).row
-    max_paths = _kernels.block_rows(len(rows), scene.sweep.n_points)
-    # a run of consecutive rows keeps row - table index constant
-    runs = [len(list(run)) for _, run in itertools.groupby(rows - np.arange(len(rows)))]
-    assert len(list(_kernels._row_runs(rows, max_paths))) <= sum(-(-n // max_paths) for n in runs)
-    assert max(runs) > max_paths
+    height = _kernels.block_rows(scene.array.n_elements, scene.sweep.n_points)
+    # the table's runs of consecutive rows, each cut only where it crosses into the next block
+    spans = [(int(run[0]), int(run[-1])) for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1)]
+    runs = _kernels._block_runs(rows, scene.array.n_elements, height)
+    assert sum(len(list(block)) for block in runs) == sum(last // height - first // height + 1
+                                                          for first, last in spans)
+    assert max(last - first + 1 for first, last in spans) > height
