@@ -5,12 +5,14 @@ No cell holds a comma, quote or line break, so these are the bytes
 The small files join ``str`` cells into a block (``rows``).  The bulk files
 join cell matrices, one cell per row of NUL-padded bytes (``cells`` and
 ``_floatrepr.repr_cells``), into lines and drop the NULs in one compaction
-per block (``lines``).
+per block (``lines``); a ``CellGrid`` writes them one row block at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _floatrepr, _kernels
 
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 
@@ -60,9 +62,54 @@ def lines(fields) -> np.ndarray:
     return line[line != 0]
 
 
+def open_csv(path, header):
+    """``path`` opened for binary writing, with the ``header`` line written."""
+    fh = open(path, "wb")
+    try:
+        fh.write((",".join(header) + "\r\n").encode())
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
 def write_csv(path, header, blocks) -> None:
     """Write ``header``, then each block of bytes in turn."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
+    with open_csv(path, header) as fh:
         for block in blocks:
             fh.write(block)
+
+
+class CellGrid:
+    """A bulk CSV file of one line per cell of an ``(N, F)`` array, written one row block at a time.
+
+    Line (r, c) holds r + 1, the column cells ``columns[i][c]``, then the
+    cells that ``values(rows)`` gives for a block of rows: one
+    ``(rows, cols, width)`` cell matrix per field.  ``add(start, stop, rows)``
+    takes rows ``[start, stop)`` in order and formats them in passes of at
+    most ``_floatrepr.PASS_VALUES`` values: the rows of
+    ``_kernels.row_blocks(stop - start, F, PASS_VALUES)``, and a row longer
+    than that in column chunks.  A line's bytes do not depend on the pass.
+    Use it as a context manager, which closes the file.
+    """
+
+    def __init__(self, path, header, n_rows, columns, values):
+        self._label = cells(strs(range(1, n_rows + 1)))[:, None]
+        self._columns = [column[None] for column in columns]
+        self._values = values
+        self._fh = open_csv(path, header)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def add(self, start, stop, rows) -> None:
+        n_cols = rows.shape[1]
+        for a, b in _kernels.row_blocks(stop - start, n_cols, _floatrepr.PASS_VALUES):
+            # a row longer than a pass goes in column chunks, which keep the lines' order
+            for c, d in _kernels.row_blocks(n_cols, 1, _floatrepr.PASS_VALUES // (b - a)):
+                self._fh.write(lines((self._label[start + a:start + b],
+                                      *(column[:, c:d] for column in self._columns),
+                                      *self._values(rows[a:b, c:d]))))

@@ -6,7 +6,10 @@ estimate.  Phases follow the path-difference convention used by the
 wavefront model: the reported LOS phase grows with path length, so it equals
 ``(2*pi/lambda)*(r_n - r_1)`` for a clean direct path.
 
-All operations are pure per element.
+All operations are pure per element.  ``streamed_stats`` and
+``streamed_los_phase`` take the response as the row blocks the kernel makes,
+so the commands never hold it; the held forms feed a held array's row
+blocks to the same per-block code.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class ChannelStats:
     """Per-element summary statistics of one swept measurement."""
 
     power_db: np.ndarray
-    pdp: np.ndarray  # (N, F) linear power per delay bin, Hann window
     delay_spread_s: np.ndarray
     los_phase_rad: np.ndarray
     aod_rad: np.ndarray
@@ -79,6 +81,14 @@ def _delay_blocks(values: np.ndarray, taper: np.ndarray):
         yield start, stop, _delay(values[start:stop], taper, scratch[:stop - start])
 
 
+def _profile(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``n * |spectrum|^2`` of a block of ``n``-point delay spectra, written into the float ``out``."""
+    out = np.abs(spectrum, out=out)
+    np.square(out, out=out)
+    out *= spectrum.shape[-1]
+    return out
+
+
 def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
     """Power delay profile of every ``(..., F)`` swept response along its last axis.
 
@@ -90,10 +100,8 @@ def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
     taper = _window(window, n)
     pdp = np.empty(values.shape, dtype=np.float64)
     rows = pdp.reshape(-1, n)
-    for start, stop, block in _delay_blocks(values.reshape(-1, n), taper):
-        out = np.abs(block, out=rows[start:stop])
-        np.square(out, out=out)
-        out *= n
+    for start, stop, spectrum in _delay_blocks(values.reshape(-1, n), taper):
+        _profile(spectrum, rows[start:stop])
     return pdp
 
 
@@ -102,19 +110,65 @@ def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
     return compute_pdp(cfr.values)
 
 
+def _power_sums(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = sum |rows[i]|^2``, ``|H|^2`` taken in the float ``scratch``; each row's sum is its own."""
+    mag = np.abs(rows, out=scratch)
+    np.square(mag, out=mag).sum(axis=1, out=out)
+
+
+def _power_db(totals: np.ndarray, n: int) -> np.ndarray:
+    return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
+
+
 def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
     """Per-element mean received power ``10*log10(sum|H|^2 / n_points)`` in dB; -inf for a silent row.
 
-    ``|H|^2`` is taken block by block in one float scratch array; each row's sum is its own reduction.
+    ``|H|^2`` is taken block by block in one float scratch array.
     """
     values = cfr.values
     n_rows, n = values.shape
     totals = np.empty(n_rows)
     scratch = np.empty((_kernels.block_rows(n_rows, n), n))
     for start, stop in _kernels.row_blocks(n_rows, n):
-        mag = np.abs(values[start:stop], out=scratch[:stop - start])
-        np.square(mag, out=mag).sum(axis=1, out=totals[start:stop])
-    return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
+        _power_sums(values[start:stop], scratch[:stop - start], totals[start:stop])
+    return _power_db(totals, n)
+
+
+class _Spread:
+    """RMS delay spread of ``n_rows`` profiles of ``n`` bins, fed one row block at a time.
+
+    ``add`` takes each row's peak, zeroes the bins more than ``threshold_db``
+    (>= 0) below it and accumulates the moments in place on the block; each
+    row's sums are its own reductions.
+    """
+
+    def __init__(self, n_rows: int, n: int, bin_width: float, threshold_db: float):
+        if not threshold_db >= 0.0:
+            raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
+        self._scale = 10.0 ** (-threshold_db / 10.0)
+        self._tau = np.arange(n) * bin_width
+        self._drop = np.empty((_kernels.block_rows(n_rows, n), n), dtype=bool)
+        self._sums = np.empty((4, n_rows))  # peak, total, first and second moment
+
+    def add(self, start: int, stop: int, block: np.ndarray) -> None:
+        """Accumulate the profiles of rows ``[start, stop)`` from the float ``block``, which it overwrites."""
+        peak, total, first, second = self._sums[:, start:stop]
+        block.max(axis=-1, initial=0.0, out=peak)
+        drop = np.greater_equal(block, (peak * self._scale)[:, None], out=self._drop[:stop - start])
+        np.copyto(block, 0.0, where=np.logical_not(drop, out=drop))
+        block.sum(axis=-1, out=total)
+        block *= self._tau
+        block.sum(axis=-1, out=first)
+        block *= self._tau
+        block.sum(axis=-1, out=second)
+
+    def spread(self) -> np.ndarray:
+        """The ``(n_rows,)`` spreads in seconds; raises AnalysisError if a profile has no positive bin."""
+        peak, total, first, second = self._sums
+        if np.any(peak <= 0.0):
+            raise AnalysisError("all-noise profile: no bin above the threshold")
+        mean = first / total
+        return np.sqrt(np.maximum(second / total - mean * mean, 0.0))
 
 
 def rms_delay_spread(powers: np.ndarray, bin_width: float,
@@ -122,35 +176,18 @@ def rms_delay_spread(powers: np.ndarray, bin_width: float,
     """RMS delay spread of every ``(..., F)`` profile, in seconds.
 
     Bins more than ``threshold_db`` (>= 0) below their profile's peak are
-    zeroed, then the moments are accumulated in place on one block of
-    scratch rows at a time; each row's sums are its own reductions.
+    dropped; each block of rows is copied into one scratch block, where the
+    moments are accumulated in place.
     """
-    if not threshold_db >= 0.0:
-        raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
-    peak = powers.max(axis=-1, initial=0.0)
-    if np.any(peak <= 0.0):
-        raise AnalysisError("all-noise profile: no bin above the threshold")
     n = powers.shape[-1]
     rows = powers.reshape(-1, n)
-    floor = (peak * 10.0 ** (-threshold_db / 10.0)).reshape(-1, 1)
-    tau = np.arange(n) * bin_width
-    total, first, second = np.empty((3, len(rows)))
+    spread = _Spread(len(rows), n, bin_width, threshold_db)
     scratch = np.empty((_kernels.block_rows(len(rows), n), n))
-    keep = np.empty(scratch.shape, dtype=bool)
     for start, stop in _kernels.row_blocks(len(rows), n):
-        block, kept = scratch[:stop - start], keep[:stop - start]
-        np.greater_equal(rows[start:stop], floor[start:stop], out=kept)
-        block.fill(0.0)
-        np.copyto(block, rows[start:stop], where=kept)
-        block.sum(axis=-1, out=total[start:stop])
-        block *= tau
-        block.sum(axis=-1, out=first[start:stop])
-        block *= tau
-        block.sum(axis=-1, out=second[start:stop])
-    mean = first / total
-    second /= total
-    spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    return spread.reshape(powers.shape[:-1])[()]  # a scalar for a single profile
+        block = scratch[:stop - start]
+        np.copyto(block, rows[start:stop])
+        spread.add(start, stop, block)
+    return spread.spread().reshape(powers.shape[:-1])[()]  # a scalar for a single profile
 
 
 # ---------------------------------------------------------------------------
@@ -166,39 +203,40 @@ def _los_bin_indices(sweep: Sweep, table: PathTable, n_rows: int) -> np.ndarray:
     return (np.rint(table.length[:n_rows] / C_M_PER_S * scale) % n).astype(int)
 
 
-def _gate_taper(sweep: Sweep) -> np.ndarray:
-    """The LOS gate's taper: the Hann window times the ``f / f_c`` equalizer."""
-    freqs = sweep.frequencies()
-    return _window("hann", sweep.n_points) * freqs / freqs[sweep.center_index]
+class _Gate:
+    """The LOS gate of ``n_rows`` rows, fed their spectra ``ifft(rows * taper)`` one row block at a time.
 
-
-def _gated_taps(spectra, sweep: Sweep, table: PathTable, n_rows: int,
-                noise_floor_dbm: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """``(center_taps, valid)`` of ``n_rows`` rows from their ``(start, stop, ifft(rows * _gate_taper))`` blocks.
-
-    Only the five gate bins of each row are kept from a block, so the blocks
-    may be scratch that the next block overwrites.
+    ``taper`` is the Hann window times the ``f / f_c`` equalizer; building it
+    raises AnalysisError on a sweep too short for the window.  Only the
+    five gate bins of each row are kept from a block, so the blocks may be
+    scratch that the next block overwrites.
     """
-    n = sweep.n_points
-    center = sweep.center_index
-    k0 = _los_bin_indices(sweep, table, n_rows)
-    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
-    idx = (k0[:, None] + offsets) % n
-    kept = np.empty(idx.shape, dtype=np.complex128)
-    for start, stop, block in spectra:
-        kept[start:stop] = np.take_along_axis(block, idx[start:stop], axis=1)
-    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
-    # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
-    taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
 
-    if noise_floor_dbm is not None:
-        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
-        noise_in_gate = (noise_sigma(noise_floor_dbm) ** 2 * len(offsets)
-                         * float(np.mean(_window("hann", n) ** 2)))
-        valid = gate_power > 10.0 * noise_in_gate
-    else:
-        valid = gate_power > 0.0
-    return taps, valid
+    def __init__(self, sweep: Sweep, table: PathTable, n_rows: int, noise_floor_dbm: float | None):
+        freqs = sweep.frequencies()
+        self.taper = _window("hann", sweep.n_points) * freqs / freqs[sweep.center_index]
+        self._sweep, self._noise_floor_dbm = sweep, noise_floor_dbm
+        offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
+        self._idx = (_los_bin_indices(sweep, table, n_rows)[:, None] + offsets) % sweep.n_points
+        self._kept = np.empty(self._idx.shape, dtype=np.complex128)
+
+    def add(self, start: int, stop: int, spectrum: np.ndarray) -> None:
+        self._kept[start:stop] = np.take_along_axis(spectrum, self._idx[start:stop], axis=1)
+
+    def taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(center_taps, valid)`` of the rows fed so far; see ``gated_los_rows``."""
+        n, kept, idx = self._sweep.n_points, self._kept, self._idx
+        gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
+        # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
+        taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * self._sweep.center_index) % n) / n), axis=1)
+        if self._noise_floor_dbm is not None:
+            # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
+            noise_in_gate = (noise_sigma(self._noise_floor_dbm) ** 2 * idx.shape[1]
+                             * float(np.mean(_window("hann", n) ** 2)))
+            valid = gate_power > 10.0 * noise_in_gate
+        else:
+            valid = gate_power > 0.0
+        return taps, valid
 
 
 def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
@@ -220,8 +258,10 @@ def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
     center sample turns every retained delay bin into the same unit phasor
     times a real coefficient.
     """
-    spectra = _delay_blocks(cfr.values, _gate_taper(cfr.sweep))
-    return _gated_taps(spectra, cfr.sweep, table, cfr.n_elements, scene.noise_floor_dbm)
+    gate = _Gate(cfr.sweep, table, cfr.n_elements, scene.noise_floor_dbm)
+    for start, stop, spectrum in _delay_blocks(cfr.values, gate.taper):
+        gate.add(start, stop, spectrum)
+    return gate.taps()
 
 
 def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.ndarray:
@@ -250,6 +290,16 @@ def los_phase(cfr: ChannelFrequencyResponse, scene: Scene,
     return _unwrapped_phase(taps, valid, scene), valid
 
 
+def _drained(blocks, make):
+    """``make()``; on AnalysisError ``blocks`` are drained first, so that a non-finite response fails first."""
+    try:
+        return make()
+    except AnalysisError:
+        for _ in blocks:  # synthesize_cfr checks the whole response first
+            pass
+        raise
+
+
 def streamed_los_phase(blocks, scene: Scene, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """``los_phase`` of the response given as ``synth.response_blocks``, without holding it.
 
@@ -260,18 +310,15 @@ def streamed_los_phase(blocks, scene: Scene, table: PathTable) -> tuple[np.ndarr
     sweep too short for the window does, and the element-1 gate's error,
     which counts the valid gates, follows the last block.
     """
-    try:
-        taper = _gate_taper(scene.sweep)
-    except AnalysisError:
-        for _ in blocks:  # synthesize_cfr checks the whole response first
-            pass
-        raise
-    spectra = ((start, stop, _delay(rows, taper, rows)) for start, stop, rows in blocks)
-    taps, valid = _gated_taps(spectra, scene.sweep, table, scene.array.n_elements, scene.noise_floor_dbm)
+    gate = _drained(blocks, lambda: _Gate(scene.sweep, table, scene.array.n_elements,
+                                          scene.noise_floor_dbm))
+    for start, stop, rows in blocks:
+        gate.add(start, stop, _delay(rows, gate.taper, rows))
+    taps, valid = gate.taps()
     return _unwrapped_phase(taps, valid, scene), valid
 
 
-def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.ndarray,
+def _pair_aod(sweep: Sweep, taps: np.ndarray, tap_valid: np.ndarray,
               spacing_d: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-element AoD from adjacent-pair tap phases at the center frequency.
 
@@ -282,31 +329,71 @@ def _pair_aod(cfr: ChannelFrequencyResponse, taps: np.ndarray, tap_valid: np.nda
     1; aliasing or occlusion breaks this) and both of the pair's gated taps
     are valid.
     """
-    if cfr.n_elements < 2:
+    n = len(taps)
+    if n < 2:
         raise ValueError("need at least 2 elements to estimate angles")
-    lam = C_M_PER_S / cfr.sweep.frequencies()[cfr.sweep.center_index]
+    lam = C_M_PER_S / sweep.frequencies()[sweep.center_index]
     # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
     dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
     ratio = -lam * dphi / (2.0 * math.pi * spacing_d)
     theta_mid = np.arccos(np.clip(ratio, -1.0, 1.0))
-    mid_pos = np.arange(1, cfr.n_elements) + 0.5
-    el_pos = np.arange(1, cfr.n_elements + 1, dtype=float)
+    mid_pos = np.arange(1, n) + 0.5
+    el_pos = np.arange(1, n + 1, dtype=float)
     pair_valid = np.concatenate(([True], (np.abs(ratio) <= 1.0) & tap_valid[1:] & tap_valid[:-1],
                                  [True]))
     return np.interp(el_pos, mid_pos, theta_mid), pair_valid[:-1] & pair_valid[1:]
 
 
-def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable) -> ChannelStats:
-    """Per-element statistics; one PDP array, one LOS gate and ``table = path_table(scene)``."""
-    power = received_power_db(cfr)
-    pdp = pdp_matrix(cfr)
-    ds = rms_delay_spread(pdp, 1.0 / cfr.sweep.bandwidth)
-    taps, tap_valid = gated_los_rows(cfr, scene, table)
+def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=None) -> ChannelStats:
+    """``compute_stats`` of the response given as ``(start, stop, rows)`` row blocks in order, without holding it.
+
+    Each block is first passed to every ``consumer(start, stop, rows)``, which
+    must leave it unchanged.  Its ``|H|^2`` sums, its Hann PDP, which gives
+    the delay-spread moments, and its LOS gate bins are then taken in scratch
+    allocated once; ``pdp``, when given, is called as ``pdp(start, stop,
+    profiles)`` with each block's PDP before the moments overwrite it.  The
+    result and the errors equal ``compute_stats(synthesize_cfr(scene,
+    table), scene, table)``'s for ``blocks = synth.response_blocks(scene,
+    table)``: a block that is not finite fails first, then a sweep too short
+    for the Hann window, and after the last block an all-noise profile, the
+    element-1 gate and fewer than 2 elements, in that order.
+    """
+    sweep = scene.sweep
+    n_rows, n = scene.array.n_elements, sweep.n_points
+    hann, gate = _drained(blocks, lambda: (_window("hann", n),
+                                           _Gate(sweep, table, n_rows, scene.noise_floor_dbm)))
+    spread = _Spread(n_rows, n, 1.0 / sweep.bandwidth, DEFAULT_DS_THRESHOLD_DB)
+    height = _kernels.block_rows(n_rows, n)
+    spectra = np.empty((height, n), dtype=np.complex128)
+    profiles = np.empty((height, n))
+    totals = np.empty(n_rows)
+    for start, stop, rows in blocks:
+        for consumer in consumers:
+            consumer(start, stop, rows)
+        spectrum, profile = spectra[:stop - start], profiles[:stop - start]
+        _power_sums(rows, profile, totals[start:stop])
+        profile = _profile(_delay(rows, hann, spectrum), profile)
+        if pdp is not None:
+            pdp(start, stop, profile)
+        spread.add(start, stop, profile)
+        gate.add(start, stop, _delay(rows, gate.taper, spectrum))
+    ds = spread.spread()
+    taps, tap_valid = gate.taps()
     phase = _unwrapped_phase(taps, tap_valid, scene)
-    aod, aod_valid = _pair_aod(cfr, taps, tap_valid, scene.array.spacing_d)
-    return ChannelStats(power_db=power, pdp=pdp, delay_spread_s=ds, los_phase_rad=phase,
-                        aod_rad=aod, tau_los_s=table.length[:cfr.n_elements] / C_M_PER_S,
+    aod, aod_valid = _pair_aod(sweep, taps, tap_valid, scene.array.spacing_d)
+    return ChannelStats(power_db=_power_db(totals, n), delay_spread_s=ds, los_phase_rad=phase,
+                        aod_rad=aod, tau_los_s=table.length[:n_rows] / C_M_PER_S,
                         los_valid=tap_valid, aod_valid=aod_valid)
+
+
+def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable) -> ChannelStats:
+    """Per-element statistics of a held response: ``streamed_stats`` of its row blocks.
+
+    ``table`` is ``path_table(scene)``; ``scene`` gives the sweep and the element count.
+    """
+    values = cfr.values
+    blocks = ((start, stop, values[start:stop]) for start, stop in _kernels.row_blocks(*values.shape))
+    return streamed_stats(blocks, scene, table)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +409,25 @@ def export_stats_csv(stats: ChannelStats, path) -> None:
                                      _csvout.floats(stats.tau_los_s * 1e9)))])
 
 
-def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
-    """Rows (element, bin, delay_ns, power_db) of an ``(N, F)`` PDP array, elements 1..N.
+def pdp_csv(path, n_rows: int, n_bins: int, bandwidth_hz: float) -> _csvout.CellGrid:
+    """``pdp.csv`` of ``n_rows`` profiles of ``n_bins`` bins, written one row block at a time.
 
-    Each block's ``10*log10`` is taken as that block is written.
+    Rows (element, bin, delay_ns, power_db); each block's ``10*log10`` is
+    taken as that block is written.
     """
+    def power_db(rows):
+        with np.errstate(divide="ignore"):  # an empty bin is -inf dB
+            return (_floatrepr.repr_cells(10.0 * np.log10(rows)),)
+
+    return _csvout.CellGrid(path, ("element", "bin", "delay_ns", "power_db"), n_rows,
+                            [_csvout.cells(_csvout.strs(range(n_bins))),  # formatted once per file
+                             _floatrepr.repr_cells(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)],
+                            power_db)
+
+
+def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
+    """``pdp.csv`` of an ``(N, F)`` PDP array, elements 1..N: ``pdp_csv`` fed its row blocks."""
     n, n_bins = pdp.shape
-    element = _csvout.cells(_csvout.strs(range(1, n + 1)))[:, None]
-    bins = _csvout.cells(_csvout.strs(range(n_bins)))[None]  # bin and delay cells, formatted once per file
-    delay_ns = _floatrepr.repr_cells(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)[None]
-    with np.errstate(divide="ignore"):  # an empty bin is -inf dB
-        _csvout.write_csv(path, ("element", "bin", "delay_ns", "power_db"),
-                          (_csvout.lines((element[a:b], bins, delay_ns,
-                                          _floatrepr.repr_cells(10.0 * np.log10(pdp[a:b]))))
-                           for a, b in _kernels.row_blocks(n, n_bins, _floatrepr.PASS_VALUES)))
+    with pdp_csv(path, n, n_bins, bandwidth_hz) as grid:
+        for start, stop in _kernels.row_blocks(n, n_bins):
+            grid.add(start, stop, pdp[start:stop])

@@ -8,11 +8,13 @@ receiver distance.
 
 Both commands write their files into a temporary directory inside
 ``--out`` and move them in only once every file is written, so a failed
-command leaves none of them.
+command leaves none of them.  ``run`` makes one pass over the response's
+row blocks, which writes ``cfr.csv`` and ``pdp.csv`` as it goes, so it makes
+that directory before synthesis.
 
 Exit codes: 0 success, 2 usage error or unknown preset, 3 scenario
 parse/read failure, 4 analysis failure, 5 cannot write output (``--out``
-is not a writable directory).  argparse exits 2 on any usage
+is not a writable directory; ``run`` finds that out before synthesis).  argparse exits 2 on any usage
 error, including ``--noise-floor -inf``: it reads a value that starts with
 ``-`` but is not a plain decimal number as an option.  ``--noise-floor=-inf``
 passes the value through and exits 4 as an invalid override.
@@ -105,22 +107,21 @@ def _staged(out_dir: Path, names):
             raise
 
 
-def _mw_table(scene: Scene, truth: multiplanar.LosTruth,
+def _mw_table(scene: Scene, table: synth.PathTable, geometry: multiplanar.LosGeometry,
               partitions: list[stationarity.StationaryPartition]) -> list[tuple[str, int, float, float]]:
-    """mw_error.csv rows: the dyadic partitions, then ``partitions``, all against one LOS truth."""
+    """mw_error.csv rows: the dyadic partitions, then ``partitions``, scored in one pass over the LOS truth."""
     n = scene.array.n_elements
     named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
              for k in range(DYADIC_MAX_K + 1)]
     named += [(part.criterion, part) for part in partitions]
-    rows = []
-    for name, part in named:
-        ref = multiplanar.build_multiplanar_model(truth, part)
-        err = multiplanar.multiplanar_error(scene, truth, ref)
-        rows.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
-    return rows
+    refs = [multiplanar.build_multiplanar_model(geometry, part) for _, part in named]
+    errors = multiplanar.multiplanar_errors(scene, table, geometry, refs)
+    return [(name, part.n_intervals, err.phase_rmse, err.complex_correlation)
+            for (name, part), err in zip(named, errors)]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run_setup(args: argparse.Namespace) -> tuple[Scene, Path]:
+    """``run``'s scene and output directory, once the checks that precede synthesis pass."""
     scene = _apply_overrides(_resolve_scene(args.scenario), args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,85 +132,120 @@ def cmd_run(args: argparse.Namespace) -> int:
                         EXIT_ANALYSIS_FAILURE)
     if args.window < 2:  # the CMD map runs, and the report records it, under every criterion
         raise _CliError(f"--window must span >= 2 elements, got {args.window}", EXIT_ANALYSIS_FAILURE)
+    return scene, out_dir
 
-    table = synth.path_table(scene)
-    cfr = synth.synthesize_cfr(scene, table)
-    stats = analysis.compute_stats(cfr, scene, table)
 
-    dmap = stationarity.cmd_map(cfr, m=args.window)
-    partitions: list[stationarity.StationaryPartition] = []
+def _partitions(args: argparse.Namespace, dmap: np.ndarray, stats: analysis.ChannelStats
+                ) -> list[stationarity.StationaryPartition]:
+    partitions = []
     if args.criterion in ("cmd", "both"):
-        partitions.append(stationarity.partition_by_cmd(dmap, cfr.n_elements, m=args.window,
+        partitions.append(stationarity.partition_by_cmd(dmap, stats.n_elements, m=args.window,
                                                         tau=args.cmd_threshold))
     if args.criterion in ("slope", "both"):
         partitions.append(stationarity.partition_by_slope(stats))
+    return partitions
 
-    truth = multiplanar.los_truth(scene, table)
-    mw_table = _mw_table(scene, truth, partitions)
-    fc = scene.sweep.frequencies()[scene.sweep.center_index]
-    model = wavefront.model_phases(truth.theta, scene.array.spacing_d, C_M_PER_S / fc)
-    del truth  # its N x F amplitude is freed before the exports start
 
+def _keep_pass_temporaries() -> None:
+    """Free one untouched 4 MiB block, so that glibc's malloc keeps the formatting passes' temporaries.
+
+    glibc serves a block of 128 KiB or more with a fresh mmap until the
+    process frees such a block, which raises that threshold to the block's
+    size and the heap's trim threshold to twice that.  ``run`` frees no
+    large array before its formatting passes, whose 2 MB or so of
+    temporaries were then handed back to the system after each pass and
+    page-faulted in again by the next.  The block is never written, so it
+    adds no RSS.
+    """
+    np.empty(1 << 22, dtype=np.uint8)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scene, out_dir = _run_setup(args)
+    n, n_points = scene.array.n_elements, scene.sweep.n_points
+    _keep_pass_temporaries()
+    # cfr.csv and pdp.csv are written as the response's row blocks are made, so the
+    # staging directory exists before synthesis: an unwritable --out exits 5 first
     with _staged(out_dir, RUN_FILES) as files:
-        synth.export_cfr_csv(cfr, files["cfr.csv"])
-        analysis.export_stats_csv(stats, files["stats.csv"])
-        analysis.export_pdp_csv(stats.pdp, files["pdp.csv"], cfr.sweep.bandwidth)
-        stationarity.export_partition_csv(partitions, files["partition.csv"])
-        stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
-        multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
-
-        # Built-in checks and observations
-        power_spread = float(stats.power_db.max() - stats.power_db.min())
-        phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
-        mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
-        checks = {
-            "phase_model_correlation_gt_0.99": phase_corr > 0.99,
-            "partitions_cover_array": all(p.intervals[0][0] == 1
-                                          and p.intervals[-1][1] == scene.array.n_elements
-                                          for p in partitions),
-            "mw_error_nonincreasing_with_refinement": all(mw_rmse[i + 1] <= mw_rmse[i] + 1e-9
-                                                          for i in range(len(mw_rmse) - 1)),
-        }
-        observations = [
-            f"received power spread across elements: {power_spread:.3f} dB",
-            f"LOS phase vs closed-form model correlation: {phase_corr:.6f}",
-            f"median RMS delay spread: {_kernels.median(stats.delay_spread_s) * 1e9:.3f} ns",
-        ]
-        for part in partitions:
-            bounds = ", ".join(str(b) for b in part.boundaries()) or "none"
-            observations.append(f"{part.criterion} partition: {part.n_intervals} interval(s), "
-                                f"boundaries at {bounds}")
-            for warning in part.warnings:
-                observations.append(f"{part.criterion} warning: {warning}")
-
-        thresholds = {
-            "cmd_window_m": float(args.window),
-            "cmd_threshold_tau": float(args.cmd_threshold),
-            "cmd_min_si": float(args.window),
-            "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
-            "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
-            "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
-            "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
-            "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),
-            "noise_floor_dbm": (float("nan") if scene.noise_floor_dbm is None
-                                else scene.noise_floor_dbm),
-            "seed": float(scene.seed),
-        }
-
-        summary = (f"{scene.array.n_elements} elements at {scene.array.spacing_d} m pitch; "
-                   f"sweep {scene.sweep.f_start / 1e9:g}-{scene.sweep.f_stop / 1e9:g} GHz "
-                   f"x {scene.sweep.n_points} points; rx {scene.rx}; "
-                   f"{len(scene.walls)} wall(s), {len(scene.point_scatterers)} scatterer(s), "
-                   f"{len(scene.blockers)} blocker(s)")
-
-        files["report.txt"].write_text(_render_report(args.scenario, summary, thresholds, observations,
-                                                      mw_table, checks), encoding="utf-8")
+        table = synth.path_table(scene)
+        # one pass: each block of the response is written, summed into the window
+        # bands and analysed before the next block is made; no (N, F) array is held
+        bands = stationarity.WindowBands(n, n_points, args.window) if n >= args.window else None
+        with synth.cfr_csv(files["cfr.csv"], scene.sweep, n) as cfr_csv, \
+                analysis.pdp_csv(files["pdp.csv"], n, n_points, scene.sweep.bandwidth) as pdp_csv:
+            stats = analysis.streamed_stats(synth.response_blocks(scene, table), scene, table,
+                                            [cfr_csv.add] + ([bands.add] if bands else []),
+                                            pdp=pdp_csv.add)
+        # an array shorter than one window has a 0 x 0 map
+        dmap = np.zeros((0, 0)) if bands is None else stationarity.distance_map(bands.correlations())
+        partitions = _partitions(args, dmap, stats)
+        geometry = multiplanar.los_geometry(scene, table)
+        mw_table = _mw_table(scene, table, geometry, partitions)
+        fc = scene.sweep.frequencies()[scene.sweep.center_index]
+        model = wavefront.model_phases(geometry.theta, scene.array.spacing_d, C_M_PER_S / fc)
+        lines = _write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
     print(f"report: {out_dir / 'report.txt'}")
-    for obs in observations:
-        print(obs)
-    for name, ok in checks.items():
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for line in lines:
+        print(line)
     return EXIT_OK
+
+
+def _write_run(args: argparse.Namespace, scene: Scene, files: dict[str, Path], stats: analysis.ChannelStats,
+               partitions: list[stationarity.StationaryPartition], dmap: np.ndarray,
+               mw_table: list[tuple[str, int, float, float]], model: np.ndarray) -> list[str]:
+    """Write ``run``'s files other than ``cfr.csv`` and ``pdp.csv``; returns what it prints after the report."""
+    analysis.export_stats_csv(stats, files["stats.csv"])
+    stationarity.export_partition_csv(partitions, files["partition.csv"])
+    stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
+    multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
+
+    # Built-in checks and observations
+    power_spread = float(stats.power_db.max() - stats.power_db.min())
+    phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
+    mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
+    checks = {
+        "phase_model_correlation_gt_0.99": phase_corr > 0.99,
+        "partitions_cover_array": all(p.intervals[0][0] == 1
+                                      and p.intervals[-1][1] == scene.array.n_elements
+                                      for p in partitions),
+        "mw_error_nonincreasing_with_refinement": all(mw_rmse[i + 1] <= mw_rmse[i] + 1e-9
+                                                      for i in range(len(mw_rmse) - 1)),
+    }
+    observations = [
+        f"received power spread across elements: {power_spread:.3f} dB",
+        f"LOS phase vs closed-form model correlation: {phase_corr:.6f}",
+        f"median RMS delay spread: {_kernels.median(stats.delay_spread_s) * 1e9:.3f} ns",
+    ]
+    for part in partitions:
+        bounds = ", ".join(str(b) for b in part.boundaries()) or "none"
+        observations.append(f"{part.criterion} partition: {part.n_intervals} interval(s), "
+                            f"boundaries at {bounds}")
+        for warning in part.warnings:
+            observations.append(f"{part.criterion} warning: {warning}")
+
+    thresholds = {
+        "cmd_window_m": float(args.window),
+        "cmd_threshold_tau": float(args.cmd_threshold),
+        "cmd_min_si": float(args.window),
+        "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
+        "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
+        "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
+        "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
+        "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),
+        "noise_floor_dbm": (float("nan") if scene.noise_floor_dbm is None
+                            else scene.noise_floor_dbm),
+        "seed": float(scene.seed),
+    }
+
+    summary = (f"{scene.array.n_elements} elements at {scene.array.spacing_d} m pitch; "
+               f"sweep {scene.sweep.f_start / 1e9:g}-{scene.sweep.f_stop / 1e9:g} GHz "
+               f"x {scene.sweep.n_points} points; rx {scene.rx}; "
+               f"{len(scene.walls)} wall(s), {len(scene.point_scatterers)} scatterer(s), "
+               f"{len(scene.blockers)} blocker(s)")
+
+    files["report.txt"].write_text(_render_report(args.scenario, summary, thresholds, observations,
+                                                  mw_table, checks), encoding="utf-8")
+    return observations + [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks.items()]
 
 
 def _render_report(scenario: str, summary: str, thresholds: dict[str, float], observations: list[str],

@@ -9,11 +9,12 @@ reference element and its error grows with the interval extent; refining
 the partition can only reduce the error.
 
 The reconstruction is LOS-only and is scored against the scene's LOS
-(spherical-wave) truth, built once per run from the direct-path rows of the
-scene's path table (``los_truth``).  Both are a real non-negative amplitude
-times a propagation phase, so the error is computed from the path-length
-difference and the amplitudes alone, without building either complex
-response.
+(spherical-wave) truth, made from the direct-path rows of the scene's path
+table: held by ``los_truth``, or one row block at a time by
+``multiplanar_errors``, which scores every partition of a run in one pass.
+Both are a real non-negative amplitude times a propagation phase, so the
+error is computed from the path-length difference and the amplitudes alone,
+without building either complex response.
 """
 
 from __future__ import annotations
@@ -34,11 +35,21 @@ FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
 
 
-class LosTruth(NamedTuple):
-    """The scene's spherical LOS field ``amp[n - 1](f) e^{-j2pi f length[n - 1]/c}`` of element n.
+class LosGeometry(NamedTuple):
+    """The direct paths of a scene: ``length[n - 1]`` and axis angle ``theta[n - 1]`` of element n.
 
-    ``theta[n - 1]`` is element n's axis angle to the receiver, and ``usable``
-    flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
+    ``usable`` flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
+    """
+
+    length: np.ndarray  # (N,) direct-path lengths
+    theta: np.ndarray   # (N,) axis angles, from scene.element_geometry
+    usable: np.ndarray  # (N,) bool
+
+
+class LosTruth(NamedTuple):
+    """The scene's spherical LOS field ``amp[n - 1](f) e^{-j2pi f length[n - 1]/c}`` of element n, held.
+
+    ``length``, ``theta`` and ``usable`` are the ``LosGeometry`` fields.
     """
 
     length: np.ndarray  # (N,) direct-path lengths
@@ -47,23 +58,45 @@ class LosTruth(NamedTuple):
     usable: np.ndarray  # (N,) bool
 
 
+def los_geometry(scene: Scene, table: PathTable) -> LosGeometry:
+    """The direct paths of ``table = path_table(scene)``, its rows ``[:N]``."""
+    n = scene.array.n_elements
+    return LosGeometry(length=table.length[:n], theta=element_geometry(scene, scene.rx)[1],
+                       usable=path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB)
+
+
+def _los_amplitude(table: PathTable, rows: np.ndarray, lam: np.ndarray, sqrt_lam: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The amplitude of the direct paths ``rows`` of ``table``, written into ``out`` (``_kernels.path_amplitude``).
+
+    ``rows`` are ascending element indices; their knife-edge factors are
+    gathered into one CSR slice.  Each row's amplitude depends on that row
+    alone, so it is the same in any set of rows.
+    """
+    ptr = table.edge_ptr
+    counts = ptr[rows + 1] - ptr[rows]
+    sub_ptr = np.concatenate(([0], np.cumsum(counts)))
+    geo = table.edge_geo[np.repeat(ptr[rows] - sub_ptr[:-1], counts) + np.arange(sub_ptr[-1])]
+    return _kernels.path_amplitude(table.gain[rows], table.length[rows], sub_ptr, geo, lam, sqrt_lam, out=out)
+
+
+def _wavelengths(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    lam = C_M_PER_S / scene.sweep.frequencies()
+    return lam, np.sqrt(lam)
+
+
 def los_truth(scene: Scene, table: PathTable) -> LosTruth:
-    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths.
+    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths, held.
 
     The amplitudes are written in place over ``_kernels.row_blocks``, so the
     knife-edge losses of the blocked paths take block-sized temporaries.
     """
-    n = scene.array.n_elements
-    lam = C_M_PER_S / scene.sweep.frequencies()
-    sqrt_lam = np.sqrt(lam)
-    length = table.length[:n]
-    amp = np.empty((n, len(lam)))
-    for start, stop in _kernels.row_blocks(n, len(lam)):
-        _kernels.path_amplitude(table.gain[start:stop], length[start:stop],
-                                table.edge_ptr[start:stop + 1], table.edge_geo, lam, sqrt_lam,
-                                out=amp[start:stop])
-    usable = path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB
-    return LosTruth(length=length, theta=element_geometry(scene, scene.rx)[1], amp=amp, usable=usable)
+    geometry = los_geometry(scene, table)
+    lam, sqrt_lam = _wavelengths(scene)
+    amp = np.empty((len(geometry.length), len(lam)))
+    for start, stop in _kernels.row_blocks(*amp.shape):
+        _los_amplitude(table, np.arange(start, stop), lam, sqrt_lam, out=amp[start:stop])
+    return LosTruth(length=geometry.length, theta=geometry.theta, amp=amp, usable=geometry.usable)
 
 
 @dataclass(frozen=True)
@@ -93,15 +126,15 @@ def _fallback_reference(start: int, end: int, usable) -> int:
     return candidates[0] if candidates else ref
 
 
-def build_multiplanar_model(truth: LosTruth, partition: StationaryPartition) -> np.ndarray:
+def build_multiplanar_model(truth: LosGeometry | LosTruth, partition: StationaryPartition) -> np.ndarray:
     """The 1-based reference element of each element's interval, an (N,) integer array.
 
     The reference is the interval center ``floor((start+end)/2)``.  If the
     center's direct path is fully absorbed (> 80 dB blockage) it is the
     nearest unblocked element in the interval instead (ties resolved toward
     lower indices).  The interval's planar wavefront is anchored there: its
-    distance, axis angle and amplitude are the reference's
-    ``truth.length``, ``truth.theta`` and ``truth.amp`` entries.
+    distance, axis angle and amplitude are the reference's.  Only
+    ``truth.usable`` is read.
     """
     ref = np.empty(partition.n_elements, dtype=np.intp)
     for start, end in partition.intervals:
@@ -109,8 +142,80 @@ def build_multiplanar_model(truth: LosTruth, partition: StationaryPartition) -> 
     return ref
 
 
+class _Scores:
+    """The sums of ``multiplanar_error`` for several reference indices, fed the LOS amplitude by row blocks.
+
+    Every reference index's sums advance together in one scratch set,
+    allocated once.  Every sum is first a per-row ``_kernels.row_dot``, an
+    einsum rather than a BLAS call, so the result depends neither on the
+    BLAS thread count nor on the block height.
+    """
+
+    def __init__(self, scene: Scene, length: np.ndarray, theta: np.ndarray, refs: list[np.ndarray]):
+        n_el = scene.array.n_elements
+        for ref in refs:
+            if len(ref) != n_el:
+                raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")
+        # math.cos, not np.cos, whose vectorised rounding may differ: mw_error.csv is byte-stable
+        cos = np.array([math.cos(t) for t in theta.tolist()])
+        self._rows = [ref - 1 for ref in refs]
+        planar = [length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
+                  for ref, row in zip(refs, self._rows)]
+        self._delays = [(length - p) / C_M_PER_S for p in planar]
+        self._freqs = scene.sweep.frequencies()
+        self._omega = -TWO_PI * self._freqs
+        self._rowsq = np.empty(n_el)
+        self._sums = np.empty((len(refs), 3, n_el))  # per index: Re and Im of sum w e^{j phi}, sum phi^2
+        n = len(self._freqs)
+        height = _kernels.block_rows(n_el, n)
+        self._weight, self._phase = np.empty((2, height, n))
+        self._silent = np.empty((height, n), dtype=bool)
+        self._phasor = np.empty((height, *_kernels.phasor_grid(n)), dtype=complex)
+
+    def add(self, start: int, stop: int, amp: np.ndarray, ref_amp: np.ndarray, ref_rows: np.ndarray) -> None:
+        """Rows ``[start, stop)`` of the truth's amplitude, ``amp``.
+
+        ``ref_amp`` holds the amplitude rows ``ref_rows`` (ascending 0-based
+        indices), among them every reference row of those elements.
+        """
+        m = stop - start
+        _kernels.row_dot(amp, amp, self._rowsq[start:stop])
+        for row, delay, (wre, wim, mean_square) in zip(self._rows, self._delays, self._sums):
+            # g = A[ref - 1]; the index holds valid rows, and mode="clip" keeps np.take from buffering `out`
+            weight = np.take(ref_amp, np.searchsorted(ref_rows, row[start:stop]), axis=0,
+                             out=self._weight[:m], mode="clip")
+            weight *= amp
+            # -2 pi delay is each element's phase per Hz
+            phasor = _kernels.sweep_phasors(-TWO_PI * delay[start:stop], self._freqs, out=self._phasor[:m])
+            _kernels.row_dot(weight, phasor.real, wre[start:stop])
+            _kernels.row_dot(weight, phasor.imag, wim[start:stop])
+            silent = np.equal(weight, 0.0, out=self._silent[:m])
+            # the wrapped phase, in place: wrap(x) = x - 2 pi rint(x / 2 pi); the
+            # turns reuse the weight's block, which the silent mask no longer needs
+            phase = np.multiply.outer(delay[start:stop], self._omega, out=self._phase[:m])
+            turns = np.divide(phase, TWO_PI, out=weight)
+            np.rint(turns, out=turns)
+            turns *= TWO_PI
+            phase -= turns
+            np.copyto(phase, 0.0, where=silent)
+            _kernels.row_dot(phase, phase, mean_square[start:stop])
+
+    def errors(self) -> list[MultiplanarError]:
+        """One ``MultiplanarError`` per reference index, once every row is fed."""
+        norm = math.sqrt(self._rowsq.sum())
+        out = []
+        for row, (wre, wim, mean_square) in zip(self._rows, self._sums):
+            denom = math.sqrt(self._rowsq[row].sum()) * norm  # |g| |A|: g's rows are A's
+            corr = math.hypot(wre.sum(), wim.sum()) / denom if denom > 0 else 0.0
+            mean_square /= len(self._freqs)
+            out.append(MultiplanarError(phase_rmse=math.sqrt(float(np.mean(mean_square))),
+                                        complex_correlation=min(corr, 1.0),
+                                        per_element_phase_dev=np.sqrt(mean_square)))
+        return out
+
+
 def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> MultiplanarError:
-    """Wrapped phase RMSE and correlation of the planar wavefronts against the LOS truth.
+    """Wrapped phase RMSE and correlation of the planar wavefronts against the held LOS truth.
 
     ``ref`` is ``build_multiplanar_model(truth, partition)``.  The truth is
     the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
@@ -122,60 +227,40 @@ def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> Multipl
     sample has no phase to compare), and the complex correlation
     ``|<approx, truth>| / (|approx| |truth|)`` is
     ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
-    from ``_kernels.sweep_phasors``.
-
-    The fields are scored over ``_kernels.row_blocks`` in scratch allocated
-    once per call.  Every sum is first a per-row ``_kernels.row_dot``, an
-    einsum rather than a BLAS call, so the result depends neither on the BLAS
-    thread count nor on the block height; the correlation then sums those
-    ``(N,)`` row sums.
+    from ``_kernels.sweep_phasors``.  The correlation sums the ``(N,)``
+    per-row sums that ``_Scores`` takes over ``_kernels.row_blocks`` of
+    ``truth.amp``.
     """
-    n_el = scene.array.n_elements
-    if len(ref) != n_el:
-        raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")
-    row = ref - 1
-    # math.cos, not np.cos, whose vectorised rounding may differ: mw_error.csv is byte-stable
-    cos = np.array([math.cos(theta) for theta in truth.theta.tolist()])
-    planar = truth.length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
-    freqs = scene.sweep.frequencies()
-    amp = truth.amp
-    delay = (truth.length - planar) / C_M_PER_S
-    wavenumber = -TWO_PI * delay  # phase per Hz of each element
-    omega = -TWO_PI * freqs
+    scores = _Scores(scene, truth.length, truth.theta, [ref])
+    every = np.arange(len(truth.amp))
+    for start, stop in _kernels.row_blocks(*truth.amp.shape):
+        scores.add(start, stop, truth.amp[start:stop], truth.amp, every)
+    return scores.errors()[0]
 
-    rowsq = _kernels.row_dot(amp, amp, np.empty(n_el))
-    denom = math.sqrt(rowsq[row].sum()) * math.sqrt(rowsq.sum())  # |g| |A|: g's rows are A's
-    wre, wim, mean_square = np.empty((3, n_el))
-    height = _kernels.block_rows(n_el, len(freqs))
-    weight_block, phase_block = np.empty((2, height, len(freqs)))
-    silent_block = np.empty((height, len(freqs)), dtype=bool)
-    phasor_block = np.empty((height, *_kernels.phasor_grid(len(freqs))), dtype=complex)
-    for start, stop in _kernels.row_blocks(n_el, len(freqs)):
-        m = stop - start
-        # g = A[ref - 1]; ref holds valid rows, and mode="clip" keeps np.take from buffering `out`
-        weight = np.take(amp, row[start:stop], axis=0, out=weight_block[:m], mode="clip")
-        weight *= amp[start:stop]
-        if denom > 0:
-            phasor = _kernels.sweep_phasors(wavenumber[start:stop], freqs, out=phasor_block[:m])
-            _kernels.row_dot(weight, phasor.real, wre[start:stop])
-            _kernels.row_dot(weight, phasor.imag, wim[start:stop])
-        silent = np.equal(weight, 0.0, out=silent_block[:m])
-        # the wrapped phase, in place: wrap(x) = x - 2 pi rint(x / 2 pi); the
-        # turns reuse the weight's block, which the silent mask no longer needs
-        phase = np.multiply.outer(delay[start:stop], omega, out=phase_block[:m])
-        turns = np.divide(phase, TWO_PI, out=weight)
-        np.rint(turns, out=turns)
-        turns *= TWO_PI
-        phase -= turns
-        np.copyto(phase, 0.0, where=silent)
-        _kernels.row_dot(phase, phase, mean_square[start:stop])
-    corr = math.hypot(wre.sum(), wim.sum()) / denom if denom > 0 else 0.0
-    mean_square /= len(freqs)
-    phase_rmse = math.sqrt(float(np.mean(mean_square)))
-    per_element = np.sqrt(mean_square)
-    return MultiplanarError(phase_rmse=phase_rmse,
-                            complex_correlation=min(corr, 1.0),
-                            per_element_phase_dev=per_element)
+
+def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
+                       refs: list[np.ndarray]) -> list[MultiplanarError]:
+    """``multiplanar_error`` of every reference index in ``refs``, without holding the LOS truth.
+
+    ``geometry`` is ``los_geometry(scene, table)``.  One pass over
+    ``_kernels.row_blocks`` makes each block's truth rows, and the rows of
+    the block's references that lie outside it, with ``_los_amplitude`` into
+    one scratch block sized for the largest such set; every index's sums
+    advance together.  The results equal ``multiplanar_error(scene,
+    los_truth(scene, table), ref)``'s, byte for byte.
+    """
+    lam, sqrt_lam = _wavelengths(scene)
+    scores = _Scores(scene, geometry.length, geometry.theta, refs)
+    blocks = []  # each block's rows and its references' rows, ascending (np.unique would import numpy.ma)
+    for start, stop in _kernels.row_blocks(len(geometry.length), len(lam)):
+        rows = set(range(start, stop)).union(*((ref[start:stop] - 1).tolist() for ref in refs))
+        blocks.append((start, stop, np.array(sorted(rows))))
+    scratch = np.empty((max(len(rows) for _, _, rows in blocks), len(lam)))
+    for start, stop, rows in blocks:
+        amp = _los_amplitude(table, rows, lam, sqrt_lam, out=scratch[:len(rows)])
+        at = int(np.searchsorted(rows, start))
+        scores.add(start, stop, amp[at:at + stop - start], amp, rows)
+    return scores.errors()
 
 
 def export_mw_error_csv(rows: list[tuple[str, int, float, float]], path) -> None:

@@ -76,33 +76,61 @@ def uniform_partition(n_elements: int, n_intervals: int) -> StationaryPartition:
 # Correlation machinery
 # ---------------------------------------------------------------------------
 
-def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
-    """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows.
+class WindowBands:
+    """The lag bands ``sum_f h_{i+k} conj(h_i) / F``, k < m, of an ``(n, F)`` response fed one row block at a time.
 
-    Lag k of every window is a slice of one band ``sum_f h_{i+k} conj(h_i)``.
-    The bands are built over ``_kernels.row_blocks`` of the conjugated rows
-    ``i``: each block is conjugated once into scratch and serves every lag,
-    and each band entry is its own ``_kernels.row_dot`` row sum.
+    Lag k of every window correlation is a slice of band k (see
+    ``correlations``).  ``add(start, stop, rows)`` takes rows ``[start,
+    stop)`` in order and leaves them unchanged.  It conjugates them, a few
+    at a time, into a ring of one block's height (m rows at least) that also
+    keeps the m - 1 rows before them, the halo that the bands reach back
+    into; so the blocks may be scratch and of any height.  Each band entry
+    is its own ``_kernels.row_dot`` row sum, so the bands do not depend on
+    the block height.  Raises StationarityError unless m >= 2.
     """
-    if m < 2:
-        raise StationarityError(f"window must span >= 2 elements, got {m}")
+
+    def __init__(self, n: int, n_points: int, m: int):
+        if m < 2:
+            raise StationarityError(f"window must span >= 2 elements, got {m}")
+        self._n, self._m = n, m
+        self._bands = [np.empty(max(n - k, 0), dtype=np.complex128) for k in range(m)]
+        self._ring = np.empty((max(_kernels.block_rows(n, n_points), m), n_points), dtype=np.complex128)
+
+    def add(self, start: int, stop: int, rows: np.ndarray) -> None:
+        halo, ring = self._m - 1, self._ring
+        step = len(ring) - halo
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            # ring row halo + j - lo is conj(h_j)
+            np.conjugate(rows[lo - start:hi - start], out=ring[halo:halo + hi - lo])
+            for k, band in enumerate(self._bands):
+                first = max(lo, k)  # band k has rows i = j - k >= 0
+                if first < hi:
+                    _kernels.row_dot(rows[first - start:hi - start],
+                                     ring[halo + first - lo - k:halo + hi - lo - k], band[first - k:hi - k])
+            for r in range(halo):  # row by row: shifting overlapping rows at once copies them through a temporary
+                ring[r] = ring[hi - lo + r]
+
+    def correlations(self) -> np.ndarray:
+        """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows, once every row is fed."""
+        m = self._m
+        idx = np.arange(m)
+        stack = np.empty((self._n - m + 1, m, m), dtype=np.complex128)
+        for k, band in enumerate(self._bands):
+            band /= self._ring.shape[1]
+            lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
+            stack[:, idx[k:], idx[:m - k]] = lag
+            stack[:, idx[:m - k], idx[k:]] = lag.conj()
+        return stack
+
+
+def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
+    """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows: ``WindowBands`` fed the rows."""
     n, n_points = values.shape
-    bands = [np.empty(n - k, dtype=np.complex128) for k in range(m)]
-    scratch = np.empty((_kernels.block_rows(n, n_points), n_points), dtype=np.complex128)
+    bands = WindowBands(n, n_points, m)
     for start, stop in _kernels.row_blocks(n, n_points):
-        conj = np.conjugate(values[start:stop], out=scratch[:stop - start])
-        for k, band in enumerate(bands):
-            end = min(stop, n - k)  # band k has rows i < n - k
-            if end > start:
-                _kernels.row_dot(values[start + k:end + k], conj[:end - start], band[start:end])
-    idx = np.arange(m)
-    stack = np.empty((n - m + 1, m, m), dtype=np.complex128)
-    for k, band in enumerate(bands):
-        band /= n_points
-        lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
-        stack[:, idx[k:], idx[:m - k]] = lag
-        stack[:, idx[:m - k], idx[k:]] = lag.conj()
-    return stack
+        bands.add(start, stop, values[start:stop])
+    return bands.correlations()
 
 
 def _cmd(stack: np.ndarray) -> np.ndarray:
@@ -112,15 +140,24 @@ def _cmd(stack: np.ndarray) -> np.ndarray:
     [0, 1]; a zero matrix is at distance 1 from every matrix.  The Gram
     product is an einsum, not a BLAS matmul, so it does not depend on the
     BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
-    map is symmetric.
+    map is symmetric.  The Gram is normalised over ``_kernels.row_blocks``,
+    one block of the norms' outer product at a time.
     """
     a = np.asarray(stack, dtype=np.complex128).reshape(len(stack), -1).view(np.float64)
     norm = np.linalg.norm(a, axis=1)
     norm = np.where(norm > 0, norm, np.inf)
     d = np.einsum("ik,jk->ij", a, a)
-    d /= np.multiply.outer(norm, norm)
+    for lo, hi in _kernels.row_blocks(len(d), len(d)):
+        d[lo:hi] /= np.multiply.outer(norm[lo:hi], norm)
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 1.0, out=d)
+
+
+def distance_map(stack: np.ndarray) -> np.ndarray:
+    """The CMD between every pair of window correlations of a ``(W, m, m)`` stack, 0 on the diagonal."""
+    out = _cmd(stack)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndarray:
@@ -132,10 +169,7 @@ def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndar
     """
     if cfr.n_elements < m:
         return np.zeros((0, 0))
-    stack = _window_correlations(cfr.values, m)
-    out = _cmd(stack)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return distance_map(_window_correlations(cfr.values, m))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +322,7 @@ def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
 
 
 def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
-    """All (i, j) pairs of a symmetric map, one row block of the map at a time.
+    """All (i, j, D) pairs of a symmetric map, one formatting pass at a time (``_csvout.CellGrid``).
 
     Raises ValueError unless ``dmap`` equals its transpose.
     """
@@ -296,7 +330,6 @@ def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
     if not np.array_equal(dmap, dmap.T):
         raise ValueError("cmd map must be symmetric")
     n = dmap.shape[0]
-    label = _csvout.cells(_csvout.strs(range(1, n + 1)))
-    _csvout.write_csv(path, ("i", "j", "D"),
-                      (_csvout.lines((label[a:b, None], label[None], _floatrepr.repr_cells(dmap[a:b])))
-                       for a, b in _kernels.row_blocks(n, n, _floatrepr.PASS_VALUES)))
+    with _csvout.CellGrid(path, ("i", "j", "D"), n, [_csvout.cells(_csvout.strs(range(1, n + 1)))],
+                          lambda rows: (_floatrepr.repr_cells(rows),)) as grid:
+        grid.add(0, n, dmap)

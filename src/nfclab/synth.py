@@ -225,12 +225,19 @@ def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
 # Export
 # ---------------------------------------------------------------------------
 
+def cfr_csv(path, sweep: Sweep, n_rows: int) -> _csvout.CellGrid:
+    """``cfr.csv`` of an ``n_rows``-element response over ``sweep``, written one row block at a time.
+
+    Rows (element, f_hz, re, im); floats use shortest round-trip form.
+    """
+    return _csvout.CellGrid(path, ("element", "f_hz", "re", "im"), n_rows,
+                            [_floatrepr.repr_cells(sweep.frequencies())],  # formatted once per file
+                            lambda rows: (_floatrepr.repr_cells(rows.real), _floatrepr.repr_cells(rows.imag)))
+
+
 def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
-    """CSV rows (element, f_hz, re, im); floats use shortest round-trip form."""
+    """``cfr.csv`` of a held response: ``cfr_csv`` fed its row blocks."""
     n, n_freqs = cfr.values.shape
-    element = _csvout.cells(_csvout.strs(range(1, n + 1)))[:, None]
-    f_hz = _floatrepr.repr_cells(cfr.sweep.frequencies())[None]  # formatted once per file
-    _csvout.write_csv(path, ("element", "f_hz", "re", "im"),
-                      (_csvout.lines((element[a:b], f_hz, _floatrepr.repr_cells(cfr.values[a:b].real),
-                                      _floatrepr.repr_cells(cfr.values[a:b].imag)))
-                       for a, b in _kernels.row_blocks(n, n_freqs, _floatrepr.PASS_VALUES)))
+    with cfr_csv(path, cfr.sweep, n) as grid:
+        for start, stop in _kernels.row_blocks(n, n_freqs):
+            grid.add(start, stop, cfr.values[start:stop])

@@ -4,19 +4,21 @@
 over row blocks, takes the AoD from the gated taps it already has, builds
 every window correlation from one stacked band, evaluates the element
 geometry and the closed-form phase model over whole arrays, computes the
-per-element power, PDP and delay spread over row blocks of the ``(N, F)``
-array, draws the noise block by block, builds both stationary partitions
-through one fold, and writes ``repr`` text for whole arrays at once;
-``phase-check`` gates the response's row blocks as the kernel makes them.  The
-tests check those fast paths against the plain forms below, and the closed
-form against ``exact_relative_phase``, its distance-based ground truth.
+per-element power, PDP and delay spread over row blocks, draws the noise
+block by block, builds both stationary partitions through one fold, and
+writes ``repr`` text for whole arrays at once; both commands feed the
+response's row blocks to every consumer as the kernel makes them, so
+neither holds an ``(N, F)`` array.  The tests check those fast paths against
+the plain forms below (``held_cmd_run`` is ``run`` as it held the response,
+the PDP and the LOS truth), and the closed form against
+``exact_relative_phase``, its distance-based ground truth.
 """
 
 import math
 
 import numpy as np
 
-from nfclab import _kernels
+from nfclab import _kernels, analysis, cli, multiplanar, stationarity, synth, wavefront
 from nfclab.analysis import _pair_aod, gated_los_rows, los_phase
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import TWO_PI, MultiplanarError
@@ -197,6 +199,40 @@ def held_los_phase(scene, table):
     return los_phase(synthesize_cfr(scene, table), scene, table)
 
 
+def held_cmd_run(args):
+    """``cli.cmd_run`` as it held the response, the PDP and the LOS truth, one stage after another.
+
+    Every stage runs on the held arrays through the held API, and the files
+    are staged only once the analysis is done.  It prints and writes what
+    ``cmd_run`` does, so it is the byte oracle of the streamed pass.
+    """
+    scene, out_dir = cli._run_setup(args)
+    table = synth.path_table(scene)
+    cfr = synthesize_cfr(scene, table)
+    stats = analysis.compute_stats(cfr, scene, table)
+    pdp = analysis.pdp_matrix(cfr)
+    dmap = stationarity.cmd_map(cfr, m=args.window)
+    partitions = cli._partitions(args, dmap, stats)
+    truth = multiplanar.los_truth(scene, table)
+    n = scene.array.n_elements
+    named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
+             for k in range(cli.DYADIC_MAX_K + 1)] + [(part.criterion, part) for part in partitions]
+    mw_table = []
+    for name, part in named:
+        err = multiplanar.multiplanar_error(scene, truth, multiplanar.build_multiplanar_model(truth, part))
+        mw_table.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
+    fc = scene.sweep.frequencies()[scene.sweep.center_index]
+    model = wavefront.model_phases(truth.theta, scene.array.spacing_d, C_M_PER_S / fc)
+    with cli._staged(out_dir, cli.RUN_FILES) as files:
+        synth.export_cfr_csv(cfr, files["cfr.csv"])
+        analysis.export_pdp_csv(pdp, files["pdp.csv"], cfr.sweep.bandwidth)
+        lines = cli._write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
+    print(f"report: {out_dir / 'report.txt'}")
+    for line in lines:
+        print(line)
+    return cli.EXIT_OK
+
+
 def estimate_aod(cfr, scene):
     """Azimuth angle of departure per element from adjacent-pair LOS phases.
 
@@ -205,7 +241,7 @@ def estimate_aod(cfr, scene):
     ``path_table(scene)``.
     """
     taps, valid = gated_los_rows(cfr, scene, path_table(scene))
-    return _pair_aod(cfr, taps, valid, scene.array.spacing_d)
+    return _pair_aod(cfr.sweep, taps, valid, scene.array.spacing_d)
 
 
 def correlation_matrix(cfr, window):

@@ -310,26 +310,28 @@ def geometry_bindings():
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
     from nfclab import _kernels, analysis, multiplanar, stationarity, synth, wavefront
-    calls = count_calls(monkeypatch, {"gated_los_rows": analysis, "pdp_matrix": analysis,
-                                      "accumulate_paths": _kernels, "path_table": synth,
-                                      "los_truth": multiplanar, "model_phases": wavefront,
-                                      "element_geometry": geometry_bindings(),
+    calls = count_calls(monkeypatch, {"_Gate": analysis, "streamed_stats": analysis, "accumulate_paths": _kernels,
+                                      "path_table": synth, "los_geometry": multiplanar,
+                                      "multiplanar_errors": multiplanar, "model_phases": wavefront,
+                                      "element_geometry": geometry_bindings(), "WindowBands": stationarity,
+                                      # the held forms, which make (N, F) arrays
+                                      "synthesize_cfr": synth, "pdp_matrix": analysis, "los_truth": multiplanar,
                                       "_window_correlations": stationarity})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
-    # one path table, one kernel pass and one direct-path geometry; all 8 mw rows share one LOS truth,
-    # and the CMD partition walks the rows of the one CMD map
-    assert calls == {"gated_los_rows": 1, "pdp_matrix": 1, "accumulate_paths": 1,
-                     "path_table": 1, "los_truth": 1, "model_phases": 1, "element_geometry": 1,
-                     "_window_correlations": 1}
+    # one path table, one kernel pass, one gate and one PDP per block, one band build and one
+    # direct-path geometry; all 8 mw rows share one pass over the LOS truth, and no (N, F) array is made
+    assert calls == {"_Gate": 1, "streamed_stats": 1, "accumulate_paths": 1, "path_table": 1, "los_geometry": 1,
+                     "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1,
+                     "synthesize_cfr": 0, "pdp_matrix": 0, "los_truth": 0, "_window_correlations": 0}
 
 
 @pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
 def test_run_builds_one_cmd_map_under_every_criterion(tmp_path, monkeypatch, criterion):
     from nfclab import stationarity
-    calls = count_calls(monkeypatch, {"_window_correlations": stationarity, "_cmd": stationarity,
-                                      "cmd_map": stationarity})
+    calls = count_calls(monkeypatch, {"WindowBands": stationarity, "_cmd": stationarity,
+                                      "distance_map": stationarity})
     assert run(["run", "olos_baffle", "--out", str(tmp_path), "--criterion", criterion]) == 0
-    assert calls == {"_window_correlations": 1, "_cmd": 1, "cmd_map": 1}
+    assert calls == {"WindowBands": 1, "_cmd": 1, "distance_map": 1}
 
 
 def test_out_of_memory_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
@@ -337,9 +339,9 @@ def test_out_of_memory_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
     # the allocation itself is not made here, since an overcommitting host could grant it
     from nfclab import synth
 
-    def synthesize_cfr(*args, **kwargs):
+    def response_blocks(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)")
-    monkeypatch.setattr(synth, "synthesize_cfr", synthesize_cfr)
+    monkeypatch.setattr(synth, "response_blocks", response_blocks)
     assert run(["run", "los_lab", "--out", str(tmp_path)]) == EXIT_ANALYSIS_FAILURE
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)\n"
@@ -399,8 +401,8 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("command, module, name", [
-    ("run", "synth", "export_cfr_csv"),  # the first file
-    ("run", "stationarity", "export_cmd_map_csv"),  # after three files are written
+    ("run", "_csvout", "open_csv"),  # the first file, cfr.csv, opened before synthesis
+    ("run", "stationarity", "export_cmd_map_csv"),  # after four files are written
     ("run", "multiplanar", "export_mw_error_csv"),  # the last CSV
     ("phase-check", "_csvout", "write_csv"),
 ])

@@ -140,7 +140,7 @@ def _awkward_cfr():
 def _awkward_stats():
     n = 12
     vals = np.resize(np.array(AWKWARD + [math.inf, -math.inf, math.nan]), n)
-    return ChannelStats(power_db=vals, pdp=np.ones((n, 2)), delay_spread_s=vals[::-1].copy(),
+    return ChannelStats(power_db=vals, delay_spread_s=vals[::-1].copy(),
                         los_phase_rad=-vals, aod_rad=np.roll(vals, 3),
                         tau_los_s=np.roll(vals, 5),
                         los_valid=np.ones(n, dtype=bool), aod_valid=np.ones(n, dtype=bool))

@@ -35,7 +35,7 @@ def random_psd(rng, m=4):
 def stats_with(power_db=None, n=64, **arrays):
     zeros = np.zeros(n)
     power = zeros if power_db is None else np.asarray(power_db, dtype=float)
-    fields = dict(power_db=power, pdp=np.ones((n, 8)), delay_spread_s=zeros.copy(),
+    fields = dict(power_db=power, delay_spread_s=zeros.copy(),
                   los_phase_rad=zeros.copy(), aod_rad=zeros.copy(),
                   tau_los_s=zeros.copy(), los_valid=np.ones(n, bool),
                   aod_valid=np.ones(n, bool))
