@@ -197,7 +197,8 @@ def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs,
     scratch block reused for every block, so a consumer must read a block
     before it asks for the next.
     """
-    lam = C_M_PER_S / freqs
+    with np.errstate(over="ignore"):  # a sweep from near 0 Hz: the response's finite check reports it
+        lam = C_M_PER_S / freqs
     sqrt_lam = np.sqrt(lam)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
     height = block_rows(n_rows, len(freqs))

@@ -476,11 +476,10 @@ def test_streamed_los_phase_raises_the_held_errors(case):
         n_points = 5 if case == "not_finite" else 2
         scene = replace(scene, sweep=replace(scene.sweep, n_points=n_points, **band))
     table = nl.path_table(scene)
-    with np.errstate(all="ignore"):  # a 1e-300 Hz sweep point overflows its wavelength
-        with pytest.raises(ValueError) as held:
-            reference.held_los_phase(scene, table)
-        with pytest.raises(ValueError) as streamed:
-            streamed_los_phase(response_blocks(scene, table), scene, table)
+    with pytest.raises(ValueError) as held:
+        reference.held_los_phase(scene, table)
+    with pytest.raises(ValueError) as streamed:
+        streamed_los_phase(response_blocks(scene, table), scene, table)
     assert type(streamed.value) is type(held.value)
     assert str(streamed.value) == str(held.value)
 

@@ -443,6 +443,25 @@ def test_band_at_or_below_0_hz_exit_3_without_traceback(tmp_path, command, band)
     assert "f_start: must be > 0 Hz" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "phase-check"])
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("n_points", [5, 2])
+def test_near_0_hz_sweep_exit_4_with_one_line(tmp_path, command, warnings, n_points):
+    # the wavelength c / 1e-300 Hz overflows to inf; the response's finite check reports it
+    scene = load_preset("los_lab")
+    path = tmp_path / "near_0_hz.scene"
+    save_scene(replace(scene, sweep=replace(scene.sweep, f_start=1e-300, n_points=n_points)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", command, str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_ANALYSIS_FAILURE
+    assert proc.stderr.splitlines() == ["analysis error: values must be finite"]
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
     src = Path(nfclab.__file__).resolve().parents[1]

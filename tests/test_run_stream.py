@@ -117,16 +117,13 @@ def test_streamed_run_failure_matches_held_run(tmp_path, monkeypatch, case):
     scenario = tmp_path / "scene.scene"
     save_scene(scene, scenario)
     args = ["run", str(scenario), *flags]
-    with np.errstate(over="ignore", invalid="ignore"):  # the 1e-300 Hz sweep's overflow
-        code, stdout, stderr, files = _held(monkeypatch, args + ["--out", str(tmp_path / "held")])
+    code, stdout, stderr, files = _held(monkeypatch, args + ["--out", str(tmp_path / "held")])
     assert code == EXIT_ANALYSIS_FAILURE and stdout == "" and not files
     [line] = stderr.splitlines()
     assert line.startswith("analysis error: ")
     out = tmp_path / "streamed"
     src = Path(nfclab.__file__).resolve().parents[1]
-    # a non-finite response comes from an overflow, which numpy reports as a RuntimeWarning
-    warnings = ["-W", "ignore::RuntimeWarning"] if case.startswith("not_finite") else []
-    proc = subprocess.run([sys.executable, "-W", "error", *warnings, "-m", "nfclab.cli", *args, "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "nfclab.cli", *args, "--out", str(out)],
                           capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == code
     assert proc.stdout == ""
