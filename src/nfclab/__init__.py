@@ -22,14 +22,14 @@ _EXPORTS = {
                     "los_truth", "multiplanar_error"),
     "scene": ("ArraySpec", "Blocker", "Scatterer", "Scene", "SceneError",
               "SceneParseError", "SceneValidationError", "Sweep", "Wall",
-              "element_geometry", "element_positions", "load_preset",
-              "load_scene", "loads_scene", "save_scene", "serialize_scene",
-              "PRESET_NAMES"),
+              "load_preset", "load_scene", "loads_scene", "save_scene",
+              "serialize_scene", "PRESET_NAMES"),
     "stationarity": ("StationaryPartition", "characteristic_slope", "cmd_map",
                      "partition_by_cmd", "partition_by_slope",
                      "uniform_partition"),
-    "synth": ("ChannelFrequencyResponse", "PathTable", "knife_edge_loss",
-              "path_blockage_db", "path_table", "synthesize_cfr"),
+    "synth": ("ChannelFrequencyResponse", "PathTable", "element_geometry",
+              "element_positions", "knife_edge_loss", "path_blockage_db",
+              "path_table", "synthesize_cfr"),
     "wavefront": ("far_field_phase", "rayleigh_distance"),
 }
 # the modules an eager import bound as attributes

@@ -116,6 +116,11 @@ def _power_sums(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
     np.square(mag, out=mag).sum(axis=1, out=out)
 
 
+def _finite_power(totals: np.ndarray) -> None:
+    if not np.all(np.isfinite(totals)):
+        raise AnalysisError("received power must be finite: |H|^2 overflows float64")
+
+
 def _power_db(totals: np.ndarray, n: int) -> np.ndarray:
     return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
 
@@ -347,16 +352,19 @@ def _pair_aod(sweep: Sweep, taps: np.ndarray, tap_valid: np.ndarray,
 def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=None) -> ChannelStats:
     """``compute_stats`` of the response given as ``(start, stop, rows)`` row blocks in order, without holding it.
 
-    Each block is first passed to every ``consumer(start, stop, rows)``, which
-    must leave it unchanged.  Its ``|H|^2`` sums, its Hann PDP, which gives
-    the delay-spread moments, and its LOS gate bins are then taken in scratch
-    allocated once; ``pdp``, when given, is called as ``pdp(start, stop,
-    profiles)`` with each block's PDP before the moments overwrite it.  The
-    result and the errors equal ``compute_stats(synthesize_cfr(scene,
-    table), scene, table)``'s for ``blocks = synth.response_blocks(scene,
-    table)``: a block that is not finite fails first, then a sweep too short
-    for the Hann window, and after the last block an all-noise profile, the
-    element-1 gate and fewer than 2 elements, in that order.
+    Each block's ``|H|^2`` sums are taken first; where one is not finite
+    (``|H|^2`` overflows float64) the pass raises AnalysisError before any
+    consumer sees the block.  The block is then passed to every
+    ``consumer(start, stop, rows)``, which must leave it unchanged, and its
+    Hann PDP, which gives the delay-spread moments, and its LOS gate bins are
+    taken in scratch allocated once; ``pdp``, when given, is called as
+    ``pdp(start, stop, profiles)`` with each block's PDP before the moments
+    overwrite it.  The result and the errors equal
+    ``compute_stats(synthesize_cfr(scene, table), scene, table)``'s for
+    ``blocks = synth.response_blocks(scene, table)``: a block that is not
+    finite fails first, then a sweep too short for the Hann window, then a
+    power that is not finite, and after the last block an all-noise
+    profile, the element-1 gate and fewer than 2 elements, in that order.
     """
     sweep = scene.sweep
     n_rows, n = scene.array.n_elements, sweep.n_points
@@ -368,10 +376,13 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
     profiles = np.empty((height, n))
     totals = np.empty(n_rows)
     for start, stop, rows in blocks:
+        spectrum, profile = spectra[:stop - start], profiles[:stop - start]
+        # the power first: where |H|^2 overflows, so do the consumers' products
+        with np.errstate(over="ignore"):
+            _power_sums(rows, profile, totals[start:stop])
+        _drained(blocks, lambda: _finite_power(totals[start:stop]))
         for consumer in consumers:
             consumer(start, stop, rows)
-        spectrum, profile = spectra[:stop - start], profiles[:stop - start]
-        _power_sums(rows, profile, totals[start:stop])
         profile = _profile(_delay(rows, hann, spectrum), profile)
         if pdp is not None:
             pdp(start, stop, profile)

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import _csvout, _kernels, analysis, multiplanar, stationarity, synth, wavefront
 from .constants import C_M_PER_S
-from .scene import (PRESET_NAMES, Scene, SceneError, element_geometry,
-                    element_positions, load_preset, load_scene)
+from .scene import PRESET_NAMES, Scene, SceneError, load_preset, load_scene
+from .synth import element_geometry, element_positions
 
 EXIT_OK = 0
 EXIT_UNKNOWN_PRESET = 2
@@ -109,13 +109,19 @@ def _staged(out_dir: Path, names):
 
 def _mw_table(scene: Scene, table: synth.PathTable, geometry: multiplanar.LosGeometry,
               partitions: list[stationarity.StationaryPartition]) -> list[tuple[str, int, float, float]]:
-    """mw_error.csv rows: the dyadic partitions, then ``partitions``, scored in one pass over the LOS truth."""
+    """mw_error.csv rows: the dyadic partitions, then ``partitions``, scored in one pass over the LOS truth.
+
+    Each distinct reference index is scored once; the rows whose partitions
+    share it (a one-interval partition is ``dyadic_2^0``'s) share its score.
+    """
     n = scene.array.n_elements
     named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
              for k in range(DYADIC_MAX_K + 1)]
     named += [(part.criterion, part) for part in partitions]
     refs = [multiplanar.build_multiplanar_model(geometry, part) for _, part in named]
-    errors = multiplanar.multiplanar_errors(scene, table, geometry, refs)
+    distinct = {ref.tobytes(): ref for ref in refs}
+    scores = dict(zip(distinct, multiplanar.multiplanar_errors(scene, table, geometry, list(distinct.values()))))
+    errors = [scores[ref.tobytes()] for ref in refs]
     return [(name, part.n_intervals, err.phase_rmse, err.complex_correlation)
             for (name, part), err in zip(named, errors)]
 
@@ -285,9 +291,10 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     # Place the receiver at k * Rayleigh distance along its original bearing
     # from element 1, then compare measured/closed-form/far-field phases.
     # A degenerate aperture (single element) has no Rayleigh distance; the
-    # receiver stays where the scenario put it.
-    r_d = wavefront.rayleigh_distance(scene.array.aperture, scene.sweep.lambda_center)
+    # receiver stays where the scenario put it.  The positions come first: an
+    # element count past float range fails there, where it cannot be allocated.
     p1 = element_positions(scene)[0]
+    r_d = wavefront.rayleigh_distance(scene.array.aperture, scene.sweep.lambda_center)
     bearing = np.asarray(scene.rx, dtype=float) - p1
     distance = float(np.linalg.norm(bearing))
     bearing /= distance

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import _csvout, _kernels
 from .constants import C_M_PER_S
-from .scene import Scene, element_geometry
+from .scene import Scene
 from .stationarity import StationaryPartition
-from .synth import PathTable, path_blockage_db
+from .synth import PathTable, element_geometry, path_blockage_db
 
 FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
@@ -42,7 +42,7 @@ class LosGeometry(NamedTuple):
     """
 
     length: np.ndarray  # (N,) direct-path lengths
-    theta: np.ndarray   # (N,) axis angles, from scene.element_geometry
+    theta: np.ndarray   # (N,) axis angles, from synth.element_geometry
     usable: np.ndarray  # (N,) bool
 
 
@@ -53,7 +53,7 @@ class LosTruth(NamedTuple):
     """
 
     length: np.ndarray  # (N,) direct-path lengths
-    theta: np.ndarray   # (N,) axis angles, from scene.element_geometry
+    theta: np.ndarray   # (N,) axis angles, from synth.element_geometry
     amp: np.ndarray     # (N, F) real non-negative amplitudes
     usable: np.ndarray  # (N,) bool
 

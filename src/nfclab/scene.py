@@ -1,11 +1,13 @@
-"""Scenario data model, scenario file format, and exact geometric queries.
+"""Scenario data model and scenario file format.
 
 A scenario file is plain text with bracketed sections and ``key = value``
 lines; the ``_FORMAT`` table below states every section, key, value kind and bound.
 Units are meters, Hz and dB throughout.
 
-Scenes are immutable after load; every query below is a pure function and is
-safe for unrestricted concurrent reads.
+Scenes are immutable after load.  The module is pure Python: loading,
+validating and saving a scene import no numpy (only ``Sweep.frequencies``
+does, when it is called), and the array geometry over whole arrays lives
+in ``synth``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .constants import C_M_PER_S
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec3 = tuple[float, float, float]
 
@@ -87,6 +90,8 @@ class Sweep:
     n_points: int = DEFAULT_N_POINTS
 
     def frequencies(self) -> np.ndarray:
+        import numpy as np  # here, so that loading a scene does not import numpy
+
         return np.linspace(self.f_start, self.f_stop, self.n_points)
 
     @property
@@ -143,19 +148,6 @@ class Blocker:
     height: float
     normal: Vec3
 
-    def plane_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-plane unit axes (u along width, v along height)."""
-        n = np.asarray(self.normal, dtype=float)
-        up = np.array([0.0, 0.0, 1.0])
-        u = np.cross(up, n)
-        if np.linalg.norm(u) < 1e-9:
-            # Horizontal screen: fall back to the x axis for "width".
-            u = np.array([1.0, 0.0, 0.0])
-        u = u / np.linalg.norm(u)
-        v = np.cross(n, u)
-        v = v / np.linalg.norm(v)
-        return u, v
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -176,8 +168,8 @@ class Scene:
         and every point scatterer off ``rx`` and the array."""
         items = [item for _, section in _sections(self) for item in section]
         for _, kind, field_name, value in items:
-            if (kind.parse is not _parse_int and value is not None
-                    and not np.isfinite(np.asarray(value, dtype=float)).all()):
+            coords = value if kind.parse is _parse_triple else (value,)
+            if kind.parse is not _parse_int and value is not None and not all(map(math.isfinite, coords)):
                 raise SceneValidationError(field_name, f"must be finite, got {value!r}")
         for _, kind, field_name, value in items:
             broken = kind.check(value)
@@ -186,11 +178,11 @@ class Scene:
         f_start, f_stop = self.sweep.f_start, self.sweep.f_stop
         if not f_start < f_stop:
             raise SceneValidationError("f_start", f"requires f_start < f_stop, got {f_start} >= {f_stop}")
-        ends = np.vstack([element_positions(self), self.rx])  # the endpoints of every scatter leg
-        if float(_norm(ends[-1] - ends[:-1]).min()) < 1e-9:
+        if _element_distance(self.array, self.rx) < 1e-9:
             raise SceneValidationError("rx", "must not coincide with any array element")
         for i, scatterer in enumerate(self.point_scatterers):
-            if float(_norm(np.asarray(scatterer.position, dtype=float) - ends).min()) < 1e-9:
+            position = scatterer.position
+            if min(_element_distance(self.array, position), math.dist(position, self.rx)) < 1e-9:
                 raise SceneValidationError(f"scatterer[{i}].position",
                                            "must not coincide with rx or any array element")
 
@@ -203,89 +195,23 @@ def _norm3(v: Vec3) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Row norms of an (n, 3) array, rounded exactly as 1-D ``np.linalg.norm``."""
-    return np.sqrt(np.vecdot(v, v))
+def _element_distance(array: ArraySpec, q) -> float:
+    """Distance from the point ``q`` to the nearest element of ``array``, in O(1) of the element count.
 
-
-def element_positions(scene: Scene) -> np.ndarray:
-    """All element positions as an (n_elements, 3) matrix."""
-    arr = scene.array
-    origin = np.asarray(arr.origin, dtype=float)
-    axis = np.asarray(arr.axis, dtype=float)
-    steps = np.arange(arr.n_elements, dtype=float)[:, None] * arr.spacing_d
-    return origin[None, :] + steps * axis[None, :]
-
-
-def element_geometry(scene: Scene, target) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distance and axis angle from every element to a target point.
-
-    Returns ``(r, theta)``, one entry per element; ``theta[n - 1]`` is the
-    angle between the array axis and the element n -> target direction, in
-    the plane of the array line and the target where the closed-form model
-    lives.  Cosines from ``np.vecdot`` (rounded like a 1-D ``np.dot``), angles
-    from ``math.acos`` (``np.arccos`` rounds differently on ~9 % of inputs).
-    Raises ValueError if the target coincides with an element.
+    The nearest element is one of the two that bracket ``q``'s projection
+    ``t = (q - origin).axis / (d |axis|^2)`` on the array line, clamped to
+    the array; each is built with ``synth.element_positions``' formula
+    ``origin + (i*d)*axis``.
     """
-    v = np.asarray(target, dtype=float) - element_positions(scene)
-    r = _norm(v)
-    if r.min() < 1e-12:
-        raise ValueError(f"target coincides with element {int(np.argmin(r)) + 1}")
-    cos_theta = np.clip(np.vecdot(v, np.asarray(scene.array.axis, dtype=float)) / r, -1.0, 1.0)
-    return r, np.array([math.acos(c) for c in cos_theta.tolist()])
-
-
-def edge_clearance(blocker: Blocker, a, b) -> tuple[np.ndarray, ...]:
-    """Signed clearance of segments a-b against a rectangular screen.
-
-    ``a`` and ``b`` hold one segment endpoint per row, as ``(n, 3)`` arrays
-    (either may be a single point shared by every segment).  Returns arrays
-    ``(crosses_plane, h, d1, d2)`` with one entry per segment, where ``h`` is
-    the signed distance from the plane crossing point to the nearest
-    rectangle edge (positive inside the rectangle, negative in the clear),
-    and ``d1``/``d2`` are the distances from ``a``/``b`` to the crossing
-    point.  Where a segment does not cross the screen's plane the remaining
-    values are 0 and ``crosses_plane`` is False.
-    """
-    a, b = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
-    if np.any(np.all(a == b, axis=1)):
-        raise ValueError("segment endpoints coincide")
-    n = np.asarray(blocker.normal, dtype=float)
-    c = np.asarray(blocker.center, dtype=float)
-    sa = np.vecdot(a - c, n)
-    sb = np.vecdot(b - c, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = sa / (sa - sb)  # a plane-parallel segment gives inf or nan: no crossing
-    crosses = (0.0 < t) & (t < 1.0)
-    a, b, t = a[crosses], b[crosses], t[crosses]
-    p = a + t[:, None] * (b - a)
-    u, v = blocker.plane_axes()
-    du = np.abs(np.vecdot(p - c, u)) - 0.5 * blocker.width
-    dv = np.abs(np.vecdot(p - c, v)) - 0.5 * blocker.height
-    # Inside: distance to the nearest edge.  Outside: distance to the
-    # rectangle, which is one of du/dv unless the crossing faces a corner.
-    h = np.where((du <= 0.0) & (dv <= 0.0), -np.where(dv > du, dv, du),
-                 -(np.maximum(du, 0.0) + np.maximum(dv, 0.0)))
-    corner = (du > 0.0) & (dv > 0.0)
-    # math.hypot, not np.hypot: the two round differently on ~0.5 % of inputs.
-    h[corner] = [-math.hypot(x, y) for x, y in zip(du[corner].tolist(), dv[corner].tolist())]
-    out = np.zeros((3, len(crosses)))
-    out[:, crosses] = h, _norm(p - a), _norm(b - p)
-    return (crosses, *out)
-
-
-def fresnel_geometry_factor(h, d1, d2) -> np.ndarray:
-    """Wavelength-free part of the knife-edge Fresnel parameter, per crossing.
-
-    The full parameter is ``nu = h*sqrt(2*(d1+d2)/(lambda*d1*d2))``; this
-    returns ``h*sqrt(2*(d1+d2)/(d1*d2))`` so callers can evaluate nu per
-    frequency as ``factor / sqrt(lambda)``.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = h * np.sqrt(2.0 * (d1 + d2) / (d1 * d2))
-    # A crossing at a segment end (d = 0) gives +-inf by the sign of h, or 0 for h = 0.
-    at_end = np.where(h == 0.0, 0.0, np.copysign(np.inf, h))
-    return np.where((d1 == 0.0) | (d2 == 0.0), at_end, factor)
+    origin, axis, d = array.origin, array.axis, array.spacing_d
+    t = sum((qc - oc) * ac for qc, oc, ac in zip(q, origin, axis)) / (d * sum(ac * ac for ac in axis))
+    last = array.n_elements - 1
+    low = 0 if not t > 0 else last if t >= last else math.floor(t)  # a NaN t clamps to element 1
+    try:
+        return min(math.dist(q, [oc + (i * d) * ac for oc, ac in zip(origin, axis)])
+                   for i in (low, min(low + 1, last)))
+    except OverflowError:  # an index past float range: that element lies at infinity
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

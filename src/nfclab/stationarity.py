@@ -141,10 +141,15 @@ def _cmd(stack: np.ndarray) -> np.ndarray:
     product is an einsum, not a BLAS matmul, so it does not depend on the
     BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
     map is symmetric.  The Gram is normalised over ``_kernels.row_blocks``,
-    one block of the norms' outer product at a time.
+    one block of the norms' outer product at a time.  Raises
+    StationarityError where a norm overflows float64, which bounds every
+    Gram entry.
     """
     a = np.asarray(stack, dtype=np.complex128).reshape(len(stack), -1).view(np.float64)
-    norm = np.linalg.norm(a, axis=1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=1)
+    if not np.all(np.isfinite(norm)):  # then the Gram would overflow too
+        raise StationarityError("window correlations must have finite norms: |R|^2 overflows float64")
     norm = np.where(norm > 0, norm, np.inf)
     d = np.einsum("ik,jk->ij", a, a)
     for lo, hi in _kernels.row_blocks(len(d), len(d)):

@@ -1,4 +1,4 @@
-"""Propagation path enumeration and channel frequency response synthesis.
+"""Array geometry, propagation path enumeration and channel frequency response synthesis.
 
 The synthesizer is the software stand-in for a VNA sweep over a virtual
 line array: it enumerates the line-of-sight ray, one image-method specular
@@ -10,6 +10,10 @@ Everything is deterministic given (scene, seed): paths are enumerated in a
 fixed order (LOS, walls in file order, scatterers in file order) and noise
 comes from a counter-based generator, so results are independent of any
 parallel schedule.
+
+The array geometry the paths are built from, the element positions and
+axis angles and each segment's clearance against a screen, is evaluated
+here over whole arrays, so that the scene module needs no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +27,110 @@ import numpy as np
 from . import _csvout, _floatrepr, _kernels
 from ._kernels import knife_edge_loss
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
-from .scene import (Scene, Sweep, _norm, edge_clearance, element_positions,
-                    fresnel_geometry_factor)
+from .scene import Blocker, Scene, Sweep
+
+
+# ---------------------------------------------------------------------------
+# Array geometry
+# ---------------------------------------------------------------------------
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, rounded exactly as 1-D ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def element_positions(scene: Scene) -> np.ndarray:
+    """All element positions as an (n_elements, 3) matrix."""
+    arr = scene.array
+    origin = np.asarray(arr.origin, dtype=float)
+    axis = np.asarray(arr.axis, dtype=float)
+    steps = np.arange(arr.n_elements, dtype=float)[:, None] * arr.spacing_d
+    return origin[None, :] + steps * axis[None, :]
+
+
+def element_geometry(scene: Scene, target) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance and axis angle from every element to a target point.
+
+    Returns ``(r, theta)``, one entry per element; ``theta[n - 1]`` is the
+    angle between the array axis and the element n -> target direction, in
+    the plane of the array line and the target where the closed-form model
+    lives.  Cosines from ``np.vecdot`` (rounded like a 1-D ``np.dot``), angles
+    from ``math.acos`` (``np.arccos`` rounds differently on ~9 % of inputs).
+    Raises ValueError if the target coincides with an element.
+    """
+    v = np.asarray(target, dtype=float) - element_positions(scene)
+    r = _norm(v)
+    if r.min() < 1e-12:
+        raise ValueError(f"target coincides with element {int(np.argmin(r)) + 1}")
+    cos_theta = np.clip(np.vecdot(v, np.asarray(scene.array.axis, dtype=float)) / r, -1.0, 1.0)
+    return r, np.array([math.acos(c) for c in cos_theta.tolist()])
+
+
+def plane_axes(blocker: Blocker) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane unit axes of a screen (u along its width, v along its height)."""
+    n = np.asarray(blocker.normal, dtype=float)
+    up = np.array([0.0, 0.0, 1.0])
+    u = np.cross(up, n)
+    if np.linalg.norm(u) < 1e-9:
+        # Horizontal screen: fall back to the x axis for "width".
+        u = np.array([1.0, 0.0, 0.0])
+    u = u / np.linalg.norm(u)
+    v = np.cross(n, u)
+    v = v / np.linalg.norm(v)
+    return u, v
+
+
+def edge_clearance(blocker: Blocker, a, b) -> tuple[np.ndarray, ...]:
+    """Signed clearance of segments a-b against a rectangular screen.
+
+    ``a`` and ``b`` hold one segment endpoint per row, as ``(n, 3)`` arrays
+    (either may be a single point shared by every segment).  Returns arrays
+    ``(crosses_plane, h, d1, d2)`` with one entry per segment, where ``h`` is
+    the signed distance from the plane crossing point to the nearest
+    rectangle edge (positive inside the rectangle, negative in the clear),
+    and ``d1``/``d2`` are the distances from ``a``/``b`` to the crossing
+    point.  Where a segment does not cross the screen's plane the remaining
+    values are 0 and ``crosses_plane`` is False.
+    """
+    a, b = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+    if np.any(np.all(a == b, axis=1)):
+        raise ValueError("segment endpoints coincide")
+    n = np.asarray(blocker.normal, dtype=float)
+    c = np.asarray(blocker.center, dtype=float)
+    sa = np.vecdot(a - c, n)
+    sb = np.vecdot(b - c, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = sa / (sa - sb)  # a plane-parallel segment gives inf or nan: no crossing
+    crosses = (0.0 < t) & (t < 1.0)
+    a, b, t = a[crosses], b[crosses], t[crosses]
+    p = a + t[:, None] * (b - a)
+    u, v = plane_axes(blocker)
+    du = np.abs(np.vecdot(p - c, u)) - 0.5 * blocker.width
+    dv = np.abs(np.vecdot(p - c, v)) - 0.5 * blocker.height
+    # Inside: distance to the nearest edge.  Outside: distance to the
+    # rectangle, which is one of du/dv unless the crossing faces a corner.
+    h = np.where((du <= 0.0) & (dv <= 0.0), -np.where(dv > du, dv, du),
+                 -(np.maximum(du, 0.0) + np.maximum(dv, 0.0)))
+    corner = (du > 0.0) & (dv > 0.0)
+    # math.hypot, not np.hypot: the two round differently on ~0.5 % of inputs.
+    h[corner] = [-math.hypot(x, y) for x, y in zip(du[corner].tolist(), dv[corner].tolist())]
+    out = np.zeros((3, len(crosses)))
+    out[:, crosses] = h, _norm(p - a), _norm(b - p)
+    return (crosses, *out)
+
+
+def fresnel_geometry_factor(h, d1, d2) -> np.ndarray:
+    """Wavelength-free part of the knife-edge Fresnel parameter, per crossing.
+
+    The full parameter is ``nu = h*sqrt(2*(d1+d2)/(lambda*d1*d2))``; this
+    returns ``h*sqrt(2*(d1+d2)/(d1*d2))`` so callers can evaluate nu per
+    frequency as ``factor / sqrt(lambda)``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = h * np.sqrt(2.0 * (d1 + d2) / (d1 * d2))
+    # A crossing at a segment end (d = 0) gives +-inf by the sign of h, or 0 for h = 0.
+    at_end = np.where(h == 0.0, 0.0, np.copysign(np.inf, h))
+    return np.where((d1 == 0.0) | (d2 == 0.0), at_end, factor)
 
 
 def _check_finite(values: np.ndarray) -> None:

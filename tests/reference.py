@@ -22,9 +22,8 @@ from nfclab import _kernels, analysis, cli, multiplanar, stationarity, synth, wa
 from nfclab.analysis import _pair_aod, gated_los_rows, los_phase
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import TWO_PI, MultiplanarError
-from nfclab.scene import element_positions
 from nfclab.stationarity import StationarityError, _cmd, _window_correlations
-from nfclab.synth import ChannelFrequencyResponse, noise_sigma, path_table, synthesize_cfr
+from nfclab.synth import ChannelFrequencyResponse, element_positions, noise_sigma, path_table, synthesize_cfr
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -32,7 +31,7 @@ def element_geometry(scene, target):
     """Per-element ``(r, theta)`` from 1-D ``np.linalg.norm``, ``np.dot`` and ``math.acos``.
 
     One element at a time, as the per-element geometry computed it before
-    ``scene.element_geometry`` took over.
+    ``synth.element_geometry`` took over.
     """
     arr = scene.array
     origin = np.asarray(arr.origin, dtype=float)
@@ -45,6 +44,18 @@ def element_geometry(scene, target):
         r[n - 1] = float(np.linalg.norm(v))
         theta[n - 1] = math.acos(min(1.0, max(-1.0, float(np.dot(axis, v)) / r[n - 1])))
     return r, theta
+
+
+def coincidence_distances(scene):
+    """The distances ``Scene.validate``'s coincidence rule compared with 1e-9 m, from the (N + 1)-row array it built.
+
+    Every element position and rx are stacked into one array: rx's distance
+    to its nearest element, then each point scatterer's distance to its
+    nearest row, each the minimum of the row norms ``synth._norm``.
+    """
+    ends = np.vstack([element_positions(scene), scene.rx])
+    return [float(synth._norm(ends[-1] - ends[:-1]).min())] + [
+        float(synth._norm(np.asarray(s.position, dtype=float) - ends).min()) for s in scene.point_scatterers]
 
 
 def exact_relative_phase(scene, target, frequency):

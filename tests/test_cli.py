@@ -301,7 +301,7 @@ def count_calls(monkeypatch, hooks):
 
 
 def geometry_bindings():
-    """Every nfclab module that binds ``element_geometry``, the scene module included."""
+    """Every nfclab module that binds ``element_geometry``, the synth module that defines it included."""
     from nfclab import analysis, cli, multiplanar, scene, stationarity, synth, wavefront
     return tuple(module for module in (analysis, cli, multiplanar, scene, stationarity, synth, wavefront)
                  if hasattr(module, "element_geometry"))
@@ -323,6 +323,26 @@ def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
     assert calls == {"_Gate": 1, "streamed_stats": 1, "accumulate_paths": 1, "path_table": 1, "los_geometry": 1,
                      "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1,
                      "synthesize_cfr": 0, "pdp_matrix": 0, "los_truth": 0, "_window_correlations": 0}
+
+
+@pytest.mark.parametrize("preset, n_refs", [("los_lab", 6), ("olos_baffle", 8)])
+def test_mw_table_scores_each_distinct_reference_index_once(tmp_path, monkeypatch, preset, n_refs):
+    # on los_lab the CMD and slope partitions are one interval each, so their index is
+    # dyadic_2^0's; on olos_baffle no index repeats
+    from nfclab import multiplanar
+    received = []
+
+    def recording(scene, table, geometry, refs, _original=multiplanar.multiplanar_errors):
+        received.append(len(refs))
+        return _original(scene, table, geometry, refs)
+    monkeypatch.setattr(multiplanar, "multiplanar_errors", recording)
+    assert run(["run", preset, "--out", str(tmp_path)]) == 0
+    assert received == [n_refs]
+    rows = (tmp_path / "mw_error.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8
+    if preset == "los_lab":  # the rows that share dyadic_2^0's index share its score
+        one = [row.split(",", 1)[1] for row in rows if row.split(",")[1] == "1"]
+        assert len(one) == 3 and len(set(one)) == 1
 
 
 @pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
@@ -460,6 +480,27 @@ def test_near_0_hz_sweep_exit_4_with_one_line(tmp_path, command, warnings, n_poi
     assert proc.stderr.splitlines() == ["analysis error: values must be finite"]
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("f_start, message", [
+    (1e-299, "received power must be finite: |H|^2 overflows float64"),
+    (1e-200, "received power must be finite: |H|^2 overflows float64"),
+    (1e-100, "window correlations must have finite norms: |R|^2 overflows float64"),
+])
+def test_near_0_hz_band_run_exit_4_with_one_line(tmp_path, warnings, f_start, message):
+    # the wavelengths are finite, but |H|^2, or the window correlations' norms, overflow
+    scene = load_preset("los_lab")
+    path = tmp_path / "near_0_hz.scene"
+    save_scene(replace(scene, sweep=replace(scene.sweep, f_start=f_start, n_points=5)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (EXIT_ANALYSIS_FAILURE, "")
+    assert proc.stderr.splitlines() == [f"analysis error: {message}"]
+    assert not [p for p in (tmp_path / "out").iterdir()]
 
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])

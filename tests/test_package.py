@@ -37,13 +37,12 @@ ORIGIN = {
     "multiplanar": ["LosTruth", "MultiplanarError", "build_multiplanar_model", "los_truth",
                     "multiplanar_error"],
     "scene": ["ArraySpec", "Blocker", "Scatterer", "Scene", "SceneError", "SceneParseError",
-              "SceneValidationError", "Sweep", "Wall", "element_geometry", "element_positions",
-              "load_preset", "load_scene", "loads_scene", "save_scene", "serialize_scene",
-              "PRESET_NAMES"],
+              "SceneValidationError", "Sweep", "Wall", "load_preset", "load_scene", "loads_scene",
+              "save_scene", "serialize_scene", "PRESET_NAMES"],
     "stationarity": ["StationaryPartition", "characteristic_slope", "cmd_map",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"],
-    "synth": ["ChannelFrequencyResponse", "PathTable", "knife_edge_loss", "path_blockage_db",
-              "path_table", "synthesize_cfr"],
+    "synth": ["ChannelFrequencyResponse", "PathTable", "element_geometry", "element_positions",
+              "knife_edge_loss", "path_blockage_db", "path_table", "synthesize_cfr"],
     "wavefront": ["far_field_phase", "rayleigh_distance"],
 }
 
@@ -98,6 +97,17 @@ def test_submodules_and_version_resolve_after_a_bare_import():
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"module 'nfclab' has no attribute '{name}'"):
         getattr(nfclab, name)
+
+
+def test_scene_layer_imports_no_numpy(tmp_path):
+    code = ("import sys, nfclab\n"
+            "scene = nfclab.load_scene(sys.argv[1])\n"
+            "nfclab.loads_scene(nfclab.serialize_scene(scene)).validate()\n"
+            "nfclab.save_scene(nfclab.load_preset('olos_baffle'), sys.argv[2])\n"
+            "print('numpy' in sys.modules)")
+    proc = _python(code, str(PRESET), str(tmp_path / "olos.scene"), warnings=["-W", "error"])
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
+    assert (tmp_path / "olos.scene").read_text().startswith("[array]")
 
 
 def test_bare_import_is_silent_under_w_error():

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from strategies import scenes
 
 import nfclab as nl
-from nfclab import scene as scene_mod
+from nfclab import synth
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
-from nfclab.scene import Blocker, Scatterer, Scene, element_positions
-from nfclab.synth import PathTable, knife_edge_loss, path_blockage_db, path_table
+from nfclab.scene import Blocker, Scatterer, Scene
+from nfclab.synth import PathTable, element_positions, knife_edge_loss, path_blockage_db, path_table
 from nfclab.wavefront import rayleigh_distance
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def edge_clearance(blocker: Blocker, a, b) -> tuple[bool, float, float, float]:
     if not 0.0 < t < 1.0:
         return False, 0.0, 0.0, 0.0
     p = a + t * (b - a)
-    u, v = blocker.plane_axes()
+    u, v = synth.plane_axes(blocker)
     pu = float(np.dot(p - c, u))
     pv = float(np.dot(p - c, v))
     du = abs(pu) - 0.5 * blocker.width
@@ -291,7 +291,7 @@ def test_edge_clearance_matches_scalar_form():
     at_end = 0
     for screen in screens:
         n, c = np.asarray(screen.normal), np.asarray(screen.center)
-        u, v = screen.plane_axes()
+        u, v = synth.plane_axes(screen)
         a = c + rng.uniform(-3, 3, size=(400, 3))
         b = c + rng.uniform(-3, 3, size=(400, 3))
         b[:20] = a[:20] + u                 # parallel to the plane
@@ -299,8 +299,8 @@ def test_edge_clearance_matches_scalar_form():
         b[20:30] = a[20:30] - 2.0 * n       # starting on (or within rounding of) the plane,
         b[30:40] = a[30:40] + 2.0 * n       # so some crossings sit at a segment end: d1 == 0
         a[40:50], b[40:50] = b[20:30], a[20:30]  # ending there: d2 == 0
-        got = scene_mod.edge_clearance(screen, a, b)
-        geo = scene_mod.fresnel_geometry_factor(*got[1:])
+        got = synth.edge_clearance(screen, a, b)
+        geo = synth.fresnel_geometry_factor(*got[1:])
         for i in range(len(a)):
             crosses, h, d1, d2 = edge_clearance(screen, a[i], b[i])
             assert bool(got[0][i]) == crosses
@@ -316,7 +316,7 @@ def test_fresnel_geometry_factor_at_segment_ends():
     d1 = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0])
     d2 = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 0.5, 0.0, 0.0])
     want = [fresnel_geometry_factor(*args) for args in zip(h.tolist(), d1.tolist(), d2.tolist())]
-    assert_same_bits(scene_mod.fresnel_geometry_factor(h, d1, d2), np.array(want), "geo")
+    assert_same_bits(synth.fresnel_geometry_factor(h, d1, d2), np.array(want), "geo")
     assert want[:4] + want[6:] == [math.inf, -math.inf, 0.0, math.inf, -math.inf, 0.0]
 
 

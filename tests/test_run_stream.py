@@ -94,6 +94,9 @@ def test_streamed_run_matches_held_run_at_every_block_height(tmp_path, monkeypat
 FAILURES = {
     "not_finite": ({"f_start": 1e-300, "f_stop": 1e9, "n_points": 5}, []),  # the wavelength overflows
     "not_finite_two_points": ({"f_start": 1e-300, "f_stop": 1e9, "n_points": 2}, []),
+    "power_overflows": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, []),  # |H|^2 overflows
+    "power_overflows_two_points": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 2}, []),  # the window first
+    "correlation_overflows": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, []),  # |R|^2 overflows
     "two_points": ({"n_points": 2}, []),
     "two_points_buried": ({"n_points": 2}, ["--noise-floor=20"]),
     "all_noise": ({"f_start": 1e300, "f_stop": 2e300}, []),  # every |H|^2 underflows to 0
@@ -107,7 +110,8 @@ FAILURES = {
 @pytest.mark.parametrize("case", sorted(FAILURES))
 def test_streamed_run_failure_matches_held_run(tmp_path, monkeypatch, case):
     # every check runs after the stream is drained, in the held order: not finite, the Hann
-    # window, an all-noise profile, the element-1 gate, then fewer than 2 elements for the AoD
+    # window, a power that is not finite, an all-noise profile, the element-1 gate, fewer than
+    # 2 elements for the AoD, then a window correlation whose norm overflows
     changes, flags = FAILURES[case]
     changes = dict(changes)
     scene = load_preset("los_lab")

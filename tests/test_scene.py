@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import unit_vectors
 
 import nfclab as nl
-from nfclab.scene import (Blocker, SceneParseError, SceneValidationError,
-                          edge_clearance, fresnel_geometry_factor, loads_scene)
+import reference
+from nfclab.scene import (ArraySpec, Blocker, Scatterer, Scene, SceneParseError, SceneValidationError,
+                          loads_scene)
+from nfclab.synth import edge_clearance, fresnel_geometry_factor, plane_axes
 
 MINIMAL = """
 [array]
@@ -70,6 +76,59 @@ def test_rx_coincident_with_element_rejected():
     text = MINIMAL.replace("position = 0.0, 5.0, 2.5", "position = 0.0, 0.0, 2.5")
     with pytest.raises(SceneValidationError, match="rx"):
         loads_scene(text)
+
+
+# distances from element i (or rx) on both sides of the 1e-9 m coincidence bound
+OFFSETS = [0.0, 1e-10, 9.9e-10, 1.01e-9, 1e-6]
+_coords = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2000), spacing=st.floats(1e-8, 1.0), origin=_coords, axis=unit_vectors,
+       index=st.integers(0, 1999), on=st.sampled_from(["rx", "scatterer_at_element", "scatterer_at_rx"]),
+       offset=st.sampled_from(OFFSETS), direction=unit_vectors, rx=_coords)
+def test_coincidence_check_matches_the_n_row_formula(n, spacing, origin, axis, index, on, offset,
+                                                     direction, rx):
+    # validate tests the two elements that bracket a point's projection on the axis; the
+    # oracle takes the nearest of all N rows
+    array = ArraySpec(n_elements=n, spacing_d=spacing, origin=origin, axis=axis)
+    i = index % n
+    element = tuple(o + (i * spacing) * a for o, a in zip(origin, axis))  # element_positions' formula
+    anchor = rx if on == "scatterer_at_rx" else element
+    point = tuple(p + offset * u for p, u in zip(anchor, direction))
+    scene = (Scene(array=array, rx=point) if on == "rx"
+             else Scene(array=array, rx=rx, point_scatterers=(Scatterer(point, 0.5),)))
+    distances = reference.coincidence_distances(scene)
+    # the two norms round apart only within a few ulps of the bound
+    assume(all(abs(d - 1e-9) > 1e-15 for d in distances))
+    fields = ["rx"] + [f"scatterer[{k}].position" for k in range(len(distances) - 1)]
+    want = next((name for name, d in zip(fields, distances) if d < 1e-9), None)
+    if want is None:
+        scene.validate()
+    else:
+        with pytest.raises(SceneValidationError) as err:
+            scene.validate()
+        assert err.value.field_name == want
+
+
+def test_validate_allocates_nothing_per_element():
+    # a billion-element array: the coincidence check builds no position per element
+    scene = Scene(array=ArraySpec(n_elements=10 ** 9),
+                  point_scatterers=(Scatterer((1.0, 2.0, 3.0), 0.5), Scatterer((-1.0, 1.0, 2.5), 0.5)))
+    scene.validate()  # first-call caches
+    tracemalloc.start()
+    try:
+        scene.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_validate_skips_element_indices_past_float_range():
+    # t = 1 m / 5e-324 m overflows to inf, and clamps to an index with no float position
+    scene = Scene(array=ArraySpec(n_elements=10 ** 400, spacing_d=5e-324), rx=(1.0, 0.0, 2.5))
+    scene.validate()
 
 
 def test_non_unit_axis_rejected():
@@ -212,7 +271,7 @@ def test_seed_outside_uint64_rejected(seed):
 
 def test_horizontal_screen_axes():
     flat = Blocker(center=(0.0, 0.0, 1.0), width=2.0, height=4.0, normal=(0.0, 0.0, 1.0))
-    u, v = flat.plane_axes()
+    u, v = plane_axes(flat)
     assert abs(np.dot(u, v)) < 1e-12
     assert abs(np.dot(u, flat.normal)) < 1e-12
     blocked, nu = occludes(flat, (0.0, 0.0, 0.0), (0.0, 0.0, 2.0), LAM)

@@ -452,3 +452,14 @@ def test_400_digit_int_in_scene_file_one_stderr_line(tmp_path, capsys, name, key
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_400_digit_element_count_phase_check_one_stderr_line(tmp_path, capsys):
+    # Scene.validate builds no position per element, so the element array fails to allocate
+    # in the command, before the aperture (n - 1) * d can overflow
+    path = tmp_path / "big.scene"
+    path.write_text(_bound_file("array", "n_elements", BIG))
+    assert main(["phase-check", str(path), "--out", str(tmp_path / "out")]) == EXIT_ANALYSIS_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["analysis error: Maximum allowed size exceeded"]
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

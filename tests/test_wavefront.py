@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 import nfclab as nl
 from nfclab import wavefront as wf
 from nfclab.constants import C_M_PER_S
-from nfclab.scene import SceneError, element_geometry, loads_scene
+from nfclab.scene import SceneError, loads_scene
+from nfclab.synth import element_geometry
 import reference
 from strategies import scenes
 from test_analysis import REFERENCE_SCENES
