@@ -5,6 +5,11 @@ over a swept band, extracts per-element channel statistics, partitions the
 array into stationary intervals, and quantifies the multiplanar-wave
 approximation against the spherical ground truth.
 
+Each quantity has one entry point, which takes the response as ``(start,
+stop, rows)`` row blocks: ``response_blocks`` makes them from a scene's path
+table, and ``array_blocks`` from a held (say, measured) ``(N, F)`` array, so
+``streamed_stats(array_blocks(values), scene, table)`` analyses one.
+
 The package resolves its exports on first use (PEP 562): ``import nfclab``
 loads no submodule, and ``nfclab.load_scene`` loads only ``nfclab.scene``
 and the ``nfclab.constants`` it imports.
@@ -16,20 +21,17 @@ __version__ = "0.1.0"
 
 # each exported name, by the module it is read from
 _EXPORTS = {
-    "analysis": ("ChannelStats", "compute_pdp", "compute_stats", "los_phase",
-                 "received_power_db", "rms_delay_spread"),
-    "multiplanar": ("LosTruth", "MultiplanarError", "build_multiplanar_model",
-                    "los_truth", "multiplanar_error"),
+    "analysis": ("ChannelStats", "pdp_csv", "streamed_los_phase", "streamed_stats"),
+    "multiplanar": ("LosGeometry", "MultiplanarError", "build_multiplanar_model", "los_geometry",
+                    "multiplanar_errors"),
     "scene": ("ArraySpec", "Blocker", "Scatterer", "Scene", "SceneError",
               "SceneParseError", "SceneValidationError", "Sweep", "Wall",
               "load_preset", "load_scene", "loads_scene", "save_scene",
               "serialize_scene", "PRESET_NAMES"),
-    "stationarity": ("StationaryPartition", "characteristic_slope", "cmd_map",
-                     "partition_by_cmd", "partition_by_slope",
-                     "uniform_partition"),
-    "synth": ("ChannelFrequencyResponse", "PathTable", "element_geometry",
-              "element_positions", "knife_edge_loss", "path_blockage_db",
-              "path_table", "synthesize_cfr"),
+    "stationarity": ("StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
+                     "partition_by_cmd", "partition_by_slope", "uniform_partition"),
+    "synth": ("PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
+              "knife_edge_loss", "path_blockage_db", "path_table", "response_blocks"),
     "wavefront": ("far_field_phase", "rayleigh_distance"),
 }
 # the modules an eager import bound as attributes

@@ -179,7 +179,7 @@ def _block_runs(row_idx, n_rows, height):
         yield zip(firsts[lo:hi].tolist(), lasts[lo:hi].tolist())
 
 
-def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs, out=None):
+def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     """Yield the path sum one row block at a time: ``(start, stop, block)`` over ``row_blocks(n_rows, n_freqs)``.
 
     n_rows   : number of output rows
@@ -189,13 +189,11 @@ def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs,
     edge_ptr : int (n_paths+1,) CSR offsets into edge_geo
     edge_geo : float (n_edges,) knife-edge factors h*sqrt(2(d1+d2)/(d1 d2))
     freqs    : float (n_freqs,) sweep grid [Hz]
-    out      : complex128 (n_rows, n_freqs) or None
 
     ``block`` is complex128 rows ``[start, stop)`` of the sum, zeroed and then
     given the swept-frequency contribution of every path on those rows, in
-    table order.  It is ``out[start:stop]`` when ``out`` is given, else one
-    scratch block reused for every block, so a consumer must read a block
-    before it asks for the next.
+    table order.  It is one scratch block reused for every block, so a
+    consumer must read a block before it asks for the next.
     """
     with np.errstate(over="ignore"):  # a sweep from near 0 Hz: the response's finite check reports it
         lam = C_M_PER_S / freqs
@@ -204,17 +202,20 @@ def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs,
     height = block_rows(n_rows, len(freqs))
     amp_block = np.empty((height, len(freqs)))
     phasor_block = np.empty((height, *phasor_grid(len(freqs))), dtype=complex)
-    scratch = np.empty((height, len(freqs)), dtype=complex) if out is None else None
+    scratch = np.empty((height, len(freqs)), dtype=complex)
     runs = _block_runs(row_idx, n_rows, height)
     for (start, stop), block_runs in zip(row_blocks(n_rows, len(freqs)), runs):
-        block = scratch[:stop - start] if out is None else out[start:stop]
+        block = scratch[:stop - start]
         block.fill(0.0)
-        # A run's paths sit on distinct rows of this block, so its add is one slice.
-        for first, last in block_runs:
-            m, row = last - first, int(row_idx[first]) - start
-            amp = path_amplitude(gains[first:last], lengths[first:last], edge_ptr[first:last + 1],
-                                 edge_geo, lam, sqrt_lam, out=amp_block[:m])
-            term = sweep_phasors(wavenumber[first:last], freqs, out=phasor_block[:m])
-            np.multiply(term, amp, out=term)
-            block[row:row + m] += term
+        # an infinite wavelength times a 0 gain, or over an infinite edge factor, is NaN:
+        # the response's finite check reports it
+        with np.errstate(invalid="ignore"):
+            # A run's paths sit on distinct rows of this block, so its add is one slice.
+            for first, last in block_runs:
+                m, row = last - first, int(row_idx[first]) - start
+                amp = path_amplitude(gains[first:last], lengths[first:last], edge_ptr[first:last + 1],
+                                     edge_geo, lam, sqrt_lam, out=amp_block[:m])
+                term = sweep_phasors(wavenumber[first:last], freqs, out=phasor_block[:m])
+                np.multiply(term, amp, out=term)
+                block[row:row + m] += term
         yield start, stop, block

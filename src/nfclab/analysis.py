@@ -7,9 +7,9 @@ wavefront model: the reported LOS phase grows with path length, so it equals
 ``(2*pi/lambda)*(r_n - r_1)`` for a clean direct path.
 
 All operations are pure per element.  ``streamed_stats`` and
-``streamed_los_phase`` take the response as the row blocks the kernel makes,
-so the commands never hold it; the held forms feed a held array's row
-blocks to the same per-block code.
+``streamed_los_phase`` take the response as row blocks, those the kernel
+makes (``synth.response_blocks``), so the commands never hold it, or those
+of a held array (``synth.array_blocks``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import _csvout, _floatrepr, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene, Sweep
-from .synth import ChannelFrequencyResponse, PathTable, noise_sigma
+from .synth import PathTable, noise_sigma
 
 LOS_GATE_HALF_WIDTH = 2  # delay bins kept on each side of the LOS tap
 DEFAULT_DS_THRESHOLD_DB = 20.0
@@ -49,16 +49,12 @@ class ChannelStats:
         return len(self.power_db)
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    if name == "rectangular":
-        w = np.ones(n)
-    elif name == "hann":
-        w = np.hanning(n)
-    else:
-        raise ValueError(f"unknown window {name!r}; use 'rectangular' or 'hann'")
+def _hann(n: int) -> np.ndarray:
+    """The ``n``-point Hann window at unit coherent gain (unit mean)."""
+    w = np.hanning(n)
     if not w.any():  # np.hanning(2) is all zeros
-        raise AnalysisError(f"{name} window needs >= 3 sweep points, got {n}")
-    return w / w.mean()  # unit coherent gain
+        raise AnalysisError(f"hann window needs >= 3 sweep points, got {n}")
+    return w / w.mean()
 
 
 def _delay(rows: np.ndarray, taper: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -67,47 +63,12 @@ def _delay(rows: np.ndarray, taper: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifft(block, axis=-1, out=block)
 
 
-def _delay_blocks(values: np.ndarray, taper: np.ndarray):
-    """``(start, stop, ifft(values[start:stop] * taper))`` over ``_kernels.row_blocks`` of ``(R, F)`` rows.
-
-    Each block is transformed in place in one complex scratch array allocated
-    once per call, so a consumer must read a block before it asks for the
-    next.  Each row's transform does not depend on the block height: the
-    blocks equal ``ifft(values * taper, axis=-1)`` row for row, bit for bit.
-    """
-    n_rows, n = values.shape
-    scratch = np.empty((_kernels.block_rows(n_rows, n), n), dtype=np.complex128)
-    for start, stop in _kernels.row_blocks(n_rows, n):
-        yield start, stop, _delay(values[start:stop], taper, scratch[:stop - start])
-
-
 def _profile(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``n * |spectrum|^2`` of a block of ``n``-point delay spectra, written into the float ``out``."""
     out = np.abs(spectrum, out=out)
     np.square(out, out=out)
     out *= spectrum.shape[-1]
     return out
-
-
-def compute_pdp(values: np.ndarray, window: str = "hann") -> np.ndarray:
-    """Power delay profile of every ``(..., F)`` swept response along its last axis.
-
-    ``n * |ifft(values * window)|^2``: bin k maps to delay ``k / bandwidth``,
-    and the rectangular-window profile satisfies sum(PDP) == sum(|H|^2).
-    The profiles are written block by block into the one float output.
-    """
-    n = values.shape[-1]
-    taper = _window(window, n)
-    pdp = np.empty(values.shape, dtype=np.float64)
-    rows = pdp.reshape(-1, n)
-    for start, stop, spectrum in _delay_blocks(values.reshape(-1, n), taper):
-        _profile(spectrum, rows[start:stop])
-    return pdp
-
-
-def pdp_matrix(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    """``(N, F)`` Hann-window profiles of every row of the response."""
-    return compute_pdp(cfr.values)
 
 
 def _power_sums(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
@@ -125,26 +86,14 @@ def _power_db(totals: np.ndarray, n: int) -> np.ndarray:
     return np.array([-math.inf if t <= 0.0 else 10.0 * math.log10(t / n) for t in totals.tolist()])
 
 
-def received_power_db(cfr: ChannelFrequencyResponse) -> np.ndarray:
-    """Per-element mean received power ``10*log10(sum|H|^2 / n_points)`` in dB; -inf for a silent row.
-
-    ``|H|^2`` is taken block by block in one float scratch array.
-    """
-    values = cfr.values
-    n_rows, n = values.shape
-    totals = np.empty(n_rows)
-    scratch = np.empty((_kernels.block_rows(n_rows, n), n))
-    for start, stop in _kernels.row_blocks(n_rows, n):
-        _power_sums(values[start:stop], scratch[:stop - start], totals[start:stop])
-    return _power_db(totals, n)
-
-
 class _Spread:
     """RMS delay spread of ``n_rows`` profiles of ``n`` bins, fed one row block at a time.
 
     ``add`` takes each row's peak, zeroes the bins more than ``threshold_db``
     (>= 0) below it and accumulates the moments in place on the block; each
-    row's sums are its own reductions.
+    row's sums are its own reductions.  A sum may overflow float64 (a band so
+    narrow that its delay axis spans ~1e120 s, or a power near the float64
+    limit); ``spread`` raises then.
     """
 
     def __init__(self, n_rows: int, n: int, bin_width: float, threshold_db: float):
@@ -161,38 +110,27 @@ class _Spread:
         block.max(axis=-1, initial=0.0, out=peak)
         drop = np.greater_equal(block, (peak * self._scale)[:, None], out=self._drop[:stop - start])
         np.copyto(block, 0.0, where=np.logical_not(drop, out=drop))
-        block.sum(axis=-1, out=total)
-        block *= self._tau
-        block.sum(axis=-1, out=first)
-        block *= self._tau
-        block.sum(axis=-1, out=second)
+        with np.errstate(over="ignore"):  # spread() rejects a sum that overflows
+            block.sum(axis=-1, out=total)
+            block *= self._tau
+            block.sum(axis=-1, out=first)
+            block *= self._tau
+            block.sum(axis=-1, out=second)
 
     def spread(self) -> np.ndarray:
-        """The ``(n_rows,)`` spreads in seconds; raises AnalysisError if a profile has no positive bin."""
+        """The ``(n_rows,)`` spreads in seconds.
+
+        Raises AnalysisError if a profile has no positive bin, or else if a
+        sum is not finite.
+        """
         peak, total, first, second = self._sums
         if np.any(peak <= 0.0):
             raise AnalysisError("all-noise profile: no bin above the threshold")
+        if not np.all(np.isfinite(self._sums[1:])):
+            raise AnalysisError(f"delay-spread moments must be finite: the PDP's moments over a delay axis of "
+                                f"{self._tau[-1]:.3g} s overflow float64")
         mean = first / total
         return np.sqrt(np.maximum(second / total - mean * mean, 0.0))
-
-
-def rms_delay_spread(powers: np.ndarray, bin_width: float,
-                     threshold_db: float = DEFAULT_DS_THRESHOLD_DB) -> np.ndarray:
-    """RMS delay spread of every ``(..., F)`` profile, in seconds.
-
-    Bins more than ``threshold_db`` (>= 0) below their profile's peak are
-    dropped; each block of rows is copied into one scratch block, where the
-    moments are accumulated in place.
-    """
-    n = powers.shape[-1]
-    rows = powers.reshape(-1, n)
-    spread = _Spread(len(rows), n, bin_width, threshold_db)
-    scratch = np.empty((_kernels.block_rows(len(rows), n), n))
-    for start, stop in _kernels.row_blocks(len(rows), n):
-        block = scratch[:stop - start]
-        np.copyto(block, rows[start:stop])
-        spread.add(start, stop, block)
-    return spread.spread().reshape(powers.shape[:-1])[()]  # a scalar for a single profile
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +149,23 @@ def _los_bin_indices(sweep: Sweep, table: PathTable, n_rows: int) -> np.ndarray:
 class _Gate:
     """The LOS gate of ``n_rows`` rows, fed their spectra ``ifft(rows * taper)`` one row block at a time.
 
-    ``taper`` is the Hann window times the ``f / f_c`` equalizer; building it
-    raises AnalysisError on a sweep too short for the window.  Only the
-    five gate bins of each row are kept from a block, so the blocks may be
-    scratch that the next block overwrites.
+    ``taper`` is the Hann window times the ``f / f_c`` equalizer, which
+    flattens the free-space 1/f amplitude; f_c = ``frequencies()[center_index]``
+    is the grid-centre frequency, not the band mean ``f_center``.  Building
+    it raises AnalysisError on a sweep too short for the window.  Only the
+    +-LOS_GATE_HALF_WIDTH bins around each row's LOS delay ``length[n - 1] / c``
+    are kept from a block, so the blocks may be scratch that the next block
+    overwrites.
+
+    For a single path the extracted center-frequency phase is exact: the
+    equalized amplitude is constant and any real window symmetric about the
+    center sample turns every kept delay bin into the same unit phasor times
+    a real coefficient.
     """
 
     def __init__(self, sweep: Sweep, table: PathTable, n_rows: int, noise_floor_dbm: float | None):
         freqs = sweep.frequencies()
-        self.taper = _window("hann", sweep.n_points) * freqs / freqs[sweep.center_index]
+        self.taper = _hann(sweep.n_points) * freqs / freqs[sweep.center_index]
         self._sweep, self._noise_floor_dbm = sweep, noise_floor_dbm
         offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
         self._idx = (_los_bin_indices(sweep, table, n_rows)[:, None] + offsets) % sweep.n_points
@@ -229,44 +175,25 @@ class _Gate:
         self._kept[start:stop] = np.take_along_axis(spectrum, self._idx[start:stop], axis=1)
 
     def taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(center_taps, valid)`` of the rows fed so far; see ``gated_los_rows``."""
+        """``(center_taps, valid)`` of the rows fed so far.
+
+        ``center_taps`` is the forward DFT of the gated spectrum at the
+        center-frequency grid point, summed over the kept bins only, and
+        ``valid`` flags gate energy above the expected noise level.
+        """
         n, kept, idx = self._sweep.n_points, self._kept, self._idx
-        gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
+        with np.errstate(over="ignore"):  # near 0 Hz: an infinite gate power is above any noise
+            gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
         # DFT twiddle of bin k at sample `center`, its exponent reduced mod n exactly
         taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * self._sweep.center_index) % n) / n), axis=1)
         if self._noise_floor_dbm is not None:
             # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
             noise_in_gate = (noise_sigma(self._noise_floor_dbm) ** 2 * idx.shape[1]
-                             * float(np.mean(_window("hann", n) ** 2)))
+                             * float(np.mean(_hann(n) ** 2)))
             valid = gate_power > 10.0 * noise_in_gate
         else:
             valid = gate_power > 0.0
         return taps, valid
-
-
-def gated_los_rows(cfr: ChannelFrequencyResponse, scene: Scene,
-                   table: PathTable) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-gated LOS tap of every row at the center frequency, plus validity.
-
-    The row is equalized by f/f_c (flattening the free-space 1/f amplitude),
-    where f_c = ``frequencies()[center_index]`` is the grid-centre frequency,
-    not the band mean ``f_center``; it is then shaped by a symmetric Hann
-    window (suppressing leakage from other taps), transformed to the delay
-    domain and zeroed outside +-LOS_GATE_HALF_WIDTH bins around the LOS delay
-    ``length[n - 1] / c`` of ``table = path_table(scene)``.  Returns
-    ``(center_taps, valid)``: ``center_taps`` is the forward DFT of the gated
-    spectrum at the center-frequency grid point, summed over the kept bins
-    only, and ``valid`` flags gate energy above the expected noise level.
-
-    For a single path the extracted center-frequency phase is exact: the
-    equalized amplitude is constant and any real window symmetric about the
-    center sample turns every retained delay bin into the same unit phasor
-    times a real coefficient.
-    """
-    gate = _Gate(cfr.sweep, table, cfr.n_elements, scene.noise_floor_dbm)
-    for start, stop, spectrum in _delay_blocks(cfr.values, gate.taper):
-        gate.add(start, stop, spectrum)
-    return gate.taps()
 
 
 def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.ndarray:
@@ -283,37 +210,27 @@ def _unwrapped_phase(taps: np.ndarray, valid: np.ndarray, scene: Scene) -> np.nd
     return unwrapped - unwrapped[0]
 
 
-def los_phase(cfr: ChannelFrequencyResponse, scene: Scene,
-              table: PathTable) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped LOS phase along the array, referenced to element 1 = 0.
-
-    Returns (phase_rad, valid).  The phase is the delay-gated tap's
-    path-length phase at the center frequency, so it matches the closed-form
-    wavefront model directly.
-    """
-    taps, valid = gated_los_rows(cfr, scene, table)
-    return _unwrapped_phase(taps, valid, scene), valid
-
-
 def _drained(blocks, make):
     """``make()``; on AnalysisError ``blocks`` are drained first, so that a non-finite response fails first."""
     try:
         return make()
     except AnalysisError:
-        for _ in blocks:  # synthesize_cfr checks the whole response first
+        for _ in blocks:  # a block that is not finite raises here
             pass
         raise
 
 
 def streamed_los_phase(blocks, scene: Scene, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
-    """``los_phase`` of the response given as ``synth.response_blocks``, without holding it.
+    """Unwrapped LOS phase along the array, referenced to element 1 = 0: ``(phase_rad, valid)``.
 
-    Each ``(start, stop, rows)`` block is tapered, inverse-transformed and
-    gated in place as it arrives, so only the ``(N, 5)`` gate bins outlive
-    it.  The result and the errors equal ``los_phase(synthesize_cfr(scene,
-    table), scene, table)``'s: a block that is not finite fails before a
-    sweep too short for the window does, and the element-1 gate's error,
-    which counts the valid gates, follows the last block.
+    ``blocks`` are the response's ``(start, stop, rows)`` row blocks in
+    order (``synth.response_blocks`` or ``synth.array_blocks``); each is
+    tapered, inverse-transformed and gated in place as it arrives, so only
+    the ``(N, 5)`` gate bins outlive it.  The phase is the delay-gated tap's
+    path-length phase at the center frequency (see ``_Gate``), so it matches
+    the closed-form wavefront model directly.  A block that is not finite
+    fails before a sweep too short for the window does, and the element-1
+    gate's error, which counts the valid gates, follows the last block.
     """
     gate = _drained(blocks, lambda: _Gate(scene.sweep, table, scene.array.n_elements,
                                           scene.noise_floor_dbm))
@@ -350,7 +267,7 @@ def _pair_aod(sweep: Sweep, taps: np.ndarray, tap_valid: np.ndarray,
 
 
 def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=None) -> ChannelStats:
-    """``compute_stats`` of the response given as ``(start, stop, rows)`` row blocks in order, without holding it.
+    """Per-element statistics of the response given as ``(start, stop, rows)`` row blocks in order.
 
     Each block's ``|H|^2`` sums are taken first; where one is not finite
     (``|H|^2`` overflows float64) the pass raises AnalysisError before any
@@ -359,16 +276,17 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
     Hann PDP, which gives the delay-spread moments, and its LOS gate bins are
     taken in scratch allocated once; ``pdp``, when given, is called as
     ``pdp(start, stop, profiles)`` with each block's PDP before the moments
-    overwrite it.  The result and the errors equal
-    ``compute_stats(synthesize_cfr(scene, table), scene, table)``'s for
-    ``blocks = synth.response_blocks(scene, table)``: a block that is not
-    finite fails first, then a sweep too short for the Hann window, then a
-    power that is not finite, and after the last block an all-noise
-    profile, the element-1 gate and fewer than 2 elements, in that order.
+    overwrite it.  ``table`` is ``path_table(scene)``, and ``blocks`` are
+    ``synth.response_blocks(scene, table)`` or a held array's
+    ``synth.array_blocks``.  A block that is not finite fails first, then a
+    sweep too short for the Hann window, then a power that is not finite,
+    and after the last block an all-noise profile, a delay-spread moment
+    that is not finite, the element-1 gate and fewer than 2 elements, in
+    that order.
     """
     sweep = scene.sweep
     n_rows, n = scene.array.n_elements, sweep.n_points
-    hann, gate = _drained(blocks, lambda: (_window("hann", n),
+    hann, gate = _drained(blocks, lambda: (_hann(n),
                                            _Gate(sweep, table, n_rows, scene.noise_floor_dbm)))
     spread = _Spread(n_rows, n, 1.0 / sweep.bandwidth, DEFAULT_DS_THRESHOLD_DB)
     height = _kernels.block_rows(n_rows, n)
@@ -397,16 +315,6 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
                         los_valid=tap_valid, aod_valid=aod_valid)
 
 
-def compute_stats(cfr: ChannelFrequencyResponse, scene: Scene, table: PathTable) -> ChannelStats:
-    """Per-element statistics of a held response: ``streamed_stats`` of its row blocks.
-
-    ``table`` is ``path_table(scene)``; ``scene`` gives the sweep and the element count.
-    """
-    values = cfr.values
-    blocks = ((start, stop, values[start:stop]) for start, stop in _kernels.row_blocks(*values.shape))
-    return streamed_stats(blocks, scene, table)
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -430,15 +338,12 @@ def pdp_csv(path, n_rows: int, n_bins: int, bandwidth_hz: float) -> _csvout.Cell
         with np.errstate(divide="ignore"):  # an empty bin is -inf dB
             return (_floatrepr.repr_cells(10.0 * np.log10(rows)),)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # a band ~1e-300 Hz wide
+        delay_ns = np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9
+    if not np.all(np.isfinite(delay_ns)):
+        raise AnalysisError(f"pdp delay axis must be finite: bins of 1/bandwidth = {1.0 / bandwidth_hz:.3g} s "
+                            "overflow float64 in ns")
     return _csvout.CellGrid(path, ("element", "bin", "delay_ns", "power_db"), n_rows,
                             [_csvout.cells(_csvout.strs(range(n_bins))),  # formatted once per file
-                             _floatrepr.repr_cells(np.arange(n_bins) * (1.0 / bandwidth_hz) * 1e9)],
+                             _floatrepr.repr_cells(delay_ns)],
                             power_db)
-
-
-def export_pdp_csv(pdp: np.ndarray, path, bandwidth_hz: float) -> None:
-    """``pdp.csv`` of an ``(N, F)`` PDP array, elements 1..N: ``pdp_csv`` fed its row blocks."""
-    n, n_bins = pdp.shape
-    with pdp_csv(path, n, n_bins, bandwidth_hz) as grid:
-        for start, stop in _kernels.row_blocks(n, n_bins):
-            grid.add(start, stop, pdp[start:stop])

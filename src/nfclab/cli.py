@@ -207,7 +207,8 @@ def _write_run(args: argparse.Namespace, scene: Scene, files: dict[str, Path], s
 
     # Built-in checks and observations
     power_spread = float(stats.power_db.max() - stats.power_db.min())
-    phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan for a constant phase profile
+        phase_corr = float(np.corrcoef(stats.los_phase_rad, model)[0, 1])
     mw_rmse = [row[2] for row in mw_table[:DYADIC_MAX_K + 1]]
     checks = {
         "phase_model_correlation_gt_0.99": phase_corr > 0.99,
@@ -383,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (analysis.AnalysisError, stationarity.StationarityError, ValueError) as exc:
+    except ValueError as exc:  # AnalysisError, StationarityError and SceneError among them
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILURE
     except MemoryError as exc:  # an input too large to hold, e.g. --freq-points 1000000000000

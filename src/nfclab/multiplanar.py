@@ -10,11 +10,11 @@ the partition can only reduce the error.
 
 The reconstruction is LOS-only and is scored against the scene's LOS
 (spherical-wave) truth, made from the direct-path rows of the scene's path
-table: held by ``los_truth``, or one row block at a time by
-``multiplanar_errors``, which scores every partition of a run in one pass.
-Both are a real non-negative amplitude times a propagation phase, so the
-error is computed from the path-length difference and the amplitudes alone,
-without building either complex response.
+table one row block at a time by ``multiplanar_errors``, which scores every
+partition of a run in one pass.  Truth and reconstruction are both a real
+non-negative amplitude times a propagation phase, so the error is computed
+from the path-length difference and the amplitudes alone, without building
+either complex response or holding the truth.
 """
 
 from __future__ import annotations
@@ -46,18 +46,6 @@ class LosGeometry(NamedTuple):
     usable: np.ndarray  # (N,) bool
 
 
-class LosTruth(NamedTuple):
-    """The scene's spherical LOS field ``amp[n - 1](f) e^{-j2pi f length[n - 1]/c}`` of element n, held.
-
-    ``length``, ``theta`` and ``usable`` are the ``LosGeometry`` fields.
-    """
-
-    length: np.ndarray  # (N,) direct-path lengths
-    theta: np.ndarray   # (N,) axis angles, from synth.element_geometry
-    amp: np.ndarray     # (N, F) real non-negative amplitudes
-    usable: np.ndarray  # (N,) bool
-
-
 def los_geometry(scene: Scene, table: PathTable) -> LosGeometry:
     """The direct paths of ``table = path_table(scene)``, its rows ``[:N]``."""
     n = scene.array.n_elements
@@ -83,20 +71,6 @@ def _los_amplitude(table: PathTable, rows: np.ndarray, lam: np.ndarray, sqrt_lam
 def _wavelengths(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     lam = C_M_PER_S / scene.sweep.frequencies()
     return lam, np.sqrt(lam)
-
-
-def los_truth(scene: Scene, table: PathTable) -> LosTruth:
-    """LOS truth from rows ``[:N]`` of ``table = path_table(scene)``, the direct paths, held.
-
-    The amplitudes are written in place over ``_kernels.row_blocks``, so the
-    knife-edge losses of the blocked paths take block-sized temporaries.
-    """
-    geometry = los_geometry(scene, table)
-    lam, sqrt_lam = _wavelengths(scene)
-    amp = np.empty((len(geometry.length), len(lam)))
-    for start, stop in _kernels.row_blocks(*amp.shape):
-        _los_amplitude(table, np.arange(start, stop), lam, sqrt_lam, out=amp[start:stop])
-    return LosTruth(length=geometry.length, theta=geometry.theta, amp=amp, usable=geometry.usable)
 
 
 @dataclass(frozen=True)
@@ -126,7 +100,7 @@ def _fallback_reference(start: int, end: int, usable) -> int:
     return candidates[0] if candidates else ref
 
 
-def build_multiplanar_model(truth: LosGeometry | LosTruth, partition: StationaryPartition) -> np.ndarray:
+def build_multiplanar_model(geometry: LosGeometry, partition: StationaryPartition) -> np.ndarray:
     """The 1-based reference element of each element's interval, an (N,) integer array.
 
     The reference is the interval center ``floor((start+end)/2)``.  If the
@@ -134,16 +108,16 @@ def build_multiplanar_model(truth: LosGeometry | LosTruth, partition: Stationary
     nearest unblocked element in the interval instead (ties resolved toward
     lower indices).  The interval's planar wavefront is anchored there: its
     distance, axis angle and amplitude are the reference's.  Only
-    ``truth.usable`` is read.
+    ``geometry.usable`` is read.
     """
     ref = np.empty(partition.n_elements, dtype=np.intp)
     for start, end in partition.intervals:
-        ref[start - 1:end] = _fallback_reference(start, end, truth.usable)
+        ref[start - 1:end] = _fallback_reference(start, end, geometry.usable)
     return ref
 
 
 class _Scores:
-    """The sums of ``multiplanar_error`` for several reference indices, fed the LOS amplitude by row blocks.
+    """The sums of the multiplanar error for several reference indices, fed the LOS amplitude by row blocks.
 
     Every reference index's sums advance together in one scratch set,
     allocated once.  Every sum is first a per-row ``_kernels.row_dot``, an
@@ -214,40 +188,28 @@ class _Scores:
         return out
 
 
-def multiplanar_error(scene: Scene, truth: LosTruth, ref: np.ndarray) -> MultiplanarError:
-    """Wrapped phase RMSE and correlation of the planar wavefronts against the held LOS truth.
-
-    ``ref`` is ``build_multiplanar_model(truth, partition)``.  The truth is
-    the scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}``
-    (``truth.amp`` and ``truth.length``), the reconstruction is
-    ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)`` and the planar length
-    ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of element n's reference;
-    both amplitudes are real and non-negative.  So the phase error is
-    ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0`` (a zero
-    sample has no phase to compare), and the complex correlation
-    ``|<approx, truth>| / (|approx| |truth|)`` is
-    ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
-    from ``_kernels.sweep_phasors``.  The correlation sums the ``(N,)``
-    per-row sums that ``_Scores`` takes over ``_kernels.row_blocks`` of
-    ``truth.amp``.
-    """
-    scores = _Scores(scene, truth.length, truth.theta, [ref])
-    every = np.arange(len(truth.amp))
-    for start, stop in _kernels.row_blocks(*truth.amp.shape):
-        scores.add(start, stop, truth.amp[start:stop], truth.amp, every)
-    return scores.errors()[0]
-
-
 def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
                        refs: list[np.ndarray]) -> list[MultiplanarError]:
-    """``multiplanar_error`` of every reference index in ``refs``, without holding the LOS truth.
+    """Wrapped phase RMSE and correlation of the planar wavefronts of every reference index in ``refs``.
 
-    ``geometry`` is ``los_geometry(scene, table)``.  One pass over
-    ``_kernels.row_blocks`` makes each block's truth rows, and the rows of
-    the block's references that lie outside it, with ``_los_amplitude`` into
-    one scratch block sized for the largest such set; every index's sums
-    advance together.  The results equal ``multiplanar_error(scene,
-    los_truth(scene, table), ref)``'s, byte for byte.
+    ``geometry`` is ``los_geometry(scene, table)`` and each ``ref`` is
+    ``build_multiplanar_model(geometry, partition)``.  The truth is the
+    scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}`` (the
+    amplitude of ``table``'s direct path n and ``geometry.length``), the
+    reconstruction is ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)``
+    and the planar length ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of
+    element n's reference; both amplitudes are real and non-negative.  So
+    the phase error is ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where
+    ``A_n g_n = 0`` (a zero sample has no phase to compare), and the complex
+    correlation ``|<approx, truth>| / (|approx| |truth|)`` is
+    ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
+    from ``_kernels.sweep_phasors``.
+
+    One pass over ``_kernels.row_blocks`` makes each block's truth rows, and
+    the rows of the block's references that lie outside it, with
+    ``_los_amplitude`` into one scratch block sized for the largest such
+    set; every index's sums advance together, and the correlation sums the
+    ``(N,)`` per-row sums that ``_Scores`` takes.
     """
     lam, sqrt_lam = _wavelengths(scene)
     scores = _Scores(scene, geometry.length, geometry.theta, refs)

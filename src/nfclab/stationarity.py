@@ -21,7 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _csvout, _floatrepr, _kernels
 from .analysis import ChannelStats
-from .synth import ChannelFrequencyResponse
 
 DEFAULT_WINDOW_M = 4
 DEFAULT_CMD_THRESHOLD = 0.2
@@ -124,15 +123,6 @@ class WindowBands:
         return stack
 
 
-def _window_correlations(values: np.ndarray, m: int) -> np.ndarray:
-    """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows: ``WindowBands`` fed the rows."""
-    n, n_points = values.shape
-    bands = WindowBands(n, n_points, m)
-    for start, stop in _kernels.row_blocks(n, n_points):
-        bands.add(start, stop, values[start:stop])
-    return bands.correlations()
-
-
 def _cmd(stack: np.ndarray) -> np.ndarray:
     """CMD of every pair of matrices in one stack, from one Gram product.
 
@@ -159,22 +149,15 @@ def _cmd(stack: np.ndarray) -> np.ndarray:
 
 
 def distance_map(stack: np.ndarray) -> np.ndarray:
-    """The CMD between every pair of window correlations of a ``(W, m, m)`` stack, 0 on the diagonal."""
+    """The CMD between every pair of window correlations of a ``(W, m, m)`` stack, 0 on the diagonal.
+
+    Entry (i, j) is the distance between the windows starting at elements
+    i+1 and j+1 (heat-map data, ``cmd_map.csv``); all pairs come from one
+    Gram product of the flattened window correlations.
+    """
     out = _cmd(stack)
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def cmd_map(cfr: ChannelFrequencyResponse, m: int = DEFAULT_WINDOW_M) -> np.ndarray:
-    """Pairwise CMD between all m-element windows (heat-map data).
-
-    Entry (i, j) is the distance between the windows starting at elements
-    i+1 and j+1; all pairs come from one Gram product of the flattened
-    window correlations.  An array shorter than one window gives a 0x0 map.
-    """
-    if cfr.n_elements < m:
-        return np.zeros((0, 0))
-    return distance_map(_window_correlations(cfr.values, m))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +190,16 @@ def _partition(n: int, splits: list[tuple[int, float]], criterion: str,
 
 def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
                      tau: float = DEFAULT_CMD_THRESHOLD) -> StationaryPartition:
-    """Greedy reference-anchored partition of elements 1..n, read from their ``cmd_map``.
+    """Greedy reference-anchored partition of elements 1..n, read from their CMD map ``dmap``.
 
-    The reference window is the first m elements of the current interval; a
-    test window slides element by element along its map row and the first one
-    with distance above ``tau`` starts a new interval at its first element.
-    Intervals shorter than m elements are folded into their neighbors, and a
-    trailing leftover shorter than m is absorbed by the last interval.
+    ``dmap`` is ``distance_map`` of the ``(n - m + 1, m, m)`` window
+    correlations (``WindowBands``), or 0 x 0 for an array shorter than one
+    window.  The reference window is the first m elements of the current
+    interval; a test window slides element by element along its map row and
+    the first one with distance above ``tau`` starts a new interval at its
+    first element.  Intervals shorter than m elements are folded into their
+    neighbors, and a trailing leftover shorter than m is absorbed by the
+    last interval.
     """
     if m < 2:
         raise StationarityError(f"window size must be >= 2, got {m}")

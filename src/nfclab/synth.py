@@ -19,7 +19,6 @@ here over whole arrays, so that the scene module needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -138,27 +137,6 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("values must be finite")
 
 
-@dataclass(frozen=True)
-class ChannelFrequencyResponse:
-    """Complex response, elements x sweep points, relative to the Tx reference."""
-
-    values: np.ndarray
-    sweep: Sweep
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {v.shape}")
-        if v.shape[1] != self.sweep.n_points:
-            raise ValueError(f"values have {v.shape[1]} columns but sweep has {self.sweep.n_points} points")
-        _check_finite(v)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_elements(self) -> int:
-        return self.values.shape[0]
-
-
 class PathTable(NamedTuple):
     """Every propagation path of a scene as parallel arrays (the kernel's CSR table).
 
@@ -275,25 +253,14 @@ def _noise_blocks(shape, noise_floor_dbm: float, seed: int):
         yield noise
 
 
-def add_complex_noise(values: np.ndarray, noise_floor_dbm: float, seed: int) -> np.ndarray:
-    """Add seeded complex white noise to the ``(N, F)`` complex array ``values`` in place; returns it.
-
-    The noise is ``_noise_blocks``', the stream that ``response_blocks``
-    adds block by block.
-    """
-    blocks = _kernels.row_blocks(*values.shape)
-    for (start, stop), noise in zip(blocks, _noise_blocks(values.shape, noise_floor_dbm, seed)):
-        values[start:stop] += noise
-    return values
-
-
 def response_blocks(scene: Scene, table: PathTable):
     """Yield the response H(element, frequency) one row block at a time: ``(start, stop, block)``.
 
-    ``table`` is ``path_table(scene)``.  Each block is the kernel's path sum over
-    ``_kernels.row_blocks(N, F)`` plus, at the scene's noise floor, that
-    block's draw of the one seeded noise stream, so the blocks equal the rows
-    of ``synthesize_cfr``'s response bit for bit.  A block is one scratch
+    ``table`` is ``path_table(scene)``.  Each block is the kernel's path sum
+    ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
+    * exp(-j 2 pi f L / c)`` over ``_kernels.row_blocks(N, F)``, relative to
+    the 10 dBm transmit reference, plus, at the scene's noise floor, that
+    block's draw of the one seeded noise stream.  A block is one scratch
     block that the next block overwrites.  Raises ValueError on a block that
     is not finite.
     """
@@ -308,23 +275,23 @@ def response_blocks(scene: Scene, table: PathTable):
         yield start, stop, block
 
 
-def synthesize_cfr(scene: Scene, table: PathTable) -> ChannelFrequencyResponse:
-    """Synthesize the full complex response H(element, frequency) from the scene's path table.
+def array_blocks(values: np.ndarray):
+    """Yield a held ``(N, F)`` array, a measured response say, as ``response_blocks`` yields one.
 
-    ``H(n,f) = sum over paths of gain * lambda_f/(4 pi L) * 10^(-J(f)/20)
-    * exp(-j 2 pi f L / c)``, plus optional seeded noise at the configured
-    floor.  Amplitudes are relative to the 10 dBm transmit reference.
-    ``table`` is ``path_table(scene)``.  The kernel writes its blocks into
-    the one ``(N, F)`` array, and the noise is added once they are all
-    made, so the kernel's scratch is gone before the noise block is drawn.
+    Each ``(start, stop, block)`` over ``_kernels.row_blocks(N, F)`` is a copy
+    of rows ``[start, stop)`` in one scratch block that the next block
+    overwrites, so a consumer that transforms a block in place leaves
+    ``values`` unchanged.  Raises ValueError on a block that is not finite.
     """
-    freqs = scene.sweep.frequencies()
-    out = np.empty((scene.array.n_elements, len(freqs)), dtype=np.complex128)
-    for _ in _kernels.accumulate_paths(scene.array.n_elements, *table, freqs, out):
-        pass  # each block is rows of out
-    if scene.noise_floor_dbm is not None:
-        add_complex_noise(out, scene.noise_floor_dbm, scene.seed)
-    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise ValueError(f"values must be 2-D, got shape {values.shape}")
+    scratch = np.empty((_kernels.block_rows(*values.shape), values.shape[1]), dtype=values.dtype)
+    for start, stop in _kernels.row_blocks(*values.shape):
+        block = scratch[:stop - start]
+        np.copyto(block, values[start:stop])
+        _check_finite(block)
+        yield start, stop, block
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +306,3 @@ def cfr_csv(path, sweep: Sweep, n_rows: int) -> _csvout.CellGrid:
     return _csvout.CellGrid(path, ("element", "f_hz", "re", "im"), n_rows,
                             [_floatrepr.repr_cells(sweep.frequencies())],  # formatted once per file
                             lambda rows: (_floatrepr.repr_cells(rows.real), _floatrepr.repr_cells(rows.imag)))
-
-
-def export_cfr_csv(cfr: ChannelFrequencyResponse, path) -> None:
-    """``cfr.csv`` of a held response: ``cfr_csv`` fed its row blocks."""
-    n, n_freqs = cfr.values.shape
-    with cfr_csv(path, cfr.sweep, n) as grid:
-        for start, stop in _kernels.row_blocks(n, n_freqs):
-            grid.add(start, stop, cfr.values[start:stop])

@@ -4,6 +4,18 @@ import pytest
 import nfclab as nl
 
 
+def held_response(scene, table=None):
+    """The response that ``response_blocks`` makes, held as one ``(N, F)`` complex array.
+
+    ``table`` defaults to ``path_table(scene)``.
+    """
+    table = nl.path_table(scene) if table is None else table
+    values = np.empty((scene.array.n_elements, scene.sweep.n_points), dtype=np.complex128)
+    for start, stop, block in nl.response_blocks(scene, table):
+        values[start:stop] = block
+    return values
+
+
 @pytest.fixture(scope="session")
 def los_scene():
     return nl.load_preset("los_lab")
@@ -26,22 +38,22 @@ def olos_table(olos_scene):
 
 @pytest.fixture(scope="session")
 def los_cfr(los_scene, los_table):
-    return nl.synthesize_cfr(los_scene, los_table)
+    return held_response(los_scene, los_table)
 
 
 @pytest.fixture(scope="session")
 def olos_cfr(olos_scene, olos_table):
-    return nl.synthesize_cfr(olos_scene, olos_table)
+    return held_response(olos_scene, olos_table)
 
 
 @pytest.fixture(scope="session")
-def los_stats(los_cfr, los_scene, los_table):
-    return nl.compute_stats(los_cfr, los_scene, los_table)
+def los_stats(los_scene, los_table):
+    return nl.streamed_stats(nl.response_blocks(los_scene, los_table), los_scene, los_table)
 
 
 @pytest.fixture(scope="session")
-def olos_stats(olos_cfr, olos_scene, olos_table):
-    return nl.compute_stats(olos_cfr, olos_scene, olos_table)
+def olos_stats(olos_scene, olos_table):
+    return nl.streamed_stats(nl.response_blocks(olos_scene, olos_table), olos_scene, olos_table)
 
 
 @pytest.fixture(scope="session")

@@ -11,19 +11,23 @@ response's row blocks to every consumer as the kernel makes them, so
 neither holds an ``(N, F)`` array.  The tests check those fast paths against
 the plain forms below (``held_cmd_run`` is ``run`` as it held the response,
 the PDP and the LOS truth), and the closed form against
-``exact_relative_phase``, its distance-based ground truth.
+``exact_relative_phase``, its distance-based ground truth.  A held array
+reaches the streamed entry points through ``synth.array_blocks``
+(``window_stack`` and ``cmd_map`` below).
 """
 
 import math
 
 import numpy as np
 
+from collections import namedtuple
+
 from nfclab import _kernels, analysis, cli, multiplanar, stationarity, synth, wavefront
-from nfclab.analysis import _pair_aod, gated_los_rows, los_phase
+from nfclab.analysis import _hann, _pair_aod, _unwrapped_phase
 from nfclab.constants import C_M_PER_S
-from nfclab.multiplanar import TWO_PI, MultiplanarError
-from nfclab.stationarity import StationarityError, _cmd, _window_correlations
-from nfclab.synth import ChannelFrequencyResponse, element_positions, noise_sigma, path_table, synthesize_cfr
+from nfclab.multiplanar import FULL_BLOCKAGE_DB, TWO_PI, MultiplanarError
+from nfclab.stationarity import StationarityError, _cmd
+from nfclab.synth import array_blocks, element_positions, noise_sigma, path_blockage_db, path_table
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -99,18 +103,46 @@ def model_phases(scene, target, frequency):
 def path_sum(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
     """The kernel's row blocks, written into one ``(n_rows, n_freqs)`` complex array."""
     out = np.empty((n_rows, len(freqs)), dtype=np.complex128)
-    for _ in _kernels.accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs, out):
-        pass
+    for start, stop, block in _kernels.accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
+        out[start:stop] = block
     return out
+
+
+def response(scene, table):
+    """The scene's whole ``(N, F)`` response: ``path_sum`` of ``table = path_table(scene)`` plus ``complex_noise``.
+
+    Raises ValueError unless every value is finite.
+    """
+    values = path_sum(scene.array.n_elements, *table, scene.sweep.frequencies())
+    if scene.noise_floor_dbm is not None:
+        values += complex_noise(values.shape, scene.noise_floor_dbm, scene.seed)
+    synth._check_finite(values)
+    return values
 
 
 def synthesize_los_cfr(scene):
     """LOS-only spherical-truth response: the path-sum kernel over the table's rows ``[:N]``."""
     table = path_table(scene)
     n = scene.array.n_elements
-    out = path_sum(n, table.row[:n], table.length[:n], table.gain[:n], table.edge_ptr[:n + 1],
-                   table.edge_geo, scene.sweep.frequencies())
-    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
+    return path_sum(n, table.row[:n], table.length[:n], table.gain[:n], table.edge_ptr[:n + 1],
+                    table.edge_geo, scene.sweep.frequencies())
+
+
+LosTruth = namedtuple("LosTruth", "length theta amp usable")
+
+
+def los_truth(scene, table):
+    """The LOS truth held: direct-path lengths, axis angles, ``(N, F)`` amplitudes and usability.
+
+    The amplitudes are one ``_kernels.path_amplitude`` call over rows ``[:N]``
+    of ``table = path_table(scene)``, the direct paths.
+    """
+    n = scene.array.n_elements
+    lam = C_M_PER_S / scene.sweep.frequencies()
+    amp = _kernels.path_amplitude(table.gain[:n], table.length[:n], table.edge_ptr[:n + 1], table.edge_geo,
+                                  lam, np.sqrt(lam), out=np.empty((n, len(lam))))
+    return LosTruth(length=table.length[:n], theta=synth.element_geometry(scene, scene.rx)[1], amp=amp,
+                    usable=path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB)
 
 
 def synthesize_multiplanar_cfr(ref, truth, scene):
@@ -128,7 +160,7 @@ def synthesize_multiplanar_cfr(ref, truth, scene):
         length = (float(truth.length[r - 1])
                   - (n - r) * scene.array.spacing_d * math.cos(float(truth.theta[r - 1])))
         out[n - 1] = truth.amp[r - 1] * np.exp(-1j * TWO_PI * freqs * length / C_M_PER_S)
-    return ChannelFrequencyResponse(values=out, sweep=scene.sweep)
+    return out
 
 
 def _multiplanar_terms(scene, truth, ref):
@@ -142,7 +174,7 @@ def _multiplanar_terms(scene, truth, ref):
 
 
 def multiplanar_error(scene, truth, ref):
-    """The whole-array ``multiplanar_error`` that the row-blocked one replaced.
+    """The whole-array multiplanar error of ``truth = los_truth(scene, table)`` that ``multiplanar_errors`` blocks.
 
     Its correlation sums run as whole-array ``einsum`` reductions, so they
     round differently from the blocked form's per-row sums; the phase error
@@ -172,7 +204,7 @@ def multiplanar_error(scene, truth, ref):
 
 
 def fsum_correlation(scene, truth, ref):
-    """``multiplanar_error``'s correlation with every sum exactly rounded (``math.fsum``).
+    """The multiplanar error's correlation with every sum exactly rounded (``math.fsum``).
 
     The summands are the element-wise products both forms reduce: the
     weights ``A_n g_n`` times the ``sweep_phasors`` phasors, and ``A_n^2`` and
@@ -190,7 +222,7 @@ def fsum_correlation(scene, truth, ref):
 
 
 def complex_noise(shape, noise_floor_dbm, seed):
-    """The whole-array noise draw that the blocked ``synth.add_complex_noise`` replaced, verbatim.
+    """The whole-array draw of the noise stream that ``synth.response_blocks`` adds block by block.
 
     One ``standard_normal`` call over (element, frequency, re/im), viewed as
     complex and scaled.
@@ -201,42 +233,86 @@ def complex_noise(shape, noise_floor_dbm, seed):
     return noise
 
 
+def gated_los_rows(values, scene, table):
+    """The LOS gate of a held response that transformed the whole gated spectrum back.
+
+    Returns ``(rows, taps, valid, kept_taps)``: the forward FFT of each gated
+    spectrum, its center-frequency sample, whether the gate's energy is above
+    10x the expected in-gate noise, and the five-bin sum of that sample
+    that the streamed gate computes.
+    """
+    n = scene.sweep.n_points
+    freqs = scene.sweep.frequencies()
+    center = (n - 1) // 2
+    taper = _hann(n)
+    spectra = np.fft.ifft(values * (taper * freqs / freqs[center])[None, :], axis=1)
+
+    # the geometric LOS bin on the IDFT grid, whose delays alias modulo (n - 1) / B
+    k0 = (np.rint(table.length[:len(values)] / C_M_PER_S * (scene.sweep.bandwidth * n / (n - 1))) % n)
+    offsets = np.arange(-analysis.LOS_GATE_HALF_WIDTH, analysis.LOS_GATE_HALF_WIDTH + 1)
+    every = np.arange(len(values))[:, None]
+    idx = (k0.astype(int)[:, None] + offsets) % n
+    kept = spectra[every, idx]
+    gated_spectra = np.zeros_like(spectra)
+    gated_spectra[every, idx] = kept
+    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
+
+    rows = np.fft.fft(gated_spectra, axis=1)
+    kept_taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
+    if scene.noise_floor_dbm is not None:
+        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
+        noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
+                         * float(np.mean(taper ** 2)))
+        valid = gate_power > 10.0 * noise_in_gate
+    else:
+        valid = gate_power > 0.0
+    return rows, rows[:, center], valid, kept_taps
+
+
 def held_los_phase(scene, table):
-    """The LOS phase of the whole held response: ``los_phase(synthesize_cfr(scene, table), scene, table)``.
+    """The LOS phase of the whole held ``response``: ``gated_los_rows``' five-bin taps, unwrapped.
 
     ``phase-check`` computed it so before it gated the response's row blocks
-    as the kernel made them.
+    as the kernel made them; it raises what ``phase-check`` reports.
     """
-    return los_phase(synthesize_cfr(scene, table), scene, table)
+    _, _, valid, taps = gated_los_rows(response(scene, table), scene, table)
+    return _unwrapped_phase(taps, valid, scene), valid
 
 
 def held_cmd_run(args):
     """``cli.cmd_run`` as it held the response, the PDP and the LOS truth, one stage after another.
 
-    Every stage runs on the held arrays through the held API, and the files
-    are staged only once the analysis is done.  It prints and writes what
-    ``cmd_run`` does, so it is the byte oracle of the streamed pass.
+    The response (``response``) and the PDP (``pdp_rows``) are this
+    module's whole-array oracles.  The statistics, the CMD map and the
+    multiplanar errors, one call per partition, take the held response
+    through ``synth.array_blocks``, and the files are staged only once the
+    analysis is done; ``pdp.csv`` is written by ``export_pdp_csv``.  It prints
+    and writes what ``cmd_run`` does, so it is the byte oracle of the
+    streamed pass.
     """
     scene, out_dir = cli._run_setup(args)
     table = synth.path_table(scene)
-    cfr = synthesize_cfr(scene, table)
-    stats = analysis.compute_stats(cfr, scene, table)
-    pdp = analysis.pdp_matrix(cfr)
-    dmap = stationarity.cmd_map(cfr, m=args.window)
+    values = response(scene, table)
+    stats = analysis.streamed_stats(array_blocks(values), scene, table)
+    pdp = pdp_rows(values)
+    dmap = cmd_map(values, args.window)
     partitions = cli._partitions(args, dmap, stats)
-    truth = multiplanar.los_truth(scene, table)
+    geometry = multiplanar.los_geometry(scene, table)
     n = scene.array.n_elements
     named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
              for k in range(cli.DYADIC_MAX_K + 1)] + [(part.criterion, part) for part in partitions]
     mw_table = []
     for name, part in named:
-        err = multiplanar.multiplanar_error(scene, truth, multiplanar.build_multiplanar_model(truth, part))
+        [err] = multiplanar.multiplanar_errors(scene, table, geometry,
+                                               [multiplanar.build_multiplanar_model(geometry, part)])
         mw_table.append((name, part.n_intervals, err.phase_rmse, err.complex_correlation))
     fc = scene.sweep.frequencies()[scene.sweep.center_index]
-    model = wavefront.model_phases(truth.theta, scene.array.spacing_d, C_M_PER_S / fc)
+    model = wavefront.model_phases(geometry.theta, scene.array.spacing_d, C_M_PER_S / fc)
     with cli._staged(out_dir, cli.RUN_FILES) as files:
-        synth.export_cfr_csv(cfr, files["cfr.csv"])
-        analysis.export_pdp_csv(pdp, files["pdp.csv"], cfr.sweep.bandwidth)
+        with synth.cfr_csv(files["cfr.csv"], scene.sweep, n) as grid:
+            for start, stop, rows in array_blocks(values):
+                grid.add(start, stop, rows)
+        export_pdp_csv(pdp, files["pdp.csv"], scene.sweep.bandwidth)
         lines = cli._write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
     print(f"report: {out_dir / 'report.txt'}")
     for line in lines:
@@ -244,44 +320,66 @@ def held_cmd_run(args):
     return cli.EXIT_OK
 
 
-def estimate_aod(cfr, scene):
+def estimate_aod(values, scene):
     """Azimuth angle of departure per element from adjacent-pair LOS phases.
 
-    See ``analysis._pair_aod``.  Returns (theta_rad, valid); the end elements
-    belong to one pair each.  The gate sits on the LOS delays of
-    ``path_table(scene)``.
+    ``analysis._pair_aod`` of ``gated_los_rows``' five-bin taps.  Returns
+    (theta_rad, valid); the end elements belong to one pair each.  The gate
+    sits on the LOS delays of ``path_table(scene)``.
     """
-    taps, valid = gated_los_rows(cfr, scene, path_table(scene))
-    return _pair_aod(cfr.sweep, taps, valid, scene.array.spacing_d)
+    _, _, valid, taps = gated_los_rows(values, scene, path_table(scene))
+    return _pair_aod(scene.sweep, taps, valid, scene.array.spacing_d)
 
 
-def correlation_matrix(cfr, window):
+def correlation_matrix(values, window):
     """Frequency-averaged outer-product correlation over an element window.
 
     ``R = (1/n_points) * sum_f h_f h_f^H`` with ``h_f`` the window's element
-    responses at frequency f; Hermitian positive semidefinite by
-    construction.
+    responses at frequency f, one matrix product; Hermitian positive
+    semidefinite up to rounding.
     """
     start, end = window
-    if start < 1 or end > cfr.n_elements:
-        raise StationarityError(f"window {window} outside 1..{cfr.n_elements}")
-    return _window_correlations(cfr.values[start - 1:end], end - start + 1)[0]
+    if end - start < 1:
+        raise StationarityError(f"window must span >= 2 elements, got {window}")
+    if start < 1 or end > len(values):
+        raise StationarityError(f"window {window} outside 1..{len(values)}")
+    x = values[start - 1:end]
+    return (x @ x.conj().T) / x.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# Held arrays through the streamed entry points
+# ---------------------------------------------------------------------------
+
+def window_stack(values, m):
+    """``(n - m + 1, m, m)`` window correlations of a held ``(n, F)`` array: ``WindowBands`` fed its ``array_blocks``."""
+    bands = stationarity.WindowBands(*values.shape, m)
+    for start, stop, rows in array_blocks(values):
+        bands.add(start, stop, rows)
+    return bands.correlations()
+
+
+def cmd_map(values, m=stationarity.DEFAULT_WINDOW_M):
+    """The CMD map that ``run`` writes for a held response: 0 x 0 for an array shorter than one window."""
+    if len(values) < m:
+        return np.zeros((0, 0))
+    return stationarity.distance_map(window_stack(values, m))
 
 
 # ---------------------------------------------------------------------------
 # Per-element statistics, one row at a time
 # ---------------------------------------------------------------------------
 
-def pdp_rows(cfr):
-    """``(N, F)`` Hann-window PDPs, one ``n * |ifft(row * w)|^2`` per row.
+def pdp_rows(values):
+    """``(N, F)`` Hann-window PDPs of a held response, one ``n * |ifft(row * w)|^2`` per row.
 
-    The ``compute_pdp`` expression applied row by row, with the unit-mean
-    Hann window written out.
+    The PDP expression applied row by row, with the unit-mean Hann window
+    written out.
     """
-    n = cfr.sweep.n_points
+    n = values.shape[1]
     w = np.hanning(n)
     w = w / w.mean()
-    return np.stack([n * np.abs(np.fft.ifft(row * w)) ** 2 for row in cfr.values])
+    return np.stack([n * np.abs(np.fft.ifft(row * w)) ** 2 for row in values])
 
 
 def received_power(row):
@@ -295,7 +393,7 @@ def received_power(row):
 
 
 def rms_delay_spread(powers, bin_width, threshold_db=20.0):
-    """The scalar delay spread of one profile that ``rms_delay_spread`` replaced, verbatim apart from its arguments.
+    """The scalar delay spread of one profile that the per-block ``analysis._Spread`` replaced, verbatim apart from its arguments.
 
     An all-zero profile raises ``ValueError``.
     """
@@ -342,21 +440,20 @@ def merge_short_intervals(intervals, scores, min_si):
     return intervals, scores
 
 
-def partition_by_cmd(cfr, m, tau):
+def partition_by_cmd(values, m, tau):
     """The reference-anchored scan and fold of ``partition_by_cmd``, one ``_cmd`` row per anchor.
 
     The window correlations and distances come from the package's
-    ``_window_correlations`` and ``_cmd``, which ``tests/test_cmd_gram.py``
-    checks against the per-pair loops.  Each anchor's distance row is
-    computed here from the window stack, not read from ``cmd_map``, so the
-    package's walk along the map rows is checked from outside; the fold is
-    copied.
+    ``WindowBands`` and ``_cmd``, which ``tests/test_cmd_gram.py`` checks
+    against the per-pair loops.  Each anchor's distance row is computed here
+    from the window stack, not read from ``cmd_map``, so the package's walk
+    along the map rows is checked from outside; the fold is copied.
     """
-    n = cfr.n_elements
+    n = len(values)
     if n < 2 * m:
         return ((1, n),), (), (f"array of {n} elements shorter than two windows of {m}",)
 
-    stack = _window_correlations(cfr.values, m)
+    stack = window_stack(values, m)
     boundaries = []
     scores = []
     si_start = 1

@@ -1,7 +1,11 @@
 """Acceptance suite: every shipping criterion at its stated tolerance.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion.
+Every quantity is taken through the pipeline's streamed entry points: the
+response's row blocks (``response_blocks``, or ``array_blocks`` of a held
+array) feed ``streamed_stats``, ``streamed_los_phase``, ``WindowBands`` and
+``distance_map``, and the multiplanar errors come from
+``multiplanar_errors``.  Run with ``pytest tests/test_acceptance.py -v -s``
+to see one PASS line per criterion.
 """
 
 import math
@@ -9,20 +13,28 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import nfclab as nl
 from nfclab import wavefront as wf
-from nfclab.analysis import compute_pdp, rms_delay_spread
 from nfclab.cli import RUN_FILES, main as cli_main
 from nfclab.constants import C_M_PER_S
+from nfclab.scene import loads_scene
 from nfclab.stationarity import _cmd, uniform_partition
-from nfclab.synth import add_complex_noise
+from conftest import held_response
 import reference
+from test_analysis import streamed_pdp
 
 
 def report(name: str, detail: str) -> None:
     print(f"PASS  {name}: {detail}")
+
+
+def cmd_partition(blocks, n, n_points, m=4, tau=0.2):
+    """The CMD partition of an ``n``-element response given as row blocks, as ``nfclab run`` makes it."""
+    bands = nl.WindowBands(n, n_points, m)
+    for start, stop, rows in blocks:
+        bands.add(start, stop, rows)
+    return nl.partition_by_cmd(nl.distance_map(bands.correlations()), n, m=m, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +96,8 @@ def test_criterion_2_far_field_limit(los_scene):
 # 3. LOS phase vs closed-form model
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_phase_correlation(los_scene, los_cfr, los_table):
-    phase, _ = nl.los_phase(los_cfr, los_scene, los_table)
+def test_criterion_3_phase_correlation(los_scene, los_table):
+    phase, _ = nl.streamed_los_phase(nl.response_blocks(los_scene, los_table), los_scene, los_table)
     fc = los_scene.sweep.frequencies()[(los_scene.sweep.n_points - 1) // 2]
     model = wf.model_phases(nl.element_geometry(los_scene, los_scene.rx)[1], los_scene.array.spacing_d,
                             C_M_PER_S / fc)
@@ -121,10 +133,8 @@ def test_criterion_5_olos_behavior(los_scene, olos_scene, shadow_nu):
     start = time.perf_counter()
     table_los = nl.path_table(los_scene)
     table_olos = nl.path_table(olos_scene)
-    cfr_los = nl.synthesize_cfr(los_scene, table_los)
-    cfr_olos = nl.synthesize_cfr(olos_scene, table_olos)
-    stats_los = nl.compute_stats(cfr_los, los_scene, table_los)
-    stats_olos = nl.compute_stats(cfr_olos, olos_scene, table_olos)
+    stats_los = nl.streamed_stats(nl.response_blocks(los_scene, table_los), los_scene, table_los)
+    stats_olos = nl.streamed_stats(nl.response_blocks(olos_scene, table_olos), olos_scene, table_olos)
 
     shadowed = shadow_nu >= 1.0
     assert shadowed.sum() > 0
@@ -146,8 +156,9 @@ def test_criterion_5_olos_behavior(los_scene, olos_scene, shadow_nu):
 # 6. Stationary-interval recovery
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_si_recovery(los_scene, olos_cfr):
-    part = nl.partition_by_cmd(nl.cmd_map(olos_cfr, 4), olos_cfr.n_elements, m=4, tau=0.2)
+def test_criterion_6_si_recovery(los_scene, olos_scene, olos_table):
+    n_points = olos_scene.sweep.n_points
+    part = cmd_partition(nl.response_blocks(olos_scene, olos_table), olos_scene.array.n_elements, n_points)
     boundary = next((b for b in part.boundaries() if 24 <= b <= 28), None)
     assert boundary is not None
 
@@ -158,15 +169,12 @@ def test_criterion_6_si_recovery(los_scene, olos_cfr):
     scene_b = replace(bare, rx=(r * math.cos(math.radians(120)),
                                 r * math.sin(math.radians(120)), 2.5))
     splice = 32  # last element fed by scene A
-    clean = nl.ChannelFrequencyResponse(
-        values=np.vstack([nl.synthesize_cfr(scene_a, nl.path_table(scene_a)).values[:splice],
-                          nl.synthesize_cfr(scene_b, nl.path_table(scene_b)).values[splice:]]),
-        sweep=bare.sweep)
+    clean = np.vstack([held_response(scene_a)[:splice], held_response(scene_b)[splice:]])
     hits = 0
     for seed in range(100):
-        noisy = nl.ChannelFrequencyResponse(
-            values=add_complex_noise(clean.values.copy(), -95.0, seed), sweep=clean.sweep)
-        trial = nl.partition_by_cmd(nl.cmd_map(noisy, 4), noisy.n_elements, m=4, tau=0.2)
+        # the noise stream that response_blocks adds at a -95 dBm floor
+        noisy = clean + reference.complex_noise(clean.shape, -95.0, seed)
+        trial = cmd_partition(nl.array_blocks(noisy), len(noisy), n_points)
         if trial.boundaries() and abs(trial.boundaries()[0] - splice) <= 2:
             hits += 1
     assert hits >= 95
@@ -210,17 +218,11 @@ def test_criterion_7_cmd_properties():
 # 8. Multiplanar-wave refinement monotonicity
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_mw_monotonicity(los_scene):
-    truth = nl.los_truth(los_scene, nl.path_table(los_scene))
-    rmses = []
-    for k in range(6):
-        part = uniform_partition(64, 2 ** k)
-        patches = nl.build_multiplanar_model(truth, part)
-        rmses.append(nl.multiplanar_error(los_scene, truth, patches).phase_rmse)
+def test_criterion_8_mw_monotonicity(los_scene, los_table):
+    geometry = nl.los_geometry(los_scene, los_table)
+    refs = [nl.build_multiplanar_model(geometry, uniform_partition(64, 2 ** k)) for k in range(7)]
+    *rmses, singleton_rmse = [err.phase_rmse for err in nl.multiplanar_errors(los_scene, los_table, geometry, refs)]
     assert all(rmses[i + 1] <= rmses[i] + 1e-9 for i in range(5))
-
-    patches = nl.build_multiplanar_model(truth, uniform_partition(64, 64))
-    singleton_rmse = nl.multiplanar_error(los_scene, truth, patches).phase_rmse
     assert singleton_rmse < 1e-9
     report("criterion 8 (MW monotonicity)",
            "phase rmse " + " >= ".join(f"{r:.2e}" for r in rmses)
@@ -231,40 +233,40 @@ def test_criterion_8_mw_monotonicity(los_scene):
 # 9. Analysis oracles
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_analysis_oracles(los_cfr):
-    bin_width = 1.0 / los_cfr.sweep.bandwidth
-    # Parseval with the rectangular window
-    row = los_cfr.values[10]
-    pdp = compute_pdp(row, window="rectangular")
-    total = float(np.sum(np.abs(row) ** 2))
-    parseval_err = abs(pdp.sum() - total) / total
+def test_criterion_9_analysis_oracles(los_scene, los_table, los_cfr):
+    sweep = los_scene.sweep
+    n = sweep.n_points
+    bin_width = 1.0 / sweep.bandwidth
+    # Parseval: a profile sums to the power of its unit-mean Hann-tapered row
+    _, pdp = streamed_pdp(los_scene, los_table)
+    hann = np.hanning(n) / np.hanning(n).mean()
+    total = float(np.sum(np.abs(los_cfr[10] * hann) ** 2))
+    parseval_err = abs(pdp[10].sum() - total) / total
     assert parseval_err <= 1e-9
 
-    # two equal taps 10 ns apart -> DS = 5 ns (exact on the labeled grid,
-    # within half a bin when reconstructed through a synthesized sweep)
-    p = np.zeros(801)
-    p[0] = p[40] = 1.0
-    ds_direct = float(rms_delay_spread(p, 0.25e-9))
-    assert ds_direct == pytest.approx(5e-9, rel=1e-12)
+    def two_elements(distance):
+        """A bare 2-element array, its receiver ``distance`` from element 1 along the y axis."""
+        return loads_scene(f"[array]\nn_elements = 2\n[rx]\nposition = 0.0, {distance!r}, 2.5\n")
 
-    sweep = los_cfr.sweep
+    # two equal taps 10 ns apart, on bins 10 and 50 -> DS = 5 ns within half a bin
     freqs = sweep.frequencies()
-    n = sweep.n_points
-    tau2 = 40 * (n - 1) / (n * sweep.bandwidth)
-    row2 = np.exp(-2j * np.pi * freqs * 0.0) + np.exp(-2j * np.pi * freqs * tau2)
-    pdp2 = compute_pdp(row2, window="rectangular")
-    ds_cfr = float(rms_delay_spread(pdp2, bin_width))
+    step = (n - 1) / (n * sweep.bandwidth)  # the delay of one bin of the IDFT grid
+    two_tap = np.exp(-2j * np.pi * freqs * 10 * step) + np.exp(-2j * np.pi * freqs * 50 * step)
+    scene = two_elements(10 * step * C_M_PER_S)  # the LOS gate on the first tap
+    stats = nl.streamed_stats(nl.array_blocks(np.stack([two_tap, two_tap])), scene, nl.path_table(scene))
+    ds_cfr = float(stats.delay_spread_s[0])
     assert abs(ds_cfr - 5e-9) <= 0.5 * bin_width
 
-    # single path at 5 m peaks in the geometric delay bin
+    # a single path at 5 m peaks in the geometric delay bin
+    scene = two_elements(5.0)
+    table = nl.path_table(scene)
+    _, pdp = streamed_pdp(scene, table)
     tau = 5.0 / C_M_PER_S
-    row3 = np.exp(-2j * np.pi * freqs * tau)
-    pdp3 = compute_pdp(row3, window="rectangular")
-    peak = int(np.argmax(pdp3))
+    peak = int(np.argmax(pdp[0]))
     assert peak == round(tau / bin_width) == 67
     report("criterion 9 (analysis oracles)",
-           f"Parseval rel err = {parseval_err:.1e}; two-tap DS = {ds_direct * 1e9:.3f} ns "
-           f"(via CFR {ds_cfr * 1e9:.3f} ns); single-path peak bin = {peak}")
+           f"Parseval rel err = {parseval_err:.1e}; two-tap DS via CFR = {ds_cfr * 1e9:.3f} ns; "
+           f"single-path peak bin = {peak}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,80 @@ import pytest
 import nfclab as nl
 from nfclab import _kernels
 from nfclab import wavefront as wf
-from nfclab.analysis import (AnalysisError, compute_pdp, export_pdp_csv, export_stats_csv,
-                             pdp_matrix, received_power_db, rms_delay_spread)
-from nfclab.analysis import (LOS_GATE_HALF_WIDTH, _los_bin_indices, _pair_aod,
-                             _unwrapped_phase, _window, gated_los_rows, noise_sigma,
-                             streamed_los_phase)
+from nfclab.analysis import (AnalysisError, _Gate, _Spread, _delay, _hann, _pair_aod, _power_db,
+                             _power_sums, _profile, _unwrapped_phase, export_stats_csv, pdp_csv,
+                             streamed_los_phase, streamed_stats)
 from nfclab.cli import main
 from nfclab.constants import C_M_PER_S
+from nfclab.multiplanar import build_multiplanar_model, los_geometry, multiplanar_errors
 from nfclab.scene import loads_scene, save_scene
-from nfclab.stationarity import _window_correlations, uniform_partition
-from nfclab.synth import add_complex_noise, response_blocks
+from nfclab.stationarity import uniform_partition
+from nfclab.synth import array_blocks, response_blocks
+from conftest import held_response
 import reference
-from reference import element_geometry, estimate_aod, synthesize_los_cfr
+from reference import element_geometry, synthesize_los_cfr, window_stack
 from test_path_table import benchmark_scene
 from test_synth import traced_peak
 
 SWEEP = nl.Sweep()  # 11-15 GHz, 801 points, B = 4 GHz, 0.25 ns bins
+
+
+# ---------------------------------------------------------------------------
+# The per-block stages of streamed_stats, applied to held arrays
+# ---------------------------------------------------------------------------
+
+def profile(values, taper=None):
+    """The PDP ``n * |ifft(values * taper)|^2`` that ``streamed_stats`` takes of each block; Hann by default."""
+    values = np.asarray(values, dtype=complex)
+    taper = _hann(values.shape[-1]) if taper is None else taper
+    return _profile(_delay(values, taper, np.empty_like(values)), np.empty(values.shape))
+
+
+def spread(p, bin_width, threshold_db=20.0):
+    """The RMS delay spread that ``streamed_stats`` takes of each profile (``_Spread``), of one profile."""
+    moments = _Spread(1, len(p), bin_width, threshold_db)
+    moments.add(0, 1, np.array(p, dtype=float)[None])  # a copy: add overwrites its block
+    return float(moments.spread()[0])
+
+
+def power_db(values):
+    """The per-row received power that ``streamed_stats`` takes, in dB."""
+    totals = np.empty(len(values))
+    _power_sums(values, np.empty(values.shape), totals)
+    return _power_db(totals, values.shape[1])
+
+
+def gated_taps(values, scene, table):
+    """``(center_taps, valid)`` of the streamed LOS gate fed a held response's ``array_blocks``."""
+    gate = _Gate(scene.sweep, table, len(values), scene.noise_floor_dbm)
+    for start, stop, rows in array_blocks(values):
+        gate.add(start, stop, _delay(rows, gate.taper, rows))
+    return gate.taps()
+
+
+def estimate_aod(values, scene):
+    """``(aod_rad, aod_valid)`` of ``streamed_stats`` on a held response."""
+    stats = streamed_stats(array_blocks(values), scene, nl.path_table(scene))
+    return stats.aod_rad, stats.aod_valid
+
+
+def streamed_pdp(scene, table, pdp_consumer=None):
+    """``(stats, pdp)``: ``streamed_stats`` of the scene's response and the ``(N, F)`` PDP it passes on.
+
+    ``stats`` is the error message where the statistics fail after the pass
+    (one element: no AoD).
+    """
+    pdp = np.empty((scene.array.n_elements, scene.sweep.n_points))
+
+    def keep(start, stop, profiles):
+        pdp[start:stop] = profiles
+        if pdp_consumer is not None:
+            pdp_consumer(start, stop, profiles)
+    try:
+        return streamed_stats(response_blocks(scene, table), scene, table, pdp=keep), pdp
+    except ValueError as exc:
+        assert str(exc) == "need at least 2 elements to estimate angles"
+        return str(exc), pdp
 
 
 def single_path_row(tau, freqs=None, friis=False):
@@ -34,7 +92,7 @@ def single_path_row(tau, freqs=None, friis=False):
 
 
 def test_zero_row_gives_zero_pdp():
-    pdp = compute_pdp(np.zeros(801, dtype=complex))
+    pdp = profile(np.zeros(801, dtype=complex))
     assert pdp.shape == (801,)
     assert np.all(pdp == 0.0)
 
@@ -43,8 +101,8 @@ def test_single_path_peak_bin():
     # r = 5 m => tau = 16.678 ns => bin round(16.678/0.25) = 67
     tau = 5.0 / C_M_PER_S
     assert round(tau * 1e9 / 0.25) == 67
-    pdp = compute_pdp(single_path_row(tau), window="rectangular")
-    assert int(np.argmax(pdp)) == 67
+    for taper in (None, np.ones(801)):  # Hann, as the pipeline takes it, and rectangular
+        assert int(np.argmax(profile(single_path_row(tau), taper))) == 67
 
 
 def test_two_tap_pdp_peaks_40_bins_apart():
@@ -52,27 +110,28 @@ def test_two_tap_pdp_peaks_40_bins_apart():
     # delays aligned with the IDFT grid (zero leakage): bin k at k*(n-1)/(n*B)
     tau_of_bin = lambda k: k * (n - 1) / (n * SWEEP.bandwidth)
     row = single_path_row(tau_of_bin(0)) + single_path_row(tau_of_bin(40))
-    pdp = compute_pdp(row, window="rectangular")
+    pdp = profile(row, np.ones(n))
     top2 = np.argsort(pdp)[-2:]
     assert set(top2) == {0, 40}
     assert pdp[1:40].max() < 1e-20 * pdp[0]
 
 
 def test_parseval_rectangular(los_cfr):
+    # sum(PDP) == sum(|H taper|^2): for the rectangular taper that is the received power
+    hann = _hann(los_cfr.shape[1])
     for i in (0, 17, 63):
-        row = los_cfr.values[i]
-        pdp = compute_pdp(row, window="rectangular")
-        total_f = float(np.sum(np.abs(row) ** 2))
-        assert abs(pdp.sum() - total_f) <= 1e-9 * total_f
+        row = los_cfr[i]
+        for taper in (np.ones(len(row)), hann):
+            total_f = float(np.sum(np.abs(row * taper) ** 2))
+            assert abs(profile(row, taper).sum() - total_f) <= 1e-9 * total_f
 
 
 def test_received_power_values():
-    ones = nl.ChannelFrequencyResponse(values=np.ones((1, 100), dtype=complex), sweep=nl.Sweep(n_points=100))
-    assert nl.received_power_db(ones)[0] == pytest.approx(0.0, abs=1e-12)
+    assert power_db(np.ones((1, 100), dtype=complex))[0] == pytest.approx(0.0, abs=1e-12)
     rows = np.zeros((3, 64), dtype=complex)
     rows[0] = 0.5
     rows[2, 7] = 8.0  # one bin: 64 / 64 -> 0 dB
-    power = nl.received_power_db(nl.ChannelFrequencyResponse(values=rows, sweep=nl.Sweep(n_points=64)))
+    power = power_db(rows)
     assert power[0] == pytest.approx(-6.02, abs=5e-3)
     assert power[1] == -math.inf
     assert power[2] == 0.0
@@ -81,46 +140,46 @@ def test_received_power_values():
 def test_rms_delay_spread_single_bin_zero():
     p = np.zeros(801)
     p[123] = 4.2
-    assert rms_delay_spread(p, 0.25e-9) == 0.0
+    assert spread(p, 0.25e-9) == 0.0
 
 
 def test_rms_delay_spread_two_tap_closed_form():
     p = np.zeros(801)
     p[0] = 1.0
     p[40] = 1.0  # equal powers at 0 ns and 10 ns -> DS = 5 ns
-    assert rms_delay_spread(p, 0.25e-9) == pytest.approx(5e-9, rel=1e-12)
+    assert spread(p, 0.25e-9) == pytest.approx(5e-9, rel=1e-12)
 
 
 def test_rms_delay_spread_invariances():
     rng = np.random.default_rng(5)
     p = np.zeros(801)
     p[10:20] = rng.uniform(0.1, 1.0, 10)
-    ds = rms_delay_spread(p, 0.25e-9)
-    assert rms_delay_spread(7.5 * p, 0.25e-9) == pytest.approx(ds, rel=1e-12)
-    assert rms_delay_spread(np.roll(p, 100), 0.25e-9) == pytest.approx(ds, rel=1e-9)
+    ds = spread(p, 0.25e-9)
+    assert spread(7.5 * p, 0.25e-9) == pytest.approx(ds, rel=1e-12)
+    assert spread(np.roll(p, 100), 0.25e-9) == pytest.approx(ds, rel=1e-9)
 
 
 def test_rms_delay_spread_threshold_zeroes_weak_bins():
     p = np.zeros(801)
     p[0] = 1.0
     p[400] = 1e-4  # 40 dB below the peak: removed at the default 20 dB cut
-    assert rms_delay_spread(p, 0.25e-9) == 0.0
-    assert rms_delay_spread(p, 0.25e-9, threshold_db=50.0) > 5e-10
+    assert spread(p, 0.25e-9) == 0.0
+    assert spread(p, 0.25e-9, threshold_db=50.0) > 5e-10
 
 
 def test_rms_delay_spread_all_noise_error():
     with pytest.raises(AnalysisError):
-        rms_delay_spread(np.zeros(801), 0.25e-9)
+        spread(np.zeros(801), 0.25e-9)
 
 
 def test_rms_delay_spread_keeps_a_bin_exactly_at_the_threshold():
     p = np.zeros(801)
     p[0] = 1.0
     p[40] = 0.01  # exactly 20 dB below the peak: kept
-    ds = rms_delay_spread(p, 0.25e-9)
+    ds = spread(p, 0.25e-9)
     assert ds == pytest.approx(math.sqrt(0.01) / 1.01 * 10e-9, rel=1e-12)
     assert ds == reference.rms_delay_spread(p, 0.25e-9)
-    assert rms_delay_spread(p, 0.25e-9, threshold_db=0.0) == 0.0  # the peak alone
+    assert spread(p, 0.25e-9, threshold_db=0.0) == 0.0  # the peak alone
 
 
 @pytest.mark.parametrize("threshold_db", [-1.0, -1e-300, math.nan])
@@ -128,13 +187,13 @@ def test_rms_delay_spread_rejects_a_bad_threshold(threshold_db):
     p = np.zeros(801)
     p[3] = 1.0
     with pytest.raises(ValueError, match="threshold_db"):
-        rms_delay_spread(p, 0.25e-9, threshold_db=threshold_db)
+        spread(p, 0.25e-9, threshold_db=threshold_db)
 
 
 def test_los_phase_single_path_matches_oracle():
     scene = loads_scene("[array]\nn_elements = 16\n[rx]\nposition = 2.0, 7.0, 2.5\n")
-    cfr = synthesize_los_cfr(scene)
-    phase, valid = nl.los_phase(cfr, scene, nl.path_table(scene))
+    values = synthesize_los_cfr(scene)
+    phase, valid = streamed_los_phase(array_blocks(values), scene, nl.path_table(scene))
     assert phase[0] == 0.0
     assert np.all(valid)
     fc = scene.sweep.frequencies()[scene.sweep.center_index]
@@ -145,8 +204,7 @@ def test_los_phase_single_path_matches_oracle():
 def test_los_phase_broadside_symmetric_pair():
     scene = loads_scene("[array]\nn_elements = 2\nspacing_d = 0.0125\n"
                         "[rx]\nposition = 0.00625, 5.0, 2.5\n")
-    cfr = synthesize_los_cfr(scene)
-    phase, _ = nl.los_phase(cfr, scene, nl.path_table(scene))
+    phase, _ = streamed_los_phase(array_blocks(synthesize_los_cfr(scene)), scene, nl.path_table(scene))
     assert phase[1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -171,7 +229,7 @@ def planar_scene_and_cfr(theta_deg, n_elements=16, r0=5000.0):
     lengths = r0 - np.arange(n_elements)[:, None] * d * math.cos(theta)
     values = (scene.sweep.f_center / freqs)[None, :] * np.exp(
         -2j * math.pi * freqs[None, :] * lengths / C_M_PER_S)
-    return scene, nl.ChannelFrequencyResponse(values=values, sweep=scene.sweep)
+    return scene, values
 
 
 def test_estimate_aod_broadside_injection():
@@ -213,7 +271,7 @@ def test_estimate_aod_supra_physical_step_flagged():
     lengths = 5000.0 - np.arange(8)[:, None] * step
     values = (scene.sweep.f_center / freqs)[None, :] * np.exp(
         -2j * math.pi * freqs[None, :] * lengths / C_M_PER_S)
-    theta, valid = estimate_aod(nl.ChannelFrequencyResponse(values=values, sweep=scene.sweep), scene)
+    theta, valid = estimate_aod(values, scene)
     assert not np.any(valid)
     assert np.all(np.isfinite(theta))  # clamped, not NaN
 
@@ -223,14 +281,13 @@ def test_los_phase_noise_only_gate_flagged():
                         "[noise]\nfloor_dbm = -90.0\n")
     sweep = scene.sweep
     # a silent array plus noise: nothing but noise in every gate
-    silent = np.zeros((4, sweep.n_points), dtype=complex)
-    noisy = nl.ChannelFrequencyResponse(values=add_complex_noise(silent, -90.0, 1), sweep=sweep)
+    noisy = reference.complex_noise((4, sweep.n_points), -90.0, 1)
     table = nl.path_table(scene)
-    valid = gated_los_rows(noisy, scene, table)[1]
-    assert not np.any(valid)
+    assert not np.any(gated_taps(noisy, scene, table)[1])
+    with pytest.raises(AnalysisError, match="noise floor; 0 of 4 elements' gates are valid"):
+        streamed_los_phase(array_blocks(noisy), scene, table)
     # an actual synthesized channel at the same floor is comfortably valid
-    cfr = nl.synthesize_cfr(scene, table)
-    valid = gated_los_rows(cfr, scene, table)[1]
+    valid = streamed_los_phase(response_blocks(scene, table), scene, table)[1]
     assert np.all(valid)
 
 
@@ -255,7 +312,8 @@ def test_stats_table_and_exports(tmp_path, los_stats):
 
 def test_pdp_export(tmp_path, los_cfr):
     out = tmp_path / "pdp.csv"
-    export_pdp_csv(pdp_matrix(los_cfr)[:2], out, los_cfr.sweep.bandwidth)
+    with pdp_csv(out, 2, los_cfr.shape[1], SWEEP.bandwidth) as grid:
+        grid.add(0, 2, profile(los_cfr[:2]))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "element,bin,delay_ns,power_db"
     assert len(lines) == 1 + 2 * 801
@@ -288,26 +346,22 @@ REFERENCE_SCENES = {
 def test_pdp_array_and_los_delays_match_per_row_reference(name):
     scene = REFERENCE_SCENES[name]()
     table = nl.path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
-    ref = reference.pdp_rows(cfr)
-    pdp = pdp_matrix(cfr)
-    assert pdp.shape == (cfr.n_elements, cfr.sweep.n_points)
+    values = reference.response(scene, table)
+    ref = reference.pdp_rows(values)
+    stats, pdp = streamed_pdp(scene, table)
     assert np.array_equal(_bits(pdp), _bits(ref))
     # the LOS delays, read from the table's direct-path rows, are the scalar |rx - p_n| / c
     delays = element_geometry(scene, scene.rx)[0] / C_M_PER_S
-    assert np.array_equal(_bits(table.length[:cfr.n_elements] / C_M_PER_S), _bits(delays))
-    if name == "far_check":  # phase-check: no statistics table
-        return
-    stats = nl.compute_stats(cfr, scene, table)
+    assert np.array_equal(_bits(table.length[:len(values)] / C_M_PER_S), _bits(delays))
     assert stats.power_db.tobytes() == np.array([reference.received_power(row)
-                                                 for row in cfr.values]).tobytes()
-    bin_width = 1.0 / cfr.sweep.bandwidth
+                                                 for row in values]).tobytes()
+    bin_width = 1.0 / scene.sweep.bandwidth
     assert stats.delay_spread_s.tobytes() == np.array([reference.rms_delay_spread(p, bin_width)
                                                        for p in ref]).tobytes()
     assert stats.tau_los_s.tobytes() == delays.tobytes()
-    # the one shared gate gives what the single-purpose functions give
-    phase, los_valid = nl.los_phase(cfr, scene, table)
-    aod, aod_valid = estimate_aod(cfr, scene)
+    # the one shared gate gives what the whole-array gate gives
+    phase, los_valid = reference.held_los_phase(scene, table)
+    aod, aod_valid = reference.estimate_aod(values, scene)
     assert stats.los_phase_rad.tobytes() == phase.tobytes()
     assert stats.aod_rad.tobytes() == aod.tobytes()
     assert np.array_equal(stats.los_valid, los_valid) and np.array_equal(stats.aod_valid, aod_valid)
@@ -317,54 +371,20 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
 # LOS taps from the five gated bins against the full inverse-FFT form
 # ---------------------------------------------------------------------------
 
-def _ref_gated_los_rows(cfr, scene, table):
-    """The ``gated_los_rows`` that transformed the whole gated spectrum back, verbatim."""
-    values = cfr.values
-    n = cfr.sweep.n_points
-    freqs = cfr.sweep.frequencies()
-    center = (n - 1) // 2
-    taper = _window("hann", n)
-    equalized = values * (taper * freqs / freqs[center])[None, :]
-    spectra = np.fft.ifft(equalized, axis=1)
-
-    k0 = _los_bin_indices(cfr.sweep, table, cfr.n_elements)
-    offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
-    every = np.arange(cfr.n_elements)[:, None]
-    idx = (k0[:, None] + offsets) % n
-    kept = spectra[every, idx]
-    gated_spectra = np.zeros_like(spectra)
-    gated_spectra[every, idx] = kept
-    gate_power = np.sum(np.abs(kept) ** 2, axis=1) * n
-
-    rows = np.fft.fft(gated_spectra, axis=1)
-    taps = rows[:, center]
-    # the whole-array form of the five-bin sum gated_los_rows computes
-    kept_taps = np.sum(kept * np.exp(-2j * math.pi * ((idx * center) % n) / n), axis=1)
-
-    if scene.noise_floor_dbm is not None:
-        # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
-        noise_in_gate = (noise_sigma(scene.noise_floor_dbm) ** 2 * len(offsets)
-                         * float(np.mean(taper ** 2)))
-        valid = gate_power > 10.0 * noise_in_gate
-    else:
-        valid = gate_power > 0.0
-    return rows, taps, valid, kept_taps
-
-
 @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
 def test_los_taps_match_fft_reference(name):
     """Tap phase, LOS phase and AoD within 1e-12 rad; validity masks identical."""
     scene = REFERENCE_SCENES[name]()
     table = nl.path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
-    _, ref_taps, ref_valid, _ = _ref_gated_los_rows(cfr, scene, table)
-    taps, valid = gated_los_rows(cfr, scene, table)
+    values = held_response(scene, table)
+    _, ref_taps, ref_valid, _ = reference.gated_los_rows(values, scene, table)
+    taps, valid = gated_taps(values, scene, table)
     assert np.array_equal(valid, ref_valid)
     assert np.abs(np.angle(taps * np.conj(ref_taps))).max() <= 1e-12
-    phase, _ = nl.los_phase(cfr, scene, table)
+    phase, _ = streamed_los_phase(response_blocks(scene, table), scene, table)
     assert np.abs(phase - _unwrapped_phase(ref_taps, ref_valid, scene)).max() <= 1e-12
-    aod, aod_valid = estimate_aod(cfr, scene)
-    ref_aod, ref_aod_valid = _pair_aod(cfr.sweep, ref_taps, ref_valid, scene.array.spacing_d)
+    aod, aod_valid = estimate_aod(values, scene)
+    ref_aod, ref_aod_valid = _pair_aod(scene.sweep, ref_taps, ref_valid, scene.array.spacing_d)
     assert np.array_equal(aod_valid, ref_aod_valid)
     assert np.abs(aod - ref_aod).max() <= 1e-12
 
@@ -388,23 +408,30 @@ BLOCK_SCENES = {
 def test_blocked_gate_and_pdp_match_whole_array_bytes(monkeypatch, name, rows_per_block):
     scene = BLOCK_SCENES[name]()
     table = nl.path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
+    values = reference.response(scene, table)
     if rows_per_block is not None:
-        monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * cfr.sweep.n_points)
-    assert pdp_matrix(cfr).tobytes() == reference.pdp_rows(cfr).tobytes()
-    _, _, ref_valid, ref_taps = _ref_gated_los_rows(cfr, scene, table)
-    taps, valid = gated_los_rows(cfr, scene, table)
+        monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * scene.sweep.n_points)
+    assert streamed_pdp(scene, table)[1].tobytes() == reference.pdp_rows(values).tobytes()
+    _, _, ref_valid, ref_taps = reference.gated_los_rows(values, scene, table)
+    taps, valid = gated_taps(values, scene, table)
     assert taps.tobytes() == ref_taps.tobytes()
     assert np.array_equal(valid, ref_valid)
 
 
 def test_delay_stages_hold_no_full_size_complex_temporary():
-    # 1024 x 801 on olos_baffle: only block scratch beside the (N, 5) gate bins and the PDP output
+    # 1024 x 801 on olos_baffle: only block scratch beside the (N, 5) gate bins and the (N,) outputs
+    # (3.3 MB measured for the statistics: the kernel's, the PDP's and the gate's blocks)
     scene = REFERENCE_SCENES["far_check"]()
     table = nl.path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
-    assert traced_peak(gated_los_rows, cfr, scene, table) <= 0.25 * cfr.values.nbytes
-    assert traced_peak(pdp_matrix, cfr) <= 0.75 * cfr.values.nbytes
+    response_bytes = scene.array.n_elements * scene.sweep.n_points * np.dtype(complex).itemsize
+
+    def los_phase():
+        return streamed_los_phase(response_blocks(scene, table), scene, table)
+
+    def stats():
+        return streamed_stats(response_blocks(scene, table), scene, table)
+    assert traced_peak(los_phase) <= 0.25 * response_bytes
+    assert traced_peak(stats) <= 0.3 * response_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -414,25 +441,22 @@ def test_delay_stages_hold_no_full_size_complex_temporary():
 def _row_blocked_outputs(scene, tmp_path):
     """Bytes of every row-blocked stage of ``nfclab run``, at the current block budget."""
     table = nl.path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
-    n = cfr.n_elements
-    truth = nl.los_truth(scene, table)
-    pdp = pdp_matrix(cfr)
-    out = {"cfr": cfr.values.tobytes(), "truth": truth.amp.tobytes(),
-           "power": received_power_db(cfr).tobytes(),
-           "ds": rms_delay_spread(pdp, 1.0 / cfr.sweep.bandwidth).tobytes()}
-    for n_intervals in sorted({1, min(4, n), n}):
-        err = nl.multiplanar_error(scene, truth,
-                                   nl.build_multiplanar_model(truth, uniform_partition(n, n_intervals)))
-        out[f"mw_{n_intervals}"] = (np.float64(err.phase_rmse).tobytes(),
-                                    np.float64(err.complex_correlation).tobytes(),
-                                    err.per_element_phase_dev.tobytes())
+    values = held_response(scene, table)
+    n = len(values)
+    with pdp_csv(tmp_path / "pdp.csv", n, scene.sweep.n_points, scene.sweep.bandwidth) as grid:
+        stats, pdp = streamed_pdp(scene, table, grid.add)
+    out = {"cfr": values.tobytes(), "pdp": pdp.tobytes(), "pdp_csv": (tmp_path / "pdp.csv").read_bytes()}
     if n >= 2:
-        out["window_correlations"] = _window_correlations(cfr.values, min(4, n)).tobytes()
+        out["stats"] = tuple(np.asarray(field).tobytes() for field in vars(stats).values())
+        out["window_correlations"] = window_stack(values, min(4, n)).tobytes()
+    geometry = los_geometry(scene, table)
+    counts = sorted({1, min(4, n), n})
+    refs = [build_multiplanar_model(geometry, uniform_partition(n, k)) for k in counts]
+    for k, err in zip(counts, multiplanar_errors(scene, table, geometry, refs)):
+        out[f"mw_{k}"] = (np.float64(err.phase_rmse).tobytes(), np.float64(err.complex_correlation).tobytes(),
+                          err.per_element_phase_dev.tobytes())
     phase, valid = streamed_los_phase(response_blocks(scene, table), scene, table)
     out["streamed_los_phase"] = (phase.tobytes(), valid.tobytes())
-    export_pdp_csv(pdp, tmp_path / "pdp.csv", cfr.sweep.bandwidth)
-    out["pdp_csv"] = (tmp_path / "pdp.csv").read_bytes()
     return out
 
 
@@ -449,9 +473,9 @@ INVARIANCE_SCENES = {
 @pytest.mark.parametrize("name", sorted(INVARIANCE_SCENES))
 def test_row_blocked_stages_do_not_depend_on_the_block_height(monkeypatch, tmp_path, name,
                                                               rows_per_block):
-    # the noisy response, the LOS truth, power, delay spread, multiplanar error, window
-    # correlations, pdp.csv and phase-check's LOS phase: each row's reductions are its own,
-    # whatever the block height
+    # the noisy response, its PDP and pdp.csv, the statistics, the multiplanar errors (the LOS
+    # truth's amplitude included), the window correlations and phase-check's LOS phase: each
+    # row's reductions are its own, whatever the block height
     scene = replace(INVARIANCE_SCENES[name](), noise_floor_dbm=-90.0, seed=7)
     expected = _row_blocked_outputs(scene, tmp_path)
     monkeypatch.setattr(_kernels, "BLOCK_SAMPLES", rows_per_block * scene.sweep.n_points)
@@ -497,10 +521,10 @@ def test_phase_check_holds_block_scratch_only(tmp_path):
 
 
 def test_row_blocked_statistics_hold_block_scratch_only():
-    # 64 x 6401 (sweep_deep): a block of 5 rows of scratch beside the (N,) outputs
+    # 64 x 6401 (sweep_deep): blocks of 5 rows of scratch beside the (N,) outputs, also when
+    # the response is a held array (the window bands: 1.1 MB measured, the adapter's copy and the ring)
     scene = REFERENCE_SCENES["sweep_deep"]()
-    cfr = nl.synthesize_cfr(scene, nl.path_table(scene))
-    pdp = pdp_matrix(cfr)
-    assert traced_peak(received_power_db, cfr) <= 0.1 * cfr.values.nbytes
-    assert traced_peak(rms_delay_spread, pdp, 1.0 / cfr.sweep.bandwidth) <= 0.1 * cfr.values.nbytes
-    assert traced_peak(_window_correlations, cfr.values, 4) <= 0.1 * cfr.values.nbytes
+    table = nl.path_table(scene)
+    values = held_response(scene, table)
+    assert traced_peak(lambda: streamed_stats(array_blocks(values), scene, table)) <= 0.3 * values.nbytes
+    assert traced_peak(window_stack, values, 4) <= 0.2 * values.nbytes

@@ -17,7 +17,7 @@ from strategies import scenes
 import nfclab
 from nfclab.cli import (EXIT_ANALYSIS_FAILURE, EXIT_PARSE_FAILURE,
                         EXIT_UNKNOWN_PRESET, EXIT_WRITE_FAILURE, RUN_FILES, main)
-from nfclab.scene import SceneError, load_preset, save_scene
+from nfclab.scene import Scatterer, SceneError, load_preset, save_scene
 
 
 def run(args):
@@ -313,16 +313,12 @@ def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
     calls = count_calls(monkeypatch, {"_Gate": analysis, "streamed_stats": analysis, "accumulate_paths": _kernels,
                                       "path_table": synth, "los_geometry": multiplanar,
                                       "multiplanar_errors": multiplanar, "model_phases": wavefront,
-                                      "element_geometry": geometry_bindings(), "WindowBands": stationarity,
-                                      # the held forms, which make (N, F) arrays
-                                      "synthesize_cfr": synth, "pdp_matrix": analysis, "los_truth": multiplanar,
-                                      "_window_correlations": stationarity})
+                                      "element_geometry": geometry_bindings(), "WindowBands": stationarity})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
     # one path table, one kernel pass, one gate and one PDP per block, one band build and one
-    # direct-path geometry; all 8 mw rows share one pass over the LOS truth, and no (N, F) array is made
+    # direct-path geometry; all 8 mw rows share one pass over the LOS truth
     assert calls == {"_Gate": 1, "streamed_stats": 1, "accumulate_paths": 1, "path_table": 1, "los_geometry": 1,
-                     "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1,
-                     "synthesize_cfr": 0, "pdp_matrix": 0, "los_truth": 0, "_window_correlations": 0}
+                     "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1}
 
 
 @pytest.mark.parametrize("preset, n_refs", [("los_lab", 6), ("olos_baffle", 8)])
@@ -371,12 +367,12 @@ def test_out_of_memory_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
 def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):
     from nfclab import _kernels, multiplanar, synth, wavefront
     calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth,
-                                      "los_truth": multiplanar, "model_phases": wavefront,
+                                      "los_geometry": multiplanar, "model_phases": wavefront,
                                       "far_field_phase": wavefront,
                                       "element_geometry": geometry_bindings()})
     assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
     # the whole array's near- and far-field models in one call each, from one geometry
-    assert calls == {"accumulate_paths": 1, "path_table": 1, "los_truth": 0,
+    assert calls == {"accumulate_paths": 1, "path_table": 1, "los_geometry": 0,
                      "model_phases": 1, "far_field_phase": 1, "element_geometry": 1}
 
 
@@ -482,6 +478,25 @@ def test_near_0_hz_sweep_exit_4_with_one_line(tmp_path, command, warnings, n_poi
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["run", "phase-check"])
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+def test_near_0_hz_sweep_with_a_silent_path_exit_4_with_one_line(tmp_path, command, warnings):
+    # a scatterer of amplitude 0 times the infinite wavelength c / 1e-300 Hz is NaN; the
+    # response's finite check reports it as for every other path
+    scene = load_preset("los_lab")
+    silent = Scatterer(position=(1.0, 3.0, 2.0), amplitude=0.0)
+    path = tmp_path / "silent_path.scene"
+    save_scene(replace(scene, point_scatterers=scene.point_scatterers + (silent,),
+                       sweep=replace(scene.sweep, f_start=1e-300, n_points=5)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", command, str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (EXIT_ANALYSIS_FAILURE, "")
+    assert proc.stderr.splitlines() == ["analysis error: values must be finite"]
+
+
 @pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
 @pytest.mark.parametrize("f_start, message", [
     (1e-299, "received power must be finite: |H|^2 overflows float64"),
@@ -501,6 +516,68 @@ def test_near_0_hz_band_run_exit_4_with_one_line(tmp_path, warnings, f_start, me
     assert (proc.returncode, proc.stdout) == (EXIT_ANALYSIS_FAILURE, "")
     assert proc.stderr.splitlines() == [f"analysis error: {message}"]
     assert not [p for p in (tmp_path / "out").iterdir()]
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+@pytest.mark.parametrize("band, message", [
+    # the delay axis spans ~1e121 s, so the delay-spread moments overflow
+    ((1e-120, 1.3e-120), "delay-spread moments must be finite: the PDP's moments over a delay axis of "
+                         "1.33e+121 s overflow float64"),
+    # 1 / bandwidth is 3e300 s, so pdp.csv's delay column overflows in ns before synthesis
+    ((1e-300, 1.3e-300), "pdp delay axis must be finite: bins of 1/bandwidth = 3.33e+300 s overflow float64 in ns"),
+], ids=["delay_spread", "pdp_delay_axis"])
+def test_near_0_hz_narrow_band_run_exit_4_with_one_line(tmp_path, warnings, preset, band, message):
+    scene = load_preset(preset)
+    path = tmp_path / "narrow.scene"
+    save_scene(replace(scene, array=replace(scene.array, n_elements=8),
+                       sweep=replace(scene.sweep, f_start=band[0], f_stop=band[1], n_points=5)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (EXIT_ANALYSIS_FAILURE, "")
+    assert proc.stderr.splitlines() == [f"analysis error: {message}"]
+    assert not [p for p in (tmp_path / "out").iterdir()]
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_near_0_hz_one_element_phase_check_exit_0_silent(tmp_path, warnings, preset):
+    # from 1e-150 to 2e-150 Hz the LOS gate's power overflows float64: it is above any noise level
+    scene = load_preset(preset)
+    path = tmp_path / "one_element.scene"
+    save_scene(replace(scene, array=replace(scene.array, n_elements=1),
+                       sweep=replace(scene.sweep, f_start=1e-150, f_stop=2e-150, n_points=32)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", "phase-check", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "phase_check.csv").read_text().splitlines()[1].startswith("1,0.0,")
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_constant_los_phase_run_reports_nan_correlation(tmp_path, warnings, preset):
+    # at a 1 nm pitch with the receiver 1e9 times as far, every element's LOS phase is the same:
+    # the correlation with the model is undefined, which the report records as nan and a FAIL
+    scene = load_preset(preset)
+    path = tmp_path / "constant.scene"
+    save_scene(replace(scene, array=replace(scene.array, spacing_d=1e-9),
+                       rx=tuple(1e9 * x for x in scene.rx)), path)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "LOS phase vs closed-form model correlation: nan\n" in proc.stdout
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "  LOS phase vs closed-form model correlation: nan\n" in report
+    assert "  FAIL  phase_model_correlation_gt_0.99\n" in report
 
 
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])

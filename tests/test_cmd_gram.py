@@ -3,12 +3,14 @@
 ``_ref_correlation_matrix``, ``_ref_correlation_matrix_distance``,
 ``_ref_cmd_map`` and ``_ref_partition_by_cmd`` are the per-window and per-pair
 implementations that the banded window-correlation stack replaced, kept
-verbatim (returning plain arrays, with the interval fold of
+verbatim (taking the held response, with the interval fold of
 ``reference.merge_short_intervals``) as the reference.  The sums run in
-another order, so values agree to 1e-12, not bitwise.  The partition's own
-walk along the ``cmd_map`` rows and its fold are checked bit for bit against
+another order, so values agree to 1e-12, not bitwise.  The CMD map is
+``reference.cmd_map``: ``distance_map`` of the ``WindowBands`` stack fed the
+held response's ``array_blocks``.  The partition's own walk along the map
+rows and its fold are checked bit for bit against
 ``reference.partition_by_cmd``, the per-anchor ``_cmd`` scan, and every
-distance row that scan computes against the matching ``cmd_map`` row.
+distance row that scan computes against the matching map row.
 """
 
 import numpy as np
@@ -17,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfclab as nl
-from nfclab.stationarity import (StationarityError, StationaryPartition, _cmd,
-                                 _window_correlations, cmd_map, partition_by_cmd)
-from reference import correlation_matrix, merge_short_intervals
+from nfclab.stationarity import StationarityError, StationaryPartition, _cmd, partition_by_cmd
+from reference import cmd_map, merge_short_intervals, window_stack
 from reference import partition_by_cmd as reference_partition_by_cmd
 
 TOL = 1e-12
@@ -29,15 +30,15 @@ TOL = 1e-12
 # Reference implementations (the per-pair loops, verbatim)
 # ---------------------------------------------------------------------------
 
-def _ref_correlation_matrix(cfr, window):
+def _ref_correlation_matrix(values, window):
     start, end = window
     m = end - start + 1
     if m < 2:
         raise StationarityError(f"window must span >= 2 elements, got {window}")
-    if start < 1 or end > cfr.n_elements:
-        raise StationarityError(f"window {window} outside 1..{cfr.n_elements}")
-    x = cfr.values[start - 1:end, :]
-    r = (x @ x.conj().T) / cfr.sweep.n_points
+    if start < 1 or end > len(values):
+        raise StationarityError(f"window {window} outside 1..{len(values)}")
+    x = values[start - 1:end, :]
+    r = (x @ x.conj().T) / values.shape[1]
     r = 0.5 * (r + r.conj().T)  # enforce exact Hermitian symmetry
     return r
 
@@ -53,11 +54,11 @@ def _ref_correlation_matrix_distance(m1, m2):
     return min(1.0, max(0.0, 1.0 - inner / (n1 * n2)))
 
 
-def _ref_cmd_map(cfr, m):
-    n_windows = cfr.n_elements - m + 1
+def _ref_cmd_map(values, m):
+    n_windows = len(values) - m + 1
     if n_windows < 1:
         raise StationarityError(f"array shorter than one window of {m}")
-    mats = [_ref_correlation_matrix(cfr, (s, s + m - 1)) for s in range(1, n_windows + 1)]
+    mats = [_ref_correlation_matrix(values, (s, s + m - 1)) for s in range(1, n_windows + 1)]
     out = np.zeros((n_windows, n_windows))
     for i in range(n_windows):
         for j in range(i + 1, n_windows):
@@ -69,14 +70,14 @@ def _ref_cmd_map(cfr, m):
     return out
 
 
-def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
+def _ref_partition_by_cmd(values, m, tau, min_si=None):
     if m < 2:
         raise StationarityError(f"window size must be >= 2, got {m}")
     if not 0.0 < tau < 1.0:
         raise StationarityError(f"threshold must lie in (0, 1), got {tau}")
     if min_si is None:
         min_si = m
-    n = cfr.n_elements
+    n = len(values)
 
     warnings: list[str] = []
     if n < 2 * m:
@@ -87,10 +88,10 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
     scores: list[float] = []
     si_start = 1
     while si_start + m - 1 <= n:
-        reference = _ref_correlation_matrix(cfr, (si_start, si_start + m - 1))
+        reference = _ref_correlation_matrix(values, (si_start, si_start + m - 1))
         tripped = False
         for t in range(si_start + 1, n - m + 2):
-            test = _ref_correlation_matrix(cfr, (t, t + m - 1))
+            test = _ref_correlation_matrix(values, (t, t + m - 1))
             try:
                 d = _ref_correlation_matrix_distance(reference, test)
             except StationarityError:
@@ -118,7 +119,7 @@ def _ref_partition_by_cmd(cfr, m, tau, min_si=None):
 
 @st.composite
 def cfrs(draw):
-    """Random complex CFR: 2-40 elements x 2-32 points, row scales over 6 decades,
+    """Random complex response: 2-40 elements x 2-32 points, row scales over 6 decades,
     some rows zeroed (zero-power windows)."""
     n = draw(st.integers(2, 40))
     n_points = draw(st.integers(2, 32))
@@ -126,7 +127,7 @@ def cfrs(draw):
     values = rng.normal(size=(n, n_points)) + 1j * rng.normal(size=(n, n_points))
     values *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     values[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
-    return nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=n_points))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def cfrs(draw):
 @given(cfr=cfrs(), m=st.integers(2, 6))
 def test_cmd_map_matches_pairwise_loop(cfr, m):
     dmap = cmd_map(cfr, m)
-    if cfr.n_elements < m:
+    if len(cfr) < m:
         assert dmap.shape == (0, 0)
         return
     ref = _ref_cmd_map(cfr, m)
@@ -150,7 +151,7 @@ def test_cmd_map_matches_pairwise_loop(cfr, m):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
-    new = partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
+    new = partition_by_cmd(cmd_map(cfr, m), len(cfr), m=m, tau=tau)
     ref = _ref_partition_by_cmd(cfr, m, tau)
     assert new.intervals == ref.intervals
     assert new.warnings == ref.warnings
@@ -161,7 +162,7 @@ def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_fold_bitwise(cfr, m, tau):
-    new = partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
+    new = partition_by_cmd(cmd_map(cfr, m), len(cfr), m=m, tau=tau)
     intervals, scores, warnings = reference_partition_by_cmd(cfr, m, tau)
     assert new.intervals == intervals
     assert new.warnings == warnings
@@ -171,10 +172,10 @@ def test_partition_by_cmd_matches_reference_fold_bitwise(cfr, m, tau):
 @settings(max_examples=100, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), data=st.data())
 def test_correlation_matrix_is_a_window_of_the_stack(cfr, m, data):
-    if cfr.n_elements < m:
+    if len(cfr) < m:
         return
-    start = data.draw(st.integers(1, cfr.n_elements - m + 1))
-    r = correlation_matrix(cfr, (start, start + m - 1))
+    start = data.draw(st.integers(1, len(cfr) - m + 1))
+    r = window_stack(cfr, m)[start - 1]
     ref = _ref_correlation_matrix(cfr, (start, start + m - 1))
     assert np.abs(r - ref).max() <= TOL * max(1.0, np.abs(ref).max())
     assert np.array_equal(r, r.conj().T)
@@ -183,7 +184,7 @@ def test_correlation_matrix_is_a_window_of_the_stack(cfr, m, data):
 def assert_scan_rows_are_map_rows(cfr, m):
     """Each anchor's scan row is its ``cmd_map`` row from the next window on, byte for byte."""
     dmap = cmd_map(cfr, m)
-    stack = _window_correlations(cfr.values, m)
+    stack = window_stack(cfr, m)
     assert dmap.shape == (len(stack), len(stack))
     for a in range(len(stack) - 1):  # every anchor the scan can reach: one window must follow it
         row = _cmd(stack[a:])[0, 1:]  # as reference.partition_by_cmd's scan computes it
@@ -193,7 +194,7 @@ def assert_scan_rows_are_map_rows(cfr, m):
 @settings(max_examples=100, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 8))
 def test_partition_scan_rows_are_cmd_map_rows(cfr, m):
-    if cfr.n_elements < m:
+    if len(cfr) < m:
         return
     assert_scan_rows_are_map_rows(cfr, m)
 
@@ -206,7 +207,6 @@ def test_partition_scan_rows_are_cmd_map_rows_on_presets(cfr_fixture, request):
 
 
 def test_cmd_map_rejects_single_element_window():
-    cfr = nl.ChannelFrequencyResponse(values=np.ones((8, 4), dtype=complex), sweep=nl.Sweep(n_points=4))
-    with pytest.raises(StationarityError):
-        cmd_map(cfr, m=1)
-    assert cmd_map(cfr, m=9).shape == (0, 0)
+    with pytest.raises(StationarityError, match="window must span >= 2 elements, got 1"):
+        nl.WindowBands(8, 4, 1)
+    assert cmd_map(np.ones((8, 4), dtype=complex), m=9).shape == (0, 0)

@@ -10,7 +10,9 @@ that took ``np.log10`` per row.  The inputs are small but hold the awkward
 cases of the dialect: signed zero, subnormals, values at the repr switch to
 exponent form, infinities, NaN, an empty PDP bin, element numbers of two
 digits, a zero-power CMD window and both partition criteria.  The run
-scenes check the bulk files at full size.
+scenes check the bulk files at full size.  The bulk files are written by
+the writers ``nfclab run`` uses (``synth.cfr_csv``, ``analysis.pdp_csv``
+and ``stationarity.export_cmd_map_csv``), given a held array.
 """
 
 import csv
@@ -22,14 +24,15 @@ import pytest
 import reference
 from nfclab import _csvout, analysis
 from nfclab._floatrepr import repr_cells
-from nfclab.analysis import ChannelStats, export_pdp_csv, export_stats_csv, pdp_matrix
+from nfclab.analysis import ChannelStats, export_stats_csv, pdp_csv
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep, load_preset, load_scene, save_scene
-from nfclab.stationarity import (StationaryPartition, cmd_map, export_cmd_map_csv,
-                                 export_partition_csv, uniform_partition)
-from nfclab.synth import ChannelFrequencyResponse, export_cfr_csv, path_table, synthesize_cfr
-from test_analysis import BLOCK_SCENES, REFERENCE_SCENES, _sized
+from nfclab.stationarity import StationaryPartition, export_cmd_map_csv, export_partition_csv, uniform_partition
+from nfclab.synth import cfr_csv, path_table
+from conftest import held_response
+from reference import cmd_map
+from test_analysis import BLOCK_SCENES, REFERENCE_SCENES, _sized, streamed_pdp
 from test_path_table import benchmark_scene
 from test_synth import traced_peak
 
@@ -37,15 +40,29 @@ AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789.125, -2.5e-300]
 
 
 # ---------------------------------------------------------------------------
+# The bulk writers, given a held array
+# ---------------------------------------------------------------------------
+
+def export_cfr_csv(values, sweep, path) -> None:
+    with cfr_csv(path, sweep, len(values)) as grid:
+        grid.add(0, len(values), values)
+
+
+def export_pdp_csv(pdp, path, bandwidth_hz) -> None:
+    with pdp_csv(path, *pdp.shape, bandwidth_hz) as grid:
+        grid.add(0, len(pdp), pdp)
+
+
+# ---------------------------------------------------------------------------
 # Reference exporters (the csv.writer loops, verbatim)
 # ---------------------------------------------------------------------------
 
-def _ref_export_cfr_csv(cfr, path) -> None:
-    freqs = cfr.sweep.frequencies()
+def _ref_export_cfr_csv(values, sweep, path) -> None:
+    freqs = sweep.frequencies()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "f_hz", "re", "im"])
-        for element, row in enumerate(cfr.values, start=1):
+        for element, row in enumerate(values, start=1):
             for m in range(len(freqs)):
                 writer.writerow([element, repr(float(freqs[m])),
                                  repr(float(row[m].real)), repr(float(row[m].imag))])
@@ -128,13 +145,13 @@ def _assert_same_bytes(tmp_path, export, reference, *args):
 # ---------------------------------------------------------------------------
 
 def _awkward_cfr():
-    """12 elements (two-digit labels) x 5 points, awkward real and imaginary parts."""
+    """``(values, sweep)``: 12 elements (two-digit labels) x 5 points, awkward real and imaginary parts."""
     sweep = Sweep(f_start=0.1, f_stop=1e22, n_points=5)
     values = np.empty((12, 5), dtype=np.complex128)
     flat = np.resize(np.array(AWKWARD), values.size).reshape(values.shape)
     values.real = flat
     values.imag = -flat[::-1]
-    return ChannelFrequencyResponse(values=values, sweep=sweep)
+    return values, sweep
 
 
 def _awkward_stats():
@@ -151,7 +168,7 @@ def _awkward_stats():
 # ---------------------------------------------------------------------------
 
 def test_cfr_csv_matches_reference(tmp_path):
-    _assert_same_bytes(tmp_path, export_cfr_csv, _ref_export_cfr_csv, _awkward_cfr())
+    _assert_same_bytes(tmp_path, export_cfr_csv, _ref_export_cfr_csv, *_awkward_cfr())
 
 
 def test_stats_csv_matches_reference(tmp_path):
@@ -195,11 +212,10 @@ def test_pdp_csv_matches_reference(tmp_path):
 @pytest.mark.parametrize("name", ["los_lab", "olos_baffle_noisy", "sweep_deep", "array_wide"])
 def test_pdp_csv_of_run_scenes_within_2_ulp(tmp_path, name):
     scene = REFERENCE_SCENES[name]()
-    cfr = synthesize_cfr(scene, path_table(scene))
-    pdp = pdp_matrix(cfr)
+    pdp = streamed_pdp(scene, path_table(scene))[1]
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    export_pdp_csv(pdp, new, cfr.sweep.bandwidth)
-    _ref_export_pdp_csv(pdp, cfr.sweep.bandwidth, ref)
+    export_pdp_csv(pdp, new, scene.sweep.bandwidth)
+    _ref_export_pdp_csv(pdp, scene.sweep.bandwidth, ref)
     _assert_pdp_csv_within_2_ulp(new, ref)
 
 
@@ -224,10 +240,9 @@ def test_partition_csv_writes_every_interval_without_scores(tmp_path):
 
 
 def test_cmd_map_csv_matches_reference(tmp_path):
-    cfr = _awkward_cfr()
-    values = cfr.values.copy()
+    values, _ = _awkward_cfr()
     values[4:7] = 0.0  # the windows over these elements carry no power
-    dmap = cmd_map(ChannelFrequencyResponse(values=values, sweep=cfr.sweep), m=2)
+    dmap = cmd_map(values, m=2)
     assert dmap.shape == (11, 11) and np.any(dmap == 1.0)
     _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
     assert b"\r\n5,11,1.0\r\n" in (tmp_path / "new.csv").read_bytes()
@@ -321,14 +336,15 @@ BYTE_SCENES = {
 @pytest.mark.parametrize("name", sorted(BYTE_SCENES))
 def test_bulk_files_match_byte_oracles(tmp_path, name):
     scene = BYTE_SCENES[name]()
-    cfr = synthesize_cfr(scene, path_table(scene))
-    pdp = pdp_matrix(cfr)
-    _assert_same_bytes(tmp_path, export_cfr_csv, _ref_export_cfr_csv, cfr)
+    table = path_table(scene)
+    values = held_response(scene, table)
+    pdp = streamed_pdp(scene, table)[1]
+    _assert_same_bytes(tmp_path, export_cfr_csv, _ref_export_cfr_csv, values, scene.sweep)
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    export_pdp_csv(pdp, new, cfr.sweep.bandwidth)
-    reference.export_pdp_csv(pdp, ref, cfr.sweep.bandwidth)
+    export_pdp_csv(pdp, new, scene.sweep.bandwidth)
+    reference.export_pdp_csv(pdp, ref, scene.sweep.bandwidth)
     assert new.read_bytes() == ref.read_bytes()
-    dmap = cmd_map(cfr, m=4 if cfr.n_elements >= 8 else 2)
+    dmap = cmd_map(values, m=4 if len(values) >= 8 else 2)
     _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
 
 
@@ -337,7 +353,9 @@ def test_bulk_exports_hold_pass_sized_scratch_only(tmp_path):
     # worth of cells: the CMD map's pending lower triangle held 5.3 MB on array_wide
     for name in ("sweep_deep", "array_wide"):
         scene = REFERENCE_SCENES[name]()
-        cfr = synthesize_cfr(scene, path_table(scene))
-        assert traced_peak(export_cfr_csv, cfr, tmp_path / "cfr.csv") <= 3e6
-        assert traced_peak(export_pdp_csv, pdp_matrix(cfr), tmp_path / "pdp.csv", cfr.sweep.bandwidth) <= 3e6
-        assert traced_peak(export_cmd_map_csv, cmd_map(cfr, m=4), tmp_path / "cmd_map.csv") <= 3e6
+        table = path_table(scene)
+        values = held_response(scene, table)
+        assert traced_peak(export_cfr_csv, values, scene.sweep, tmp_path / "cfr.csv") <= 3e6
+        pdp = streamed_pdp(scene, table)[1]
+        assert traced_peak(export_pdp_csv, pdp, tmp_path / "pdp.csv", scene.sweep.bandwidth) <= 3e6
+        assert traced_peak(export_cmd_map_csv, cmd_map(values, m=4), tmp_path / "cmd_map.csv") <= 3e6

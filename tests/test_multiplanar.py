@@ -8,8 +8,8 @@ import nfclab as nl
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
+from nfclab.multiplanar import _los_amplitude, _wavelengths
 from nfclab.stationarity import uniform_partition
-from nfclab.synth import ChannelFrequencyResponse
 from nfclab.wavefront import rayleigh_distance
 import reference
 from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
@@ -18,20 +18,40 @@ from test_synth import traced_peak
 
 
 def truth_of(scene):
-    return nl.los_truth(scene, nl.path_table(scene))
+    """The LOS truth held: ``reference.los_truth``."""
+    return reference.los_truth(scene, nl.path_table(scene))
+
+
+def errors(scene, partitions, table=None):
+    """``(errors, refs)``: ``multiplanar_errors`` of the partitions' reference indices in one pass.
+
+    ``table`` defaults to ``path_table(scene)``; the geometry is always the scene's.
+    """
+    geometry = nl.los_geometry(scene, nl.path_table(scene))
+    refs = [nl.build_multiplanar_model(geometry, part) for part in partitions]
+    table = nl.path_table(scene) if table is None else table
+    return nl.multiplanar_errors(scene, table, geometry, refs), refs
+
+
+def with_gain(scene, rows, gain):
+    """``path_table(scene)`` with the direct paths ``rows`` (0-based elements) at ``gain`` times their amplitude."""
+    table = nl.path_table(scene)
+    gains = table.gain.copy()
+    gains[rows] *= gain
+    return table._replace(gain=gains)
 
 
 def _ref_multiplanar_error(truth, approx):
     """The complex-response ``multiplanar_error(truth, approx)`` the real-phase form replaced, verbatim."""
-    if truth.values.shape != approx.values.shape:
-        raise ValueError(f"shape mismatch: {truth.values.shape} vs {approx.values.shape}")
-    diff = np.angle(truth.values * np.conj(approx.values))
+    if truth.shape != approx.shape:
+        raise ValueError(f"shape mismatch: {truth.shape} vs {approx.shape}")
+    diff = np.angle(truth * np.conj(approx))
     phase_rmse = float(np.sqrt(np.mean(diff * diff)))
     per_element = np.sqrt(np.mean(diff * diff, axis=1))
-    denom = float(np.linalg.norm(approx.values) * np.linalg.norm(truth.values))
+    denom = float(np.linalg.norm(approx) * np.linalg.norm(truth))
     corr = 0.0
     if denom > 0:
-        corr = float(abs(np.vdot(approx.values, truth.values)) / denom)
+        corr = float(abs(np.vdot(approx, truth)) / denom)
     return nl.MultiplanarError(phase_rmse=phase_rmse,
                                complex_correlation=min(corr, 1.0),
                                per_element_phase_dev=per_element)
@@ -41,18 +61,13 @@ MW_SCENES = {"olos_baffle": lambda: nl.load_preset("olos_baffle"), **REFERENCE_S
 
 
 def mw_rmse(scene, n_intervals):
-    part = uniform_partition(scene.array.n_elements, n_intervals)
-    truth = truth_of(scene)
-    ref = nl.build_multiplanar_model(truth, part)
-    return nl.multiplanar_error(scene, truth, ref), ref
+    [err], [ref] = errors(scene, [uniform_partition(scene.array.n_elements, n_intervals)])
+    return err, ref
 
 
 def test_singleton_partition_reproduces_truth(los_scene):
-    part = uniform_partition(64, 64)
-    truth = truth_of(los_scene)
-    ref = nl.build_multiplanar_model(truth, part)
+    [err], [ref] = errors(los_scene, [uniform_partition(64, 64)])
     assert ref.tolist() == list(range(1, 65))
-    err = nl.multiplanar_error(los_scene, truth, ref)
     assert err.phase_rmse < 1e-9
     assert err.complex_correlation > 1 - 1e-9
 
@@ -74,10 +89,10 @@ def test_single_patch_far_field_error_small(los_scene):
 
 
 def test_four_patches_have_monotone_angles(los_scene):
-    truth = truth_of(los_scene)
+    geometry = nl.los_geometry(los_scene, nl.path_table(los_scene))
     part = uniform_partition(64, 4)
-    ref = nl.build_multiplanar_model(truth, part)
-    angles = [truth.theta[ref[start - 1] - 1] for start, _ in part.intervals]
+    ref = nl.build_multiplanar_model(geometry, part)
+    angles = [geometry.theta[ref[start - 1] - 1] for start, _ in part.intervals]
     assert all(b > a for a, b in zip(angles, angles[1:]))
 
 
@@ -90,34 +105,32 @@ def test_broadside_patch_constant_phase():
     assert ref.tolist() == [5] * 9
     assert truth.theta[4] == pytest.approx(math.pi / 2, abs=1e-12)
     approx = synthesize_multiplanar_cfr(ref, truth, scene)
-    phases = np.angle(approx.values)
+    phases = np.angle(approx)
     assert np.allclose(phases, phases[0][None, :], atol=1e-10)
 
 
 def test_mw_error_trivials(los_scene):
-    truth = truth_of(los_scene)
-    ref = nl.build_multiplanar_model(truth, uniform_partition(64, 64))
-    err = nl.multiplanar_error(los_scene, truth, ref)
+    [err], _ = errors(los_scene, [uniform_partition(64, 64)])
     assert err.phase_rmse < 1e-12
     assert err.complex_correlation == pytest.approx(1.0, abs=1e-12)
     # a real positive rescaling of the field changes neither metric
-    err, ref = mw_rmse(los_scene, 4)
-    scaled = nl.multiplanar_error(los_scene, truth._replace(amp=3.5 * truth.amp), ref)
+    part = uniform_partition(64, 4)
+    [err], [ref] = errors(los_scene, [part])
+    [scaled], _ = errors(los_scene, [part], with_gain(los_scene, slice(0, 64), 3.5))
     assert scaled.phase_rmse == err.phase_rmse
     assert scaled.complex_correlation == pytest.approx(err.complex_correlation, abs=1e-12)
     # silent reference rows, so no planar field at all: no phase to compare
     # (zero error) and zero correlation
-    amp = truth.amp.copy()
-    amp[np.unique(ref) - 1] = 0.0
-    silent = nl.multiplanar_error(los_scene, truth._replace(amp=amp), ref)
+    [silent], _ = errors(los_scene, [part], with_gain(los_scene, np.unique(ref) - 1, 0.0))
     assert silent.phase_rmse == 0.0 and silent.complex_correlation == 0.0
 
 
 def test_mw_error_shape_mismatch(los_scene):
     half = replace(los_scene, array=replace(los_scene.array, n_elements=32))
-    ref = nl.build_multiplanar_model(truth_of(half), uniform_partition(32, 2))
+    _, [ref] = errors(half, [uniform_partition(32, 2)])
+    table = nl.path_table(los_scene)
     with pytest.raises(ValueError, match="array has 64 elements"):
-        nl.multiplanar_error(los_scene, truth_of(los_scene), ref)
+        nl.multiplanar_errors(los_scene, table, nl.los_geometry(los_scene, table), [ref])
 
 
 def test_dyadic_refinement_monotone(los_scene):
@@ -138,11 +151,12 @@ def test_interval_local_error_growth(los_scene):
 
 
 def test_patch_coverage_validation(los_scene):
-    truth = truth_of(los_scene)
-    ref = nl.build_multiplanar_model(truth, uniform_partition(64, 4))
+    table = nl.path_table(los_scene)
+    geometry = nl.los_geometry(los_scene, table)
+    ref = nl.build_multiplanar_model(geometry, uniform_partition(64, 4))
     for bad in (ref[16:], np.r_[ref, ref[-1:]]):  # an interval short, an element too many
         with pytest.raises(ValueError, match=f"has {len(bad)} entries, array has 64 elements"):
-            nl.multiplanar_error(los_scene, truth, bad)
+            nl.multiplanar_errors(los_scene, table, geometry, [ref, bad])
 
 
 def test_blocked_reference_falls_back():
@@ -158,7 +172,7 @@ def test_blocked_reference_falls_back():
     ref = (1 + 8) // 2
     assert blockages[ref - 1] > 80.0          # reference fully absorbed
     assert any(b <= 80.0 for b in blockages)  # fallback exists
-    model = nl.build_multiplanar_model(truth_of(scene), uniform_partition(8, 1))
+    model = nl.build_multiplanar_model(nl.los_geometry(scene, nl.path_table(scene)), uniform_partition(8, 1))
     assert len(set(model.tolist())) == 1
     assert model[0] != ref
     assert blockages[model[0] - 1] <= 80.0
@@ -167,7 +181,7 @@ def test_blocked_reference_falls_back():
 def test_reference_index_follows_the_fallback_rule(olos_scene):
     """Each interval's reference: its center, else the nearest usable element, ties lower."""
     n = olos_scene.array.n_elements
-    truth = truth_of(olos_scene)
+    truth = nl.los_geometry(olos_scene, nl.path_table(olos_scene))
     r, theta = element_geometry(olos_scene, olos_scene.rx)  # the scalar per-element geometry
     assert truth.length.tobytes() == r.tobytes()
     assert truth.theta.tobytes() == theta.tobytes()
@@ -200,11 +214,23 @@ def test_export(tmp_path):
 
 
 def test_los_truth_amplitude_is_real_finite_non_negative():
-    """The real-phase error form takes both fields as a real amplitude >= 0 times a phase."""
+    """The real-phase error form takes both fields as a real amplitude >= 0 times a phase.
+
+    The amplitude ``multiplanar_errors`` makes of any set of direct paths is
+    the whole-array ``path_amplitude`` of those rows, byte for byte.
+    """
     for name, make in MW_SCENES.items():
-        amp = truth_of(make()).amp
+        scene = make()
+        table = nl.path_table(scene)
+        n, n_freqs = scene.array.n_elements, scene.sweep.n_points
+        every = np.arange(n)
+        amp = _los_amplitude(table, every, *_wavelengths(scene), out=np.empty((n, n_freqs)))
         assert amp.dtype == np.float64, name
         assert np.all(np.isfinite(amp)) and np.all(amp >= 0.0), name
+        assert amp.tobytes() == reference.los_truth(scene, table).amp.tobytes(), name
+        some = every[::7]
+        assert _los_amplitude(table, some, *_wavelengths(scene),
+                              out=np.empty((len(some), n_freqs))).tobytes() == amp[some].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +245,14 @@ def test_zero_amplitude_sample_adds_no_phase_error(los_scene):
     amp = truth.amp.copy()
     amp[silent] = 0.0
     zeroed = truth._replace(amp=amp)
-    err = nl.multiplanar_error(los_scene, zeroed, model)
+    [err], _ = errors(los_scene, [uniform_partition(64, 4)], with_gain(los_scene, [silent], 0.0))
     assert np.all(err.per_element_phase_dev[start - 1:end] == 0.0)
     assert err.per_element_phase_dev[:start - 1].max() > 0.0  # the other intervals still err
     # The complex form agrees off the zeroed interval.  On it, it takes the
     # angle of a signed zero, which is 0 or pi by the signs of cos and sin there.
-    los = synthesize_los_cfr(los_scene).values.copy()
+    los = synthesize_los_cfr(los_scene)
     los[silent] = 0.0
-    ref = _ref_multiplanar_error(ChannelFrequencyResponse(values=los, sweep=los_scene.sweep),
-                                 synthesize_multiplanar_cfr(model, zeroed, los_scene))
+    ref = _ref_multiplanar_error(los, synthesize_multiplanar_cfr(model, zeroed, los_scene))
     others = np.r_[0:start - 1, end:64]
     assert np.allclose(err.per_element_phase_dev[others], ref.per_element_phase_dev[others],
                        rtol=0.0, atol=1e-12)
@@ -254,9 +279,7 @@ def test_real_phase_error_matches_complex_reference(name):
         max_length = float(truth.length.max())
         tol = 4.0 * float(np.spacing(2.0 * math.pi * scene.sweep.f_stop * max_length / C_M_PER_S))
     partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [uniform_partition(n, n)]
-    for part in partitions:
-        model = nl.build_multiplanar_model(truth, part)
-        err = nl.multiplanar_error(scene, truth, model)
+    for err, model in zip(*errors(scene, partitions)):
         ref = _ref_multiplanar_error(los_cfr, synthesize_multiplanar_cfr(model, truth, scene))
         assert abs(err.phase_rmse - ref.phase_rmse) <= tol
         assert abs(err.complex_correlation - ref.complex_correlation) <= 1e-12
@@ -269,7 +292,7 @@ def test_real_phase_error_matches_complex_reference(name):
 
 @pytest.mark.parametrize("name", sorted(MW_SCENES))
 def test_blocked_error_revises_only_the_correlation(name):
-    """The row-blocked error against the whole-array form it replaced, on every mw_error.csv row.
+    """The row-blocked error against the whole-array form, on every mw_error.csv row.
 
     The phase error is the same element-wise expression and keeps its bytes.
     The correlation now sums per-row sums instead of running one whole-array
@@ -281,9 +304,8 @@ def test_blocked_error_revises_only_the_correlation(name):
     n = scene.array.n_elements
     truth = truth_of(scene)
     worst_old = worst_new = 0.0
-    for part in [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [uniform_partition(n, n)]:
-        ref = nl.build_multiplanar_model(truth, part)
-        err = nl.multiplanar_error(scene, truth, ref)
+    partitions = [uniform_partition(n, min(2 ** k, n)) for k in range(6)] + [uniform_partition(n, n)]
+    for err, ref in zip(*errors(scene, partitions)):
         old = reference.multiplanar_error(scene, truth, ref)
         assert np.float64(err.phase_rmse).tobytes() == np.float64(old.phase_rmse).tobytes()
         assert err.per_element_phase_dev.tobytes() == old.per_element_phase_dev.tobytes()
@@ -294,15 +316,16 @@ def test_blocked_error_revises_only_the_correlation(name):
     assert worst_new <= worst_old
 
 
-@pytest.mark.parametrize("preset, truth_bound", [("los_lab", 1.1), ("olos_baffle", 1.5)])
-def test_multiplanar_stage_holds_block_scratch_only(preset, truth_bound):
-    # 64 x 6401: the truth is its one (N, F) amplitude plus the knife-edge losses of one
-    # block of rows; the error holds a few blocks of 5 rows of scratch beside (N,) sums
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_multiplanar_stage_holds_block_scratch_only(preset):
+    # 256 x 6401: the LOS truth is made one block of 5 rows at a time, with the knife-edge losses
+    # of that block, and the error holds a few such blocks of scratch beside (N,) sums; the peak
+    # (1.9 MB on los_lab, 3.2 MB on olos_baffle, as at 64 elements) does not grow with the array
     scene = nl.load_preset(preset)
-    scene = replace(scene, array=replace(scene.array, n_elements=64),
+    scene = replace(scene, array=replace(scene.array, n_elements=256),
                     sweep=replace(scene.sweep, n_points=6401))
     table = nl.path_table(scene)
-    truth = nl.los_truth(scene, table)
-    ref = nl.build_multiplanar_model(truth, uniform_partition(64, 8))
-    assert traced_peak(nl.los_truth, scene, table) <= truth_bound * truth.amp.nbytes
-    assert traced_peak(nl.multiplanar_error, scene, truth, ref) <= 0.5 * truth.amp.nbytes
+    geometry = nl.los_geometry(scene, table)
+    refs = [nl.build_multiplanar_model(geometry, uniform_partition(256, 8))]
+    truth_bytes = 256 * 6401 * np.dtype(float).itemsize
+    assert traced_peak(nl.multiplanar_errors, scene, table, geometry, refs) <= 0.3 * truth_bytes

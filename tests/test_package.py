@@ -13,38 +13,42 @@ import nfclab
 SRC = Path(nfclab.__file__).resolve().parents[1]
 PRESET = SRC / "nfclab" / "presets" / "los_lab.scene"
 
-# dir(nfclab) after a bare `import nfclab`, as it was when the package imported every module
+# dir(nfclab) after a bare `import nfclab`: each quantity's streamed entry point, the adapter
+# of a held array (array_blocks) and the scene layer
 DIR = [
-    "ArraySpec", "Blocker", "ChannelFrequencyResponse", "ChannelStats", "LosTruth",
-    "MultiplanarError", "PRESET_NAMES", "PathTable", "Scatterer", "Scene", "SceneError",
-    "SceneParseError", "SceneValidationError", "StationaryPartition", "Sweep", "Wall",
+    "ArraySpec", "Blocker", "ChannelStats", "LosGeometry", "MultiplanarError", "PRESET_NAMES",
+    "PathTable", "Scatterer", "Scene", "SceneError", "SceneParseError", "SceneValidationError",
+    "StationaryPartition", "Sweep", "Wall", "WindowBands",
     "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__", "_csvout", "_floatrepr", "_kernels",
-    "analysis", "build_multiplanar_model", "characteristic_slope", "cmd_map", "compute_pdp",
-    "compute_stats", "constants", "element_geometry", "element_positions", "far_field_phase",
-    "knife_edge_loss", "load_preset", "load_scene", "loads_scene", "los_phase", "los_truth",
-    "multiplanar", "multiplanar_error", "partition_by_cmd", "partition_by_slope",
-    "path_blockage_db", "path_table", "rayleigh_distance", "received_power_db",
-    "rms_delay_spread", "save_scene", "scene", "serialize_scene", "stationarity", "synth",
-    "synthesize_cfr", "uniform_partition", "wavefront",
+    "analysis", "array_blocks", "build_multiplanar_model", "cfr_csv", "characteristic_slope",
+    "constants", "distance_map", "element_geometry", "element_positions", "far_field_phase",
+    "knife_edge_loss", "load_preset", "load_scene", "loads_scene", "los_geometry", "multiplanar",
+    "multiplanar_errors", "partition_by_cmd", "partition_by_slope", "path_blockage_db",
+    "path_table", "pdp_csv", "rayleigh_distance", "response_blocks", "save_scene", "scene",
+    "serialize_scene", "stationarity", "streamed_los_phase", "streamed_stats", "synth",
+    "uniform_partition", "wavefront",
 ]
 SUBMODULES = ["_csvout", "_floatrepr", "_kernels", "analysis", "constants", "multiplanar",
               "scene", "stationarity", "synth", "wavefront"]
 # each exported name and the module it is read from
 ORIGIN = {
-    "analysis": ["ChannelStats", "compute_pdp", "compute_stats", "los_phase",
-                 "received_power_db", "rms_delay_spread"],
-    "multiplanar": ["LosTruth", "MultiplanarError", "build_multiplanar_model", "los_truth",
-                    "multiplanar_error"],
+    "analysis": ["ChannelStats", "pdp_csv", "streamed_los_phase", "streamed_stats"],
+    "multiplanar": ["LosGeometry", "MultiplanarError", "build_multiplanar_model", "los_geometry",
+                    "multiplanar_errors"],
     "scene": ["ArraySpec", "Blocker", "Scatterer", "Scene", "SceneError", "SceneParseError",
               "SceneValidationError", "Sweep", "Wall", "load_preset", "load_scene", "loads_scene",
               "save_scene", "serialize_scene", "PRESET_NAMES"],
-    "stationarity": ["StationaryPartition", "characteristic_slope", "cmd_map",
+    "stationarity": ["StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"],
-    "synth": ["ChannelFrequencyResponse", "PathTable", "element_geometry", "element_positions",
-              "knife_edge_loss", "path_blockage_db", "path_table", "synthesize_cfr"],
+    "synth": ["PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
+              "knife_edge_loss", "path_blockage_db", "path_table", "response_blocks"],
     "wavefront": ["far_field_phase", "rayleigh_distance"],
 }
+# the held forms the streamed entry points replaced
+REMOVED = ["ChannelFrequencyResponse", "LosTruth", "cmd_map", "compute_pdp", "compute_stats",
+           "los_phase", "los_truth", "multiplanar_error", "received_power_db", "rms_delay_spread",
+           "synthesize_cfr"]
 
 
 def _python(code, *args, warnings=()):
@@ -93,7 +97,7 @@ def test_submodules_and_version_resolve_after_a_bare_import():
     assert _python(code, *SUBMODULES).stdout == "0.1.0\n"
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "received_power", "importlib", "__wrapped__"])
+@pytest.mark.parametrize("name", ["no_such_name", "received_power", "importlib", "__wrapped__", *REMOVED])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"module 'nfclab' has no attribute '{name}'"):
         getattr(nfclab, name)

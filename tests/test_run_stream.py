@@ -1,10 +1,10 @@
 """``nfclab run`` in one pass over the response's row blocks, against the held path.
 
-``reference.held_cmd_run`` is ``run`` as it held the response, the PDP and
-the LOS truth.  The streamed command must print, write and exit exactly as
-it does at every block height, the window's halo spanning several blocks
-included, and on every failing input; its whole traced peak stays a few
-blocks, well below the three ``(N, F)`` arrays the held path kept.
+``reference.held_cmd_run`` is ``run`` as it held the response and the PDP,
+one stage after another.  The streamed command must print, write and exit
+exactly as it does at every block height, the window's halo spanning
+several blocks included, and on every failing input; its whole traced peak
+stays a few blocks, well below the three ``(N, F)`` arrays a held run kept.
 """
 
 import contextlib
@@ -148,8 +148,8 @@ def test_streamed_run_exits_5_on_unwritable_out_before_synthesis(tmp_path, monke
     assert not list(tmp_path.iterdir())
 
 
-# the held run's traced peak is at least its three (N, F) arrays: the response (16 B a
-# sample), its PDP and the LOS-truth amplitude (8 B each); the streamed run holds blocks
+# a held run's traced peak is at least its three (N, F) arrays: the response (16 B a
+# sample), its PDP and the LOS truth's amplitude (8 B each); the streamed run holds blocks
 @pytest.mark.parametrize("name, bound", [("sweep_deep", 6.5e6), ("array_wide", 6.5e6)])
 def test_streamed_run_holds_block_scratch_only(tmp_path, name, bound):
     scene = REFERENCE_SCENES[name]()

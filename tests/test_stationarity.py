@@ -10,21 +10,31 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.analysis import ChannelStats
 from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, StationarityError, _cmd, _partition,
-                                 cmd_map, export_cmd_map_csv,
-                                 export_partition_csv, uniform_partition)
+                                 export_cmd_map_csv, export_partition_csv, uniform_partition)
+from conftest import held_response
 import reference
-from reference import correlation_matrix
+from reference import cmd_map, window_stack
 
 SWEEP = nl.Sweep(n_points=801)
 
 
-def cfr_from(values):
-    return nl.ChannelFrequencyResponse(values=np.asarray(values, dtype=complex), sweep=SWEEP)
+def correlation_matrix(values, window):
+    """The window's matrix in the package's window stack (``WindowBands``), within 1e-12 of the oracle.
+
+    ``reference.correlation_matrix``, the outer-product form, raises on a
+    window that is too short or outside the array.
+    """
+    values = np.asarray(values, dtype=complex)
+    ref = reference.correlation_matrix(values, window)
+    start, end = window
+    r = window_stack(values, end - start + 1)[start - 1]
+    assert np.abs(r - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    return r
 
 
-def cmd_partition(cfr, m=4, tau=0.2):
-    """``partition_by_cmd`` read from the CFR's own ``cmd_map``, as ``nfclab run`` calls it."""
-    return nl.partition_by_cmd(cmd_map(cfr, m), cfr.n_elements, m=m, tau=tau)
+def cmd_partition(values, m=4, tau=0.2):
+    """``partition_by_cmd`` read from the response's own CMD map, as ``nfclab run`` calls it."""
+    return nl.partition_by_cmd(cmd_map(np.asarray(values, dtype=complex), m), len(values), m=m, tau=tau)
 
 
 def random_psd(rng, m=4):
@@ -50,7 +60,7 @@ def stats_with(power_db=None, n=64, **arrays):
 def test_correlation_matrix_rank_one_for_coherent_field():
     v = np.array([1.0, 1j, -1.0, 2.0], dtype=complex)
     values = np.repeat(v[:, None], SWEEP.n_points, axis=1)
-    r = correlation_matrix(cfr_from(values), (1, 4))
+    r = correlation_matrix(values, (1, 4))
     assert np.allclose(r, np.outer(v, v.conj()), rtol=1e-12)
     eigvals = np.linalg.eigvalsh(r)
     assert eigvals[-1] == pytest.approx(float(np.vdot(v, v).real), rel=1e-12)
@@ -61,7 +71,7 @@ def test_correlation_matrix_iid_rows_near_identity():
     rng = np.random.default_rng(11)
     values = (rng.normal(size=(4, SWEEP.n_points))
               + 1j * rng.normal(size=(4, SWEEP.n_points))) / math.sqrt(2)
-    r = correlation_matrix(cfr_from(values), (1, 4))
+    r = correlation_matrix(values, (1, 4))
     off = r - np.diag(np.diag(r))
     assert np.abs(off).max() < 5 / math.sqrt(SWEEP.n_points)
     assert np.allclose(np.diag(r).real, 1.0, atol=5 / math.sqrt(SWEEP.n_points))
@@ -71,8 +81,7 @@ def test_correlation_matrix_hermitian_psd_always():
     rng = np.random.default_rng(12)
     for _ in range(20):
         values = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
-        r = correlation_matrix(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=64)),
-                               (2, 5))
+        r = correlation_matrix(values, (2, 5))
         assert np.allclose(r, r.conj().T)
         eigvals = np.linalg.eigvalsh(r)
         assert eigvals.min() >= -1e-10 * np.trace(r).real
@@ -81,9 +90,9 @@ def test_correlation_matrix_hermitian_psd_always():
 def test_correlation_matrix_window_bounds():
     values = np.ones((4, SWEEP.n_points), dtype=complex)
     with pytest.raises(StationarityError):
-        correlation_matrix(cfr_from(values), (1, 1))
+        correlation_matrix(values, (1, 1))
     with pytest.raises(StationarityError):
-        correlation_matrix(cfr_from(values), (3, 6))
+        correlation_matrix(values, (3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def test_cmd_properties_random_pairs():
 def test_partition_white_field_single_interval():
     rng = np.random.default_rng(21)
     values = (rng.normal(size=(64, 801)) + 1j * rng.normal(size=(64, 801)))
-    part = cmd_partition(cfr_from(values))
+    part = cmd_partition(values)
     assert part.intervals == ((1, 64),)
     assert part.criterion == "cmd"
 
@@ -145,9 +154,8 @@ def test_partition_two_scene_concatenation(los_scene):
     a = replace(bare, rx=(r * math.cos(math.radians(60)), r * math.sin(math.radians(60)), 2.5))
     b = replace(bare, rx=(r * math.cos(math.radians(120)), r * math.sin(math.radians(120)), 2.5))
     splice = 32
-    values = np.vstack([nl.synthesize_cfr(a, nl.path_table(a)).values[:splice],
-                        nl.synthesize_cfr(b, nl.path_table(b)).values[splice:]])
-    part = cmd_partition(nl.ChannelFrequencyResponse(values=values, sweep=bare.sweep))
+    values = np.vstack([held_response(a)[:splice], held_response(b)[splice:]])
+    part = cmd_partition(values)
     assert part.n_intervals >= 2
     assert abs(part.boundaries()[0] - splice) <= 2
 
@@ -165,7 +173,7 @@ def test_preset_cmd_partitions_are_pinned(los_cfr, olos_cfr):
 
 def test_partition_short_array_warns():
     values = np.ones((6, 801), dtype=complex)
-    part = cmd_partition(cfr_from(values), m=4)
+    part = cmd_partition(values, m=4)
     assert part.intervals == ((1, 6),)
     assert part.warnings
 
@@ -175,7 +183,7 @@ def test_partition_all_zero_and_one_subnormal_sample_agree():
     zero = np.zeros((64, 801), dtype=complex)
     subnormal = zero.copy()
     subnormal[17, 400] = 5e-324j  # the smallest subnormal, in the imaginary part only
-    parts = [cmd_partition(cfr_from(values)) for values in (zero, subnormal)]
+    parts = [cmd_partition(values) for values in (zero, subnormal)]
     assert parts[0] == parts[1]
     assert parts[0].n_intervals == 16
     assert parts[0].boundary_scores == (1.0,) * 15
@@ -187,8 +195,7 @@ def test_partition_legality_on_random_inputs():
     for _ in range(10):
         n = int(rng.integers(4, 40))
         values = rng.normal(size=(n, 101)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 101)))
-        part = cmd_partition(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=101)),
-                             m=3, tau=float(rng.uniform(0.05, 0.9)))
+        part = cmd_partition(values, m=3, tau=float(rng.uniform(0.05, 0.9)))
         assert part.intervals[0][0] == 1
         assert part.intervals[-1][1] == n
         for (s1, e1), (s2, e2) in zip(part.intervals, part.intervals[1:]):
@@ -210,9 +217,9 @@ def test_partition_determinism(olos_cfr):
 def test_partition_parameter_validation(olos_cfr):
     dmap = cmd_map(olos_cfr)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(dmap, olos_cfr.n_elements, m=1)
+        nl.partition_by_cmd(dmap, len(olos_cfr), m=1)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(dmap, olos_cfr.n_elements, tau=1.5)
+        nl.partition_by_cmd(dmap, len(olos_cfr), tau=1.5)
 
 
 @pytest.mark.parametrize("map_m, n, m", [(5, 64, 4), (3, 64, 4), (4, 64, 5), (4, 63, 4), (4, 65, 4),
@@ -343,7 +350,7 @@ def test_cmd_map_exactly_symmetric_on_a_wide_array():
     # dividing by one norm after the other both break the symmetry.
     rng = np.random.default_rng(11)
     values = rng.normal(size=(512, 16)) + 1j * rng.normal(size=(512, 16))
-    dmap = cmd_map(nl.ChannelFrequencyResponse(values=values, sweep=nl.Sweep(n_points=16)))
+    dmap = cmd_map(values)
     assert dmap.shape == (509, 509)
     assert np.array_equal(dmap, dmap.T)
 

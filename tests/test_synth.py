@@ -9,7 +9,8 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import add_complex_noise, export_cfr_csv, path_blockage_db, path_table
+from nfclab.synth import _noise_blocks, array_blocks, cfr_csv, path_blockage_db, path_table, response_blocks
+from conftest import held_response
 import reference
 from reference import synthesize_los_cfr
 
@@ -92,13 +93,13 @@ def test_olos_preset_blocked_element_blockage(olos_scene):
 def test_single_path_cfr_amplitude_and_phase():
     scene = loads_scene(BARE)
     table = path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
+    values = held_response(scene, table)
     freqs = scene.sweep.frequencies()
     r = table.length[0]  # element 1's LOS path
     expected_amp = (C_M_PER_S / freqs) / (4 * math.pi * r)
-    assert np.allclose(np.abs(cfr.values[0]), expected_amp, rtol=1e-12)
+    assert np.allclose(np.abs(values[0]), expected_amp, rtol=1e-12)
     # linear phase in f with slope -2*pi*r/c
-    phase = np.unwrap(np.angle(cfr.values[0]))
+    phase = np.unwrap(np.angle(values[0]))
     slopes = np.diff(phase) / np.diff(freqs)
     assert np.allclose(slopes, -2 * math.pi * r / C_M_PER_S, rtol=1e-9)
 
@@ -106,16 +107,16 @@ def test_single_path_cfr_amplitude_and_phase():
 def test_two_path_interference_matches_closed_form():
     scene = loads_scene(BARE + "\n[wall]\nnormal = 0.0, 1.0, 0.0\noffset = 8.0\ngamma = 0.9\n")
     table = path_table(scene)
-    cfr = nl.synthesize_cfr(scene, table)
+    values = held_response(scene, table)
     freqs = scene.sweep.frequencies()
     expected = np.zeros_like(freqs, dtype=complex)
     for i in paths_of(table, 1):
         lam = C_M_PER_S / freqs
         expected += (table.gain[i] * lam / (4 * math.pi * table.length[i])
                      * np.exp(-2j * math.pi * freqs * table.length[i] / C_M_PER_S))
-    assert np.allclose(cfr.values[0], expected, rtol=1e-10)
+    assert np.allclose(values[0], expected, rtol=1e-10)
     # interference fading: |H| oscillates between |a1-a2| and a1+a2
-    mags = np.abs(cfr.values[0])
+    mags = np.abs(values[0])
     assert mags.max() / mags.min() > 2.0
 
 
@@ -133,8 +134,8 @@ def test_equal_amplitude_half_cycle_fading():
     assert np.allclose(mags, 2 * np.abs(np.cos(beat / 2)), atol=1e-12)
 
 
-def test_los_lab_power_spread(los_cfr):
-    power = nl.received_power_db(los_cfr)
+def test_los_lab_power_spread(los_stats):
+    power = los_stats.power_db
     assert power.max() - power.min() <= 0.5
 
 
@@ -142,39 +143,34 @@ def test_superposition(los_scene):
     walls_only = replace(los_scene, point_scatterers=())
     scats_only = replace(los_scene, walls=())
     los_only = replace(los_scene, walls=(), point_scatterers=())
-    full = nl.synthesize_cfr(los_scene, path_table(los_scene)).values
-    combo = (nl.synthesize_cfr(walls_only, path_table(walls_only)).values
-             + nl.synthesize_cfr(scats_only, path_table(scats_only)).values
-             - nl.synthesize_cfr(los_only, path_table(los_only)).values)
+    full = held_response(los_scene)
+    combo = held_response(walls_only) + held_response(scats_only) - held_response(los_only)
     assert np.allclose(full, combo, rtol=1e-12, atol=1e-18)
 
 
 def test_determinism_bit_identical(olos_scene):
-    a = nl.synthesize_cfr(olos_scene, path_table(olos_scene)).values
-    b = nl.synthesize_cfr(olos_scene, path_table(olos_scene)).values
+    a = held_response(olos_scene)
+    b = held_response(olos_scene)
     assert np.array_equal(a, b)
 
 
 def test_noise_seeding(los_scene):
     noisy_scene = replace(los_scene, noise_floor_dbm=-95.0, seed=7)
-    a = nl.synthesize_cfr(noisy_scene, path_table(noisy_scene)).values
-    b = nl.synthesize_cfr(noisy_scene, path_table(noisy_scene)).values
-    reseeded = replace(noisy_scene, seed=8)
-    c = nl.synthesize_cfr(reseeded, path_table(reseeded)).values
+    a = held_response(noisy_scene)
+    b = held_response(noisy_scene)
+    c = held_response(replace(noisy_scene, seed=8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    clean = nl.synthesize_cfr(los_scene, path_table(los_scene))
+    clean = held_response(los_scene)
     # the synthesizer's noise is the blocked draw added to the clean response, and
     # that draw is the one whole-array Philox stream
-    assert np.array_equal(a, add_complex_noise(clean.values.copy(), -95.0, 7))
-    d = clean.values + reference.complex_noise(clean.values.shape, -95.0, 7)
-    assert np.array_equal(a, d)
+    assert np.array_equal(a, clean + reference.complex_noise(clean.shape, -95.0, 7))
 
 
 def test_noise_level_calibration():
     rng_floor = -90.0
     sweep = nl.Sweep(n_points=2001)
-    noise = add_complex_noise(np.zeros((8, sweep.n_points), dtype=complex), rng_floor, 3)
+    noise = np.vstack([block.copy() for block in _noise_blocks((8, sweep.n_points), rng_floor, 3)])
     measured = 10 * np.log10(np.mean(np.abs(noise) ** 2))
     assert measured == pytest.approx(rng_floor - 10.0, abs=0.2)  # relative to 10 dBm tx
 
@@ -190,13 +186,18 @@ def traced_peak(fn, *args):
 
 
 def test_noisy_synthesis_peak_memory():
-    # the noise is drawn, scaled and added one block of rows at a time, in one scratch block
+    # the noise is drawn, scaled and added one block of rows at a time, in one scratch block;
+    # the whole pass keeps block scratch only (2.2 MB measured of the 6.6 MB response)
     scene = nl.load_preset("los_lab")
     scene = replace(scene, array=replace(scene.array, n_elements=64),
                     sweep=replace(scene.sweep, n_points=6401), noise_floor_dbm=-90.0, seed=7)
     table = path_table(scene)
     cfr_bytes = 64 * 6401 * np.dtype(np.complex128).itemsize
-    assert traced_peak(nl.synthesize_cfr, scene, table) <= 1.3 * cfr_bytes
+
+    def drain():
+        for _ in response_blocks(scene, table):
+            pass
+    assert traced_peak(drain) <= 0.4 * cfr_bytes
 
 
 def test_reciprocity_of_path_lengths():
@@ -224,15 +225,34 @@ def test_blocker_never_increases_amplitude(los_scene, olos_scene):
 def test_csv_and_npz_roundtrip(tmp_path, los_scene):
     small = replace(los_scene, array=replace(los_scene.array, n_elements=3),
                     sweep=replace(los_scene.sweep, n_points=11))
-    cfr = nl.synthesize_cfr(small, path_table(small))
+    values = held_response(small)
     csv_path = tmp_path / "cfr.csv"
-    export_cfr_csv(cfr, csv_path)
+    with cfr_csv(csv_path, small.sweep, 3) as grid:
+        for start, stop, rows in array_blocks(values):
+            grid.add(start, stop, rows)
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "element,f_hz,re,im"
     assert len(rows) == 1 + 3 * 11
     el, f_hz, re, im = rows[1].split(",")
     assert int(el) == 1 and float(f_hz) == small.sweep.f_start
-    assert complex(float(re), float(im)) == cfr.values[0, 0]
+    assert complex(float(re), float(im)) == values[0, 0]
+
+
+def test_array_blocks_yield_copies_of_a_held_array(los_scene, los_table):
+    values = held_response(los_scene, los_table)
+    kept = values.copy()
+    # streamed_los_phase transforms each block in place; the held array stays as it was
+    phase, _ = nl.streamed_los_phase(array_blocks(values), los_scene, los_table)
+    assert np.array_equal(values, kept)
+    assert phase.tobytes() == nl.streamed_los_phase(response_blocks(los_scene, los_table),
+                                                    los_scene, los_table)[0].tobytes()
+    spans = [(start, stop) for start, stop, _ in array_blocks(values)]
+    assert spans == list(_kernels.row_blocks(*values.shape))
+    values[50, 3] = np.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        list(array_blocks(values))
+    with pytest.raises(ValueError, match="values must be 2-D"):
+        list(array_blocks(values[0]))
 
 
 def _accumulate_paths_py(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs):
@@ -357,7 +377,7 @@ def test_kernel_matches_scalar_loop_on_olos_baffle(olos_scene):
     assert len(table.edge_geo) > 0  # the knife-edge branch runs
     got = _assert_kernel_within_bound(olos_scene.array.n_elements, *table,
                                       olos_scene.sweep.frequencies())
-    assert np.array_equal(got, nl.synthesize_cfr(olos_scene, table).values)
+    assert np.array_equal(got, held_response(olos_scene, table))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -414,7 +434,7 @@ def test_sweep_phasors_reject_non_uniform_grid():
 def test_los_cfr_equals_full_cfr_without_multipath(olos_scene):
     bare = replace(olos_scene, walls=(), point_scatterers=(), noise_floor_dbm=None)
     assert bare.blockers  # edge factors go through both drivers
-    assert np.array_equal(synthesize_los_cfr(bare).values, nl.synthesize_cfr(bare, path_table(bare)).values)
+    assert np.array_equal(synthesize_los_cfr(bare), held_response(bare))
 
 
 def _random_table(rng, n_rows, n_paths, max_edges=3, row_idx=None):
