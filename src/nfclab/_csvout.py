@@ -1,11 +1,11 @@
 """The CSV dialect of every artifact: comma, ``\\r\\n``, no quoting, ``repr`` floats.
 
 No cell holds a comma, quote or line break, so these are the bytes
-``csv.writer`` wrote.  ``write_csv`` writes the header, then byte blocks.
-The small files join ``str`` cells into a block (``rows``).  The bulk files
-join cell matrices, one cell per row of NUL-padded bytes (``cells`` and
-``_floatrepr.repr_cells``), into lines and drop the NULs in one compaction
-per block (``lines``); a ``CellGrid`` writes them one row block at a time.
+``csv.writer`` wrote.  Every file joins cell matrices, one cell per row of
+NUL-padded bytes (``cells`` and ``_floatrepr.repr_cells``), into lines and
+drops the NULs in one compaction per block (``lines``).  ``write_csv``
+writes a small file's ``str`` columns at once; a ``CellGrid`` writes a bulk
+file one row block at a time.
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ def floats(values) -> list[str]:
 
 def strs(values) -> list[str]:
     return list(map(str, values))
-
-
-def rows(columns) -> bytes:
-    """Rows of comma-joined ``str`` cells; a column of another length raises ValueError."""
-    k, n = len(columns), len(columns[0])
-    parts = [","] * (2 * k * n)
-    for c, column in enumerate(columns):
-        parts[2 * c::2 * k] = column
-    parts[2 * k - 1::2 * k] = ["\r\n"] * n
-    return "".join(parts).encode()
 
 
 def cells(column) -> np.ndarray:
@@ -73,11 +63,12 @@ def open_csv(path, header):
     return fh
 
 
-def write_csv(path, header, blocks) -> None:
-    """Write ``header``, then each block of bytes in turn."""
+def write_csv(path, header, columns) -> None:
+    """Write ``header``, then a line per row of the ``str`` cell ``columns``; unequal lengths raise ValueError."""
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"columns must have equal lengths, got {[len(column) for column in columns]}")
     with open_csv(path, header) as fh:
-        for block in blocks:
-            fh.write(block)
+        fh.write(lines([cells(column)[:, None] for column in columns]))
 
 
 class CellGrid:

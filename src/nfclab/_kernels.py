@@ -84,19 +84,16 @@ def median(values) -> float:
     return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
 
 
-def knife_edge_loss(nu) -> np.ndarray | float:
-    """Single-knife-edge diffraction loss in dB for Fresnel parameter nu.
+def knife_edge_loss(nu) -> np.ndarray:
+    """Single-knife-edge diffraction loss in dB for the Fresnel parameters ``nu``, an array of their shape.
 
     ``6.9 + 20*log10(sqrt((nu-0.1)^2+1) + nu - 0.1)`` for nu > -0.78, else 0.
     """
-    nu_arr = np.asarray(nu, dtype=float)
-    t = nu_arr - 0.1
+    nu = np.asarray(nu, dtype=float)
+    t = nu - 0.1
     with np.errstate(invalid="ignore"):
         j = 6.9 + 20.0 * np.log10(np.sqrt(t * t + 1.0) + t)
-    out = np.where(nu_arr > KNIFE_EDGE_NU_MIN, j, 0.0)  # also 0 for -inf: no crossing, no loss
-    if np.isscalar(nu) or np.ndim(nu) == 0:
-        return float(out)
-    return out
+    return np.where(nu > KNIFE_EDGE_NU_MIN, j, 0.0)  # also 0 for -inf: no crossing, no loss
 
 
 def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out) -> np.ndarray:

@@ -89,17 +89,15 @@ def _power_db(totals: np.ndarray, n: int) -> np.ndarray:
 class _Spread:
     """RMS delay spread of ``n_rows`` profiles of ``n`` bins, fed one row block at a time.
 
-    ``add`` takes each row's peak, zeroes the bins more than ``threshold_db``
-    (>= 0) below it and accumulates the moments in place on the block; each
-    row's sums are its own reductions.  A sum may overflow float64 (a band so
-    narrow that its delay axis spans ~1e120 s, or a power near the float64
-    limit); ``spread`` raises then.
+    ``add`` takes each row's peak, zeroes the bins more than
+    ``DEFAULT_DS_THRESHOLD_DB`` below it and accumulates the moments in place
+    on the block; each row's sums are its own reductions.  A sum may overflow
+    float64 (a band so narrow that its delay axis spans ~1e120 s, or a power
+    near the float64 limit); ``spread`` raises then.
     """
 
-    def __init__(self, n_rows: int, n: int, bin_width: float, threshold_db: float):
-        if not threshold_db >= 0.0:
-            raise ValueError(f"threshold_db must be >= 0 dB, got {threshold_db}")
-        self._scale = 10.0 ** (-threshold_db / 10.0)
+    def __init__(self, n_rows: int, n: int, bin_width: float):
+        self._scale = 10.0 ** (-DEFAULT_DS_THRESHOLD_DB / 10.0)
         self._tau = np.arange(n) * bin_width
         self._drop = np.empty((_kernels.block_rows(n_rows, n), n), dtype=bool)
         self._sums = np.empty((4, n_rows))  # peak, total, first and second moment
@@ -150,8 +148,8 @@ class _Gate:
     """The LOS gate of ``n_rows`` rows, fed their spectra ``ifft(rows * taper)`` one row block at a time.
 
     ``taper`` is the Hann window times the ``f / f_c`` equalizer, which
-    flattens the free-space 1/f amplitude; f_c = ``frequencies()[center_index]``
-    is the grid-centre frequency, not the band mean ``f_center``.  Building
+    flattens the free-space 1/f amplitude; f_c is the grid-centre frequency
+    ``f_grid_center``, not the band mean ``f_center``.  Building
     it raises AnalysisError on a sweep too short for the window.  Only the
     +-LOS_GATE_HALF_WIDTH bins around each row's LOS delay ``length[n - 1] / c``
     are kept from a block, so the blocks may be scratch that the next block
@@ -164,8 +162,7 @@ class _Gate:
     """
 
     def __init__(self, sweep: Sweep, table: PathTable, n_rows: int, noise_floor_dbm: float | None):
-        freqs = sweep.frequencies()
-        self.taper = _hann(sweep.n_points) * freqs / freqs[sweep.center_index]
+        self.taper = _hann(sweep.n_points) * sweep.frequencies() / sweep.f_grid_center
         self._sweep, self._noise_floor_dbm = sweep, noise_floor_dbm
         offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
         self._idx = (_los_bin_indices(sweep, table, n_rows)[:, None] + offsets) % sweep.n_points
@@ -254,7 +251,7 @@ def _pair_aod(sweep: Sweep, taps: np.ndarray, tap_valid: np.ndarray,
     n = len(taps)
     if n < 2:
         raise ValueError("need at least 2 elements to estimate angles")
-    lam = C_M_PER_S / sweep.frequencies()[sweep.center_index]
+    lam = C_M_PER_S / sweep.f_grid_center
     # Delay-phase difference of adjacent taps, wrapped to (-pi, pi].
     dphi = -np.angle(taps[1:] * np.conj(taps[:-1]))
     ratio = -lam * dphi / (2.0 * math.pi * spacing_d)
@@ -288,7 +285,7 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
     n_rows, n = scene.array.n_elements, sweep.n_points
     hann, gate = _drained(blocks, lambda: (_hann(n),
                                            _Gate(sweep, table, n_rows, scene.noise_floor_dbm)))
-    spread = _Spread(n_rows, n, 1.0 / sweep.bandwidth, DEFAULT_DS_THRESHOLD_DB)
+    spread = _Spread(n_rows, n, 1.0 / sweep.bandwidth)
     height = _kernels.block_rows(n_rows, n)
     spectra = np.empty((height, n), dtype=np.complex128)
     profiles = np.empty((height, n))
@@ -321,11 +318,10 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
 
 def export_stats_csv(stats: ChannelStats, path) -> None:
     _csvout.write_csv(path, ("element", "power_db", "ds_ns", "phase_rad", "aod_deg", "tau_ns"),
-                      [_csvout.rows((_csvout.strs(range(1, stats.n_elements + 1)), _csvout.floats(stats.power_db),
-                                     _csvout.floats(stats.delay_spread_s * 1e9),
-                                     _csvout.floats(stats.los_phase_rad),
-                                     _csvout.floats([math.degrees(a) for a in stats.aod_rad.tolist()]),
-                                     _csvout.floats(stats.tau_los_s * 1e9)))])
+                      (_csvout.strs(range(1, stats.n_elements + 1)), _csvout.floats(stats.power_db),
+                       _csvout.floats(stats.delay_spread_s * 1e9), _csvout.floats(stats.los_phase_rad),
+                       _csvout.floats([math.degrees(a) for a in stats.aod_rad.tolist()]),
+                       _csvout.floats(stats.tau_los_s * 1e9)))
 
 
 def pdp_csv(path, n_rows: int, n_bins: int, bandwidth_hz: float) -> _csvout.CellGrid:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _csvout, _kernels, analysis, multiplanar, stationarity, synth, wavefront
 from .constants import C_M_PER_S
-from .scene import PRESET_NAMES, Scene, SceneError, load_preset, load_scene
+from .scene import PRESET_NAMES, Scene, SceneError, SceneValidationError, load_preset, load_scene
 from .synth import element_geometry, element_positions
 
 EXIT_OK = 0
@@ -187,8 +187,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         partitions = _partitions(args, dmap, stats)
         geometry = multiplanar.los_geometry(scene, table)
         mw_table = _mw_table(scene, table, geometry, partitions)
-        fc = scene.sweep.frequencies()[scene.sweep.center_index]
-        model = wavefront.model_phases(geometry.theta, scene.array.spacing_d, C_M_PER_S / fc)
+        model = wavefront.model_phases(geometry.theta, scene.array.spacing_d,
+                                       C_M_PER_S / scene.sweep.f_grid_center)
         lines = _write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
     print(f"report: {out_dir / 'report.txt'}")
     for line in lines:
@@ -313,12 +313,19 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
                         "is not resolved", EXIT_ANALYSIS_FAILURE)
     target = p1 + bearing * distance
     scaled = replace(scene, rx=tuple(float(x) for x in target))
-    scaled.validate()
+    try:
+        scaled.validate()
+    except SceneValidationError as exc:
+        if exc.field_name != "rx":
+            raise
+        # near 0 Hz the Rayleigh distance 2 D^2 / lambda is tiny
+        raise _CliError(f"--distance-mult {args.distance_mult:g} times the Rayleigh distance ({r_d:g} m) "
+                        f"puts the receiver {distance:g} m from element 1, on an array element",
+                        EXIT_ANALYSIS_FAILURE) from exc
 
     table = synth.path_table(scaled)
     measured, _ = analysis.streamed_los_phase(synth.response_blocks(scaled, table), scaled, table)
-    fc = scaled.sweep.frequencies()[scaled.sweep.center_index]
-    lam_eval = C_M_PER_S / fc
+    lam_eval = C_M_PER_S / scaled.sweep.f_grid_center
     _, theta = element_geometry(scaled, scaled.rx)
     model = wavefront.model_phases(theta, scene.array.spacing_d, lam_eval)
     far = wavefront.far_field_phase(np.arange(1, scene.array.n_elements + 1),
@@ -333,8 +340,8 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
     with _staged(path.parent, [path.name]) as files:
         _csvout.write_csv(files[path.name],
                           ("element", "measured_phase", "eq_model_phase", "far_field_phase"),
-                          [_csvout.rows((_csvout.strs(range(1, scene.array.n_elements + 1)),
-                                         _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far)))])
+                          (_csvout.strs(range(1, scene.array.n_elements + 1)),
+                           _csvout.floats(measured), _csvout.floats(model), _csvout.floats(far)))
 
     max_far_gap = float(np.abs(model - (-far)).max())
     print(f"rx distance: {args.distance_mult:g} x Rayleigh ({r_d:.3f} m) = "

@@ -109,6 +109,11 @@ class Sweep:
         return (self.n_points - 1) // 2
 
     @property
+    def f_grid_center(self) -> float:
+        """``frequencies()[center_index]``, the grid-centre frequency: the LOS phase and AoD frequency."""
+        return self.frequencies()[self.center_index]
+
+    @property
     def bandwidth(self) -> float:
         return self.f_stop - self.f_start
 

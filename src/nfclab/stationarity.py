@@ -116,7 +116,7 @@ class WindowBands:
         idx = np.arange(m)
         stack = np.empty((self._n - m + 1, m, m), dtype=np.complex128)
         for k, band in enumerate(self._bands):
-            band /= self._ring.shape[1]
+            band = band / self._ring.shape[1]
             lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
             stack[:, idx[k:], idx[:m - k]] = lag
             stack[:, idx[:m - k], idx[k:]] = lag.conj()
@@ -225,28 +225,27 @@ def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
     return _partition(n, splits, "cmd", m)
 
 
-def characteristic_slope(s: np.ndarray, w: int = DEFAULT_SMOOTHING_W) -> np.ndarray:
+def characteristic_slope(s: np.ndarray) -> np.ndarray:
     """Per-element slope of a statistic: ``np.gradient`` of its centred moving average.
 
-    The average has odd width ``w`` and shrinks at the array ends; the
+    The ``DEFAULT_SMOOTHING_W``-wide average shrinks at the array ends; the
     gradient takes centred differences inside and one-sided ones at the ends.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.shape[0] < 3:
         raise ValueError("need a 1-D array of length >= 3")
-    if w < 1 or w % 2 == 0:
-        raise ValueError(f"smoothing width must be odd and >= 1, got {w}")
     n = s.shape[0]
-    half = w // 2
+    half = DEFAULT_SMOOTHING_W // 2
     padded = np.concatenate([np.zeros(1), np.cumsum(s)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
     return np.gradient((padded[hi] - padded[lo]) / (hi - lo))
 
 
-def _slope_boundaries(k: np.ndarray, threshold: float) -> dict[int, float]:
+def _slope_boundaries(k: np.ndarray) -> dict[int, float]:
     """``{boundary: score}`` at the steepest point of every run of >= 2 hot elements."""
-    edges = np.flatnonzero(np.diff(np.pad(np.abs(k) > threshold, 1)))  # runs k[i:j] as (i, j) pairs
+    hot = np.abs(k) > DEFAULT_SLOPE_THRESHOLD_DB
+    edges = np.flatnonzero(np.diff(np.pad(hot, 1)))  # runs k[i:j] as (i, j) pairs
     slope: dict[int, float] = {}
     for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
         if j - i >= 2:
@@ -259,41 +258,39 @@ def _slope_boundaries(k: np.ndarray, threshold: float) -> dict[int, float]:
     return slope
 
 
-def _uniform_power_splits(power_db: np.ndarray, slope: dict[int, float],
-                          gamma_db: float) -> list[tuple[int, float]]:
+def _uniform_power_splits(power_db: np.ndarray, slope: dict[int, float]) -> list[tuple[int, float]]:
     """The slope boundaries merged with left-scan uniform-power splits (score NaN).
 
     The scan restarts at every slope boundary and splits wherever the power
-    range since the last boundary or split exceeds ``gamma_db``.
+    range since the last boundary or split exceeds ``DEFAULT_UNIFORM_POWER_DB``.
     """
     splits: list[tuple[int, float]] = []
     lo = hi = power_db[0]
     for el in range(2, len(power_db) + 1):
         p = power_db[el - 1]
         lo, hi = min(lo, p), max(hi, p)
-        if el in slope or hi - lo > gamma_db:
+        if el in slope or hi - lo > DEFAULT_UNIFORM_POWER_DB:
             splits.append((el, slope.get(el, float("nan"))))
             lo = hi = p
     return splits
 
 
-def partition_by_slope(stats: ChannelStats,
-                       gamma_db: float = DEFAULT_UNIFORM_POWER_DB) -> StationaryPartition:
+def partition_by_slope(stats: ChannelStats) -> StationaryPartition:
     """Characteristic-slope partition with a uniform-power check.
 
     Boundaries form where the smoothed slope of the received power stays
     above ``DEFAULT_SLOPE_THRESHOLD_DB`` for at least 2 consecutive
     elements (placed at the steepest point of the run); every resulting
     interval is then split wherever its internal received-power range
-    exceeds ``gamma_db``, and short intervals are folded into neighbors.
+    exceeds ``DEFAULT_UNIFORM_POWER_DB``; short ones fold into neighbors.
     """
     values = np.asarray(stats.power_db, dtype=float)
     n = len(values)
     if n < 3:
         return StationaryPartition(intervals=((1, n),), criterion="slope", boundary_scores=(),
                                    warnings=(f"array of {n} elements too short for a slope",))
-    slope = _slope_boundaries(characteristic_slope(values), DEFAULT_SLOPE_THRESHOLD_DB)
-    return _partition(n, _uniform_power_splits(values, slope, gamma_db), "slope", DEFAULT_WINDOW_M)
+    slope = _slope_boundaries(characteristic_slope(values))
+    return _partition(n, _uniform_power_splits(values, slope), "slope", DEFAULT_WINDOW_M)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +298,14 @@ def partition_by_slope(stats: ChannelStats,
 # ---------------------------------------------------------------------------
 
 def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
-    def block(partition: StationaryPartition):
+    rows = []
+    for partition in partitions:
         n = partition.n_intervals  # a partition may carry fewer than n - 1 scores
         scores = ([""] + _csvout.floats(partition.boundary_scores) + [""] * n)[:n]
-        return _csvout.rows((_csvout.strs(range(n)), _csvout.strs(s for s, _ in partition.intervals),
-                             _csvout.strs(e for _, e in partition.intervals), [partition.criterion] * n,
-                             scores))
-
+        rows += [(str(i), str(start), str(end), partition.criterion, score)
+                 for i, ((start, end), score) in enumerate(zip(partition.intervals, scores))]
     _csvout.write_csv(path, ("interval_index", "start", "end", "criterion", "boundary_score"),
-                      map(block, partitions))
+                      [[row[c] for row in rows] for c in range(5)])
 
 
 def export_cmd_map_csv(dmap: np.ndarray, path) -> None:

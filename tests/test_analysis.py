@@ -7,8 +7,8 @@ import pytest
 import nfclab as nl
 from nfclab import _kernels
 from nfclab import wavefront as wf
-from nfclab.analysis import (AnalysisError, _Gate, _Spread, _delay, _hann, _pair_aod, _power_db,
-                             _power_sums, _profile, _unwrapped_phase, export_stats_csv, pdp_csv,
+from nfclab.analysis import (DEFAULT_DS_THRESHOLD_DB, AnalysisError, _Gate, _Spread, _delay, _hann, _pair_aod,
+                             _power_db, _power_sums, _profile, _unwrapped_phase, export_stats_csv, pdp_csv,
                              streamed_los_phase, streamed_stats)
 from nfclab.cli import main
 from nfclab.constants import C_M_PER_S
@@ -36,9 +36,9 @@ def profile(values, taper=None):
     return _profile(_delay(values, taper, np.empty_like(values)), np.empty(values.shape))
 
 
-def spread(p, bin_width, threshold_db=20.0):
+def spread(p, bin_width):
     """The RMS delay spread that ``streamed_stats`` takes of each profile (``_Spread``), of one profile."""
-    moments = _Spread(1, len(p), bin_width, threshold_db)
+    moments = _Spread(1, len(p), bin_width)
     moments.add(0, 1, np.array(p, dtype=float)[None])  # a copy: add overwrites its block
     return float(moments.spread()[0])
 
@@ -162,9 +162,11 @@ def test_rms_delay_spread_invariances():
 def test_rms_delay_spread_threshold_zeroes_weak_bins():
     p = np.zeros(801)
     p[0] = 1.0
-    p[400] = 1e-4  # 40 dB below the peak: removed at the default 20 dB cut
+    p[400] = 1e-4  # 40 dB below the peak: removed at the 20 dB cut
     assert spread(p, 0.25e-9) == 0.0
-    assert spread(p, 0.25e-9, threshold_db=50.0) > 5e-10
+    p[400] = 0.1  # 10 dB below the peak: kept
+    assert spread(p, 0.25e-9) > 5e-10
+    assert spread(p, 0.25e-9) == reference.rms_delay_spread(p, 0.25e-9, DEFAULT_DS_THRESHOLD_DB)
 
 
 def test_rms_delay_spread_all_noise_error():
@@ -178,16 +180,7 @@ def test_rms_delay_spread_keeps_a_bin_exactly_at_the_threshold():
     p[40] = 0.01  # exactly 20 dB below the peak: kept
     ds = spread(p, 0.25e-9)
     assert ds == pytest.approx(math.sqrt(0.01) / 1.01 * 10e-9, rel=1e-12)
-    assert ds == reference.rms_delay_spread(p, 0.25e-9)
-    assert spread(p, 0.25e-9, threshold_db=0.0) == 0.0  # the peak alone
-
-
-@pytest.mark.parametrize("threshold_db", [-1.0, -1e-300, math.nan])
-def test_rms_delay_spread_rejects_a_bad_threshold(threshold_db):
-    p = np.zeros(801)
-    p[3] = 1.0
-    with pytest.raises(ValueError, match="threshold_db"):
-        spread(p, 0.25e-9, threshold_db=threshold_db)
+    assert ds == reference.rms_delay_spread(p, 0.25e-9, DEFAULT_DS_THRESHOLD_DB)
 
 
 def test_los_phase_single_path_matches_oracle():
@@ -356,8 +349,8 @@ def test_pdp_array_and_los_delays_match_per_row_reference(name):
     assert stats.power_db.tobytes() == np.array([reference.received_power(row)
                                                  for row in values]).tobytes()
     bin_width = 1.0 / scene.sweep.bandwidth
-    assert stats.delay_spread_s.tobytes() == np.array([reference.rms_delay_spread(p, bin_width)
-                                                       for p in ref]).tobytes()
+    spreads = [reference.rms_delay_spread(p, bin_width, DEFAULT_DS_THRESHOLD_DB) for p in ref]
+    assert stats.delay_spread_s.tobytes() == np.array(spreads).tobytes()
     assert stats.tau_los_s.tobytes() == delays.tobytes()
     # the one shared gate gives what the whole-array gate gives
     phase, los_valid = reference.held_los_phase(scene, table)

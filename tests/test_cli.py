@@ -580,6 +580,30 @@ def test_constant_los_phase_run_reports_nan_correlation(tmp_path, warnings, pres
     assert "  FAIL  phase_model_correlation_gt_0.99\n" in report
 
 
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W_error"])
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+@pytest.mark.parametrize("band", [(1e-150, 1e-140), (1e-290, 2e-290)])
+def test_near_0_hz_phase_check_names_the_receiver_on_the_array(tmp_path, warnings, preset, band):
+    # near 0 Hz the Rayleigh distance 2 D^2 / lambda is far below the 1 nm coincidence
+    # tolerance, so --distance-mult 1 puts the receiver on element 1
+    scene = load_preset(preset)
+    scene = replace(scene, sweep=replace(scene.sweep, f_start=band[0], f_stop=band[1], n_points=32))
+    path = tmp_path / "near_0_hz.scene"
+    save_scene(scene, path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "phase_check.csv").write_text("stale\n")
+    r_d = nfclab.wavefront.rayleigh_distance(scene.array.aperture, scene.sweep.lambda_center)
+    src = Path(nfclab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *warnings, "-m", "nfclab.cli", "phase-check", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (EXIT_ANALYSIS_FAILURE, "")
+    assert proc.stderr.splitlines() == [f"error: --distance-mult 1 times the Rayleigh distance ({r_d:g} m) "
+                                        f"puts the receiver {r_d:g} m from element 1, on an array element"]
+    assert not [p for p in (tmp_path / "out").iterdir()]
+
+
 @pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
 def test_phase_check_unresolved_distance_exit_4(tmp_path, preset):
     src = Path(nfclab.__file__).resolve().parents[1]

@@ -300,22 +300,26 @@ def test_phase_check_csv_matches_reference_for_scene(tmp_path, monkeypatch, name
 
 def test_write_csv_dialect(tmp_path):
     path = tmp_path / "t.csv"
-    _csvout.write_csv(path, ("a", "b"), [_csvout.rows((_csvout.strs([1, 10]), _csvout.floats([-0.0, 1e22]))),
-                                         _csvout.rows(([], [])), _csvout.rows((["x"], ["nan"]))])
-    assert path.read_bytes() == b"a,b\r\n1,-0.0\r\n10,1e+22\r\nx,nan\r\n"
+    _csvout.write_csv(path, ("a", "b", "c"), (_csvout.strs([1, 10, "x"]), _csvout.floats([-0.0, 1e22, math.nan]),
+                                              ["", "q", ""]))
+    assert path.read_bytes() == b"a,b,c\r\n1,-0.0,\r\n10,1e+22,q\r\nx,nan,\r\n"
+    _csvout.write_csv(path, ("a",), (["y"],))
+    assert path.read_bytes() == b"a\r\ny\r\n"
+    _csvout.write_csv(path, ("a", "b"), ([], []))
+    assert path.read_bytes() == b"a,b\r\n"
     # cell matrices: a per-row label and a per-column cell broadcast over a 2 x 2 block
     label, column = _csvout.cells(["1", "10"])[:, None], _csvout.cells(["p", "qq"])[None]
-    _csvout.write_csv(path, ("a", "b", "c"),
-                      [_csvout.lines((label, column, repr_cells([[-0.0, 1e22], [math.nan, 0.5]]))),
-                       _csvout.lines((label[:0], column, repr_cells(np.zeros((0, 2)))))])
-    assert path.read_bytes() == b"a,b,c\r\n1,p,-0.0\r\n1,qq,1e+22\r\n10,p,nan\r\n10,qq,0.5\r\n"
-    _csvout.write_csv(path, ("a", "b"), [])
-    assert path.read_bytes() == b"a,b\r\n"
+    block = _csvout.lines((label, column, repr_cells([[-0.0, 1e22], [math.nan, 0.5]])))
+    assert block.tobytes() == b"1,p,-0.0\r\n1,qq,1e+22\r\n10,p,nan\r\n10,qq,0.5\r\n"
+    assert _csvout.lines((label[:0], column, repr_cells(np.zeros((0, 2))))).tobytes() == b""
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ValueError):
-        _csvout.write_csv(tmp_path / "t.csv", ("a", "b"), [_csvout.rows((["1", "2"], ["3"]))])
+    # a one-row column broadcasts in lines(): write_csv must not repeat it down a longer one
+    for columns in ((["1", "2"], ["3"]), (["3"], ["1", "2"]), (["1", "2"], [])):
+        with pytest.raises(ValueError, match="equal lengths"):
+            _csvout.write_csv(tmp_path / "t.csv", ("a", "b"), columns)
+        assert not (tmp_path / "t.csv").exists()
     with pytest.raises(ValueError):
         _csvout.lines((_csvout.cells(["1", "2"])[:, None], repr_cells(np.ones((3, 4)))))
 

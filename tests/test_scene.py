@@ -149,12 +149,13 @@ def test_roundtrip_identity(los_scene, olos_scene, tmp_path):
 def test_sweep_center_index_is_the_middle_grid_point():
     odd = nl.Sweep(n_points=801)
     assert odd.center_index == 400
-    assert odd.frequencies()[odd.center_index] == pytest.approx(odd.f_center, rel=1e-15)
+    assert odd.f_grid_center == odd.frequencies()[400] == pytest.approx(odd.f_center, rel=1e-15)
     even = nl.Sweep(n_points=800)
     assert even.center_index == 399
     step = even.bandwidth / (even.n_points - 1)
-    assert even.frequencies()[even.center_index] == pytest.approx(even.f_center - 0.5 * step, rel=1e-15)
-    assert nl.Sweep(n_points=2).center_index == 0
+    assert even.f_grid_center == even.frequencies()[399] == pytest.approx(even.f_center - 0.5 * step, rel=1e-15)
+    two = nl.Sweep(n_points=2)
+    assert (two.center_index, two.f_grid_center) == (0, two.f_start)
 
 
 def test_element_position_basics(los_scene):
