@@ -11,13 +11,13 @@ every row still receives its adds one at a time in table order: the result
 is deterministic.  Knife-edge losses are evaluated only for the paths that
 cross a screen.  The propagation phasors come from ``sweep_phasors``, a
 coarse x fine table of the uniform sweep grid, and are scaled by the
-amplitude with one complex x real multiply; both blocks live in scratch
-allocated once per call, and so does the response block when the caller
-gives no array to write it into.
+amplitude with one complex x real multiply; both blocks, and the response
+block, live in scratch allocated once per call.
 
 The module also holds the row-block rule that the kernel and every stage
 after it share (``block_rows``, ``row_blocks``), ``row_dot``, the per-row
-dot product whose sums do not depend on the block height, and ``median``.
+dot product whose sums do not depend on the block height, ``median``, and
+``wavelengths``, which the kernel and the multiplanar error share.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ def row_dot(a, b, out) -> np.ndarray:
         stop = start + REDUCE_COLS
         out += np.einsum("ij,ij->i", a[:, start:stop], b[:, start:stop])
     return out
+
+
+def wavelengths(freqs) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, sqrt_lam)``: the wavelengths ``C / f`` of the sweep grid ``freqs`` and their square roots."""
+    with np.errstate(over="ignore"):  # a sweep from near 0 Hz: the response's finite check reports it
+        lam = C_M_PER_S / freqs
+    return lam, np.sqrt(lam)
 
 
 def median(values) -> float:
@@ -192,9 +199,7 @@ def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
     table order.  It is one scratch block reused for every block, so a
     consumer must read a block before it asks for the next.
     """
-    with np.errstate(over="ignore"):  # a sweep from near 0 Hz: the response's finite check reports it
-        lam = C_M_PER_S / freqs
-    sqrt_lam = np.sqrt(lam)
+    lam, sqrt_lam = wavelengths(freqs)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
     height = block_rows(n_rows, len(freqs))
     amp_block = np.empty((height, len(freqs)))

@@ -147,7 +147,7 @@ def _los_bin_indices(sweep: Sweep, table: PathTable, n_rows: int) -> np.ndarray:
 class _Gate:
     """The LOS gate of ``n_rows`` rows, fed their spectra ``ifft(rows * taper)`` one row block at a time.
 
-    ``taper`` is the Hann window times the ``f / f_c`` equalizer, which
+    ``taper`` is the Hann window ``hann`` times the ``f / f_c`` equalizer, which
     flattens the free-space 1/f amplitude; f_c is the grid-centre frequency
     ``f_grid_center``, not the band mean ``f_center``.  Building
     it raises AnalysisError on a sweep too short for the window.  Only the
@@ -162,7 +162,8 @@ class _Gate:
     """
 
     def __init__(self, sweep: Sweep, table: PathTable, n_rows: int, noise_floor_dbm: float | None):
-        self.taper = _hann(sweep.n_points) * sweep.frequencies() / sweep.f_grid_center
+        self.hann = _hann(sweep.n_points)
+        self.taper = self.hann * sweep.frequencies() / sweep.f_grid_center
         self._sweep, self._noise_floor_dbm = sweep, noise_floor_dbm
         offsets = np.arange(-LOS_GATE_HALF_WIDTH, LOS_GATE_HALF_WIDTH + 1)
         self._idx = (_los_bin_indices(sweep, table, n_rows)[:, None] + offsets) % sweep.n_points
@@ -186,7 +187,7 @@ class _Gate:
         if self._noise_floor_dbm is not None:
             # Windowing scales the in-gate noise by mean(w^2) (w has unit mean).
             noise_in_gate = (noise_sigma(self._noise_floor_dbm) ** 2 * idx.shape[1]
-                             * float(np.mean(_hann(n) ** 2)))
+                             * float(np.mean(self.hann ** 2)))
             valid = gate_power > 10.0 * noise_in_gate
         else:
             valid = gate_power > 0.0
@@ -283,8 +284,7 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
     """
     sweep = scene.sweep
     n_rows, n = scene.array.n_elements, sweep.n_points
-    hann, gate = _drained(blocks, lambda: (_hann(n),
-                                           _Gate(sweep, table, n_rows, scene.noise_floor_dbm)))
+    gate = _drained(blocks, lambda: _Gate(sweep, table, n_rows, scene.noise_floor_dbm))
     spread = _Spread(n_rows, n, 1.0 / sweep.bandwidth)
     height = _kernels.block_rows(n_rows, n)
     spectra = np.empty((height, n), dtype=np.complex128)
@@ -298,7 +298,7 @@ def streamed_stats(blocks, scene: Scene, table: PathTable, consumers=(), pdp=Non
         _drained(blocks, lambda: _finite_power(totals[start:stop]))
         for consumer in consumers:
             consumer(start, stop, rows)
-        profile = _profile(_delay(rows, hann, spectrum), profile)
+        profile = _profile(_delay(rows, gate.hann, spectrum), profile)
         if pdp is not None:
             pdp(start, stop, profile)
         spread.add(start, stop, profile)

@@ -20,7 +20,6 @@ either complex response or holding the truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,24 +67,12 @@ def _los_amplitude(table: PathTable, rows: np.ndarray, lam: np.ndarray, sqrt_lam
     return _kernels.path_amplitude(table.gain[rows], table.length[rows], sub_ptr, geo, lam, sqrt_lam, out=out)
 
 
-def _wavelengths(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    lam = C_M_PER_S / scene.sweep.frequencies()
-    return lam, np.sqrt(lam)
-
-
-@dataclass(frozen=True)
-class MultiplanarError:
+class MultiplanarError(NamedTuple):
     """Phase RMSE (wrapped, radians) and complex field correlation in [0, 1]."""
 
     phase_rmse: float
     complex_correlation: float
     per_element_phase_dev: np.ndarray
-
-    def __post_init__(self):
-        if self.phase_rmse < 0:
-            raise ValueError("phase_rmse must be >= 0")
-        if self.complex_correlation > 1.0 + 1e-12:
-            raise ValueError("correlation must not exceed 1")
 
 
 def _fallback_reference(start: int, end: int, usable) -> int:
@@ -116,113 +103,94 @@ def build_multiplanar_model(geometry: LosGeometry, partition: StationaryPartitio
     return ref
 
 
-class _Scores:
-    """The sums of the multiplanar error for several reference indices, fed the LOS amplitude by row blocks.
+def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
+                       refs: list[np.ndarray]) -> list[MultiplanarError]:
+    """Wrapped phase RMSE and correlation of the planar wavefronts of every reference index in ``refs``.
 
-    Every reference index's sums advance together in one scratch set,
-    allocated once.  Every sum is first a per-row ``_kernels.row_dot``, an
-    einsum rather than a BLAS call, so the result depends neither on the
-    BLAS thread count nor on the block height.
+    ``geometry`` is ``los_geometry(scene, table)`` and each ``ref`` is
+    ``build_multiplanar_model(geometry, partition)``, an integer array of N
+    entries in 1..N (else ValueError).  The truth is the scene's spherical
+    LOS response ``A_n(f) e^{-j2pi f l_n/c}`` (the amplitude of ``table``'s
+    direct path n and ``geometry.length``), the reconstruction is
+    ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)`` and the planar
+    length ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of element n's
+    reference; both amplitudes are real and non-negative.  So the phase
+    error is ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where ``A_n g_n = 0``
+    (a zero sample has no phase to compare), and the complex correlation
+    ``|<approx, truth>| / (|approx| |truth|)`` is ``|sum w e^{j phi}| / (|g| |A|)``
+    with ``w = A_n g_n``; its phasors come from ``_kernels.sweep_phasors``.
+
+    One pass over ``_kernels.row_blocks`` makes each block's truth rows, and
+    the rows of the block's references that lie outside it, with
+    ``_los_amplitude`` into one scratch block sized for the largest such
+    set.  Every index's sums advance together in scratch allocated once.
+    Each is first a per-row ``_kernels.row_dot``, an einsum rather than a
+    BLAS call, so the result depends neither on the BLAS thread count nor on
+    the block height.
     """
-
-    def __init__(self, scene: Scene, length: np.ndarray, theta: np.ndarray, refs: list[np.ndarray]):
-        n_el = scene.array.n_elements
-        for ref in refs:
-            if len(ref) != n_el:
-                raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")
-        # math.cos, not np.cos, whose vectorised rounding may differ: mw_error.csv is byte-stable
-        cos = np.array([math.cos(t) for t in theta.tolist()])
-        self._rows = [ref - 1 for ref in refs]
-        planar = [length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]
-                  for ref, row in zip(refs, self._rows)]
-        self._delays = [(length - p) / C_M_PER_S for p in planar]
-        self._freqs = scene.sweep.frequencies()
-        self._omega = -TWO_PI * self._freqs
-        self._rowsq = np.empty(n_el)
-        self._sums = np.empty((len(refs), 3, n_el))  # per index: Re and Im of sum w e^{j phi}, sum phi^2
-        n = len(self._freqs)
-        height = _kernels.block_rows(n_el, n)
-        self._weight, self._phase = np.empty((2, height, n))
-        self._silent = np.empty((height, n), dtype=bool)
-        self._phasor = np.empty((height, *_kernels.phasor_grid(n)), dtype=complex)
-
-    def add(self, start: int, stop: int, amp: np.ndarray, ref_amp: np.ndarray, ref_rows: np.ndarray) -> None:
-        """Rows ``[start, stop)`` of the truth's amplitude, ``amp``.
-
-        ``ref_amp`` holds the amplitude rows ``ref_rows`` (ascending 0-based
-        indices), among them every reference row of those elements.
-        """
-        m = stop - start
-        _kernels.row_dot(amp, amp, self._rowsq[start:stop])
-        for row, delay, (wre, wim, mean_square) in zip(self._rows, self._delays, self._sums):
-            # g = A[ref - 1]; the index holds valid rows, and mode="clip" keeps np.take from buffering `out`
-            weight = np.take(ref_amp, np.searchsorted(ref_rows, row[start:stop]), axis=0,
-                             out=self._weight[:m], mode="clip")
+    n_el, length = scene.array.n_elements, geometry.length
+    for i, ref in enumerate(refs):
+        if len(ref) != n_el:
+            raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")
+        if ref.dtype.kind not in "iu":
+            raise ValueError(f"reference index {i} must hold integers, got {ref.dtype}")
+        outside = np.flatnonzero((ref < 1) | (ref > n_el))
+        if outside.size:
+            raise ValueError(f"reference index {i} holds {ref[outside[0]]} at element {outside[0] + 1}, "
+                             f"outside 1..{n_el}")
+    freqs = scene.sweep.frequencies()
+    n = len(freqs)
+    lam, sqrt_lam = _kernels.wavelengths(freqs)
+    # math.cos, not np.cos, whose vectorised rounding may differ: mw_error.csv is byte-stable
+    cos = np.array([math.cos(t) for t in geometry.theta.tolist()])
+    ref_rows = [ref - 1 for ref in refs]
+    delays = [(length - (length[row] - (np.arange(1, n_el + 1) - ref) * scene.array.spacing_d * cos[row]))
+              / C_M_PER_S for ref, row in zip(refs, ref_rows)]
+    omega = -TWO_PI * freqs
+    rowsq = np.empty(n_el)
+    sums = np.empty((len(refs), 3, n_el))  # per index: Re and Im of sum w e^{j phi}, sum phi^2
+    height = _kernels.block_rows(n_el, n)
+    weights, phases = np.empty((2, height, n))
+    silents = np.empty((height, n), dtype=bool)
+    phasors = np.empty((height, *_kernels.phasor_grid(n)), dtype=complex)
+    blocks = []  # each block's rows and its references' rows, ascending (np.unique would import numpy.ma)
+    for start, stop in _kernels.row_blocks(len(length), n):
+        rows = set(range(start, stop)).union(*((ref[start:stop] - 1).tolist() for ref in refs))
+        blocks.append((start, stop, np.array(sorted(rows))))
+    scratch = np.empty((max(len(rows) for _, _, rows in blocks), n))
+    for start, stop, rows in blocks:
+        m, at = stop - start, int(np.searchsorted(rows, start))
+        block_amp = _los_amplitude(table, rows, lam, sqrt_lam, out=scratch[:len(rows)])
+        amp = block_amp[at:at + m]
+        _kernels.row_dot(amp, amp, rowsq[start:stop])
+        for row, delay, (wre, wim, mean_square) in zip(ref_rows, delays, sums):
+            # g = A[ref - 1]; the block holds every such row, and mode="clip" keeps np.take from buffering `out`
+            weight = np.take(block_amp, np.searchsorted(rows, row[start:stop]), axis=0,
+                             out=weights[:m], mode="clip")
             weight *= amp
             # -2 pi delay is each element's phase per Hz
-            phasor = _kernels.sweep_phasors(-TWO_PI * delay[start:stop], self._freqs, out=self._phasor[:m])
+            phasor = _kernels.sweep_phasors(-TWO_PI * delay[start:stop], freqs, out=phasors[:m])
             _kernels.row_dot(weight, phasor.real, wre[start:stop])
             _kernels.row_dot(weight, phasor.imag, wim[start:stop])
-            silent = np.equal(weight, 0.0, out=self._silent[:m])
+            silent = np.equal(weight, 0.0, out=silents[:m])
             # the wrapped phase, in place: wrap(x) = x - 2 pi rint(x / 2 pi); the
             # turns reuse the weight's block, which the silent mask no longer needs
-            phase = np.multiply.outer(delay[start:stop], self._omega, out=self._phase[:m])
+            phase = np.multiply.outer(delay[start:stop], omega, out=phases[:m])
             turns = np.divide(phase, TWO_PI, out=weight)
             np.rint(turns, out=turns)
             turns *= TWO_PI
             phase -= turns
             np.copyto(phase, 0.0, where=silent)
             _kernels.row_dot(phase, phase, mean_square[start:stop])
-
-    def errors(self) -> list[MultiplanarError]:
-        """One ``MultiplanarError`` per reference index, once every row is fed."""
-        norm = math.sqrt(self._rowsq.sum())
-        out = []
-        for row, (wre, wim, mean_square) in zip(self._rows, self._sums):
-            denom = math.sqrt(self._rowsq[row].sum()) * norm  # |g| |A|: g's rows are A's
-            corr = math.hypot(wre.sum(), wim.sum()) / denom if denom > 0 else 0.0
-            mean_square /= len(self._freqs)
-            out.append(MultiplanarError(phase_rmse=math.sqrt(float(np.mean(mean_square))),
-                                        complex_correlation=min(corr, 1.0),
-                                        per_element_phase_dev=np.sqrt(mean_square)))
-        return out
-
-
-def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
-                       refs: list[np.ndarray]) -> list[MultiplanarError]:
-    """Wrapped phase RMSE and correlation of the planar wavefronts of every reference index in ``refs``.
-
-    ``geometry`` is ``los_geometry(scene, table)`` and each ``ref`` is
-    ``build_multiplanar_model(geometry, partition)``.  The truth is the
-    scene's spherical LOS response ``A_n(f) e^{-j2pi f l_n/c}`` (the
-    amplitude of ``table``'s direct path n and ``geometry.length``), the
-    reconstruction is ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)``
-    and the planar length ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of
-    element n's reference; both amplitudes are real and non-negative.  So
-    the phase error is ``phi = wrap(-2pi f (l_n - r_n)/c)``, and 0 where
-    ``A_n g_n = 0`` (a zero sample has no phase to compare), and the complex
-    correlation ``|<approx, truth>| / (|approx| |truth|)`` is
-    ``|sum w e^{j phi}| / (|g| |A|)`` with ``w = A_n g_n``; its phasors come
-    from ``_kernels.sweep_phasors``.
-
-    One pass over ``_kernels.row_blocks`` makes each block's truth rows, and
-    the rows of the block's references that lie outside it, with
-    ``_los_amplitude`` into one scratch block sized for the largest such
-    set; every index's sums advance together, and the correlation sums the
-    ``(N,)`` per-row sums that ``_Scores`` takes.
-    """
-    lam, sqrt_lam = _wavelengths(scene)
-    scores = _Scores(scene, geometry.length, geometry.theta, refs)
-    blocks = []  # each block's rows and its references' rows, ascending (np.unique would import numpy.ma)
-    for start, stop in _kernels.row_blocks(len(geometry.length), len(lam)):
-        rows = set(range(start, stop)).union(*((ref[start:stop] - 1).tolist() for ref in refs))
-        blocks.append((start, stop, np.array(sorted(rows))))
-    scratch = np.empty((max(len(rows) for _, _, rows in blocks), len(lam)))
-    for start, stop, rows in blocks:
-        amp = _los_amplitude(table, rows, lam, sqrt_lam, out=scratch[:len(rows)])
-        at = int(np.searchsorted(rows, start))
-        scores.add(start, stop, amp[at:at + stop - start], amp, rows)
-    return scores.errors()
+    norm = math.sqrt(rowsq.sum())
+    errors = []
+    for row, (wre, wim, mean_square) in zip(ref_rows, sums):
+        denom = math.sqrt(rowsq[row].sum()) * norm  # |g| |A|: g's rows are A's
+        corr = math.hypot(wre.sum(), wim.sum()) / denom if denom > 0 else 0.0
+        mean_square /= n
+        errors.append(MultiplanarError(math.sqrt(float(np.mean(mean_square))), min(corr, 1.0),
+                                       np.sqrt(mean_square)))
+    return errors
 
 
 def export_mw_error_csv(rows: list[tuple[str, int, float, float]], path) -> None:

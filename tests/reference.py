@@ -82,7 +82,8 @@ def model_phases(scene, target, frequency):
     Scalar geometry (``element_geometry`` above) and the scalar half-angle
     form with ``math.cos``, one element at a time.
     """
-    wavelength = C_M_PER_S / frequency
+    with np.errstate(over="ignore"):  # near 0 Hz the wavelength is inf, as in _kernels.wavelengths
+        wavelength = C_M_PER_S / frequency
     _, theta = element_geometry(scene, target)
     theta_1 = theta[0]
     out = np.empty(scene.array.n_elements)

@@ -8,7 +8,8 @@ import nfclab as nl
 from nfclab.constants import C_M_PER_S
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import loads_scene
-from nfclab.multiplanar import _los_amplitude, _wavelengths
+from nfclab._kernels import wavelengths
+from nfclab.multiplanar import _los_amplitude
 from nfclab.stationarity import uniform_partition
 from nfclab.wavefront import rayleigh_distance
 import reference
@@ -159,6 +160,24 @@ def test_patch_coverage_validation(los_scene):
             nl.multiplanar_errors(los_scene, table, geometry, [ref, bad])
 
 
+@pytest.mark.parametrize("preset", ["los_lab", "olos_baffle"])
+def test_reference_entries_outside_the_array_are_rejected(preset):
+    """An entry 0, -1 or N + 1 would score against another path's row, or fail inside numpy."""
+    scene = nl.load_preset(preset)
+    table = nl.path_table(scene)
+    geometry = nl.los_geometry(scene, table)
+    n = scene.array.n_elements
+    ref = nl.build_multiplanar_model(geometry, uniform_partition(n, 4))
+    for value in (0, -1, n + 1):
+        bad = ref.copy()
+        bad[n // 2] = value
+        with pytest.raises(ValueError, match=rf"reference index 1 holds {value} at element {n // 2 + 1}, "
+                                             rf"outside 1\.\.{n}"):
+            nl.multiplanar_errors(scene, table, geometry, [ref, bad])
+    with pytest.raises(ValueError, match="reference index 0 must hold integers, got float64"):
+        nl.multiplanar_errors(scene, table, geometry, [ref.astype(float)])
+
+
 def test_blocked_reference_falls_back():
     # stack of deep screens fully absorbs the direct path of elements 1..4;
     # elements further along the line stay usable
@@ -223,13 +242,13 @@ def test_los_truth_amplitude_is_real_finite_non_negative():
         scene = make()
         table = nl.path_table(scene)
         n, n_freqs = scene.array.n_elements, scene.sweep.n_points
-        every = np.arange(n)
-        amp = _los_amplitude(table, every, *_wavelengths(scene), out=np.empty((n, n_freqs)))
+        every, lam = np.arange(n), wavelengths(scene.sweep.frequencies())
+        amp = _los_amplitude(table, every, *lam, out=np.empty((n, n_freqs)))
         assert amp.dtype == np.float64, name
         assert np.all(np.isfinite(amp)) and np.all(amp >= 0.0), name
         assert amp.tobytes() == reference.los_truth(scene, table).amp.tobytes(), name
         some = every[::7]
-        assert _los_amplitude(table, some, *_wavelengths(scene),
+        assert _los_amplitude(table, some, *lam,
                               out=np.empty((len(some), n_freqs))).tobytes() == amp[some].tobytes(), name
 
 
