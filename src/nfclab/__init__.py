@@ -12,7 +12,9 @@ table, and ``array_blocks`` from a held (say, measured) ``(N, F)`` array, so
 
 The package resolves its exports on first use (PEP 562): ``import nfclab``
 loads no submodule, and ``nfclab.load_scene`` loads only ``nfclab.scene``
-and the ``nfclab.constants`` it imports.
+and the ``nfclab.constants`` it imports.  Each export is the object its
+module holds, and ``dir(nfclab)`` and ``from nfclab import *`` list what an
+eager import would.
 """
 
 import importlib as _importlib

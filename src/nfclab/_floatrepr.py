@@ -19,7 +19,9 @@ layout is one gather.  Zero, subnormals, infinities and NaN take ``repr``
 one value at a time.
 
 Every uint64 operation runs on arrays, 1-element ones included: array
-arithmetic wraps silently, where numpy scalar overflow warns.
+arithmetic wraps silently, where numpy scalar overflow warns.  The integer
+arithmetic is exact, so the text is ``repr``'s at every numpy SIMD dispatch
+level.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ is deterministic.  Knife-edge losses are evaluated only for the paths that
 cross a screen.  The propagation phasors come from ``sweep_phasors``, a
 coarse x fine table of the uniform sweep grid, and are scaled by the
 amplitude with one complex x real multiply; both blocks, and the response
-block, live in scratch allocated once per call.
+block, live in scratch allocated once per call.  Every row-blocked stage
+after the kernel allocates its scratch once per call too: glibc serves an
+allocation of 128 KiB or more with a fresh mmap, so a block allocated anew
+for every row block would be page-faulted in again each time.
 
 The module also holds the row-block rule that the kernel and every stage
 after it share (``block_rows``, ``row_blocks``), ``row_dot``, the per-row

@@ -58,7 +58,11 @@ def _hann(n: int) -> np.ndarray:
 
 
 def _delay(rows: np.ndarray, taper: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``ifft(rows * taper)`` along the last axis, formed and transformed in ``out``, which may be ``rows``."""
+    """``ifft(rows * taper)`` along the last axis, formed and transformed in ``out``, which may be ``rows``.
+
+    A row's transform does not depend on the block height, so a block's rows
+    equal those of the whole array's ``ifft`` bit for bit.
+    """
     block = np.multiply(rows, taper, out=out)
     return np.fft.ifft(block, axis=-1, out=block)
 

@@ -58,16 +58,17 @@ class _CliError(Exception):
 
 
 def _resolve_scene(name_or_path: str) -> Scene:
-    """Presets by bare name; anything path-like is loaded from disk."""
-    looks_like_path = any(sep in name_or_path for sep in ("/", "\\")) or "." in name_or_path
-    if (not looks_like_path and name_or_path not in PRESET_NAMES
-            and not Path(name_or_path).exists()):
+    """A preset by bare name, unless a file of that name exists; anything path-like is loaded from disk.
+
+    A directory named like a preset (``run los_lab --out los_lab``) does not
+    shadow the preset.
+    """
+    preset = name_or_path in PRESET_NAMES and not Path(name_or_path).is_file()
+    if not (preset or any(c in name_or_path for c in "/\\.") or Path(name_or_path).exists()):
         raise _CliError(f"unknown preset {name_or_path!r}; available: {', '.join(PRESET_NAMES)}",
                         EXIT_UNKNOWN_PRESET)
     try:
-        if name_or_path in PRESET_NAMES and not Path(name_or_path).exists():
-            return load_preset(name_or_path)
-        return load_scene(name_or_path)
+        return load_preset(name_or_path) if preset else load_scene(name_or_path)
     except SceneError as exc:
         raise _CliError(f"cannot load scenario {name_or_path!r}: {exc}",
                         EXIT_PARSE_FAILURE) from exc
@@ -236,6 +237,7 @@ def _write_run(args: argparse.Namespace, scene: Scene, files: dict[str, Path], s
         "cmd_min_si": float(args.window),
         "slope_threshold_power_db_per_element": stationarity.DEFAULT_SLOPE_THRESHOLD_DB,
         "slope_smoothing_w": float(stationarity.DEFAULT_SMOOTHING_W),
+        "slope_min_si": float(stationarity.DEFAULT_WINDOW_M),  # whatever --window is
         "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
         "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
         "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),

@@ -131,9 +131,9 @@ def _cmd(stack: np.ndarray) -> np.ndarray:
     product is an einsum, not a BLAS matmul, so it does not depend on the
     BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
     map is symmetric.  The Gram is normalised over ``_kernels.row_blocks``,
-    one block of the norms' outer product at a time.  Raises
-    StationarityError where a norm overflows float64, which bounds every
-    Gram entry.
+    one block of the norms' outer product at a time, so no second W x W
+    array is held.  Raises StationarityError where a norm overflows
+    float64, which bounds every Gram entry.
     """
     a = np.asarray(stack, dtype=np.complex128).reshape(len(stack), -1).view(np.float64)
     with np.errstate(over="ignore"):

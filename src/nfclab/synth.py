@@ -53,8 +53,10 @@ def element_geometry(scene: Scene, target) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(r, theta)``, one entry per element; ``theta[n - 1]`` is the
     angle between the array axis and the element n -> target direction, in
     the plane of the array line and the target where the closed-form model
-    lives.  Cosines from ``np.vecdot`` (rounded like a 1-D ``np.dot``), angles
-    from ``math.acos`` (``np.arccos`` rounds differently on ~9 % of inputs).
+    lives.  Cosines from ``np.vecdot``, rounded like a 1-D ``np.dot``: an
+    ``(n, 3) @ (3,)`` product goes through BLAS and rounds differently.
+    Angles from ``math.acos``, since ``np.arccos`` rounds differently on ~9 %
+    of inputs.
     Raises ValueError if the target coincides with an element.
     """
     v = np.asarray(target, dtype=float) - element_positions(scene)

@@ -9,13 +9,30 @@ by column.  Prints one line per column past its bound and exits 1 if there
 is one.
 
 Each float column's bound is 10x, rounded up to one digit, the largest
-``|a - b|`` measured between the X86_V4, X86_V3 and X86_V2 levels (numpy
-2.4.6) on ``los_lab``, ``olos_baffle`` and the seed-7 ``sweep_deep`` and
-``array_wide`` benchmark scenes; README "Determinism and concurrency" lists
-the measurements.  A bound of 0 means the text must match: the integer and
-label columns, and the float columns that no level moved.  A non-finite
-value (an empty ``boundary_score``, a NaN score, a ``-inf`` PDP bin) must
-match exactly at any bound.
+``|a - b|`` measured between the X86_V4 (the default on an AVX-512 host),
+X86_V3 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) and
+X86_V2 levels, with numpy 2.4.6, over the three pairs of levels and four
+command lines: ``run los_lab``, ``run olos_baffle`` and the seed-7
+``sweep_deep`` and ``array_wide`` benchmark command lines.
+
+    column                          largest move          bound
+    cfr re, im                      1.1e-19               2e-18
+    stats power_db                  2.8e-14 dB            3e-13
+    stats ds_ns                     4.2e-12 ns            5e-11
+    stats phase_rad                 1.8e-15 rad           2e-14
+    stats aod_deg                   2.1e-14 deg           3e-13
+    pdp power_db                    3.5e-6 dB (deep       4e-5
+                                    bins, olos_baffle)
+    partition boundary_score        2.2e-16               3e-15
+    cmd_map D                       6.7e-16               7e-15
+    mw_error correlation            2.2e-16               3e-15
+
+The ``cfr`` bound is absolute; preset amplitudes are about 1e-4, so it is
+about 1e-14 of the largest value.  A bound of 0 means the text must match:
+the integer and label columns, and the float columns that no level moved
+(``cfr`` ``f_hz``, ``stats`` ``tau_ns``, ``pdp`` ``delay_ns``, ``mw_error``
+``phase_rmse_rad``).  A non-finite value (an empty ``boundary_score``, a NaN
+score, a ``-inf`` PDP bin) must match exactly at any bound.
 """
 
 from __future__ import annotations

@@ -58,6 +58,30 @@ def test_run_unknown_preset_exit_2(tmp_path):
     assert run(["run", "not_a_preset", "--out", str(tmp_path)]) == EXIT_UNKNOWN_PRESET
 
 
+@pytest.mark.parametrize("command, preset", [("run", "los_lab"), ("phase-check", "olos_baffle")])
+def test_out_directory_named_like_a_preset_does_not_shadow_it(tmp_path, monkeypatch, command, preset):
+    # the first command makes the directory ./<preset>; the second must still find the preset
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run([command, preset, "--out", preset]) == 0
+    # a file of that name is a scenario file, and it does shadow the preset
+    scene = load_preset(preset)
+    monkeypatch.chdir(tmp_path / preset)
+    save_scene(replace(scene, array=replace(scene.array, n_elements=8)), preset)
+    assert run([command, preset, "--out", "out"]) == 0
+    written = Path("out", "cfr.csv" if command == "run" else "phase_check.csv")
+    rows = 8 * scene.sweep.n_points if command == "run" else 8
+    assert len(written.read_text().splitlines()) == 1 + rows
+
+
+def test_report_lists_the_slope_minimum_interval(tmp_path):
+    # the slope partition folds at DEFAULT_WINDOW_M, whatever --window sets for the CMD partition
+    assert run(["run", "los_lab", "--window", "8", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert "  cmd_min_si = 8\n" in report
+    assert "  slope_min_si = 4\n" in report
+
+
 def test_run_malformed_file_exit_3(tmp_path):
     bad = tmp_path / "bad.scene"
     bad.write_text("[array]\nn_elements = -3\n[rx]\nposition = 0,5,2.5\n")
