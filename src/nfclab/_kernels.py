@@ -1,19 +1,22 @@
 """Hot numeric kernel for channel synthesis: the path-sum accumulation.
 
-The kernel sums, for every propagation path, its complex contribution over
-all sweep frequencies, including the per-frequency free-space amplitude and
-knife-edge losses.  It is plain numpy and makes the response one row block
+The kernel sums, for every propagation path, its complex contribution
+``gain * lambda/(4 pi L) * 10^(-J/20) * exp(-j 2 pi f L / c)`` over all
+sweep frequencies.  It is plain numpy and makes the response one row block
 of ``row_blocks`` at a time, in one pass over the path table, so a consumer
 can use each block and drop it.  Within a row block it evaluates a run of
 consecutive table paths per pass, vectorized over (path, frequency).  A run
 is of paths on consecutive rows ``r, r+1, ...``, so its add is one slice and
 every row still receives its adds one at a time in table order: the result
-is deterministic.  Knife-edge losses are evaluated only for the paths that
-cross a screen.  The propagation phasors come from ``sweep_phasors``, a
-coarse x fine table of the uniform sweep grid, and are scaled by the
-amplitude with one complex x real multiply; both blocks, and the response
-block, live in scratch allocated once per call.  Every row-blocked stage
-after the kernel allocates its scratch once per call too: glibc serves an
+is deterministic.  The propagation phasors come from ``sweep_phasors``, a
+coarse x fine table of the uniform sweep grid whose coarse part, about
+sqrt(F) values a path, is scaled by the path's ``gain/(4 pi L)``.  The
+knife-edge factor ``10^(-J/20)`` then multiplies the rows of the paths that
+cross a screen, and only those (``apply_knife_edges``).  The wavelength is
+the same for every path, so it multiplies each finished row block once,
+instead of each path's samples.  The phasor block and the response block
+live in scratch allocated once per call.  Every row-blocked stage after
+the kernel allocates its scratch once per call too: glibc serves an
 allocation of 128 KiB or more with a fresh mmap, so a block allocated anew
 for every row block would be page-faulted in again each time.
 
@@ -26,6 +29,7 @@ dot product whose sums do not depend on the block height, ``median``, and
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +110,31 @@ def knife_edge_loss(nu) -> np.ndarray:
     return np.where(nu > KNIFE_EDGE_NU_MIN, j, 0.0)  # also 0 for -inf: no crossing, no loss
 
 
+def apply_knife_edges(rows, edge_ptr, edge_geo, sqrt_lam) -> np.ndarray:
+    """Multiply the row of each of m paths that crosses a screen by its knife-edge factor ``10^(-J/20)``.
+
+    rows     : float or complex (m, n_freqs), one row per path, scaled in place and returned
+    edge_ptr : int (m+1,) CSR offsets of the paths' knife-edge factors in edge_geo
+    sqrt_lam : float (n_freqs,) square roots of the wavelengths
+
+    J sums a path's losses in edge order.  It is evaluated only for the paths
+    that have edges, and only their rows are touched, since a path without
+    any has exactly 0 dB.
+    """
+    counts = np.diff(edge_ptr)
+    edged = np.flatnonzero(counts)
+    if edged.size:
+        # The edged paths' factors as a -inf padded (paths, edges) matrix: -inf is 0 dB.
+        counts = counts[edged]
+        geo = np.full((edged.size, int(counts.max())), -math.inf)
+        geo[np.arange(geo.shape[1]) < counts[:, None]] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
+        loss_db = np.zeros((edged.size, len(sqrt_lam)))
+        for column in geo.T:
+            loss_db += knife_edge_loss(column[:, None] / sqrt_lam)
+        rows[edged] *= 10.0 ** (-loss_db / 20.0)
+    return rows
+
+
 def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out) -> np.ndarray:
     """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path, written into ``out``.
 
@@ -114,56 +143,66 @@ def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out) -> np
     lam, sqrt_lam  : float (n_freqs,) wavelengths and their square roots
     out            : float (m, n_freqs), returned
 
-    J sums a path's losses in edge order; it is evaluated only for the paths
-    that have edges, since a path without any has exactly 0 dB.
+    The wavelength enters each sample, then ``apply_knife_edges`` the rows of
+    the edged paths.  This is the amplitude the multiplanar LOS truth reads;
+    ``accumulate_paths`` orders the same factors differently.
     """
     amp = np.multiply(gains[:, None], lam, out=out)
     amp /= (4.0 * math.pi * lengths)[:, None]
-    counts = np.diff(edge_ptr)
-    edged = np.flatnonzero(counts)
-    if edged.size:
-        # The edged paths' factors as a -inf padded (paths, edges) matrix: -inf is 0 dB.
-        counts = counts[edged]
-        geo = np.full((edged.size, int(counts.max())), -math.inf)
-        geo[np.arange(geo.shape[1]) < counts[:, None]] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
-        loss_db = np.zeros((edged.size, len(lam)))
-        for column in geo.T:
-            loss_db += knife_edge_loss(column[:, None] / sqrt_lam)
-        amp[edged] *= 10.0 ** (-loss_db / 20.0)
-    return amp
+    return apply_knife_edges(amp, edge_ptr, edge_geo, sqrt_lam)
 
 
-def phasor_grid(n) -> tuple[int, int]:
-    """``(C, B)`` of the ``sweep_phasors`` block over n points: B = ceil(sqrt(n)), C = ceil(n / B)."""
-    step = math.isqrt(n - 1) + 1
-    return -(-n // step), step
+class PhasorGrid(NamedTuple):
+    """A uniform sweep grid split for ``sweep_phasors``: B = ceil(sqrt(F)), C = ceil(F / B)."""
+
+    n: int               # F, the sweep points
+    coarse: np.ndarray   # (C,) every B-th grid point
+    fine: np.ndarray     # (B,) offsets f_b - f_0 of the first B points
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(C, B)``, the shape of a row of the coarse x fine block."""
+        return len(self.coarse), len(self.fine)
 
 
-def sweep_phasors(k, freqs, out=None) -> np.ndarray:
-    """``exp(1j * k_i * f)`` over the sweep grid ``freqs``, one row per ``k_i``.
+def phasor_grid(freqs) -> PhasorGrid:
+    """The ``PhasorGrid`` of the sweep grid ``freqs``, which must be uniform (``np.linspace``).
 
-    Each row is the outer product of a coarse table, the phasors at every
-    B-th grid point (B = ceil(sqrt(F))), and a fine one at the offsets
-    ``f_b - f_0`` of the first B points, so it costs about 2 sqrt(F) complex
-    exponentials instead of F.  ``freqs`` must be a uniform grid
-    (``np.linspace``); sample i then differs from ``exp(1j k f_i)`` only by
-    the rounding of its phase, a few ulp of ``k f_i``.  Raises ValueError
-    when a grid step differs from ``(f_last - f_0) / (F - 1)`` by more than
-    8 ulp of the larger end frequency.  Returns an (m, F) view of an
-    (m, C, B) complex block, C = ceil(F / B): ``out`` when that scratch
-    block is given, else a new one.
+    Raises ValueError when a grid step differs from ``(f_last - f_0) / (F - 1)``
+    by more than 8 ulp of the larger end frequency.  A stage makes its grid
+    once and passes it to each of its ``sweep_phasors`` calls, one per row
+    block, so the check runs once per stage.
     """
-    k = np.asarray(k, dtype=float)
     n = len(freqs)
     if n > 2:  # np.linspace steps stay within about 2 ulp of that
         tol = 8.0 * np.spacing(max(abs(freqs[0]), abs(freqs[-1])))
         if np.abs(np.diff(freqs) - (freqs[-1] - freqs[0]) / (n - 1)).max() > tol:
             raise ValueError("sweep_phasors needs a uniform frequency grid (np.linspace)")
-    step = phasor_grid(n)[1]
-    coarse = np.exp(1j * np.multiply.outer(k, freqs[::step]))
-    fine = np.exp(1j * np.multiply.outer(k, freqs[:step] - freqs[0]))
+    step = math.isqrt(n - 1) + 1
+    return PhasorGrid(n, freqs[::step], freqs[:step] - freqs[0])
+
+
+def sweep_phasors(k, grid, out=None, scale=None) -> np.ndarray:
+    """``scale_i * exp(1j * k_i * f)`` over the sweep grid of ``grid = phasor_grid(freqs)``, one row per ``k_i``.
+
+    Each row is the outer product of a coarse table, the phasors at every
+    B-th grid point (B = ceil(sqrt(F))), and a fine one at the offsets
+    ``f_b - f_0`` of the first B points, so it costs about 2 sqrt(F) complex
+    exponentials instead of F.  Sample i differs from ``exp(1j k f_i)`` only
+    by the rounding of its phase, a few ulp of ``k f_i``.  ``scale``, real
+    and one per row, multiplies the real and imaginary parts of the coarse
+    table, C values a row; without it each row is unscaled.  Returns an
+    (m, F) view of an (m, C, B) complex block: ``out`` when that scratch
+    block is given, else a new one.
+    """
+    k = np.asarray(k, dtype=float)
+    coarse = np.exp(1j * np.multiply.outer(k, grid.coarse))
+    if scale is not None:
+        parts = coarse.view(float)
+        parts *= np.asarray(scale, dtype=float)[:, None]
+    fine = np.exp(1j * np.multiply.outer(k, grid.fine))
     block = np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
-    return block.reshape(len(k), -1)[:, :n]
+    return block.reshape(len(k), -1)[:, :grid.n]
 
 
 def _block_runs(row_idx, n_rows, height):
@@ -199,28 +238,36 @@ def accumulate_paths(n_rows, row_idx, lengths, gains, edge_ptr, edge_geo, freqs)
 
     ``block`` is complex128 rows ``[start, stop)`` of the sum, zeroed and then
     given the swept-frequency contribution of every path on those rows, in
-    table order.  It is one scratch block reused for every block, so a
-    consumer must read a block before it asks for the next.
+    table order.  A path's contribution is its ``sweep_phasors`` row scaled
+    by ``gain/(4 pi L)``, times ``10^(-J/20)`` if it crosses a screen
+    (``apply_knife_edges``); the wavelength, common to every path, multiplies
+    the real and imaginary parts of the finished block once, before it is
+    yielded.  It is one scratch block reused for every block, so a consumer
+    must read a block before it asks for the next.
     """
     lam, sqrt_lam = wavelengths(freqs)
     wavenumber = -2.0 * math.pi * lengths / C_M_PER_S  # phase per Hz of each path
+    amp_over_lam = gains / (4.0 * math.pi * lengths)  # the free-space amplitude over the wavelength
+    grid = phasor_grid(freqs)
     height = block_rows(n_rows, len(freqs))
-    amp_block = np.empty((height, len(freqs)))
-    phasor_block = np.empty((height, *phasor_grid(len(freqs))), dtype=complex)
+    phasor_block = np.empty((height, *grid.shape), dtype=complex)
     scratch = np.empty((height, len(freqs)), dtype=complex)
+    lam_parts = np.repeat(lam, 2)  # the wavelength of a sample's real and imaginary parts
     runs = _block_runs(row_idx, n_rows, height)
     for (start, stop), block_runs in zip(row_blocks(n_rows, len(freqs)), runs):
         block = scratch[:stop - start]
         block.fill(0.0)
-        # an infinite wavelength times a 0 gain, or over an infinite edge factor, is NaN:
-        # the response's finite check reports it
-        with np.errstate(invalid="ignore"):
+        # an infinite wavelength over an infinite edge factor, or times a 0 sum, is NaN, and a
+        # sum times a wavelength near float range may overflow: the response's finite check
+        # reports both
+        with np.errstate(invalid="ignore", over="ignore"):
             # A run's paths sit on distinct rows of this block, so its add is one slice.
             for first, last in block_runs:
                 m, row = last - first, int(row_idx[first]) - start
-                amp = path_amplitude(gains[first:last], lengths[first:last], edge_ptr[first:last + 1],
-                                     edge_geo, lam, sqrt_lam, out=amp_block[:m])
-                term = sweep_phasors(wavenumber[first:last], freqs, out=phasor_block[:m])
-                np.multiply(term, amp, out=term)
+                term = sweep_phasors(wavenumber[first:last], grid, out=phasor_block[:m],
+                                     scale=amp_over_lam[first:last])
+                apply_knife_edges(term, edge_ptr[first:last + 1], edge_geo, sqrt_lam)
                 block[row:row + m] += term
+            parts = block.view(float)
+            parts *= lam_parts
         yield start, stop, block

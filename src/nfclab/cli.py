@@ -355,11 +355,12 @@ def cmd_phase_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nfclab",
-                                     description="near-field array channel laboratory")
+    # allow_abbrev=False: an abbreviated long option (--windo) is a usage error, not --window
+    parser = argparse.ArgumentParser(prog="nfclab", description="near-field array channel laboratory",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full pipeline on a preset or scenario file")
+    run = sub.add_parser("run", help="run the full pipeline on a preset or scenario file", allow_abbrev=False)
     run.add_argument("scenario", help=f"preset name ({', '.join(PRESET_NAMES)}) or scenario file path")
     run.add_argument("--out", default="nfclab_out", help="output directory")
     run.add_argument("--seed", type=int, default=None, help="noise seed override")
@@ -375,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     check = sub.add_parser("phase-check",
-                           help="compare synthesized LOS phase against the closed-form models")
+                           help="compare synthesized LOS phase against the closed-form models",
+                           allow_abbrev=False)
     check.add_argument("scenario", help=f"preset name ({', '.join(PRESET_NAMES)}) or scenario file path")
     check.add_argument("--out", default="nfclab_out", help="output directory")
     check.add_argument("--distance-mult", type=float, default=1.0,

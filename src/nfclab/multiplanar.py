@@ -152,7 +152,8 @@ def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
     height = _kernels.block_rows(n_el, n)
     weights, phases = np.empty((2, height, n))
     silents = np.empty((height, n), dtype=bool)
-    phasors = np.empty((height, *_kernels.phasor_grid(n)), dtype=complex)
+    grid = _kernels.phasor_grid(freqs)
+    phasors = np.empty((height, *grid.shape), dtype=complex)
     blocks = []  # each block's rows and its references' rows, ascending (np.unique would import numpy.ma)
     for start, stop in _kernels.row_blocks(len(length), n):
         rows = set(range(start, stop)).union(*((ref[start:stop] - 1).tolist() for ref in refs))
@@ -169,7 +170,7 @@ def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
                              out=weights[:m], mode="clip")
             weight *= amp
             # -2 pi delay is each element's phase per Hz
-            phasor = _kernels.sweep_phasors(-TWO_PI * delay[start:stop], freqs, out=phasors[:m])
+            phasor = _kernels.sweep_phasors(-TWO_PI * delay[start:stop], grid, out=phasors[:m])
             _kernels.row_dot(weight, phasor.real, wre[start:stop])
             _kernels.row_dot(weight, phasor.imag, wim[start:stop])
             silent = np.equal(weight, 0.0, out=silents[:m])

@@ -188,7 +188,7 @@ def multiplanar_error(scene, truth, ref):
     denom = math.sqrt(np.einsum("ij,ij->", gain, gain)) * math.sqrt(np.einsum("ij,ij->", amp, amp))
     corr = 0.0
     if denom > 0:
-        phasor = _kernels.sweep_phasors(-TWO_PI * delay, freqs)
+        phasor = _kernels.sweep_phasors(-TWO_PI * delay, _kernels.phasor_grid(freqs))
         corr = math.hypot(np.einsum("ij,ij->", weight, phasor.real),
                           np.einsum("ij,ij->", weight, phasor.imag)) / denom
 
@@ -217,7 +217,7 @@ def fsum_correlation(scene, truth, ref):
              * math.sqrt(math.fsum((amp * amp).ravel().tolist())))
     if not denom > 0:
         return 0.0
-    phasor = _kernels.sweep_phasors(-TWO_PI * delay, scene.sweep.frequencies())
+    phasor = _kernels.sweep_phasors(-TWO_PI * delay, _kernels.phasor_grid(scene.sweep.frequencies()))
     return min(1.0, math.hypot(math.fsum((weight * phasor.real).ravel().tolist()),
                                math.fsum((weight * phasor.imag).ravel().tolist())) / denom)
 

@@ -19,13 +19,23 @@ command lines: ``run los_lab``, ``run olos_baffle`` and the seed-7
     cfr re, im                      1.1e-19               2e-18
     stats power_db                  2.8e-14 dB            3e-13
     stats ds_ns                     4.2e-12 ns            5e-11
-    stats phase_rad                 1.8e-15 rad           2e-14
+    stats phase_rad                 2.8e-14 rad, 1 ulp    10 ulp, at least 2e-14
     stats aod_deg                   2.1e-14 deg           3e-13
     pdp power_db                    3.5e-6 dB (deep       4e-5
                                     bins, olos_baffle)
     partition boundary_score        2.2e-16               3e-15
     cmd_map D                       6.7e-16               7e-15
     mw_error correlation            2.2e-16               3e-15
+
+``phase_rad`` holds the unwrapped LOS phase, which reaches hundreds of
+radians on a 512-element array, where one ulp of the value is past any
+absolute bound measured on the small presets.  So it is bounded in ulps of
+the larger of the two values: 10x the largest move counted in ulps, by the
+same levels and command lines, with the absolute bound measured before
+(1.8e-15 rad, so 2e-14) kept as the floor.  The largest move was 1 ulp,
+2.8e-14 rad on the seed-7 ``array_wide`` line; it is 1 ulp as well on CI's
+512 x 401 ``olos_baffle`` scene (5.7e-14 rad at 510 rad) and on the seed-3
+``array_wide`` line (1.1e-13 rad at 890 rad).
 
 The ``cfr`` bound is absolute; preset amplitudes are about 1e-4, so it is
 about 1e-14 of the largest value.  A bound of 0 means the text must match:
@@ -54,21 +64,26 @@ BOUNDS = {
                      "correlation": 3e-15},
 }
 
+# Columns also allowed this many ulps of the larger value, when that is past their absolute bound.
+ULP_BOUNDS = {("stats.csv", "phase_rad"): 10}
+
 
 def _rows(path: Path) -> list[list[str]]:
     with open(path, newline="") as f:
         return list(csv.reader(f))
 
 
-def _distance(x: str, y: str) -> float:
-    """``|x - y|`` of two cells, or inf where only matching text is allowed."""
+def _excess(x: str, y: str, bound: float, ulps: float) -> float:
+    """How far ``|x - y|`` of two cells is past ``max(bound, ulps ulp)``, or inf where only matching text is allowed."""
     if x == y:
         return 0.0
     try:
         a, b = float(x), float(y)
     except ValueError:
         return math.inf
-    return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) - max(bound, ulps * math.ulp(max(abs(a), abs(b))))
 
 
 def compare(dir_a, dir_b) -> list[str]:
@@ -83,10 +98,12 @@ def compare(dir_a, dir_b) -> list[str]:
             problems.append(f"{name}: {len(b) - 1} rows against {len(a) - 1}")
             continue
         for j, (column, bound) in enumerate(bounds.items()):
-            worst, row = max((_distance(ra[j], rb[j]), i) for i, (ra, rb) in enumerate(zip(a, b)))
-            if worst > bound:
+            ulps = ULP_BOUNDS.get((name, column), 0)
+            worst, row = max((_excess(ra[j], rb[j], bound, ulps), i) for i, (ra, rb) in enumerate(zip(a, b)))
+            if worst > 0:
+                limit = f"{bound:g}" + (f" or {ulps} ulp" if ulps else "")
                 problems.append(f"{name} {column}: |{a[row][j]} - {b[row][j]}| on row {row} "
-                                f"exceeds the bound {bound:g}")
+                                f"exceeds the bound {limit}")
     return problems
 
 

@@ -120,6 +120,18 @@ def test_window_below_2_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, c
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
 
 
+@pytest.mark.parametrize("args, option", [(["run", "los_lab", "--windo", "8"], "--windo"),
+                                          (["phase-check", "los_lab", "--dist", "4"], "--dist")])
+def test_abbreviated_long_option_is_a_usage_error(tmp_path, capsys, args, option):
+    with pytest.raises(SystemExit) as exit_info:
+        run([*args, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nfclab ")
+    assert err.endswith(f"error: unrecognized arguments: {option} {args[-1]}\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("n_elements", [2, 5], ids=["2_elements", "5_elements"])
 def test_run_two_element_scene_degrades_with_warnings(tmp_path, n_elements):
     scene = load_preset("los_lab")
@@ -337,12 +349,15 @@ def test_run_gates_and_profiles_once(tmp_path, monkeypatch, preset):
     calls = count_calls(monkeypatch, {"_Gate": analysis, "streamed_stats": analysis, "accumulate_paths": _kernels,
                                       "path_table": synth, "los_geometry": multiplanar,
                                       "multiplanar_errors": multiplanar, "model_phases": wavefront,
-                                      "element_geometry": geometry_bindings(), "WindowBands": stationarity})
+                                      "element_geometry": geometry_bindings(), "WindowBands": stationarity,
+                                      "phasor_grid": _kernels})
     assert run(["run", preset, "--out", str(tmp_path)]) == 0
     # one path table, one kernel pass, one gate and one PDP per block, one band build and one
-    # direct-path geometry; all 8 mw rows share one pass over the LOS truth
+    # direct-path geometry; all 8 mw rows share one pass over the LOS truth; the sweep grid is
+    # checked once by each stage that makes phasors, the kernel and the mw error, not once per block
     assert calls == {"_Gate": 1, "streamed_stats": 1, "accumulate_paths": 1, "path_table": 1, "los_geometry": 1,
-                     "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1}
+                     "multiplanar_errors": 1, "model_phases": 1, "element_geometry": 1, "WindowBands": 1,
+                     "phasor_grid": 2}
 
 
 @pytest.mark.parametrize("preset, n_refs", [("los_lab", 6), ("olos_baffle", 8)])
@@ -393,11 +408,12 @@ def test_phase_check_builds_one_path_table(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, {"accumulate_paths": _kernels, "path_table": synth,
                                       "los_geometry": multiplanar, "model_phases": wavefront,
                                       "far_field_phase": wavefront,
-                                      "element_geometry": geometry_bindings()})
+                                      "element_geometry": geometry_bindings(), "phasor_grid": _kernels})
     assert run(["phase-check", "los_lab", "--out", str(tmp_path)]) == 0
-    # the whole array's near- and far-field models in one call each, from one geometry
+    # the whole array's near- and far-field models in one call each, from one geometry, and
+    # the kernel's one sweep-grid check
     assert calls == {"accumulate_paths": 1, "path_table": 1, "los_geometry": 0,
-                     "model_phases": 1, "far_field_phase": 1, "element_geometry": 1}
+                     "model_phases": 1, "far_field_phase": 1, "element_geometry": 1, "phasor_grid": 1}
 
 
 @pytest.mark.parametrize("command", ["run", "phase-check"])

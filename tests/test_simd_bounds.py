@@ -16,9 +16,9 @@ def run_dir(tmp_path_factory):
     return out
 
 
-def _edited(run_dir, tmp_path, name, column, new):
+def _edited(run_dir, tmp_path, name, column, new, copy="edited"):
     """A copy of ``run_dir`` with the first data cell of ``column`` in ``name`` set to ``new(old)``."""
-    copy = tmp_path / "edited"
+    copy = tmp_path / copy
     shutil.copytree(run_dir, copy)
     with open(copy / name, newline="") as f:
         rows = list(csv.reader(f))
@@ -41,7 +41,15 @@ def test_every_artifact_column_has_a_bound(run_dir):
     ("stats.csv", "tau_ns", lambda x: repr(float(x) * (1 + 2 ** -52)), True),
     ("partition.csv", "end", lambda x: str(int(x) + 1), True),
     ("mw_error.csv", "correlation", lambda x: repr(float(x) - 1e-14), True),
-], ids=["pdp-within", "pdp-past", "pdp-inf", "cfr-re", "tau-one-ulp", "interval-end", "correlation"])
+    ("stats.csv", "phase_rad", lambda x: repr(float(x) + 1e-12), True),
+], ids=["pdp-within", "pdp-past", "pdp-inf", "cfr-re", "tau-one-ulp", "interval-end", "correlation",
+        "phase-1e-12-rad"])
 def test_a_move_past_its_bound_is_flagged(run_dir, tmp_path, name, column, new, flagged):
     problems = compare(run_dir, _edited(run_dir, tmp_path, name, column, new))
     assert [p.split(":")[0] for p in problems] == ([f"{name} {column}"] if flagged else [])
+
+
+def test_phase_bound_allows_one_ulp_of_a_large_phase(run_dir, tmp_path):
+    # an unwrapped phase of 890 rad (a 512-element array): one ulp is 1.1e-13 rad, past the 2e-14 floor
+    base = _edited(run_dir, tmp_path, "stats.csv", "phase_rad", lambda x: "-890.333053276202", "base")
+    assert compare(base, _edited(run_dir, tmp_path, "stats.csv", "phase_rad", lambda x: "-890.3330532762019")) == []
