@@ -23,6 +23,7 @@ __version__ = "0.1.0"
 
 # each exported name, by the module it is read from
 _EXPORTS = {
+    "_kernels": ("knife_edge_loss",),
     "analysis": ("ChannelStats", "pdp_csv", "streamed_los_phase", "streamed_stats"),
     "multiplanar": ("LosGeometry", "MultiplanarError", "build_multiplanar_model", "los_geometry",
                     "multiplanar_errors"),
@@ -33,7 +34,7 @@ _EXPORTS = {
     "stationarity": ("StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"),
     "synth": ("PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
-              "knife_edge_loss", "path_blockage_db", "path_table", "response_blocks"),
+              "path_table", "response_blocks"),
     "wavefront": ("far_field_phase", "rayleigh_distance"),
 }
 # the modules an eager import bound as attributes

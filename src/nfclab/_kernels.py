@@ -14,16 +14,17 @@ sqrt(F) values a path, is scaled by the path's ``gain/(4 pi L)``.  The
 knife-edge factor ``10^(-J/20)`` then multiplies the rows of the paths that
 cross a screen, and only those (``apply_knife_edges``).  The wavelength is
 the same for every path, so it multiplies each finished row block once,
-instead of each path's samples.  The phasor block and the response block
-live in scratch allocated once per call.  Every row-blocked stage after
-the kernel allocates its scratch once per call too: glibc serves an
-allocation of 128 KiB or more with a fresh mmap, so a block allocated anew
-for every row block would be page-faulted in again each time.
+instead of each path's samples; the multiplanar LOS truth takes that factor
+order too.  The phasor block and the response block live in scratch
+allocated once per call.  Every row-blocked stage after the kernel
+allocates its scratch once per call too: glibc serves an allocation of
+128 KiB or more with a fresh mmap, so a block allocated anew for every row
+block would be page-faulted in again each time.
 
 The module also holds the row-block rule that the kernel and every stage
 after it share (``block_rows``, ``row_blocks``), ``row_dot``, the per-row
 dot product whose sums do not depend on the block height, ``median``, and
-``wavelengths``, which the kernel and the multiplanar error share.
+``wavelengths`` and ``knife_edge_db``, which the multiplanar stage shares.
 """
 
 from __future__ import annotations
@@ -110,46 +111,39 @@ def knife_edge_loss(nu) -> np.ndarray:
     return np.where(nu > KNIFE_EDGE_NU_MIN, j, 0.0)  # also 0 for -inf: no crossing, no loss
 
 
-def apply_knife_edges(rows, edge_ptr, edge_geo, sqrt_lam) -> np.ndarray:
-    """Multiply the row of each of m paths that crosses a screen by its knife-edge factor ``10^(-J/20)``.
+def knife_edge_db(edge_ptr, edge_geo, sqrt_lam) -> tuple[np.ndarray, np.ndarray]:
+    """``(edged, loss_db)``: the indices of the m paths that cross a screen, ascending, and their J per wavelength.
 
-    rows     : float or complex (m, n_freqs), one row per path, scaled in place and returned
     edge_ptr : int (m+1,) CSR offsets of the paths' knife-edge factors in edge_geo
     sqrt_lam : float (n_freqs,) square roots of the wavelengths
 
-    J sums a path's losses in edge order.  It is evaluated only for the paths
-    that have edges, and only their rows are touched, since a path without
-    any has exactly 0 dB.
+    J sums a path's knife-edge losses in dB, in edge order.  A path without
+    edges has exactly 0 dB and is left out.
     """
     counts = np.diff(edge_ptr)
     edged = np.flatnonzero(counts)
+    loss_db = np.zeros((edged.size, len(sqrt_lam)))
     if edged.size:
         # The edged paths' factors as a -inf padded (paths, edges) matrix: -inf is 0 dB.
         counts = counts[edged]
         geo = np.full((edged.size, int(counts.max())), -math.inf)
         geo[np.arange(geo.shape[1]) < counts[:, None]] = edge_geo[edge_ptr[0]:edge_ptr[-1]]
-        loss_db = np.zeros((edged.size, len(sqrt_lam)))
         for column in geo.T:
             loss_db += knife_edge_loss(column[:, None] / sqrt_lam)
+    return edged, loss_db
+
+
+def apply_knife_edges(rows, edge_ptr, edge_geo, sqrt_lam) -> np.ndarray:
+    """Multiply the row of each of m paths that crosses a screen by its knife-edge factor ``10^(-J/20)``.
+
+    rows : float or complex (m, n_freqs), one row per path, scaled in place and returned
+
+    J is ``knife_edge_db``'s, and only the edged paths' rows are touched.
+    """
+    edged, loss_db = knife_edge_db(edge_ptr, edge_geo, sqrt_lam)
+    if edged.size:
         rows[edged] *= 10.0 ** (-loss_db / 20.0)
     return rows
-
-
-def path_amplitude(gains, lengths, edge_ptr, edge_geo, lam, sqrt_lam, out) -> np.ndarray:
-    """``gain * lambda/(4 pi L) * 10^(-J/20)`` of m paths, one row per path, written into ``out``.
-
-    gains, lengths : float (m,)
-    edge_ptr       : int (m+1,) CSR offsets of the paths' knife-edge factors in edge_geo
-    lam, sqrt_lam  : float (n_freqs,) wavelengths and their square roots
-    out            : float (m, n_freqs), returned
-
-    The wavelength enters each sample, then ``apply_knife_edges`` the rows of
-    the edged paths.  This is the amplitude the multiplanar LOS truth reads;
-    ``accumulate_paths`` orders the same factors differently.
-    """
-    amp = np.multiply(gains[:, None], lam, out=out)
-    amp /= (4.0 * math.pi * lengths)[:, None]
-    return apply_knife_edges(amp, edge_ptr, edge_geo, sqrt_lam)
 
 
 class PhasorGrid(NamedTuple):

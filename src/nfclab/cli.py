@@ -241,6 +241,7 @@ def _write_run(args: argparse.Namespace, scene: Scene, files: dict[str, Path], s
         "uniform_power_gamma_db": stationarity.DEFAULT_UNIFORM_POWER_DB,
         "ds_threshold_db": analysis.DEFAULT_DS_THRESHOLD_DB,
         "los_gate_half_width_bins": float(analysis.LOS_GATE_HALF_WIDTH),
+        "mw_full_blockage_db": multiplanar.FULL_BLOCKAGE_DB,
         "noise_floor_dbm": (float("nan") if scene.noise_floor_dbm is None
                             else scene.noise_floor_dbm),
         "seed": float(scene.seed),

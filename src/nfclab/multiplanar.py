@@ -11,10 +11,12 @@ the partition can only reduce the error.
 The reconstruction is LOS-only and is scored against the scene's LOS
 (spherical-wave) truth, made from the direct-path rows of the scene's path
 table one row block at a time by ``multiplanar_errors``, which scores every
-partition of a run in one pass.  Truth and reconstruction are both a real
-non-negative amplitude times a propagation phase, so the error is computed
-from the path-length difference and the amplitudes alone, without building
-either complex response or holding the truth.
+partition of a run in one pass.  A direct path's amplitude is ``g/(4 pi L)``,
+times ``10^(-J/20)`` if it crosses a screen, times the wavelength: the factor
+order of the path-sum kernel (``_kernels``).  Truth and reconstruction are
+both a real non-negative amplitude times a propagation phase, so the error
+is computed from the path-length difference and the amplitudes alone,
+without building either complex response or holding the truth.
 """
 
 from __future__ import annotations
@@ -28,19 +30,19 @@ from . import _csvout, _kernels
 from .constants import C_M_PER_S
 from .scene import Scene
 from .stationarity import StationaryPartition
-from .synth import PathTable, element_geometry, path_blockage_db
+from .synth import PathTable, element_geometry
 
 FULL_BLOCKAGE_DB = 80.0
 TWO_PI = 2.0 * math.pi
 
 
 class LosGeometry(NamedTuple):
-    """The direct paths of a scene: ``length[n - 1]`` and axis angle ``theta[n - 1]`` of element n.
+    """The direct paths of a scene: axis angle ``theta[n - 1]`` of element n, and ``usable``.
 
-    ``usable`` flags the direct paths blocked by at most ``FULL_BLOCKAGE_DB``.
+    ``usable`` flags the direct paths whose knife-edge loss at the band-mean
+    wavelength ``sweep.lambda_center`` is at most ``FULL_BLOCKAGE_DB``.
     """
 
-    length: np.ndarray  # (N,) direct-path lengths
     theta: np.ndarray   # (N,) axis angles, from synth.element_geometry
     usable: np.ndarray  # (N,) bool
 
@@ -48,13 +50,16 @@ class LosGeometry(NamedTuple):
 def los_geometry(scene: Scene, table: PathTable) -> LosGeometry:
     """The direct paths of ``table = path_table(scene)``, its rows ``[:N]``."""
     n = scene.array.n_elements
-    return LosGeometry(length=table.length[:n], theta=element_geometry(scene, scene.rx)[1],
-                       usable=path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB)
+    edged, loss_db = _kernels.knife_edge_db(table.edge_ptr[:n + 1], table.edge_geo,
+                                            np.sqrt([scene.sweep.lambda_center]))
+    usable = np.ones(n, dtype=bool)
+    usable[edged] = loss_db[:, 0] <= FULL_BLOCKAGE_DB
+    return LosGeometry(theta=element_geometry(scene, scene.rx)[1], usable=usable)
 
 
 def _los_amplitude(table: PathTable, rows: np.ndarray, lam: np.ndarray, sqrt_lam: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
-    """The amplitude of the direct paths ``rows`` of ``table``, written into ``out`` (``_kernels.path_amplitude``).
+    """The amplitude of the direct paths ``rows`` of ``table``, written into ``out``.
 
     ``rows`` are ascending element indices; their knife-edge factors are
     gathered into one CSR slice.  Each row's amplitude depends on that row
@@ -64,7 +69,8 @@ def _los_amplitude(table: PathTable, rows: np.ndarray, lam: np.ndarray, sqrt_lam
     counts = ptr[rows + 1] - ptr[rows]
     sub_ptr = np.concatenate(([0], np.cumsum(counts)))
     geo = table.edge_geo[np.repeat(ptr[rows] - sub_ptr[:-1], counts) + np.arange(sub_ptr[-1])]
-    return _kernels.path_amplitude(table.gain[rows], table.length[rows], sub_ptr, geo, lam, sqrt_lam, out=out)
+    np.copyto(out, (table.gain[rows] / (4.0 * math.pi * table.length[rows]))[:, None])
+    return np.multiply(_kernels.apply_knife_edges(out, sub_ptr, geo, sqrt_lam), lam, out=out)
 
 
 class MultiplanarError(NamedTuple):
@@ -111,7 +117,7 @@ def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
     ``build_multiplanar_model(geometry, partition)``, an integer array of N
     entries in 1..N (else ValueError).  The truth is the scene's spherical
     LOS response ``A_n(f) e^{-j2pi f l_n/c}`` (the amplitude of ``table``'s
-    direct path n and ``geometry.length``), the reconstruction is
+    direct path n and ``table.length``), the reconstruction is
     ``g_n(f) e^{-j2pi f r_n/c}`` with ``g_n = A_ref(f)`` and the planar
     length ``r_n = l_ref - (n - ref) d cos(theta_ref)`` of element n's
     reference; both amplitudes are real and non-negative.  So the phase
@@ -128,7 +134,7 @@ def multiplanar_errors(scene: Scene, table: PathTable, geometry: LosGeometry,
     BLAS call, so the result depends neither on the BLAS thread count nor on
     the block height.
     """
-    n_el, length = scene.array.n_elements, geometry.length
+    n_el, length = scene.array.n_elements, table.length[:scene.array.n_elements]
     for i, ref in enumerate(refs):
         if len(ref) != n_el:
             raise ValueError(f"reference index has {len(ref)} entries, array has {n_el} elements")

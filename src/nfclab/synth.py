@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _csvout, _floatrepr, _kernels
-from ._kernels import knife_edge_loss
 from .constants import C_M_PER_S, KNIFE_EDGE_NU_MIN, TX_POWER_DBM
 from .scene import Blocker, Scene, Sweep
 
@@ -220,15 +219,6 @@ def path_table(scene: Scene) -> PathTable:
                      gain=np.concatenate([np.full(len(r), g) for r, g in zip(rows, gains)]),
                      edge_ptr=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
                      edge_geo=np.concatenate(geos))
-
-
-def path_blockage_db(scene: Scene, table: PathTable) -> np.ndarray:
-    """Knife-edge loss of every path at the sweep center frequency, in dB."""
-    total = np.zeros(len(table.length))
-    owner = np.repeat(np.arange(len(total)), np.diff(table.edge_ptr))
-    # Unbuffered and in index order: each path's sum runs over its edges in order.
-    np.add.at(total, owner, knife_edge_loss(table.edge_geo / math.sqrt(scene.sweep.lambda_center)))
-    return total
 
 
 def noise_sigma(noise_floor_dbm: float) -> float:

@@ -24,10 +24,10 @@ from collections import namedtuple
 
 from nfclab import _kernels, analysis, cli, multiplanar, stationarity, synth, wavefront
 from nfclab.analysis import _hann, _pair_aod, _unwrapped_phase
-from nfclab.constants import C_M_PER_S
+from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.multiplanar import FULL_BLOCKAGE_DB, TWO_PI, MultiplanarError
 from nfclab.stationarity import StationarityError, _cmd
-from nfclab.synth import array_blocks, element_positions, noise_sigma, path_blockage_db, path_table
+from nfclab.synth import array_blocks, element_positions, noise_sigma, path_table
 from nfclab.wavefront import EPS_ANGLE
 
 
@@ -129,21 +129,61 @@ def synthesize_los_cfr(scene):
                     table.edge_geo, scene.sweep.frequencies())
 
 
+def knife_edge_db(edge_geo, sqrt_lam):
+    """J of one path at one wavelength: the single-knife-edge losses of its factors ``edge_geo``, summed in order.
+
+    The loss formula written out, one edge at a time:
+    ``6.9 + 20 log10(sqrt((nu - 0.1)^2 + 1) + nu - 0.1)`` at ``nu = geo / sqrt_lam``,
+    for nu > -0.78, else 0.
+    """
+    loss_db = 0.0
+    for geo in edge_geo:
+        nu = geo / sqrt_lam
+        if nu > KNIFE_EDGE_NU_MIN:
+            t = nu - 0.1
+            loss_db += 6.9 + 20.0 * math.log10(math.sqrt(t * t + 1.0) + t)
+    return loss_db
+
+
+def blockage_db(scene, table):
+    """J of every path of ``table`` at the band-mean wavelength, from the shared sum ``_kernels.knife_edge_db``.
+
+    A path without edges has 0 dB.
+    """
+    edged, loss_db = _kernels.knife_edge_db(table.edge_ptr, table.edge_geo, np.sqrt([scene.sweep.lambda_center]))
+    total = np.zeros(len(table.length))
+    total[edged] = loss_db[:, 0]
+    return total
+
+
 LosTruth = namedtuple("LosTruth", "length theta amp usable")
 
 
 def los_truth(scene, table):
     """The LOS truth held: direct-path lengths, axis angles, ``(N, F)`` amplitudes and usability.
 
-    The amplitudes are one ``_kernels.path_amplitude`` call over rows ``[:N]``
-    of ``table = path_table(scene)``, the direct paths.
+    One direct path, rows ``[:N]`` of ``table = path_table(scene)``, at a time
+    in scalar arithmetic: the amplitude ``g/(4 pi L)``, times ``10^(-J/20)``
+    at each wavelength where the path has edges, times the wavelength, and
+    ``usable`` where J (``knife_edge_db``) at the band-mean wavelength is at
+    most ``FULL_BLOCKAGE_DB``.  A row without edges is its one rounded
+    product ``g/(4 pi L) * lambda`` per sample.
     """
     n = scene.array.n_elements
-    lam = C_M_PER_S / scene.sweep.frequencies()
-    amp = _kernels.path_amplitude(table.gain[:n], table.length[:n], table.edge_ptr[:n + 1], table.edge_geo,
-                                  lam, np.sqrt(lam), out=np.empty((n, len(lam))))
+    lam = (C_M_PER_S / scene.sweep.frequencies()).tolist()
+    sqrt_lam_center = math.sqrt(scene.sweep.lambda_center)
+    amp = np.empty((n, len(lam)))
+    usable = np.empty(n, dtype=bool)
+    for row in range(n):
+        geos = table.edge_geo[table.edge_ptr[row]:table.edge_ptr[row + 1]].tolist()
+        base = float(table.gain[row]) / (4.0 * math.pi * float(table.length[row]))
+        if geos:
+            amp[row] = [base * 10.0 ** (-knife_edge_db(geos, math.sqrt(x)) / 20.0) * x for x in lam]
+        else:
+            amp[row] = [base * x for x in lam]
+        usable[row] = knife_edge_db(geos, sqrt_lam_center) <= FULL_BLOCKAGE_DB
     return LosTruth(length=table.length[:n], theta=synth.element_geometry(scene, scene.rx)[1], amp=amp,
-                    usable=path_blockage_db(scene, table)[:n] <= FULL_BLOCKAGE_DB)
+                    usable=usable)
 
 
 def synthesize_multiplanar_cfr(ref, truth, scene):

@@ -82,6 +82,13 @@ def test_report_lists_the_slope_minimum_interval(tmp_path):
     assert "  slope_min_si = 4\n" in report
 
 
+def test_report_lists_the_full_blockage_threshold(tmp_path):
+    # the 80 dB rule picks which element anchors each interval's wavefront on an OLOS scene
+    assert run(["run", "los_lab", "--freq-points", "11", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert "  los_gate_half_width_bins = 2\n  mw_full_blockage_db = 80\n" in report
+
+
 def test_run_malformed_file_exit_3(tmp_path):
     bad = tmp_path / "bad.scene"
     bad.write_text("[array]\nn_elements = -3\n[rx]\nposition = 0,5,2.5\n")

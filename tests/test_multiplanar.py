@@ -6,7 +6,7 @@ import pytest
 
 import nfclab as nl
 from nfclab.constants import C_M_PER_S
-from nfclab.multiplanar import export_mw_error_csv
+from nfclab.multiplanar import FULL_BLOCKAGE_DB, export_mw_error_csv
 from nfclab.scene import loads_scene
 from nfclab._kernels import wavelengths
 from nfclab.multiplanar import _los_amplitude
@@ -15,6 +15,7 @@ from nfclab.wavefront import rayleigh_distance
 import reference
 from reference import element_geometry, synthesize_los_cfr, synthesize_multiplanar_cfr
 from test_analysis import REFERENCE_SCENES
+from test_path_table import reference_table
 from test_synth import traced_peak
 
 
@@ -187,11 +188,15 @@ def test_blocked_reference_falls_back():
         lines += ["[blocker]", "center = -0.765, %s, 2.5" % (0.5 + 0.2 * i),
                   "width = 2.47", "height = 4.0", "normal = 0.0, 1.0, 0.0"]
     scene = loads_scene("\n".join(lines))
-    blockages = nl.path_blockage_db(scene, nl.path_table(scene))[:8]
+    table = nl.path_table(scene)  # the 8 direct paths only
+    blockages = reference.blockage_db(scene, table)
+    assert blockages.tobytes() == reference_table(scene, los_only=True)[1].tobytes()  # the scalar sum
     ref = (1 + 8) // 2
     assert blockages[ref - 1] > 80.0          # reference fully absorbed
     assert any(b <= 80.0 for b in blockages)  # fallback exists
-    model = nl.build_multiplanar_model(nl.los_geometry(scene, nl.path_table(scene)), uniform_partition(8, 1))
+    geometry = nl.los_geometry(scene, table)
+    assert geometry.usable.tolist() == (blockages <= FULL_BLOCKAGE_DB).tolist()
+    model = nl.build_multiplanar_model(geometry, uniform_partition(8, 1))
     assert len(set(model.tolist())) == 1
     assert model[0] != ref
     assert blockages[model[0] - 1] <= 80.0
@@ -200,9 +205,10 @@ def test_blocked_reference_falls_back():
 def test_reference_index_follows_the_fallback_rule(olos_scene):
     """Each interval's reference: its center, else the nearest usable element, ties lower."""
     n = olos_scene.array.n_elements
-    truth = nl.los_geometry(olos_scene, nl.path_table(olos_scene))
+    table = nl.path_table(olos_scene)
+    truth = nl.los_geometry(olos_scene, table)
     r, theta = element_geometry(olos_scene, olos_scene.rx)  # the scalar per-element geometry
-    assert truth.length.tobytes() == r.tobytes()
+    assert table.length[:n].tobytes() == r.tobytes()
     assert truth.theta.tobytes() == theta.tobytes()
     # with elements 1..40 and every third element unusable, interval centers
     # have no usable element, fall back, or have two usable neighbours at one distance
@@ -232,12 +238,22 @@ def test_export(tmp_path):
     assert len(lines) == 2
 
 
+# The oracle's J and 10^(-J/20) of an edged row come from math.log10 and float pow; numpy's
+# AVX512 log10 and power round differently.  Measured on MW_SCENES: at most 11 ulps at the
+# default dispatch level of an AVX512 host, 0 at X86_V3 and X86_V2.
+EDGED_AMP_ULPS = 16
+
+
 def test_los_truth_amplitude_is_real_finite_non_negative():
     """The real-phase error form takes both fields as a real amplitude >= 0 times a phase.
 
-    The amplitude ``multiplanar_errors`` makes of any set of direct paths is
-    the whole-array ``path_amplitude`` of those rows, byte for byte.
+    The amplitude ``multiplanar_errors`` makes of the direct paths is the
+    scalar oracle ``reference.los_truth``'s: byte for byte on the rows
+    without knife edges, within ``EDGED_AMP_ULPS`` on the others.  The
+    amplitude of any set of rows is those rows of the whole array, byte for
+    byte.
     """
+    edged_rows = 0
     for name, make in MW_SCENES.items():
         scene = make()
         table = nl.path_table(scene)
@@ -246,10 +262,15 @@ def test_los_truth_amplitude_is_real_finite_non_negative():
         amp = _los_amplitude(table, every, *lam, out=np.empty((n, n_freqs)))
         assert amp.dtype == np.float64, name
         assert np.all(np.isfinite(amp)) and np.all(amp >= 0.0), name
-        assert amp.tobytes() == reference.los_truth(scene, table).amp.tobytes(), name
+        want = reference.los_truth(scene, table).amp
+        edged = np.diff(table.edge_ptr[:n + 1]) > 0
+        assert amp[~edged].tobytes() == want[~edged].tobytes(), name
+        assert np.all(np.abs(amp[edged] - want[edged]) <= EDGED_AMP_ULPS * np.spacing(want[edged])), name
+        edged_rows += int(edged.sum())
         some = every[::7]
         assert _los_amplitude(table, some, *lam,
                               out=np.empty((len(some), n_freqs))).tobytes() == amp[some].tobytes(), name
+    assert edged_rows > 0
 
 
 # ---------------------------------------------------------------------------

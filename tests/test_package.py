@@ -24,15 +24,16 @@ DIR = [
     "analysis", "array_blocks", "build_multiplanar_model", "cfr_csv", "characteristic_slope",
     "constants", "distance_map", "element_geometry", "element_positions", "far_field_phase",
     "knife_edge_loss", "load_preset", "load_scene", "loads_scene", "los_geometry", "multiplanar",
-    "multiplanar_errors", "partition_by_cmd", "partition_by_slope", "path_blockage_db",
-    "path_table", "pdp_csv", "rayleigh_distance", "response_blocks", "save_scene", "scene",
-    "serialize_scene", "stationarity", "streamed_los_phase", "streamed_stats", "synth",
-    "uniform_partition", "wavefront",
+    "multiplanar_errors", "partition_by_cmd", "partition_by_slope", "path_table", "pdp_csv",
+    "rayleigh_distance", "response_blocks", "save_scene", "scene", "serialize_scene",
+    "stationarity", "streamed_los_phase", "streamed_stats", "synth", "uniform_partition",
+    "wavefront",
 ]
 SUBMODULES = ["_csvout", "_floatrepr", "_kernels", "analysis", "constants", "multiplanar",
               "scene", "stationarity", "synth", "wavefront"]
 # each exported name and the module it is read from
 ORIGIN = {
+    "_kernels": ["knife_edge_loss"],
     "analysis": ["ChannelStats", "pdp_csv", "streamed_los_phase", "streamed_stats"],
     "multiplanar": ["LosGeometry", "MultiplanarError", "build_multiplanar_model", "los_geometry",
                     "multiplanar_errors"],
@@ -42,13 +43,13 @@ ORIGIN = {
     "stationarity": ["StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"],
     "synth": ["PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
-              "knife_edge_loss", "path_blockage_db", "path_table", "response_blocks"],
+              "path_table", "response_blocks"],
     "wavefront": ["far_field_phase", "rayleigh_distance"],
 }
-# the held forms the streamed entry points replaced
+# the held forms the streamed entry points replaced, and the second knife-edge sum
 REMOVED = ["ChannelFrequencyResponse", "LosTruth", "cmd_map", "compute_pdp", "compute_stats",
-           "los_phase", "los_truth", "multiplanar_error", "received_power_db", "rms_delay_spread",
-           "synthesize_cfr"]
+           "los_phase", "los_truth", "multiplanar_error", "path_blockage_db", "received_power_db",
+           "rms_delay_spread", "synthesize_cfr"]
 
 
 def _python(code, *args, warnings=()):

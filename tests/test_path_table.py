@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from reference import blockage_db
 from strategies import scenes
 
 import nfclab as nl
 from nfclab import synth
+from nfclab._kernels import knife_edge_loss
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import Blocker, Scatterer, Scene
-from nfclab.synth import PathTable, element_positions, knife_edge_loss, path_blockage_db, path_table
+from nfclab.synth import PathTable, element_positions, path_table
 from nfclab.wavefront import rayleigh_distance
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def los_rows(table: PathTable, n: int) -> PathTable:
 
 def assert_matches_reference(scene: Scene) -> PathTable:
     table = path_table(scene)
-    blockage = path_blockage_db(scene, table)
+    blockage = blockage_db(scene, table)  # the shared sum, _kernels.knife_edge_db
     n = scene.array.n_elements
     got, order = per_element_order(table)
     want, want_blockage = reference_table(scene)

@@ -76,7 +76,7 @@ def test_readme_names_every_report_threshold_and_check(artifacts):
     thresholds = report.split("thresholds and defaults used:\n")[1].split("\n\n")[0]
     keys = [line.split(" = ")[0].strip() for line in thresholds.splitlines()]
     checks = [line.split()[1] for line in report.split("checks:\n")[1].split("\n\n")[0].splitlines()]
-    assert len(keys) == 11 and len(checks) == 3
+    assert len(keys) == 12 and len(checks) == 3
     assert [name for name in keys + checks if f"`{name}`" not in README] == []
 
 

@@ -9,10 +9,11 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.scene import loads_scene
-from nfclab.synth import _noise_blocks, array_blocks, cfr_csv, path_blockage_db, path_table, response_blocks
+from nfclab.synth import _noise_blocks, array_blocks, cfr_csv, path_table, response_blocks
 from conftest import held_response
 import reference
 from reference import synthesize_los_cfr
+from test_path_table import reference_table
 
 BARE = """
 [array]
@@ -49,7 +50,7 @@ def test_path_table_empty_environment():
     assert len(paths) == 1
     assert paths[0] < scene.array.n_elements  # the LOS group
     assert table.gain[paths[0]] == 1.0
-    assert path_blockage_db(scene, table)[paths[0]] == 0.0
+    assert reference.blockage_db(scene, table)[paths[0]] == 0.0
 
 
 def test_zero_gain_wall_path_retained():
@@ -86,7 +87,9 @@ def test_scatterer_path_geometry():
 
 
 def test_olos_preset_blocked_element_blockage(olos_scene):
-    blockage = path_blockage_db(olos_scene, path_table(olos_scene))[:olos_scene.array.n_elements]
+    n = olos_scene.array.n_elements
+    blockage = reference.blockage_db(olos_scene, path_table(olos_scene))[:n]
+    assert blockage.tobytes() == reference_table(olos_scene, los_only=True)[1].tobytes()  # the scalar sum
     assert blockage[30 - 1] >= 6.0
 
 
@@ -213,7 +216,7 @@ def test_reciprocity_of_path_lengths():
 
 def test_blocker_never_increases_amplitude(los_scene, olos_scene):
     clear, shadowed = path_table(los_scene), path_table(olos_scene)
-    clear_db, shadowed_db = path_blockage_db(los_scene, clear), path_blockage_db(olos_scene, shadowed)
+    clear_db, shadowed_db = reference.blockage_db(los_scene, clear), reference.blockage_db(olos_scene, shadowed)
     for n in (1, 20, 26, 40, 64):
         paths = paths_of(clear, n)
         assert np.array_equal(paths_of(shadowed, n), paths)  # same kinds in the same order
@@ -278,12 +281,7 @@ def _accumulate_paths_py(out, row_idx, lengths, gains, edge_ptr, edge_geo, freqs
             f = freqs[m]
             lam = C_M_PER_S / f
             sqrt_lam = math.sqrt(lam)
-            loss_db = 0.0
-            for e in range(e0, e1):
-                nu = edge_geo[e] / sqrt_lam
-                if nu > KNIFE_EDGE_NU_MIN:
-                    t = nu - 0.1
-                    loss_db += 6.9 + 20.0 * math.log10(math.sqrt(t * t + 1.0) + t)
+            loss_db = reference.knife_edge_db(edge_geo[e0:e1], sqrt_lam)
             amp = gain * lam / (4.0 * math.pi * length) * 10.0 ** (-loss_db / 20.0)
             phase = -2.0 * math.pi * f * length / C_M_PER_S
             out[row, m] += amp * (math.cos(phase) + 1j * math.sin(phase))
