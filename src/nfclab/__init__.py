@@ -31,7 +31,7 @@ _EXPORTS = {
               "SceneParseError", "SceneValidationError", "Sweep", "Wall",
               "load_preset", "load_scene", "loads_scene", "save_scene",
               "serialize_scene", "PRESET_NAMES"),
-    "stationarity": ("StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
+    "stationarity": ("StationaryPartition", "WindowBands", "characteristic_slope", "distance_rows",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"),
     "synth": ("PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
               "path_table", "response_blocks"),

@@ -142,11 +142,11 @@ def _run_setup(args: argparse.Namespace) -> tuple[Scene, Path]:
     return scene, out_dir
 
 
-def _partitions(args: argparse.Namespace, dmap: np.ndarray, stats: analysis.ChannelStats
+def _partitions(args: argparse.Namespace, stack: np.ndarray, stats: analysis.ChannelStats
                 ) -> list[stationarity.StationaryPartition]:
     partitions = []
     if args.criterion in ("cmd", "both"):
-        partitions.append(stationarity.partition_by_cmd(dmap, stats.n_elements, m=args.window,
+        partitions.append(stationarity.partition_by_cmd(stack, stats.n_elements, m=args.window,
                                                         tau=args.cmd_threshold))
     if args.criterion in ("slope", "both"):
         partitions.append(stationarity.partition_by_slope(stats))
@@ -177,20 +177,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         table = synth.path_table(scene)
         # one pass: each block of the response is written, summed into the window
         # bands and analysed before the next block is made; no (N, F) array is held
-        bands = stationarity.WindowBands(n, n_points, args.window) if n >= args.window else None
+        bands = stationarity.WindowBands(n, n_points, args.window)
         with synth.cfr_csv(files["cfr.csv"], scene.sweep, n) as cfr_csv, \
                 analysis.pdp_csv(files["pdp.csv"], n, n_points, scene.sweep.bandwidth) as pdp_csv:
             stats = analysis.streamed_stats(synth.response_blocks(scene, table), scene, table,
-                                            [cfr_csv.add] + ([bands.add] if bands else []),
-                                            pdp=pdp_csv.add)
-        # an array shorter than one window has a 0 x 0 map
-        dmap = np.zeros((0, 0)) if bands is None else stationarity.distance_map(bands.correlations())
-        partitions = _partitions(args, dmap, stats)
+                                            [cfr_csv.add, bands.add], pdp=pdp_csv.add)
+        stack = bands.correlations()
+        partitions = _partitions(args, stack, stats)
         geometry = multiplanar.los_geometry(scene, table)
         mw_table = _mw_table(scene, table, geometry, partitions)
         model = wavefront.model_phases(geometry.theta, scene.array.spacing_d,
                                        C_M_PER_S / scene.sweep.f_grid_center)
-        lines = _write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
+        lines = _write_run(args, scene, files, stats, partitions, stack, mw_table, model)
     print(f"report: {out_dir / 'report.txt'}")
     for line in lines:
         print(line)
@@ -198,12 +196,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _write_run(args: argparse.Namespace, scene: Scene, files: dict[str, Path], stats: analysis.ChannelStats,
-               partitions: list[stationarity.StationaryPartition], dmap: np.ndarray,
+               partitions: list[stationarity.StationaryPartition], stack: np.ndarray,
                mw_table: list[tuple[str, int, float, float]], model: np.ndarray) -> list[str]:
     """Write ``run``'s files other than ``cfr.csv`` and ``pdp.csv``; returns what it prints after the report."""
     analysis.export_stats_csv(stats, files["stats.csv"])
     stationarity.export_partition_csv(partitions, files["partition.csv"])
-    stationarity.export_cmd_map_csv(dmap, files["cmd_map.csv"])
+    stationarity.export_cmd_map_csv(stack, files["cmd_map.csv"])
     multiplanar.export_mw_error_csv(mw_table, files["mw_error.csv"])
 
     # Built-in checks and observations

@@ -5,7 +5,9 @@ interval; a test window slides element by element and the interval ends at
 the first window whose correlation matrix distance from the reference
 exceeds a threshold.  The reference-anchored scan (rather than adjacent-pair
 comparison) accumulates slow drift, so intervals shrink where the channel
-geometry changes faster.
+geometry changes faster.  The partition makes each anchor's CMD map row,
+and ``cmd_map.csv`` each row block, with ``distance_rows``: the W x W map
+is never held.
 
 Criterion 2 (characteristic slope): the smoothed per-element slope of a
 channel statistic marks boundaries where it stays above a threshold, and
@@ -85,18 +87,20 @@ class WindowBands:
     keeps the m - 1 rows before them, the halo that the bands reach back
     into; so the blocks may be scratch and of any height.  Each band entry
     is its own ``_kernels.row_dot`` row sum, so the bands do not depend on
-    the block height.  Raises StationarityError unless m >= 2.
+    the block height.  An array shorter than one window (n < m) has bands
+    up to lag n - 1 only, and no window.  Raises StationarityError unless
+    m >= 2.
     """
 
     def __init__(self, n: int, n_points: int, m: int):
         if m < 2:
             raise StationarityError(f"window must span >= 2 elements, got {m}")
         self._n, self._m = n, m
-        self._bands = [np.empty(max(n - k, 0), dtype=np.complex128) for k in range(m)]
-        self._ring = np.empty((max(_kernels.block_rows(n, n_points), m), n_points), dtype=np.complex128)
+        self._bands = [np.empty(n - k, dtype=np.complex128) for k in range(min(m, n))]
+        self._ring = np.empty((max(_kernels.block_rows(n, n_points), min(m, n)), n_points), dtype=np.complex128)
 
     def add(self, start: int, stop: int, rows: np.ndarray) -> None:
-        halo, ring = self._m - 1, self._ring
+        halo, ring = len(self._bands) - 1, self._ring
         step = len(ring) - halo
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
@@ -111,10 +115,12 @@ class WindowBands:
                 ring[r] = ring[hi - lo + r]
 
     def correlations(self) -> np.ndarray:
-        """``(W, m, m)`` correlations of all ``W = n - m + 1`` windows of m rows, once every row is fed."""
-        m = self._m
+        """``(W, m, m)`` correlations of all ``W = max(n - m + 1, 0)`` windows of m rows, once every row is fed."""
+        n, m = self._n, self._m
+        stack = np.empty((max(n - m + 1, 0), m, m), dtype=np.complex128)
+        if n < m:
+            return stack
         idx = np.arange(m)
-        stack = np.empty((self._n - m + 1, m, m), dtype=np.complex128)
         for k, band in enumerate(self._bands):
             band = band / self._ring.shape[1]
             lag = sliding_window_view(band.real if k == 0 else band, m - k)  # lag[s, a] = band[s + a]
@@ -123,41 +129,33 @@ class WindowBands:
         return stack
 
 
-def _cmd(stack: np.ndarray) -> np.ndarray:
-    """CMD of every pair of matrices in one stack, from one Gram product.
+def distance_rows(stack: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of the CMD map of a ``(W, m, m)`` window-correlation stack, 0 on the diagonal.
 
-    ``<R_i, R_j>_F = Re tr(R_i R_j)`` for Hermitian matrices.  Clamped to
-    [0, 1]; a zero matrix is at distance 1 from every matrix.  The Gram
-    product is an einsum, not a BLAS matmul, so it does not depend on the
-    BLAS thread count, and entry (i, j) is computed exactly as (j, i): the
-    map is symmetric.  The Gram is normalised over ``_kernels.row_blocks``,
-    one block of the norms' outer product at a time, so no second W x W
-    array is held.  Raises StationarityError where a norm overflows
-    float64, which bounds every Gram entry.
+    Entry (i, j) is the distance between the windows starting at elements
+    i+1 and j+1 (heat-map data, ``cmd_map.csv``): ``1 - <R_i, R_j>_F /
+    (|R_i| |R_j|)``, with ``<R_i, R_j>_F = Re tr(R_i R_j)`` for Hermitian
+    matrices, clamped to [0, 1]; a zero matrix is at distance 1 from every
+    matrix.  The rows come from one Gram product of the flattened
+    correlations ``[lo, hi)`` with all W.  It is an einsum, not a BLAS
+    matmul, so it does not depend on the BLAS thread count, an entry does
+    not depend on ``lo`` and ``hi``, and entry (i, j) is computed exactly as
+    (j, i): the map is symmetric.  Raises StationarityError where a norm
+    overflows float64, which bounds every Gram entry.
     """
-    a = np.asarray(stack, dtype=np.complex128).reshape(len(stack), -1).view(np.float64)
+    a = np.asarray(stack, dtype=np.complex128)
+    a = a.reshape(len(a), a.shape[1] * a.shape[2]).view(np.float64)  # W may be 0
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(a, axis=1)
     if not np.all(np.isfinite(norm)):  # then the Gram would overflow too
         raise StationarityError("window correlations must have finite norms: |R|^2 overflows float64")
     norm = np.where(norm > 0, norm, np.inf)
-    d = np.einsum("ik,jk->ij", a, a)
-    for lo, hi in _kernels.row_blocks(len(d), len(d)):
-        d[lo:hi] /= np.multiply.outer(norm[lo:hi], norm)
+    d = np.einsum("ik,jk->ij", a[lo:hi], a)
+    d /= np.multiply.outer(norm[lo:hi], norm)
     np.subtract(1.0, d, out=d)
-    return np.clip(d, 0.0, 1.0, out=d)
-
-
-def distance_map(stack: np.ndarray) -> np.ndarray:
-    """The CMD between every pair of window correlations of a ``(W, m, m)`` stack, 0 on the diagonal.
-
-    Entry (i, j) is the distance between the windows starting at elements
-    i+1 and j+1 (heat-map data, ``cmd_map.csv``); all pairs come from one
-    Gram product of the flattened window correlations.
-    """
-    out = _cmd(stack)
-    np.fill_diagonal(out, 0.0)
-    return out
+    np.clip(d, 0.0, 1.0, out=d)
+    np.fill_diagonal(d[:, lo:], 0.0)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +186,25 @@ def _partition(n: int, splits: list[tuple[int, float]], criterion: str,
                                boundary_scores=tuple(scores))
 
 
-def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
+def partition_by_cmd(stack: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
                      tau: float = DEFAULT_CMD_THRESHOLD) -> StationaryPartition:
-    """Greedy reference-anchored partition of elements 1..n, read from their CMD map ``dmap``.
+    """Greedy reference-anchored partition of elements 1..n, read from their window correlations ``stack``.
 
-    ``dmap`` is ``distance_map`` of the ``(n - m + 1, m, m)`` window
-    correlations (``WindowBands``), or 0 x 0 for an array shorter than one
-    window.  The reference window is the first m elements of the current
-    interval; a test window slides element by element along its map row and
-    the first one with distance above ``tau`` starts a new interval at its
-    first element.  Intervals shorter than m elements are folded into their
-    neighbors, and a trailing leftover shorter than m is absorbed by the
-    last interval.
+    ``stack`` holds the ``(n - m + 1, m, m)`` window correlations
+    (``WindowBands``), none for an array shorter than one window.  The
+    reference window is the first m elements of the current interval; a test
+    window slides element by element along the reference's CMD map row
+    (``distance_rows``) and the first one with distance above ``tau``
+    starts a new interval at its first element.  Intervals shorter than m
+    elements are folded into their neighbors, and a trailing leftover
+    shorter than m is absorbed by the last interval.
     """
     if m < 2:
         raise StationarityError(f"window size must be >= 2, got {m}")
     if not 0.0 < tau < 1.0:
         raise StationarityError(f"threshold must lie in (0, 1), got {tau}")
-    if len(dmap) != max(n - m + 1, 0):
-        raise StationarityError(f"cmd map of {len(dmap)} windows does not fit {n} elements in windows of {m}")
+    if len(stack) != max(n - m + 1, 0):
+        raise StationarityError(f"cmd map of {len(stack)} windows does not fit {n} elements in windows of {m}")
 
     if n < 2 * m:
         return StationaryPartition(intervals=((1, n),), criterion="cmd", boundary_scores=(),
@@ -214,8 +212,8 @@ def partition_by_cmd(dmap: np.ndarray, n: int, m: int = DEFAULT_WINDOW_M,
 
     splits: list[tuple[int, float]] = []
     si_start = 1
-    while si_start < len(dmap):
-        row = dmap[si_start - 1, si_start:]  # the reference window to the windows after it
+    while si_start < len(stack):
+        row = distance_rows(stack, si_start - 1, si_start)[0, si_start:]  # the reference window to the windows after it
         tripped = np.flatnonzero(row > tau)
         if tripped.size == 0:
             break
@@ -308,15 +306,14 @@ def export_partition_csv(partitions: list[StationaryPartition], path) -> None:
                       [[row[c] for row in rows] for c in range(5)])
 
 
-def export_cmd_map_csv(dmap: np.ndarray, path) -> None:
-    """All (i, j, D) pairs of a symmetric map, one formatting pass at a time (``_csvout.CellGrid``).
+def export_cmd_map_csv(stack: np.ndarray, path) -> None:
+    """The (i, j, D) lines of the CMD map of a ``(W, m, m)`` window-correlation stack.
 
-    Raises ValueError unless ``dmap`` equals its transpose.
+    One ``_kernels.row_blocks`` block of ``distance_rows`` at a time,
+    formatted as it comes (``_csvout.CellGrid``).
     """
-    dmap = np.asarray(dmap, dtype=float)
-    if not np.array_equal(dmap, dmap.T):
-        raise ValueError("cmd map must be symmetric")
-    n = dmap.shape[0]
+    n = len(stack)
     with _csvout.CellGrid(path, ("i", "j", "D"), n, [_csvout.cells(_csvout.strs(range(1, n + 1)))],
                           lambda rows: (_floatrepr.repr_cells(rows),)) as grid:
-        grid.add(0, n, dmap)
+        for lo, hi in _kernels.row_blocks(n, n):
+            grid.add(lo, hi, distance_rows(stack, lo, hi))

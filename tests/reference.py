@@ -26,7 +26,7 @@ from nfclab import _kernels, analysis, cli, multiplanar, stationarity, synth, wa
 from nfclab.analysis import _hann, _pair_aod, _unwrapped_phase
 from nfclab.constants import C_M_PER_S, KNIFE_EDGE_NU_MIN
 from nfclab.multiplanar import FULL_BLOCKAGE_DB, TWO_PI, MultiplanarError
-from nfclab.stationarity import StationarityError, _cmd
+from nfclab.stationarity import StationarityError, distance_rows
 from nfclab.synth import array_blocks, element_positions, noise_sigma, path_table
 from nfclab.wavefront import EPS_ANGLE
 
@@ -324,10 +324,10 @@ def held_cmd_run(args):
     """``cli.cmd_run`` as it held the response, the PDP and the LOS truth, one stage after another.
 
     The response (``response``) and the PDP (``pdp_rows``) are this
-    module's whole-array oracles.  The statistics, the CMD map and the
-    multiplanar errors, one call per partition, take the held response
-    through ``synth.array_blocks``, and the files are staged only once the
-    analysis is done; ``pdp.csv`` is written by ``export_pdp_csv``.  It prints
+    module's whole-array oracles.  The statistics, the window correlations
+    and the multiplanar errors, one call per partition, take the held
+    response through ``synth.array_blocks``, and the files are staged only
+    once the analysis is done; ``pdp.csv`` is written by ``export_pdp_csv``.  It prints
     and writes what ``cmd_run`` does, so it is the byte oracle of the
     streamed pass.
     """
@@ -336,8 +336,8 @@ def held_cmd_run(args):
     values = response(scene, table)
     stats = analysis.streamed_stats(array_blocks(values), scene, table)
     pdp = pdp_rows(values)
-    dmap = cmd_map(values, args.window)
-    partitions = cli._partitions(args, dmap, stats)
+    stack = window_stack(values, args.window)
+    partitions = cli._partitions(args, stack, stats)
     geometry = multiplanar.los_geometry(scene, table)
     n = scene.array.n_elements
     named = [(f"dyadic_2^{k}", stationarity.uniform_partition(n, min(2 ** k, n)))
@@ -354,7 +354,7 @@ def held_cmd_run(args):
             for start, stop, rows in array_blocks(values):
                 grid.add(start, stop, rows)
         export_pdp_csv(pdp, files["pdp.csv"], scene.sweep.bandwidth)
-        lines = cli._write_run(args, scene, files, stats, partitions, dmap, mw_table, model)
+        lines = cli._write_run(args, scene, files, stats, partitions, stack, mw_table, model)
     print(f"report: {out_dir / 'report.txt'}")
     for line in lines:
         print(line)
@@ -401,10 +401,9 @@ def window_stack(values, m):
 
 
 def cmd_map(values, m=stationarity.DEFAULT_WINDOW_M):
-    """The CMD map that ``run`` writes for a held response: 0 x 0 for an array shorter than one window."""
-    if len(values) < m:
-        return np.zeros((0, 0))
-    return stationarity.distance_map(window_stack(values, m))
+    """The CMD map that ``run`` writes for a held response, whole: 0 x 0 for an array shorter than one window."""
+    stack = window_stack(values, m)
+    return distance_rows(stack, 0, len(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +481,24 @@ def merge_short_intervals(intervals, scores, min_si):
 
 
 def partition_by_cmd(values, m, tau):
-    """The reference-anchored scan and fold of ``partition_by_cmd``, one ``_cmd`` row per anchor.
+    """The reference-anchored scan and fold of ``partition_by_cmd``, read from the whole ``cmd_map``.
 
     The window correlations and distances come from the package's
-    ``WindowBands`` and ``_cmd``, which ``tests/test_cmd_gram.py`` checks
-    against the per-pair loops.  Each anchor's distance row is computed here
-    from the window stack, not read from ``cmd_map``, so the package's walk
-    along the map rows is checked from outside; the fold is copied.
+    ``WindowBands`` and ``distance_rows``, which ``tests/test_cmd_gram.py``
+    checks against the per-pair loops.  Each anchor's distance row is read
+    here from the map made in one call, not made row by row, so the
+    package's per-anchor rows are checked from outside; the fold is copied.
     """
     n = len(values)
     if n < 2 * m:
         return ((1, n),), (), (f"array of {n} elements shorter than two windows of {m}",)
 
-    stack = window_stack(values, m)
+    dmap = cmd_map(values, m)
     boundaries = []
     scores = []
     si_start = 1
-    while si_start < len(stack):
-        row = _cmd(stack[si_start - 1:])[0, 1:]
+    while si_start < len(dmap):
+        row = dmap[si_start - 1, si_start:]
         tripped = np.flatnonzero(row > tau)
         if tripped.size == 0:
             break

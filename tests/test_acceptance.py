@@ -3,7 +3,7 @@
 Every quantity is taken through the pipeline's streamed entry points: the
 response's row blocks (``response_blocks``, or ``array_blocks`` of a held
 array) feed ``streamed_stats``, ``streamed_los_phase``, ``WindowBands`` and
-``distance_map``, and the multiplanar errors come from
+``partition_by_cmd``, and the multiplanar errors come from
 ``multiplanar_errors``.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see one PASS line per criterion.
 """
@@ -19,7 +19,7 @@ from nfclab import wavefront as wf
 from nfclab.cli import RUN_FILES, main as cli_main
 from nfclab.constants import C_M_PER_S
 from nfclab.scene import loads_scene
-from nfclab.stationarity import _cmd, uniform_partition
+from nfclab.stationarity import distance_rows, uniform_partition
 from conftest import held_response
 import reference
 from test_analysis import streamed_pdp
@@ -34,7 +34,7 @@ def cmd_partition(blocks, n, n_points, m=4, tau=0.2):
     bands = nl.WindowBands(n, n_points, m)
     for start, stop, rows in blocks:
         bands.add(start, stop, rows)
-    return nl.partition_by_cmd(nl.distance_map(bands.correlations()), n, m=m, tau=tau)
+    return nl.partition_by_cmd(bands.correlations(), n, m=m, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_criterion_6_si_recovery(los_scene, olos_scene, olos_table):
 
 def test_criterion_7_cmd_properties():
     def cmd(r1, r2):
-        return float(_cmd(np.stack([r1, r2]))[0, 1])
+        return float(distance_rows(np.stack([r1, r2]), 0, 1)[0, 1])
 
     rng = np.random.default_rng(7)
     worst_sym = worst_self = worst_scale = 0.0

@@ -388,12 +388,11 @@ def test_mw_table_scores_each_distinct_reference_index_once(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
-def test_run_builds_one_cmd_map_under_every_criterion(tmp_path, monkeypatch, criterion):
+def test_run_correlates_windows_once_under_every_criterion(tmp_path, monkeypatch, criterion):
     from nfclab import stationarity
-    calls = count_calls(monkeypatch, {"WindowBands": stationarity, "_cmd": stationarity,
-                                      "distance_map": stationarity})
+    calls = count_calls(monkeypatch, {"correlations": stationarity.WindowBands})
     assert run(["run", "olos_baffle", "--out", str(tmp_path), "--criterion", criterion]) == 0
-    assert calls == {"WindowBands": 1, "_cmd": 1, "distance_map": 1}
+    assert calls == {"correlations": 1}
 
 
 def test_out_of_memory_exit_4_without_traceback(tmp_path, monkeypatch, capsys):

@@ -6,12 +6,14 @@ implementations that the banded window-correlation stack replaced, kept
 verbatim (taking the held response, with the interval fold of
 ``reference.merge_short_intervals``) as the reference.  The sums run in
 another order, so values agree to 1e-12, not bitwise.  The CMD map is
-``reference.cmd_map``: ``distance_map`` of the ``WindowBands`` stack fed the
-held response's ``array_blocks``.  The partition's own walk along the map
+``reference.cmd_map``: all rows of ``distance_rows`` of the ``WindowBands``
+stack fed the held response's ``array_blocks``.  The partition's per-anchor
 rows and its fold are checked bit for bit against
-``reference.partition_by_cmd``, the per-anchor ``_cmd`` scan, and every
-distance row that scan computes against the matching map row.
+``reference.partition_by_cmd``, the scan along the whole map's rows, and
+every block of rows against the same rows of the whole map.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfclab as nl
-from nfclab.stationarity import StationarityError, StationaryPartition, _cmd, partition_by_cmd
+from nfclab.stationarity import StationarityError, StationaryPartition, distance_rows, partition_by_cmd
+from conftest import held_response
 from reference import cmd_map, merge_short_intervals, window_stack
 from reference import partition_by_cmd as reference_partition_by_cmd
+from test_analysis import REFERENCE_SCENES, _sized
 
 TOL = 1e-12
 
@@ -151,7 +155,7 @@ def test_cmd_map_matches_pairwise_loop(cfr, m):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
-    new = partition_by_cmd(cmd_map(cfr, m), len(cfr), m=m, tau=tau)
+    new = partition_by_cmd(window_stack(cfr, m), len(cfr), m=m, tau=tau)
     ref = _ref_partition_by_cmd(cfr, m, tau)
     assert new.intervals == ref.intervals
     assert new.warnings == ref.warnings
@@ -162,7 +166,7 @@ def test_partition_by_cmd_matches_reference_scan(cfr, m, tau):
 @settings(max_examples=200, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 6), tau=st.floats(0.02, 0.9))
 def test_partition_by_cmd_matches_reference_fold_bitwise(cfr, m, tau):
-    new = partition_by_cmd(cmd_map(cfr, m), len(cfr), m=m, tau=tau)
+    new = partition_by_cmd(window_stack(cfr, m), len(cfr), m=m, tau=tau)
     intervals, scores, warnings = reference_partition_by_cmd(cfr, m, tau)
     assert new.intervals == intervals
     assert new.warnings == warnings
@@ -181,32 +185,53 @@ def test_correlation_matrix_is_a_window_of_the_stack(cfr, m, data):
     assert np.array_equal(r, r.conj().T)
 
 
-def assert_scan_rows_are_map_rows(cfr, m):
-    """Each anchor's scan row is its ``cmd_map`` row from the next window on, byte for byte."""
-    dmap = cmd_map(cfr, m)
-    stack = window_stack(cfr, m)
+def assert_row_blocks_are_map_rows(stack, heights):
+    """Every block of ``distance_rows`` at each height is the same rows of the whole map, byte for byte.
+
+    Height 1 gives the partition's per-anchor rows, and ``export_cmd_map_csv``
+    reads blocks of ``_kernels.row_blocks``.  The whole map equals its
+    transpose byte for byte: entry (i, j) is computed exactly as (j, i).
+    """
+    dmap = distance_rows(stack, 0, len(stack))
     assert dmap.shape == (len(stack), len(stack))
-    for a in range(len(stack) - 1):  # every anchor the scan can reach: one window must follow it
-        row = _cmd(stack[a:])[0, 1:]  # as reference.partition_by_cmd's scan computes it
-        assert row.tobytes() == dmap[a, a + 1:].tobytes(), a
+    assert dmap.tobytes() == np.ascontiguousarray(dmap.T).tobytes()
+    for height in heights:
+        for lo in range(0, len(stack), height):
+            hi = min(lo + height, len(stack))
+            assert distance_rows(stack, lo, hi).tobytes() == dmap[lo:hi].tobytes(), (height, lo)
 
 
 @settings(max_examples=100, deadline=None)
 @given(cfr=cfrs(), m=st.integers(2, 8))
 def test_partition_scan_rows_are_cmd_map_rows(cfr, m):
-    if len(cfr) < m:
-        return
-    assert_scan_rows_are_map_rows(cfr, m)
+    assert_row_blocks_are_map_rows(window_stack(cfr, m), (1, 2, 3, 7))
 
 
 @pytest.mark.parametrize("cfr_fixture", ["los_cfr", "olos_cfr"])
 def test_partition_scan_rows_are_cmd_map_rows_on_presets(cfr_fixture, request):
     cfr = request.getfixturevalue(cfr_fixture)
     for m in range(2, 9):
-        assert_scan_rows_are_map_rows(cfr, m)
+        assert_row_blocks_are_map_rows(window_stack(cfr, m), (1, 2, 3, 7))
+
+
+def _olos_baffle_2048():
+    """olos_baffle on 2048 elements at 101 points: 2045 windows of 4."""
+    scene = nl.load_preset("olos_baffle")
+    return _sized(replace(scene, array=replace(scene.array, n_elements=2048)), 101)
+
+
+WIDE = {"array_wide": REFERENCE_SCENES["array_wide"], "olos_baffle_2048": _olos_baffle_2048}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_distance_rows_blocks_are_map_rows_on_wide_arrays(name):
+    scene = WIDE[name]()
+    stack = window_stack(held_response(scene), 4)
+    assert_row_blocks_are_map_rows(stack, (1, 2, 3, 7, 16, 64, 100, 257, len(stack)))
 
 
 def test_cmd_map_rejects_single_element_window():
     with pytest.raises(StationarityError, match="window must span >= 2 elements, got 1"):
         nl.WindowBands(8, 4, 1)
+    assert window_stack(np.ones((8, 4), dtype=complex), 9).shape == (0, 9, 9)  # an array shorter than one window
     assert cmd_map(np.ones((8, 4), dtype=complex), m=9).shape == (0, 0)

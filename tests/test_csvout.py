@@ -28,10 +28,11 @@ from nfclab.analysis import ChannelStats, export_stats_csv, pdp_csv
 from nfclab.cli import main
 from nfclab.multiplanar import export_mw_error_csv
 from nfclab.scene import Sweep, load_preset, load_scene, save_scene
-from nfclab.stationarity import StationaryPartition, export_cmd_map_csv, export_partition_csv, uniform_partition
+from nfclab.stationarity import (StationaryPartition, distance_rows, export_cmd_map_csv, export_partition_csv,
+                                 uniform_partition)
 from nfclab.synth import cfr_csv, path_table
 from conftest import held_response
-from reference import cmd_map
+from reference import window_stack
 from test_analysis import BLOCK_SCENES, REFERENCE_SCENES, _sized, streamed_pdp
 from test_path_table import benchmark_scene
 from test_synth import traced_peak
@@ -107,7 +108,8 @@ def _ref_export_partition_csv(partitions, path) -> None:
                 writer.writerow([i, start, end, partition.criterion, score])
 
 
-def _ref_export_cmd_map_csv(dmap, path) -> None:
+def _ref_export_cmd_map_csv(stack, path) -> None:
+    dmap = distance_rows(stack, 0, len(stack))  # the whole map, held
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "D"])
@@ -242,9 +244,9 @@ def test_partition_csv_writes_every_interval_without_scores(tmp_path):
 def test_cmd_map_csv_matches_reference(tmp_path):
     values, _ = _awkward_cfr()
     values[4:7] = 0.0  # the windows over these elements carry no power
-    dmap = cmd_map(values, m=2)
-    assert dmap.shape == (11, 11) and np.any(dmap == 1.0)
-    _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
+    stack = window_stack(values, 2)
+    assert len(stack) == 11 and np.any(distance_rows(stack, 0, 11) == 1.0)
+    _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, stack)
     assert b"\r\n5,11,1.0\r\n" in (tmp_path / "new.csv").read_bytes()
 
 
@@ -348,8 +350,8 @@ def test_bulk_files_match_byte_oracles(tmp_path, name):
     export_pdp_csv(pdp, new, scene.sweep.bandwidth)
     reference.export_pdp_csv(pdp, ref, scene.sweep.bandwidth)
     assert new.read_bytes() == ref.read_bytes()
-    dmap = cmd_map(values, m=4 if len(values) >= 8 else 2)
-    _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, dmap)
+    stack = window_stack(values, 4 if len(values) >= 8 else 2)
+    _assert_same_bytes(tmp_path, export_cmd_map_csv, _ref_export_cmd_map_csv, stack)
 
 
 def test_bulk_exports_hold_pass_sized_scratch_only(tmp_path):
@@ -362,4 +364,4 @@ def test_bulk_exports_hold_pass_sized_scratch_only(tmp_path):
         assert traced_peak(export_cfr_csv, values, scene.sweep, tmp_path / "cfr.csv") <= 3e6
         pdp = streamed_pdp(scene, table)[1]
         assert traced_peak(export_pdp_csv, pdp, tmp_path / "pdp.csv", scene.sweep.bandwidth) <= 3e6
-        assert traced_peak(export_cmd_map_csv, cmd_map(values, m=4), tmp_path / "cmd_map.csv") <= 3e6
+        assert traced_peak(export_cmd_map_csv, window_stack(values, 4), tmp_path / "cmd_map.csv") <= 3e6

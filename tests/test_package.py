@@ -22,7 +22,7 @@ DIR = [
     "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__", "_csvout", "_floatrepr", "_kernels",
     "analysis", "array_blocks", "build_multiplanar_model", "cfr_csv", "characteristic_slope",
-    "constants", "distance_map", "element_geometry", "element_positions", "far_field_phase",
+    "constants", "distance_rows", "element_geometry", "element_positions", "far_field_phase",
     "knife_edge_loss", "load_preset", "load_scene", "loads_scene", "los_geometry", "multiplanar",
     "multiplanar_errors", "partition_by_cmd", "partition_by_slope", "path_table", "pdp_csv",
     "rayleigh_distance", "response_blocks", "save_scene", "scene", "serialize_scene",
@@ -40,14 +40,14 @@ ORIGIN = {
     "scene": ["ArraySpec", "Blocker", "Scatterer", "Scene", "SceneError", "SceneParseError",
               "SceneValidationError", "Sweep", "Wall", "load_preset", "load_scene", "loads_scene",
               "save_scene", "serialize_scene", "PRESET_NAMES"],
-    "stationarity": ["StationaryPartition", "WindowBands", "characteristic_slope", "distance_map",
+    "stationarity": ["StationaryPartition", "WindowBands", "characteristic_slope", "distance_rows",
                      "partition_by_cmd", "partition_by_slope", "uniform_partition"],
     "synth": ["PathTable", "array_blocks", "cfr_csv", "element_geometry", "element_positions",
               "path_table", "response_blocks"],
     "wavefront": ["far_field_phase", "rayleigh_distance"],
 }
 # the held forms the streamed entry points replaced, and the second knife-edge sum
-REMOVED = ["ChannelFrequencyResponse", "LosTruth", "cmd_map", "compute_pdp", "compute_stats",
+REMOVED = ["ChannelFrequencyResponse", "LosTruth", "cmd_map", "compute_pdp", "compute_stats", "distance_map",
            "los_phase", "los_truth", "multiplanar_error", "path_blockage_db", "received_power_db",
            "rms_delay_spread", "synthesize_cfr"]
 

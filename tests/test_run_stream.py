@@ -97,6 +97,14 @@ FAILURES = {
     "power_overflows": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, []),  # |H|^2 overflows
     "power_overflows_two_points": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 2}, []),  # the window first
     "correlation_overflows": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, []),  # |R|^2 overflows
+    "correlation_overflows_cmd": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
+    # the partition reads no CMD map row: cmd_map.csv finds the overflow
+    "correlation_overflows_slope": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
+    "power_overflows_1e-150": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, []),
+    "power_overflows_1e-150_cmd": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
+    "power_overflows_1e-150_slope": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
+    "power_overflows_cmd": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
+    "power_overflows_slope": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
     "two_points": ({"n_points": 2}, []),
     "two_points_buried": ({"n_points": 2}, ["--noise-floor=20"]),
     "all_noise": ({"f_start": 1e300, "f_stop": 2e300}, []),  # every |H|^2 underflows to 0
@@ -104,6 +112,14 @@ FAILURES = {
     "buried": ({}, ["--noise-floor=20"]),
     "buried_one_element": ({"n_elements": 1}, ["--noise-floor=20"]),
     "one_element": ({"n_elements": 1}, []),
+}
+# the one line of each near-0 Hz scene, whichever criteria read the CMD map
+NEAR_0_HZ_LINES = {
+    **dict.fromkeys(("correlation_overflows", "correlation_overflows_cmd", "correlation_overflows_slope"),
+                    "analysis error: window correlations must have finite norms: |R|^2 overflows float64"),
+    **dict.fromkeys(("power_overflows", "power_overflows_cmd", "power_overflows_slope", "power_overflows_1e-150",
+                     "power_overflows_1e-150_cmd", "power_overflows_1e-150_slope"),
+                    "analysis error: received power must be finite: |H|^2 overflows float64"),
 }
 
 
@@ -125,6 +141,7 @@ def test_streamed_run_failure_matches_held_run(tmp_path, monkeypatch, case):
     assert code == EXIT_ANALYSIS_FAILURE and stdout == "" and not files
     [line] = stderr.splitlines()
     assert line.startswith("analysis error: ")
+    assert line == NEAR_0_HZ_LINES.get(case, line)
     out = tmp_path / "streamed"
     src = Path(nfclab.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "nfclab.cli", *args, "--out", str(out)],
@@ -148,15 +165,26 @@ def test_streamed_run_exits_5_on_unwritable_out_before_synthesis(tmp_path, monke
     assert not list(tmp_path.iterdir())
 
 
+def _olos_baffle_1024():
+    scene = load_preset("olos_baffle")
+    return _sized(replace(scene, array=replace(scene.array, n_elements=1024)), 101)
+
+
 # a held run's traced peak is at least its three (N, F) arrays: the response (16 B a
-# sample), its PDP and the LOS truth's amplitude (8 B each); the streamed run holds blocks
-@pytest.mark.parametrize("name, bound", [("sweep_deep", 6.5e6), ("array_wide", 6.5e6)])
+# sample), its PDP and the LOS truth's amplitude (8 B each), and its W x W CMD map (8 B
+# an entry, W = N - 3 windows); the streamed run holds blocks
+MEMORY_SCENES = {"sweep_deep": REFERENCE_SCENES["sweep_deep"], "array_wide": REFERENCE_SCENES["array_wide"],
+                 "olos_baffle_1024": _olos_baffle_1024}  # the map alone is 8.3 MB
+
+
+@pytest.mark.parametrize("name, bound", [("sweep_deep", 6.5e6), ("array_wide", 6.5e6), ("olos_baffle_1024", 6.5e6)])
 def test_streamed_run_holds_block_scratch_only(tmp_path, name, bound):
-    scene = REFERENCE_SCENES[name]()
+    scene = MEMORY_SCENES[name]()
     scenario = tmp_path / f"{name}.scene"
     save_scene(scene, scenario)
-    held_arrays = 32 * scene.array.n_elements * scene.sweep.n_points
-    assert bound < held_arrays
+    n = scene.array.n_elements
+    held = 32 * n * scene.sweep.n_points + 8 * (n - 3) ** 2
+    assert bound < held
     argv = ["run", str(scenario), "--out", str(tmp_path / "out")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # imports and first-call caches

@@ -10,7 +10,7 @@ import nfclab as nl
 from nfclab import _kernels
 from nfclab.analysis import ChannelStats
 from nfclab.stationarity import (DEFAULT_SLOPE_THRESHOLD_DB, DEFAULT_SMOOTHING_W, DEFAULT_UNIFORM_POWER_DB,
-                                 StationarityError, WindowBands, _cmd, _partition, export_cmd_map_csv,
+                                 StationarityError, WindowBands, _partition, distance_rows, export_cmd_map_csv,
                                  export_partition_csv, uniform_partition)
 from conftest import held_response
 import reference
@@ -34,8 +34,8 @@ def correlation_matrix(values, window):
 
 
 def cmd_partition(values, m=4, tau=0.2):
-    """``partition_by_cmd`` read from the response's own CMD map, as ``nfclab run`` calls it."""
-    return nl.partition_by_cmd(cmd_map(np.asarray(values, dtype=complex), m), len(values), m=m, tau=tau)
+    """``partition_by_cmd`` of the response's own window correlations, as ``nfclab run`` calls it."""
+    return nl.partition_by_cmd(window_stack(np.asarray(values, dtype=complex), m), len(values), m=m, tau=tau)
 
 
 def random_psd(rng, m=4):
@@ -115,7 +115,7 @@ def test_window_bands_correlations_twice_are_equal():
 
 def cmd(r1, r2):
     """The distance of one pair of correlation matrices, through the Gram routine."""
-    return float(_cmd(np.stack([r1, r2]))[0, 1])
+    return float(distance_rows(np.stack([r1, r2]), 0, 1)[0, 1])
 
 
 def test_cmd_identical_and_scaled():
@@ -229,19 +229,19 @@ def test_partition_determinism(olos_cfr):
 
 
 def test_partition_parameter_validation(olos_cfr):
-    dmap = cmd_map(olos_cfr)
+    stack = window_stack(olos_cfr, 4)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(dmap, len(olos_cfr), m=1)
+        nl.partition_by_cmd(stack, len(olos_cfr), m=1)
     with pytest.raises(StationarityError):
-        nl.partition_by_cmd(dmap, len(olos_cfr), tau=1.5)
+        nl.partition_by_cmd(stack, len(olos_cfr), tau=1.5)
 
 
 @pytest.mark.parametrize("map_m, n, m", [(5, 64, 4), (3, 64, 4), (4, 64, 5), (4, 63, 4), (4, 65, 4),
                                          (4, 3, 4)])
 def test_partition_rejects_a_map_of_another_window_or_array(olos_cfr, map_m, n, m):
-    dmap = cmd_map(olos_cfr, map_m)  # 64 - map_m + 1 windows
+    stack = window_stack(olos_cfr, map_m)  # 64 - map_m + 1 windows
     with pytest.raises(StationarityError, match=f"cmd map of {65 - map_m} windows does not fit {n} elements"):
-        nl.partition_by_cmd(dmap, n, m=m)
+        nl.partition_by_cmd(stack, n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_cmd_map_and_exports(tmp_path, olos_cfr):
     assert np.array_equal(dmap, dmap.T)
     assert np.all(np.diag(dmap) == 0.0)
     out = tmp_path / "cmd_map.csv"
-    export_cmd_map_csv(dmap, out)
+    export_cmd_map_csv(window_stack(olos_cfr, 4), out)
     assert len(out.read_text().strip().splitlines()) == 1 + n_windows ** 2
 
     part = cmd_partition(olos_cfr)
@@ -367,13 +367,6 @@ def test_cmd_map_exactly_symmetric_on_a_wide_array():
     dmap = cmd_map(values)
     assert dmap.shape == (509, 509)
     assert np.array_equal(dmap, dmap.T)
-
-
-def test_export_cmd_map_csv_rejects_asymmetric_map(tmp_path):
-    dmap = np.array([[0.0, 0.25], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        export_cmd_map_csv(dmap, tmp_path / "cmd_map.csv")
-    assert not (tmp_path / "cmd_map.csv").exists()
 
 
 @st.composite
