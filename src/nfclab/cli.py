@@ -129,28 +129,27 @@ def _mw_table(scene: Scene, table: synth.PathTable, geometry: multiplanar.LosGeo
 
 def _run_setup(args: argparse.Namespace) -> tuple[Scene, Path]:
     """``run``'s scene and output directory, once the checks that precede synthesis pass."""
-    scene = _apply_overrides(_resolve_scene(args.scenario), args)
+    scene = _resolve_scene(args.scenario)
     out_dir = Path(args.out)
+    # a failed run must not leave the previous run's artifacts; an --out that is not a
+    # directory holds none, and fails in mkdir once the overrides pass
+    if out_dir.is_dir():
+        for name in RUN_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    scene = _apply_overrides(scene, args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in RUN_FILES:  # a failed run must not leave the previous run's artifacts
-        (out_dir / name).unlink(missing_ok=True)
-    if not 0.0 < args.cmd_threshold < 1.0:  # the report records it under every criterion
+    if not 0.0 < args.cmd_threshold < 1.0:
         raise _CliError(f"--cmd-threshold must lie in (0, 1), got {args.cmd_threshold:g}",
                         EXIT_ANALYSIS_FAILURE)
-    if args.window < 2:  # the CMD map runs, and the report records it, under every criterion
+    if args.window < 2:
         raise _CliError(f"--window must span >= 2 elements, got {args.window}", EXIT_ANALYSIS_FAILURE)
     return scene, out_dir
 
 
 def _partitions(args: argparse.Namespace, stack: np.ndarray, stats: analysis.ChannelStats
                 ) -> list[stationarity.StationaryPartition]:
-    partitions = []
-    if args.criterion in ("cmd", "both"):
-        partitions.append(stationarity.partition_by_cmd(stack, stats.n_elements, m=args.window,
-                                                        tau=args.cmd_threshold))
-    if args.criterion in ("slope", "both"):
-        partitions.append(stationarity.partition_by_slope(stats))
-    return partitions
+    return [stationarity.partition_by_cmd(stack, stats.n_elements, m=args.window, tau=args.cmd_threshold),
+            stationarity.partition_by_slope(stats)]
 
 
 def _keep_pass_temporaries() -> None:
@@ -283,9 +282,10 @@ def _render_report(scenario: str, summary: str, thresholds: dict[str, float], ob
 
 
 def cmd_phase_check(args: argparse.Namespace) -> int:
-    scene = _apply_overrides(_resolve_scene(args.scenario), args)
+    scene = _resolve_scene(args.scenario)
     path = Path(args.out) / "phase_check.csv"
     path.unlink(missing_ok=True)  # a failed check must not leave the previous file
+    scene = _apply_overrides(scene, args)
     if not (math.isfinite(args.distance_mult) and args.distance_mult >= 1):
         raise _CliError("--distance-mult must be a finite number >= 1", EXIT_ANALYSIS_FAILURE)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="correlation-distance partition threshold")
     run.add_argument("--window", type=int, default=stationarity.DEFAULT_WINDOW_M,
                      help="correlation window size in elements")
-    run.add_argument("--criterion", choices=("cmd", "slope", "both"), default="both",
-                     help="stationary-interval criterion to run")
     run.add_argument("--noise-floor", type=float, default=None,
                      help="complex noise floor in dBm (off when omitted)")
     run.set_defaults(func=cmd_run)

@@ -37,7 +37,7 @@ def test_run_los_lab(tmp_path, capsys):
 
 
 def test_run_olos_notes_boundary_near_26(tmp_path):
-    assert run(["run", "olos_baffle", "--out", str(tmp_path), "--criterion", "cmd"]) == 0
+    assert run(["run", "olos_baffle", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "report.txt").read_text()
     assert "cmd partition" in report
     boundary_line = next(line for line in report.splitlines() if "cmd partition" in line)
@@ -96,32 +96,25 @@ def test_run_malformed_file_exit_3(tmp_path):
 
 
 def test_run_analysis_failure_exit_4(tmp_path):
-    # the CMD map needs windows of >= 2 elements even when only the slope criterion runs
-    assert run(["run", "los_lab", "--out", str(tmp_path),
-                "--criterion", "slope", "--window", "1"]) == EXIT_ANALYSIS_FAILURE
+    # the CMD map needs windows of >= 2 elements
+    assert run(["run", "los_lab", "--out", str(tmp_path), "--window", "1"]) == EXIT_ANALYSIS_FAILURE
 
 
 @pytest.mark.parametrize("tau", ["0", "1", "7", "nan"])
-@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
-def test_out_of_range_cmd_threshold_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, criterion, tau):
-    # report.txt records the threshold whichever criterion runs, so every criterion checks it
+def test_out_of_range_cmd_threshold_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, tau):
     from nfclab import synth
     calls = count_calls(monkeypatch, {"path_table": synth})
-    assert run(["run", "los_lab", "--out", str(tmp_path), "--criterion", criterion,
-                "--cmd-threshold", tau]) == EXIT_ANALYSIS_FAILURE
+    assert run(["run", "los_lab", "--out", str(tmp_path), "--cmd-threshold", tau]) == EXIT_ANALYSIS_FAILURE
     assert calls == {"path_table": 0}
     assert capsys.readouterr().err == f"error: --cmd-threshold must lie in (0, 1), got {float(tau):g}\n"
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
 
 
 @pytest.mark.parametrize("window", ["1", "0", "-3"])
-@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
-def test_window_below_2_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, criterion, window):
-    # the CMD map runs, and report.txt records the window, whichever criterion runs
+def test_window_below_2_exit_4_before_synthesis(tmp_path, monkeypatch, capsys, window):
     from nfclab import synth
     calls = count_calls(monkeypatch, {"path_table": synth})
-    assert run(["run", "los_lab", "--out", str(tmp_path), "--criterion", criterion,
-                "--window", window]) == EXIT_ANALYSIS_FAILURE
+    assert run(["run", "los_lab", "--out", str(tmp_path), "--window", window]) == EXIT_ANALYSIS_FAILURE
     assert calls == {"path_table": 0}
     assert capsys.readouterr().err == f"error: --window must span >= 2 elements, got {window}\n"
     assert not [name for name in RUN_FILES if (tmp_path / name).exists()]
@@ -137,6 +130,45 @@ def test_abbreviated_long_option_is_a_usage_error(tmp_path, capsys, args, option
     assert err.startswith("usage: nfclab ")
     assert err.endswith(f"error: unrecognized arguments: {option} {args[-1]}\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_criterion_option_is_a_usage_error(tmp_path, capsys):
+    # run always makes both partitions; there is no option that picks one
+    with pytest.raises(SystemExit) as exit_info:
+        run(["run", "los_lab", "--criterion", "cmd", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --criterion cmd\n")
+    assert not list(tmp_path.iterdir())
+
+
+# each command's fast successful line, and the file names it writes
+COMMANDS = {"run": (["run", "los_lab", "--freq-points", "11"], RUN_FILES),
+            "phase-check": (["phase-check", "los_lab"], ("phase_check.csv",))}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_invalid_override_deletes_the_previous_files(tmp_path, capsys, command):
+    argv, names = COMMANDS[command]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert all((tmp_path / name).exists() for name in names)
+    capsys.readouterr()
+    assert run([*argv, "--seed=-1", "--out", str(tmp_path)]) == EXIT_ANALYSIS_FAILURE
+    assert capsys.readouterr().err == "error: invalid override: seed: must lie in [0, 2**64), got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, code, message", [
+    # phase-check's deletion of phase_check.csv finds that --out is no directory
+    ("phase-check", EXIT_WRITE_FAILURE, "error: cannot write output: [Errno 20] Not a directory: "),
+    # run deletes from a directory only, and makes --out after the override check
+    ("run", EXIT_ANALYSIS_FAILURE, "error: invalid override: seed: "),
+], ids=["phase-check", "run"])
+def test_invalid_override_with_a_regular_file_out(tmp_path, capsys, command, code, message):
+    taken = tmp_path / "taken"
+    taken.touch()
+    assert run([*COMMANDS[command][0], "--seed=-1", "--out", str(taken)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert taken.read_bytes() == b""
 
 
 @pytest.mark.parametrize("n_elements", [2, 5], ids=["2_elements", "5_elements"])
@@ -387,11 +419,10 @@ def test_mw_table_scores_each_distinct_reference_index_once(tmp_path, monkeypatc
         assert len(one) == 3 and len(set(one)) == 1
 
 
-@pytest.mark.parametrize("criterion", ["cmd", "slope", "both"])
-def test_run_correlates_windows_once_under_every_criterion(tmp_path, monkeypatch, criterion):
+def test_run_correlates_windows_once(tmp_path, monkeypatch):
     from nfclab import stationarity
     calls = count_calls(monkeypatch, {"correlations": stationarity.WindowBands})
-    assert run(["run", "olos_baffle", "--out", str(tmp_path), "--criterion", criterion]) == 0
+    assert run(["run", "olos_baffle", "--out", str(tmp_path)]) == 0
     assert calls == {"correlations": 1}
 
 
@@ -711,9 +742,8 @@ def test_noise_above_signal_exit_4_names_the_floor(tmp_path):
 @given(scene=scenes(min_elements=1, max_elements=16, n_points=st.integers(2, 64)),
        noise_floor=st.one_of(st.none(), st.floats(-130.0, 20.0)), seed=st.integers(0, 2 ** 32),
        window=st.sampled_from([2, 3, 4, 5, 8, 1, 0, -1]),  # the last three exit 4
-       tau=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 0.0, 1.0, -0.5, 7.0, math.nan]),
-       criterion=st.sampled_from(["cmd", "slope", "both"]))
-def test_run_never_raises_on_random_scenes(scene, noise_floor, seed, window, tau, criterion):
+       tau=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 0.0, 1.0, -0.5, 7.0, math.nan]))
+def test_run_never_raises_on_random_scenes(scene, noise_floor, seed, window, tau):
     scene = replace(scene, noise_floor_dbm=noise_floor, seed=seed)
     try:
         scene.validate()
@@ -726,7 +756,7 @@ def test_run_never_raises_on_random_scenes(scene, noise_floor, seed, window, tau
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             code = run(["run", str(path), "--out", str(out), f"--window={window}",
-                        f"--cmd-threshold={tau!r}", "--criterion", criterion])
+                        f"--cmd-threshold={tau!r}"])
         if not valid:
             assert code == EXIT_PARSE_FAILURE
         else:
@@ -739,7 +769,8 @@ def test_run_never_raises_on_random_scenes(scene, noise_floor, seed, window, tau
         for name in RUN_FILES:
             assert (out / name).stat().st_size > 0, name
         rows = [line.split(",") for line in (out / "partition.csv").read_text().splitlines()[1:]]
-        for c in (("cmd", "slope") if criterion == "both" else (criterion,)):
+        assert {r[3] for r in rows} == {"cmd", "slope"}
+        for c in ("cmd", "slope"):  # each partition covers elements 1..N
             bounds = [(int(r[1]), int(r[2])) for r in rows if r[3] == c]
             assert [s for s, _ in bounds] == [1] + [e + 1 for _, e in bounds[:-1]]
             assert bounds[-1][1] == scene.array.n_elements

@@ -37,11 +37,6 @@ def test_readme_names_every_option(command):
     assert missing == []
 
 
-def test_readme_names_every_criterion():
-    criterion = next(a for a in _subparsers()["run"]._actions if a.dest == "criterion")
-    assert [c for c in criterion.choices if f"`{c}`" not in README] == []
-
-
 def test_readme_gives_every_exit_code():
     codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert sorted(set(codes.values())) == [0, 2, 3, 4, 5]
@@ -69,6 +64,13 @@ def test_readme_gives_every_csv_column(artifacts):
                for column in path.read_text(encoding="utf-8").splitlines()[0].split(",")
                if f"`{column}`" not in README]
     assert missing == []
+
+
+def test_readme_names_every_partition_criterion(artifacts):
+    rows = (artifacts / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
+    criteria = sorted({row.split(",")[3] for row in rows})
+    assert criteria == ["cmd", "slope"]
+    assert [c for c in criteria if f"`{c}`" not in README] == []
 
 
 def test_readme_names_every_report_threshold_and_check(artifacts):

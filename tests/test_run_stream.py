@@ -97,14 +97,7 @@ FAILURES = {
     "power_overflows": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, []),  # |H|^2 overflows
     "power_overflows_two_points": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 2}, []),  # the window first
     "correlation_overflows": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, []),  # |R|^2 overflows
-    "correlation_overflows_cmd": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
-    # the partition reads no CMD map row: cmd_map.csv finds the overflow
-    "correlation_overflows_slope": ({"f_start": 1e-100, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
     "power_overflows_1e-150": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, []),
-    "power_overflows_1e-150_cmd": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
-    "power_overflows_1e-150_slope": ({"f_start": 1e-150, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
-    "power_overflows_cmd": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, ["--criterion", "cmd"]),
-    "power_overflows_slope": ({"f_start": 1e-200, "f_stop": 1e9, "n_points": 5}, ["--criterion", "slope"]),
     "two_points": ({"n_points": 2}, []),
     "two_points_buried": ({"n_points": 2}, ["--noise-floor=20"]),
     "all_noise": ({"f_start": 1e300, "f_stop": 2e300}, []),  # every |H|^2 underflows to 0
@@ -113,12 +106,10 @@ FAILURES = {
     "buried_one_element": ({"n_elements": 1}, ["--noise-floor=20"]),
     "one_element": ({"n_elements": 1}, []),
 }
-# the one line of each near-0 Hz scene, whichever criteria read the CMD map
+# the one line of each near-0 Hz scene
 NEAR_0_HZ_LINES = {
-    **dict.fromkeys(("correlation_overflows", "correlation_overflows_cmd", "correlation_overflows_slope"),
-                    "analysis error: window correlations must have finite norms: |R|^2 overflows float64"),
-    **dict.fromkeys(("power_overflows", "power_overflows_cmd", "power_overflows_slope", "power_overflows_1e-150",
-                     "power_overflows_1e-150_cmd", "power_overflows_1e-150_slope"),
+    "correlation_overflows": "analysis error: window correlations must have finite norms: |R|^2 overflows float64",
+    **dict.fromkeys(("power_overflows", "power_overflows_1e-150"),
                     "analysis error: received power must be finite: |H|^2 overflows float64"),
 }
 
