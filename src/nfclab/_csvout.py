@@ -37,8 +37,9 @@ def lines(fields) -> np.ndarray:
     Each field is a uint8 ``(rows, cols, width)`` array of NUL-padded cells,
     or one that broadcasts to ``(rows, cols)`` cells: a per-row label
     ``(rows, 1, width)``, a per-column cell ``(1, cols, width)``.  Line
-    (r, c) is the fields' cells (r, c), joined by commas.  Fields of other
-    shapes raise ValueError.
+    (r, c) is the fields' cells (r, c), joined by commas.  Fields whose
+    ``(rows, cols)`` do not broadcast raise ValueError; a field of fewer than
+    three dimensions raises IndexError.
     """
     shape = np.broadcast_shapes(*(field.shape[:2] for field in fields))
     line = np.empty((*shape, sum(field.shape[2] + 1 for field in fields) + 1), dtype=np.uint8)
